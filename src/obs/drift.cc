@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/status.h"
 
@@ -10,9 +11,7 @@ namespace obs {
 
 DriftDetector::DriftDetector(Options options)
     : options_(options),
-      polls_(options.num_elements, 0.0),
-      changes_(options.num_elements, 0.0),
-      watch_time_(options.num_elements, 0.0),
+      evidence_(options.num_elements),
       mu_(new std::mutex),
       recommend_(new std::atomic<bool>(false)) {
   MetricsRegistry& registry =
@@ -52,11 +51,23 @@ Result<DriftDetector> DriftDetector::Create(Options options) {
 }
 
 void DriftDetector::ObserveSync(size_t element, bool changed, double gap) {
-  if (element >= polls_.size()) return;
+  if (element >= evidence_.size()) return;
   if (!(gap > 0.0) || !std::isfinite(gap)) return;
-  polls_[element] += 1.0;
-  if (changed) changes_[element] += 1.0;
-  watch_time_[element] += gap;
+  Evidence& e = evidence_[element];
+  e.polls += 1.0;
+  if (changed) e.changes += 1.0;
+  e.watch_time += gap;
+  e.scored_against = std::numeric_limits<double>::quiet_NaN();
+}
+
+double DriftDetector::ObservedRate(const Evidence& e) const {
+  // Bias-reduced rate from poll evidence: with mean inter-poll gap w/p and
+  // detection ratio c/p, a Poisson change process has
+  // rate = -ln(1 - c/p) / (w/p). Cap the ratio so all-changed evidence
+  // yields a large finite rate instead of infinity.
+  const double ratio = std::min(e.changes / e.polls, 0.999);
+  return std::max(-std::log1p(-ratio) / (e.watch_time / e.polls),
+                  options_.rate_floor);
 }
 
 void DriftDetector::EndPeriod(double now,
@@ -67,45 +78,48 @@ void DriftDetector::EndPeriod(double now,
 
   double weighted_score = 0.0;
   double weight = 0.0;
-  const size_t n = std::min(polls_.size(), planned_rates.size());
-  for (size_t i = 0; i < n; ++i) {
-    const double p = polls_[i];
-    const double w = watch_time_[i];
-    if (p < options_.min_evidence || !(w > 0.0)) continue;
-    // Bias-reduced rate from poll evidence: with mean inter-poll gap w/p
-    // and detection ratio c/p, a Poisson change process has
-    // rate = -ln(1 - c/p) / (w/p). Cap the ratio so all-changed evidence
-    // yields a large finite rate instead of infinity.
-    const double ratio = std::min(changes_[i] / p, 0.999);
-    const double observed =
-        std::max(-std::log1p(-ratio) / (w / p), options_.rate_floor);
-    const double planned = std::max(
-        i < planned_rates.size() ? planned_rates[i] : 0.0,
-        options_.rate_floor);
-    const double score = std::fabs(std::log(observed / planned));
+  const size_t n = std::min(evidence_.size(), planned_rates.size());
+  for (size_t i = 0; i < evidence_.size(); ++i) {
+    Evidence& e = evidence_[i];
+    const double p = e.polls;
+    if (i < n && p >= options_.min_evidence && e.watch_time > 0.0) {
+      const double planned = std::max(planned_rates[i], options_.rate_floor);
+      // Decay scales polls, changes and watched time alike, so the observed
+      // rate moves only when a sync adds evidence. Rescore only then, or
+      // when the plan's rate changed.
+      if (e.scored_against != planned) {
+        e.score = std::fabs(std::log(ObservedRate(e) / planned));
+        e.scored_against = planned;
+      }
+      const double score = e.score;
 
-    ++report.scored_elements;
-    weighted_score += score * p;
-    weight += p;
-    report.max_score = std::max(report.max_score, score);
-    if (score >= options_.flag_threshold) ++report.flagged_elements;
+      ++report.scored_elements;
+      weighted_score += score * p;
+      weight += p;
+      report.max_score = std::max(report.max_score, score);
+      if (score >= options_.flag_threshold) ++report.flagged_elements;
 
-    if (report.top.size() < options_.top_k ||
-        score > report.top.back().score) {
-      DriftOffender offender;
-      offender.element = i;
-      offender.planned_rate = planned;
-      offender.observed_rate = observed;
-      offender.score = score;
-      offender.evidence = p;
-      auto pos = std::upper_bound(
-          report.top.begin(), report.top.end(), offender,
-          [](const DriftOffender& a, const DriftOffender& b) {
-            return a.score > b.score;
-          });
-      report.top.insert(pos, offender);
-      if (report.top.size() > options_.top_k) report.top.pop_back();
+      if (report.top.size() < options_.top_k ||
+          score > report.top.back().score) {
+        DriftOffender offender;
+        offender.element = i;
+        offender.planned_rate = planned;
+        offender.observed_rate = ObservedRate(e);
+        offender.score = score;
+        offender.evidence = p;
+        auto pos = std::upper_bound(
+            report.top.begin(), report.top.end(), offender,
+            [](const DriftOffender& a, const DriftOffender& b) {
+              return a.score > b.score;
+            });
+        report.top.insert(pos, offender);
+        if (report.top.size() > options_.top_k) report.top.pop_back();
+      }
     }
+    // Decay AFTER scoring so the period's own syncs count at full weight.
+    e.polls *= options_.decay;
+    e.changes *= options_.decay;
+    e.watch_time *= options_.decay;
   }
   if (weight > 0.0) report.aggregate_score = weighted_score / weight;
 
@@ -132,15 +146,6 @@ void DriftDetector::EndPeriod(double now,
   {
     std::lock_guard<std::mutex> lock(*mu_);
     report_ = std::move(report);
-  }
-
-  // Decay AFTER scoring so the period's own syncs count at full weight.
-  if (options_.decay < 1.0) {
-    for (size_t i = 0; i < polls_.size(); ++i) {
-      polls_[i] *= options_.decay;
-      changes_[i] *= options_.decay;
-      watch_time_[i] *= options_.decay;
-    }
   }
 }
 

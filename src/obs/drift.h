@@ -16,7 +16,9 @@
 //     (-log(1 - c/p) per mean gap — the paper's [4] estimator form) and
 //     scores it against the rate the CURRENT PLAN was solved with:
 //     score = |ln(observed / planned)|, so score ln(2) means the believed
-//     rate is off by 2x in either direction.
+//     rate is off by 2x in either direction. Decay leaves the estimate
+//     unchanged, so an element is rescored only after new evidence or a
+//     change in its planned rate.
 //   * The report carries the evidence-weighted aggregate score, the top-k
 //     worst offenders, and a replan recommendation that arms after the
 //     aggregate stays above threshold for a configurable number of
@@ -32,6 +34,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -138,13 +141,24 @@ class DriftDetector {
  private:
   explicit DriftDetector(Options options);
 
-  Options options_;
+  // One element's loop-thread state, kept together so a sync touches one
+  // cache line.
+  struct Evidence {
+    // Decayed effective polls, detected changes and watched time.
+    double polls = 0.0;
+    double changes = 0.0;
+    double watch_time = 0.0;
+    // The last score and the planned rate it was scored against; NaN when
+    // evidence arrived since, so the next EndPeriod rescores the element.
+    double score = 0.0;
+    double scored_against = std::numeric_limits<double>::quiet_NaN();
+  };
 
-  // Loop-thread evidence (decayed): effective polls, detected changes,
-  // watched time per element.
-  std::vector<double> polls_;
-  std::vector<double> changes_;
-  std::vector<double> watch_time_;
+  // The bias-reduced observed rate from the element's evidence.
+  double ObservedRate(const Evidence& e) const;
+
+  Options options_;
+  std::vector<Evidence> evidence_;
 
   // Reader-shared state. unique_ptr keeps the detector movable.
   std::unique_ptr<std::mutex> mu_;

@@ -3,6 +3,7 @@
 // their wiring into OnlineFreshenLoop (drift-forced early replans). All
 // period clocks here are virtual — the tests drive ObservePeriod/EndPeriod
 // directly, so every state transition is deterministic.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "obs/drift.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
+#include "rng/rng.h"
 
 namespace freshen {
 namespace {
@@ -400,6 +402,76 @@ TEST(DriftDetectorTest, EvidenceDecaysBelowScoringThreshold) {
   // element stops being scored.
   detector.EndPeriod(2.0, {1.0});
   EXPECT_EQ(detector.Report().scored_elements, 0u);
+}
+
+// Decay scales an element's polls, changes and watched time alike, so the
+// detector keeps an element's score until a sync adds evidence or the plan's
+// rate for it changes. An eager oracle that rescores every element from its
+// decayed evidence at every period close must agree up to rounding.
+TEST(DriftDetectorTest, CachedScoresMatchEagerRescoring) {
+  const size_t n = 64;
+  obs::MetricsRegistry registry;
+  auto options = SmallDriftOptions(n, &registry);
+  options.top_k = n;  // Report every scored element.
+  auto detector = DriftDetector::Create(options).value();
+  std::vector<double> polls(n, 0.0);
+  std::vector<double> changes(n, 0.0);
+  std::vector<double> watch(n, 0.0);
+  std::vector<double> planned(n, 1.0);
+  Rng rng(11);
+  for (int period = 1; period <= 300; ++period) {
+    // Sync probabilities from 5% to 95% per period: the rarely synced
+    // elements idle for many periods and cross min_evidence both ways.
+    for (size_t i = 0; i < n; ++i) {
+      if (!rng.NextBool(0.05 + 0.9 * static_cast<double>(i) / n)) continue;
+      const bool changed = rng.NextBool(0.4);
+      const double gap = rng.NextDoubleIn(0.1, 2.0);
+      detector.ObserveSync(i, changed, gap);
+      polls[i] += 1.0;
+      if (changed) changes[i] += 1.0;
+      watch[i] += gap;
+    }
+    // A replan every 25 periods moves about a third of the planned rates.
+    if (period % 25 == 0) {
+      for (double& rate : planned) {
+        if (rng.NextBool(0.3)) rate = rng.NextDoubleIn(0.2, 4.0);
+      }
+    }
+    detector.EndPeriod(period, planned);
+
+    const DriftReport report = detector.Report();
+    std::vector<double> eager(n, -1.0);
+    size_t scored = 0;
+    double weighted = 0.0;
+    double weight = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      if (polls[i] < options.min_evidence) continue;
+      const double ratio = std::min(changes[i] / polls[i], 0.999);
+      const double observed =
+          std::max(-std::log1p(-ratio) / (watch[i] / polls[i]),
+                   options.rate_floor);
+      eager[i] = std::fabs(std::log(observed / planned[i]));
+      ++scored;
+      weighted += eager[i] * polls[i];
+      weight += polls[i];
+    }
+    ASSERT_EQ(report.scored_elements, scored) << "period " << period;
+    ASSERT_EQ(report.top.size(), scored) << "period " << period;
+    for (const obs::DriftOffender& offender : report.top) {
+      ASSERT_NEAR(offender.score, eager[offender.element], 1e-12)
+          << "period " << period << " element " << offender.element;
+      EXPECT_EQ(offender.planned_rate, planned[offender.element]);
+      EXPECT_EQ(offender.evidence, polls[offender.element]);
+    }
+    if (scored > 0) {
+      EXPECT_NEAR(report.aggregate_score, weighted / weight, 1e-12);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      polls[i] *= options.decay;
+      changes[i] *= options.decay;
+      watch[i] *= options.decay;
+    }
+  }
 }
 
 // ---- OnlineFreshenLoop wiring --------------------------------------------
