@@ -96,7 +96,8 @@ void SloMonitor::ObservePeriod(double period_end, uint64_t accesses,
       options_.good_is_age_slo ? std::min(age_slo_accesses, accesses)
                                : std::min(fresh_accesses, accesses);
   s.total_accesses.fetch_add(accesses, std::memory_order_relaxed);
-  s.total_good.fetch_add(good, std::memory_order_relaxed);
+  // Release pairs with Report()'s acquire load of total_good.
+  s.total_good.fetch_add(good, std::memory_order_release);
   s.now.store(period_end, std::memory_order_relaxed);
   // Publish the slot: readers only scan below head.
   s.head.store(head + 1, std::memory_order_release);
@@ -178,8 +179,10 @@ SloReport SloMonitor::Report() const {
       s.last_transition_time.load(std::memory_order_relaxed);
   report.fast = WindowView(head, options_.fast_window_periods);
   report.slow = WindowView(head, options_.slow_window_periods);
+  // Good first: every period counted in it was added to total_accesses
+  // before, so the pair read here never has good > accesses.
+  report.total_good = s.total_good.load(std::memory_order_acquire);
   report.total_accesses = s.total_accesses.load(std::memory_order_relaxed);
-  report.total_good = s.total_good.load(std::memory_order_relaxed);
   report.overall_good_ratio =
       report.total_accesses > 0
           ? static_cast<double>(report.total_good) /
