@@ -95,15 +95,6 @@ CoreProblem SyntheticProblem(size_t n) {
   return problem;
 }
 
-double Percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const size_t k = std::min(
-      samples.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(samples.size() - 1) + 0.5));
-  return samples[k];
-}
-
 void WriteJson(const std::vector<ReplanRow>& rows, const char* path) {
   std::FILE* file = std::fopen(path, "w");
   if (file == nullptr) {
@@ -252,10 +243,10 @@ int main() {
           }
         }
 
-        row.p50_replan_s = Percentile(replan_s, 0.50);
-        row.p95_replan_s = Percentile(replan_s, 0.95);
-        row.p50_materialize_s = Percentile(materialize_s, 0.50);
-        row.p50_cold_s = Percentile(cold_s, 0.50);
+        row.p50_replan_s = bench::Percentile(replan_s, 0.50);
+        row.p95_replan_s = bench::Percentile(replan_s, 0.95);
+        row.p50_materialize_s = bench::Percentile(materialize_s, 0.50);
+        row.p50_cold_s = bench::Percentile(cold_s, 0.50);
         row.speedup_p50 = row.p50_replan_s > 0.0
                               ? row.p50_cold_s / row.p50_replan_s
                               : 0.0;

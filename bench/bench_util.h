@@ -3,6 +3,7 @@
 #ifndef FRESHEN_BENCH_BENCH_UTIL_H_
 #define FRESHEN_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,6 +22,16 @@ namespace freshen::bench {
 inline bool QuickMode() {
   const char* env = std::getenv("FRESHEN_QUICK");
   return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == 0);
+}
+
+/// The q-quantile of `samples` (nearest rank; 0 when empty).
+inline double Percentile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const size_t k = std::min(
+      samples.size() - 1,
+      static_cast<size_t>(q * static_cast<double>(samples.size() - 1) + 0.5));
+  return samples[k];
 }
 
 /// Table 3's big case, shrunk when QuickMode().
