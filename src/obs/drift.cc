@@ -4,10 +4,34 @@
 #include <cmath>
 #include <limits>
 
+#include "common/simd.h"
 #include "common/status.h"
 
 namespace freshen {
 namespace obs {
+namespace {
+
+// Cap on the detection ratio c/p, so all-changed evidence yields a large
+// finite rate.
+constexpr double kMaxDetectionRatio = 0.999;
+
+// Elements per rescoring batch and per EndPeriod sweep chunk.
+constexpr size_t kSweepChunk = 256;
+
+// scored_against of an element queued for rescoring: below any planned
+// rate, which is floored at rate_floor > 0.
+constexpr double kQueued = -1.0;
+
+// |log ratio| given the batch kernel's log of it. LogPos takes positive
+// normal doubles only; libm covers the rest.
+double ScoreFromRatio(double ratio, double log_ratio) {
+  return std::fabs(ratio >= std::numeric_limits<double>::min() &&
+                           ratio <= std::numeric_limits<double>::max()
+                       ? log_ratio
+                       : std::log(ratio));
+}
+
+}  // namespace
 
 DriftDetector::DriftDetector(Options options)
     : options_(options),
@@ -57,69 +81,164 @@ void DriftDetector::ObserveSync(size_t element, bool changed, double gap) {
   e.polls += 1.0;
   if (changed) e.changes += 1.0;
   e.watch_time += gap;
-  e.scored_against = std::numeric_limits<double>::quiet_NaN();
+  if (!(e.scored_against == kQueued)) dirty_.push_back(element);
+  e.scored_against = kQueued;
 }
 
 double DriftDetector::ObservedRate(const Evidence& e) const {
   // Bias-reduced rate from poll evidence: with mean inter-poll gap w/p and
   // detection ratio c/p, a Poisson change process has
   // rate = -ln(1 - c/p) / (w/p). Cap the ratio so all-changed evidence
-  // yields a large finite rate instead of infinity.
-  const double ratio = std::min(e.changes / e.polls, 0.999);
-  return std::max(-std::log1p(-ratio) / (e.watch_time / e.polls),
+  // yields a large finite rate instead of infinity. These are the steps
+  // RescoreSynced's batch takes, with the scalar form of its logarithm, so
+  // a reported observed rate is the one its score was taken from.
+  const double ratio = std::min(e.changes / e.polls, kMaxDetectionRatio);
+  return std::max(-simd::Log1pRef(-ratio) / (e.watch_time / e.polls),
                   options_.rate_floor);
+}
+
+void DriftDetector::RescoreOne(Evidence& e, double planned) const {
+  const double ratio = ObservedRate(e) / planned;
+  e.score = ScoreFromRatio(ratio, simd::LogPosRef(ratio));
+  e.scored_against = planned;
+}
+
+void DriftDetector::RescoreSynced(const std::vector<double>& planned_rates) {
+  // Decay scales polls, changes and watched time alike, so the observed
+  // rate moves only when a sync adds evidence. The elements synced since
+  // the last close are rescored here, a chunk at a time: gather the
+  // chunk's evidence, then run each step of ObservedRate and the log ratio
+  // over the whole chunk, the two logarithms through the batch kernels.
+  // Each step is the one RescoreOne takes, so the bits are the same.
+  size_t index[kSweepChunk];
+  double planned[kSweepChunk];
+  double polls[kSweepChunk];
+  double gap[kSweepChunk];
+  double x[kSweepChunk];
+  double y[kSweepChunk];
+  const double rate_floor = options_.rate_floor;
+  const size_t n = std::min(evidence_.size(), planned_rates.size());
+  for (size_t begin = 0; begin < dirty_.size(); begin += kSweepChunk) {
+    const size_t end = std::min(dirty_.size(), begin + kSweepChunk);
+    size_t k = 0;
+    for (size_t d = begin; d < end; ++d) {
+      const size_t i = dirty_[d];
+      Evidence& e = evidence_[i];
+      if (i >= n || !Scorable(e)) {
+        e.scored_against = std::numeric_limits<double>::quiet_NaN();
+        continue;
+      }
+      index[k] = i;
+      planned[k] = std::max(planned_rates[i], rate_floor);
+      polls[k] = e.polls;
+      gap[k] = e.watch_time;
+      x[k] = e.changes;
+      ++k;
+    }
+    for (size_t j = 0; j < k; ++j) {
+      x[j] = -std::min(x[j] / polls[j], kMaxDetectionRatio);
+      gap[j] /= polls[j];
+    }
+    simd::Log1pBatch(x, y, k);
+    for (size_t j = 0; j < k; ++j) {
+      x[j] = std::max(-y[j] / gap[j], rate_floor) / planned[j];
+    }
+    simd::LogPosBatch(x, y, k);
+    for (size_t j = 0; j < k; ++j) {
+      Evidence& e = evidence_[index[j]];
+      e.score = ScoreFromRatio(x[j], y[j]);
+      e.scored_against = planned[j];
+    }
+  }
+  dirty_.clear();
 }
 
 void DriftDetector::EndPeriod(double now,
                               const std::vector<double>& planned_rates) {
+  RescoreSynced(planned_rates);
+
   DriftReport report;
   report.now = now;
-  report.top.reserve(options_.top_k);
 
+  // The top-k list. A candidate keeps the evidence it was scored with;
+  // offenders are built only for the final k.
+  struct Candidate {
+    size_t element;
+    Evidence evidence;
+  };
+  std::vector<Candidate> top;
+  top.reserve(options_.top_k + 1);
+
+  const size_t top_k = options_.top_k;
+  const double decay = options_.decay;
+  const double flag_threshold = options_.flag_threshold;
+  const double rate_floor = options_.rate_floor;
+  size_t scored_elements = 0;
+  size_t flagged_elements = 0;
+  double max_score = 0.0;
   double weighted_score = 0.0;
   double weight = 0.0;
   const size_t n = std::min(evidence_.size(), planned_rates.size());
-  for (size_t i = 0; i < evidence_.size(); ++i) {
-    Evidence& e = evidence_[i];
-    const double p = e.polls;
-    if (i < n && p >= options_.min_evidence && e.watch_time > 0.0) {
-      const double planned = std::max(planned_rates[i], options_.rate_floor);
-      // Decay scales polls, changes and watched time alike, so the observed
-      // rate moves only when a sync adds evidence. Rescore only then, or
-      // when the plan's rate changed.
-      if (e.scored_against != planned) {
-        e.score = std::fabs(std::log(ObservedRate(e) / planned));
-        e.scored_against = planned;
+  Candidate candidates[kSweepChunk];
+  // One sweep: aggregate, rank and decay, a chunk at a time. The loop over
+  // a chunk makes no call on its hot path, so the sums stay in registers.
+  for (size_t begin = 0; begin < evidence_.size(); begin += kSweepChunk) {
+    const size_t end = std::min(evidence_.size(), begin + kSweepChunk);
+    // Elements that may enter the top-k against the chunk's opening cutoff
+    // are copied out with their undecayed evidence.
+    const bool open = top.size() < top_k;
+    const double cutoff = open ? 0.0 : top.back().evidence.score;
+    size_t m = 0;
+    for (size_t i = begin; i < end; ++i) {
+      Evidence& e = evidence_[i];
+      if (i < n && Scorable(e)) {
+        // A replan may have moved the planned rate of an element that saw
+        // no sync.
+        const double planned = std::max(planned_rates[i], rate_floor);
+        if (e.scored_against != planned) [[unlikely]] {
+          RescoreOne(e, planned);
+        }
+        const double score = e.score;
+        ++scored_elements;
+        if (score >= flag_threshold) ++flagged_elements;
+        max_score = std::max(max_score, score);
+        weighted_score += score * e.polls;
+        weight += e.polls;
+        if (open || score > cutoff) candidates[m++] = Candidate{i, e};
       }
-      const double score = e.score;
-
-      ++report.scored_elements;
-      weighted_score += score * p;
-      weight += p;
-      report.max_score = std::max(report.max_score, score);
-      if (score >= options_.flag_threshold) ++report.flagged_elements;
-
-      if (report.top.size() < options_.top_k ||
-          score > report.top.back().score) {
-        DriftOffender offender;
-        offender.element = i;
-        offender.planned_rate = planned;
-        offender.observed_rate = ObservedRate(e);
-        offender.score = score;
-        offender.evidence = p;
-        auto pos = std::upper_bound(
-            report.top.begin(), report.top.end(), offender,
-            [](const DriftOffender& a, const DriftOffender& b) {
-              return a.score > b.score;
-            });
-        report.top.insert(pos, offender);
-        if (report.top.size() > options_.top_k) report.top.pop_back();
-      }
+      // Decay AFTER scoring so the period's own syncs count at full weight.
+      e.polls *= decay;
+      e.changes *= decay;
+      e.watch_time *= decay;
     }
-    // Decay AFTER scoring so the period's own syncs count at full weight.
-    e.polls *= options_.decay;
-    e.changes *= options_.decay;
-    e.watch_time *= options_.decay;
+    for (size_t j = 0; j < m; ++j) {
+      const Candidate& c = candidates[j];
+      const double score = c.evidence.score;
+      if (top.size() == top_k && !(score > top.back().evidence.score)) {
+        continue;
+      }
+      // Ties keep the earlier element ahead.
+      size_t pos = top.size();
+      top.push_back(c);
+      for (; pos > 0 && top[pos - 1].evidence.score < score; --pos) {
+        top[pos] = top[pos - 1];
+      }
+      top[pos] = c;
+      if (top.size() > top_k) top.pop_back();
+    }
+  }
+  report.scored_elements = scored_elements;
+  report.flagged_elements = flagged_elements;
+  report.max_score = max_score;
+  report.top.reserve(top.size());
+  for (const Candidate& c : top) {
+    DriftOffender offender;
+    offender.element = c.element;
+    offender.planned_rate = c.evidence.scored_against;
+    offender.observed_rate = ObservedRate(c.evidence);
+    offender.score = c.evidence.score;
+    offender.evidence = c.evidence.polls;
+    report.top.push_back(offender);
   }
   if (weight > 0.0) report.aggregate_score = weighted_score / weight;
 

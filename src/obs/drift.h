@@ -148,17 +148,33 @@ class DriftDetector {
     double polls = 0.0;
     double changes = 0.0;
     double watch_time = 0.0;
-    // The last score and the planned rate it was scored against; NaN when
-    // evidence arrived since, so the next EndPeriod rescores the element.
+    // The last score and the planned rate it was scored against. A sync
+    // queues the element in dirty_ and marks it queued (a negative value);
+    // NaN while it has too little evidence to be scored.
     double score = 0.0;
     double scored_against = std::numeric_limits<double>::quiet_NaN();
   };
 
+  // True when the element has enough evidence to be scored.
+  bool Scorable(const Evidence& e) const {
+    return e.polls >= options_.min_evidence && e.watch_time > 0.0;
+  }
+
   // The bias-reduced observed rate from the element's evidence.
   double ObservedRate(const Evidence& e) const;
 
+  // Scores the element against `planned` (one lane of RescoreSynced).
+  [[gnu::cold, gnu::noinline]] void RescoreOne(Evidence& e,
+                                               double planned) const;
+
+  // Rescores, in batches, the scorable elements synced since the last
+  // EndPeriod, and empties dirty_.
+  void RescoreSynced(const std::vector<double>& planned_rates);
+
   Options options_;
   std::vector<Evidence> evidence_;
+  // Elements synced since the last EndPeriod, each once.
+  std::vector<size_t> dirty_;
 
   // Reader-shared state. unique_ptr keeps the detector movable.
   std::unique_ptr<std::mutex> mu_;

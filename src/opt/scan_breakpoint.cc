@@ -1,7 +1,9 @@
 #include "opt/scan_breakpoint.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/macros.h"
 #include "model/freshness_batch.h"
@@ -14,11 +16,42 @@ namespace {
 /// the SoA streams.
 constexpr size_t kBlock = 512;
 
-/// Pad inputs for priced-out lanes (freshness kernel only): any mid-range
-/// target with a near-root seed, so dead lanes converge immediately instead
-/// of dragging their vector through cold iterations.
-constexpr double kPadTarget = 0.25;
-constexpr double kPadSeed = 0.85;  // ~ g^{-1}(0.25).
+/// Slot index of a priced-out lane: it has no kernel input.
+constexpr uint16_t kPricedOut = 0xFFFF;
+static_assert(kBlock < kPricedOut, "slot indices must fit below kPricedOut");
+
+/// Appends (target, seed) to the kernel's input buffer unless it repeats
+/// the previous funded lane's input bit for bit, in which case that lane's
+/// slot is shared; returns the lane's slot. Roots are a pure function of
+/// their (target, seed) bits (model/freshness_batch.h), so a shared slot
+/// yields the same root each lane would have got alone. A null `seeds`
+/// means cold inversions, keyed on the target alone.
+uint16_t AssignSlot(double target, double seed, double* targets,
+                    double* seeds, size_t* slots) {
+  if (*slots > 0) {
+    const size_t last = *slots - 1;
+    if (std::bit_cast<uint64_t>(target) ==
+            std::bit_cast<uint64_t>(targets[last]) &&
+        (seeds == nullptr || std::bit_cast<uint64_t>(seed) ==
+                                 std::bit_cast<uint64_t>(seeds[last]))) {
+      return static_cast<uint16_t>(last);
+    }
+  }
+  targets[*slots] = target;
+  if (seeds != nullptr) seeds[*slots] = seed;
+  return static_cast<uint16_t>((*slots)++);
+}
+
+/// Runs the evaluator's batch kernel over n compressed inputs.
+void InvertBatch(BreakpointSpendEvaluator::Kernel kernel, const double* targets,
+                 const double* seeds, double* roots, size_t n) {
+  if (n == 0) return;
+  if (kernel == BreakpointSpendEvaluator::Kernel::kFreshnessG) {
+    BatchInverseMarginalGainG(targets, seeds, roots, n);
+  } else {
+    BatchInverseAgeMarginalKernelH(targets, seeds, roots, n);
+  }
+}
 
 /// Illinois works on phi = log((spend + eps*B) / ((1+eps)*B)): log-log
 /// secant (spend is near power-law in mu, so phi is near-linear in log mu)
@@ -51,43 +84,34 @@ double BreakpointSpendEvaluator::SpendAt(double mu) {
   const size_t n = target_scale_.size();
   if (n == 0) return 0.0;
   std::vector<double> partial(plan_.size(), 0.0);
+  const bool freshness = kernel_ == Kernel::kFreshnessG;
   exec_->ForShards(plan_, [&](const par::Shard& shard) {
     KahanSum acc;
     double target[kBlock];
     double seed[kBlock];
     double root[kBlock];
-    bool funded[kBlock];
+    uint16_t slot[kBlock];
     for (size_t b = shard.begin; b < shard.end; b += kBlock) {
       const size_t m = std::min(kBlock, shard.end - b);
-      if (kernel_ == Kernel::kFreshnessG) {
-        for (size_t j = 0; j < m; ++j) {
-          const double y = mu * target_scale_[b + j];
-          const bool f = y < 1.0;
-          funded[j] = f;
-          target[j] = f ? std::max(y, 1e-300) : kPadTarget;
-          seed[j] = f ? warm_[b + j] : kPadSeed;
+      size_t slots = 0;
+      for (size_t j = 0; j < m; ++j) {
+        const double y = mu * target_scale_[b + j];
+        slot[j] = freshness && !(y < 1.0)
+                      ? kPricedOut
+                      : AssignSlot(std::max(y, 1e-300), warm_[b + j], target,
+                                   seed, &slots);
+      }
+      InvertBatch(kernel_, target, seed, root, slots);
+      for (size_t j = 0; j < m; ++j) {
+        if (slot[j] == kPricedOut) {
+          acc.Add(0.0);  // Keep the summation tree independent of mu.
+          continue;
         }
-        BatchInverseMarginalGainG(target, seed, root, m);
-        for (size_t j = 0; j < m; ++j) {
-          if (funded[j]) {
-            // The warm root is per-element state: written only here, by the
-            // owning shard, as a function of the probe sequence alone.
-            warm_[b + j] = root[j];
-            acc.Add(spend_scale_[b + j] / root[j]);
-          } else {
-            acc.Add(0.0);  // Keep the summation tree independent of mu.
-          }
-        }
-      } else {
-        for (size_t j = 0; j < m; ++j) {
-          target[j] = std::max(mu * target_scale_[b + j], 1e-300);
-          seed[j] = warm_[b + j];
-        }
-        BatchInverseAgeMarginalKernelH(target, seed, root, m);
-        for (size_t j = 0; j < m; ++j) {
-          warm_[b + j] = root[j];
-          acc.Add(spend_scale_[b + j] / root[j]);
-        }
+        // The warm root is per-element state: written only here, by the
+        // owning shard, as a function of the probe sequence alone.
+        const double r = root[slot[j]];
+        warm_[b + j] = r;
+        acc.Add(spend_scale_[b + j] / r);
       }
     }
     partial[shard.index] = acc.Total();
@@ -108,40 +132,28 @@ void BreakpointSpendEvaluator::CaptureAt(
   const size_t n = target_scale_.size();
   if (frequencies != nullptr) frequencies->assign(n, 0.0);
   if (contributions != nullptr) contributions->assign(n, 0.0);
+  const bool freshness = kernel_ == Kernel::kFreshnessG;
   exec_->ForShards(plan_, [&](const par::Shard& shard) {
     double target[kBlock];
     double root[kBlock];
-    bool funded[kBlock];
+    uint16_t slot[kBlock];
     for (size_t b = shard.begin; b < shard.end; b += kBlock) {
       const size_t m = std::min(kBlock, shard.end - b);
-      if (kernel_ == Kernel::kFreshnessG) {
-        for (size_t j = 0; j < m; ++j) {
-          const double y = mu * target_scale_[b + j];
-          funded[j] = y < 1.0;
-          target[j] = funded[j] ? std::max(y, 1e-300) : kPadTarget;
-        }
-        BatchInverseMarginalGainG(target, /*seeds=*/nullptr, root, m);
-        for (size_t j = 0; j < m; ++j) {
-          if (!funded[j]) continue;
-          if (frequencies != nullptr) {
-            (*frequencies)[b + j] = lambda_[b + j] / root[j];
-          }
-          if (contributions != nullptr) {
-            (*contributions)[b + j] = spend_scale_[b + j] / root[j];
-          }
-        }
-      } else {
-        for (size_t j = 0; j < m; ++j) {
-          target[j] = std::max(mu * target_scale_[b + j], 1e-300);
-        }
-        BatchInverseAgeMarginalKernelH(target, /*seeds=*/nullptr, root, m);
-        for (size_t j = 0; j < m; ++j) {
-          if (frequencies != nullptr) {
-            (*frequencies)[b + j] = lambda_[b + j] / root[j];
-          }
-          if (contributions != nullptr) {
-            (*contributions)[b + j] = spend_scale_[b + j] / root[j];
-          }
+      size_t slots = 0;
+      for (size_t j = 0; j < m; ++j) {
+        const double y = mu * target_scale_[b + j];
+        slot[j] = freshness && !(y < 1.0)
+                      ? kPricedOut
+                      : AssignSlot(std::max(y, 1e-300), /*seed=*/0.0, target,
+                                   /*seeds=*/nullptr, &slots);
+      }
+      InvertBatch(kernel_, target, /*seeds=*/nullptr, root, slots);
+      for (size_t j = 0; j < m; ++j) {
+        if (slot[j] == kPricedOut) continue;
+        const double r = root[slot[j]];
+        if (frequencies != nullptr) (*frequencies)[b + j] = lambda_[b + j] / r;
+        if (contributions != nullptr) {
+          (*contributions)[b + j] = spend_scale_[b + j] / r;
         }
       }
     }

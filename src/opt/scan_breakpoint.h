@@ -229,6 +229,16 @@ double MergeSpendBlockPartials(const std::vector<double>& partials);
 /// (par::kTranscendentalGrain/MaxShards, recomputed for THIS compacted set,
 /// not the original problem size).
 ///
+/// Kernel runs: each 512-lane block hands the batch kernel only the inputs
+/// it needs. Priced-out lanes are left out, and a funded lane whose
+/// (target, warm seed) bits equal the previous funded lane's shares that
+/// lane's input slot; the roots are scattered back through a per-lane slot
+/// index. A root is a pure function of its input bits (the kernels' lane
+/// independence), so this changes no output bit. It is what makes a catalog
+/// of one large class of identical elements — every element a controller
+/// has not yet observed — cost one inversion per run of the class per
+/// block rather than one per element.
+///
 /// Determinism: the plan is fixed at construction; per-shard Kahan partials
 /// accumulate in index order and merge in shard order; warm-start roots are
 /// written only by the owning element's lane. SpendAt(mu) is therefore

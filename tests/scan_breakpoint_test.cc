@@ -12,17 +12,23 @@
 //      FRESHEN_SANITIZE=thread build.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
+#include "model/freshness_batch.h"
 #include "opt/age_water_filling.h"
 #include "opt/problem.h"
 #include "opt/scan_breakpoint.h"
 #include "opt/water_filling.h"
+#include "stats/descriptive.h"
 
 namespace freshen {
 namespace {
@@ -348,6 +354,219 @@ TEST(ScanBreakpointTest, EvaluatorPlanUsesTranscendentalSizing) {
             par::ShardCountFor(100000, par::kTranscendentalGrain,
                                par::kTranscendentalMaxShards));
   EXPECT_GT(eval.plan().size(), par::ShardCount(100000));
+}
+
+// ---------------------------------------------------------------------------
+// Kernel runs: the evaluator hands the batch kernel only distinct inputs.
+// These catalogs put equal inputs in adjacent lanes (which random catalogs
+// never do) and check every output bit against a per-lane reference.
+// ---------------------------------------------------------------------------
+
+using Kernel = BreakpointSpendEvaluator::Kernel;
+
+// One inversion per lane through the scalar references, with per-lane warm
+// seeds and the evaluator's Kahan order: per shard in index order (a 0 for
+// each priced-out lane), then the shard partials in shard order.
+class PerLaneReference {
+ public:
+  PerLaneReference(Kernel kernel, const std::vector<double>& target_scale,
+                   const std::vector<double>& lambda,
+                   const std::vector<double>& spend_scale,
+                   std::vector<par::Shard> plan)
+      : kernel_(kernel),
+        target_scale_(target_scale),
+        lambda_(lambda),
+        spend_scale_(spend_scale),
+        plan_(std::move(plan)),
+        warm_(target_scale.size(), 0.0) {}
+
+  double SpendAt(double mu) {
+    KahanSum total;
+    for (const par::Shard& shard : plan_) {
+      KahanSum acc;
+      for (size_t i = shard.begin; i < shard.end; ++i) {
+        double root = 0.0;
+        if (!Invert(mu, i, warm_[i], &root)) {
+          acc.Add(0.0);
+          continue;
+        }
+        warm_[i] = root;
+        acc.Add(spend_scale_[i] / root);
+      }
+      total.Add(acc.Total());
+    }
+    return total.Total();
+  }
+
+  void CaptureAt(double mu, std::vector<double>* frequencies,
+                 std::vector<double>* contributions) const {
+    frequencies->assign(target_scale_.size(), 0.0);
+    contributions->assign(target_scale_.size(), 0.0);
+    for (size_t i = 0; i < target_scale_.size(); ++i) {
+      double root = 0.0;
+      if (!Invert(mu, i, /*seed=*/0.0, &root)) continue;
+      (*frequencies)[i] = lambda_[i] / root;
+      (*contributions)[i] = spend_scale_[i] / root;
+    }
+  }
+
+ private:
+  // False for a priced-out lane.
+  bool Invert(double mu, size_t i, double seed, double* root) const {
+    const double y = mu * target_scale_[i];
+    if (kernel_ == Kernel::kFreshnessG) {
+      if (!(y < 1.0)) return false;
+      *root = RefInverseMarginalGainG(std::max(y, 1e-300), seed);
+    } else {
+      *root = RefInverseAgeMarginalKernelH(std::max(y, 1e-300), seed);
+    }
+    return true;
+  }
+
+  Kernel kernel_;
+  const std::vector<double>& target_scale_;
+  const std::vector<double>& lambda_;
+  const std::vector<double>& spend_scale_;
+  std::vector<par::Shard> plan_;
+  std::vector<double> warm_;
+};
+
+struct LaneCatalog {
+  const char* name;
+  std::vector<double> target_scale;
+  std::vector<double> lambda;
+  std::vector<double> spend_scale;
+};
+
+// Catalogs of n lanes. Target scales sit near 1 so that the probed
+// multipliers in (0.05, 2) fund some lanes and price out others.
+std::vector<LaneCatalog> RunCatalogs(size_t n) {
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> u(0.3, 3.0);
+  auto make = [&](const char* name, auto scale_of) {
+    LaneCatalog c{name, {}, {}, {}};
+    for (size_t i = 0; i < n; ++i) {
+      c.target_scale.push_back(scale_of(i));
+      c.lambda.push_back(1.0 + 0.001 * static_cast<double>(i % 7));
+      c.spend_scale.push_back(0.5 + 0.25 * static_cast<double>(i % 3));
+    }
+    return c;
+  };
+  std::vector<LaneCatalog> catalogs;
+  catalogs.push_back(make("identical", [](size_t) { return 0.8; }));
+  catalogs.push_back(make("scattered", [&](size_t) {
+    return rng() % 1000 == 0 ? u(rng) : 0.8;
+  }));
+  // Runs of 1 to 40 lanes alternating between two classes.
+  size_t left = 0;
+  bool first = false;
+  catalogs.push_back(make("alternating_runs", [&](size_t) {
+    if (left == 0) {
+      left = 1 + rng() % 40;
+      first = !first;
+    }
+    --left;
+    return first ? 0.8 : 1.7;
+  }));
+  // Funded lanes of one class with priced-out lanes between them, so a
+  // slot is shared across the lanes that are left out.
+  catalogs.push_back(make("priced_out_interleaved", [&](size_t) {
+    return rng() % 3 == 0 ? 1e6 : 0.8;
+  }));
+  // Neighbouring doubles: some multipliers round both products to one
+  // target while the warm seeds (from probes that kept them apart) differ,
+  // so a slot must be keyed on the seed too.
+  catalogs.push_back(make("ulp_neighbours", [&](size_t) {
+    return rng() % 2 == 0 ? 0.8 : std::nextafter(0.8, 1.0);
+  }));
+  return catalogs;
+}
+
+TEST(KernelRunsTest, SpendAndCaptureMatchPerLaneReferenceBitForBit) {
+  constexpr size_t kLanes = 6000;  // Several shards, blocks and tails.
+  // A multi-probe sequence: repeats (warm seed == root), moves in both
+  // directions, and multipliers that price whole classes in and out. The
+  // last three are for ulp_neighbours: 1.2499999999999998 funds 0.8 just
+  // below y = 1 and prices its neighbour out, and the next two round both
+  // products to one target, reached from the two lanes' different seeds.
+  const std::vector<double> probes = {
+      0.5, 0.5,  1.1, 0.05, 0.9, 0.9, 1.3, 0.2, 0.55, 2.0, 0.55, 0.61,
+      0.1, 1.2499999999999998, 0.31330000000000591, 0.31270000000000564};
+  for (Kernel kernel : {Kernel::kFreshnessG, Kernel::kAgeH}) {
+    for (const LaneCatalog& c : RunCatalogs(kLanes)) {
+      for (size_t threads : {1u, 4u}) {
+        const par::Executor exec(threads);
+        BreakpointSpendEvaluator eval(kernel, c.target_scale, c.lambda,
+                                      c.spend_scale, &exec);
+        ASSERT_GT(eval.plan().size(), 1u);
+        PerLaneReference ref(kernel, c.target_scale, c.lambda, c.spend_scale,
+                             eval.plan());
+        const std::string where = std::string(c.name) + " kernel=" +
+                                  (kernel == Kernel::kAgeH ? "h" : "g") +
+                                  " threads=" + std::to_string(threads);
+        for (double mu : probes) {
+          ASSERT_TRUE(SameBits(eval.SpendAt(mu), ref.SpendAt(mu)))
+              << where << " mu=" << mu;
+          std::vector<double> freq, contrib, ref_freq, ref_contrib;
+          eval.CaptureAt(mu, &freq, &contrib);
+          ref.CaptureAt(mu, &ref_freq, &ref_contrib);
+          ASSERT_TRUE(SameBytes(freq, ref_freq)) << where << " mu=" << mu;
+          ASSERT_TRUE(SameBytes(contrib, ref_contrib))
+              << where << " mu=" << mu;
+        }
+      }
+    }
+  }
+}
+
+// All but 0.01% of elements share one (w, lambda, c): the shape of a
+// controller's catalog before it has observed most elements.
+CoreProblem OneClassProblem(size_t n, double budget_factor) {
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<double> u(-2.0, 2.0);
+  CoreProblem problem;
+  problem.weights.assign(n, 1.0 / static_cast<double>(n));
+  problem.change_rates.assign(n, 1.0);
+  problem.costs.assign(n, 1.0);
+  for (size_t k = 0; k < n / 10000 + 1; ++k) {
+    const size_t i = rng() % n;
+    problem.weights[i] = std::exp(u(rng)) / static_cast<double>(n);
+    problem.change_rates[i] = std::exp(u(rng));
+  }
+  problem.bandwidth = budget_factor * static_cast<double>(n);
+  return problem;
+}
+
+TEST(KernelRunsTest, OneClassCatalogIsByteIdenticalAcrossModesAndThreads) {
+  for (double budget_factor : {1e-4, 0.05, 1.0}) {
+    const CoreProblem problem = OneClassProblem(30000, budget_factor);
+    const Allocation base =
+        SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, 1);
+    const Allocation oracle =
+        SolveFreshness(problem, MultiplierSearch::kBisectionOracle, 1);
+    ASSERT_TRUE(SameBits(base.multiplier, oracle.multiplier))
+        << "bf=" << budget_factor;
+    ASSERT_TRUE(SameBytes(base.frequencies, oracle.frequencies))
+        << "bf=" << budget_factor;
+    const Allocation age_base =
+        SolveAge(problem, MultiplierSearch::kScanBreakpoint, 1);
+    const Allocation age_oracle =
+        SolveAge(problem, MultiplierSearch::kBisectionOracle, 1);
+    ASSERT_TRUE(SameBits(age_base.multiplier, age_oracle.multiplier))
+        << "bf=" << budget_factor;
+    ASSERT_TRUE(SameBytes(age_base.frequencies, age_oracle.frequencies))
+        << "bf=" << budget_factor;
+    for (size_t threads : {2u, 4u, 8u}) {
+      const Allocation got =
+          SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, threads);
+      ASSERT_TRUE(SameBytes(got.frequencies, base.frequencies))
+          << "bf=" << budget_factor << " threads=" << threads;
+      const Allocation age_got =
+          SolveAge(problem, MultiplierSearch::kScanBreakpoint, threads);
+      ASSERT_TRUE(SameBytes(age_got.frequencies, age_base.frequencies))
+          << "bf=" << budget_factor << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

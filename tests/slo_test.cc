@@ -474,6 +474,80 @@ TEST(DriftDetectorTest, CachedScoresMatchEagerRescoring) {
   }
 }
 
+// EndPeriod rescores through the batch logarithms (common/simd.h), not
+// libm. Over a catalog spanning several rescoring chunks, with planned
+// rates over twelve decades (and one so large that the observed/planned
+// ratio is subnormal, which takes the libm fallback), every score and
+// observed rate must match libm rescoring of the same evidence to 1e-14
+// relative, both on fresh evidence and after a replan against decayed
+// evidence.
+TEST(DriftDetectorTest, BatchedScoresMatchLibmRescoring) {
+  const size_t n = 3001;
+  obs::MetricsRegistry registry;
+  auto options = SmallDriftOptions(n, &registry);
+  options.top_k = n;  // Report every scored element.
+  auto detector = DriftDetector::Create(options).value();
+  std::vector<double> polls(n, 0.0);
+  std::vector<double> changes(n, 0.0);
+  std::vector<double> watch(n, 0.0);
+  std::vector<double> planned(n);
+  Rng rng(29);
+  for (size_t i = 0; i < n; ++i) {
+    planned[i] = std::pow(10.0, rng.NextDoubleIn(-6.0, 6.0));
+    if (i == 7) continue;  // Set up below.
+    // Some elements stay below min_evidence; some see every poll change.
+    const int syncs = static_cast<int>(rng.NextDoubleIn(0.0, 12.0));
+    const double change_p = rng.NextBool(0.1) ? 1.0 : rng.NextDoubleIn(0, 1);
+    for (int s = 0; s < syncs; ++s) {
+      const bool changed = rng.NextBool(change_p);
+      const double gap = rng.NextDoubleIn(0.01, 3.0);
+      detector.ObserveSync(i, changed, gap);
+      polls[i] += 1.0;
+      if (changed) changes[i] += 1.0;
+      watch[i] += gap;
+    }
+  }
+  planned[7] = 1e305;
+  for (int s = 0; s < 5; ++s) {
+    detector.ObserveSync(7, false, 1.0);
+    polls[7] += 1.0;
+    watch[7] += 1.0;
+  }
+
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      // A replan moves every planned rate; the evidence has decayed once.
+      for (double& rate : planned) rate *= 1.5;
+    }
+    detector.EndPeriod(round + 1.0, planned);
+    const DriftReport report = detector.Report();
+    size_t scored = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (polls[i] >= options.min_evidence) ++scored;
+    }
+    ASSERT_EQ(report.top.size(), scored);
+    for (const obs::DriftOffender& o : report.top) {
+      const size_t i = o.element;
+      const double ratio = std::min(changes[i] / polls[i], 0.999);
+      const double observed =
+          std::max(-std::log1p(-ratio) / (watch[i] / polls[i]),
+                   options.rate_floor);
+      const double score =
+          std::fabs(std::log(observed / std::max(planned[i],
+                                                 options.rate_floor)));
+      EXPECT_NEAR(o.observed_rate, observed, 1e-14 * observed)
+          << "round " << round << " element " << i;
+      EXPECT_NEAR(o.score, score, 1e-14 * score)
+          << "round " << round << " element " << i;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      polls[i] *= options.decay;
+      changes[i] *= options.decay;
+      watch[i] *= options.decay;
+    }
+  }
+}
+
 // ---- OnlineFreshenLoop wiring --------------------------------------------
 
 ElementSet UniformHotCatalog(size_t n, double change_rate) {
