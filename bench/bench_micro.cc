@@ -13,6 +13,7 @@
 #include "rng/alias_table.h"
 #include "rng/rng.h"
 #include "rng/zipf.h"
+#include "serve/snapshot.h"
 #include "workload/generator.h"
 #include "workload/spec.h"
 
@@ -163,6 +164,26 @@ void BM_ZipfProbabilities(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfProbabilities)->Arg(10000)->Arg(500000);
+
+// The full-digest consistency check a torture reader runs: every shard
+// digest over the five serving columns plus their combination.
+void BM_SnapshotCheckConsistent(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  serve::SnapshotBuilder builder(n);
+  builder.MarkAllDirty();
+  std::vector<double> column(n);
+  for (size_t i = 0; i < n; ++i) column[i] = 1.0 / (1.0 + i);
+  const auto snapshot =
+      builder.Publish(1, 0, 0.0, column, column, column, column, column)
+          .value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snapshot->CheckConsistent());
+  }
+  state.SetBytesProcessed(state.iterations() * 5 * n * sizeof(double));
+}
+BENCHMARK(BM_SnapshotCheckConsistent)
+    ->Arg(500000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace freshen

@@ -7,8 +7,6 @@
 #include "common/timer.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "opt/problem.h"
-#include "stats/descriptive.h"
 
 namespace freshen {
 
@@ -85,6 +83,15 @@ AdaptiveFreshener::AdaptiveFreshener(std::vector<double> sizes,
                            StreamingRateEstimator(options.streaming))
                      : std::vector<StreamingRateEstimator>()),
       frequencies_(sizes_.size(), 0.0) {
+  const size_t n = sizes_.size();
+  believed_.weights.assign(
+      n, options_.planner.technique == Technique::kGeneral
+             ? 1.0 / static_cast<double>(n)
+             : 0.0);
+  believed_.change_rates.assign(n, 0.0);
+  believed_.costs = options_.planner.size_aware ? sizes_
+                                                : std::vector<double>(n, 1.0);
+  believed_.bandwidth = bandwidth_;
   obs::MetricsRegistry& registry = options_.registry != nullptr
                                        ? *options_.registry
                                        : obs::MetricsRegistry::Global();
@@ -149,18 +156,26 @@ ElementSet AdaptiveFreshener::BelievedCatalog() const {
   return catalog;
 }
 
+void AdaptiveFreshener::BelievedProfileInto(std::vector<double>* out) const {
+  // Smoothing > 0 makes this infallible.
+  FRESHEN_CHECK(learner_.SnapshotInto(out).ok());
+}
+
 const CoreProblem* AdaptiveFreshener::solved_problem() const {
   return replanner_ != nullptr ? &replanner_->problem() : nullptr;
 }
 
+Status AdaptiveFreshener::RefreshBelievedProblem() {
+  if (options_.planner.technique == Technique::kPerceived) {
+    FRESHEN_RETURN_IF_ERROR(learner_.SnapshotInto(&believed_.weights));
+  }
+  for (size_t i = 0; i < sizes_.size(); ++i) {
+    believed_.change_rates[i] = BelievedChangeRate(i);
+  }
+  return Status::OK();
+}
+
 Status AdaptiveFreshener::ReplanDelta() {
-  const ElementSet catalog = BelievedCatalog();
-  CoreProblem target =
-      options_.planner.technique == Technique::kPerceived
-          ? MakePerceivedProblem(catalog, bandwidth_,
-                                 options_.planner.size_aware)
-          : MakeGeneralProblem(catalog, bandwidth_,
-                               options_.planner.size_aware);
   ReplanInfo info;
   info.used_delta = true;
   if (replanner_ == nullptr) {
@@ -168,8 +183,8 @@ Status AdaptiveFreshener::ReplanDelta() {
     replan_options.threads = options_.delta.threads;
     replan_options.full_churn_threshold = options_.delta.full_churn_threshold;
     replan_options.registry = options_.registry;
-    FRESHEN_ASSIGN_OR_RETURN(
-        replanner_, DeltaReplanner::Create(std::move(target), replan_options));
+    FRESHEN_ASSIGN_OR_RETURN(replanner_,
+                             DeltaReplanner::Create(believed_, replan_options));
     info.path = ReplanPath::kFull;
     info.dirty = sizes_.size();
   } else {
@@ -183,14 +198,14 @@ Status AdaptiveFreshener::ReplanDelta() {
     std::vector<ElementUpdate> updates;
     for (size_t i = 0; i < sizes_.size(); ++i) {
       const bool weight_moved =
-          std::fabs(target.weights[i] - solved.weights[i]) >
+          std::fabs(believed_.weights[i] - solved.weights[i]) >
           band * solved.weights[i];
       const bool rate_moved =
-          std::fabs(target.change_rates[i] - solved.change_rates[i]) >
+          std::fabs(believed_.change_rates[i] - solved.change_rates[i]) >
           band * solved.change_rates[i];
       if (weight_moved || rate_moved) {
-        updates.push_back({i, target.weights[i], target.change_rates[i],
-                           target.costs[i]});
+        updates.push_back({i, believed_.weights[i],
+                           believed_.change_rates[i], believed_.costs[i]});
       }
     }
     FRESHEN_ASSIGN_OR_RETURN(DeltaReplanner::ReplanResult replan,
@@ -202,20 +217,12 @@ Status AdaptiveFreshener::ReplanDelta() {
     // is byte-unchanged everywhere.
     info.all_touched = replan.all_touched || !replanner_->touched().empty();
   }
-  // Materialize and apply the planner's feasibility rescale with the exact
-  // same arithmetic FreshenPlanner::Plan uses (KahanSum of size * f, then
-  // one in-place multiply), so a delta-mode plan is byte-identical to the
-  // full planner run on the solved catalog.
+  // Materialize and apply the planner's own feasibility rescale, so a
+  // delta-mode plan is byte-identical to the full planner run on the solved
+  // catalog.
   replanner_->MaterializeFrequencies(&frequencies_);
-  KahanSum spend_acc;
-  for (size_t i = 0; i < sizes_.size(); ++i) {
-    spend_acc.Add(sizes_[i] * frequencies_[i]);
-  }
-  const double spend = spend_acc.Total();
-  if (spend > 0.0) {
-    const double scale = bandwidth_ / spend;
-    for (double& f : frequencies_) f *= scale;
-  }
+  RescaleToBudget([this](size_t i) { return sizes_[i]; }, bandwidth_,
+                  &frequencies_);
   last_replan_ = info;
   return Status::OK();
 }
@@ -227,26 +234,28 @@ Result<bool> AdaptiveFreshener::MaybeReplan(double now, bool force) {
   }
   obs::ScopedSpan span("replan");
   WallTimer timer;
+  FRESHEN_RETURN_IF_ERROR(RefreshBelievedProblem());
   if (options_.delta.enable) {
     FRESHEN_RETURN_IF_ERROR(ReplanDelta());
   } else {
-    FRESHEN_ASSIGN_OR_RETURN(
-        FreshenPlan plan,
-        FreshenPlanner(options_.planner).Plan(BelievedCatalog(), bandwidth_));
-    frequencies_ = std::move(plan.frequencies);
+    const FreshenPlanner planner(options_.planner);
+    if (options_.planner.mode == PlanMode::kExact) {
+      // FreshenPlanner::Plan's exact path on the problem refilled above,
+      // without its ElementSet, its problem copy, or the plan metrics the
+      // controller would discard.
+      FRESHEN_ASSIGN_OR_RETURN(Allocation allocation,
+                               planner.SolveExact(believed_));
+      frequencies_ = std::move(allocation.frequencies);
+      RescaleToBudget([this](size_t i) { return sizes_[i]; }, bandwidth_,
+                      &frequencies_);
+    } else {
+      // The partitioning heuristics work on the catalog itself.
+      FRESHEN_ASSIGN_OR_RETURN(FreshenPlan plan,
+                               planner.Plan(BelievedCatalog(), bandwidth_));
+      frequencies_ = std::move(plan.frequencies);
+    }
     last_replan_ = ReplanInfo();
     last_replan_.dirty = sizes_.size();
-  }
-  // Freeze the rates this plan was solved with (the drift detector's
-  // reference point). Delta mode solves the deadbanded problem, not the
-  // raw beliefs, so take the rates from the solved problem there.
-  if (options_.delta.enable && replanner_ != nullptr) {
-    planned_rates_ = replanner_->problem().change_rates;
-  } else {
-    planned_rates_.resize(sizes_.size());
-    for (size_t i = 0; i < sizes_.size(); ++i) {
-      planned_rates_[i] = BelievedChangeRate(i);
-    }
   }
   last_plan_time_ = now;
   ++num_replans_;

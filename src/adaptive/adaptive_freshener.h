@@ -26,6 +26,7 @@
 #include "model/element.h"
 #include "obs/metrics.h"
 #include "opt/delta_replan.h"
+#include "opt/problem.h"
 #include "profile/learner.h"
 
 namespace freshen {
@@ -126,6 +127,9 @@ class AdaptiveFreshener {
   /// The current sync frequencies (per period).
   const std::vector<double>& frequencies() const { return frequencies_; }
 
+  /// The configured element sizes (bandwidth units per sync).
+  const std::vector<double>& sizes() const { return sizes_; }
+
   /// The catalog the controller currently believes in (learned profile,
   /// estimated change rates, configured sizes).
   ElementSet BelievedCatalog() const;
@@ -134,14 +138,19 @@ class AdaptiveFreshener {
   /// without the O(N) construction, for per-shard publication paths.
   double BelievedChangeRate(size_t element) const;
 
-  /// The change rates the CURRENT plan was solved against, captured at the
-  /// last replan (delta mode: the deadbanded solved problem's rates; full
-  /// mode: the believed rates at replan time). Beliefs keep drifting with
-  /// new evidence between replans — the gap between these and fresh
-  /// observations is what obs::DriftDetector scores. Always populated
-  /// (Create installs the initial plan).
+  /// BelievedCatalog()'s access_prob column written into `*out` (resized to
+  /// N): the learned profile without the ElementSet.
+  void BelievedProfileInto(std::vector<double>* out) const;
+
+  /// The change rates the CURRENT plan was solved against: the solved
+  /// problem's rates (delta mode: the deadbanded problem the replanner
+  /// holds; otherwise the believed rates at the last replan). Beliefs keep
+  /// drifting with new evidence between replans — the gap between these
+  /// and fresh observations is what obs::DriftDetector scores. Always
+  /// populated (Create installs the initial plan).
   const std::vector<double>& PlannedChangeRates() const {
-    return planned_rates_;
+    return replanner_ != nullptr ? replanner_->problem().change_rates
+                                 : believed_.change_rates;
   }
 
   /// What the last installed plan did (meaningful after the first replan).
@@ -160,10 +169,13 @@ class AdaptiveFreshener {
   AdaptiveFreshener(std::vector<double> sizes, double bandwidth,
                     Options options);
 
-  /// Delta-mode replan body: diffs believed values against the solved
-  /// problem, routes the drifted elements through the DeltaReplanner, and
-  /// installs the materialized plan (with the planner's exact feasibility
-  /// rescale).
+  /// Refills believed_'s weights (PF: the learned profile) and change rates
+  /// in place from the current evidence.
+  Status RefreshBelievedProblem();
+
+  /// Delta-mode replan body: diffs believed_ against the solved problem,
+  /// routes the drifted elements through the DeltaReplanner, and installs
+  /// the materialized plan (with the planner's feasibility rescale).
   Status ReplanDelta();
 
   Options options_;
@@ -183,7 +195,12 @@ class AdaptiveFreshener {
   std::vector<StreamingRateEstimator> streaming_;
 
   std::vector<double> frequencies_;
-  std::vector<double> planned_rates_;
+  // The believed core problem, kept across replans and refilled in place:
+  // what FreshenPlanner's exact mode would build from BelievedCatalog().
+  // Costs, bandwidth and (GF) the uniform weights are fixed at
+  // construction. Outside delta mode it is the problem the current plan
+  // solved.
+  CoreProblem believed_;
   double last_plan_time_ = 0.0;
   uint64_t num_replans_ = 0;
 

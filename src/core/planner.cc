@@ -48,7 +48,7 @@ Result<FreshenPlan> FreshenPlanner::Plan(const ElementSet& elements,
   if (options_.mode == PlanMode::kExact) {
     WallTimer solve_timer;
     FRESHEN_ASSIGN_OR_RETURN(Allocation allocation,
-                             solver_.Solve(make_problem(elements)));
+                             SolveExact(make_problem(elements)));
     plan.timings.solve_seconds = solve_timer.ElapsedSeconds();
     plan.frequencies = std::move(allocation.frequencies);
   } else {
@@ -95,13 +95,10 @@ Result<FreshenPlan> FreshenPlanner::Plan(const ElementSet& elements,
     plan.timings.expand_seconds = phase_timer.ElapsedSeconds();
   }
 
-  // Feasibility w.r.t. actual sizes: proportional rescale (no-op whenever
-  // the optimization already used the true costs).
-  const double spend = BandwidthUsed(elements, plan.frequencies);
-  if (spend > 0.0) {
-    const double scale = bandwidth / spend;
-    for (double& f : plan.frequencies) f *= scale;
-  }
+  // Feasibility w.r.t. actual sizes (no-op whenever the optimization
+  // already used the true costs).
+  RescaleToBudget([&](size_t i) { return elements[i].size; }, bandwidth,
+                  &plan.frequencies);
 
   plan.perceived_freshness = PerceivedFreshness(elements, plan.frequencies);
   plan.general_freshness = GeneralFreshness(elements, plan.frequencies);

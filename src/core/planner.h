@@ -27,6 +27,7 @@
 #include "partition/allocation.h"
 #include "partition/kmeans.h"
 #include "partition/partitioner.h"
+#include "stats/descriptive.h"
 
 namespace freshen {
 
@@ -91,6 +92,25 @@ struct FreshenPlan {
   PlanTimings timings;
 };
 
+/// The planner's feasibility rescale w.r.t. actual sizes, shared by every
+/// path that installs a plan so the arithmetic exists once: a Kahan sum of
+/// size_of(i) * f_i, then one multiply of every f_i by bandwidth / spend.
+/// A plan that spends nothing is left as is. For a problem solved with the
+/// true costs this is a no-op up to rounding.
+template <typename SizeOf>
+void RescaleToBudget(SizeOf size_of, double bandwidth,
+                     std::vector<double>* frequencies) {
+  KahanSum spend_acc;
+  for (size_t i = 0; i < frequencies->size(); ++i) {
+    spend_acc.Add(size_of(i) * (*frequencies)[i]);
+  }
+  const double spend = spend_acc.Total();
+  if (spend > 0.0) {
+    const double scale = bandwidth / spend;
+    for (double& f : *frequencies) f *= scale;
+  }
+}
+
 /// Stateless planner; options fixed at construction.
 class FreshenPlanner {
  public:
@@ -99,6 +119,15 @@ class FreshenPlanner {
   /// Plans for the given catalog and per-period bandwidth budget (> 0).
   Result<FreshenPlan> Plan(const ElementSet& elements,
                            double bandwidth) const;
+
+  /// The exact-mode solve Plan() runs, on a problem the caller already
+  /// holds. Callers that own their problem columns (the adaptive
+  /// controller) use this and then RescaleToBudget, which is exactly what
+  /// Plan() does in PlanMode::kExact, minus the ElementSet and the plan
+  /// metrics.
+  Result<Allocation> SolveExact(const CoreProblem& problem) const {
+    return solver_.Solve(problem);
+  }
 
   /// The options this planner was built with.
   const PlannerOptions& options() const { return options_; }

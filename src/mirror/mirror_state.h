@@ -90,6 +90,9 @@ class MirrorState {
     return last_sync_time_[element];
   }
 
+  /// Every element's LastSyncTime, as one column.
+  const std::vector<double>& LastSyncTimes() const { return last_sync_time_; }
+
   /// True once `element` has been synced (a sync at t=0 counts).
   bool Synced(size_t element) const { return synced_[element]; }
 

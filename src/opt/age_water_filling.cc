@@ -32,6 +32,9 @@ Result<Allocation> AgeWaterFillingSolver::Solve(
   std::vector<double> lambda;
   std::vector<double> spend_scale;  // c l: spend per unit of 1/root.
   index.reserve(n);
+  target_scale.reserve(n);
+  lambda.reserve(n);
+  spend_scale.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     if (problem.weights[i] > 0.0 && problem.change_rates[i] > 0.0) {
       index.push_back(i);

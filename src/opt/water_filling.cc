@@ -34,6 +34,9 @@ Result<Allocation> KktWaterFillingSolver::Solve(
   std::vector<double> lambda;       // Change rate.
   std::vector<double> spend_scale;  // c_i l_i: spend per unit of 1/root.
   index.reserve(n);
+  ratio.reserve(n);
+  lambda.reserve(n);
+  spend_scale.reserve(n);
   double mu_max = 0.0;
   for (size_t i = 0; i < n; ++i) {
     if (problem.weights[i] > 0.0 && problem.change_rates[i] > 0.0) {

@@ -26,11 +26,17 @@ void AccessLogLearner::EndPeriod() {
 }
 
 Result<std::vector<double>> AccessLogLearner::Snapshot() const {
-  std::vector<double> weights(counts_.size());
+  std::vector<double> weights;
+  FRESHEN_RETURN_IF_ERROR(SnapshotInto(&weights));
+  return weights;
+}
+
+Status AccessLogLearner::SnapshotInto(std::vector<double>* weights) const {
+  weights->resize(counts_.size());
   for (size_t i = 0; i < counts_.size(); ++i) {
-    weights[i] = counts_[i] + options_.smoothing;
+    (*weights)[i] = counts_[i] + options_.smoothing;
   }
-  return NormalizeProbabilities(std::move(weights));
+  return NormalizeProbabilitiesInPlace(weights);
 }
 
 }  // namespace freshen

@@ -44,6 +44,11 @@ class AccessLogLearner {
   /// accesses were observed and smoothing is 0.
   Result<std::vector<double>> Snapshot() const;
 
+  /// Snapshot() written into `*weights` (resized to num_elements), so a
+  /// caller that keeps the column across calls allocates nothing. Same
+  /// arithmetic, same bits, same failure.
+  Status SnapshotInto(std::vector<double>* weights) const;
+
  private:
   Options options_;
   std::vector<double> counts_;

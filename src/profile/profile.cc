@@ -2,29 +2,36 @@
 
 #include <cmath>
 
+#include "common/macros.h"
 #include "common/string_util.h"
 #include "stats/descriptive.h"
 
 namespace freshen {
 
-Result<std::vector<double>> NormalizeProbabilities(
-    std::vector<double> weights) {
-  if (weights.empty()) {
+Status NormalizeProbabilitiesInPlace(std::vector<double>* weights) {
+  if (weights->empty()) {
     return Status::InvalidArgument("weight vector is empty");
   }
   KahanSum total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    if (!(weights[i] >= 0.0) || !std::isfinite(weights[i])) {
+  for (size_t i = 0; i < weights->size(); ++i) {
+    const double w = (*weights)[i];
+    if (!(w >= 0.0) || !std::isfinite(w)) {
       return Status::InvalidArgument(
           StrFormat("weight %zu is negative or non-finite", i));
     }
-    total.Add(weights[i]);
+    total.Add(w);
   }
   if (total.Total() <= 0.0) {
     return Status::InvalidArgument("all weights are zero");
   }
   const double inv = 1.0 / total.Total();
-  for (double& w : weights) w *= inv;
+  for (double& w : *weights) w *= inv;
+  return Status::OK();
+}
+
+Result<std::vector<double>> NormalizeProbabilities(
+    std::vector<double> weights) {
+  FRESHEN_RETURN_IF_ERROR(NormalizeProbabilitiesInPlace(&weights));
   return weights;
 }
 

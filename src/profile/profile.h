@@ -49,6 +49,10 @@ Result<std::vector<double>> AggregateProfiles(
 /// vector, negative/non-finite entries, or an all-zero vector.
 Result<std::vector<double>> NormalizeProbabilities(std::vector<double> weights);
 
+/// NormalizeProbabilities on a caller-owned vector: same checks, same
+/// arithmetic, no allocation. On failure `*weights` is left unscaled.
+Status NormalizeProbabilitiesInPlace(std::vector<double>* weights);
+
 }  // namespace freshen
 
 #endif  // FRESHEN_PROFILE_PROFILE_H_

@@ -37,7 +37,6 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
   }
   const size_t n = truth.size();
   std::unique_ptr<FreshendDaemon> daemon(new FreshendDaemon(options, n));
-  daemon->size_ = Sizes(truth);
 
   // Telemetry plane: the daemon owns the monitor/detector and hands the
   // loop raw pointers (the daemon outlives its loop by construction).
@@ -74,7 +73,6 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
 
   // Initial publication (epoch 1): the controller's cold-start plan over
   // its cold-start beliefs, nothing synced yet. Queries work from here on.
-  daemon->last_sync_.assign(n, 0.0);
   daemon->PublishBoundary(/*replanned=*/false, {});
   return daemon;
 }
@@ -117,24 +115,22 @@ void FreshendDaemon::PublishBoundary(bool replanned,
   WallTimer timer;
   // A delta-mode replan whose plan is provably byte-identical to the
   // previous one (pinned/no-op path: all_touched == false) does not force
-  // the O(N) rebuild: frequency_ is still exact, and only the shards this
-  // period actually touched republish.
+  // the O(N) rebuild: the published frequencies are still exact, and only
+  // the shards this period actually touched republish.
+  const AdaptiveFreshener& controller = loop_->controller();
   const bool plan_unchanged =
-      replanned && !loop_->controller().last_replan().all_touched;
+      replanned && !controller.last_replan().all_touched;
   const bool rebuild_all = catalog_dirty_ || (replanned && !plan_unchanged);
   if (rebuild_all) {
     // A replan can move every frequency and the controller's beliefs; the
     // whole catalog republishes. This is the O(N) slow path — it runs once
     // per replan cadence, not once per period.
     builder_.MarkAllDirty();
-    const ElementSet believed = loop_->controller().BelievedCatalog();
+    controller.BelievedProfileInto(&access_prob_);
     change_rate_.resize(num_elements_);
-    access_prob_.resize(num_elements_);
     for (size_t i = 0; i < num_elements_; ++i) {
-      change_rate_[i] = believed[i].change_rate;
-      access_prob_[i] = believed[i].access_prob;
+      change_rate_[i] = controller.BelievedChangeRate(i);
     }
-    frequency_ = loop_->controller().frequencies();
     catalog_dirty_ = false;
   } else {
     for (uint32_t id : synced) builder_.MarkDirty(id);
@@ -145,18 +141,14 @@ void FreshendDaemon::PublishBoundary(bool replanned,
       // publish — the plan those probabilities produced is byte-unchanged,
       // so served verdicts stay consistent with the installed plan.
       for (uint32_t id : synced) {
-        change_rate_[id] = loop_->controller().BelievedChangeRate(id);
+        change_rate_[id] = controller.BelievedChangeRate(id);
       }
     }
   }
-  const MirrorState& mirror = loop_->mirror();
-  for (uint32_t id : synced) {
-    last_sync_[id] = mirror.LastSyncTime(id);
-  }
   auto snapshot = builder_.Publish(
-      store_.CurrentEpoch() + 1, loop_->controller().num_replans(),
-      loop_->Now(), frequency_, change_rate_, access_prob_, size_,
-      last_sync_);
+      store_.CurrentEpoch() + 1, controller.num_replans(), loop_->Now(),
+      controller.frequencies(), change_rate_, access_prob_, controller.sizes(),
+      loop_->mirror().LastSyncTimes());
   FRESHEN_CHECK(snapshot.ok());
   store_.Publish(std::move(*snapshot));
   (rebuild_all ? full_publish_counter_ : delta_publish_counter_)->Increment();

@@ -211,12 +211,11 @@ class FreshendDaemon {
   SnapshotBuilder builder_;
   mutable SnapshotStore store_;
 
-  // Publisher-side column scratch (loop thread only after Create).
-  std::vector<double> frequency_;
+  // The published beliefs (loop thread only after Create). Frequencies,
+  // sizes and last-sync times are published straight from the controller's
+  // and the mirror's own columns.
   std::vector<double> change_rate_;
   std::vector<double> access_prob_;
-  std::vector<double> size_;
-  std::vector<double> last_sync_;
 
   std::thread loop_thread_;
   std::atomic<bool> running_{false};

@@ -8,46 +8,94 @@ namespace freshen {
 namespace serve {
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x00000100000001b3ULL;
+// xxHash64's primes and round structure: four independent multiply chains
+// per shard, one 64-bit word per step, so the digest runs at the machine's
+// multiply throughput.
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
 
-uint64_t MixBytes(uint64_t hash, const void* data, size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= kFnvPrime;
-  }
+uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+uint64_t Round(uint64_t acc, uint64_t word) {
+  return Rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+// Folds one word (a shard bound, a shard digest) into a running hash.
+uint64_t Fold(uint64_t hash, uint64_t word) {
+  return Rotl(hash ^ Round(0, word), 27) * kPrime1 + kPrime4;
+}
+
+uint64_t Avalanche(uint64_t hash) {
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
   return hash;
 }
 
-uint64_t MixColumn(uint64_t hash, const std::vector<double>& column) {
-  return column.empty()
-             ? hash
-             : MixBytes(hash, column.data(), column.size() * sizeof(double));
+uint64_t Word(double value) {
+  uint64_t word = 0;
+  std::memcpy(&word, &value, sizeof(word));
+  return word;
 }
+
+// Four lanes persist across the columns; word j of a column goes to lane
+// j % 4 of its stripe, so every (column, index) lands at a distinct lane
+// position and any reordering moves some word to another position.
+struct LaneState {
+  uint64_t lane[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+  uint64_t words = 0;
+
+  void MixColumn(const std::vector<double>& column) {
+    const size_t n = column.size();
+    const double* data = column.data();
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      lane[0] = Round(lane[0], Word(data[j]));
+      lane[1] = Round(lane[1], Word(data[j + 1]));
+      lane[2] = Round(lane[2], Word(data[j + 2]));
+      lane[3] = Round(lane[3], Word(data[j + 3]));
+    }
+    for (size_t k = 0; j < n; ++j, ++k) {
+      lane[k] = Round(lane[k], Word(data[j]));
+    }
+    words += n;
+  }
+
+  uint64_t Finish(uint64_t begin, uint64_t end) const {
+    uint64_t hash = Rotl(lane[0], 1) + Rotl(lane[1], 7) + Rotl(lane[2], 12) +
+                    Rotl(lane[3], 18);
+    for (uint64_t v : lane) hash = (hash ^ Round(0, v)) * kPrime1 + kPrime4;
+    hash += words * sizeof(double);
+    hash = Fold(hash, begin);
+    hash = Fold(hash, end);
+    return Avalanche(hash);
+  }
+};
 
 }  // namespace
 
 uint64_t DigestShard(const ShardBlock& block) {
-  uint64_t hash = kFnvOffset;
-  hash = MixBytes(hash, &block.begin, sizeof(block.begin));
-  hash = MixBytes(hash, &block.end, sizeof(block.end));
-  hash = MixColumn(hash, block.frequency);
-  hash = MixColumn(hash, block.change_rate);
-  hash = MixColumn(hash, block.access_prob);
-  hash = MixColumn(hash, block.size);
-  hash = MixColumn(hash, block.last_sync_time);
-  return hash;
+  LaneState state;
+  state.MixColumn(block.frequency);
+  state.MixColumn(block.change_rate);
+  state.MixColumn(block.access_prob);
+  state.MixColumn(block.size);
+  state.MixColumn(block.last_sync_time);
+  return state.Finish(block.begin, block.end);
 }
 
 uint64_t CombineDigests(
     const std::vector<std::shared_ptr<const ShardBlock>>& shards) {
-  uint64_t combined = kFnvOffset;
+  uint64_t combined = kPrime5 + shards.size();
   for (const std::shared_ptr<const ShardBlock>& shard : shards) {
-    const uint64_t digest = shard->digest;
-    combined = MixBytes(combined, &digest, sizeof(digest));
+    combined = Fold(combined, shard->digest);
   }
-  return combined;
+  return Avalanche(combined);
 }
 
 bool ServeSnapshot::CheckConsistent() const {

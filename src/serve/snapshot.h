@@ -55,8 +55,9 @@ struct ShardBlock {
   size_t count() const { return end - begin; }
 };
 
-/// FNV-1a-style order-sensitive digest of a shard block's payload columns.
-/// Recomputable by readers to prove a snapshot was not torn.
+/// Order-sensitive digest of a shard block's payload columns and bounds: a
+/// 4-lane, 64-bit-word round of the xxHash64 kind. Recomputable by readers
+/// to prove a snapshot was not torn.
 uint64_t DigestShard(const ShardBlock& block);
 
 /// Per-element view assembled by ServeSnapshot::Lookup.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "adaptive/adaptive_freshener.h"
+#include "core/planner.h"
 #include "model/metrics.h"
 #include "rng/alias_table.h"
 #include "rng/distributions.h"
@@ -171,6 +172,59 @@ TEST(AdaptiveTest, DeltaModePlansMatchFullPlannerByteForByte) {
   }
   EXPECT_NE(delta.solved_problem(), nullptr);
   EXPECT_EQ(full.solved_problem(), nullptr);
+}
+
+// The exact replan refills one persistent believed problem in place and
+// solves it directly. It must install exactly the plan FreshenPlanner
+// builds from BelievedCatalog(), for both techniques and both size models,
+// and PlannedChangeRates() must be the believed rates at that replan.
+TEST(AdaptiveTest, ExactReplanMatchesPlannerOnBelievedCatalogByteForByte) {
+  ExperimentSpec spec = ExperimentSpec::IdealCase();
+  spec.num_objects = 90;
+  spec.syncs_per_period = 30.0;
+  spec.theta = 1.2;
+  spec.alignment = Alignment::kShuffled;
+  spec.size_model = SizeModel::kPareto;
+  const ElementSet truth = GenerateCatalog(spec).value();
+
+  for (Technique technique : {Technique::kPerceived, Technique::kGeneral}) {
+    for (bool size_aware : {false, true}) {
+      SCOPED_TRACE(ToString(technique) +
+                   (size_aware ? " size-aware" : " size-blind"));
+      auto options = DefaultOptions();
+      options.planner.technique = technique;
+      options.planner.size_aware = size_aware;
+      auto controller = AdaptiveFreshener::Create(
+                            Sizes(truth), spec.syncs_per_period, options)
+                            .value();
+      Rng rng(31);
+      AliasTable traffic(AccessProbs(truth));
+      for (int period = 1; period <= 6; ++period) {
+        for (int a = 0; a < 500; ++a) {
+          controller.ObserveAccess(traffic.Sample(rng));
+        }
+        const std::vector<double> freqs = controller.frequencies();
+        for (size_t i = 0; i < truth.size(); ++i) {
+          if (freqs[i] <= 0.0) continue;
+          const double p_change =
+              -std::expm1(-truth[i].change_rate / freqs[i]);
+          controller.ObserveSync(i, rng.NextBool(p_change), period - 1.0);
+        }
+        controller.EndPeriod();
+        ASSERT_TRUE(controller.MaybeReplan(period).value());
+        const ElementSet believed = controller.BelievedCatalog();
+        const FreshenPlan plan =
+            FreshenPlanner(options.planner)
+                .Plan(believed, spec.syncs_per_period)
+                .value();
+        ASSERT_TRUE(SameBytes(controller.frequencies(), plan.frequencies))
+            << "plans diverged at period " << period;
+        ASSERT_TRUE(
+            SameBytes(controller.PlannedChangeRates(), ChangeRates(believed)))
+            << "planned rates diverged at period " << period;
+      }
+    }
+  }
 }
 
 // With a deadband and no new evidence, a replan re-submits nothing, the

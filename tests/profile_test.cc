@@ -85,11 +85,18 @@ TEST(AccessLogLearnerTest, CountsConvergeToTrueProfile) {
     EXPECT_NEAR(estimate[i], truth[i], 0.01) << i;
   }
   EXPECT_EQ(learner.NumObservations(), 200000u);
+  // SnapshotInto reuses the caller's column, whatever it held, and writes
+  // exactly Snapshot()'s values.
+  std::vector<double> reused(9, -1.0);
+  ASSERT_TRUE(learner.SnapshotInto(&reused).ok());
+  EXPECT_EQ(reused, estimate);
 }
 
 TEST(AccessLogLearnerTest, SnapshotFailsWithNoDataAndNoSmoothing) {
   AccessLogLearner learner(3, {});
   EXPECT_FALSE(learner.Snapshot().ok());
+  std::vector<double> column;
+  EXPECT_FALSE(learner.SnapshotInto(&column).ok());
 }
 
 TEST(AccessLogLearnerTest, SmoothingGivesColdStartUniform) {

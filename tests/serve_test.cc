@@ -190,6 +190,89 @@ TEST(SnapshotBuilderTest, CleanShardsAreSharedDirtyShardsRebuilt) {
   EXPECT_NE(first->combined_digest(), second->combined_digest());
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+double FlipBit(double value, int bit) {
+  uint64_t word;
+  std::memcpy(&word, &value, sizeof(word));
+  word ^= uint64_t{1} << bit;
+  std::memcpy(&value, &word, sizeof(value));
+  return value;
+}
+
+// A 19-element block: four full 4-word stripes plus a 3-word tail per
+// column, every value distinct.
+ShardBlock DigestTestBlock() {
+  ShardBlock block;
+  block.begin = 4096;
+  block.end = 4096 + 19;
+  for (size_t j = 0; j < block.count(); ++j) {
+    const double x = static_cast<double>(j);
+    block.frequency.push_back(0.5 + x);
+    block.change_rate.push_back(1.25 + 3.0 * x);
+    block.access_prob.push_back(1.0 / (2.0 + x));
+    block.size.push_back(7.0 + 0.125 * x);
+    block.last_sync_time.push_back(100.0 - x);
+  }
+  return block;
+}
+
+TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
+  std::vector<double> ShardBlock::*const columns[] = {
+      &ShardBlock::frequency, &ShardBlock::change_rate,
+      &ShardBlock::access_prob, &ShardBlock::size,
+      &ShardBlock::last_sync_time};
+  const ShardBlock base = DigestTestBlock();
+  const uint64_t digest = DigestShard(base);
+  const size_t n = base.count();
+  // First, middle, every tail-lane position (16..18), last.
+  const size_t positions[] = {0, n / 2, 16, 17, n - 1};
+
+  for (size_t c = 0; c < 5; ++c) {
+    for (size_t j : positions) {
+      for (int bit : {0, 31, 52, 63}) {
+        ShardBlock flipped = base;
+        (flipped.*columns[c])[j] = FlipBit((base.*columns[c])[j], bit);
+        EXPECT_NE(DigestShard(flipped), digest)
+            << "column " << c << " position " << j << " bit " << bit;
+      }
+    }
+    for (size_t j : {size_t{0}, n / 2, size_t{15}, n - 2}) {
+      ShardBlock swapped = base;
+      std::swap((swapped.*columns[c])[j], (swapped.*columns[c])[j + 1]);
+      EXPECT_NE(DigestShard(swapped), digest)
+          << "column " << c << " swap at " << j;
+    }
+    for (size_t d = c + 1; d < 5; ++d) {
+      ShardBlock exchanged = base;
+      std::swap(exchanged.*columns[c], exchanged.*columns[d]);
+      EXPECT_NE(DigestShard(exchanged), digest)
+          << "columns " << c << " and " << d << " exchanged";
+    }
+  }
+  ShardBlock moved = base;
+  moved.begin += 1;
+  moved.end += 1;
+  EXPECT_NE(DigestShard(moved), digest);
+  EXPECT_EQ(DigestShard(DigestTestBlock()), digest);
+
+  std::vector<std::shared_ptr<const ShardBlock>> shards;
+  for (int s = 0; s < 3; ++s) {
+    ShardBlock block = DigestTestBlock();
+    block.frequency[0] += s;
+    block.digest = DigestShard(block);
+    shards.push_back(std::make_shared<const ShardBlock>(std::move(block)));
+  }
+  const uint64_t combined = CombineDigests(shards);
+  for (size_t s = 0; s + 1 < shards.size(); ++s) {
+    auto exchanged = shards;
+    std::swap(exchanged[s], exchanged[s + 1]);
+    EXPECT_NE(CombineDigests(exchanged), combined) << "shards " << s;
+  }
+}
+
 // ---- SnapshotStore --------------------------------------------------------
 
 std::shared_ptr<const ServeSnapshot> MakeSnapshot(SnapshotBuilder& builder,
@@ -398,6 +481,56 @@ TEST(FreshendDaemonTest, UnchangedPlansPublishOnlySyncedShards) {
     if (snapshot->Lookup(i).last_sync_time > 0.0) found_synced = true;
   }
   EXPECT_TRUE(found_synced);
+}
+
+// The daemon publishes frequencies, sizes and last-sync times straight from
+// the controller's and the mirror's columns. After every period, whether
+// it published fully (a replan) or by delta (no replan), each snapshot
+// element must equal those columns bit for bit.
+TEST(FreshendDaemonTest, SnapshotMatchesOwningColumnsAfterEveryPeriod) {
+  obs::MetricsRegistry registry;
+  auto options = DaemonOptions(&registry);
+  options.loop.controller.replan_every_periods = 2.0;
+  options.max_periods = 1;  // Each Start() runs exactly one more period.
+  auto daemon =
+      FreshendDaemon::Create(TestCatalog(9000), 300.0, options).value();
+  for (int period = 1; period <= 6; ++period) {
+    ASSERT_TRUE(daemon->Start().ok());
+    while (daemon->running()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    daemon->Stop();
+    SnapshotRef snapshot = daemon->AcquireSnapshot();
+    ASSERT_TRUE(snapshot);
+    ASSERT_EQ(snapshot->epoch(), static_cast<uint64_t>(period + 1));
+    ASSERT_TRUE(snapshot->CheckConsistent());
+    const AdaptiveFreshener& controller = daemon->loop().controller();
+    const MirrorState& mirror = daemon->loop().mirror();
+    size_t synced = 0;
+    for (size_t i = 0; i < daemon->size(); ++i) {
+      const ElementView view = snapshot->Lookup(i);
+      ASSERT_TRUE(SameBits(view.frequency, controller.frequencies()[i]))
+          << "period " << period << " element " << i;
+      ASSERT_TRUE(SameBits(view.size, controller.sizes()[i]))
+          << "period " << period << " element " << i;
+      ASSERT_TRUE(SameBits(view.last_sync_time, mirror.LastSyncTimes()[i]))
+          << "period " << period << " element " << i;
+      synced += mirror.Synced(i);
+    }
+    EXPECT_GT(synced, 0u);
+  }
+  // Replans at periods 2, 4 and 6 published fully (plus the initial
+  // snapshot); periods 1, 3 and 5 by delta.
+  EXPECT_DOUBLE_EQ(registry
+                       .GetCounter("freshen_serve_publishes_total",
+                                   {{"kind", "full"}})
+                       ->value(),
+                   4.0);
+  EXPECT_DOUBLE_EQ(registry
+                       .GetCounter("freshen_serve_publishes_total",
+                                   {{"kind", "delta"}})
+                       ->value(),
+                   3.0);
 }
 
 TEST(FreshendDaemonTest, StopIsIdempotentAndQueriesSurviveIt) {
