@@ -21,11 +21,22 @@
 //     counts and both search modes (no per-row regeneration);
 //   * every (n, threads, mode) cell reports the MEDIAN of 3 solves (the
 //     old single-shot numbers swung 2x run-to-run under CPU contention).
+// Beside each instance's kkt_solver rows, a planner_exact row times
+// FreshenPlanner::SolveExact, the exact planner's class-transform solve,
+// with one ClassTransform kept across its solves as the adaptive controller
+// keeps it. one_class groups into ~N/10^4 classes; zipf has no repeated
+// rows, so it measures the fallback to the per-element solve. Its
+// speedup_vs_1t is against the 1-thread kkt_solver scan row of the same
+// instance, and its JSON row adds rows_solved and objective_gap (the
+// relative objective difference to that row's allocation).
 // Hard gates, enforced by exit code (the quick-mode run is wired into
 // ctest as bench_solver_scaling_smoke):
 //   * every thread count must reproduce the 1-thread allocation bits;
 //   * the scan-breakpoint mode must reproduce the bisection-oracle
 //     allocation byte-for-byte;
+//   * the planner's class solve must repeat its own bits, match the
+//     bisection oracle's class solve byte-for-byte, and reach at least the
+//     kkt_solver objective minus 1e-12 relative;
 //   * with >= 8 hardware threads, the 8-thread solve must be >= 2x the
 //     1-thread solve. On narrower machines the gate cannot be meaningful
 //     (oversubscribed "threads" share cores and measure scheduler noise,
@@ -46,6 +57,7 @@
 #include "common/string_util.h"
 #include "common/table_writer.h"
 #include "common/timer.h"
+#include "core/planner.h"
 #include "model/metrics.h"
 #include "opt/generic_nlp.h"
 #include "opt/problem.h"
@@ -67,20 +79,24 @@ struct ScalingRow {
   double speedup_vs_1t = 0.0;
   bool bit_identical = true;      // vs the 1-thread run, same mode.
   bool oracle_byte_match = true;  // scan allocation vs oracle allocation.
+  size_t rows_solved = 0;         // planner_exact only.
+  double objective_gap = 0.0;     // planner_exact only: vs kkt_solver.
 };
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+bool SameFrequencies(const std::vector<double>& a,
+                     const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 bool SameAllocation(const Allocation& a, const Allocation& b) {
-  if (a.frequencies.size() != b.frequencies.size()) return false;
-  if (!a.frequencies.empty() &&
-      std::memcmp(a.frequencies.data(), b.frequencies.data(),
-                  a.frequencies.size() * sizeof(double)) != 0) {
-    return false;
-  }
-  return SameBits(a.multiplier, b.multiplier) &&
+  return SameFrequencies(a.frequencies, b.frequencies) &&
+         SameBits(a.multiplier, b.multiplier) &&
          SameBits(a.objective, b.objective) &&
          SameBits(a.bandwidth_used, b.bandwidth_used);
 }
@@ -164,18 +180,23 @@ void WriteJson(const std::vector<ScalingRow>& rows, const char* path) {
                par::HardwareThreads());
   for (size_t i = 0; i < rows.size(); ++i) {
     const ScalingRow& row = rows[i];
+    const std::string planner_fields =
+        row.component == "planner_exact"
+            ? StrFormat(", \"rows_solved\": %zu, \"objective_gap\": %.3e",
+                        row.rows_solved, row.objective_gap)
+            : "";
     std::fprintf(file,
                  "    {\"component\": \"%s\", \"catalog\": \"%s\", "
                  "\"mode\": \"%s\", \"n\": %zu, "
                  "\"threads\": %zu, \"seconds\": %.6f, "
                  "\"speedup_vs_1t\": %.3f, \"bit_identical\": %s, "
-                 "\"oracle_byte_match\": %s}%s\n",
+                 "\"oracle_byte_match\": %s%s}%s\n",
                  row.component.c_str(), row.catalog.c_str(),
                  row.mode.c_str(), row.n, row.threads,
                  row.seconds, row.speedup_vs_1t,
                  row.bit_identical ? "true" : "false",
                  row.oracle_byte_match ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
+                 planner_fields.c_str(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(file, "  ]\n}\n");
   std::fclose(file);
@@ -268,6 +289,9 @@ int main() {
   TableWriter solver_table({"component", "catalog", "mode", "N", "threads",
                             "seconds", "speedup vs 1t", "bit-identical",
                             "oracle-match"});
+  TableWriter planner_table({"catalog", "N", "rows solved", "seconds",
+                             "vs kkt 1t", "objective gap", "repeat-identical",
+                             "oracle-match"});
   struct SolverCase {
     const char* catalog;
     CoreProblem (*make)(size_t n);
@@ -351,6 +375,66 @@ int main() {
         gate_failed = true;
       }
     }
+
+    // The exact planner's solve of the same instance, warmed up once, with
+    // its class transform reused across the timed solves.
+    {
+      const FreshenPlanner planner{PlannerOptions()};
+      ClassTransform classes;
+      std::vector<double> warm;
+      planner.SolveExact(problem, &classes, &warm).value();
+      std::vector<double> frequencies;
+      size_t rows_solved = 0;
+      bool repeat_identical = true;
+      double seconds[3];
+      for (double& s : seconds) {
+        WallTimer timer;
+        rows_solved =
+            planner.SolveExact(problem, &classes, &frequencies).value();
+        s = timer.ElapsedSeconds();
+        repeat_identical &= SameFrequencies(frequencies, warm);
+      }
+      std::sort(seconds, seconds + 3);
+      KktWaterFillingSolver::Options oracle_options;
+      oracle_options.threads = 1;
+      oracle_options.search = MultiplierSearch::kBisectionOracle;
+      std::vector<double> oracle;
+      SolveByClasses(KktWaterFillingSolver(oracle_options), problem, &classes,
+                     &oracle)
+          .value();
+      const bool oracle_match = SameFrequencies(frequencies, oracle);
+      const double kkt_objective = scan_baseline.objective;
+      const double objective_gap =
+          (problem.Objective(frequencies) - kkt_objective) /
+          std::fabs(kkt_objective);
+      const double speedup =
+          seconds[1] > 0.0 ? baseline_seconds / seconds[1] : 0.0;
+      planner_table.AddRow(
+          {catalog, StrFormat("%zu", n), StrFormat("%zu", rows_solved),
+           FormatDouble(seconds[1], 4), StrFormat("%.1fx", speedup),
+           StrFormat("%.2e", objective_gap), repeat_identical ? "yes" : "NO",
+           oracle_match ? "yes" : "NO"});
+      ScalingRow row{"planner_exact", catalog, "scan", n, hardware_threads,
+                     seconds[1], speedup, repeat_identical, oracle_match};
+      row.rows_solved = rows_solved;
+      row.objective_gap = objective_gap;
+      rows.push_back(row);
+      if (!repeat_identical || !oracle_match) {
+        std::fprintf(stderr,
+                     "FAIL: planner class solve not reproducible on %s at "
+                     "n=%zu (repeat %s, oracle %s)\n",
+                     catalog.c_str(), n, repeat_identical ? "ok" : "NO",
+                     oracle_match ? "ok" : "NO");
+        gate_failed = true;
+      }
+      if (!(objective_gap >= -1e-12)) {
+        std::fprintf(stderr,
+                     "FAIL: planner objective %.3e relative below the "
+                     "kkt_solver objective on %s at n=%zu\n",
+                     -objective_gap, catalog.c_str(), n);
+        gate_failed = true;
+      }
+    }
   }
 
   const std::vector<size_t> sim_sizes = bench::QuickMode()
@@ -409,6 +493,12 @@ int main() {
     }
   }
   std::printf("%s\n", solver_table.ToText().c_str());
+  std::printf(
+      "== Exact planner (class transform) ==\nFreshenPlanner::SolveExact on "
+      "the same instances, median of 3 with one reused\nClassTransform; "
+      "\"vs kkt 1t\" is the speedup over the 1-thread kkt_solver scan "
+      "row.\n\n%s\n",
+      planner_table.ToText().c_str());
   if (hardware_threads >= 8) {
     std::printf(
         "reading: shard boundaries depend only on N, so the thread column "

@@ -98,6 +98,7 @@ AdaptiveFreshener::AdaptiveFreshener(std::vector<double> sizes,
   replans_counter_ = registry.GetCounter("freshen_adaptive_replans_total");
   replan_latency_ = registry.GetHistogram("freshen_adaptive_replan_seconds",
                                           obs::LatencySecondsBuckets());
+  plan_classes_ = registry.GetGauge("freshen_adaptive_plan_classes");
 }
 
 void AdaptiveFreshener::ObserveAccess(size_t element) {
@@ -242,10 +243,12 @@ Result<bool> AdaptiveFreshener::MaybeReplan(double now, bool force) {
     if (options_.planner.mode == PlanMode::kExact) {
       // FreshenPlanner::Plan's exact path on the problem refilled above,
       // without its ElementSet, its problem copy, or the plan metrics the
-      // controller would discard.
-      FRESHEN_ASSIGN_OR_RETURN(Allocation allocation,
-                               planner.SolveExact(believed_));
-      frequencies_ = std::move(allocation.frequencies);
+      // controller would discard. The class transform's working memory is
+      // kept across replans and expands straight into frequencies_.
+      FRESHEN_ASSIGN_OR_RETURN(
+          const size_t rows,
+          planner.SolveExact(believed_, &classes_, &frequencies_));
+      plan_classes_->Set(static_cast<double>(rows));
       RescaleToBudget([this](size_t i) { return sizes_[i]; }, bandwidth_,
                       &frequencies_);
     } else {

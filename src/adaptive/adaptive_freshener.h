@@ -201,6 +201,8 @@ class AdaptiveFreshener {
   // construction. Outside delta mode it is the problem the current plan
   // solved.
   CoreProblem believed_;
+  // The exact replan's class-transform working memory, reused every replan.
+  ClassTransform classes_;
   double last_plan_time_ = 0.0;
   uint64_t num_replans_ = 0;
 
@@ -212,6 +214,9 @@ class AdaptiveFreshener {
   // Cached registry handles (valid for the registry's lifetime).
   obs::Counter* replans_counter_;
   obs::Histogram* replan_latency_;
+  // Rows the last exact (non-delta) solve ran on: classes, or N when the
+  // class transform fell back to the per-element problem.
+  obs::Gauge* plan_classes_;
 };
 
 }  // namespace freshen

@@ -6,7 +6,6 @@
 #include "common/timer.h"
 #include "model/metrics.h"
 #include "opt/problem.h"
-#include "partition/transformed.h"
 
 namespace freshen {
 
@@ -18,6 +17,23 @@ std::string ToString(Technique technique) {
       return "GF_TECHNIQUE";
   }
   return "UNKNOWN_TECHNIQUE";
+}
+
+Result<size_t> SolveByClasses(const KktWaterFillingSolver& solver,
+                              const CoreProblem& problem,
+                              ClassTransform* classes,
+                              std::vector<double>* frequencies) {
+  FRESHEN_RETURN_IF_ERROR(problem.Validate());
+  const size_t n = problem.size();
+  if (classes->Build(problem, n / 4)) {
+    FRESHEN_ASSIGN_OR_RETURN(Allocation allocation,
+                             solver.Solve(classes->problem()));
+    classes->Expand(allocation.frequencies, frequencies);
+    return allocation.frequencies.size();
+  }
+  FRESHEN_ASSIGN_OR_RETURN(Allocation allocation, solver.Solve(problem));
+  *frequencies = std::move(allocation.frequencies);
+  return n;
 }
 
 Result<FreshenPlan> FreshenPlanner::Plan(const ElementSet& elements,
@@ -47,10 +63,11 @@ Result<FreshenPlan> FreshenPlanner::Plan(const ElementSet& elements,
 
   if (options_.mode == PlanMode::kExact) {
     WallTimer solve_timer;
-    FRESHEN_ASSIGN_OR_RETURN(Allocation allocation,
-                             SolveExact(make_problem(elements)));
+    ClassTransform classes;
+    FRESHEN_RETURN_IF_ERROR(
+        SolveExact(make_problem(elements), &classes, &plan.frequencies)
+            .status());
     plan.timings.solve_seconds = solve_timer.ElapsedSeconds();
-    plan.frequencies = std::move(allocation.frequencies);
   } else {
     // Step 1: sort-based partitioning.
     WallTimer phase_timer;

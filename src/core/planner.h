@@ -27,6 +27,7 @@
 #include "partition/allocation.h"
 #include "partition/kmeans.h"
 #include "partition/partitioner.h"
+#include "partition/transformed.h"
 #include "stats/descriptive.h"
 
 namespace freshen {
@@ -111,6 +112,21 @@ void RescaleToBudget(SizeOf size_of, double bandwidth,
   }
 }
 
+/// Solves `problem` exactly through its lossless class transform: the rows
+/// are grouped by bit pattern into `*classes`, `solver` solves the class
+/// problem, and every member receives its class frequency. The solver hands
+/// its residual to the boundary row, which here is the whole tied boundary
+/// class, so ties share it equally instead of funding one member. Once the
+/// distinct rows pass N/4 the grouping stops and `solver` solves `problem`
+/// itself, so a catalog without repeated rows keeps its per-element bytes.
+/// Invalid input fails with CoreProblem::Validate()'s status. On success,
+/// `*frequencies` holds one frequency per row and the return value is the
+/// number of rows the solver ran on (classes, or N on the fallback).
+Result<size_t> SolveByClasses(const KktWaterFillingSolver& solver,
+                              const CoreProblem& problem,
+                              ClassTransform* classes,
+                              std::vector<double>* frequencies);
+
 /// Stateless planner; options fixed at construction.
 class FreshenPlanner {
  public:
@@ -121,12 +137,16 @@ class FreshenPlanner {
                            double bandwidth) const;
 
   /// The exact-mode solve Plan() runs, on a problem the caller already
-  /// holds. Callers that own their problem columns (the adaptive
-  /// controller) use this and then RescaleToBudget, which is exactly what
-  /// Plan() does in PlanMode::kExact, minus the ElementSet and the plan
-  /// metrics.
-  Result<Allocation> SolveExact(const CoreProblem& problem) const {
-    return solver_.Solve(problem);
+  /// holds: SolveByClasses with this planner's solver, writing the
+  /// unrescaled frequencies to `*frequencies` and returning the rows the
+  /// solver ran on. Callers that own their problem columns (the adaptive
+  /// controller) use this with a ClassTransform they keep across solves and
+  /// then RescaleToBudget, which is exactly what Plan() does in
+  /// PlanMode::kExact, minus the ElementSet and the plan metrics.
+  Result<size_t> SolveExact(const CoreProblem& problem,
+                            ClassTransform* classes,
+                            std::vector<double>* frequencies) const {
+    return SolveByClasses(solver_, problem, classes, frequencies);
   }
 
   /// The options this planner was built with.

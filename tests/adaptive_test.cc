@@ -9,6 +9,8 @@
 #include "adaptive/adaptive_freshener.h"
 #include "core/planner.h"
 #include "model/metrics.h"
+#include "obs/metrics.h"
+#include "opt/water_filling.h"
 #include "rng/alias_table.h"
 #include "rng/distributions.h"
 #include "rng/rng.h"
@@ -117,11 +119,13 @@ TEST(AdaptiveTest, DeltaModeRejectsInvalidConfigurations) {
   EXPECT_FALSE(AdaptiveFreshener::Create({1.0}, 1.0, bad_band).ok());
 }
 
-// Delta-mode parity: with a zero deadband, the delta controller sees the
-// exact believed catalog every period, so its installed plan must be
-// byte-identical to a full planner run in a twin controller fed the same
-// observation stream — the delta path is an optimization, never a
-// different answer.
+// Delta-mode parity: with a zero deadband the delta controller solves the
+// exact believed catalog every period. Delta mode keeps the per-element
+// solve, so its plan must be byte-identical to a cold KktWaterFillingSolver
+// run on the problem it holds. A twin full controller fed the same
+// observation stream solves the same catalog through the planner's class
+// transform: its plan must be FreshenPlanner::Plan's on the believed
+// catalog, and never worse than the delta plan on the believed problem.
 TEST(AdaptiveTest, DeltaModePlansMatchFullPlannerByteForByte) {
   ExperimentSpec spec = ExperimentSpec::IdealCase();
   spec.num_objects = 80;
@@ -141,7 +145,35 @@ TEST(AdaptiveTest, DeltaModePlansMatchFullPlannerByteForByte) {
   auto delta = AdaptiveFreshener::Create(Sizes(truth), spec.syncs_per_period,
                                          delta_options)
                    .value();
-  ASSERT_TRUE(SameBytes(full.frequencies(), delta.frequencies()));
+
+  auto check_plans = [&](int period) {
+    SCOPED_TRACE("period " + std::to_string(period));
+    const ElementSet believed = full.BelievedCatalog();
+    const CoreProblem problem =
+        MakePerceivedProblem(believed, spec.syncs_per_period);
+    const CoreProblem& solved = *delta.solved_problem();
+    ASSERT_TRUE(SameBytes(solved.weights, problem.weights));
+    ASSERT_TRUE(SameBytes(solved.change_rates, problem.change_rates));
+
+    KktWaterFillingSolver::Options solver_options;
+    solver_options.threads = 1;
+    std::vector<double> delta_reference =
+        KktWaterFillingSolver(solver_options).Solve(solved).value().frequencies;
+    RescaleToBudget([&](size_t i) { return truth[i].size; },
+                    spec.syncs_per_period, &delta_reference);
+    ASSERT_TRUE(SameBytes(delta.frequencies(), delta_reference));
+
+    const FreshenPlan full_reference =
+        FreshenPlanner(full_options.planner)
+            .Plan(believed, spec.syncs_per_period)
+            .value();
+    ASSERT_TRUE(SameBytes(full.frequencies(), full_reference.frequencies));
+
+    const double delta_objective = problem.Objective(delta.frequencies());
+    EXPECT_GE(problem.Objective(full.frequencies()),
+              delta_objective - 1e-12 * std::fabs(delta_objective));
+  };
+  check_plans(0);
 
   Rng rng(77);
   AliasTable traffic(AccessProbs(truth));
@@ -165,13 +197,34 @@ TEST(AdaptiveTest, DeltaModePlansMatchFullPlannerByteForByte) {
     delta.EndPeriod();
     ASSERT_TRUE(full.MaybeReplan(period).value());
     ASSERT_TRUE(delta.MaybeReplan(period).value());
-    ASSERT_TRUE(SameBytes(full.frequencies(), delta.frequencies()))
-        << "plans diverged at period " << period;
+    check_plans(period);
+    if (HasFatalFailure()) return;
     EXPECT_TRUE(delta.last_replan().used_delta);
     EXPECT_FALSE(full.last_replan().used_delta);
   }
   EXPECT_NE(delta.solved_problem(), nullptr);
   EXPECT_EQ(full.solved_problem(), nullptr);
+}
+
+// The exact replan exports the rows its solve ran on: one class for the
+// cold-start catalog, N once the learned rows are all distinct and the
+// class transform falls back to the per-element problem.
+TEST(AdaptiveTest, PlanClassesGaugeCountsTheSolvedRows) {
+  obs::MetricsRegistry registry;
+  auto options = DefaultOptions();
+  options.registry = &registry;
+  const size_t n = 40;
+  auto controller =
+      AdaptiveFreshener::Create(std::vector<double>(n, 1.0), 10.0, options)
+          .value();
+  const obs::Gauge* classes =
+      registry.GetGauge("freshen_adaptive_plan_classes");
+  EXPECT_EQ(classes->value(), 1.0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t a = 0; a < i; ++a) controller.ObserveAccess(i);
+  }
+  ASSERT_TRUE(controller.MaybeReplan(1.0).value());
+  EXPECT_EQ(classes->value(), static_cast<double>(n));
 }
 
 // The exact replan refills one persistent believed problem in place and

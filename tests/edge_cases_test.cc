@@ -102,6 +102,52 @@ TEST(PlannerEdgeTest, SingleElementCatalog) {
   }
 }
 
+// The exact planner groups rows before solving; malformed input must still
+// fail with the status the solver reports for it, before any grouping.
+TEST(PlannerEdgeTest, ClassSolveRejectsInvalidInputLikeTheSolver) {
+  const ElementSet elements = MakeElementSet(std::vector<double>(40, 1.0),
+                                             std::vector<double>(40, 0.025));
+  CoreProblem nan_weight = MakePerceivedProblem(elements, 5.0);
+  nan_weight.weights[7] = std::nan("");
+  CoreProblem negative_rate = MakePerceivedProblem(elements, 5.0);
+  negative_rate.change_rates[3] = -1.0;
+  CoreProblem mismatched = MakePerceivedProblem(elements, 5.0);
+  mismatched.costs.pop_back();
+  for (const CoreProblem* problem :
+       {&nan_weight, &negative_rate, &mismatched}) {
+    const Status expected = KktWaterFillingSolver().Solve(*problem).status();
+    ASSERT_FALSE(expected.ok());
+    ClassTransform classes;
+    std::vector<double> frequencies;
+    EXPECT_EQ(
+        FreshenPlanner({}).SolveExact(*problem, &classes, &frequencies).status(),
+        expected)
+        << expected.ToString();
+  }
+}
+
+// A class row multiplies weight and cost by the class size. When that
+// product overflows, the planner solves the per-element problem instead of
+// failing on a class problem the caller never built.
+TEST(PlannerEdgeTest, ClassSolveFallsBackWhenAClassRowOverflows) {
+  CoreProblem problem;
+  problem.weights.assign(1024, 1e306);
+  problem.change_rates.assign(1024, 1.0);
+  problem.costs.assign(1024, 1.0);
+  problem.bandwidth = 512.0;
+  ClassTransform classes;
+  std::vector<double> frequencies;
+  EXPECT_EQ(
+      FreshenPlanner({}).SolveExact(problem, &classes, &frequencies).value(),
+      1024u);
+  const std::vector<double> reference =
+      KktWaterFillingSolver().Solve(problem).value().frequencies;
+  ASSERT_EQ(frequencies.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(frequencies[i], reference[i]) << i;
+  }
+}
+
 TEST(PlannerEdgeTest, AllElementsNeverChange) {
   // Nothing to do: PF is 1 regardless; the plan must be feasible and sane.
   const ElementSet elements = MakeElementSet({0.0, 0.0}, {0.5, 0.5});

@@ -1,11 +1,14 @@
 // Tests for the FreshenPlanner: the end-to-end planning API in all its
 // configurations, including the paper's key qualitative claims.
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "core/planner.h"
 #include "model/metrics.h"
+#include "opt/water_filling.h"
+#include "rng/rng.h"
 #include "workload/generator.h"
 
 namespace freshen {
@@ -16,6 +19,63 @@ ElementSet IdealCatalog(double theta, Alignment alignment) {
   spec.theta = theta;
   spec.alignment = alignment;
   return GenerateCatalog(spec).value();
+}
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+CoreProblem MakeProblem(const PlannerOptions& options,
+                        const ElementSet& elements, double bandwidth) {
+  return options.technique == Technique::kPerceived
+             ? MakePerceivedProblem(elements, bandwidth, options.size_aware)
+             : MakeGeneralProblem(elements, bandwidth, options.size_aware);
+}
+
+// What Plan() installed before the class transform: the per-element solve
+// rescaled to the budget.
+std::vector<double> PerElementPlan(const PlannerOptions& options,
+                                   const ElementSet& elements,
+                                   double bandwidth) {
+  std::vector<double> frequencies =
+      KktWaterFillingSolver()
+          .Solve(MakeProblem(options, elements, bandwidth))
+          .value()
+          .frequencies;
+  RescaleToBudget([&](size_t i) { return elements[i].size; }, bandwidth,
+                  &frequencies);
+  return frequencies;
+}
+
+// `num_classes` distinct (p, lambda, size) rows over `n` elements in
+// shuffled order; class 0 holds `big` of them and the rest share the
+// remainder round-robin. Every class differs in lambda, so the rows stay
+// distinct whichever columns a configuration reads.
+ElementSet PlantedClassCatalog(size_t n, size_t num_classes, size_t big,
+                               uint64_t seed,
+                               std::vector<size_t>* classes = nullptr) {
+  Rng rng(seed);
+  std::vector<double> rate(num_classes), prob(num_classes), size(num_classes);
+  for (size_t j = 0; j < num_classes; ++j) {
+    rate[j] = 0.05 + 0.01 * static_cast<double>(j) + 0.001 * rng.NextDouble();
+    prob[j] = 1e-6 * (1.0 + 99.0 * rng.NextDouble());
+    size[j] = 0.5 + 2.0 * rng.NextDouble();
+  }
+  std::vector<size_t> class_of(n);
+  for (size_t i = 0; i < n; ++i) {
+    class_of[i] = i < big ? 0 : 1 + (i - big) % (num_classes - 1);
+  }
+  for (size_t i = n; i > 1; --i) {
+    std::swap(class_of[i - 1], class_of[rng.NextUint64Below(i)]);
+  }
+  ElementSet elements(n);
+  for (size_t i = 0; i < n; ++i) {
+    elements[i] = {rate[class_of[i]], prob[class_of[i]], size[class_of[i]]};
+  }
+  if (classes != nullptr) *classes = std::move(class_of);
+  return elements;
 }
 
 TEST(PlannerTest, TechniqueNames) {
@@ -186,6 +246,125 @@ TEST(PlannerTest, FrequenciesAreNonNegativeAndFinite) {
       EXPECT_GE(f, 0.0);
       EXPECT_TRUE(std::isfinite(f));
     }
+  }
+}
+
+// A controller's cold start: every row identical. The class solve spreads
+// the budget evenly where the per-element solve hands it all to one
+// boundary element.
+TEST(PlannerClassTest, ColdStartSplitsTheBudgetEvenly) {
+  const size_t n = 100000;
+  const double bandwidth = 50.0;
+  const ElementSet elements =
+      MakeElementSet(std::vector<double>(n, 1.0),
+                     std::vector<double>(n, 1.0 / static_cast<double>(n)));
+  const FreshenPlan plan = FreshenPlanner({}).Plan(elements, bandwidth).value();
+  for (double f : plan.frequencies) {
+    ASSERT_EQ(std::memcmp(&f, &plan.frequencies[0], sizeof(double)), 0);
+  }
+  EXPECT_GT(plan.frequencies[0], 0.0);
+  const CoreProblem problem = MakePerceivedProblem(elements, bandwidth);
+  EXPECT_NEAR(problem.Spend(plan.frequencies), bandwidth, 1e-12 * bandwidth);
+  const std::vector<double> per_element =
+      KktWaterFillingSolver().Solve(problem).value().frequencies;
+  EXPECT_GE(problem.Objective(plan.frequencies),
+            40.0 * problem.Objective(per_element));
+}
+
+// 300 planted classes over 50k elements, one of them holding 49k: the class
+// solve is at least as good as the per-element solve, gives every member of
+// a class the same bits, and is byte-identical across thread counts and
+// between the scan and the bisection-oracle multiplier search. At B = 400
+// the big class is funded inside the schedule; at B = 20 it is the tied
+// boundary class that takes the residual.
+TEST(PlannerClassTest, PlantedClassesMatchOrBeatThePerElementSolve) {
+  const size_t num_classes = 300;
+  std::vector<size_t> class_of;
+  const ElementSet elements =
+      PlantedClassCatalog(50000, num_classes, 49000, 7, &class_of);
+  for (double bandwidth : {400.0, 20.0}) {
+    for (Technique technique : {Technique::kPerceived, Technique::kGeneral}) {
+      for (bool size_aware : {false, true}) {
+        SCOPED_TRACE(ToString(technique) +
+                     (size_aware ? " size-aware" : " size-blind") + " B=" +
+                     std::to_string(bandwidth));
+        PlannerOptions options;
+        options.technique = technique;
+        options.size_aware = size_aware;
+        const CoreProblem problem = MakeProblem(options, elements, bandwidth);
+
+        ClassTransform classes;
+        std::vector<double> frequencies;
+        ASSERT_EQ(FreshenPlanner(options)
+                      .SolveExact(problem, &classes, &frequencies)
+                      .value(),
+                  num_classes);
+        const double per_element = problem.Objective(
+            KktWaterFillingSolver().Solve(problem).value().frequencies);
+        EXPECT_GE(problem.Objective(frequencies),
+                  per_element - 1e-12 * std::fabs(per_element));
+        EXPECT_NEAR(problem.Spend(frequencies), bandwidth, 1e-9 * bandwidth);
+
+        // Members of a class carry equal bits.
+        std::vector<size_t> first_member(num_classes, elements.size());
+        for (size_t i = 0; i < elements.size(); ++i) {
+          size_t& first = first_member[class_of[i]];
+          if (first == elements.size()) first = i;
+          ASSERT_EQ(std::memcmp(&frequencies[first], &frequencies[i],
+                                sizeof(double)),
+                    0)
+              << "rows " << first << " and " << i;
+        }
+
+        for (MultiplierSearch search : {MultiplierSearch::kScanBreakpoint,
+                                        MultiplierSearch::kBisectionOracle}) {
+          for (size_t threads : {1u, 2u, 4u, 8u}) {
+            KktWaterFillingSolver::Options solver_options;
+            solver_options.threads = threads;
+            solver_options.search = search;
+            std::vector<double> other;
+            ASSERT_TRUE(SolveByClasses(KktWaterFillingSolver(solver_options),
+                                       problem, &classes, &other)
+                            .ok());
+            EXPECT_TRUE(SameBytes(other, frequencies))
+                << "threads " << threads << " oracle "
+                << (search == MultiplierSearch::kBisectionOracle);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Past N/4 distinct rows the class transform steps aside and Plan()
+// installs the per-element solve's bytes; at N/4 it still groups.
+TEST(PlannerClassTest, ManyClassesFallBackToThePerElementSolve) {
+  const ElementSet distinct = IdealCatalog(1.0, Alignment::kShuffled);
+  const ElementSet guard = PlantedClassCatalog(2000, 501, 900, 11);
+  const ElementSet grouped = PlantedClassCatalog(2000, 500, 900, 11);
+  for (bool size_aware : {false, true}) {
+    PlannerOptions options;
+    options.size_aware = size_aware;
+    for (const ElementSet* elements : {&distinct, &guard}) {
+      const FreshenPlan plan =
+          FreshenPlanner(options).Plan(*elements, 250.0).value();
+      EXPECT_TRUE(SameBytes(plan.frequencies,
+                            PerElementPlan(options, *elements, 250.0)));
+      ClassTransform classes;
+      std::vector<double> frequencies;
+      EXPECT_EQ(FreshenPlanner(options)
+                    .SolveExact(MakeProblem(options, *elements, 250.0),
+                                &classes, &frequencies)
+                    .value(),
+                elements->size());
+    }
+    ClassTransform classes;
+    std::vector<double> frequencies;
+    EXPECT_EQ(FreshenPlanner(options)
+                  .SolveExact(MakeProblem(options, grouped, 250.0), &classes,
+                              &frequencies)
+                  .value(),
+              500u);
   }
 }
 
