@@ -17,55 +17,20 @@
 #define FRESHEN_ADAPTIVE_ADAPTIVE_FRESHENER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
 #include "core/planner.h"
-#include "estimate/change_estimator.h"
 #include "model/element.h"
 #include "obs/metrics.h"
-#include "opt/delta_replan.h"
 #include "opt/problem.h"
 #include "profile/learner.h"
 
 namespace freshen {
 
-/// How the controller turns sync observations into believed change rates.
-enum class RateEstimatorMode {
-  /// Batched bias-reduced detector estimate over all evidence (the
-  /// paper's [4] form, with the zero-detection floor).
-  kBatchBiasReduced,
-  /// Streaming stochastic-approximation tracker (StreamingRateEstimator):
-  /// O(1) per sync, and only synced elements' beliefs move — the natural
-  /// dirty-set source for incremental replanning.
-  kStreaming,
-};
-
 /// Periodically re-planning freshening controller.
 class AdaptiveFreshener {
  public:
-  /// Incremental replanning configuration. When enabled (requires
-  /// PlanMode::kExact), period-boundary replans go through a DeltaReplanner
-  /// primed with the previous solve: only elements whose believed values
-  /// moved past the deadband are re-submitted, and the plan is re-derived
-  /// on the pinned/warm path instead of a cold O(N) solve. The resulting
-  /// frequencies are byte-identical to running the full planner on the
-  /// deadbanded (solved) catalog.
-  struct DeltaOptions {
-    bool enable = false;
-    /// Relative belief drift below which an element is NOT re-submitted
-    /// (the learner's renormalization nudges every weight every period;
-    /// without a deadband each replan would be 100% churn). 0 disables
-    /// deadbanding: any bit of drift re-submits.
-    double value_deadband = 1e-3;
-    /// Passed through to DeltaReplanner: dirty fraction above which the
-    /// replan falls back to a cold solve.
-    double full_churn_threshold = 0.05;
-    /// Worker threads for the replanner (0 = hardware concurrency).
-    size_t threads = 0;
-  };
-
   struct Options {
     /// Planner configuration used at every re-plan.
     PlannerOptions planner;
@@ -77,31 +42,9 @@ class AdaptiveFreshener {
     double replan_every_periods = 1.0;
     /// Change-rate prior used for elements with no sync evidence yet.
     double prior_change_rate = 1.0;
-    /// Change-rate estimation mode (see RateEstimatorMode).
-    RateEstimatorMode estimator_mode = RateEstimatorMode::kBatchBiasReduced;
-    /// Streaming-mode tuning (initial_rate is overridden by
-    /// prior_change_rate so the cold-start plan matches batch mode).
-    StreamingRateEstimator::Options streaming;
-    /// Incremental replanning (see DeltaOptions).
-    DeltaOptions delta;
     /// Metrics registry for replan counters/latency (freshen_adaptive_*).
     /// nullptr means the process-wide obs::MetricsRegistry::Global().
     obs::MetricsRegistry* registry = nullptr;
-  };
-
-  /// What the last installed plan did — the publication contract serving
-  /// layers consume (see serve::FreshendDaemon::PublishBoundary).
-  struct ReplanInfo {
-    /// True when the plan came from the incremental replanner.
-    bool used_delta = false;
-    /// Which replanner path ran (kFull for the non-delta planner).
-    ReplanPath path = ReplanPath::kFull;
-    /// Elements the last replan re-submitted (distinct).
-    size_t dirty = 0;
-    /// False only when the installed frequencies are provably byte-
-    /// identical to the previous plan's — a serving layer may then skip
-    /// republishing the plan entirely.
-    bool all_touched = true;
   };
 
   /// A controller over `sizes.size()` elements with the given per-period
@@ -135,32 +78,21 @@ class AdaptiveFreshener {
   ElementSet BelievedCatalog() const;
 
   /// One element's believed change rate — BelievedCatalog()[i].change_rate
-  /// without the O(N) construction, for per-shard publication paths.
+  /// without the O(N) construction.
   double BelievedChangeRate(size_t element) const;
 
   /// BelievedCatalog()'s access_prob column written into `*out` (resized to
   /// N): the learned profile without the ElementSet.
   void BelievedProfileInto(std::vector<double>* out) const;
 
-  /// The change rates the CURRENT plan was solved against: the solved
-  /// problem's rates (delta mode: the deadbanded problem the replanner
-  /// holds; otherwise the believed rates at the last replan). Beliefs keep
-  /// drifting with new evidence between replans — the gap between these
-  /// and fresh observations is what obs::DriftDetector scores. Always
-  /// populated (Create installs the initial plan).
+  /// The change rates the CURRENT plan was solved against: the believed
+  /// rates at the last replan. Beliefs keep drifting with new evidence
+  /// between replans — the gap between these and fresh observations is
+  /// what obs::DriftDetector scores. Always populated (Create installs the
+  /// initial plan).
   const std::vector<double>& PlannedChangeRates() const {
-    return replanner_ != nullptr ? replanner_->problem().change_rates
-                                 : believed_.change_rates;
+    return believed_.change_rates;
   }
-
-  /// What the last installed plan did (meaningful after the first replan).
-  const ReplanInfo& last_replan() const { return last_replan_; }
-
-  /// In delta mode, the deadbanded problem the current plan actually
-  /// solves (weights/change_rates/costs per element). nullptr when delta
-  /// mode is off. The plan published by frequencies() is exact for THESE
-  /// values; believed values drift within the deadband between replans.
-  const CoreProblem* solved_problem() const;
 
   /// Number of plans installed so far (including the initial one).
   uint64_t num_replans() const { return num_replans_; }
@@ -172,11 +104,6 @@ class AdaptiveFreshener {
   /// Refills believed_'s weights (PF: the learned profile) and change rates
   /// in place from the current evidence.
   Status RefreshBelievedProblem();
-
-  /// Delta-mode replan body: diffs believed_ against the solved problem,
-  /// routes the drifted elements through the DeltaReplanner, and installs
-  /// the materialized plan (with the planner's feasibility rescale).
-  Status ReplanDelta();
 
   Options options_;
   std::vector<double> sizes_;
@@ -191,31 +118,22 @@ class AdaptiveFreshener {
   std::vector<double> last_sync_time_;
   std::vector<uint8_t> synced_before_;
 
-  // Streaming-mode per-element trackers (empty in batch mode).
-  std::vector<StreamingRateEstimator> streaming_;
-
   std::vector<double> frequencies_;
   // The believed core problem, kept across replans and refilled in place:
   // what FreshenPlanner's exact mode would build from BelievedCatalog().
   // Costs, bandwidth and (GF) the uniform weights are fixed at
-  // construction. Outside delta mode it is the problem the current plan
-  // solved.
+  // construction. It is the problem the current plan solved.
   CoreProblem believed_;
   // The exact replan's class-transform working memory, reused every replan.
   ClassTransform classes_;
   double last_plan_time_ = 0.0;
   uint64_t num_replans_ = 0;
 
-  // Delta mode: the incremental replanner holding the deadbanded problem
-  // and the factored previous solve (created on the first replan).
-  std::unique_ptr<DeltaReplanner> replanner_;
-  ReplanInfo last_replan_;
-
   // Cached registry handles (valid for the registry's lifetime).
   obs::Counter* replans_counter_;
   obs::Histogram* replan_latency_;
-  // Rows the last exact (non-delta) solve ran on: classes, or N when the
-  // class transform fell back to the per-element problem.
+  // Rows the last exact solve ran on: classes, or N when the class
+  // transform fell back to the per-element problem.
   obs::Gauge* plan_classes_;
 };
 

@@ -45,29 +45,6 @@ Result<double> ChangeRateEstimator::EstimatedRate() const {
                          watched_time_ / static_cast<double>(polls_));
 }
 
-StreamingRateEstimator::StreamingRateEstimator()
-    : StreamingRateEstimator(Options()) {}
-
-StreamingRateEstimator::StreamingRateEstimator(Options options)
-    : options_(options), rate_(options.initial_rate) {
-  FRESHEN_CHECK(options.min_rate > 0.0);
-  FRESHEN_CHECK(options.min_rate <= options.max_rate);
-  FRESHEN_CHECK(options.initial_rate >= options.min_rate);
-  FRESHEN_CHECK(options.initial_rate <= options.max_rate);
-  FRESHEN_CHECK(options.gain > 0.0);
-}
-
-void StreamingRateEstimator::ObservePoll(bool changed, double gap) {
-  if (!(gap > 0.0) || !std::isfinite(gap)) return;  // Nothing was observed.
-  ++observations_;
-  const double x = changed ? 1.0 : 0.0;
-  const double predicted = -std::expm1(-rate_ * gap);
-  const double step = options_.gain / static_cast<double>(observations_);
-  rate_ += step * (x - predicted) / gap;
-  if (rate_ < options_.min_rate) rate_ = options_.min_rate;
-  if (rate_ > options_.max_rate) rate_ = options_.max_rate;
-}
-
 double SimulatePollEstimate(double true_rate, double poll_interval,
                             uint64_t num_polls, uint64_t seed) {
   FRESHEN_CHECK(true_rate >= 0.0);

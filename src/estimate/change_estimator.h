@@ -74,50 +74,6 @@ class ChangeRateEstimator {
   double watched_time_ = 0.0;
 };
 
-/// Streaming stochastic-approximation rate tracker (after Avrachenkov et
-/// al.-style online estimators): one O(1) update per poll, no counters or
-/// windows to store — the form the adaptive controller uses to feed the
-/// incremental replanner a small dirty set every period. For observation k
-/// with inter-poll gap tau and outcome x in {0, 1}:
-///
-///   lambda <- clamp(lambda + (gain / k) * (x - (1 - e^{-lambda tau})) / tau)
-///
-/// E[x] = 1 - e^{-lambda* tau}, so the expected update vanishes exactly at
-/// the true rate and the Robbins-Monro iterates converge to it; the clamp
-/// keeps early transients inside [min_rate, max_rate] (min_rate > 0 keeps
-/// the estimate out of the solver's absorbing zero state). Gaps <= 0 are
-/// zero-observation windows and are ignored.
-class StreamingRateEstimator {
- public:
-  struct Options {
-    /// Estimate before any evidence (the controller's prior).
-    double initial_rate = 1.0;
-    /// Clamp bounds, 0 < min_rate <= initial_rate <= max_rate.
-    double min_rate = 1e-9;
-    double max_rate = 1e9;
-    /// Step-size scale; the k-th step is gain / k.
-    double gain = 2.0;
-  };
-
-  StreamingRateEstimator();
-  explicit StreamingRateEstimator(Options options);
-
-  /// Folds in one poll outcome observed over `gap` time units. A gap <= 0
-  /// (or non-finite) is ignored.
-  void ObservePoll(bool changed, double gap);
-
-  /// Current estimate (initial_rate until the first informative poll).
-  double rate() const { return rate_; }
-
-  /// Informative polls folded in so far.
-  uint64_t observations() const { return observations_; }
-
- private:
-  Options options_;
-  double rate_;
-  uint64_t observations_ = 0;
-};
-
 /// Simulates `num_polls` polls of a Poisson(lambda) element at interval tau
 /// and returns the resulting estimate. Deterministic in `seed`. Used by the
 /// imperfect-knowledge ablation (A3).

@@ -274,12 +274,6 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
   auto replanned = controller_->MaybeReplan(now_);
   FRESHEN_CHECK(replanned.ok());
   stats.replanned = *replanned;
-  if (stats.replanned) {
-    const AdaptiveFreshener::ReplanInfo& info = controller_->last_replan();
-    stats.replan_used_delta = info.used_delta;
-    stats.replan_path = ToString(info.path);
-    stats.plan_all_touched = info.all_touched;
-  }
 
   // Estimator quality against the ground truth only the loop knows: mean
   // relative change-rate error of the controller's believed rates.
@@ -306,12 +300,7 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
       FRESHEN_CHECK(forced.ok());
       if (*forced) {
         drift->AcknowledgeReplan();
-        const AdaptiveFreshener::ReplanInfo& info =
-            controller_->last_replan();
         stats.replanned = true;
-        stats.replan_used_delta = info.used_delta;
-        stats.replan_path = ToString(info.path);
-        stats.plan_all_touched = info.all_touched;
       }
     }
   }

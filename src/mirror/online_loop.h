@@ -63,17 +63,6 @@ struct PeriodStats {
   uint64_t breaker_skipped_syncs = 0;
   /// True when the controller installed a new plan at the boundary.
   bool replanned = false;
-  /// Valid when replanned: true when the plan came from the incremental
-  /// delta replanner (controller delta mode) rather than a full planner
-  /// run.
-  bool replan_used_delta = false;
-  /// Valid when replanned: which replanner path ran ("pinned" / "warm" /
-  /// "full"; full planner runs report "full").
-  const char* replan_path = "none";
-  /// Valid when replanned: false only when the installed plan is provably
-  /// byte-identical to the previous one (publication layers may skip
-  /// republishing frequencies entirely).
-  bool plan_all_touched = true;
 };
 
 /// A steppable closed-loop mirror.

@@ -72,8 +72,9 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
   daemon->loop_ = std::make_unique<OnlineFreshenLoop>(std::move(loop));
 
   // Initial publication (epoch 1): the controller's cold-start plan over
-  // its cold-start beliefs, nothing synced yet. Queries work from here on.
-  daemon->PublishBoundary(/*replanned=*/false, {});
+  // its cold-start beliefs, nothing synced yet — published in full like
+  // any new plan. Queries work from here on.
+  daemon->PublishBoundary(/*replanned=*/true, {});
   return daemon;
 }
 
@@ -113,45 +114,24 @@ void FreshendDaemon::PublishBoundary(bool replanned,
                                      const std::vector<uint32_t>& synced) {
   obs::ScopedSpan span("serve_publish", *registry_);
   WallTimer timer;
-  // A delta-mode replan whose plan is provably byte-identical to the
-  // previous one (pinned/no-op path: all_touched == false) does not force
-  // the O(N) rebuild: the published frequencies are still exact, and only
-  // the shards this period actually touched republish.
   const AdaptiveFreshener& controller = loop_->controller();
-  const bool plan_unchanged =
-      replanned && !controller.last_replan().all_touched;
-  const bool rebuild_all = catalog_dirty_ || (replanned && !plan_unchanged);
-  if (rebuild_all) {
+  if (replanned) {
     // A replan can move every frequency and the controller's beliefs; the
     // whole catalog republishes. This is the O(N) slow path — it runs once
     // per replan cadence, not once per period.
     builder_.MarkAllDirty();
     controller.BelievedProfileInto(&access_prob_);
-    change_rate_.resize(num_elements_);
-    for (size_t i = 0; i < num_elements_; ++i) {
-      change_rate_[i] = controller.BelievedChangeRate(i);
-    }
-    catalog_dirty_ = false;
   } else {
+    // No replan: only the shards this period synced republish.
     for (uint32_t id : synced) builder_.MarkDirty(id);
-    if (plan_unchanged) {
-      // O(synced) delta publication: refresh the believed change rate of
-      // the shards that synced (their beliefs are what moved). access_prob_
-      // may drift within the controller's deadband until the next full
-      // publish — the plan those probabilities produced is byte-unchanged,
-      // so served verdicts stay consistent with the installed plan.
-      for (uint32_t id : synced) {
-        change_rate_[id] = controller.BelievedChangeRate(id);
-      }
-    }
   }
   auto snapshot = builder_.Publish(
       store_.CurrentEpoch() + 1, controller.num_replans(), loop_->Now(),
-      controller.frequencies(), change_rate_, access_prob_, controller.sizes(),
-      loop_->mirror().LastSyncTimes());
+      controller.frequencies(), controller.PlannedChangeRates(), access_prob_,
+      controller.sizes(), loop_->mirror().LastSyncTimes());
   FRESHEN_CHECK(snapshot.ok());
   store_.Publish(std::move(*snapshot));
-  (rebuild_all ? full_publish_counter_ : delta_publish_counter_)->Increment();
+  (replanned ? full_publish_counter_ : delta_publish_counter_)->Increment();
   publish_seconds_->Record(timer.ElapsedSeconds());
 }
 

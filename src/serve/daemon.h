@@ -211,10 +211,9 @@ class FreshendDaemon {
   SnapshotBuilder builder_;
   mutable SnapshotStore store_;
 
-  // The published beliefs (loop thread only after Create). Frequencies,
-  // sizes and last-sync times are published straight from the controller's
-  // and the mirror's own columns.
-  std::vector<double> change_rate_;
+  // The published access profile (loop thread only after Create).
+  // Frequencies, planned change rates, sizes and last-sync times are
+  // published straight from the controller's and the mirror's own columns.
   std::vector<double> access_prob_;
 
   std::thread loop_thread_;
@@ -241,10 +240,6 @@ class FreshendDaemon {
   obs::Counter* full_publish_counter_;
   obs::Counter* delta_publish_counter_;
   obs::Histogram* publish_seconds_;
-
-  // Builder state note: set when the next publication must rebuild all
-  // shards (initial publish and replans).
-  bool catalog_dirty_ = true;
 };
 
 }  // namespace serve

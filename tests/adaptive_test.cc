@@ -10,7 +10,6 @@
 #include "core/planner.h"
 #include "model/metrics.h"
 #include "obs/metrics.h"
-#include "opt/water_filling.h"
 #include "rng/alias_table.h"
 #include "rng/distributions.h"
 #include "rng/rng.h"
@@ -104,108 +103,6 @@ TEST(AdaptiveTest, RejectsInvalidConfigurations) {
   EXPECT_FALSE(AdaptiveFreshener::Create({1.0}, 1.0, bad_smoothing).ok());
 }
 
-TEST(AdaptiveTest, DeltaModeRejectsInvalidConfigurations) {
-  auto partitioned = DefaultOptions();
-  partitioned.delta.enable = true;
-  partitioned.planner.mode = PlanMode::kPartitioned;
-  EXPECT_FALSE(AdaptiveFreshener::Create({1.0}, 1.0, partitioned).ok());
-  auto bad_threshold = DefaultOptions();
-  bad_threshold.delta.enable = true;
-  bad_threshold.delta.full_churn_threshold = 0.0;
-  EXPECT_FALSE(AdaptiveFreshener::Create({1.0}, 1.0, bad_threshold).ok());
-  auto bad_band = DefaultOptions();
-  bad_band.delta.enable = true;
-  bad_band.delta.value_deadband = -1e-3;
-  EXPECT_FALSE(AdaptiveFreshener::Create({1.0}, 1.0, bad_band).ok());
-}
-
-// Delta-mode parity: with a zero deadband the delta controller solves the
-// exact believed catalog every period. Delta mode keeps the per-element
-// solve, so its plan must be byte-identical to a cold KktWaterFillingSolver
-// run on the problem it holds. A twin full controller fed the same
-// observation stream solves the same catalog through the planner's class
-// transform: its plan must be FreshenPlanner::Plan's on the believed
-// catalog, and never worse than the delta plan on the believed problem.
-TEST(AdaptiveTest, DeltaModePlansMatchFullPlannerByteForByte) {
-  ExperimentSpec spec = ExperimentSpec::IdealCase();
-  spec.num_objects = 80;
-  spec.syncs_per_period = 40.0;
-  spec.theta = 1.2;
-  spec.alignment = Alignment::kShuffled;
-  const ElementSet truth = GenerateCatalog(spec).value();
-
-  auto full_options = DefaultOptions();
-  auto delta_options = DefaultOptions();
-  delta_options.delta.enable = true;
-  delta_options.delta.value_deadband = 0.0;  // Re-submit every drift.
-  delta_options.delta.threads = 1;
-  auto full = AdaptiveFreshener::Create(Sizes(truth), spec.syncs_per_period,
-                                        full_options)
-                  .value();
-  auto delta = AdaptiveFreshener::Create(Sizes(truth), spec.syncs_per_period,
-                                         delta_options)
-                   .value();
-
-  auto check_plans = [&](int period) {
-    SCOPED_TRACE("period " + std::to_string(period));
-    const ElementSet believed = full.BelievedCatalog();
-    const CoreProblem problem =
-        MakePerceivedProblem(believed, spec.syncs_per_period);
-    const CoreProblem& solved = *delta.solved_problem();
-    ASSERT_TRUE(SameBytes(solved.weights, problem.weights));
-    ASSERT_TRUE(SameBytes(solved.change_rates, problem.change_rates));
-
-    KktWaterFillingSolver::Options solver_options;
-    solver_options.threads = 1;
-    std::vector<double> delta_reference =
-        KktWaterFillingSolver(solver_options).Solve(solved).value().frequencies;
-    RescaleToBudget([&](size_t i) { return truth[i].size; },
-                    spec.syncs_per_period, &delta_reference);
-    ASSERT_TRUE(SameBytes(delta.frequencies(), delta_reference));
-
-    const FreshenPlan full_reference =
-        FreshenPlanner(full_options.planner)
-            .Plan(believed, spec.syncs_per_period)
-            .value();
-    ASSERT_TRUE(SameBytes(full.frequencies(), full_reference.frequencies));
-
-    const double delta_objective = problem.Objective(delta.frequencies());
-    EXPECT_GE(problem.Objective(full.frequencies()),
-              delta_objective - 1e-12 * std::fabs(delta_objective));
-  };
-  check_plans(0);
-
-  Rng rng(77);
-  AliasTable traffic(AccessProbs(truth));
-  for (int period = 1; period <= 12; ++period) {
-    for (int a = 0; a < 800; ++a) {
-      const size_t element = traffic.Sample(rng);
-      full.ObserveAccess(element);
-      delta.ObserveAccess(element);
-    }
-    const auto freqs = full.frequencies();
-    for (size_t i = 0; i < truth.size(); ++i) {
-      if (freqs[i] <= 0.0) continue;
-      const double gap = 1.0 / freqs[i];
-      const double t = static_cast<double>(period - 1);
-      const double p_change = -std::expm1(-truth[i].change_rate * gap);
-      const bool changed = rng.NextBool(p_change);
-      full.ObserveSync(i, changed, t);
-      delta.ObserveSync(i, changed, t);
-    }
-    full.EndPeriod();
-    delta.EndPeriod();
-    ASSERT_TRUE(full.MaybeReplan(period).value());
-    ASSERT_TRUE(delta.MaybeReplan(period).value());
-    check_plans(period);
-    if (HasFatalFailure()) return;
-    EXPECT_TRUE(delta.last_replan().used_delta);
-    EXPECT_FALSE(full.last_replan().used_delta);
-  }
-  EXPECT_NE(delta.solved_problem(), nullptr);
-  EXPECT_EQ(full.solved_problem(), nullptr);
-}
-
 // The exact replan exports the rows its solve ran on: one class for the
 // cold-start catalog, N once the learned rows are all distinct and the
 // class transform falls back to the per-element problem.
@@ -278,48 +175,6 @@ TEST(AdaptiveTest, ExactReplanMatchesPlannerOnBelievedCatalogByteForByte) {
       }
     }
   }
-}
-
-// With a deadband and no new evidence, a replan re-submits nothing, the
-// replanner reports a pinned no-op, and the controller surfaces
-// all_touched == false — the serving layer's cue to skip republication.
-TEST(AdaptiveTest, QuiescentDeltaReplansReportPlanUnchanged) {
-  auto options = DefaultOptions();
-  options.delta.enable = true;
-  options.delta.value_deadband = 1e-3;
-  options.delta.threads = 1;
-  auto controller =
-      AdaptiveFreshener::Create({1.0, 1.0, 1.0}, 2.0, options).value();
-  const std::vector<double> cold = controller.frequencies();
-  // No observations between replans: beliefs are bit-stable, so the diff is
-  // empty and the plan must not move.
-  for (int period = 1; period <= 3; ++period) {
-    ASSERT_TRUE(controller.MaybeReplan(period).value());
-    EXPECT_TRUE(controller.last_replan().used_delta);
-    EXPECT_EQ(controller.last_replan().dirty, 0u);
-    EXPECT_FALSE(controller.last_replan().all_touched);
-    ASSERT_TRUE(SameBytes(controller.frequencies(), cold));
-  }
-}
-
-TEST(AdaptiveTest, StreamingModeTracksChangeRates) {
-  auto options = DefaultOptions();
-  options.estimator_mode = RateEstimatorMode::kStreaming;
-  auto controller =
-      AdaptiveFreshener::Create({1.0, 1.0}, 2.0, options).value();
-  // Cold start: both modes report the prior.
-  EXPECT_DOUBLE_EQ(controller.BelievedChangeRate(0), 2.0);
-  // Element 0 changes on every observed gap, element 1 never.
-  for (int k = 0; k < 400; ++k) {
-    controller.ObserveSync(0, /*changed=*/k > 0, 0.25 * k);
-    controller.ObserveSync(1, /*changed=*/false, 0.25 * k);
-  }
-  EXPECT_GT(controller.BelievedChangeRate(0), 4.0);
-  EXPECT_LT(controller.BelievedChangeRate(1), 0.5);
-  // Believed catalog and the per-element accessor agree.
-  const ElementSet believed = controller.BelievedCatalog();
-  EXPECT_DOUBLE_EQ(believed[0].change_rate, controller.BelievedChangeRate(0));
-  EXPECT_DOUBLE_EQ(believed[1].change_rate, controller.BelievedChangeRate(1));
 }
 
 // End-to-end convergence: drive the controller against a synthetic ground

@@ -98,45 +98,6 @@ TEST(ChangeRateEstimatorTest, ZeroObservationWindowsAreIgnored) {
   EXPECT_NEAR(estimator.EstimatedRate().value(), expected, 1e-15);
 }
 
-TEST(StreamingRateEstimatorTest, ConvergesToTrueRate) {
-  for (double true_rate : {0.2, 1.0, 5.0}) {
-    StreamingRateEstimator estimator;
-    Rng rng(42);
-    const double tau = 0.7 / true_rate;
-    const double p_change = -std::expm1(-true_rate * tau);
-    for (int i = 0; i < 50000; ++i) {
-      estimator.ObservePoll(rng.NextBool(p_change), tau);
-    }
-    EXPECT_NEAR(estimator.rate(), true_rate, 0.1 * true_rate)
-        << "true rate " << true_rate;
-  }
-}
-
-TEST(StreamingRateEstimatorTest, IgnoresZeroObservationWindows) {
-  StreamingRateEstimator estimator;
-  const double before = estimator.rate();
-  estimator.ObservePoll(true, 0.0);
-  estimator.ObservePoll(true, -1.0);
-  estimator.ObservePoll(false, std::nan(""));
-  EXPECT_EQ(estimator.observations(), 0u);
-  EXPECT_EQ(estimator.rate(), before);
-}
-
-TEST(StreamingRateEstimatorTest, ClampKeepsEstimateOutOfAbsorbingStates) {
-  StreamingRateEstimator::Options options;
-  options.initial_rate = 1.0;
-  options.min_rate = 0.01;
-  options.max_rate = 10.0;
-  StreamingRateEstimator estimator(options);
-  // A run of silent polls over long gaps drives the estimate down hard —
-  // but never to (or below) zero.
-  for (int i = 0; i < 1000; ++i) estimator.ObservePoll(false, 100.0);
-  EXPECT_GE(estimator.rate(), options.min_rate);
-  // And a run of detections over tiny gaps never escapes the ceiling.
-  for (int i = 0; i < 1000; ++i) estimator.ObservePoll(true, 1e-4);
-  EXPECT_LE(estimator.rate(), options.max_rate);
-}
-
 TEST(SampleChangeRatioTest, MatchesExpectedFractionOnHomogeneousSet) {
   // All elements at rate 1, window 1: P(change) = 1 - 1/e ~ 0.632.
   const std::vector<double> rates(500, 1.0);
