@@ -119,6 +119,7 @@
 
 #include "common/string_util.h"
 #include "common/table_writer.h"
+#include "flags.h"
 #include "freshen/freshen.h"
 #include "io/catalog_binary.h"
 #include "io/catalog_io.h"
@@ -136,57 +137,6 @@
 namespace {
 
 using namespace freshen;
-
-// Minimal --flag value parser: flags must be followed by a value unless
-// listed in kBoolFlags.
-const char* const kBoolFlags[] = {"--size-aware", "--simulate"};
-
-bool IsBoolFlag(const std::string& flag) {
-  for (const char* b : kBoolFlags) {
-    if (flag == b) return true;
-  }
-  return false;
-}
-
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    // --flag=value spelling.
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-      continue;
-    }
-    if (IsBoolFlag(arg)) {
-      flags[arg] = "1";
-    } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      flags[arg] = argv[++i];
-    }
-  }
-  return flags;
-}
-
-std::string GetFlag(const std::map<std::string, std::string>& flags,
-                    const std::string& name, const std::string& fallback) {
-  auto it = flags.find(name);
-  return it == flags.end() ? fallback : it->second;
-}
-
-double GetDouble(const std::map<std::string, std::string>& flags,
-                 const std::string& name, double fallback) {
-  auto it = flags.find(name);
-  return it == flags.end() ? fallback : std::atof(it->second.c_str());
-}
 
 [[noreturn]] void Die(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -219,11 +169,11 @@ ElementSet LoadCatalogFlagged(const std::map<std::string, std::string>& flags,
 
 int RunGen(const std::map<std::string, std::string>& flags) {
   ExperimentSpec spec;
-  spec.num_objects = static_cast<size_t>(GetDouble(flags, "--objects", 500));
+  spec.num_objects = GetInteger<uint32_t>(flags, "--objects", 500);
   spec.theta = GetDouble(flags, "--theta", 1.0);
   spec.mean_updates_per_object = GetDouble(flags, "--mean-rate", 2.0);
   spec.update_stddev = GetDouble(flags, "--stddev", 1.0);
-  spec.seed = static_cast<uint64_t>(GetDouble(flags, "--seed", 20030305));
+  spec.seed = GetInteger<uint64_t>(flags, "--seed", 20030305);
   const std::string alignment = GetFlag(flags, "--alignment", "shuffled");
   if (alignment == "aligned") {
     spec.alignment = Alignment::kAligned;
@@ -278,8 +228,7 @@ int RunPlan(const std::map<std::string, std::string>& flags) {
     if (partitions > 0) {
       options.mode = PlanMode::kPartitioned;
       options.num_partitions = static_cast<size_t>(partitions);
-      options.kmeans_iterations =
-          static_cast<int>(GetDouble(flags, "--kmeans", 0));
+      options.kmeans_iterations = GetInteger<int>(flags, "--kmeans", 0);
     }
     options.size_aware = flags.count("--size-aware") > 0;
     if (GetFlag(flags, "--allocation", "fba") == "ffa") {
@@ -437,13 +386,12 @@ void SimulateTimeline(const ElementSet& catalog,
   config.warmup_periods = 0.1 * config.horizon_periods;
   config.accesses_per_period =
       GetDouble(flags, "--sim-accesses", quick ? 500.0 : 5000.0);
-  config.seed = static_cast<uint64_t>(GetDouble(flags, "--seed", 20030305));
+  config.seed = GetInteger<uint64_t>(flags, "--seed", 20030305);
   obs::StalenessTimeline::Options timeline_options;
   timeline_options.window_begin = config.warmup_periods;
   timeline_options.window_end = config.horizon_periods;
   timeline_options.age_slo = GetDouble(flags, "--age-slo", 0.25);
-  timeline_options.top_k =
-      static_cast<size_t>(GetDouble(flags, "--top-k", 10));
+  timeline_options.top_k = GetInteger<size_t>(flags, "--top-k", 10);
   obs::StalenessTimeline timeline = Unwrap(obs::StalenessTimeline::Create(
       AccessProbs(catalog), timeline_options));
   config.timeline = &timeline;
@@ -459,14 +407,14 @@ void SimulateTimeline(const ElementSet& catalog,
 
 int RunMetrics(const std::map<std::string, std::string>& flags) {
   ExperimentSpec spec;
-  spec.num_objects = static_cast<size_t>(GetDouble(flags, "--objects", 200));
+  spec.num_objects = GetInteger<uint32_t>(flags, "--objects", 200);
   spec.theta = GetDouble(flags, "--theta", 1.0);
-  spec.seed = static_cast<uint64_t>(GetDouble(flags, "--seed", 20030305));
+  spec.seed = GetInteger<uint64_t>(flags, "--seed", 20030305);
   const ElementSet truth = Unwrap(GenerateCatalog(spec));
 
   const double bandwidth = GetDouble(
       flags, "--bandwidth", 0.25 * static_cast<double>(spec.num_objects));
-  const int periods = static_cast<int>(GetDouble(flags, "--periods", 5));
+  const int periods = GetInteger<int>(flags, "--periods", 5);
   OnlineFreshenLoop::Options options;
   options.accesses_per_period = GetDouble(flags, "--accesses", 1000.0);
   options.seed = spec.seed ^ 0x6f6c6fULL;
@@ -477,8 +425,7 @@ int RunMetrics(const std::map<std::string, std::string>& flags) {
     obs::StalenessTimeline::Options timeline_options;
     timeline_options.window_end = static_cast<double>(periods);
     timeline_options.age_slo = GetDouble(flags, "--age-slo", 0.25);
-    timeline_options.top_k =
-        static_cast<size_t>(GetDouble(flags, "--top-k", 10));
+    timeline_options.top_k = GetInteger<size_t>(flags, "--top-k", 10);
     timeline = std::make_unique<obs::StalenessTimeline>(Unwrap(
         obs::StalenessTimeline::Create(AccessProbs(truth),
                                        timeline_options)));
@@ -507,14 +454,14 @@ int RunMetrics(const std::map<std::string, std::string>& flags) {
 
 int RunSyncDrill(const std::map<std::string, std::string>& flags) {
   ExperimentSpec spec;
-  spec.num_objects = static_cast<size_t>(GetDouble(flags, "--objects", 200));
+  spec.num_objects = GetInteger<uint32_t>(flags, "--objects", 200);
   spec.theta = GetDouble(flags, "--theta", 1.0);
-  spec.seed = static_cast<uint64_t>(GetDouble(flags, "--seed", 20030305));
+  spec.seed = GetInteger<uint64_t>(flags, "--seed", 20030305);
   const ElementSet truth = Unwrap(GenerateCatalog(spec));
 
   const double bandwidth = GetDouble(
       flags, "--bandwidth", 0.25 * static_cast<double>(spec.num_objects));
-  const int periods = static_cast<int>(GetDouble(flags, "--periods", 8));
+  const int periods = GetInteger<int>(flags, "--periods", 8);
   const uint64_t loop_seed = spec.seed ^ 0x6f6c6fULL;
 
   const auto make_loop_options = [&](obs::MetricsRegistry* registry,
@@ -528,12 +475,9 @@ int RunSyncDrill(const std::map<std::string, std::string>& flags) {
   };
   const auto make_executor_options = [&](obs::MetricsRegistry* registry) {
     sync::SyncExecutor::Options options;
-    options.num_threads =
-        static_cast<size_t>(GetDouble(flags, "--pool", 4));
-    options.queue_capacity =
-        static_cast<size_t>(GetDouble(flags, "--queue", 1024));
-    options.retry.max_attempts =
-        static_cast<uint32_t>(GetDouble(flags, "--retries", 2));
+    options.num_threads = GetInteger<size_t>(flags, "--pool", 4);
+    options.queue_capacity = GetInteger<size_t>(flags, "--queue", 1024);
+    options.retry.max_attempts = GetInteger<uint32_t>(flags, "--retries", 2);
     options.seed = spec.seed ^ 0x73796eULL;
     options.registry = registry;
     return options;
@@ -588,8 +532,7 @@ int RunSyncDrill(const std::map<std::string, std::string>& flags) {
     obs::StalenessTimeline::Options timeline_options;
     timeline_options.window_end = static_cast<double>(periods);
     timeline_options.age_slo = GetDouble(flags, "--age-slo", 0.25);
-    timeline_options.top_k =
-        static_cast<size_t>(GetDouble(flags, "--top-k", 10));
+    timeline_options.top_k = GetInteger<size_t>(flags, "--top-k", 10);
     timeline = std::make_unique<obs::StalenessTimeline>(Unwrap(
         obs::StalenessTimeline::Create(AccessProbs(truth),
                                        timeline_options)));
@@ -640,16 +583,14 @@ int RunSyncDrill(const std::map<std::string, std::string>& flags) {
 int RunTrace(const std::map<std::string, std::string>& flags) {
   const bool quick = QuickMode();
   ExperimentSpec spec;
-  spec.num_objects = static_cast<size_t>(
-      GetDouble(flags, "--objects", quick ? 64 : 200));
+  spec.num_objects = GetInteger<uint32_t>(flags, "--objects", quick ? 64 : 200);
   spec.theta = GetDouble(flags, "--theta", 1.0);
-  spec.seed = static_cast<uint64_t>(GetDouble(flags, "--seed", 20030305));
+  spec.seed = GetInteger<uint64_t>(flags, "--seed", 20030305);
   const ElementSet truth = Unwrap(GenerateCatalog(spec));
 
   const double bandwidth = GetDouble(
       flags, "--bandwidth", 0.25 * static_cast<double>(spec.num_objects));
-  const int periods =
-      static_cast<int>(GetDouble(flags, "--periods", quick ? 3 : 8));
+  const int periods = GetInteger<int>(flags, "--periods", quick ? 3 : 8);
 
   // Fault-injecting executor in the global registry, same shape as the
   // sync-drill's pass 3 — the trace is most interesting when retries,
@@ -664,12 +605,10 @@ int RunTrace(const std::map<std::string, std::string>& flags) {
       Unwrap(sync::SimulatedSource::Create(source_options));
   obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
   sync::SyncExecutor::Options executor_options;
-  executor_options.num_threads =
-      static_cast<size_t>(GetDouble(flags, "--pool", 4));
-  executor_options.queue_capacity =
-      static_cast<size_t>(GetDouble(flags, "--queue", 1024));
+  executor_options.num_threads = GetInteger<size_t>(flags, "--pool", 4);
+  executor_options.queue_capacity = GetInteger<size_t>(flags, "--queue", 1024);
   executor_options.retry.max_attempts =
-      static_cast<uint32_t>(GetDouble(flags, "--retries", 2));
+      GetInteger<uint32_t>(flags, "--retries", 2);
   executor_options.seed = spec.seed ^ 0x73796eULL;
   executor_options.registry = &global;
   auto executor =
@@ -678,8 +617,7 @@ int RunTrace(const std::map<std::string, std::string>& flags) {
   obs::StalenessTimeline::Options timeline_options;
   timeline_options.window_end = static_cast<double>(periods);
   timeline_options.age_slo = GetDouble(flags, "--age-slo", 0.25);
-  timeline_options.top_k =
-      static_cast<size_t>(GetDouble(flags, "--top-k", 10));
+  timeline_options.top_k = GetInteger<size_t>(flags, "--top-k", 10);
   obs::StalenessTimeline timeline = Unwrap(obs::StalenessTimeline::Create(
       AccessProbs(truth), timeline_options));
 
@@ -832,13 +770,11 @@ double JsonNumberField(const std::string& line, const std::string& key,
 // series the run produced.
 int RunReplanDrill(const std::map<std::string, std::string>& flags) {
   const bool quick = QuickMode();
-  const size_t objects = static_cast<size_t>(
-      GetDouble(flags, "--objects", quick ? 20000 : 200000));
-  const int steps =
-      static_cast<int>(GetDouble(flags, "--steps", quick ? 12 : 40));
+  const size_t objects =
+      GetInteger<uint32_t>(flags, "--objects", quick ? 20000 : 200000);
+  const int steps = GetInteger<int>(flags, "--steps", quick ? 12 : 40);
   const double churn = GetDouble(flags, "--churn", 0.002);
-  const uint64_t seed =
-      static_cast<uint64_t>(GetDouble(flags, "--seed", 20030305));
+  const uint64_t seed = GetInteger<uint64_t>(flags, "--seed", 20030305);
 
   // Heavy-tailed weights, log-uniform change rates (bench_replan's family).
   std::mt19937_64 rng(seed);
@@ -854,8 +790,7 @@ int RunReplanDrill(const std::map<std::string, std::string>& flags) {
   problem.bandwidth = 0.5 * static_cast<double>(objects);
 
   DeltaReplanner::Options options;
-  options.threads =
-      static_cast<size_t>(GetDouble(flags, "--threads", 0));
+  options.threads = GetInteger<size_t>(flags, "--threads", 0);
   auto replanner = Unwrap(DeltaReplanner::Create(problem, options));
   CoreProblem mirror = std::move(problem);
   KktWaterFillingSolver::Options cold_options;
@@ -1138,15 +1073,14 @@ bool RunTelemetryAct(const ElementSet& truth, uint64_t seed, bool quick,
 int RunServeDrill(const std::map<std::string, std::string>& flags) {
   const bool quick = QuickMode();
   ExperimentSpec spec;
-  spec.num_objects =
-      static_cast<size_t>(GetDouble(flags, "--objects", quick ? 64 : 200));
+  spec.num_objects = GetInteger<uint32_t>(flags, "--objects", quick ? 64 : 200);
   spec.theta = GetDouble(flags, "--theta", 1.0);
-  spec.seed = static_cast<uint64_t>(GetDouble(flags, "--seed", 20030305));
+  spec.seed = GetInteger<uint64_t>(flags, "--seed", 20030305);
   const ElementSet truth = Unwrap(GenerateCatalog(spec));
   const double bandwidth = GetDouble(
       flags, "--bandwidth", 0.25 * static_cast<double>(spec.num_objects));
   const uint64_t periods =
-      static_cast<uint64_t>(GetDouble(flags, "--periods", quick ? 4 : 8));
+      GetInteger<uint64_t>(flags, "--periods", quick ? 4 : 8);
 
   // Faulty executor so the drill exercises the publication path under
   // failed/late syncs, same shape as sync-drill's pass 3.
@@ -1253,8 +1187,7 @@ int RunTop(const std::map<std::string, std::string>& flags) {
     Die(Status::InvalidArgument("top requires --socket PATH"));
   }
   const double interval = GetDouble(flags, "--interval", 1.0);
-  const uint64_t count =
-      static_cast<uint64_t>(GetDouble(flags, "--count", 0.0));
+  const uint64_t count = GetInteger<uint64_t>(flags, "--count", 0);
 
   const int fd = ConnectUnixSocket(socket_path);
   std::string line;
@@ -1309,7 +1242,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  const auto flags = ParseFlags(argc, argv, 2);
+  const auto flags =
+      ParseFlags(argc, argv, 2, {"--size-aware", "--simulate"});
   // The flight recorder is on whenever this run can dump a trace: the trace
   // command always writes one, any other command only with --trace-out.
   if (command == "trace" || flags.count("--trace-out") > 0) {
