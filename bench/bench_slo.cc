@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/table_writer.h"
 #include "common/timer.h"
@@ -132,6 +133,7 @@ void WriteJson(const SloBenchResult& r, const char* path) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"slo\",\n"
+               "  \"hardware_threads\": %zu,\n"
                "  \"quick\": %s,\n"
                "  \"objects\": %zu,\n"
                "  \"periods\": %zu,\n"
@@ -148,12 +150,12 @@ void WriteJson(const SloBenchResult& r, const char* path) {
                "  \"gate_pct_limit\": %.1f,\n"
                "  \"pass\": %s\n"
                "}\n",
-               bench::QuickMode() ? "true" : "false", r.objects, r.periods,
-               r.accesses_per_period, r.bandwidth, r.baseline_period_ms,
-               r.telemetry_period_ms, r.end_to_end_overhead_pct,
-               r.syncs_per_period, r.bookkeeping_ms, r.bookkeeping_pct,
-               r.slo_report_us, r.drift_report_us, kGatePct,
-               r.pass ? "true" : "false");
+               par::HardwareThreads(), bench::QuickMode() ? "true" : "false",
+               r.objects, r.periods, r.accesses_per_period, r.bandwidth,
+               r.baseline_period_ms, r.telemetry_period_ms,
+               r.end_to_end_overhead_pct, r.syncs_per_period, r.bookkeeping_ms,
+               r.bookkeeping_pct, r.slo_report_us, r.drift_report_us,
+               kGatePct, r.pass ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", path);
 }
