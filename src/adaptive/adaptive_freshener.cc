@@ -5,7 +5,6 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "estimate/change_estimator.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
 
@@ -32,9 +31,12 @@ Result<AdaptiveFreshener> AdaptiveFreshener::Create(std::vector<double> sizes,
   if (!(options.prior_change_rate > 0.0)) {
     return Status::InvalidArgument("prior change rate must be positive");
   }
-  if (options.learner.smoothing <= 0.0) {
+  if (!(options.learner.smoothing > 0.0)) {
     return Status::InvalidArgument(
         "learner smoothing must be positive for cold starts");
+  }
+  if (!(options.learner.decay > 0.0 && options.learner.decay <= 1.0)) {
+    return Status::InvalidArgument("learner decay must be in (0, 1]");
   }
   AdaptiveFreshener controller(std::move(sizes), bandwidth, options);
   // Install the initial plan from priors.
@@ -49,11 +51,7 @@ AdaptiveFreshener::AdaptiveFreshener(std::vector<double> sizes,
       sizes_(std::move(sizes)),
       bandwidth_(bandwidth),
       learner_(sizes_.size(), options.learner),
-      polls_(sizes_.size(), 0),
-      changes_(sizes_.size(), 0),
-      watch_time_(sizes_.size(), 0.0),
-      last_sync_time_(sizes_.size(), 0.0),
-      synced_before_(sizes_.size(), 0),
+      evidence_(sizes_.size()),
       frequencies_(sizes_.size(), 0.0) {
   const size_t n = sizes_.size();
   believed_.weights.assign(
@@ -77,37 +75,7 @@ void AdaptiveFreshener::ObserveAccess(size_t element) {
   learner_.Observe(element);
 }
 
-void AdaptiveFreshener::ObserveSync(size_t element, bool changed,
-                                    double now) {
-  FRESHEN_CHECK(element < sizes_.size());
-  if (synced_before_[element]) {
-    // Only gaps between consecutive syncs carry change evidence; gap <= 0
-    // is a zero-observation window (duplicate timestamp, clock step) and
-    // is ignored.
-    const double gap = now - last_sync_time_[element];
-    if (gap > 0.0) {
-      ++polls_[element];
-      if (changed) ++changes_[element];
-      watch_time_[element] += gap;
-    }
-  }
-  synced_before_[element] = 1;
-  last_sync_time_[element] = now;
-}
-
 void AdaptiveFreshener::EndPeriod() { learner_.EndPeriod(); }
-
-double AdaptiveFreshener::BelievedChangeRate(size_t element) const {
-  FRESHEN_CHECK(element < sizes_.size());
-  if (polls_[element] == 0) return options_.prior_change_rate;
-  // Bias-reduced detector estimate with the mean inter-sync gap as the
-  // effective poll interval (exact for equal gaps; a documented
-  // approximation otherwise). BiasReducedRate floors the zero-detection
-  // case away from the solver's absorbing lambda = 0 state.
-  return BiasReducedRate(polls_[element], changes_[element],
-                         watch_time_[element] /
-                             static_cast<double>(polls_[element]));
-}
 
 ElementSet AdaptiveFreshener::BelievedCatalog() const {
   ElementSet catalog(sizes_.size());

@@ -9,8 +9,10 @@
 //
 // The controller owns three pieces of evolving state:
 //   * an AccessLogLearner fed by ObserveAccess() (the request log),
-//   * a per-element change detector fed by ObserveSync() (every refresh is
-//     a free poll: did the fetched copy differ?),
+//   * a SyncEvidence store fed by ObserveSync() (every refresh is a free
+//     poll: did the fetched copy differ, and how long since the last one?),
+//     never decayed, so each believed rate is the batch bias-reduced
+//     estimate over every poll so far,
 //   * the current plan, re-computed by MaybeReplan() on a fixed cadence
 //     using any FreshenPlanner configuration (exact or partitioned).
 #ifndef FRESHEN_ADAPTIVE_ADAPTIVE_FRESHENER_H_
@@ -21,6 +23,7 @@
 
 #include "common/result.h"
 #include "core/planner.h"
+#include "estimate/change_estimator.h"
 #include "model/element.h"
 #include "obs/metrics.h"
 #include "opt/problem.h"
@@ -55,9 +58,13 @@ class AdaptiveFreshener {
   /// Records one user access (feeds the profile learner).
   void ObserveAccess(size_t element);
 
-  /// Records the outcome of one sync of `element` at time `now` (periods):
-  /// `changed` is whether the fetched copy differed from the local one.
-  void ObserveSync(size_t element, bool changed, double now);
+  /// Records the outcome of one sync of `element`: `changed` is whether the
+  /// fetched copy differed from the local one, `gap` the time since the
+  /// element's previous sync (periods). A gap <= 0 carries no evidence; the
+  /// online loop passes 0 for an element's first sync.
+  void ObserveSync(size_t element, bool changed, double gap) {
+    evidence_.Observe(element, changed, gap);
+  }
 
   /// Marks a period boundary: applies the learner's decay so old interest
   /// fades (no-op at decay = 1).
@@ -78,8 +85,11 @@ class AdaptiveFreshener {
   ElementSet BelievedCatalog() const;
 
   /// One element's believed change rate — BelievedCatalog()[i].change_rate
-  /// without the O(N) construction.
-  double BelievedChangeRate(size_t element) const;
+  /// without the O(N) construction: the bias-reduced estimate from its
+  /// syncs, or the prior before its first gap.
+  double BelievedChangeRate(size_t element) const {
+    return evidence_.RateOr(element, options_.prior_change_rate);
+  }
 
   /// BelievedCatalog()'s access_prob column written into `*out` (resized to
   /// N): the learned profile without the ElementSet.
@@ -110,13 +120,8 @@ class AdaptiveFreshener {
   double bandwidth_;
   AccessLogLearner learner_;
 
-  // Per-element change evidence: number of observed sync polls, number that
-  // detected a change, and total watched time (sum of inter-sync gaps).
-  std::vector<uint32_t> polls_;
-  std::vector<uint32_t> changes_;
-  std::vector<double> watch_time_;
-  std::vector<double> last_sync_time_;
-  std::vector<uint8_t> synced_before_;
+  // Per-element change evidence from every sync so far, never decayed.
+  SyncEvidence evidence_;
 
   std::vector<double> frequencies_;
   // The believed core problem, kept across replans and refilled in place:

@@ -1,5 +1,6 @@
 #include "estimate/change_estimator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/macros.h"
@@ -7,42 +8,33 @@
 
 namespace freshen {
 
-double BiasReducedRate(uint64_t polls, uint64_t changes, double mean_gap) {
-  FRESHEN_CHECK(polls >= 1);
+double BiasReducedRate(double polls, double changes, double mean_gap) {
+  FRESHEN_CHECK(polls > 0.0);
   FRESHEN_CHECK(mean_gap > 0.0);
-  const double n = static_cast<double>(polls);
-  if (changes == 0) {
+  if (changes == 0.0) {
     // The raw formula is exactly 0 here, which the planner's active-set
     // rule would make permanent (see header). Floor at the rate one "half
     // detection" of evidence supports: -log(n / (n + 1/2)) ~ 1 / (2n).
-    return -std::log(n / (n + 0.5)) / mean_gap;
+    return -std::log(polls / (polls + 0.5)) / mean_gap;
   }
-  const double x = static_cast<double>(changes > polls ? polls : changes);
-  return -std::log((n - x + 0.5) / (n + 0.5)) / mean_gap;
+  const double x = std::min(changes, polls);
+  return -std::log((polls - x + 0.5) / (polls + 0.5)) / mean_gap;
 }
 
-ChangeRateEstimator::ChangeRateEstimator(double poll_interval)
-    : poll_interval_(poll_interval) {
-  FRESHEN_CHECK(poll_interval > 0.0);
+void SyncEvidence::Decay(double factor) {
+  for (double& p : polls_) p *= factor;
+  for (double& c : changes_) c *= factor;
+  for (double& w : watched_time_) w *= factor;
 }
 
-void ChangeRateEstimator::RecordPoll(bool changed) {
-  RecordPoll(changed, poll_interval_);
-}
-
-void ChangeRateEstimator::RecordPoll(bool changed, double gap) {
-  if (!(gap > 0.0) || !std::isfinite(gap)) return;  // Nothing was observed.
-  ++polls_;
-  if (changed) ++changes_;
-  watched_time_ += gap;
-}
-
-Result<double> ChangeRateEstimator::EstimatedRate() const {
-  if (polls_ == 0) {
-    return Status::FailedPrecondition("no polls recorded yet");
-  }
-  return BiasReducedRate(polls_, changes_,
-                         watched_time_ / static_cast<double>(polls_));
+double SyncEvidence::RateOr(size_t element, double prior) const {
+  FRESHEN_CHECK(element < polls_.size());
+  const double polls = polls_[element];
+  if (polls == 0.0) return prior;
+  // The mean gap is the effective poll interval: exact for equal gaps, a
+  // documented approximation otherwise.
+  return BiasReducedRate(polls, changes_[element],
+                         watched_time_[element] / polls);
 }
 
 double SimulatePollEstimate(double true_rate, double poll_interval,
@@ -51,12 +43,12 @@ double SimulatePollEstimate(double true_rate, double poll_interval,
   FRESHEN_CHECK(poll_interval > 0.0);
   FRESHEN_CHECK(num_polls > 0);
   Rng rng(seed);
-  ChangeRateEstimator estimator(poll_interval);
+  SyncEvidence evidence(1);
   const double p_change = -std::expm1(-true_rate * poll_interval);
   for (uint64_t i = 0; i < num_polls; ++i) {
-    estimator.RecordPoll(rng.NextBool(p_change));
+    evidence.Observe(0, rng.NextBool(p_change), poll_interval);
   }
-  return estimator.EstimatedRate().value();  // num_polls > 0, cannot fail.
+  return evidence.RateOr(0, /*prior=*/0.0);  // num_polls > 0: an estimate.
 }
 
 double SampleChangeRatio(const std::vector<double>& true_rates,

@@ -18,60 +18,76 @@
 //     and a change rate of exactly 0 removes the element from the solver's
 //     active set — it is never scheduled again, so it is never polled
 //     again, so the estimate can never recover (permanent poisoning from
-//     finite evidence). EstimatedRate() therefore floors the x = 0 case at
-//     -log(n / (n + 1/2)) / tau ~ 1 / (2 n tau): the rate whose likelihood
-//     of n silent polls is still unsurprising, decaying honestly as
-//     evidence accumulates but never reaching the absorbing zero.
+//     finite evidence). BiasReducedRate() therefore floors the x = 0 case
+//     at -log(n / (n + 1/2)) / tau ~ 1 / (2 n tau): the rate whose
+//     likelihood of n silent polls is still unsurprising, decaying honestly
+//     as evidence accumulates but never reaching the absorbing zero.
 //   * Zero-observation windows. A poll gap <= 0 (replayed logs, clock
-//     steps, duplicate syncs at one timestamp) observes nothing; the
-//     gap-aware overload ignores it instead of corrupting the mean gap.
+//     steps, duplicate syncs at one timestamp) observes nothing;
+//     SyncEvidence::Observe ignores it instead of corrupting the mean gap.
+//
+// SyncEvidence is the one per-element store of that poll stream. The
+// adaptive controller never decays it (the batch estimator); the drift
+// detector decays it once per period so old evidence fades (the online
+// setting of Avrachenkov, Patil and Thoppe).
 #ifndef FRESHEN_ESTIMATE_CHANGE_ESTIMATOR_H_
 #define FRESHEN_ESTIMATE_CHANGE_ESTIMATOR_H_
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/result.h"
+#include "common/macros.h"
 
 namespace freshen {
 
 /// The bias-reduced estimate from `polls` observations with `changes`
 /// detections over a mean inter-poll gap `mean_gap` > 0, with the
-/// zero-detection floor described above. Requires polls >= 1; shared by
-/// ChangeRateEstimator and the adaptive controller's believed catalog.
-double BiasReducedRate(uint64_t polls, uint64_t changes, double mean_gap);
+/// zero-detection floor described above. Requires polls > 0.
+double BiasReducedRate(double polls, double changes, double mean_gap);
 
-/// Accumulates poll outcomes for one element and estimates its change rate.
-class ChangeRateEstimator {
+/// Per-element poll evidence, struct-of-arrays: the effective number of
+/// polls, how many of them detected a change, and the watched time (the sum
+/// of inter-poll gaps).
+class SyncEvidence {
  public:
-  /// `poll_interval` is the default time between polls, > 0 — used by the
-  /// gap-less RecordPoll overload.
-  explicit ChangeRateEstimator(double poll_interval);
+  explicit SyncEvidence(size_t num_elements)
+      : polls_(num_elements, 0.0),
+        changes_(num_elements, 0.0),
+        watched_time_(num_elements, 0.0) {}
 
-  /// Records one poll outcome: `changed` is whether the element differed
-  /// from the previously fetched copy. Assumes the default poll interval.
-  void RecordPoll(bool changed);
+  size_t size() const { return polls_.size(); }
 
-  /// Gap-aware overload for irregular polling: `gap` is the time since the
-  /// previous poll. A gap <= 0 (or non-finite) is a zero-observation
-  /// window and is ignored entirely.
-  void RecordPoll(bool changed, double gap);
+  /// Records one poll of `element` (< size()): `changed` is whether the
+  /// fetched copy differed, `gap` the time since the element's previous
+  /// poll. A gap <= 0 or non-finite is a zero-observation window and is
+  /// ignored. Returns whether the poll was recorded.
+  bool Observe(size_t element, bool changed, double gap) {
+    FRESHEN_CHECK(element < polls_.size());
+    if (!(gap > 0.0) || !std::isfinite(gap)) return false;  // Nothing seen.
+    polls_[element] += 1.0;
+    if (changed) changes_[element] += 1.0;
+    watched_time_[element] += gap;
+    return true;
+  }
 
-  /// Number of polls recorded.
-  uint64_t num_polls() const { return polls_; }
-  /// Number of polls that detected a change.
-  uint64_t num_changes() const { return changes_; }
+  /// Scales every element's polls, changes and watched time by `factor`,
+  /// which leaves each detection ratio and mean gap as it was.
+  void Decay(double factor);
 
-  /// The bias-reduced rate estimate over the mean recorded gap, floored
-  /// away from zero when no poll detected a change (see file comment).
-  /// Fails before the first poll. Always positive and finite afterwards.
-  Result<double> EstimatedRate() const;
+  double polls(size_t element) const { return polls_[element]; }
+  double changes(size_t element) const { return changes_[element]; }
+  double watched_time(size_t element) const { return watched_time_[element]; }
+
+  /// BiasReducedRate over the element's evidence at its mean gap, or
+  /// `prior` before its first recorded poll.
+  double RateOr(size_t element, double prior) const;
 
  private:
-  double poll_interval_;
-  uint64_t polls_ = 0;
-  uint64_t changes_ = 0;
-  double watched_time_ = 0.0;
+  std::vector<double> polls_;
+  std::vector<double> changes_;
+  std::vector<double> watched_time_;
 };
 
 /// Simulates `num_polls` polls of a Poisson(lambda) element at interval tau

@@ -210,15 +210,16 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
           timeline->MarkFresh(event.element, event.time);
         }
       }
-      const double previous_sync = mirror_.LastSyncTime(event.element);
+      // The copy has existed since t=0, so a first sync's watched window
+      // starts there (LastSyncTime is 0 before the first sync). The drift
+      // detector counts that window; the controller takes no evidence from
+      // a first sync.
+      const double gap = event.time - mirror_.LastSyncTime(event.element);
+      const bool first_sync = !mirror_.Synced(event.element);
       const bool changed = mirror_.Sync(event.element, event.time, source_);
-      controller_->ObserveSync(event.element, changed, event.time);
-      if (drift != nullptr) {
-        // The copy has existed since t=0, so a first sync's watched window
-        // starts there (LastSyncTime is 0 before the first sync).
-        drift->ObserveSync(event.element, changed,
-                           event.time - previous_sync);
-      }
+      controller_->ObserveSync(event.element, changed,
+                               first_sync ? 0.0 : gap);
+      if (drift != nullptr) drift->ObserveSync(event.element, changed, gap);
       if (options_.on_period_end) synced_scratch_.push_back(event.element);
       syncs_counter_->Increment();
       bandwidth_counter_->Add(truth_[event.element].size);

@@ -36,6 +36,7 @@ double ScoreFromRatio(double ratio, double log_ratio) {
 DriftDetector::DriftDetector(Options options)
     : options_(options),
       evidence_(options.num_elements),
+      scores_(options.num_elements),
       mu_(new std::mutex),
       recommend_(new std::atomic<bool>(false)) {
   MetricsRegistry& registry =
@@ -76,31 +77,30 @@ Result<DriftDetector> DriftDetector::Create(Options options) {
 
 void DriftDetector::ObserveSync(size_t element, bool changed, double gap) {
   if (element >= evidence_.size()) return;
-  if (!(gap > 0.0) || !std::isfinite(gap)) return;
-  Evidence& e = evidence_[element];
-  e.polls += 1.0;
-  if (changed) e.changes += 1.0;
-  e.watch_time += gap;
-  if (!(e.scored_against == kQueued)) dirty_.push_back(element);
-  e.scored_against = kQueued;
+  if (!evidence_.Observe(element, changed, gap)) return;
+  double& scored_against = scores_[element].scored_against;
+  if (!(scored_against == kQueued)) dirty_.push_back(element);
+  scored_against = kQueued;
 }
 
-double DriftDetector::ObservedRate(const Evidence& e) const {
+double DriftDetector::ObservedRate(size_t element) const {
   // Bias-reduced rate from poll evidence: with mean inter-poll gap w/p and
   // detection ratio c/p, a Poisson change process has
   // rate = -ln(1 - c/p) / (w/p). Cap the ratio so all-changed evidence
   // yields a large finite rate instead of infinity. These are the steps
   // RescoreSynced's batch takes, with the scalar form of its logarithm, so
   // a reported observed rate is the one its score was taken from.
-  const double ratio = std::min(e.changes / e.polls, kMaxDetectionRatio);
-  return std::max(-simd::Log1pRef(-ratio) / (e.watch_time / e.polls),
-                  options_.rate_floor);
+  const double polls = evidence_.polls(element);
+  const double ratio =
+      std::min(evidence_.changes(element) / polls, kMaxDetectionRatio);
+  return std::max(
+      -simd::Log1pRef(-ratio) / (evidence_.watched_time(element) / polls),
+      options_.rate_floor);
 }
 
-void DriftDetector::RescoreOne(Evidence& e, double planned) const {
-  const double ratio = ObservedRate(e) / planned;
-  e.score = ScoreFromRatio(ratio, simd::LogPosRef(ratio));
-  e.scored_against = planned;
+void DriftDetector::RescoreOne(size_t element, double planned) {
+  const double ratio = ObservedRate(element) / planned;
+  scores_[element] = {ScoreFromRatio(ratio, simd::LogPosRef(ratio)), planned};
 }
 
 void DriftDetector::RescoreSynced(const std::vector<double>& planned_rates) {
@@ -123,16 +123,15 @@ void DriftDetector::RescoreSynced(const std::vector<double>& planned_rates) {
     size_t k = 0;
     for (size_t d = begin; d < end; ++d) {
       const size_t i = dirty_[d];
-      Evidence& e = evidence_[i];
-      if (i >= n || !Scorable(e)) {
-        e.scored_against = std::numeric_limits<double>::quiet_NaN();
+      if (i >= n || !Scorable(i)) {
+        scores_[i].scored_against = std::numeric_limits<double>::quiet_NaN();
         continue;
       }
       index[k] = i;
       planned[k] = std::max(planned_rates[i], rate_floor);
-      polls[k] = e.polls;
-      gap[k] = e.watch_time;
-      x[k] = e.changes;
+      polls[k] = evidence_.polls(i);
+      gap[k] = evidence_.watched_time(i);
+      x[k] = evidence_.changes(i);
       ++k;
     }
     for (size_t j = 0; j < k; ++j) {
@@ -145,9 +144,7 @@ void DriftDetector::RescoreSynced(const std::vector<double>& planned_rates) {
     }
     simd::LogPosBatch(x, y, k);
     for (size_t j = 0; j < k; ++j) {
-      Evidence& e = evidence_[index[j]];
-      e.score = ScoreFromRatio(x[j], y[j]);
-      e.scored_against = planned[j];
+      scores_[index[j]] = {ScoreFromRatio(x[j], y[j]), planned[j]};
     }
   }
   dirty_.clear();
@@ -160,17 +157,16 @@ void DriftDetector::EndPeriod(double now,
   DriftReport report;
   report.now = now;
 
-  // The top-k list. A candidate keeps the evidence it was scored with;
-  // offenders are built only for the final k.
+  // The top-k list. Offenders are built only for the final k, before the
+  // evidence decays.
   struct Candidate {
     size_t element;
-    Evidence evidence;
+    double score;
   };
   std::vector<Candidate> top;
   top.reserve(options_.top_k + 1);
 
   const size_t top_k = options_.top_k;
-  const double decay = options_.decay;
   const double flag_threshold = options_.flag_threshold;
   const double rate_floor = options_.rate_floor;
   size_t scored_elements = 0;
@@ -180,47 +176,39 @@ void DriftDetector::EndPeriod(double now,
   double weight = 0.0;
   const size_t n = std::min(evidence_.size(), planned_rates.size());
   Candidate candidates[kSweepChunk];
-  // One sweep: aggregate, rank and decay, a chunk at a time. The loop over
-  // a chunk makes no call on its hot path, so the sums stay in registers.
-  for (size_t begin = 0; begin < evidence_.size(); begin += kSweepChunk) {
-    const size_t end = std::min(evidence_.size(), begin + kSweepChunk);
+  // One sweep: aggregate and rank, a chunk at a time. The loop over a chunk
+  // makes no call on its hot path, so the sums stay in registers.
+  for (size_t begin = 0; begin < n; begin += kSweepChunk) {
+    const size_t end = std::min(n, begin + kSweepChunk);
     // Elements that may enter the top-k against the chunk's opening cutoff
-    // are copied out with their undecayed evidence.
+    // are copied out.
     const bool open = top.size() < top_k;
-    const double cutoff = open ? 0.0 : top.back().evidence.score;
+    const double cutoff = open ? 0.0 : top.back().score;
     size_t m = 0;
     for (size_t i = begin; i < end; ++i) {
-      Evidence& e = evidence_[i];
-      if (i < n && Scorable(e)) {
-        // A replan may have moved the planned rate of an element that saw
-        // no sync.
-        const double planned = std::max(planned_rates[i], rate_floor);
-        if (e.scored_against != planned) [[unlikely]] {
-          RescoreOne(e, planned);
-        }
-        const double score = e.score;
-        ++scored_elements;
-        if (score >= flag_threshold) ++flagged_elements;
-        max_score = std::max(max_score, score);
-        weighted_score += score * e.polls;
-        weight += e.polls;
-        if (open || score > cutoff) candidates[m++] = Candidate{i, e};
+      if (!Scorable(i)) continue;
+      // A replan may have moved the planned rate of an element that saw no
+      // sync.
+      const double planned = std::max(planned_rates[i], rate_floor);
+      if (scores_[i].scored_against != planned) [[unlikely]] {
+        RescoreOne(i, planned);
       }
-      // Decay AFTER scoring so the period's own syncs count at full weight.
-      e.polls *= decay;
-      e.changes *= decay;
-      e.watch_time *= decay;
+      const double score = scores_[i].score;
+      const double polls = evidence_.polls(i);
+      ++scored_elements;
+      if (score >= flag_threshold) ++flagged_elements;
+      max_score = std::max(max_score, score);
+      weighted_score += score * polls;
+      weight += polls;
+      if (open || score > cutoff) candidates[m++] = Candidate{i, score};
     }
     for (size_t j = 0; j < m; ++j) {
       const Candidate& c = candidates[j];
-      const double score = c.evidence.score;
-      if (top.size() == top_k && !(score > top.back().evidence.score)) {
-        continue;
-      }
+      if (top.size() == top_k && !(c.score > top.back().score)) continue;
       // Ties keep the earlier element ahead.
       size_t pos = top.size();
       top.push_back(c);
-      for (; pos > 0 && top[pos - 1].evidence.score < score; --pos) {
+      for (; pos > 0 && top[pos - 1].score < c.score; --pos) {
         top[pos] = top[pos - 1];
       }
       top[pos] = c;
@@ -234,12 +222,14 @@ void DriftDetector::EndPeriod(double now,
   for (const Candidate& c : top) {
     DriftOffender offender;
     offender.element = c.element;
-    offender.planned_rate = c.evidence.scored_against;
-    offender.observed_rate = ObservedRate(c.evidence);
-    offender.score = c.evidence.score;
-    offender.evidence = c.evidence.polls;
+    offender.planned_rate = scores_[c.element].scored_against;
+    offender.observed_rate = ObservedRate(c.element);
+    offender.score = c.score;
+    offender.evidence = evidence_.polls(c.element);
     report.top.push_back(offender);
   }
+  // Decay AFTER scoring so the period's own syncs count at full weight.
+  evidence_.Decay(options_.decay);
   if (weight > 0.0) report.aggregate_score = weighted_score / weight;
 
   // Debounced recommendation: require sustained aggregate drift.

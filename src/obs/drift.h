@@ -10,7 +10,9 @@
 //
 //   * Every applied sync is a free poll: ObserveSync(element, changed, gap)
 //     accumulates per-element evidence (polls, detected changes, watched
-//     time), exponentially decayed each period so old evidence fades.
+//     time) in a SyncEvidence store, the store type the adaptive
+//     controller keeps undecayed; here it decays once per period so old
+//     evidence fades.
 //   * At every period close, EndPeriod(now, planned_rates) turns each
 //     element's evidence into a bias-reduced observed-rate estimate
 //     (-log(1 - c/p) per mean gap — the paper's [4] estimator form) and
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "estimate/change_estimator.h"
 #include "obs/metrics.h"
 
 namespace freshen {
@@ -141,38 +144,35 @@ class DriftDetector {
  private:
   explicit DriftDetector(Options options);
 
-  // One element's loop-thread state, kept together so a sync touches one
-  // cache line.
-  struct Evidence {
-    // Decayed effective polls, detected changes and watched time.
-    double polls = 0.0;
-    double changes = 0.0;
-    double watch_time = 0.0;
-    // The last score and the planned rate it was scored against. A sync
-    // queues the element in dirty_ and marks it queued (a negative value);
-    // NaN while it has too little evidence to be scored.
+  // One element's last score and the planned rate it was scored against.
+  // A sync queues the element in dirty_ and marks it queued (a negative
+  // scored_against); NaN while it has too little evidence to be scored.
+  struct Score {
     double score = 0.0;
     double scored_against = std::numeric_limits<double>::quiet_NaN();
   };
 
   // True when the element has enough evidence to be scored.
-  bool Scorable(const Evidence& e) const {
-    return e.polls >= options_.min_evidence && e.watch_time > 0.0;
+  bool Scorable(size_t element) const {
+    return evidence_.polls(element) >= options_.min_evidence &&
+           evidence_.watched_time(element) > 0.0;
   }
 
   // The bias-reduced observed rate from the element's evidence.
-  double ObservedRate(const Evidence& e) const;
+  double ObservedRate(size_t element) const;
 
   // Scores the element against `planned` (one lane of RescoreSynced).
-  [[gnu::cold, gnu::noinline]] void RescoreOne(Evidence& e,
-                                               double planned) const;
+  [[gnu::cold, gnu::noinline]] void RescoreOne(size_t element,
+                                               double planned);
 
   // Rescores, in batches, the scorable elements synced since the last
   // EndPeriod, and empties dirty_.
   void RescoreSynced(const std::vector<double>& planned_rates);
 
   Options options_;
-  std::vector<Evidence> evidence_;
+  // Decayed polls, detected changes and watched time, per element.
+  SyncEvidence evidence_;
+  std::vector<Score> scores_;
   // Elements synced since the last EndPeriod, each once.
   std::vector<size_t> dirty_;
 

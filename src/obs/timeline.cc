@@ -64,6 +64,9 @@ Result<StalenessTimeline> StalenessTimeline::Create(
   if (!(options.window_end > options.window_begin)) {
     return Status::InvalidArgument("timeline window must have positive length");
   }
+  if (!(options.age_slo >= 0.0) || !std::isfinite(options.age_slo)) {
+    return Status::InvalidArgument("timeline age_slo must be finite and >= 0");
+  }
   double total = 0.0;
   for (double w : weights) {
     if (!(w >= 0.0) || !std::isfinite(w)) {

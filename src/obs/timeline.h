@@ -86,7 +86,7 @@ class StalenessTimeline {
     /// clamped; end must be > begin (the fresh-fraction denominator).
     double window_begin = 0.0;
     double window_end = 1.0;
-    /// Age threshold for the access SLO (period units).
+    /// Age threshold for the access SLO (period units), finite and >= 0.
     double age_slo = 0.25;
     /// Offenders reported per window.
     size_t top_k = 10;

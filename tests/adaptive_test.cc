@@ -1,6 +1,6 @@
 // Tests for the closed-loop AdaptiveFreshener: cold start, evidence
-// accumulation, re-plan cadence, delta-mode parity with the full planner,
-// and convergence toward the oracle plan on a synthetic ground truth.
+// accumulation, re-plan cadence, parity with the full planner, and
+// convergence toward the oracle plan on a synthetic ground truth.
 #include <cmath>
 #include <cstring>
 
@@ -69,21 +69,13 @@ TEST(AdaptiveTest, SyncEvidenceUpdatesChangeRates) {
   auto controller =
       AdaptiveFreshener::Create({1.0, 1.0}, 2.0, DefaultOptions()).value();
   // Element 0: changed on every observed gap; element 1: never.
-  for (int k = 0; k < 50; ++k) {
-    controller.ObserveSync(0, /*changed=*/k > 0, 0.5 * k);
-    controller.ObserveSync(1, /*changed=*/false, 0.5 * k);
+  for (int k = 1; k < 50; ++k) {
+    controller.ObserveSync(0, /*changed=*/true, /*gap=*/0.5);
+    controller.ObserveSync(1, /*changed=*/false, /*gap=*/0.5);
   }
   const ElementSet believed = controller.BelievedCatalog();
   EXPECT_GT(believed[0].change_rate, 5.0);
   EXPECT_LT(believed[1].change_rate, 0.1);
-}
-
-TEST(AdaptiveTest, FirstSyncCarriesNoEvidence) {
-  auto controller =
-      AdaptiveFreshener::Create({1.0}, 1.0, DefaultOptions()).value();
-  controller.ObserveSync(0, /*changed=*/true, 3.0);
-  // Single sync: no gap observed, prior still in force.
-  EXPECT_DOUBLE_EQ(controller.BelievedCatalog()[0].change_rate, 2.0);
 }
 
 TEST(AdaptiveTest, RejectsInvalidConfigurations) {
@@ -98,9 +90,17 @@ TEST(AdaptiveTest, RejectsInvalidConfigurations) {
   auto bad_prior = DefaultOptions();
   bad_prior.prior_change_rate = 0.0;
   EXPECT_FALSE(AdaptiveFreshener::Create({1.0}, 1.0, bad_prior).ok());
-  auto bad_smoothing = DefaultOptions();
-  bad_smoothing.learner.smoothing = 0.0;
-  EXPECT_FALSE(AdaptiveFreshener::Create({1.0}, 1.0, bad_smoothing).ok());
+  // Bad learner options are refused here, not left to abort the learner.
+  for (const double smoothing : {0.0, std::nan("")}) {
+    auto bad_smoothing = DefaultOptions();
+    bad_smoothing.learner.smoothing = smoothing;
+    EXPECT_FALSE(AdaptiveFreshener::Create({1.0}, 1.0, bad_smoothing).ok());
+  }
+  for (const double decay : {0.0, 1.5, std::nan("")}) {
+    auto bad_decay = DefaultOptions();
+    bad_decay.learner.decay = decay;
+    EXPECT_FALSE(AdaptiveFreshener::Create({1.0}, 1.0, bad_decay).ok());
+  }
 }
 
 // The exact replan exports the rows its solve ran on: one class for the
@@ -158,7 +158,7 @@ TEST(AdaptiveTest, ExactReplanMatchesPlannerOnBelievedCatalogByteForByte) {
           if (freqs[i] <= 0.0) continue;
           const double p_change =
               -std::expm1(-truth[i].change_rate / freqs[i]);
-          controller.ObserveSync(i, rng.NextBool(p_change), period - 1.0);
+          controller.ObserveSync(i, rng.NextBool(p_change), /*gap=*/1.0);
         }
         controller.EndPeriod();
         ASSERT_TRUE(controller.MaybeReplan(period).value());
@@ -216,7 +216,7 @@ TEST(AdaptiveTest, ConvergesTowardOraclePlan) {
         const double t = period - 1 + s * gap;
         if (t >= period) break;
         const double p_change = -std::expm1(-truth[i].change_rate * gap);
-        controller.ObserveSync(i, rng.NextBool(p_change), t);
+        controller.ObserveSync(i, rng.NextBool(p_change), gap);
       }
     }
     ASSERT_TRUE(controller.MaybeReplan(period).ok());

@@ -1,6 +1,9 @@
-// Tests for poll-based change-rate estimation and sampling-based change
-// ratios.
+// Tests for poll-based change-rate estimation (the SyncEvidence store and
+// its bias-reduced estimate) and sampling-based change ratios.
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -10,15 +13,22 @@
 namespace freshen {
 namespace {
 
-TEST(ChangeRateEstimatorTest, FailsBeforeAnyPoll) {
-  ChangeRateEstimator estimator(1.0);
-  EXPECT_FALSE(estimator.EstimatedRate().ok());
+// One element's bias-reduced rate after `polls` recorded polls at interval
+// `tau`, the first `changes` of them detecting a change.
+double RateAfterPolls(int polls, int changes, double tau) {
+  SyncEvidence evidence(1);
+  for (int i = 0; i < polls; ++i) evidence.Observe(0, i < changes, tau);
+  return evidence.RateOr(0, /*prior=*/-1.0);
+}
+
+TEST(ChangeRateEstimatorTest, PriorBeforeAnyPoll) {
+  SyncEvidence evidence(3);
+  EXPECT_EQ(evidence.RateOr(1, 2.5), 2.5);
+  EXPECT_EQ(evidence.polls(1), 0.0);
 }
 
 TEST(ChangeRateEstimatorTest, NoChangesGivesNearZeroRate) {
-  ChangeRateEstimator estimator(1.0);
-  for (int i = 0; i < 100; ++i) estimator.RecordPoll(false);
-  const double rate = estimator.EstimatedRate().value();
+  const double rate = RateAfterPolls(100, 0, 1.0);
   EXPECT_GE(rate, 0.0);
   EXPECT_LT(rate, 0.01);
 }
@@ -26,20 +36,19 @@ TEST(ChangeRateEstimatorTest, NoChangesGivesNearZeroRate) {
 TEST(ChangeRateEstimatorTest, AllChangesStaysFinite) {
   // The naive estimator -log(1 - x/n)/tau diverges when x == n; the
   // bias-reduced form must not.
-  ChangeRateEstimator estimator(1.0);
-  for (int i = 0; i < 50; ++i) estimator.RecordPoll(true);
-  const double rate = estimator.EstimatedRate().value();
+  const double rate = RateAfterPolls(50, 50, 1.0);
   EXPECT_TRUE(std::isfinite(rate));
   EXPECT_GT(rate, 3.0);
 }
 
 TEST(ChangeRateEstimatorTest, ExactFormulaValue) {
-  ChangeRateEstimator estimator(2.0);
-  for (int i = 0; i < 6; ++i) estimator.RecordPoll(i < 2);  // x=2, n=6.
-  EXPECT_EQ(estimator.num_polls(), 6u);
-  EXPECT_EQ(estimator.num_changes(), 2u);
+  SyncEvidence evidence(1);
+  for (int i = 0; i < 6; ++i) evidence.Observe(0, i < 2, 2.0);  // x=2, n=6.
+  EXPECT_EQ(evidence.polls(0), 6.0);
+  EXPECT_EQ(evidence.changes(0), 2.0);
+  EXPECT_EQ(evidence.watched_time(0), 12.0);
   const double expected = -std::log((6.0 - 2.0 + 0.5) / 6.5) / 2.0;
-  EXPECT_NEAR(estimator.EstimatedRate().value(), expected, 1e-12);
+  EXPECT_NEAR(evidence.RateOr(0, -1.0), expected, 1e-12);
 }
 
 class PollRecoveryTest : public ::testing::TestWithParam<double> {};
@@ -69,33 +78,59 @@ TEST(ChangeRateEstimatorTest, ZeroDetectionsFlooredAwayFromZero) {
   // set permanently (never scheduled -> never polled -> never recovers).
   // The floor must be positive, match -log(n/(n+1/2))/tau, and decay as
   // silent evidence accumulates.
-  ChangeRateEstimator estimator(2.0);
-  estimator.RecordPoll(false);
-  const double one = estimator.EstimatedRate().value();
+  const double one = RateAfterPolls(1, 0, 2.0);
   EXPECT_GT(one, 0.0);
   EXPECT_NEAR(one, -std::log(1.0 / 1.5) / 2.0, 1e-15);
-  for (int i = 0; i < 99; ++i) estimator.RecordPoll(false);
-  const double hundred = estimator.EstimatedRate().value();
+  const double hundred = RateAfterPolls(100, 0, 2.0);
   EXPECT_GT(hundred, 0.0);
   EXPECT_LT(hundred, one);
   EXPECT_NEAR(hundred, -std::log(100.0 / 100.5) / 2.0, 1e-15);
   // One detection immediately dominates the floor.
-  estimator.RecordPoll(true);
-  EXPECT_GT(estimator.EstimatedRate().value(), hundred);
+  SyncEvidence evidence(1);
+  for (int i = 0; i < 100; ++i) evidence.Observe(0, false, 2.0);
+  evidence.Observe(0, true, 2.0);
+  EXPECT_GT(evidence.RateOr(0, -1.0), hundred);
 }
 
 TEST(ChangeRateEstimatorTest, ZeroObservationWindowsAreIgnored) {
-  ChangeRateEstimator estimator(1.0);
-  estimator.RecordPoll(true, 0.0);    // Duplicate timestamp.
-  estimator.RecordPoll(true, -3.0);   // Clock step backwards.
-  estimator.RecordPoll(true, std::nan(""));
-  EXPECT_EQ(estimator.num_polls(), 0u);
-  EXPECT_FALSE(estimator.EstimatedRate().ok());
+  SyncEvidence evidence(1);
+  EXPECT_FALSE(evidence.Observe(0, true, 0.0));    // Duplicate timestamp.
+  EXPECT_FALSE(evidence.Observe(0, true, -3.0));   // Clock step backwards.
+  EXPECT_FALSE(evidence.Observe(0, true, std::nan("")));
+  EXPECT_FALSE(evidence.Observe(0, true, INFINITY));
+  EXPECT_EQ(evidence.polls(0), 0.0);
+  EXPECT_EQ(evidence.RateOr(0, 7.0), 7.0);
   // Irregular but positive gaps feed the mean-gap form.
-  estimator.RecordPoll(true, 1.0);
-  estimator.RecordPoll(false, 3.0);
+  EXPECT_TRUE(evidence.Observe(0, true, 1.0));
+  EXPECT_TRUE(evidence.Observe(0, false, 3.0));
   const double expected = BiasReducedRate(2, 1, 2.0);
-  EXPECT_NEAR(estimator.EstimatedRate().value(), expected, 1e-15);
+  EXPECT_NEAR(evidence.RateOr(0, 7.0), expected, 1e-15);
+}
+
+// Decay scales all three columns alike; Decay(1.0), the undecayed batch
+// estimator, changes no bit.
+TEST(SyncEvidenceTest, DecayScalesEveryColumn) {
+  SyncEvidence evidence(2);
+  for (int i = 0; i < 5; ++i) {
+    evidence.Observe(0, i % 2 == 0, 0.3 + 0.1 * i);
+    evidence.Observe(1, i == 0, 0.7);
+  }
+  const SyncEvidence before = evidence;
+  const auto bits = [](const SyncEvidence& e, size_t i) {
+    return std::array<uint64_t, 4>{
+        std::bit_cast<uint64_t>(e.polls(i)),
+        std::bit_cast<uint64_t>(e.changes(i)),
+        std::bit_cast<uint64_t>(e.watched_time(i)),
+        std::bit_cast<uint64_t>(e.RateOr(i, -1.0))};
+  };
+  evidence.Decay(1.0);
+  for (size_t i = 0; i < 2; ++i) EXPECT_EQ(bits(evidence, i), bits(before, i));
+  evidence.Decay(0.5);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(evidence.polls(i), 0.5 * before.polls(i));
+    EXPECT_EQ(evidence.changes(i), 0.5 * before.changes(i));
+    EXPECT_EQ(evidence.watched_time(i), 0.5 * before.watched_time(i));
+  }
 }
 
 TEST(SampleChangeRatioTest, MatchesExpectedFractionOnHomogeneousSet) {

@@ -413,6 +413,50 @@ TEST(OnlineLoopTest, SyncAtTimeZeroKeepsItsPhase) {
   EXPECT_EQ(sync_times, expected);
 }
 
+TEST(OnlineLoopTest, FirstSyncCarriesNoControllerEvidence) {
+  // The loop computes each sync's gap from the mirror. A first sync has no
+  // previous sync, so the controller gets no evidence from it and keeps its
+  // prior; the drift detector counts the window from t=0 and scores it.
+  ExperimentSpec spec;
+  spec.num_objects = 10;
+  const ElementSet truth = GenerateCatalog(spec).value();
+  obs::MetricsRegistry registry;
+  obs::DriftDetector drift =
+      obs::DriftDetector::Create({.num_elements = truth.size(),
+                                  .min_evidence = 1.0,
+                                  .top_k = truth.size(),
+                                  .registry = &registry})
+          .value();
+  OnlineFreshenLoop::Options options = LoopOptions();
+  options.controller.replan_every_periods = 1000.0;  // Keep the cold plan.
+  options.registry = &registry;
+  options.drift = &drift;
+  std::vector<int> syncs(truth.size(), 0);
+  options.on_period_end = [&](const PeriodStats&,
+                              const std::vector<uint32_t>& synced) {
+    for (uint32_t i : synced) ++syncs[i];
+  };
+  auto loop = OnlineFreshenLoop::Create(truth, 10.0, options).value();
+  // The cold plan syncs every element once a period, phased at i/N.
+  for (double f : loop.controller().frequencies()) ASSERT_EQ(f, 1.0);
+  loop.RunPeriod();
+
+  // A first sync at t=0 watched nothing, so only later ones are scored.
+  std::vector<size_t> expected_scored;
+  for (size_t i = 0; i < truth.size(); ++i) {
+    ASSERT_EQ(syncs[i], 1) << i;
+    EXPECT_EQ(loop.controller().BelievedChangeRate(i), 2.0) << i;
+    if (loop.mirror().LastSyncTime(i) > 0.0) expected_scored.push_back(i);
+  }
+  EXPECT_EQ(expected_scored.size(), truth.size() - 1);
+  std::vector<size_t> scored;
+  for (const obs::DriftOffender& offender : drift.Report().top) {
+    scored.push_back(offender.element);
+  }
+  std::sort(scored.begin(), scored.end());
+  EXPECT_EQ(scored, expected_scored);
+}
+
 // Resident set size of this process in KiB, or -1 when /proc is missing.
 long ResidentKib() {
   std::ifstream status("/proc/self/status");

@@ -41,6 +41,11 @@ TEST(TimelineTest, CreateRejectsBadShapes) {
   EXPECT_FALSE(StalenessTimeline::Create({0.0, 0.0}, options).ok());
   options.window_end = options.window_begin;
   EXPECT_FALSE(StalenessTimeline::Create({1.0}, options).ok());
+  // The age SLO follows SloMonitor's rule: finite and >= 0.
+  for (const double age_slo : {-1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_FALSE(StalenessTimeline::Create({1.0}, {.age_slo = age_slo}).ok());
+  }
+  EXPECT_TRUE(StalenessTimeline::Create({1.0}, {.age_slo = 0.0}).ok());
 }
 
 TEST(TimelineTest, HandComputedLedger) {
