@@ -55,12 +55,12 @@ AdaptiveFreshener::AdaptiveFreshener(std::vector<double> sizes,
       frequencies_(sizes_.size(), 0.0) {
   const size_t n = sizes_.size();
   believed_.weights.assign(
-      n, options_.planner.technique == Technique::kGeneral
+      n, options_.technique == Technique::kGeneral
              ? 1.0 / static_cast<double>(n)
              : 0.0);
   believed_.change_rates.assign(n, 0.0);
-  believed_.costs = options_.planner.size_aware ? sizes_
-                                                : std::vector<double>(n, 1.0);
+  believed_.costs =
+      options_.size_aware ? sizes_ : std::vector<double>(n, 1.0);
   believed_.bandwidth = bandwidth_;
   obs::MetricsRegistry& registry = options_.registry != nullptr
                                        ? *options_.registry
@@ -89,13 +89,8 @@ ElementSet AdaptiveFreshener::BelievedCatalog() const {
   return catalog;
 }
 
-void AdaptiveFreshener::BelievedProfileInto(std::vector<double>* out) const {
-  // Smoothing > 0 makes this infallible.
-  FRESHEN_CHECK(learner_.SnapshotInto(out).ok());
-}
-
 Status AdaptiveFreshener::RefreshBelievedProblem() {
-  if (options_.planner.technique == Technique::kPerceived) {
+  if (options_.technique == Technique::kPerceived) {
     FRESHEN_RETURN_IF_ERROR(learner_.SnapshotInto(&believed_.weights));
   }
   for (size_t i = 0; i < sizes_.size(); ++i) {
@@ -112,24 +107,16 @@ Result<bool> AdaptiveFreshener::MaybeReplan(double now, bool force) {
   obs::ScopedSpan span("replan");
   WallTimer timer;
   FRESHEN_RETURN_IF_ERROR(RefreshBelievedProblem());
-  const FreshenPlanner planner(options_.planner);
-  if (options_.planner.mode == PlanMode::kExact) {
-    // FreshenPlanner::Plan's exact path on the problem refilled above,
-    // without its ElementSet, its problem copy, or the plan metrics the
-    // controller would discard. The class transform's working memory is
-    // kept across replans and expands straight into frequencies_.
-    FRESHEN_ASSIGN_OR_RETURN(
-        const size_t rows,
-        planner.SolveExact(believed_, &classes_, &frequencies_));
-    plan_classes_->Set(static_cast<double>(rows));
-    RescaleToBudget([this](size_t i) { return sizes_[i]; }, bandwidth_,
-                    &frequencies_);
-  } else {
-    // The partitioning heuristics work on the catalog itself.
-    FRESHEN_ASSIGN_OR_RETURN(FreshenPlan plan,
-                             planner.Plan(BelievedCatalog(), bandwidth_));
-    frequencies_ = std::move(plan.frequencies);
-  }
+  // FreshenPlanner::Plan's exact path on the problem refilled above,
+  // without its ElementSet, its problem copy, or the plan metrics the
+  // controller would discard. The class transform's working memory is
+  // kept across replans and expands straight into frequencies_.
+  FRESHEN_ASSIGN_OR_RETURN(
+      const size_t rows,
+      SolveByClasses(solver_, believed_, &classes_, &frequencies_));
+  plan_classes_->Set(static_cast<double>(rows));
+  RescaleToBudget([this](size_t i) { return sizes_[i]; }, bandwidth_,
+                  &frequencies_);
   last_plan_time_ = now;
   ++num_replans_;
   replans_counter_->Increment();

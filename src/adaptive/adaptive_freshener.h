@@ -13,8 +13,8 @@
 //     poll: did the fetched copy differ, and how long since the last one?),
 //     never decayed, so each believed rate is the batch bias-reduced
 //     estimate over every poll so far,
-//   * the current plan, re-computed by MaybeReplan() on a fixed cadence
-//     using any FreshenPlanner configuration (exact or partitioned).
+//   * the current plan, re-computed by MaybeReplan() on a fixed cadence by
+//     FreshenPlanner's exact solve (SolveByClasses, then RescaleToBudget).
 #ifndef FRESHEN_ADAPTIVE_ADAPTIVE_FRESHENER_H_
 #define FRESHEN_ADAPTIVE_ADAPTIVE_FRESHENER_H_
 
@@ -35,8 +35,10 @@ namespace freshen {
 class AdaptiveFreshener {
  public:
   struct Options {
-    /// Planner configuration used at every re-plan.
-    PlannerOptions planner;
+    /// Whose freshness every re-plan maximizes (PlannerOptions::technique).
+    Technique technique = Technique::kPerceived;
+    /// Solve with the §5 size-aware constraint (PlannerOptions::size_aware).
+    bool size_aware = false;
     /// Request-log learner configuration (decay, smoothing). Smoothing
     /// defaults to 1.0 here so a cold-started controller begins from a
     /// uniform profile instead of failing.
@@ -91,10 +93,6 @@ class AdaptiveFreshener {
     return evidence_.RateOr(element, options_.prior_change_rate);
   }
 
-  /// BelievedCatalog()'s access_prob column written into `*out` (resized to
-  /// N): the learned profile without the ElementSet.
-  void BelievedProfileInto(std::vector<double>* out) const;
-
   /// The change rates the CURRENT plan was solved against: the believed
   /// rates at the last replan. Beliefs keep drifting with new evidence
   /// between replans — the gap between these and fresh observations is
@@ -129,7 +127,9 @@ class AdaptiveFreshener {
   // Costs, bandwidth and (GF) the uniform weights are fixed at
   // construction. It is the problem the current plan solved.
   CoreProblem believed_;
-  // The exact replan's class-transform working memory, reused every replan.
+  // The exact replan's solver and class-transform working memory, reused
+  // every replan.
+  KktWaterFillingSolver solver_;
   ClassTransform classes_;
   double last_plan_time_ = 0.0;
   uint64_t num_replans_ = 0;

@@ -139,10 +139,8 @@ class FreshenPlanner {
   /// The exact-mode solve Plan() runs, on a problem the caller already
   /// holds: SolveByClasses with this planner's solver, writing the
   /// unrescaled frequencies to `*frequencies` and returning the rows the
-  /// solver ran on. Callers that own their problem columns (the adaptive
-  /// controller) use this with a ClassTransform they keep across solves and
-  /// then RescaleToBudget, which is exactly what Plan() does in
-  /// PlanMode::kExact, minus the ElementSet and the plan metrics.
+  /// solver ran on. Followed by RescaleToBudget, this is exactly what Plan()
+  /// does in PlanMode::kExact, minus the ElementSet and the plan metrics.
   Result<size_t> SolveExact(const CoreProblem& problem,
                             ClassTransform* classes,
                             std::vector<double>* frequencies) const {

@@ -48,8 +48,10 @@ Result<OnlineFreshenLoop> OnlineFreshenLoop::Create(ElementSet truth,
   if (truth.empty()) {
     return Status::InvalidArgument("truth catalog is empty");
   }
-  if (!(options.accesses_per_period >= 0.0)) {
-    return Status::InvalidArgument("accesses_per_period must be >= 0");
+  if (!(options.accesses_per_period >= 0.0) ||
+      !std::isfinite(options.accesses_per_period)) {
+    return Status::InvalidArgument(
+        "accesses_per_period must be finite and >= 0");
   }
   // The controller reports into the loop's registry unless its options name
   // their own.

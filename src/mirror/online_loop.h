@@ -112,10 +112,10 @@ class OnlineFreshenLoop {
     /// it once at the period boundary, after the controller's replan
     /// decision, with this period's stats and the sorted, deduplicated ids
     /// of elements whose copies were actually refreshed. During the call
-    /// the loop is at a consistent boundary: frequencies(), the mirror's
-    /// last-sync times, and BelievedCatalog() all reflect the new period —
-    /// exactly what a snapshot publisher needs for O(changed-shards)
-    /// publication.
+    /// the loop is at a consistent boundary: the controller's frequencies()
+    /// and PlannedChangeRates() and the mirror's last-sync times all reflect
+    /// the new period — exactly what a snapshot publisher needs for
+    /// O(changed-shards) publication.
     std::function<void(const PeriodStats& stats,
                        const std::vector<uint32_t>& synced_elements)>
         on_period_end;

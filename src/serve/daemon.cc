@@ -32,6 +32,15 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
       !std::isfinite(options.period_seconds)) {
     return Status::InvalidArgument("period_seconds must be finite and >= 0");
   }
+  if (options.slowlog.capacity > SlowQueryLog::kMaxCapacity) {
+    return Status::InvalidArgument(StrFormat(
+        "slowlog capacity must be <= %zu", SlowQueryLog::kMaxCapacity));
+  }
+  if (!(options.slowlog.threshold_seconds >= 0.0) ||
+      !std::isfinite(options.slowlog.threshold_seconds)) {
+    return Status::InvalidArgument(
+        "slowlog threshold_seconds must be finite and >= 0");
+  }
   if (options.loop.registry == nullptr) {
     options.loop.registry = options.registry;
   }
@@ -40,35 +49,28 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
 
   // Telemetry plane: the daemon owns the monitor/detector and hands the
   // loop raw pointers (the daemon outlives its loop by construction).
-  if (options.enable_slo) {
-    Options& opts = daemon->options_;
-    if (opts.slo.registry == nullptr) opts.slo.registry = opts.registry;
-    FRESHEN_ASSIGN_OR_RETURN(obs::SloMonitor monitor,
-                             obs::SloMonitor::Create(opts.slo));
-    daemon->slo_ = std::make_unique<obs::SloMonitor>(std::move(monitor));
-    daemon->options_.loop.slo = daemon->slo_.get();
-  }
-  if (options.enable_drift) {
-    Options& opts = daemon->options_;
-    opts.drift.num_elements = n;
-    if (opts.drift.registry == nullptr) opts.drift.registry = opts.registry;
-    FRESHEN_ASSIGN_OR_RETURN(obs::DriftDetector detector,
-                             obs::DriftDetector::Create(opts.drift));
-    daemon->drift_ =
-        std::make_unique<obs::DriftDetector>(std::move(detector));
-    daemon->options_.loop.drift = daemon->drift_.get();
-    daemon->options_.loop.drift_replan = options.drift_replan;
-  }
+  Options& opts = daemon->options_;
+  if (opts.slo.registry == nullptr) opts.slo.registry = opts.registry;
+  FRESHEN_ASSIGN_OR_RETURN(obs::SloMonitor monitor,
+                           obs::SloMonitor::Create(opts.slo));
+  daemon->slo_ = std::make_unique<obs::SloMonitor>(std::move(monitor));
+  opts.loop.slo = daemon->slo_.get();
+  opts.drift.num_elements = n;
+  if (opts.drift.registry == nullptr) opts.drift.registry = opts.registry;
+  FRESHEN_ASSIGN_OR_RETURN(obs::DriftDetector detector,
+                           obs::DriftDetector::Create(opts.drift));
+  daemon->drift_ = std::make_unique<obs::DriftDetector>(std::move(detector));
+  opts.loop.drift = daemon->drift_.get();
+  opts.loop.drift_replan = opts.drift_replan;
 
-  daemon->options_.loop.on_period_end =
-      [d = daemon.get()](const PeriodStats& stats,
-                         const std::vector<uint32_t>& synced) {
-        d->PublishBoundary(stats.replanned, synced);
-      };
+  opts.loop.on_period_end = [d = daemon.get()](
+                                const PeriodStats& stats,
+                                const std::vector<uint32_t>& synced) {
+    d->PublishBoundary(stats.replanned, synced);
+  };
   FRESHEN_ASSIGN_OR_RETURN(
       OnlineFreshenLoop loop,
-      OnlineFreshenLoop::Create(std::move(truth), bandwidth,
-                                daemon->options_.loop));
+      OnlineFreshenLoop::Create(std::move(truth), bandwidth, opts.loop));
   daemon->loop_ = std::make_unique<OnlineFreshenLoop>(std::move(loop));
 
   // Initial publication (epoch 1): the controller's cold-start plan over
@@ -116,18 +118,17 @@ void FreshendDaemon::PublishBoundary(bool replanned,
   WallTimer timer;
   const AdaptiveFreshener& controller = loop_->controller();
   if (replanned) {
-    // A replan can move every frequency and the controller's beliefs; the
+    // A replan can move every frequency and planned change rate; the
     // whole catalog republishes. This is the O(N) slow path — it runs once
     // per replan cadence, not once per period.
     builder_.MarkAllDirty();
-    controller.BelievedProfileInto(&access_prob_);
   } else {
     // No replan: only the shards this period synced republish.
     for (uint32_t id : synced) builder_.MarkDirty(id);
   }
   auto snapshot = builder_.Publish(
       store_.CurrentEpoch() + 1, controller.num_replans(), loop_->Now(),
-      controller.frequencies(), controller.PlannedChangeRates(), access_prob_,
+      controller.frequencies(), controller.PlannedChangeRates(),
       controller.sizes(), loop_->mirror().LastSyncTimes());
   FRESHEN_CHECK(snapshot.ok());
   store_.Publish(std::move(*snapshot));

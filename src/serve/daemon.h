@@ -111,17 +111,17 @@ class FreshendDaemon {
     /// Freshness SLO monitoring (the SLO/HEALTH/WATCH telemetry source).
     /// The daemon owns the monitor and wires it into the loop; loop.slo
     /// must be unset. slo.registry defaults to the daemon's registry.
-    bool enable_slo = true;
     obs::SloMonitor::Options slo;
     /// Estimator drift detection. The daemon owns the detector and wires
     /// it into the loop; loop.drift must be unset. drift.num_elements is
     /// filled from the catalog; drift.registry defaults to the daemon's.
-    bool enable_drift = true;
     obs::DriftDetector::Options drift;
     /// When true, sustained drift forces an early replan (see
     /// OnlineFreshenLoop::Options::drift_replan). Off by default.
     bool drift_replan = false;
-    /// Slow-query ring configuration (SLOWLOG).
+    /// Slow-query ring configuration (SLOWLOG). Create refuses a capacity
+    /// above SlowQueryLog::kMaxCapacity and a negative or non-finite
+    /// threshold.
     SlowQueryLog::Options slowlog;
   };
 
@@ -181,11 +181,11 @@ class FreshendDaemon {
 
   // ---- Telemetry plane (any thread) -------------------------------------
 
-  /// The SLO monitor (nullptr when Options::enable_slo was false). Its
-  /// Report()/state() are safe to read while the loop runs.
+  /// The SLO monitor. Never null. Its Report()/state() are safe to read
+  /// while the loop runs.
   const obs::SloMonitor* slo() const { return slo_.get(); }
 
-  /// The drift detector (nullptr when Options::enable_drift was false).
+  /// The drift detector. Never null.
   const obs::DriftDetector* drift() const { return drift_.get(); }
 
   /// The slow-query ring. Never null; the protocol layer records into it.
@@ -210,11 +210,6 @@ class FreshendDaemon {
   std::unique_ptr<OnlineFreshenLoop> loop_;
   SnapshotBuilder builder_;
   mutable SnapshotStore store_;
-
-  // The published access profile (loop thread only after Create).
-  // Frequencies, planned change rates, sizes and last-sync times are
-  // published straight from the controller's and the mirror's own columns.
-  std::vector<double> access_prob_;
 
   std::thread loop_thread_;
   std::atomic<bool> running_{false};

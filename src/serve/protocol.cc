@@ -108,11 +108,9 @@ std::string WindowJson(const obs::SloWindowView& window) {
       JsonNumber(window.burn_rate).c_str());
 }
 
-// The drift detector's report as a JSON object ("null" when detached).
+// The drift detector's report as a JSON object.
 std::string DriftJson(const FreshendDaemon& daemon) {
-  const obs::DriftDetector* drift = daemon.drift();
-  if (drift == nullptr) return "null";
-  const obs::DriftReport report = drift->Report();
+  const obs::DriftReport report = daemon.drift()->Report();
   std::string top = "[";
   for (size_t i = 0; i < report.top.size(); ++i) {
     if (i > 0) top += ',';
@@ -180,18 +178,12 @@ ProtocolResponse HandleHealth(const FreshendDaemon& daemon) {
   const obs::EventRecorder::Stats recorder =
       obs::EventRecorder::Global().stats();
 
-  const obs::SloMonitor* slo = daemon.slo();
-  const obs::SloState slo_state =
-      slo != nullptr ? slo->state() : obs::SloState::kOk;
-  std::string slo_state_json = "null";
-  if (slo != nullptr) {
-    slo_state_json = StrFormat("\"%s\"", obs::SloStateName(slo_state));
-  }
+  const obs::SloState slo_state = daemon.slo()->state();
   const char* status = "ok";
-  if (slo != nullptr && slo_state == obs::SloState::kAlert) {
+  if (slo_state == obs::SloState::kAlert) {
     status = "critical";
-  } else if ((slo != nullptr && slo_state == obs::SloState::kBurning) ||
-             rejected > 0.0 || overflow > 0.0) {
+  } else if (slo_state == obs::SloState::kBurning || rejected > 0.0 ||
+             overflow > 0.0) {
     status = "degraded";
   }
 
@@ -199,7 +191,7 @@ ProtocolResponse HandleHealth(const FreshendDaemon& daemon) {
   response.line = StrFormat(
       "{\"ok\":true,\"cmd\":\"health\",\"status\":\"%s\","
       "\"running\":%s,\"uptime_seconds\":%s,\"periods\":%llu,"
-      "\"epoch\":%llu,\"slo_state\":%s,"
+      "\"epoch\":%llu,\"slo_state\":\"%s\","
       "\"rejected_connections\":%s,\"overflow_disconnects\":%s,"
       "\"recorder_emitted\":%llu,\"recorder_recorded\":%llu,"
       "\"recorder_dropped\":%llu,\"slow_queries\":%llu,"
@@ -208,24 +200,18 @@ ProtocolResponse HandleHealth(const FreshendDaemon& daemon) {
       JsonNumber(daemon.UptimeSeconds()).c_str(),
       static_cast<unsigned long long>(stats.periods),
       static_cast<unsigned long long>(stats.snapshot.epoch),
-      slo_state_json.c_str(),
-      JsonNumber(rejected).c_str(), JsonNumber(overflow).c_str(),
+      obs::SloStateName(slo_state), JsonNumber(rejected).c_str(),
+      JsonNumber(overflow).c_str(),
       static_cast<unsigned long long>(recorder.emitted),
       static_cast<unsigned long long>(recorder.recorded),
       static_cast<unsigned long long>(recorder.dropped),
       static_cast<unsigned long long>(daemon.slow_log()->total_recorded()),
-      daemon.drift() != nullptr && daemon.drift()->replan_recommended()
-          ? "true"
-          : "false");
+      daemon.drift()->replan_recommended() ? "true" : "false");
   return response;
 }
 
 ProtocolResponse HandleSlo(const FreshendDaemon& daemon) {
-  const obs::SloMonitor* slo = daemon.slo();
-  if (slo == nullptr) {
-    return Error("slo monitor not enabled on this daemon");
-  }
-  const obs::SloReport report = slo->Report();
+  const obs::SloReport report = daemon.slo()->Report();
   ProtocolResponse response;
   response.line = StrFormat(
       "{\"ok\":true,\"cmd\":\"slo\",\"state\":\"%s\",\"objective\":%s,"
@@ -446,36 +432,24 @@ std::string FormatWatchSample(const FreshendDaemon& daemon, uint64_t seq) {
       daemon.registry()
           .GetGauge("freshen_mirror_perceived_freshness")
           ->value();
-  std::string slo_part = "\"slo_state\":null";
-  if (const obs::SloMonitor* slo = daemon.slo()) {
-    const obs::SloReport report = slo->Report();
-    slo_part = StrFormat(
-        "\"slo_state\":\"%s\",\"fast_burn\":%s,\"slow_burn\":%s,"
-        "\"budget_remaining\":%s",
-        obs::SloStateName(report.state),
-        JsonNumber(report.fast.burn_rate).c_str(),
-        JsonNumber(report.slow.burn_rate).c_str(),
-        JsonNumber(report.budget_remaining).c_str());
-  }
-  std::string drift_part = "\"drift_score\":null";
-  if (const obs::DriftDetector* drift = daemon.drift()) {
-    const obs::DriftReport report = drift->Report();
-    drift_part = StrFormat(
-        "\"drift_score\":%s,\"drift_flagged\":%zu",
-        JsonNumber(report.aggregate_score).c_str(),
-        report.flagged_elements);
-  }
+  const obs::SloReport slo = daemon.slo()->Report();
+  const obs::DriftReport drift = daemon.drift()->Report();
   return StrFormat(
       "{\"ok\":true,\"cmd\":\"watch_sample\",\"seq\":%llu,"
       "\"uptime_seconds\":%s,\"epoch\":%llu,\"periods\":%llu,"
-      "\"queries\":%llu,\"running\":%s,\"perceived_freshness\":%s,%s,%s}",
+      "\"queries\":%llu,\"running\":%s,\"perceived_freshness\":%s,"
+      "\"slo_state\":\"%s\",\"fast_burn\":%s,\"slow_burn\":%s,"
+      "\"budget_remaining\":%s,\"drift_score\":%s,\"drift_flagged\":%zu}",
       static_cast<unsigned long long>(seq),
       JsonNumber(daemon.UptimeSeconds()).c_str(),
       static_cast<unsigned long long>(stats.snapshot.epoch),
       static_cast<unsigned long long>(stats.periods),
       static_cast<unsigned long long>(stats.queries),
       stats.running ? "true" : "false", JsonNumber(freshness).c_str(),
-      slo_part.c_str(), drift_part.c_str());
+      obs::SloStateName(slo.state), JsonNumber(slo.fast.burn_rate).c_str(),
+      JsonNumber(slo.slow.burn_rate).c_str(),
+      JsonNumber(slo.budget_remaining).c_str(),
+      JsonNumber(drift.aggregate_score).c_str(), drift.flagged_elements);
 }
 
 }  // namespace serve

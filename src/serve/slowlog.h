@@ -38,6 +38,10 @@ struct SlowQueryEntry {
 /// Thread-safe fixed-capacity slow-query ring.
 class SlowQueryLog {
  public:
+  /// The largest ring FreshendDaemon::Create accepts. The constructor
+  /// reserves the whole ring up front.
+  static constexpr size_t kMaxCapacity = size_t{1} << 16;
+
   struct Options {
     /// Entries retained (older entries are overwritten).
     size_t capacity = 64;

@@ -83,7 +83,6 @@ uint64_t DigestShard(const ShardBlock& block) {
   LaneState state;
   state.MixColumn(block.frequency);
   state.MixColumn(block.change_rate);
-  state.MixColumn(block.access_prob);
   state.MixColumn(block.size);
   state.MixColumn(block.last_sync_time);
   return state.Finish(block.begin, block.end);
@@ -136,16 +135,13 @@ size_t SnapshotBuilder::DirtyShards() const {
 Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
     uint64_t epoch, uint64_t plan_version, double now,
     const std::vector<double>& frequency,
-    const std::vector<double>& change_rate,
-    const std::vector<double>& access_prob, const std::vector<double>& size,
+    const std::vector<double>& change_rate, const std::vector<double>& size,
     const std::vector<double>& last_sync_time) {
   if (frequency.size() != num_elements_ ||
-      change_rate.size() != num_elements_ ||
-      access_prob.size() != num_elements_ || size.size() != num_elements_ ||
+      change_rate.size() != num_elements_ || size.size() != num_elements_ ||
       last_sync_time.size() != num_elements_) {
     return Status::InvalidArgument("snapshot column length mismatch");
   }
-  ++publish_seq_;
 
   auto snapshot = std::shared_ptr<ServeSnapshot>(new ServeSnapshot());
   snapshot->num_elements_ = num_elements_;
@@ -165,14 +161,11 @@ Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
     auto block = std::make_shared<ShardBlock>();
     block->begin = shard.begin;
     block->end = shard.end;
-    block->built_seq = publish_seq_;
     const size_t n = shard.size();
     block->frequency.assign(frequency.begin() + shard.begin,
                             frequency.begin() + shard.end);
     block->change_rate.assign(change_rate.begin() + shard.begin,
                               change_rate.begin() + shard.end);
-    block->access_prob.assign(access_prob.begin() + shard.begin,
-                              access_prob.begin() + shard.end);
     block->size.assign(size.begin() + shard.begin, size.begin() + shard.end);
     block->last_sync_time.assign(last_sync_time.begin() + shard.begin,
                                  last_sync_time.begin() + shard.end);

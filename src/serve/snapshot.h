@@ -1,8 +1,8 @@
 // Immutable, sharded serving state for the freshend daemon.
 //
 // A ServeSnapshot is what a concurrent query reads: the controller's current
-// plan, the mirror's last-sync times, and the controller's believed catalog,
-// frozen at one publication instant. Snapshots are immutable after
+// plan (frequencies, the change rates it was solved against, sizes) and the
+// mirror's last-sync times, frozen at one publication instant. Snapshots are immutable after
 // publication — readers never see a value change under them — and sharded
 // along the same fixed par::ShardPlan the compute spine uses, so publishing
 // a new snapshot after a period only deep-copies the shards whose elements
@@ -36,15 +36,10 @@ struct ShardBlock {
   /// Index range this block covers (mirrors the snapshot's shard plan).
   size_t begin = 0;
   size_t end = 0;
-  /// Publication sequence that built this block (for debugging/attribution;
-  /// an unchanged block is shared across many snapshots).
-  uint64_t built_seq = 0;
   /// Planned sync frequency per element (per period).
   std::vector<double> frequency;
   /// Controller-believed change rate per element (per period).
   std::vector<double> change_rate;
-  /// Controller-believed access probability per element.
-  std::vector<double> access_prob;
   /// Element size in bandwidth units.
   std::vector<double> size;
   /// Time of the element's last applied sync (period units; 0 = never).
@@ -64,7 +59,6 @@ uint64_t DigestShard(const ShardBlock& block);
 struct ElementView {
   double frequency = 0.0;
   double change_rate = 0.0;
-  double access_prob = 0.0;
   double size = 1.0;
   double last_sync_time = 0.0;
 };
@@ -110,8 +104,7 @@ class ServeSnapshot {
     const ShardBlock& block = *shards_[shard];
     const size_t offset = element - block.begin;
     return ElementView{block.frequency[offset], block.change_rate[offset],
-                       block.access_prob[offset], block.size[offset],
-                       block.last_sync_time[offset]};
+                       block.size[offset], block.last_sync_time[offset]};
   }
 
   /// The shard blocks (for iteration / consistency checks).
@@ -166,7 +159,6 @@ class SnapshotBuilder {
       uint64_t epoch, uint64_t plan_version, double now,
       const std::vector<double>& frequency,
       const std::vector<double>& change_rate,
-      const std::vector<double>& access_prob,
       const std::vector<double>& size,
       const std::vector<double>& last_sync_time);
 
@@ -174,7 +166,6 @@ class SnapshotBuilder {
   size_t num_elements_;
   std::vector<par::Shard> plan_;
   std::vector<uint8_t> dirty_;  // Per shard.
-  uint64_t publish_seq_ = 0;
   // The builder keeps its own reference to the last snapshot purely as the
   // sharing source; lifetime of published snapshots is the store's job.
   std::shared_ptr<const ServeSnapshot> last_;

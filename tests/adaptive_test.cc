@@ -142,8 +142,8 @@ TEST(AdaptiveTest, ExactReplanMatchesPlannerOnBelievedCatalogByteForByte) {
       SCOPED_TRACE(ToString(technique) +
                    (size_aware ? " size-aware" : " size-blind"));
       auto options = DefaultOptions();
-      options.planner.technique = technique;
-      options.planner.size_aware = size_aware;
+      options.technique = technique;
+      options.size_aware = size_aware;
       auto controller = AdaptiveFreshener::Create(
                             Sizes(truth), spec.syncs_per_period, options)
                             .value();
@@ -163,8 +163,11 @@ TEST(AdaptiveTest, ExactReplanMatchesPlannerOnBelievedCatalogByteForByte) {
         controller.EndPeriod();
         ASSERT_TRUE(controller.MaybeReplan(period).value());
         const ElementSet believed = controller.BelievedCatalog();
+        PlannerOptions planner;
+        planner.technique = options.technique;
+        planner.size_aware = options.size_aware;
         const FreshenPlan plan =
-            FreshenPlanner(options.planner)
+            FreshenPlanner(planner)
                 .Plan(believed, spec.syncs_per_period)
                 .value();
         ASSERT_TRUE(SameBytes(controller.frequencies(), plan.frequencies))

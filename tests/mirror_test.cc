@@ -378,6 +378,13 @@ TEST(OnlineLoopTest, StatsAgreeWithRegistryCountersToTheLastSync) {
 TEST(OnlineLoopTest, RejectsInvalidInput) {
   EXPECT_FALSE(OnlineFreshenLoop::Create({}, 1.0, LoopOptions()).ok());
   const ElementSet truth = MakeElementSet({1.0}, {1.0});
+  OnlineFreshenLoop::Options infinite_rate = LoopOptions();
+  infinite_rate.accesses_per_period =
+      std::numeric_limits<double>::infinity();
+  EXPECT_EQ(OnlineFreshenLoop::Create(truth, 1.0, infinite_rate)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   auto loop = OnlineFreshenLoop::Create(truth, 1.0, LoopOptions()).value();
   EXPECT_FALSE(loop.SetTrueProfile({1.0, 2.0}).ok());
   EXPECT_FALSE(loop.SetTrueProfile({0.0}).ok());

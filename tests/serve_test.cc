@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,7 +140,7 @@ TEST(SnapshotBuilderTest, FirstPublishRequiresMarkAllDirty) {
   SnapshotBuilder builder(100);
   const auto columns = Column(100, 1.0);
   auto result =
-      builder.Publish(1, 0, 0.0, columns, columns, columns, columns, columns);
+      builder.Publish(1, 0, 0.0, columns, columns, columns, columns);
   EXPECT_FALSE(result.ok());
 }
 
@@ -148,8 +150,7 @@ TEST(SnapshotBuilderTest, PublishesConsistentSnapshot) {
   builder.MarkAllDirty();
   const auto columns = Column(n, 0.5);
   auto snapshot =
-      builder.Publish(1, 0, 0.0, columns, columns, columns, columns, columns)
-          .value();
+      builder.Publish(1, 0, 0.0, columns, columns, columns, columns).value();
   EXPECT_EQ(snapshot->size(), n);
   EXPECT_EQ(snapshot->epoch(), 1u);
   EXPECT_TRUE(snapshot->CheckConsistent());
@@ -165,16 +166,14 @@ TEST(SnapshotBuilderTest, CleanShardsAreSharedDirtyShardsRebuilt) {
   builder.MarkAllDirty();
   auto columns = Column(n, 1.0);
   auto first =
-      builder.Publish(1, 0, 0.0, columns, columns, columns, columns, columns)
-          .value();
+      builder.Publish(1, 0, 0.0, columns, columns, columns, columns).value();
 
   // Touch exactly one element; only its shard should rebuild.
   columns[0] = 2.0;
   builder.MarkDirty(0);
   EXPECT_EQ(builder.DirtyShards(), 1u);
   auto second =
-      builder.Publish(2, 0, 1.0, columns, columns, columns, columns, columns)
-          .value();
+      builder.Publish(2, 0, 1.0, columns, columns, columns, columns).value();
 
   EXPECT_EQ(second->stats().shards_rebuilt, 1u);
   EXPECT_NE(first->shards()[0].get(), second->shards()[0].get());
@@ -212,7 +211,6 @@ ShardBlock DigestTestBlock() {
     const double x = static_cast<double>(j);
     block.frequency.push_back(0.5 + x);
     block.change_rate.push_back(1.25 + 3.0 * x);
-    block.access_prob.push_back(1.0 / (2.0 + x));
     block.size.push_back(7.0 + 0.125 * x);
     block.last_sync_time.push_back(100.0 - x);
   }
@@ -221,8 +219,7 @@ ShardBlock DigestTestBlock() {
 
 TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
   std::vector<double> ShardBlock::*const columns[] = {
-      &ShardBlock::frequency, &ShardBlock::change_rate,
-      &ShardBlock::access_prob, &ShardBlock::size,
+      &ShardBlock::frequency, &ShardBlock::change_rate, &ShardBlock::size,
       &ShardBlock::last_sync_time};
   const ShardBlock base = DigestTestBlock();
   const uint64_t digest = DigestShard(base);
@@ -230,7 +227,8 @@ TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
   // First, middle, every tail-lane position (16..18), last.
   const size_t positions[] = {0, n / 2, 16, 17, n - 1};
 
-  for (size_t c = 0; c < 5; ++c) {
+  const size_t num_columns = std::size(columns);
+  for (size_t c = 0; c < num_columns; ++c) {
     for (size_t j : positions) {
       for (int bit : {0, 31, 52, 63}) {
         ShardBlock flipped = base;
@@ -245,7 +243,7 @@ TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
       EXPECT_NE(DigestShard(swapped), digest)
           << "column " << c << " swap at " << j;
     }
-    for (size_t d = c + 1; d < 5; ++d) {
+    for (size_t d = c + 1; d < num_columns; ++d) {
       ShardBlock exchanged = base;
       std::swap(exchanged.*columns[c], exchanged.*columns[d]);
       EXPECT_NE(DigestShard(exchanged), digest)
@@ -281,7 +279,7 @@ std::shared_ptr<const ServeSnapshot> MakeSnapshot(SnapshotBuilder& builder,
   builder.MarkAllDirty();
   const auto columns = Column(n, value);
   return builder
-      .Publish(epoch, 0, 0.0, columns, columns, columns, columns, columns)
+      .Publish(epoch, 0, 0.0, columns, columns, columns, columns)
       .value();
 }
 
@@ -387,6 +385,31 @@ TEST(FreshendDaemonTest, RejectsBadOptionsAndBadIds) {
   auto options = DaemonOptions(&registry);
   options.freshness_threshold = 1.5;
   EXPECT_FALSE(FreshendDaemon::Create(TestCatalog(10), 5.0, options).ok());
+  // The slow-query ring is reserved whole at construction, so a huge
+  // capacity must fail Create instead of aborting with std::bad_alloc.
+  options = DaemonOptions(&registry);
+  options.slowlog.capacity = SlowQueryLog::kMaxCapacity;
+  EXPECT_TRUE(FreshendDaemon::Create(TestCatalog(10), 5.0, options).ok());
+  for (const size_t capacity :
+       {SlowQueryLog::kMaxCapacity + 1, size_t{100000000000}}) {
+    options.slowlog.capacity = capacity;
+    EXPECT_EQ(FreshendDaemon::Create(TestCatalog(10), 5.0, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << capacity;
+  }
+  options = DaemonOptions(&registry);
+  for (const double threshold :
+       {-0.001, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    options.slowlog.threshold_seconds = threshold;
+    EXPECT_EQ(FreshendDaemon::Create(TestCatalog(10), 5.0, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << threshold;
+  }
 
   auto daemon =
       FreshendDaemon::Create(TestCatalog(10), 5.0, DaemonOptions(&registry))
@@ -654,6 +677,13 @@ TEST(ProtocolTest, HealthReportsHealthyDaemon) {
   EXPECT_NE(response.line.find("\"recorder_dropped\":"), std::string::npos);
   EXPECT_NE(response.line.find("\"drift_replan_recommended\":false"),
             std::string::npos);
+  // A default daemon always owns its SLO monitor and drift detector, so
+  // neither HEALTH nor a WATCH sample carries a null telemetry part.
+  EXPECT_EQ(response.line.find("null"), std::string::npos) << response.line;
+  const std::string sample = FormatWatchSample(*daemon, 1);
+  EXPECT_NE(sample.find("\"slo_state\":\"ok\""), std::string::npos);
+  EXPECT_NE(sample.find("\"drift_score\":0"), std::string::npos) << sample;
+  EXPECT_EQ(sample.find("null"), std::string::npos) << sample;
 }
 
 TEST(ProtocolTest, HealthDegradesOnSaturationCounters) {
@@ -684,22 +714,6 @@ TEST(ProtocolTest, SloReportsStateWindowsAndDrift) {
   // Drift detection is on by default, so the report embeds its state.
   EXPECT_NE(response.line.find("\"drift\":{\"aggregate_score\":"),
             std::string::npos);
-}
-
-TEST(ProtocolTest, SloErrorsWhenMonitorDisabled) {
-  obs::MetricsRegistry registry;
-  auto options = DaemonOptions(&registry);
-  options.enable_slo = false;
-  options.enable_drift = false;
-  auto daemon =
-      FreshendDaemon::Create(TestCatalog(20), 5.0, options).value();
-  const ProtocolResponse response = HandleRequestLine(*daemon, "SLO");
-  EXPECT_NE(response.line.find("\"ok\":false"), std::string::npos);
-  EXPECT_NE(response.line.find("not enabled"), std::string::npos);
-  // HEALTH still answers, with the SLO fields nulled out.
-  const ProtocolResponse health = HandleRequestLine(*daemon, "HEALTH");
-  EXPECT_NE(health.line.find("\"slo_state\":null"), std::string::npos);
-  EXPECT_NE(health.line.find("\"status\":\"ok\""), std::string::npos);
 }
 
 TEST(ProtocolTest, SlowlogCapturesCommandsNewestFirst) {

@@ -77,7 +77,7 @@ TEST(ServeTortureTest, RawStoreReadersNeverSeeTornSnapshots) {
     builder.MarkAllDirty();
     auto snapshot = builder
                         .Publish(static_cast<uint64_t>(pub), 0, stamp,
-                                 columns, columns, columns, columns, columns)
+                                 columns, columns, columns, columns)
                         .value();
     store.Publish(std::move(snapshot));
   }
