@@ -48,19 +48,19 @@ Result<AdaptiveFreshener> AdaptiveFreshener::Create(std::vector<double> sizes,
 AdaptiveFreshener::AdaptiveFreshener(std::vector<double> sizes,
                                      double bandwidth, Options options)
     : options_(options),
-      sizes_(std::move(sizes)),
+      sizes_(std::make_shared<const std::vector<double>>(std::move(sizes))),
       bandwidth_(bandwidth),
-      learner_(sizes_.size(), options.learner),
-      evidence_(sizes_.size()),
-      frequencies_(sizes_.size(), 0.0) {
-  const size_t n = sizes_.size();
+      learner_(sizes_->size(), options.learner),
+      evidence_(sizes_->size()),
+      frequencies_(sizes_->size(), 0.0) {
+  const size_t n = sizes_->size();
   believed_.weights.assign(
       n, options_.technique == Technique::kGeneral
              ? 1.0 / static_cast<double>(n)
              : 0.0);
   believed_.change_rates.assign(n, 0.0);
   believed_.costs =
-      options_.size_aware ? sizes_ : std::vector<double>(n, 1.0);
+      options_.size_aware ? *sizes_ : std::vector<double>(n, 1.0);
   believed_.bandwidth = bandwidth_;
   obs::MetricsRegistry& registry = options_.registry != nullptr
                                        ? *options_.registry
@@ -78,12 +78,13 @@ void AdaptiveFreshener::ObserveAccess(size_t element) {
 void AdaptiveFreshener::EndPeriod() { learner_.EndPeriod(); }
 
 ElementSet AdaptiveFreshener::BelievedCatalog() const {
-  ElementSet catalog(sizes_.size());
+  const std::vector<double>& sizes = *sizes_;
+  ElementSet catalog(sizes.size());
   const auto profile = learner_.Snapshot();
   FRESHEN_CHECK(profile.ok());  // Smoothing > 0 makes this infallible.
-  for (size_t i = 0; i < sizes_.size(); ++i) {
+  for (size_t i = 0; i < sizes.size(); ++i) {
     catalog[i].access_prob = (*profile)[i];
-    catalog[i].size = sizes_[i];
+    catalog[i].size = sizes[i];
     catalog[i].change_rate = BelievedChangeRate(i);
   }
   return catalog;
@@ -93,7 +94,7 @@ Status AdaptiveFreshener::RefreshBelievedProblem() {
   if (options_.technique == Technique::kPerceived) {
     FRESHEN_RETURN_IF_ERROR(learner_.SnapshotInto(&believed_.weights));
   }
-  for (size_t i = 0; i < sizes_.size(); ++i) {
+  for (size_t i = 0; i < believed_.change_rates.size(); ++i) {
     believed_.change_rates[i] = BelievedChangeRate(i);
   }
   return Status::OK();
@@ -115,7 +116,7 @@ Result<bool> AdaptiveFreshener::MaybeReplan(double now, bool force) {
       const size_t rows,
       SolveByClasses(solver_, believed_, &classes_, &frequencies_));
   plan_classes_->Set(static_cast<double>(rows));
-  RescaleToBudget([this](size_t i) { return sizes_[i]; }, bandwidth_,
+  RescaleToBudget([this](size_t i) { return (*sizes_)[i]; }, bandwidth_,
                   &frequencies_);
   last_plan_time_ = now;
   ++num_replans_;

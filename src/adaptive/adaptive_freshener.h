@@ -19,6 +19,7 @@
 #define FRESHEN_ADAPTIVE_ADAPTIVE_FRESHENER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -80,7 +81,14 @@ class AdaptiveFreshener {
   const std::vector<double>& frequencies() const { return frequencies_; }
 
   /// The configured element sizes (bandwidth units per sync).
-  const std::vector<double>& sizes() const { return sizes_; }
+  const std::vector<double>& sizes() const { return *sizes_; }
+
+  /// The same sizes as one immutable shared column, so a reader that needs
+  /// them for the controller's lifetime (freshend's snapshots) holds this
+  /// column instead of a copy.
+  const std::shared_ptr<const std::vector<double>>& shared_sizes() const {
+    return sizes_;
+  }
 
   /// The catalog the controller currently believes in (learned profile,
   /// estimated change rates, configured sizes).
@@ -114,7 +122,7 @@ class AdaptiveFreshener {
   Status RefreshBelievedProblem();
 
   Options options_;
-  std::vector<double> sizes_;
+  std::shared_ptr<const std::vector<double>> sizes_;
   double bandwidth_;
   AccessLogLearner learner_;
 

@@ -47,19 +47,16 @@ double VersionedSource::AdvancePast(size_t element, double t) {
 }
 
 MirrorState::MirrorState(const VersionedSource& source)
-    : last_sync_time_(source.size(), 0.0),
-      first_missed_(source.size()),
-      synced_(source.size(), false) {
-  for (size_t i = 0; i < source.size(); ++i) {
-    first_missed_[i] = source.NextUpdate(i);
-  }
-}
+    : source_(&source),
+      last_sync_time_(source.size(), 0.0),
+      synced_(source.size(), false) {}
 
 bool MirrorState::Sync(size_t element, double t, VersionedSource& source) {
-  FRESHEN_CHECK(element < first_missed_.size());
+  FRESHEN_CHECK(&source == source_);
+  FRESHEN_CHECK(element < last_sync_time_.size());
   FRESHEN_CHECK(t >= last_sync_time_[element]);
-  const bool changed = first_missed_[element] <= t;
-  first_missed_[element] = source.AdvancePast(element, t);
+  const bool changed = source.NextUpdate(element) <= t;
+  source.AdvancePast(element, t);
   last_sync_time_[element] = t;
   synced_[element] = true;
   return changed;

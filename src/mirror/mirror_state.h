@@ -8,10 +8,13 @@
 //                     update process on its own RNG stream; only the next
 //                     pending update time is kept, and an element advances
 //                     only when a sync touches it.
-//   MirrorState     : the local copies. Per element it keeps the time of the
-//                     first source update the copy has not picked up, which
-//                     answers Definition 1 (IsFresh) and Age at any time
-//                     without touching the source.
+//   MirrorState     : the local copies. Per element it keeps the last sync
+//                     time. The first source update a copy has not picked
+//                     up is the source's pending update for that element
+//                     (a sync advances the source exactly past the sync
+//                     time), so the mirror reads it from the source's column
+//                     instead of keeping a copy; that answers Definition 1
+//                     (IsFresh) and Age at any time.
 //
 // Both hold constant state per element, so a mirror can run indefinitely.
 #ifndef FRESHEN_MIRROR_MIRROR_STATE_H_
@@ -56,34 +59,40 @@ class VersionedSource {
   std::vector<Rng> streams_;
 };
 
-/// The mirror's local copies: per element, the last sync time and the first
-/// source update the copy has missed.
+/// The mirror's local copies: per element, the last sync time; the first
+/// source update the copy has missed is read from the source.
 class MirrorState {
  public:
-  /// A mirror of `source`, every copy in sync with it at time 0.
+  /// A mirror of `source`, every copy in sync with it at time 0. The mirror
+  /// reads the source's pending updates, so `source` must stay at this
+  /// address for the mirror's lifetime, and only the mirror's Sync may
+  /// advance it.
   explicit MirrorState(const VersionedSource& source);
 
   /// Refreshes `element` from the source at time `t` (>= its last sync).
-  /// Returns true when the fetched copy differed from the local one —
-  /// exactly the poll signal the change estimator consumes.
+  /// `source` must be the one the mirror was built over. Returns true when
+  /// the fetched copy differed from the local one — exactly the poll signal
+  /// the change estimator consumes.
   bool Sync(size_t element, double t, VersionedSource& source);
 
   /// Definition 1: is the local copy identical to the source at time `t`?
   /// `t` must not precede the element's last sync.
   bool IsFresh(size_t element, double t) const {
-    FRESHEN_CHECK(element < first_missed_.size());
-    return t < first_missed_[element];
+    FRESHEN_CHECK(element < last_sync_time_.size());
+    return t < source_->NextUpdate(element);
   }
 
   /// Age of the local copy at time `t`: 0 when fresh, else the time since
   /// the first source update the mirror has not picked up.
   double Age(size_t element, double t) const {
-    return IsFresh(element, t) ? 0.0 : t - first_missed_[element];
+    return IsFresh(element, t) ? 0.0 : t - FirstMissed(element);
   }
 
   /// Time of the first source update the copy of `element` has not picked
   /// up (+infinity for a rate-0 element).
-  double FirstMissed(size_t element) const { return first_missed_[element]; }
+  double FirstMissed(size_t element) const {
+    return source_->NextUpdate(element);
+  }
 
   /// Time `element` was last synced (0 before any sync).
   double LastSyncTime(size_t element) const {
@@ -97,11 +106,11 @@ class MirrorState {
   bool Synced(size_t element) const { return synced_[element]; }
 
   /// Number of elements.
-  size_t size() const { return first_missed_.size(); }
+  size_t size() const { return last_sync_time_.size(); }
 
  private:
+  const VersionedSource* source_;
   std::vector<double> last_sync_time_;
-  std::vector<double> first_missed_;
   std::vector<bool> synced_;
 };
 

@@ -73,8 +73,8 @@ OnlineFreshenLoop::OnlineFreshenLoop(ElementSet truth, VersionedSource source,
                                      Options options)
     : truth_(std::move(truth)),
       options_(options),
-      source_(std::move(source)),
-      mirror_(source_),
+      source_(std::make_unique<VersionedSource>(std::move(source))),
+      mirror_(*source_),
       controller_(
           std::make_unique<AdaptiveFreshener>(std::move(controller))),
       access_table_(std::make_unique<AliasTable>(AccessProbs(truth_))),
@@ -218,7 +218,7 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
       // a first sync.
       const double gap = event.time - mirror_.LastSyncTime(event.element);
       const bool first_sync = !mirror_.Synced(event.element);
-      const bool changed = mirror_.Sync(event.element, event.time, source_);
+      const bool changed = mirror_.Sync(event.element, event.time, *source_);
       controller_->ObserveSync(event.element, changed,
                                first_sync ? 0.0 : gap);
       if (drift != nullptr) drift->ObserveSync(event.element, changed, gap);

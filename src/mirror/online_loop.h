@@ -160,7 +160,9 @@ class OnlineFreshenLoop {
 
   ElementSet truth_;
   Options options_;
-  VersionedSource source_;
+  // unique_ptr: the mirror reads the source's pending-update column through
+  // a pointer, so the source must keep its address when the loop moves.
+  std::unique_ptr<VersionedSource> source_;
   MirrorState mirror_;
   // unique_ptr: AdaptiveFreshener is movable but this keeps the loop cheap
   // to move itself.

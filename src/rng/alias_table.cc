@@ -17,20 +17,17 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   }
   FRESHEN_CHECK(total > 0.0);
 
-  normalized_.resize(n);
-  for (size_t i = 0; i < n; ++i) normalized_[i] = weights[i] / total;
-
-  // Vose's stable construction.
-  prob_.assign(n, 0.0);
+  // Vose's stable construction, in place: prob_ holds each bucket's scaled
+  // weight (w / total) * n until the bucket is settled.
+  prob_.resize(n);
   alias_.assign(n, 0);
-  std::vector<double> scaled(n);
   std::vector<uint32_t> small;
   std::vector<uint32_t> large;
   small.reserve(n);
   large.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    scaled[i] = normalized_[i] * static_cast<double>(n);
-    if (scaled[i] < 1.0) {
+    prob_[i] = (weights[i] / total) * static_cast<double>(n);
+    if (prob_[i] < 1.0) {
       small.push_back(static_cast<uint32_t>(i));
     } else {
       large.push_back(static_cast<uint32_t>(i));
@@ -41,10 +38,9 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
     small.pop_back();
     const uint32_t l = large.back();
     large.pop_back();
-    prob_[s] = scaled[s];
     alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
+    prob_[l] = (prob_[l] + prob_[s]) - 1.0;
+    if (prob_[l] < 1.0) {
       small.push_back(l);
     } else {
       large.push_back(l);
@@ -53,6 +49,15 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   // Remaining buckets are numerically 1.0.
   for (uint32_t i : large) prob_[i] = 1.0;
   for (uint32_t i : small) prob_[i] = 1.0;
+}
+
+double AliasTable::probability(size_t i) const {
+  FRESHEN_CHECK(i < prob_.size());
+  double mass = prob_[i];
+  for (size_t b = 0; b < prob_.size(); ++b) {
+    if (alias_[b] == i) mass += 1.0 - prob_[b];
+  }
+  return mass / static_cast<double>(prob_.size());
 }
 
 size_t AliasTable::Sample(Rng& rng) const {

@@ -27,13 +27,13 @@ class AliasTable {
   /// Number of outcomes.
   size_t size() const { return prob_.size(); }
 
-  /// The normalized probability of outcome `i` (for tests).
-  double probability(size_t i) const { return normalized_[i]; }
+  /// The normalized probability of outcome `i`, rebuilt from the table in
+  /// O(size()) (for tests).
+  double probability(size_t i) const;
 
  private:
   std::vector<double> prob_;      // Acceptance threshold per bucket.
   std::vector<uint32_t> alias_;   // Fallback outcome per bucket.
-  std::vector<double> normalized_;
 };
 
 }  // namespace freshen

@@ -72,6 +72,8 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
       OnlineFreshenLoop loop,
       OnlineFreshenLoop::Create(std::move(truth), bandwidth, opts.loop));
   daemon->loop_ = std::make_unique<OnlineFreshenLoop>(std::move(loop));
+  daemon->builder_ = std::make_unique<SnapshotBuilder>(
+      daemon->loop_->controller().shared_sizes());
 
   // Initial publication (epoch 1): the controller's cold-start plan over
   // its cold-start beliefs, nothing synced yet — published in full like
@@ -83,7 +85,6 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
 FreshendDaemon::FreshendDaemon(Options options, size_t num_elements)
     : options_(std::move(options)),
       num_elements_(num_elements),
-      builder_(num_elements),
       store_(options_.registry),
       slow_log_(std::make_unique<SlowQueryLog>(options_.slowlog)),
       registry_(options_.registry != nullptr
@@ -118,18 +119,19 @@ void FreshendDaemon::PublishBoundary(bool replanned,
   WallTimer timer;
   const AdaptiveFreshener& controller = loop_->controller();
   if (replanned) {
-    // A replan can move every frequency and planned change rate; the
-    // whole catalog republishes. This is the O(N) slow path — it runs once
-    // per replan cadence, not once per period.
-    builder_.MarkAllDirty();
+    // A replan can move every frequency and planned change rate, so every
+    // shard is a candidate; the builder compares each with its previous
+    // block and rebuilds only those that moved. The comparison is the O(N)
+    // part — it runs once per replan cadence, not once per period.
+    builder_->MarkAllDirty();
   } else {
     // No replan: only the shards this period synced republish.
-    for (uint32_t id : synced) builder_.MarkDirty(id);
+    for (uint32_t id : synced) builder_->MarkDirty(id);
   }
-  auto snapshot = builder_.Publish(
+  auto snapshot = builder_->Publish(
       store_.CurrentEpoch() + 1, controller.num_replans(), loop_->Now(),
       controller.frequencies(), controller.PlannedChangeRates(),
-      controller.sizes(), loop_->mirror().LastSyncTimes());
+      loop_->mirror().LastSyncTimes());
   FRESHEN_CHECK(snapshot.ok());
   store_.Publish(std::move(*snapshot));
   (replanned ? full_publish_counter_ : delta_publish_counter_)->Increment();

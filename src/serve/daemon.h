@@ -8,7 +8,8 @@
 //     sync::SyncExecutor), accesses are served, the controller replans.
 //     After every period the loop's on_period_end hook publishes a new
 //     immutable ServeSnapshot into the SnapshotStore — deep-copying only
-//     the shards whose elements synced (or every shard after a replan).
+//     the shards whose elements synced or whose plan moved; every snapshot
+//     shares the controller's one size column.
 //   * Query threads call IsFresh / ExpectedAge / GetPlan / Stats at any
 //     time. Each query pins the current snapshot (lock-free; see
 //     serve/store.h), computes from immutable columns, and unpins. Queries
@@ -208,7 +209,8 @@ class FreshendDaemon {
   Options options_;
   size_t num_elements_ = 0;
   std::unique_ptr<OnlineFreshenLoop> loop_;
-  SnapshotBuilder builder_;
+  // Built once the loop exists: it shares the controller's size column.
+  std::unique_ptr<SnapshotBuilder> builder_;
   mutable SnapshotStore store_;
 
   std::thread loop_thread_;

@@ -77,28 +77,43 @@ struct LaneState {
   }
 };
 
+// True when `block_column` holds exactly the bits of `column`'s slice that
+// starts at `begin`.
+bool SameBits(const std::vector<double>& column,
+              const std::vector<double>& block_column, size_t begin) {
+  return std::memcmp(column.data() + begin, block_column.data(),
+                     block_column.size() * sizeof(double)) == 0;
+}
+
 }  // namespace
 
 uint64_t DigestShard(const ShardBlock& block) {
   LaneState state;
   state.MixColumn(block.frequency);
   state.MixColumn(block.change_rate);
-  state.MixColumn(block.size);
   state.MixColumn(block.last_sync_time);
   return state.Finish(block.begin, block.end);
 }
 
+uint64_t DigestColumn(const std::vector<double>& column) {
+  LaneState state;
+  state.MixColumn(column);
+  return state.Finish(0, column.size());
+}
+
 uint64_t CombineDigests(
-    const std::vector<std::shared_ptr<const ShardBlock>>& shards) {
+    const std::vector<std::shared_ptr<const ShardBlock>>& shards,
+    uint64_t size_digest) {
   uint64_t combined = kPrime5 + shards.size();
   for (const std::shared_ptr<const ShardBlock>& shard : shards) {
     combined = Fold(combined, shard->digest);
   }
-  return Avalanche(combined);
+  return Avalanche(Fold(combined, size_digest));
 }
 
 bool ServeSnapshot::CheckConsistent() const {
   if (shards_.empty()) return num_elements_ == 0;
+  if (sizes_ == nullptr || sizes_->size() != num_elements_) return false;
   size_t expected_begin = 0;
   for (const std::shared_ptr<const ShardBlock>& shard : shards_) {
     if (shard == nullptr) return false;
@@ -109,12 +124,16 @@ bool ServeSnapshot::CheckConsistent() const {
     expected_begin = shard->end;
   }
   if (expected_begin != num_elements_) return false;
-  return CombineDigests(shards_) == combined_digest_;
+  if (DigestColumn(*sizes_) != size_digest_) return false;
+  return CombineDigests(shards_, size_digest_) == combined_digest_;
 }
 
-SnapshotBuilder::SnapshotBuilder(size_t num_elements)
-    : num_elements_(num_elements),
-      plan_(par::ShardPlan(num_elements)),
+SnapshotBuilder::SnapshotBuilder(
+    std::shared_ptr<const std::vector<double>> sizes)
+    : num_elements_(sizes->size()),
+      sizes_(std::move(sizes)),
+      size_digest_(DigestColumn(*sizes_)),
+      plan_(par::ShardPlan(num_elements_)),
       dirty_(plan_.size(), 0) {}
 
 void SnapshotBuilder::MarkDirty(size_t element) {
@@ -135,10 +154,10 @@ size_t SnapshotBuilder::DirtyShards() const {
 Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
     uint64_t epoch, uint64_t plan_version, double now,
     const std::vector<double>& frequency,
-    const std::vector<double>& change_rate, const std::vector<double>& size,
+    const std::vector<double>& change_rate,
     const std::vector<double>& last_sync_time) {
   if (frequency.size() != num_elements_ ||
-      change_rate.size() != num_elements_ || size.size() != num_elements_ ||
+      change_rate.size() != num_elements_ ||
       last_sync_time.size() != num_elements_) {
     return Status::InvalidArgument("snapshot column length mismatch");
   }
@@ -146,37 +165,52 @@ Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
   auto snapshot = std::shared_ptr<ServeSnapshot>(new ServeSnapshot());
   snapshot->num_elements_ = num_elements_;
   snapshot->shards_.resize(plan_.size());
+  snapshot->sizes_ = sizes_;
+  snapshot->size_digest_ = size_digest_;
+  const std::vector<double>& size = *sizes_;
 
   size_t rebuilt = 0;
+  double plan_bandwidth = 0.0;
   for (size_t s = 0; s < plan_.size(); ++s) {
-    if (!dirty_[s]) {
-      if (last_ == nullptr) {
-        return Status::FailedPrecondition(
-            "first Publish must follow MarkAllDirty");
-      }
+    const par::Shard& shard = plan_[s];
+    if (last_ == nullptr && !dirty_[s]) {
+      return Status::FailedPrecondition(
+          "first Publish must follow MarkAllDirty");
+    }
+    // A dirty shard whose columns came out bit-identical (a replan that
+    // moved no frequency or rate in it) is shared like a clean one.
+    const ShardBlock* previous =
+        last_ != nullptr ? last_->shards_[s].get() : nullptr;
+    if (!dirty_[s] ||
+        (previous != nullptr &&
+         SameBits(frequency, previous->frequency, shard.begin) &&
+         SameBits(change_rate, previous->change_rate, shard.begin) &&
+         SameBits(last_sync_time, previous->last_sync_time, shard.begin))) {
       snapshot->shards_[s] = last_->shards_[s];
+      plan_bandwidth += previous->plan_bandwidth;
       continue;
     }
-    const par::Shard& shard = plan_[s];
     auto block = std::make_shared<ShardBlock>();
     block->begin = shard.begin;
     block->end = shard.end;
-    const size_t n = shard.size();
     block->frequency.assign(frequency.begin() + shard.begin,
                             frequency.begin() + shard.end);
     block->change_rate.assign(change_rate.begin() + shard.begin,
                               change_rate.begin() + shard.end);
-    block->size.assign(size.begin() + shard.begin, size.begin() + shard.end);
     block->last_sync_time.assign(last_sync_time.begin() + shard.begin,
                                  last_sync_time.begin() + shard.end);
-    FRESHEN_CHECK(block->frequency.size() == n);
+    FRESHEN_CHECK(block->frequency.size() == shard.size());
+    for (size_t i = shard.begin; i < shard.end; ++i) {
+      block->plan_bandwidth += frequency[i] * size[i];
+    }
     block->digest = DigestShard(*block);
+    plan_bandwidth += block->plan_bandwidth;
     snapshot->shards_[s] = std::move(block);
     ++rebuilt;
   }
   std::fill(dirty_.begin(), dirty_.end(), uint8_t{0});
 
-  snapshot->combined_digest_ = CombineDigests(snapshot->shards_);
+  snapshot->combined_digest_ = CombineDigests(snapshot->shards_, size_digest_);
   SnapshotStats& stats = snapshot->stats_;
   stats.epoch = epoch;
   stats.plan_version = plan_version;
@@ -184,11 +218,7 @@ Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
   stats.num_elements = num_elements_;
   stats.num_shards = plan_.size();
   stats.shards_rebuilt = rebuilt;
-  double bandwidth = 0.0;
-  for (size_t i = 0; i < num_elements_; ++i) {
-    bandwidth += frequency[i] * size[i];
-  }
-  stats.plan_bandwidth = bandwidth;
+  stats.plan_bandwidth = plan_bandwidth;
 
   last_ = snapshot;
   return std::shared_ptr<const ServeSnapshot>(std::move(snapshot));

@@ -1,21 +1,25 @@
 // Immutable, sharded serving state for the freshend daemon.
 //
 // A ServeSnapshot is what a concurrent query reads: the controller's current
-// plan (frequencies, the change rates it was solved against, sizes) and the
-// mirror's last-sync times, frozen at one publication instant. Snapshots are immutable after
-// publication — readers never see a value change under them — and sharded
-// along the same fixed par::ShardPlan the compute spine uses, so publishing
-// a new snapshot after a period only deep-copies the shards whose elements
-// actually synced or whose frequencies changed: untouched shards are shared
-// by pointer between consecutive snapshots (persistent-data-structure
-// style), making publication O(changed shards), not O(N).
+// plan (frequencies, the change rates it was solved against) and the
+// mirror's last-sync times, frozen at one publication instant, plus the
+// catalog's sizes. Snapshots are immutable after publication — readers
+// never see a value change under them — and sharded along the same fixed
+// par::ShardPlan the compute spine uses, so publishing a new snapshot after
+// a period only deep-copies the shards whose elements actually synced or
+// whose frequencies changed: untouched shards are shared by pointer between
+// consecutive snapshots (persistent-data-structure style), making
+// publication O(changed shards), not O(N). Sizes never change, so they are
+// not sharded at all: every snapshot holds the one size column the
+// controller plans with.
 //
 // Consistency is checkable from the reader side: every shard block carries
-// an order-sensitive digest of its payload, and the snapshot records the
-// combined digest over all shards at publication time. A reader that ever
-// observed a torn snapshot (shards from two different publications) would
-// recompute a different combination — the torture test and the serving
-// bench both recompute and compare on every sampled query.
+// an order-sensitive digest of its payload, the size column has one digest,
+// and the snapshot records the combination of all of them at publication
+// time. A reader that ever observed a torn snapshot (shards from two
+// different publications) would recompute a different combination — the
+// torture test and the serving bench both recompute and compare on every
+// sampled query.
 #ifndef FRESHEN_SERVE_SNAPSHOT_H_
 #define FRESHEN_SERVE_SNAPSHOT_H_
 
@@ -40,10 +44,11 @@ struct ShardBlock {
   std::vector<double> frequency;
   /// Controller-believed change rate per element (per period).
   std::vector<double> change_rate;
-  /// Element size in bandwidth units.
-  std::vector<double> size;
   /// Time of the element's last applied sync (period units; 0 = never).
   std::vector<double> last_sync_time;
+  /// This block's share of SnapshotStats::plan_bandwidth: the sum of
+  /// frequency times size over its elements, in index order.
+  double plan_bandwidth = 0.0;
   /// Order-sensitive digest over every column (see DigestShard).
   uint64_t digest = 0;
 
@@ -54,6 +59,10 @@ struct ShardBlock {
 /// 4-lane, 64-bit-word round of the xxHash64 kind. Recomputable by readers
 /// to prove a snapshot was not torn.
 uint64_t DigestShard(const ShardBlock& block);
+
+/// The same digest over one whole column (the shared size column), bounded
+/// by [0, column.size()).
+uint64_t DigestColumn(const std::vector<double>& column);
 
 /// Per-element view assembled by ServeSnapshot::Lookup.
 struct ElementView {
@@ -77,7 +86,8 @@ struct SnapshotStats {
   size_t num_shards = 0;
   /// Shards rebuilt by the publication that produced this snapshot.
   size_t shards_rebuilt = 0;
-  /// Sum of planned frequencies times sizes (plan bandwidth).
+  /// Sum of planned frequencies times sizes (plan bandwidth): the shards'
+  /// partials summed in shard order.
   double plan_bandwidth = 0.0;
 };
 
@@ -97,19 +107,24 @@ class ServeSnapshot {
   /// The combined digest recorded at publication.
   uint64_t combined_digest() const { return combined_digest_; }
 
-  /// Per-element columns for `element` (must be < size()). Lock-free: two
-  /// array reads, no atomics.
+  /// Per-element columns for `element` (must be < size()). Lock-free:
+  /// plain array reads, no atomics.
   ElementView Lookup(size_t element) const {
     const size_t shard = par::ShardIndexOf(num_elements_, element);
     const ShardBlock& block = *shards_[shard];
     const size_t offset = element - block.begin;
     return ElementView{block.frequency[offset], block.change_rate[offset],
-                       block.size[offset], block.last_sync_time[offset]};
+                       (*sizes_)[element], block.last_sync_time[offset]};
   }
 
   /// The shard blocks (for iteration / consistency checks).
   const std::vector<std::shared_ptr<const ShardBlock>>& shards() const {
     return shards_;
+  }
+
+  /// The size column, shared by every snapshot of one builder.
+  const std::shared_ptr<const std::vector<double>>& size_column() const {
+    return sizes_;
   }
 
   /// Recomputes every shard digest and their combination and compares
@@ -125,6 +140,8 @@ class ServeSnapshot {
 
   size_t num_elements_ = 0;
   std::vector<std::shared_ptr<const ShardBlock>> shards_;
+  std::shared_ptr<const std::vector<double>> sizes_;
+  uint64_t size_digest_ = 0;
   uint64_t combined_digest_ = 0;
   SnapshotStats stats_;
 };
@@ -133,9 +150,11 @@ class ServeSnapshot {
 /// and driven by the single publisher thread (the daemon's loop thread).
 class SnapshotBuilder {
  public:
-  /// A builder over `num_elements` elements. The shard plan is fixed for the
-  /// builder's lifetime (the default par::ShardPlan sizing).
-  explicit SnapshotBuilder(size_t num_elements);
+  /// A builder over `sizes->size()` elements (`sizes` must not be null).
+  /// The size column is immutable and shared, never copied, by every
+  /// snapshot; the shard plan is fixed for the builder's lifetime (the
+  /// default par::ShardPlan sizing).
+  explicit SnapshotBuilder(std::shared_ptr<const std::vector<double>> sizes);
 
   /// Marks one element dirty: its shard is rebuilt at the next Publish.
   void MarkDirty(size_t element);
@@ -149,21 +168,23 @@ class SnapshotBuilder {
   /// Total shards in the plan.
   size_t NumShards() const { return plan_.size(); }
 
-  /// Builds the next snapshot: dirty shards are deep-copied from the given
-  /// columns, clean shards are shared from the previous snapshot. Column
-  /// vectors must all have num_elements entries. `epoch` is the publication
-  /// epoch the caller just opened; `plan_version` and `now` land in stats.
-  /// Clears the dirty set. The first call must follow MarkAllDirty (there
-  /// is no previous snapshot to share from); this is checked.
+  /// Builds the next snapshot: a dirty shard is deep-copied from the given
+  /// columns unless its bits equal the previous snapshot's block, which is
+  /// then shared like a clean shard's. Column vectors must all have
+  /// num_elements entries. `epoch` is the publication epoch the caller just
+  /// opened; `plan_version` and `now` land in stats. Clears the dirty set.
+  /// The first call must follow MarkAllDirty (there is no previous snapshot
+  /// to share from); this is checked.
   Result<std::shared_ptr<const ServeSnapshot>> Publish(
       uint64_t epoch, uint64_t plan_version, double now,
       const std::vector<double>& frequency,
       const std::vector<double>& change_rate,
-      const std::vector<double>& size,
       const std::vector<double>& last_sync_time);
 
  private:
   size_t num_elements_;
+  std::shared_ptr<const std::vector<double>> sizes_;
+  uint64_t size_digest_;
   std::vector<par::Shard> plan_;
   std::vector<uint8_t> dirty_;  // Per shard.
   // The builder keeps its own reference to the last snapshot purely as the
@@ -171,9 +192,11 @@ class SnapshotBuilder {
   std::shared_ptr<const ServeSnapshot> last_;
 };
 
-/// Combines per-shard digests in shard order (order-sensitive mix).
+/// Combines per-shard digests in shard order (order-sensitive mix), then the
+/// size column's digest.
 uint64_t CombineDigests(
-    const std::vector<std::shared_ptr<const ShardBlock>>& shards);
+    const std::vector<std::shared_ptr<const ShardBlock>>& shards,
+    uint64_t size_digest);
 
 }  // namespace serve
 }  // namespace freshen

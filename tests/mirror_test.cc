@@ -651,6 +651,44 @@ TEST(OnlineLoopGoldenTest, InlinePathMatchesRecordedRun) {
   ExpectGolden(actual, expected);
 }
 
+TEST(OnlineLoopTest, MovedLoopRunsLikeAnUnmovedTwin) {
+  // The mirror reads the source's pending-update column through a pointer
+  // between two of the loop's members; moving the loop, mid-run too, must
+  // not leave it reading a moved-from source.
+  const ElementSet truth = GoldenCatalog();
+  obs::MetricsRegistry twin_registry;
+  OnlineFreshenLoop::Options twin_options = LoopOptions();
+  twin_options.registry = &twin_registry;
+  auto twin = OnlineFreshenLoop::Create(truth, 200.0, twin_options).value();
+  obs::MetricsRegistry moved_registry;
+  OnlineFreshenLoop::Options moved_options = LoopOptions();
+  moved_options.registry = &moved_registry;
+  auto created = OnlineFreshenLoop::Create(truth, 200.0, moved_options);
+  ASSERT_TRUE(created.ok());
+  OnlineFreshenLoop moved = std::move(created).value();
+  const obs::Gauge* twin_error =
+      twin_registry.GetGauge("freshen_mirror_lambda_error");
+  const obs::Gauge* moved_error =
+      moved_registry.GetGauge("freshen_mirror_lambda_error");
+  for (int period = 0; period < kGoldenPeriods; ++period) {
+    if (period == kGoldenPeriods / 2) {
+      obs::MetricsRegistry scratch_registry;
+      OnlineFreshenLoop::Options scratch_options = LoopOptions();
+      scratch_options.registry = &scratch_registry;
+      auto target =
+          OnlineFreshenLoop::Create(truth, 200.0, scratch_options).value();
+      target = std::move(moved);
+      moved = std::move(target);
+    }
+    const std::string expected =
+        GoldenPeriodLine(twin.RunPeriod(), twin_error->value());
+    EXPECT_EQ(GoldenPeriodLine(moved.RunPeriod(), moved_error->value()),
+              expected)
+        << "period " << period;
+  }
+  EXPECT_EQ(GoldenPlanLine(moved), GoldenPlanLine(twin));
+}
+
 TEST(OnlineLoopGoldenTest, ExecutorPathWithTelemetryMatchesRecordedRun) {
   const ElementSet truth = GoldenCatalog();
   obs::MetricsRegistry registry;

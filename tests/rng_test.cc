@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "io/catalog_binary.h"
 #include "rng/alias_table.h"
 #include "rng/rng.h"
+#include "rng/zipf.h"
 
 namespace freshen {
 namespace {
@@ -151,6 +153,20 @@ TEST(AliasTableTest, LargeSkewedTable) {
   AliasTable table(weights);
   Rng rng(16);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(table.Sample(rng), 42u);
+}
+
+TEST(AliasTableTest, ZipfSampleStreamIsGolden) {
+  // The sample stream is a contract: the mirror loop's access events, and so
+  // every golden loop output, are drawn from it. The CRC was recorded from
+  // the original table construction; any change to the table's arithmetic
+  // or layout that moves a single draw fails here.
+  AliasTable table(ZipfProbabilities(100000, 1.0));
+  Rng rng(2003);
+  std::vector<uint32_t> draws(100000);
+  for (uint32_t& draw : draws) {
+    draw = static_cast<uint32_t>(table.Sample(rng));
+  }
+  EXPECT_EQ(Crc32(draws.data(), draws.size() * sizeof(uint32_t)), 3253549267u);
 }
 
 }  // namespace

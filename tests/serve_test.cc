@@ -136,44 +136,58 @@ std::vector<double> Column(size_t n, double value) {
   return std::vector<double>(n, value);
 }
 
+std::shared_ptr<const std::vector<double>> SizeColumn(size_t n,
+                                                      double value) {
+  return std::make_shared<const std::vector<double>>(n, value);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+double FlipBit(double value, int bit) {
+  uint64_t word;
+  std::memcpy(&word, &value, sizeof(word));
+  word ^= uint64_t{1} << bit;
+  std::memcpy(&value, &word, sizeof(value));
+  return value;
+}
+
 TEST(SnapshotBuilderTest, FirstPublishRequiresMarkAllDirty) {
-  SnapshotBuilder builder(100);
+  SnapshotBuilder builder(SizeColumn(100, 1.0));
   const auto columns = Column(100, 1.0);
-  auto result =
-      builder.Publish(1, 0, 0.0, columns, columns, columns, columns);
+  auto result = builder.Publish(1, 0, 0.0, columns, columns, columns);
   EXPECT_FALSE(result.ok());
 }
 
 TEST(SnapshotBuilderTest, PublishesConsistentSnapshot) {
   const size_t n = 10000;
-  SnapshotBuilder builder(n);
+  SnapshotBuilder builder(SizeColumn(n, 0.5));
   builder.MarkAllDirty();
   const auto columns = Column(n, 0.5);
-  auto snapshot =
-      builder.Publish(1, 0, 0.0, columns, columns, columns, columns).value();
+  auto snapshot = builder.Publish(1, 0, 0.0, columns, columns, columns).value();
   EXPECT_EQ(snapshot->size(), n);
   EXPECT_EQ(snapshot->epoch(), 1u);
   EXPECT_TRUE(snapshot->CheckConsistent());
   const ElementView view = snapshot->Lookup(n - 1);
   EXPECT_DOUBLE_EQ(view.frequency, 0.5);
+  EXPECT_DOUBLE_EQ(view.size, 0.5);
   EXPECT_DOUBLE_EQ(view.last_sync_time, 0.5);
 }
 
 TEST(SnapshotBuilderTest, CleanShardsAreSharedDirtyShardsRebuilt) {
   const size_t n = 20000;  // Several shards at the 4096 grain.
-  SnapshotBuilder builder(n);
+  SnapshotBuilder builder(SizeColumn(n, 1.0));
   ASSERT_GT(builder.NumShards(), 2u);
   builder.MarkAllDirty();
   auto columns = Column(n, 1.0);
-  auto first =
-      builder.Publish(1, 0, 0.0, columns, columns, columns, columns).value();
+  auto first = builder.Publish(1, 0, 0.0, columns, columns, columns).value();
 
   // Touch exactly one element; only its shard should rebuild.
   columns[0] = 2.0;
   builder.MarkDirty(0);
   EXPECT_EQ(builder.DirtyShards(), 1u);
-  auto second =
-      builder.Publish(2, 0, 1.0, columns, columns, columns, columns).value();
+  auto second = builder.Publish(2, 0, 1.0, columns, columns, columns).value();
 
   EXPECT_EQ(second->stats().shards_rebuilt, 1u);
   EXPECT_NE(first->shards()[0].get(), second->shards()[0].get());
@@ -189,16 +203,112 @@ TEST(SnapshotBuilderTest, CleanShardsAreSharedDirtyShardsRebuilt) {
   EXPECT_NE(first->combined_digest(), second->combined_digest());
 }
 
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
+// Distinct values per element, so a shard's bits differ from its neighbours'.
+std::vector<double> Ramp(size_t n, double offset) {
+  std::vector<double> column(n);
+  for (size_t i = 0; i < n; ++i) column[i] = offset + 0.25 * i;
+  return column;
 }
 
-double FlipBit(double value, int bit) {
-  uint64_t word;
-  std::memcpy(&word, &value, sizeof(word));
-  word ^= uint64_t{1} << bit;
-  std::memcpy(&value, &word, sizeof(value));
-  return value;
+TEST(SnapshotBuilderTest, ReplanWithUnchangedColumnsRebuildsNoShard) {
+  const size_t n = 20000;
+  SnapshotBuilder builder(SizeColumn(n, 2.0));
+  const auto frequency = Ramp(n, 1.0);
+  const auto change_rate = Ramp(n, 3.0);
+  const auto last_sync = Ramp(n, 0.0);
+  builder.MarkAllDirty();
+  auto first =
+      builder.Publish(1, 1, 0.0, frequency, change_rate, last_sync).value();
+  EXPECT_EQ(first->stats().shards_rebuilt, builder.NumShards());
+
+  // A replan marks every shard dirty; none of them moved.
+  builder.MarkAllDirty();
+  auto second =
+      builder.Publish(2, 2, 1.0, frequency, change_rate, last_sync).value();
+  EXPECT_EQ(second->stats().shards_rebuilt, 0u);
+  EXPECT_EQ(builder.DirtyShards(), 0u);
+  for (size_t s = 0; s < first->shards().size(); ++s) {
+    EXPECT_EQ(first->shards()[s].get(), second->shards()[s].get())
+        << "shard " << s;
+  }
+  EXPECT_EQ(second->combined_digest(), first->combined_digest());
+  EXPECT_TRUE(SameBits(second->stats().plan_bandwidth,
+                       first->stats().plan_bandwidth));
+  EXPECT_TRUE(second->CheckConsistent());
+}
+
+TEST(SnapshotBuilderTest, ReplanRebuildsOnlyTheShardWhoseFrequencyMoved) {
+  const size_t n = 20000;
+  SnapshotBuilder builder(SizeColumn(n, 2.0));
+  auto frequency = Ramp(n, 1.0);
+  const auto change_rate = Ramp(n, 3.0);
+  const auto last_sync = Ramp(n, 0.0);
+  builder.MarkAllDirty();
+  auto first =
+      builder.Publish(1, 1, 0.0, frequency, change_rate, last_sync).value();
+
+  const size_t element = n / 2;
+  const size_t moved_shard = par::ShardIndexOf(n, element);
+  frequency[element] = FlipBit(frequency[element], 0);
+  builder.MarkAllDirty();
+  auto second =
+      builder.Publish(2, 2, 1.0, frequency, change_rate, last_sync).value();
+  EXPECT_EQ(second->stats().shards_rebuilt, 1u);
+  for (size_t s = 0; s < first->shards().size(); ++s) {
+    EXPECT_EQ(first->shards()[s].get() == second->shards()[s].get(),
+              s != moved_shard)
+        << "shard " << s;
+  }
+  EXPECT_TRUE(SameBits(second->Lookup(element).frequency, frequency[element]));
+  EXPECT_TRUE(second->CheckConsistent());
+  EXPECT_NE(second->combined_digest(), first->combined_digest());
+}
+
+TEST(SnapshotBuilderTest, EverySnapshotSharesOneSizeColumn) {
+  const size_t n = 20000;
+  std::vector<double> sizes = Ramp(n, 1.0);
+  const auto size_column =
+      std::make_shared<const std::vector<double>>(sizes);
+  SnapshotBuilder builder(size_column);
+  auto frequency = Ramp(n, 0.5);
+  const auto change_rate = Ramp(n, 3.0);
+  auto last_sync = Column(n, 0.0);
+  builder.MarkAllDirty();
+  std::vector<std::shared_ptr<const ServeSnapshot>> snapshots = {
+      builder.Publish(1, 1, 0.0, frequency, change_rate, last_sync).value()};
+  for (uint64_t epoch = 2; epoch <= 4; ++epoch) {
+    const size_t element = 4000 * epoch;
+    last_sync[element] = static_cast<double>(epoch);
+    builder.MarkDirty(element);
+    snapshots.push_back(
+        builder.Publish(epoch, 1, 0.0, frequency, change_rate, last_sync)
+            .value());
+  }
+  frequency[7] *= 3.0;
+  builder.MarkAllDirty();
+  snapshots.push_back(
+      builder.Publish(5, 2, 0.0, frequency, change_rate, last_sync).value());
+
+  for (const auto& snapshot : snapshots) {
+    EXPECT_EQ(snapshot->size_column(), size_column)
+        << "epoch " << snapshot->epoch();
+    EXPECT_TRUE(snapshot->CheckConsistent());
+    EXPECT_TRUE(SameBits(snapshot->Lookup(n - 1).size, sizes[n - 1]));
+    // plan_bandwidth: each shard's index-order partial, summed in shard
+    // order, whether the shard was rebuilt or shared.
+    double expected = 0.0;
+    for (const auto& block : snapshot->shards()) {
+      double partial = 0.0;
+      for (size_t i = block->begin; i < block->end; ++i) {
+        partial += block->frequency[i - block->begin] * sizes[i];
+      }
+      expected += partial;
+    }
+    EXPECT_TRUE(SameBits(snapshot->stats().plan_bandwidth, expected))
+        << "epoch " << snapshot->epoch();
+  }
+  EXPECT_EQ(size_column.use_count(),
+            static_cast<long>(snapshots.size()) + 2);  // + builder, local.
 }
 
 // A 19-element block: four full 4-word stripes plus a 3-word tail per
@@ -211,33 +321,34 @@ ShardBlock DigestTestBlock() {
     const double x = static_cast<double>(j);
     block.frequency.push_back(0.5 + x);
     block.change_rate.push_back(1.25 + 3.0 * x);
-    block.size.push_back(7.0 + 0.125 * x);
     block.last_sync_time.push_back(100.0 - x);
   }
   return block;
 }
 
+// First, middle, every tail-lane position (16..18), last.
+constexpr size_t kDigestPositions[] = {0, 9, 16, 17, 18};
+constexpr int kDigestBits[] = {0, 31, 52, 63};
+constexpr size_t kDigestSwaps[] = {0, 9, 15, 17};
+
 TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
   std::vector<double> ShardBlock::*const columns[] = {
-      &ShardBlock::frequency, &ShardBlock::change_rate, &ShardBlock::size,
+      &ShardBlock::frequency, &ShardBlock::change_rate,
       &ShardBlock::last_sync_time};
   const ShardBlock base = DigestTestBlock();
   const uint64_t digest = DigestShard(base);
-  const size_t n = base.count();
-  // First, middle, every tail-lane position (16..18), last.
-  const size_t positions[] = {0, n / 2, 16, 17, n - 1};
 
   const size_t num_columns = std::size(columns);
   for (size_t c = 0; c < num_columns; ++c) {
-    for (size_t j : positions) {
-      for (int bit : {0, 31, 52, 63}) {
+    for (size_t j : kDigestPositions) {
+      for (int bit : kDigestBits) {
         ShardBlock flipped = base;
         (flipped.*columns[c])[j] = FlipBit((base.*columns[c])[j], bit);
         EXPECT_NE(DigestShard(flipped), digest)
             << "column " << c << " position " << j << " bit " << bit;
       }
     }
-    for (size_t j : {size_t{0}, n / 2, size_t{15}, n - 2}) {
+    for (size_t j : kDigestSwaps) {
       ShardBlock swapped = base;
       std::swap((swapped.*columns[c])[j], (swapped.*columns[c])[j + 1]);
       EXPECT_NE(DigestShard(swapped), digest)
@@ -256,6 +367,28 @@ TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
   EXPECT_NE(DigestShard(moved), digest);
   EXPECT_EQ(DigestShard(DigestTestBlock()), digest);
 
+  // The shared size column has its own digest, folded in after the shards.
+  std::vector<double> sizes;
+  for (size_t j = 0; j < base.count(); ++j) sizes.push_back(7.0 + 0.125 * j);
+  const uint64_t size_digest = DigestColumn(sizes);
+  for (size_t j : kDigestPositions) {
+    for (int bit : kDigestBits) {
+      std::vector<double> flipped = sizes;
+      flipped[j] = FlipBit(sizes[j], bit);
+      EXPECT_NE(DigestColumn(flipped), size_digest)
+          << "size position " << j << " bit " << bit;
+    }
+  }
+  for (size_t j : kDigestSwaps) {
+    std::vector<double> swapped = sizes;
+    std::swap(swapped[j], swapped[j + 1]);
+    EXPECT_NE(DigestColumn(swapped), size_digest) << "size swap at " << j;
+  }
+  for (size_t c = 0; c < num_columns; ++c) {
+    EXPECT_NE(DigestColumn(base.*columns[c]), size_digest)
+        << "size column exchanged with column " << c;
+  }
+
   std::vector<std::shared_ptr<const ShardBlock>> shards;
   for (int s = 0; s < 3; ++s) {
     ShardBlock block = DigestTestBlock();
@@ -263,12 +396,14 @@ TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
     block.digest = DigestShard(block);
     shards.push_back(std::make_shared<const ShardBlock>(std::move(block)));
   }
-  const uint64_t combined = CombineDigests(shards);
+  const uint64_t combined = CombineDigests(shards, size_digest);
   for (size_t s = 0; s + 1 < shards.size(); ++s) {
     auto exchanged = shards;
     std::swap(exchanged[s], exchanged[s + 1]);
-    EXPECT_NE(CombineDigests(exchanged), combined) << "shards " << s;
+    EXPECT_NE(CombineDigests(exchanged, size_digest), combined)
+        << "shards " << s;
   }
+  EXPECT_NE(CombineDigests(shards, size_digest ^ 1), combined);
 }
 
 // ---- SnapshotStore --------------------------------------------------------
@@ -278,9 +413,7 @@ std::shared_ptr<const ServeSnapshot> MakeSnapshot(SnapshotBuilder& builder,
                                                   double value) {
   builder.MarkAllDirty();
   const auto columns = Column(n, value);
-  return builder
-      .Publish(epoch, 0, 0.0, columns, columns, columns, columns)
-      .value();
+  return builder.Publish(epoch, 0, 0.0, columns, columns, columns).value();
 }
 
 TEST(SnapshotStoreTest, EmptyBeforeFirstPublish) {
@@ -293,7 +426,7 @@ TEST(SnapshotStoreTest, EmptyBeforeFirstPublish) {
 TEST(SnapshotStoreTest, PublishThenAcquire) {
   obs::MetricsRegistry registry;
   SnapshotStore store(&registry);
-  SnapshotBuilder builder(64);
+  SnapshotBuilder builder(SizeColumn(64, 1.0));
   EXPECT_EQ(store.Publish(MakeSnapshot(builder, 1, 64, 1.0)), 1u);
   SnapshotRef ref = store.Acquire();
   ASSERT_TRUE(ref);
@@ -304,7 +437,7 @@ TEST(SnapshotStoreTest, PublishThenAcquire) {
 TEST(SnapshotStoreTest, HeldRefDelaysReclamation) {
   obs::MetricsRegistry registry;
   SnapshotStore store(&registry);
-  SnapshotBuilder builder(64);
+  SnapshotBuilder builder(SizeColumn(64, 1.0));
   store.Publish(MakeSnapshot(builder, 1, 64, 1.0));
   SnapshotRef held = store.Acquire();
   ASSERT_TRUE(held);
@@ -329,7 +462,7 @@ TEST(SnapshotStoreTest, HeldRefDelaysReclamation) {
 TEST(SnapshotStoreTest, DrainReclaimsEverything) {
   obs::MetricsRegistry registry;
   SnapshotStore store(&registry);
-  SnapshotBuilder builder(64);
+  SnapshotBuilder builder(SizeColumn(64, 1.0));
   for (uint64_t e = 1; e <= 5; ++e) {
     store.Publish(MakeSnapshot(builder, e, 64, static_cast<double>(e)));
   }
@@ -484,6 +617,8 @@ TEST(FreshendDaemonTest, SnapshotMatchesOwningColumnsAfterEveryPeriod) {
     ASSERT_TRUE(snapshot->CheckConsistent());
     const AdaptiveFreshener& controller = daemon->loop().controller();
     const MirrorState& mirror = daemon->loop().mirror();
+    // Every epoch serves the controller's own size column, not a copy.
+    ASSERT_EQ(snapshot->size_column(), controller.shared_sizes());
     size_t synced = 0;
     for (size_t i = 0; i < daemon->size(); ++i) {
       const ElementView view = snapshot->Lookup(i);

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -39,7 +40,8 @@ TEST(ServeTortureTest, RawStoreReadersNeverSeeTornSnapshots) {
 
   obs::MetricsRegistry registry;
   SnapshotStore store(&registry);
-  SnapshotBuilder builder(n);
+  SnapshotBuilder builder(
+      std::make_shared<const std::vector<double>>(n, 1.0));
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> inconsistent{0};
@@ -77,7 +79,7 @@ TEST(ServeTortureTest, RawStoreReadersNeverSeeTornSnapshots) {
     builder.MarkAllDirty();
     auto snapshot = builder
                         .Publish(static_cast<uint64_t>(pub), 0, stamp,
-                                 columns, columns, columns, columns)
+                                 columns, columns, columns)
                         .value();
     store.Publish(std::move(snapshot));
   }
