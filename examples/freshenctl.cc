@@ -49,15 +49,6 @@
 //       (io/catalog_binary.h). The input format is auto-detected; --to
 //       defaults to the opposite of the input.
 //
-//   replan-drill [--objects N] [--steps S] [--churn C] [--threads T]
-//                [--seed K]
-//       Incremental-replanning drill: push a seeded churn stream (tail
-//       decay, uniform value jitter, structural appends) through a
-//       DeltaReplanner, print each step's path/dirty-count/latency, and
-//       memcmp-verify every step against a cold scan solve of the identical
-//       problem. Non-zero exit on any byte mismatch. Defaults shrink under
-//       FRESHEN_QUICK=1; --metrics-out exports the freshen_replan_* series.
-//
 //   serve-drill [--objects N] [--bandwidth B] [--periods P] [--accesses A]
 //               [--error-rate E] [--socket PATH] [--seed K]
 //       End-to-end drill of the freshend serving stack, two acts. Act 1:
@@ -112,7 +103,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,8 +113,6 @@
 #include "freshen/freshen.h"
 #include "io/catalog_binary.h"
 #include "io/catalog_io.h"
-#include "opt/delta_replan.h"
-#include "opt/water_filling.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -763,127 +751,6 @@ double JsonNumberField(const std::string& line, const std::string& key,
   return end == text ? fallback : value;
 }
 
-// replan-drill: pushes a seeded churn stream (tail decay, uniform jitter,
-// and structural appends) through a DeltaReplanner and memcmp-verifies every
-// step against a cold scan solve of the identical problem. The drill's
-// registry is the global one, so --metrics-out exports the freshen_replan_*
-// series the run produced.
-int RunReplanDrill(const std::map<std::string, std::string>& flags) {
-  const bool quick = QuickMode();
-  const size_t objects =
-      GetInteger<uint32_t>(flags, "--objects", quick ? 20000 : 200000);
-  const int steps = GetInteger<int>(flags, "--steps", quick ? 12 : 40);
-  const double churn = GetDouble(flags, "--churn", 0.002);
-  const uint64_t seed = GetInteger<uint64_t>(flags, "--seed", 20030305);
-
-  // Heavy-tailed weights, log-uniform change rates (bench_replan's family).
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  CoreProblem problem;
-  problem.weights.resize(objects);
-  problem.change_rates.resize(objects);
-  problem.costs.assign(objects, 1.0);
-  for (size_t i = 0; i < objects; ++i) {
-    problem.weights[i] = 1.0 / std::pow(1.0 + u(rng) * 999.0, 0.8);
-    problem.change_rates[i] = std::exp2(-6.0 + 12.0 * u(rng));
-  }
-  problem.bandwidth = 0.5 * static_cast<double>(objects);
-
-  DeltaReplanner::Options options;
-  options.threads = GetInteger<size_t>(flags, "--threads", 0);
-  auto replanner = Unwrap(DeltaReplanner::Create(problem, options));
-  CoreProblem mirror = std::move(problem);
-  KktWaterFillingSolver::Options cold_options;
-  cold_options.threads = options.threads;
-  const KktWaterFillingSolver cold(cold_options);
-
-  // Unfunded elements (active, zero cold frequency): tail-churn fodder
-  // whose decay provably cannot move the flip point.
-  std::vector<size_t> unfunded;
-  {
-    const Allocation initial = replanner->MaterializeAllocation();
-    for (size_t i = 0; i < objects; ++i) {
-      if (initial.frequencies[i] == 0.0 && mirror.weights[i] > 0.0) {
-        unfunded.push_back(i);
-      }
-    }
-  }
-
-  const auto same_allocation = [](const Allocation& a, const Allocation& b) {
-    return a.frequencies.size() == b.frequencies.size() &&
-           std::memcmp(a.frequencies.data(), b.frequencies.data(),
-                       a.frequencies.size() * sizeof(double)) == 0 &&
-           std::memcmp(&a.multiplier, &b.multiplier, sizeof(double)) == 0;
-  };
-
-  std::printf("objects : %zu, steps: %d, churn: %g\n", objects, steps,
-              churn);
-  size_t pinned = 0, warm = 0, full = 0;
-  bool parity = true;
-  size_t tail_cursor = 0;
-  for (int step = 0; step < steps; ++step) {
-    const size_t n = mirror.weights.size();
-    const size_t dirty = std::max<size_t>(
-        1, static_cast<size_t>(churn * static_cast<double>(n)));
-    std::vector<ElementUpdate> updates;
-    const uint64_t kind = rng() % 100;
-    const char* shape;
-    if (kind < 25 && unfunded.size() >= dirty) {
-      shape = "tail";
-      for (size_t j = 0; j < dirty; ++j) {
-        const size_t i = unfunded[tail_cursor++ % unfunded.size()];
-        updates.push_back({i, mirror.weights[i] * 0.5,
-                           mirror.change_rates[i], mirror.costs[i]});
-      }
-    } else if (kind < 90) {
-      shape = "uniform";
-      for (size_t j = 0; j < dirty; ++j) {
-        const size_t i = rng() % n;
-        const double jitter_w = std::exp(0.1 * (u(rng) - 0.5));
-        const double jitter_r = std::exp(0.1 * (u(rng) - 0.5));
-        updates.push_back({i, mirror.weights[i] * jitter_w,
-                           mirror.change_rates[i] * jitter_r,
-                           mirror.costs[i]});
-      }
-    } else {
-      shape = "append";
-      updates.push_back({n, 1.0 / std::pow(1.0 + u(rng) * 999.0, 0.8),
-                         std::exp2(-6.0 + 12.0 * u(rng)), 1.0});
-    }
-    const DeltaReplanner::ReplanResult result =
-        Unwrap(replanner->Replan(updates));
-    switch (result.path) {
-      case ReplanPath::kPinned: ++pinned; break;
-      case ReplanPath::kWarm: ++warm; break;
-      case ReplanPath::kFull: ++full; break;
-    }
-    for (const ElementUpdate& update : updates) {
-      if (update.index == mirror.weights.size()) {
-        mirror.weights.push_back(update.weight);
-        mirror.change_rates.push_back(update.change_rate);
-        mirror.costs.push_back(update.cost);
-      } else {
-        mirror.weights[update.index] = update.weight;
-        mirror.change_rates[update.index] = update.change_rate;
-        mirror.costs[update.index] = update.cost;
-      }
-    }
-    const bool match = same_allocation(replanner->MaterializeAllocation(),
-                                       Unwrap(cold.Solve(mirror)));
-    parity &= match;
-    std::printf(
-        "step %3d: %-7s path=%-6s dirty=%-5zu probes=%-3d %8.3f ms%s\n",
-        step, shape, ToString(result.path), result.dirty, result.probes,
-        result.replan_seconds * 1e3, match ? "" : "  BYTE MISMATCH");
-  }
-  std::printf("paths   : pinned=%zu warm=%zu full=%zu\n", pinned, warm,
-              full);
-  std::printf("replan drill : %s\n",
-              parity ? "PASS (every step byte-identical to cold solve)"
-                     : "FAIL");
-  return parity ? 0 : 1;
-}
-
 // serve-drill act 2: the telemetry plane under a scripted outage. A
 // wall-paced daemon starts with a deliberately wrong change-rate prior and
 // a replan cadence parked far out, so only the drift detector can fix the
@@ -1237,7 +1104,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: freshenctl <gen|plan|eval|metrics|sync-drill|trace"
-                 "|convert|replan-drill|serve-drill|top> [--flags]\n"
+                 "|convert|serve-drill|top> [--flags]\n"
                  "see the header of examples/freshenctl.cc for details\n");
     return 2;
   }
@@ -1264,8 +1131,6 @@ int main(int argc, char** argv) {
     rc = RunTrace(flags);
   } else if (command == "convert") {
     rc = RunConvert(flags);
-  } else if (command == "replan-drill") {
-    rc = RunReplanDrill(flags);
   } else if (command == "serve-drill") {
     rc = RunServeDrill(flags);
   } else if (command == "top") {

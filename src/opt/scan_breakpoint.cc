@@ -123,15 +123,8 @@ double BreakpointSpendEvaluator::SpendAt(double mu) {
 
 void BreakpointSpendEvaluator::FillFrequenciesAt(
     double mu, std::vector<double>* frequencies) const {
-  CaptureAt(mu, frequencies, /*contributions=*/nullptr);
-}
-
-void BreakpointSpendEvaluator::CaptureAt(
-    double mu, std::vector<double>* frequencies,
-    std::vector<double>* contributions) const {
   const size_t n = target_scale_.size();
-  if (frequencies != nullptr) frequencies->assign(n, 0.0);
-  if (contributions != nullptr) contributions->assign(n, 0.0);
+  frequencies->assign(n, 0.0);
   const bool freshness = kernel_ == Kernel::kFreshnessG;
   exec_->ForShards(plan_, [&](const par::Shard& shard) {
     double target[kBlock];
@@ -149,140 +142,13 @@ void BreakpointSpendEvaluator::CaptureAt(
       }
       InvertBatch(kernel_, target, /*seeds=*/nullptr, root, slots);
       for (size_t j = 0; j < m; ++j) {
-        if (slot[j] == kPricedOut) continue;
-        const double r = root[slot[j]];
-        if (frequencies != nullptr) (*frequencies)[b + j] = lambda_[b + j] / r;
-        if (contributions != nullptr) {
-          (*contributions)[b + j] = spend_scale_[b + j] / r;
+        if (slot[j] != kPricedOut) {
+          (*frequencies)[b + j] = lambda_[b + j] / root[slot[j]];
         }
       }
     }
   });
 }
-
-double SpendBlockPartial(const std::vector<double>& values, size_t block) {
-  const size_t begin = block * kSpendBlock;
-  const size_t end = std::min(values.size(), begin + kSpendBlock);
-  KahanSum acc;
-  for (size_t i = begin; i < end; ++i) acc.Add(values[i]);
-  return acc.Total();
-}
-
-void SpendBlockPartials(const std::vector<double>& values,
-                        const par::Executor* exec,
-                        std::vector<double>* partials) {
-  const size_t blocks = SpendBlockCount(values.size());
-  partials->assign(blocks, 0.0);
-  exec->ForEach(blocks, [&](size_t b) {
-    (*partials)[b] = SpendBlockPartial(values, b);
-  });
-}
-
-double MergeSpendBlockPartials(const std::vector<double>& partials) {
-  KahanSum acc;
-  for (double value : partials) acc.Add(value);
-  return acc.Total();
-}
-
-namespace {
-
-/// Shared narrowing stages: Illinois secant, breakpoint scan, final lattice
-/// bisection. On entry (*lo, *hi) is a lattice bracket with spend(*lo) >
-/// budget >= spend(*hi); on return *hi is the flip edge (mu*). `probe` must
-/// count its own evaluations into out->probes.
-void NarrowBracketToFlip(
-    const std::function<double(double)>& probe, double budget, double* lo_io,
-    double* spend_lo_io, double* hi_io, double* spend_hi_io,
-    const std::function<void(double lo, double hi, std::vector<double>*)>*
-        gather_thresholds,
-    int max_probes, GridSearchResult* out) {
-  double lo = *lo_io;
-  double hi = *hi_io;
-  double spend_lo = *spend_lo_io;
-  double spend_hi = *spend_hi_io;
-
-  // Stage 1: Illinois secant in (log mu, phi) space. Collapses the bracket
-  // to a few lattice steps in ~6-10 probes where bisection needs ~36 per
-  // binade.
-  double t_lo = std::log(lo);
-  double t_hi = std::log(hi);
-  double phi_lo = Phi(spend_lo, budget);
-  double phi_hi = Phi(spend_hi, budget);
-  int last_side = 0;  // -1: last probe replaced lo; +1: replaced hi.
-  while (MuLatticeDistance(lo, hi) > 8 && out->probes < max_probes) {
-    if (!(phi_lo > 0.0) || !(phi_hi < 0.0)) break;  // Flat side: bisect.
-    const double t = t_lo - phi_lo * (t_hi - t_lo) / (phi_hi - phi_lo);
-    double cand = MuLatticeRound(std::exp(t));
-    const double inner_lo = MuLatticeNext(lo);
-    const double inner_hi = MuLatticePrev(hi);
-    if (!(cand >= inner_lo)) cand = inner_lo;
-    if (!(cand <= inner_hi)) cand = inner_hi;
-    const double s = probe(cand);
-    if (s > budget) {
-      lo = cand;
-      t_lo = std::log(cand);
-      phi_lo = Phi(s, budget);
-      if (last_side == -1) phi_hi *= 0.5;  // Illinois anti-stall halving.
-      last_side = -1;
-    } else {
-      hi = cand;
-      t_hi = std::log(cand);
-      phi_hi = Phi(s, budget);
-      if (last_side == +1) phi_lo *= 0.5;
-      last_side = +1;
-    }
-  }
-
-  // Stage 2: breakpoint scan. Pin the crossing between adjacent activation
-  // thresholds: gather every threshold inside the band, sort (this is the
-  // "sorted by activation threshold" order — only materialized for the
-  // handful of elements whose cutoff lies within a few lattice steps of
-  // mu*), and binary-search the flip over the thresholds' bracketing
-  // lattice points with full sharded spend evaluations.
-  if (gather_thresholds != nullptr && MuLatticeDistance(lo, hi) > 1) {
-    std::vector<double> band;
-    (*gather_thresholds)(lo, hi, &band);
-    std::sort(band.begin(), band.end());
-    std::vector<double> cands;
-    cands.reserve(2 * band.size());
-    for (double threshold : band) {
-      ++out->breakpoints;
-      for (double c : {MuLatticeFloor(threshold), MuLatticeCeil(threshold)}) {
-        if (c > lo && c < hi) cands.push_back(c);
-      }
-    }
-    std::sort(cands.begin(), cands.end());
-    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-    size_t a = 0;
-    size_t b = cands.size();
-    while (a < b && out->probes < max_probes) {
-      const size_t mid = (a + b) / 2;
-      if (probe(cands[mid]) > budget) {
-        lo = cands[mid];
-        a = mid + 1;
-      } else {
-        hi = cands[mid];
-        b = mid;
-      }
-    }
-  }
-
-  // Stage 3: finish with lattice bisection down to the adjacent pair.
-  while (MuLatticeDistance(lo, hi) > 1 && out->probes < max_probes) {
-    const double mid = MuLatticeMidpoint(lo, hi);
-    if (probe(mid) > budget) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  *lo_io = lo;
-  *hi_io = hi;
-  *spend_lo_io = spend_lo;
-  *spend_hi_io = spend_hi;
-}
-
-}  // namespace
 
 GridSearchResult SolveMultiplierOnGrid(
     const std::function<double(double)>& spend_at, double budget,
@@ -354,90 +220,81 @@ GridSearchResult SolveMultiplierOnGrid(
     return out;
   }
 
-  NarrowBracketToFlip(probe, budget, &lo, &spend_lo, &hi, &spend_hi,
-                      gather_thresholds, max_probes, &out);
-  out.mu = hi;
-  return out;
-}
-
-GridSearchResult SolveMultiplierFromPrevious(
-    const std::function<double(double)>& spend_at, double budget,
-    double prev_mu,
-    const std::function<void(double lo, double hi, std::vector<double>*)>*
-        gather_thresholds,
-    int max_probes) {
-  FRESHEN_CHECK(budget > 0.0);
-  FRESHEN_CHECK(IsMuLatticePoint(prev_mu));
-  GridSearchResult out;
-  auto probe = [&](double mu) {
-    ++out.probes;
-    return spend_at(mu);
-  };
-
-  // Elasticity-guided gallop. spend's log-log slope magnitude is bounded
-  // below by ~1/3 everywhere (funding cutoffs only make spend drop FASTER
-  // as mu rises), so a probe reading spend = s places the flip within
-  // prev * (s/budget)^3 of the probe point. The cube is a step-size
-  // heuristic only: every jump is re-probed and the loop continues until a
-  // genuine bracket exists, so a violated bound costs probes, never
-  // correctness. Jumps are clamped to 40 binades so extreme churn (spend
-  // off by >> 2^40) cannot overflow the candidate.
-  constexpr double kMaxJump = 0x1p40;
-  const double s0 = probe(prev_mu);
-  double lo = prev_mu;
-  double hi = prev_mu;
-  double spend_lo = s0;
-  double spend_hi = s0;
-  if (s0 > budget) {
-    // Flip moved up. Gallop ascending until a probe comes in at/under
-    // budget (spend reaches exact 0 beyond the last activation threshold,
-    // so this always terminates).
-    lo = prev_mu;
-    spend_lo = s0;
-    for (;;) {
-      const double r = spend_lo / budget;
-      double f = r * r * r;
-      if (!(f < kMaxJump)) f = kMaxJump;
-      double cand = MuLatticeCeil(lo * f);
-      if (!(cand > lo)) cand = MuLatticeNext(lo);
-      FRESHEN_CHECK(cand < 1e300);
-      const double s = probe(cand);
-      if (s > budget) {
-        lo = cand;
-        spend_lo = s;
-      } else {
-        hi = cand;
-        spend_hi = s;
-        break;
-      }
-    }
-  } else {
-    // Flip at or below prev_mu. Gallop descending until a probe exceeds
-    // budget (spend is unbounded as mu -> 0). A collapsed spend (s near 0
-    // says nothing about how far down the flip sits) falls back to
-    // 40-binade jumps.
-    hi = prev_mu;
-    spend_hi = s0;
-    for (;;) {
-      const double r = spend_hi / budget;
-      double f = r * r * r;
-      if (!(f > 1.0 / kMaxJump)) f = 1.0 / kMaxJump;
-      double cand = MuLatticeFloor(hi * f);
-      if (!(cand < hi)) cand = MuLatticePrev(hi);
-      FRESHEN_CHECK(cand > 0.0);
-      const double s = probe(cand);
-      if (s > budget) {
-        lo = cand;
-        spend_lo = s;
-        break;
-      }
+  // Stage 1: Illinois secant in (log mu, phi) space. Collapses the bracket
+  // to a few lattice steps in ~6-10 probes where bisection needs ~36 per
+  // binade.
+  double t_lo = std::log(lo);
+  double t_hi = std::log(hi);
+  double phi_lo = Phi(spend_lo, budget);
+  double phi_hi = Phi(spend_hi, budget);
+  int last_side = 0;  // -1: last probe replaced lo; +1: replaced hi.
+  while (MuLatticeDistance(lo, hi) > 8 && out.probes < max_probes) {
+    if (!(phi_lo > 0.0) || !(phi_hi < 0.0)) break;  // Flat side: bisect.
+    const double t = t_lo - phi_lo * (t_hi - t_lo) / (phi_hi - phi_lo);
+    double cand = MuLatticeRound(std::exp(t));
+    const double inner_lo = MuLatticeNext(lo);
+    const double inner_hi = MuLatticePrev(hi);
+    if (!(cand >= inner_lo)) cand = inner_lo;
+    if (!(cand <= inner_hi)) cand = inner_hi;
+    const double s = probe(cand);
+    if (s > budget) {
+      lo = cand;
+      t_lo = std::log(cand);
+      phi_lo = Phi(s, budget);
+      if (last_side == -1) phi_hi *= 0.5;  // Illinois anti-stall halving.
+      last_side = -1;
+    } else {
       hi = cand;
-      spend_hi = s;
+      t_hi = std::log(cand);
+      phi_hi = Phi(s, budget);
+      if (last_side == +1) phi_lo *= 0.5;
+      last_side = +1;
     }
   }
 
-  NarrowBracketToFlip(probe, budget, &lo, &spend_lo, &hi, &spend_hi,
-                      gather_thresholds, max_probes, &out);
+  // Stage 2: breakpoint scan. Pin the crossing between adjacent activation
+  // thresholds: gather every threshold inside the band, sort (this is the
+  // "sorted by activation threshold" order — only materialized for the
+  // handful of elements whose cutoff lies within a few lattice steps of
+  // mu*), and binary-search the flip over the thresholds' bracketing
+  // lattice points with full sharded spend evaluations.
+  if (gather_thresholds != nullptr && MuLatticeDistance(lo, hi) > 1) {
+    std::vector<double> band;
+    (*gather_thresholds)(lo, hi, &band);
+    std::sort(band.begin(), band.end());
+    std::vector<double> cands;
+    cands.reserve(2 * band.size());
+    for (double threshold : band) {
+      ++out.breakpoints;
+      for (double c : {MuLatticeFloor(threshold), MuLatticeCeil(threshold)}) {
+        if (c > lo && c < hi) cands.push_back(c);
+      }
+    }
+    std::sort(cands.begin(), cands.end());
+    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+    size_t a = 0;
+    size_t b = cands.size();
+    while (a < b && out.probes < max_probes) {
+      const size_t mid = (a + b) / 2;
+      if (probe(cands[mid]) > budget) {
+        lo = cands[mid];
+        a = mid + 1;
+      } else {
+        hi = cands[mid];
+        b = mid;
+      }
+    }
+  }
+
+  // Stage 3: finish with lattice bisection down to the adjacent pair.
+  while (MuLatticeDistance(lo, hi) > 1 && out.probes < max_probes) {
+    const double mid = MuLatticeMidpoint(lo, hi);
+    if (probe(mid) > budget) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
   out.mu = hi;
   return out;
 }

@@ -162,58 +162,6 @@ GridSearchResult SolveMultiplierOnGrid(
         gather_thresholds,
     int max_probes);
 
-/// Warm multiplier search for incremental replanning: instead of the cold
-/// geometric bracket, starts at `prev_mu` — the flip point of the previous
-/// solve, a lattice point — and gallops to a fresh bracket using the spend
-/// elasticity bound (|d ln spend / d ln mu| >= ~1/3 everywhere, so the new
-/// flip lies within prev_mu * (spend/budget)^3; used purely as a step-size
-/// heuristic, with a defensive re-probe loop that never relies on it).
-/// Then runs the same Illinois + breakpoint-scan + lattice-bisection
-/// narrowing as SolveMultiplierOnGrid's scan mode.
-///
-/// Returns the SAME lattice edge as a cold solve of the same spend curve —
-/// the flip is unique (file comment), so where the search starts cannot
-/// change where it ends — in ~2-4 probes when the flip moved a few thousand
-/// lattice steps (small churn), vs ~15 cold.
-GridSearchResult SolveMultiplierFromPrevious(
-    const std::function<double(double)>& spend_at, double budget,
-    double prev_mu,
-    const std::function<void(double lo, double hi, std::vector<double>*)>*
-        gather_thresholds,
-    int max_probes);
-
-// ---------------------------------------------------------------------------
-// Deterministic block reduction
-// ---------------------------------------------------------------------------
-//
-// A fixed-shape compensated summation tree over a value array: per-block
-// Kahan partials (kSpendBlock contiguous elements each, any block computable
-// independently at any thread count) merged by a sequential Kahan pass in
-// block order. Unlike par::Executor::Sum — whose shard plan folds every
-// element of the ORIGINAL index space, zeros included, into per-shard
-// compensation streams — this tree is decomposable: changing d elements
-// invalidates only their blocks, so a replan re-sums O(d) blocks plus one
-// O(n / kSpendBlock) merge. The cold solver's finish spend and the delta
-// replanner's incrementally-maintained spend use this same tree, which is
-// what makes their residual-removal arithmetic bit-identical.
-
-inline constexpr size_t kSpendBlock = 512;
-
-inline size_t SpendBlockCount(size_t n) {
-  return n == 0 ? 0 : (n - 1) / kSpendBlock + 1;
-}
-
-/// Kahan total of values[kSpendBlock*block, min(n, kSpendBlock*(block+1))).
-double SpendBlockPartial(const std::vector<double>& values, size_t block);
-
-/// All block partials, computed in parallel (each block independent).
-void SpendBlockPartials(const std::vector<double>& values,
-                        const par::Executor* exec,
-                        std::vector<double>* partials);
-
-/// Sequential Kahan merge of the partials, in block order.
-double MergeSpendBlockPartials(const std::vector<double>& partials);
-
 // ---------------------------------------------------------------------------
 // Spend evaluation
 // ---------------------------------------------------------------------------
@@ -265,18 +213,6 @@ class BreakpointSpendEvaluator {
   /// priced out), cold-started: a pure function of mu alone, so the final
   /// allocation is byte-identical no matter which search path found mu*.
   void FillFrequenciesAt(double mu, std::vector<double>* frequencies) const;
-
-  /// Cold evaluation at mu that exports per-element state for the delta
-  /// replanner: `frequencies` as FillFrequenciesAt (may be nullptr), and
-  /// `contributions`[k] = spend_scale[k] / K^{-1}(mu * target_scale[k])
-  /// (0 for priced-out lanes; may be nullptr) — the exact summands SpendAt
-  /// reduces. Both come from ONE cold inversion per lane, and being
-  /// cold-started each output lane is a pure function of (mu, lane inputs):
-  /// a cached contribution is bit-equal to what a fresh capture would
-  /// produce, which is what lets the replanner patch single lanes into a
-  /// cached capture and still match a from-scratch evaluation.
-  void CaptureAt(double mu, std::vector<double>* frequencies,
-                 std::vector<double>* contributions) const;
 
   const std::vector<par::Shard>& plan() const { return plan_; }
 

@@ -13,6 +13,31 @@
 #include "stats/descriptive.h"
 
 namespace freshen {
+namespace {
+
+/// Elements per Kahan block of the finish spend.
+constexpr size_t kSpendBlock = 512;
+
+/// Kahan total of `values` over a fixed tree: one Kahan partial per
+/// kSpendBlock-element block (the blocks run in parallel), merged by a
+/// sequential Kahan pass in block order. The tree depends on values.size()
+/// alone, so the total is bit-identical at every thread count.
+double BlockKahanTotal(const std::vector<double>& values,
+                       const par::Executor& exec) {
+  const size_t blocks = (values.size() + kSpendBlock - 1) / kSpendBlock;
+  std::vector<double> partials(blocks, 0.0);
+  exec.ForEach(blocks, [&](size_t b) {
+    const size_t end = std::min(values.size(), (b + 1) * kSpendBlock);
+    KahanSum acc;
+    for (size_t i = b * kSpendBlock; i < end; ++i) acc.Add(values[i]);
+    partials[b] = acc.Total();
+  });
+  KahanSum total;
+  for (double partial : partials) total.Add(partial);
+  return total.Total();
+}
+
+}  // namespace
 
 Result<Allocation> KktWaterFillingSolver::Solve(
     const CoreProblem& problem) const {
@@ -107,18 +132,15 @@ Result<Allocation> KktWaterFillingSolver::Solve(
   // preserves every other element's stationarity exactly. Otherwise spend
   // is locally continuous and a proportional rescale is below tolerance.
   //
-  // The spend feeding this step uses the decomposable block-Kahan tree over
-  // the active elements' cost*frequency (opt/scan_breakpoint.h) rather than
-  // problem.Spend: the delta replanner maintains the same tree
-  // incrementally, so its residual/rescale arithmetic lands on the same
-  // bits as this cold path.
+  // The spend feeding this step sums the active elements' cost*frequency
+  // over a fixed block-Kahan tree (BlockKahanTotal): its shape depends on
+  // the active count alone, never on the thread count, so the residual and
+  // rescale land on the same bits at every thread count.
   std::vector<double> finish_contrib(active);
   exec.ForEach(active, [&](size_t k) {
     finish_contrib[k] = problem.costs[index[k]] * frequencies[k];
   });
-  std::vector<double> finish_partials;
-  SpendBlockPartials(finish_contrib, &exec, &finish_partials);
-  const double spend = MergeSpendBlockPartials(finish_partials);
+  const double spend = BlockKahanTotal(finish_contrib, exec);
   double residual = problem.bandwidth - spend;
   if (residual > 0.0) {
     // A boundary element is one parked at the cutoff: its zero-frequency

@@ -13,8 +13,12 @@
 //     (series-based near zero, where the direct forms cancel) to ~1e-11,
 //     and with the libm-based scalars in model/freshness.h to ~1e-10 —
 //     close, but never assumed bitwise.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -30,6 +34,15 @@ namespace {
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+int64_t UlpDistance(double a, double b) {
+  const auto key = [](double x) {
+    const int64_t bits = std::bit_cast<int64_t>(x);
+    return bits < 0 ? std::numeric_limits<int64_t>::min() - bits : bits;
+  };
+  const int64_t d = key(a) - key(b);
+  return d < 0 ? -d : d;
 }
 
 double RelDiff(double a, double b) {
@@ -331,6 +344,60 @@ TEST(FreshnessBatchTest, AgreesWithLibmScalarsClosely) {
               1e-9)
         << "y=" << yh;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Warm-seed bounds at the kernel level. BreakpointSpendEvaluator::SpendAt
+// seeds every probe's inversions with the previous probe's roots; these
+// cases pin how far such a seed may move a root.
+// ---------------------------------------------------------------------------
+
+TEST(WarmSeedKernelTest, OutOfBracketSeedsFallBackToColdBitwise) {
+  std::mt19937_64 rng(3);
+  std::uniform_real_distribution<double> u(1e-12, 1.0 - 1e-12);
+  for (int i = 0; i < 20000; ++i) {
+    const double y = u(rng);
+    const double cold_g = RefInverseMarginalGainG(y, 0.0);
+    for (double seed : {-1.0, 0.0, 745.0, 1e308}) {
+      ASSERT_TRUE(SameBits(RefInverseMarginalGainG(y, seed), cold_g))
+          << "y=" << y << " seed=" << seed;
+    }
+    const double cold_h = RefInverseAgeMarginalKernelH(y, 0.0);
+    for (double seed : {-1.0, 0.0, 50.0, 1e308}) {
+      ASSERT_TRUE(SameBits(RefInverseAgeMarginalKernelH(y, seed), cold_h))
+          << "y=" << y << " seed=" << seed;
+    }
+  }
+}
+
+TEST(WarmSeedKernelTest, StaleInBracketSeedsStayWithinFewUlps) {
+  // Warm-seeded roots are NOT bitwise cold (the solver never relies on
+  // that: converged fills are cold-seeded). What stale seeds must do is
+  // stay converged: a seed from a 10x/0.1x-shifted problem lands within
+  // ~1e-13 relative (a few hundred ulps) of the cold root — three orders
+  // of magnitude below the ~5e-12 relative flip margin that makes the
+  // multiplier search's lattice edge identical across probe paths.
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> u(1e-9, 1.0 - 1e-9);
+  int64_t worst_g = 0, worst_h = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const double y = u(rng);
+    const double cold_g = RefInverseMarginalGainG(y, 0.0);
+    const double cold_h = RefInverseAgeMarginalKernelH(y, 0.0);
+    for (double shift : {10.0, 0.1}) {
+      const double y_stale = std::min(std::max(y * shift, 1e-12), 1.0 - 1e-12);
+      const double stale_seed_g = RefInverseMarginalGainG(y_stale, 0.0);
+      const double warm_g = RefInverseMarginalGainG(y, stale_seed_g);
+      worst_g = std::max(worst_g, UlpDistance(warm_g, cold_g));
+      const double stale_seed_h = RefInverseAgeMarginalKernelH(y_stale, 0.0);
+      const double warm_h = RefInverseAgeMarginalKernelH(y, stale_seed_h);
+      worst_h = std::max(worst_h, UlpDistance(warm_h, cold_h));
+    }
+  }
+  // 4096 ulps ~ 1e-12 relative: far below the flip margin, far above the
+  // measured worst case (~450), so this fails only on real regressions.
+  EXPECT_LE(worst_g, 4096) << "warm G roots drifted beyond ~1e-12 relative";
+  EXPECT_LE(worst_h, 4096) << "warm H roots drifted beyond ~1e-12 relative";
 }
 
 }  // namespace
