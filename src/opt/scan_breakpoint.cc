@@ -265,7 +265,6 @@ GridSearchResult SolveMultiplierOnGrid(
     std::vector<double> cands;
     cands.reserve(2 * band.size());
     for (double threshold : band) {
-      ++out.breakpoints;
       for (double c : {MuLatticeFloor(threshold), MuLatticeCeil(threshold)}) {
         if (c > lo && c < hi) cands.push_back(c);
       }

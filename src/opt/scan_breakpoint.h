@@ -129,9 +129,6 @@ struct GridSearchResult {
   double mu = 0.0;
   /// Total spend evaluations.
   int probes = 0;
-  /// Activation-threshold breakpoints scanned in the final band (scan mode
-  /// with a gatherer only).
-  int breakpoints = 0;
 };
 
 /// Finds mu* on the lattice. `spend_at` is evaluated only at lattice points
