@@ -170,6 +170,11 @@ class OnlineFreshenLoop {
   std::unique_ptr<AliasTable> access_table_;
   Rng access_rng_;
   double now_ = 0.0;
+  // Per element, the index of the first period in which its frequency was
+  // > 0: the anchor a never-synced element is phased from. kNeverFunded
+  // until then.
+  static constexpr uint32_t kNeverFunded = UINT32_MAX;
+  std::vector<uint32_t> first_funded_;
   // Scratch for the on_period_end hook: distinct elements synced this
   // period (sorted). Reused across periods to avoid reallocation.
   std::vector<uint32_t> synced_scratch_;
