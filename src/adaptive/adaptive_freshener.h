@@ -64,7 +64,11 @@ class AdaptiveFreshener {
   /// Records the outcome of one sync of `element`: `changed` is whether the
   /// fetched copy differed from the local one, `gap` the time since the
   /// element's previous sync (periods). A gap <= 0 carries no evidence; the
-  /// online loop passes 0 for an element's first sync.
+  /// online loop passes 0 for an element's first sync. That window starts at
+  /// t = 0 and can be as long as the run; this store is never decayed, so
+  /// counting it would cap the bias-reduced estimate near ln 3 / gap, and a
+  /// measured run lost PF to it (docs/performance.md, "Fixed-Order
+  /// timeline").
   void ObserveSync(size_t element, bool changed, double gap) {
     evidence_.Observe(element, changed, gap);
   }
