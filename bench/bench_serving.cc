@@ -301,8 +301,10 @@ int main() {
       load.csv_seconds, load.mmap_seconds, load.speedup);
   bool gate_failed = false;
   if (!quick && load.speedup < 10.0) {
-    std::fprintf(stderr, "FAIL: mmap load %.1fx < 10x CSV parse at N=%zu\n",
-                 load.speedup, load.n);
+    std::fprintf(stderr,
+                 "FAIL: mmap load %.1fx < 10x CSV parse at N=%zu "
+                 "(load average %.2f)\n",
+                 load.speedup, load.n, bench::LoadAverage1m());
     gate_failed = true;
   }
 
@@ -389,14 +391,17 @@ int main() {
     total_inconsistent += phase.inconsistent;
     if (tail_gated && phase.ratio >= 10.0) {
       std::fprintf(stderr,
-                   "FAIL: p99 %.3f us >= 10x p50 %.3f us (target qps %.0f)\n",
-                   phase.p99_us, phase.p50_us, phase.target_qps);
+                   "FAIL: p99 %.3f us >= 10x p50 %.3f us (target qps %.0f, "
+                   "load average %.2f)\n",
+                   phase.p99_us, phase.p50_us, phase.target_qps,
+                   bench::LoadAverage1m());
       gate_failed = true;
     }
   }
   if (total_inconsistent != 0) {
-    std::fprintf(stderr, "FAIL: %llu inconsistent reads\n",
-                 (unsigned long long)total_inconsistent);
+    std::fprintf(stderr, "FAIL: %llu inconsistent reads (load average %.2f)\n",
+                 (unsigned long long)total_inconsistent,
+                 bench::LoadAverage1m());
     gate_failed = true;
   }
   if (!tail_gated) {

@@ -262,9 +262,10 @@ int main() {
   if (r.bookkeeping_pct >= kGatePct) {
     std::fprintf(stderr,
                  "FAIL: telemetry bookkeeping %.4f ms/period is %.2f%% of "
-                 "the %.4f ms baseline period (gate: < %.1f%%)\n",
+                 "the %.4f ms baseline period (gate: < %.1f%%, load average "
+                 "%.2f)\n",
                  r.bookkeeping_ms, r.bookkeeping_pct, r.baseline_period_ms,
-                 kGatePct);
+                 kGatePct, bench::LoadAverage1m());
     r.pass = false;
   }
 

@@ -24,6 +24,18 @@ inline bool QuickMode() {
   return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == 0);
 }
 
+/// The 1-minute load average read from /proc/loadavg (-1 when unreadable).
+/// Timing gates print it beside a FAIL line: their thresholds assume free
+/// cores, and a failure on a loaded machine should say so.
+inline double LoadAverage1m() {
+  std::FILE* file = std::fopen("/proc/loadavg", "r");
+  if (file == nullptr) return -1.0;
+  double load = -1.0;
+  if (std::fscanf(file, "%lf", &load) != 1) load = -1.0;
+  std::fclose(file);
+  return load;
+}
+
 /// The q-quantile of `samples` (nearest rank; 0 when empty).
 inline double Percentile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;

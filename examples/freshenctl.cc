@@ -795,7 +795,7 @@ bool RunTelemetryAct(const ElementSet& truth, uint64_t seed, bool quick,
   options.slo.page_burn_rate = 6.0;
   options.drift.min_evidence = 2.0;
   options.drift.replan_consecutive_periods = 2;
-  options.drift_replan = true;
+  options.loop.drift_replan = true;
   options.slowlog.threshold_seconds = 0.0;  // record every admin request
   // Bandwidth 2x the catalog: with syncs plentiful, "good" accesses are the
   // healthy norm and the outage is the only thing that can page.

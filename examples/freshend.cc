@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   options.slo.good_is_age_slo =
       GetDouble(flags, "--slo-age-mode",
                 options.slo.good_is_age_slo ? 1.0 : 0.0) != 0.0;
-  options.drift_replan = GetDouble(flags, "--drift-replan", 0.0) != 0.0;
+  options.loop.drift_replan = GetDouble(flags, "--drift-replan", 0.0) != 0.0;
   options.slowlog.threshold_seconds = GetDouble(
       flags, "--slowlog-threshold", options.slowlog.threshold_seconds);
   options.slowlog.capacity = GetInteger<size_t>(

@@ -108,13 +108,6 @@ class EpochDomain {
   /// Retired objects not yet reclaimed.
   size_t RetiredCount() const { return retired_.size(); }
 
-  /// Distinct threads that ever claimed a reader slot (caps at kMaxReaders;
-  /// later threads use the overflow path).
-  size_t ClaimedSlots() const {
-    const size_t claimed = claimed_slots_.load(std::memory_order_relaxed);
-    return claimed < kMaxReaders ? claimed : kMaxReaders;
-  }
-
  private:
   struct alignas(64) Slot {
     std::atomic<uint64_t> epoch{kIdle};

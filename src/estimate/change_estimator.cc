@@ -51,23 +51,4 @@ double SimulatePollEstimate(double true_rate, double poll_interval,
   return evidence.RateOr(0, /*prior=*/0.0);  // num_polls > 0: an estimate.
 }
 
-double SampleChangeRatio(const std::vector<double>& true_rates,
-                         size_t sample_size, double window, uint64_t seed) {
-  FRESHEN_CHECK(!true_rates.empty());
-  FRESHEN_CHECK(window > 0.0);
-  Rng rng(seed);
-  const size_t k = sample_size == 0
-                       ? 1
-                       : (sample_size < true_rates.size() ? sample_size
-                                                          : true_rates.size());
-  size_t changed = 0;
-  for (size_t s = 0; s < k; ++s) {
-    const size_t i =
-        static_cast<size_t>(rng.NextUint64Below(true_rates.size()));
-    const double p_change = -std::expm1(-true_rates[i] * window);
-    if (rng.NextBool(p_change)) ++changed;
-  }
-  return static_cast<double>(changed) / static_cast<double>(k);
-}
-
 }  // namespace freshen

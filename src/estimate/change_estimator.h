@@ -96,12 +96,6 @@ class SyncEvidence {
 double SimulatePollEstimate(double true_rate, double poll_interval,
                             uint64_t num_polls, uint64_t seed);
 
-/// Sampling-based change *ratio* of a set of elements (after [6]): polls a
-/// random subset of `sample_size` elements once over `window` time units and
-/// returns the fraction that changed. Deterministic in `seed`.
-double SampleChangeRatio(const std::vector<double>& true_rates,
-                         size_t sample_size, double window, uint64_t seed);
-
 }  // namespace freshen
 
 #endif  // FRESHEN_ESTIMATE_CHANGE_ESTIMATOR_H_

@@ -13,7 +13,6 @@
 #define FRESHEN_FRESHEN_FRESHEN_H_
 
 #include "adaptive/adaptive_freshener.h"  // IWYU pragma: export
-#include "common/logging.h"       // IWYU pragma: export
 #include "common/result.h"        // IWYU pragma: export
 #include "common/status.h"        // IWYU pragma: export
 #include "core/planner.h"         // IWYU pragma: export

@@ -112,12 +112,6 @@ Status OnlineFreshenLoop::SetTrueProfile(const std::vector<double>& weights) {
 
 PeriodStats OnlineFreshenLoop::RunPeriod() {
   obs::ScopedSpan period_span("period", *registry_);
-  // Counter marks at the period boundary: PeriodStats reports this period as
-  // the delta of the registry totals.
-  const double syncs_mark = syncs_counter_->value();
-  const double accesses_mark = accesses_counter_->value();
-  const double fresh_mark = fresh_accesses_counter_->value();
-  const double bandwidth_mark = bandwidth_counter_->value();
   const double period_start = now_;
   const double period_end = now_ + 1.0;
   obs::EventRecorder& recorder = obs::EventRecorder::Global();
@@ -129,6 +123,7 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
   // Accesses served within the SLO monitor's age threshold (fresh counts
   // too: age 0). Only tracked when a monitor is attached.
   uint64_t age_good_accesses = 0;
+  uint64_t fresh_accesses = 0;
   PeriodStats stats;
   std::vector<LoopEvent> events;
 
@@ -232,13 +227,13 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
                                first_sync ? 0.0 : gap);
       if (drift != nullptr) drift->ObserveSync(event.element, changed, gap);
       if (options_.on_period_end) synced_scratch_.push_back(event.element);
-      syncs_counter_->Increment();
-      bandwidth_counter_->Add(truth_[event.element].size);
+      ++stats.syncs;
+      stats.bandwidth_spent += truth_[event.element].size;
     } else {
       controller_->ObserveAccess(event.element);
-      accesses_counter_->Increment();
+      ++stats.accesses;
       if (mirror_.IsFresh(event.element, event.time)) {
-        fresh_accesses_counter_->Increment();
+        ++fresh_accesses;
         ++age_good_accesses;  // Age 0 is within any age SLO.
         if (timeline != nullptr) {
           timeline->OnAccess(event.element, event.time, 0.0);
@@ -266,16 +261,13 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
   }
   now_ = period_end;
   periods_counter_->Increment();
-
-  stats.syncs =
-      static_cast<uint64_t>(syncs_counter_->value() - syncs_mark);
-  stats.accesses =
-      static_cast<uint64_t>(accesses_counter_->value() - accesses_mark);
-  stats.bandwidth_spent = bandwidth_counter_->value() - bandwidth_mark;
-  const double fresh_accesses = fresh_accesses_counter_->value() - fresh_mark;
+  syncs_counter_->Add(static_cast<double>(stats.syncs));
+  accesses_counter_->Add(static_cast<double>(stats.accesses));
+  fresh_accesses_counter_->Add(static_cast<double>(fresh_accesses));
+  bandwidth_counter_->Add(stats.bandwidth_spent);
   if (stats.accesses > 0) {
-    stats.perceived_freshness =
-        fresh_accesses / static_cast<double>(stats.accesses);
+    stats.perceived_freshness = static_cast<double>(fresh_accesses) /
+                                static_cast<double>(stats.accesses);
     stats.mean_access_age =
         age_sum.Total() / static_cast<double>(stats.accesses);
   }
@@ -317,8 +309,7 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
     }
   }
   if (slo != nullptr) {
-    slo->ObservePeriod(now_, stats.accesses,
-                       static_cast<uint64_t>(fresh_accesses),
+    slo->ObservePeriod(now_, stats.accesses, fresh_accesses,
                        age_good_accesses);
   }
   if (options_.on_period_end) {

@@ -36,10 +36,10 @@ class SloMonitor;
 class StalenessTimeline;
 }  // namespace obs
 
-/// One period's observable outcomes. The event counts (accesses, syncs,
-/// bandwidth_spent) are per-period deltas of the loop's registry counters
-/// (freshen_mirror_*) — the registry is the source of truth, this struct is
-/// the per-period view of it.
+/// One period's observable outcomes. The loop counts them itself and adds
+/// the event counts (accesses, syncs, bandwidth_spent) to its registry's
+/// freshen_mirror_* counters once at the period boundary, so they hold
+/// whether or not the registry is enabled.
 struct PeriodStats {
   /// Fraction of this period's accesses that saw a fresh copy.
   double perceived_freshness = 0.0;
@@ -149,10 +149,6 @@ class OnlineFreshenLoop {
 
   /// The registry this loop reports into.
   obs::MetricsRegistry& registry() const { return *registry_; }
-
-  /// Point-in-time copy of every metric in the loop's registry — feed it to
-  /// an obs::MetricsSink (JSON / Prometheus / CSV) to export a run.
-  obs::RegistrySnapshot SnapshotMetrics() const { return registry_->Snapshot(); }
 
  private:
   OnlineFreshenLoop(ElementSet truth, VersionedSource source,

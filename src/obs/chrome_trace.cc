@@ -137,12 +137,6 @@ std::string FormatChromeTrace(const std::vector<Event>& events) {
   return out;
 }
 
-std::string FormatEventsText(const std::vector<Event>& events) {
-  std::string out;
-  for (const Event& event : events) out += EventLine(event);
-  return out;
-}
-
 std::string FormatVirtualEventsText(const std::vector<Event>& events) {
   std::vector<Event> virtual_events;
   for (const Event& event : events) {
@@ -162,7 +156,9 @@ std::string FormatVirtualEventsText(const std::vector<Event>& events) {
               if (a.arg0 != b.arg0) return a.arg0 < b.arg0;
               return a.arg1 < b.arg1;
             });
-  return FormatEventsText(virtual_events);
+  std::string out;
+  for (const Event& event : virtual_events) out += EventLine(event);
+  return out;
 }
 
 }  // namespace obs

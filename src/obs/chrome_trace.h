@@ -4,13 +4,11 @@
 // virtual-time events land in pid 2 ("freshen virtual time", one tid per
 // logical track) with period units rendered as seconds.
 //
-// Two text forms back the tests:
-//   * FormatEventsText — every event, merged in thread order (the order
-//     Collect returns), for human eyes and span-pairing checks.
-//   * FormatVirtualEventsText — only virtual-clock events, sorted on a
-//     total deterministic key. Virtual events are pure functions of the
-//     seed, so this dump is byte-identical across thread counts — the
-//     reproducibility contract freshenctl trace and chrome_trace_test pin.
+// A text form backs the tests: FormatVirtualEventsText keeps only the
+// virtual-clock events, sorted on a total deterministic key. Virtual events
+// are pure functions of the seed, so this dump is byte-identical across
+// thread counts — the reproducibility contract freshenctl trace and
+// chrome_trace_test pin.
 #ifndef FRESHEN_OBS_CHROME_TRACE_H_
 #define FRESHEN_OBS_CHROME_TRACE_H_
 
@@ -29,13 +27,10 @@ namespace obs {
 /// stay properly nested.
 std::string FormatChromeTrace(const std::vector<Event>& events);
 
-/// One line per event: "wall|virt track=<t> ts=<s> <B|E|i> <cat>/<name>
-/// [arg=value ...]", in the order given (Collect order = thread order).
-std::string FormatEventsText(const std::vector<Event>& events);
-
-/// Only the virtual-clock events, sorted by (track, ts, phase, name, args)
-/// — a total order on deterministic fields, so two same-seed runs produce
-/// byte-identical output at any thread count.
+/// Only the virtual-clock events, one line each — "virt track=<t> ts=<s>
+/// <B|E|i> <cat>/<name> [arg=value ...]" — sorted by (track, ts, phase,
+/// name, args): a total order on deterministic fields, so two same-seed runs
+/// produce byte-identical output at any thread count.
 std::string FormatVirtualEventsText(const std::vector<Event>& events);
 
 }  // namespace obs

@@ -212,26 +212,5 @@ std::string FormatCsv(const RegistrySnapshot& snapshot) {
   return table.ToCsv();
 }
 
-Status NullSink::Export(const RegistrySnapshot& snapshot) {
-  (void)snapshot;
-  return Status::OK();
-}
-
-Status JsonSink::Export(const RegistrySnapshot& snapshot) {
-  out_ << FormatJson(snapshot);
-  return out_.good() ? Status::OK() : Status::Internal("json sink write failed");
-}
-
-Status PrometheusSink::Export(const RegistrySnapshot& snapshot) {
-  out_ << FormatPrometheus(snapshot);
-  return out_.good() ? Status::OK()
-                     : Status::Internal("prometheus sink write failed");
-}
-
-Status CsvSink::Export(const RegistrySnapshot& snapshot) {
-  out_ << FormatCsv(snapshot);
-  return out_.good() ? Status::OK() : Status::Internal("csv sink write failed");
-}
-
 }  // namespace obs
 }  // namespace freshen

@@ -1,14 +1,11 @@
 // freshen::obs exporters — turn a RegistrySnapshot into bytes. Three wire
-// formats (JSON for tooling, Prometheus text exposition for scrapers, CSV
-// via table_writer for plotting scripts) behind one MetricsSink interface so
-// callers can be handed "somewhere to ship metrics" without caring which.
+// formats: JSON for tooling, Prometheus text exposition for scrapers, CSV
+// via table_writer for plotting scripts.
 #ifndef FRESHEN_OBS_EXPORT_H_
 #define FRESHEN_OBS_EXPORT_H_
 
-#include <ostream>
 #include <string>
 
-#include "common/status.h"
 #include "obs/metrics.h"
 
 namespace freshen {
@@ -43,52 +40,6 @@ std::string FormatPrometheus(const RegistrySnapshot& snapshot);
 /// Formats the snapshot as CSV (columns metric,labels,type,value,count,sum)
 /// rendered by TableWriter, histograms reporting count/sum.
 std::string FormatCsv(const RegistrySnapshot& snapshot);
-
-/// Somewhere snapshots can be shipped.
-class MetricsSink {
- public:
-  virtual ~MetricsSink() = default;
-
-  /// Consumes one snapshot. Implementations may be called repeatedly (one
-  /// scrape each).
-  virtual Status Export(const RegistrySnapshot& snapshot) = 0;
-};
-
-/// Discards snapshots (the "instrumentation on, export off" configuration).
-class NullSink : public MetricsSink {
- public:
-  Status Export(const RegistrySnapshot& snapshot) override;
-};
-
-/// Writes FormatJson to a stream.
-class JsonSink : public MetricsSink {
- public:
-  explicit JsonSink(std::ostream& out) : out_(out) {}
-  Status Export(const RegistrySnapshot& snapshot) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// Writes FormatPrometheus to a stream.
-class PrometheusSink : public MetricsSink {
- public:
-  explicit PrometheusSink(std::ostream& out) : out_(out) {}
-  Status Export(const RegistrySnapshot& snapshot) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// Writes FormatCsv to a stream.
-class CsvSink : public MetricsSink {
- public:
-  explicit CsvSink(std::ostream& out) : out_(out) {}
-  Status Export(const RegistrySnapshot& snapshot) override;
-
- private:
-  std::ostream& out_;
-};
 
 }  // namespace obs
 }  // namespace freshen

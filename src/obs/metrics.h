@@ -146,7 +146,7 @@ struct MetricSample {
 };
 
 /// A point-in-time copy of every registered series, ordered by name then
-/// labels — the unit all MetricsSink implementations consume.
+/// labels — the unit the Format* exporters (obs/export.h) consume.
 struct RegistrySnapshot {
   std::vector<MetricSample> samples;
 

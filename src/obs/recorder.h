@@ -112,18 +112,6 @@ class EventRecorder {
   /// Wall-clock events get `track` replaced by the thread's recorder id.
   void Emit(const Event& event);
 
-  /// Convenience emitters.
-  void EmitInstant(const char* name, const char* category, EventClock clock,
-                   double ts, uint64_t track) {
-    Event event;
-    event.name = name;
-    event.category = category;
-    event.clock = clock;
-    event.ts = ts;
-    event.track = track;
-    Emit(event);
-  }
-
   /// Runtime switch; when disabled, Emit is one relaxed load + branch.
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);

@@ -21,19 +21,19 @@ const char* SloStateName(SloState state) {
   return "unknown";
 }
 
-SloMonitor::Shared::Shared(size_t size)
-    : ring_size(size), ring(new Slot[size]) {}
-
 SloMonitor::SloMonitor(Options options)
-    : options_(options), state_(new std::atomic<uint8_t>(0)) {
-  // Capacity far beyond the slow window: a reader would have to stall
-  // across 4x slow_window ObservePeriod calls for its scan to race a
-  // wrap-around overwrite.
-  size_t ring_size = 1;
-  const size_t want =
-      static_cast<size_t>(std::ceil(options_.slow_window_periods)) * 4;
-  while (ring_size < want) ring_size <<= 1;
-  shared_ = std::make_unique<Shared>(ring_size);
+    : options_(options),
+      // slow > fast >= 1, so the ring holds at least one period and every
+      // period either window sums.
+      ring_(static_cast<size_t>(options_.slow_window_periods)),
+      mu_(new std::mutex),
+      state_(new std::atomic<uint8_t>(0)) {
+  report_.objective = options_.objective;
+  report_.error_budget = 1.0 - options_.objective;
+  report_.good_is_age_slo = options_.good_is_age_slo;
+  report_.age_slo = options_.age_slo;
+  report_.fast.length_periods = options_.fast_window_periods;
+  report_.slow.length_periods = options_.slow_window_periods;
 
   MetricsRegistry& registry =
       options_.registry != nullptr ? *options_.registry
@@ -83,31 +83,14 @@ Result<SloMonitor> SloMonitor::Create(Options options) {
 void SloMonitor::ObservePeriod(double period_end, uint64_t accesses,
                                uint64_t fresh_accesses,
                                uint64_t age_slo_accesses) {
-  Shared& s = *shared_;
-  const uint64_t head = s.head.load(std::memory_order_relaxed);
-  Slot& slot = s.ring[head % s.ring_size];
-  slot.end.store(period_end, std::memory_order_relaxed);
-  slot.accesses.store(accesses, std::memory_order_relaxed);
-  slot.fresh.store(std::min(fresh_accesses, accesses),
-                   std::memory_order_relaxed);
-  slot.age_good.store(std::min(age_slo_accesses, accesses),
-                      std::memory_order_relaxed);
   const uint64_t good =
       options_.good_is_age_slo ? std::min(age_slo_accesses, accesses)
                                : std::min(fresh_accesses, accesses);
-  s.total_accesses.fetch_add(accesses, std::memory_order_relaxed);
-  // Release pairs with Report()'s acquire load of total_good.
-  s.total_good.fetch_add(good, std::memory_order_release);
-  s.now.store(period_end, std::memory_order_relaxed);
-  // Publish the slot: readers only scan below head.
-  s.head.store(head + 1, std::memory_order_release);
+  ring_[head_ % ring_.size()] = Period{accesses, good};
+  ++head_;
+  const SloWindowView fast = WindowView(options_.fast_window_periods);
+  const SloWindowView slow = WindowView(options_.slow_window_periods);
 
-  const SloWindowView fast =
-      WindowView(head + 1, options_.fast_window_periods);
-  const SloWindowView slow =
-      WindowView(head + 1, options_.slow_window_periods);
-
-  const SloState prev = state();
   SloState next = SloState::kOk;
   if (fast.burn_rate >= options_.page_burn_rate &&
       slow.burn_rate >= options_.warn_burn_rate) {
@@ -115,9 +98,33 @@ void SloMonitor::ObservePeriod(double period_end, uint64_t accesses,
   } else if (fast.burn_rate >= options_.warn_burn_rate) {
     next = SloState::kBurning;
   }
-  if (next != prev) {
-    s.transitions.fetch_add(1, std::memory_order_relaxed);
-    s.last_transition_time.store(period_end, std::memory_order_relaxed);
+  const double budget_remaining = std::clamp(
+      1.0 - slow.burn_rate * slow.periods / options_.slow_window_periods, 0.0,
+      1.0);
+  bool transitioned = false;
+  {
+    std::lock_guard<std::mutex> lock(*mu_);
+    if (next != report_.state) {
+      transitioned = true;
+      ++report_.transitions;
+      report_.last_transition_time = period_end;
+    }
+    report_.state = next;
+    report_.fast = fast;
+    report_.slow = slow;
+    report_.total_accesses += accesses;
+    report_.total_good += good;
+    report_.overall_good_ratio =
+        report_.total_accesses > 0
+            ? static_cast<double>(report_.total_good) /
+                  static_cast<double>(report_.total_accesses)
+            : 1.0;
+    report_.budget_remaining = budget_remaining;
+    report_.now = period_end;
+  }
+  state_->store(static_cast<uint8_t>(next), std::memory_order_release);
+
+  if (transitioned) {
     switch (next) {
       case SloState::kOk:
         transitions_to_ok_->Increment();
@@ -130,29 +137,21 @@ void SloMonitor::ObservePeriod(double period_end, uint64_t accesses,
         break;
     }
   }
-  state_->store(static_cast<uint8_t>(next), std::memory_order_release);
-
   state_gauge_->Set(static_cast<double>(next));
   fast_burn_gauge_->Set(fast.burn_rate);
   slow_burn_gauge_->Set(slow.burn_rate);
-  budget_remaining_gauge_->Set(
-      std::clamp(1.0 - slow.burn_rate * slow.periods /
-                           options_.slow_window_periods,
-                 0.0, 1.0));
+  budget_remaining_gauge_->Set(budget_remaining);
 }
 
-SloWindowView SloMonitor::WindowView(uint64_t head, double window) const {
-  const Shared& s = *shared_;
+SloWindowView SloMonitor::WindowView(double window) const {
   SloWindowView view;
   view.length_periods = window;
   const uint64_t periods =
-      std::min<uint64_t>(head, static_cast<uint64_t>(window));
+      std::min<uint64_t>(head_, static_cast<uint64_t>(window));
   for (uint64_t i = 0; i < periods; ++i) {
-    const Slot& slot = s.ring[(head - 1 - i) % s.ring_size];
-    view.accesses += slot.accesses.load(std::memory_order_relaxed);
-    view.good += options_.good_is_age_slo
-                     ? slot.age_good.load(std::memory_order_relaxed)
-                     : slot.fresh.load(std::memory_order_relaxed);
+    const Period& period = ring_[(head_ - 1 - i) % ring_.size()];
+    view.accesses += period.accesses;
+    view.good += period.good;
   }
   view.periods = periods;
   if (view.accesses > 0) {
@@ -164,36 +163,8 @@ SloWindowView SloMonitor::WindowView(uint64_t head, double window) const {
 }
 
 SloReport SloMonitor::Report() const {
-  const Shared& s = *shared_;
-  SloReport report;
-  report.objective = options_.objective;
-  report.error_budget = 1.0 - options_.objective;
-  report.good_is_age_slo = options_.good_is_age_slo;
-  report.age_slo = options_.age_slo;
-  // Acquire pairs with the writer's release store: every slot below this
-  // head is fully written.
-  const uint64_t head = s.head.load(std::memory_order_acquire);
-  report.state = state();
-  report.transitions = s.transitions.load(std::memory_order_relaxed);
-  report.last_transition_time =
-      s.last_transition_time.load(std::memory_order_relaxed);
-  report.fast = WindowView(head, options_.fast_window_periods);
-  report.slow = WindowView(head, options_.slow_window_periods);
-  // Good first: every period counted in it was added to total_accesses
-  // before, so the pair read here never has good > accesses.
-  report.total_good = s.total_good.load(std::memory_order_acquire);
-  report.total_accesses = s.total_accesses.load(std::memory_order_relaxed);
-  report.overall_good_ratio =
-      report.total_accesses > 0
-          ? static_cast<double>(report.total_good) /
-                static_cast<double>(report.total_accesses)
-          : 1.0;
-  report.budget_remaining = std::clamp(
-      1.0 - report.slow.burn_rate * report.slow.periods /
-                options_.slow_window_periods,
-      0.0, 1.0);
-  report.now = s.now.load(std::memory_order_relaxed);
-  return report;
+  std::lock_guard<std::mutex> lock(*mu_);
+  return report_;
 }
 
 }  // namespace obs

@@ -23,15 +23,17 @@
 //
 // Threading: ObservePeriod is called by one thread (the loop thread) at
 // period boundaries. Report()/state() are safe from any number of
-// concurrent reader threads (admin commands, WATCH streams): per-period
-// slots live in a lock-free ring of atomics sized far beyond the slow
-// window, so readers never contend with the writer.
+// concurrent reader threads (admin commands, WATCH streams): the per-period
+// ring is the writer's alone, the report is rebuilt from it under a mutex
+// at period close, and readers copy it under the same mutex.
 #ifndef FRESHEN_OBS_SLO_H_
 #define FRESHEN_OBS_SLO_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "common/result.h"
 #include "obs/metrics.h"
@@ -128,7 +130,8 @@ class SloMonitor {
     return static_cast<SloState>(state_->load(std::memory_order_acquire));
   }
 
-  /// One coherent sample (any thread, lock-free).
+  /// One coherent sample: the report built at the last period close (any
+  /// thread).
   SloReport Report() const;
 
   /// The configured age threshold, for the access-stream feeder.
@@ -137,38 +140,26 @@ class SloMonitor {
   const Options& options() const { return options_; }
 
  private:
-  // One closed period. Fields are individually atomic: the single writer
-  // fills them before publishing the slot via the shared head counter, and
-  // the ring is sized so a reader would have to stall for >ring_size
-  // periods before its slots could be overwritten mid-read.
-  struct Slot {
-    std::atomic<double> end{0.0};
-    std::atomic<uint64_t> accesses{0};
-    std::atomic<uint64_t> fresh{0};
-    std::atomic<uint64_t> age_good{0};
-  };
-
-  // State shared between the writer and readers. Heap-allocated so the
-  // monitor stays movable (Result<SloMonitor> returns by value).
-  struct Shared {
-    explicit Shared(size_t ring_size);
-    const size_t ring_size;
-    std::unique_ptr<Slot[]> ring;
-    std::atomic<uint64_t> head{0};  // Periods ever observed.
-    std::atomic<uint64_t> total_accesses{0};
-    std::atomic<uint64_t> total_good{0};
-    std::atomic<uint64_t> transitions{0};
-    std::atomic<double> last_transition_time{0.0};
-    std::atomic<double> now{0.0};
+  // One closed period: its accesses and how many of them were good.
+  struct Period {
+    uint64_t accesses = 0;
+    uint64_t good = 0;
   };
 
   explicit SloMonitor(Options options);
 
-  // Sums the trailing `window` periods from the ring (reader-safe).
-  SloWindowView WindowView(uint64_t head, double window) const;
+  // Sums the trailing `window` periods from the ring (writer only).
+  SloWindowView WindowView(double window) const;
 
   Options options_;
-  std::unique_ptr<Shared> shared_;
+  // Writer-only: the last floor(slow_window_periods) closed periods, and how
+  // many periods were ever observed.
+  std::vector<Period> ring_;
+  uint64_t head_ = 0;
+
+  // Reader-shared state. unique_ptr keeps the monitor movable.
+  std::unique_ptr<std::mutex> mu_;
+  SloReport report_;  // Guarded by *mu_.
   std::unique_ptr<std::atomic<uint8_t>> state_;
 
   // Cached registry handles.

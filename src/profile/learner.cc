@@ -15,14 +15,12 @@ AccessLogLearner::AccessLogLearner(size_t num_elements, Options options)
 void AccessLogLearner::Observe(size_t element) {
   FRESHEN_CHECK(element < counts_.size());
   counts_[element] += 1.0;
-  total_ += 1.0;
   ++observations_;
 }
 
 void AccessLogLearner::EndPeriod() {
   if (options_.decay >= 1.0) return;
   for (double& c : counts_) c *= options_.decay;
-  total_ *= options_.decay;
 }
 
 Result<std::vector<double>> AccessLogLearner::Snapshot() const {

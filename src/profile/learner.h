@@ -34,9 +34,6 @@ class AccessLogLearner {
   /// Applies one decay step (call at period boundaries when decay < 1).
   void EndPeriod();
 
-  /// Total (decayed) access mass recorded so far.
-  double TotalMass() const { return total_; }
-
   /// Number of raw Observe() calls.
   uint64_t NumObservations() const { return observations_; }
 
@@ -52,7 +49,6 @@ class AccessLogLearner {
  private:
   Options options_;
   std::vector<double> counts_;
-  double total_ = 0.0;
   uint64_t observations_ = 0;
 };
 

@@ -41,15 +41,6 @@ Result<UserProfile> UserProfile::FromWeights(std::vector<double> weights) {
   return UserProfile(std::move(normalized).value());
 }
 
-Result<UserProfile> UserProfile::FromAccessCounts(
-    const std::vector<size_t>& counts) {
-  std::vector<double> weights(counts.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
-    weights[i] = static_cast<double>(counts[i]);
-  }
-  return FromWeights(std::move(weights));
-}
-
 Result<std::vector<double>> AggregateProfiles(
     const std::vector<UserProfile>& profiles,
     const std::vector<double>& user_weights) {

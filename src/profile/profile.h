@@ -22,10 +22,6 @@ class UserProfile {
   /// negative/non-finite, or when all weights are zero.
   static Result<UserProfile> FromWeights(std::vector<double> weights);
 
-  /// Builds a profile from raw access counts observed for this user.
-  static Result<UserProfile> FromAccessCounts(
-      const std::vector<size_t>& counts);
-
   /// Normalized access probabilities; sums to 1.
   const std::vector<double>& probabilities() const { return probs_; }
 

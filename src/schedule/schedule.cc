@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/string_util.h"
-#include "rng/distributions.h"
-#include "rng/rng.h"
 #include "stats/descriptive.h"
 
 namespace freshen {
@@ -30,33 +28,6 @@ Result<SyncSchedule> SyncSchedule::FixedOrder(
   schedule.events_.reserve(total_events);
   for (size_t i = 0; i < n; ++i) {
     ForEachFixedOrderSyncTime(i, n, frequencies[i], horizon, [&](double t) {
-      schedule.events_.push_back(SyncEvent{t, i});
-    });
-  }
-  std::sort(schedule.events_.begin(), schedule.events_.end(),
-            [](const SyncEvent& a, const SyncEvent& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.element < b.element;
-            });
-  return schedule;
-}
-
-Result<SyncSchedule> SyncSchedule::PoissonOrder(
-    const std::vector<double>& frequencies, double horizon, uint64_t seed) {
-  if (!(horizon >= 0.0) || !std::isfinite(horizon)) {
-    return Status::InvalidArgument(
-        StrFormat("horizon must be non-negative and finite, got %g", horizon));
-  }
-  SyncSchedule schedule;
-  Rng root(seed);
-  for (size_t i = 0; i < frequencies.size(); ++i) {
-    const double f = frequencies[i];
-    if (!(f >= 0.0) || !std::isfinite(f)) {
-      return Status::InvalidArgument(
-          StrFormat("frequency %zu is negative or non-finite", i));
-    }
-    Rng rng = root.Fork();
-    ForEachPoissonSyncTime(f, horizon, rng, [&](double t) {
       schedule.events_.push_back(SyncEvent{t, i});
     });
   }

@@ -77,9 +77,9 @@ void ForEachFixedOrderSyncTime(size_t element, size_t num_elements,
 }
 
 /// Calls emit(t) for every Poisson-scheduled sync instant over [0, horizon):
-/// exponential gaps of rate `frequency` drawn from `rng`. No-op for
-/// frequency <= 0 (the rng is left untouched, matching PoissonOrder's
-/// fork-then-skip behaviour).
+/// exponential gaps of rate `frequency` drawn from `rng` — the "purely
+/// random" policy of [5], which the simulator runs for the policy ablation.
+/// No-op for frequency <= 0 (the rng is left untouched).
 template <typename Emit>
 void ForEachPoissonSyncTime(double frequency, double horizon, Rng& rng,
                             Emit&& emit) {
@@ -108,13 +108,6 @@ class SyncSchedule {
   /// malformed frequencies.
   static Result<SyncSchedule> FixedOrder(const std::vector<double>& frequencies,
                                          double horizon);
-
-  /// Builds a memoryless timeline: element i's sync instants form a Poisson
-  /// process of rate f_i (exponential gaps), deterministic in `seed`. This
-  /// is the "purely random" policy of [5], kept for the policy ablation —
-  /// it wastes bandwidth on clustered syncs and FixedOrder dominates it.
-  static Result<SyncSchedule> PoissonOrder(
-      const std::vector<double>& frequencies, double horizon, uint64_t seed);
 
   /// All events, sorted by time (ties broken by element id).
   const std::vector<SyncEvent>& events() const { return events_; }

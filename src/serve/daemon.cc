@@ -61,7 +61,6 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
                            obs::DriftDetector::Create(opts.drift));
   daemon->drift_ = std::make_unique<obs::DriftDetector>(std::move(detector));
   opts.loop.drift = daemon->drift_.get();
-  opts.loop.drift_replan = opts.drift_replan;
 
   opts.loop.on_period_end = [d = daemon.get()](
                                 const PeriodStats& stats,

@@ -117,9 +117,6 @@ class FreshendDaemon {
     /// it into the loop; loop.drift must be unset. drift.num_elements is
     /// filled from the catalog; drift.registry defaults to the daemon's.
     obs::DriftDetector::Options drift;
-    /// When true, sustained drift forces an early replan (see
-    /// OnlineFreshenLoop::Options::drift_replan). Off by default.
-    bool drift_replan = false;
     /// Slow-query ring configuration (SLOWLOG). Create refuses a capacity
     /// above SlowQueryLog::kMaxCapacity and a negative or non-finite
     /// threshold.

@@ -50,20 +50,6 @@ const char* BreakerEventName(BreakerState state) {
 
 }  // namespace
 
-const char* SyncOutcomeKindName(SyncOutcomeKind kind) {
-  switch (kind) {
-    case SyncOutcomeKind::kApplied:
-      return "applied";
-    case SyncOutcomeKind::kFailed:
-      return "failed";
-    case SyncOutcomeKind::kBreakerOpen:
-      return "breaker_open";
-    case SyncOutcomeKind::kDropped:
-      return "dropped";
-  }
-  return "unknown";
-}
-
 Result<std::unique_ptr<SyncExecutor>> SyncExecutor::Create(Source* source,
                                                            Options options) {
   if (source == nullptr) {

@@ -62,9 +62,6 @@ enum class SyncOutcomeKind {
   kDropped,      // Refused by queue backpressure; no attempts made.
 };
 
-/// Returns "applied" / "failed" / "breaker_open" / "dropped".
-const char* SyncOutcomeKindName(SyncOutcomeKind kind);
-
 /// The executor's verdict on one task, in scheduled order.
 struct SyncOutcome {
   size_t element = 0;

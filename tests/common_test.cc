@@ -1,5 +1,8 @@
-// Tests for the common runtime: Status, Result, string utils, tables.
+// Tests for the common runtime: Status, Result, string utils, tables,
+// timers.
+#include <chrono>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +10,7 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/table_writer.h"
+#include "common/timer.h"
 
 namespace freshen {
 namespace {
@@ -166,6 +170,20 @@ TEST(TableWriterTest, NumericRowFormatsWithPrecision) {
   TableWriter table({"x", "y"});
   table.AddNumericRow({1.23456, 2.0}, 2);
   EXPECT_EQ(table.ToCsv(), "x,y\n1.23,2.00\n");
+}
+
+TEST(TimerTest, ElapsedIsMonotoneAndRestartable) {
+  WallTimer timer;
+  const double t0 = timer.ElapsedSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const double t1 = timer.ElapsedSeconds();
+  EXPECT_GE(t0, 0.0);
+  EXPECT_GT(t1, t0);
+  EXPECT_GE(t1, 0.004);
+  timer.Restart();
+  EXPECT_LT(timer.ElapsedSeconds(), t1);
+  EXPECT_NEAR(timer.ElapsedMillis(), timer.ElapsedSeconds() * 1e3,
+              timer.ElapsedMillis());
 }
 
 }  // namespace

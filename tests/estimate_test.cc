@@ -133,23 +133,5 @@ TEST(SyncEvidenceTest, DecayScalesEveryColumn) {
   }
 }
 
-TEST(SampleChangeRatioTest, MatchesExpectedFractionOnHomogeneousSet) {
-  // All elements at rate 1, window 1: P(change) = 1 - 1/e ~ 0.632.
-  const std::vector<double> rates(500, 1.0);
-  const double ratio = SampleChangeRatio(rates, 20000, 1.0, 5);
-  EXPECT_NEAR(ratio, 1.0 - std::exp(-1.0), 0.02);
-}
-
-TEST(SampleChangeRatioTest, SampleSizeClampedToPopulation) {
-  const std::vector<double> rates = {1000.0, 1000.0};
-  const double ratio = SampleChangeRatio(rates, 10, 1.0, 6);
-  EXPECT_NEAR(ratio, 1.0, 1e-12);
-}
-
-TEST(SampleChangeRatioTest, ZeroRatesNeverChange) {
-  const std::vector<double> rates(10, 0.0);
-  EXPECT_DOUBLE_EQ(SampleChangeRatio(rates, 10, 5.0, 7), 0.0);
-}
-
 }  // namespace
 }  // namespace freshen

@@ -326,9 +326,9 @@ TEST(OnlineLoopTest, TracksProfileDriftWithDecay) {
 }
 
 TEST(OnlineLoopTest, StatsAgreeWithRegistryCountersToTheLastSync) {
-  // PeriodStats is defined as the per-period delta of the loop's registry
-  // counters; accumulated over a run, the two accountings must agree
-  // exactly — bandwidth to the last synced byte, events to the last sync.
+  // The loop adds each period's PeriodStats to its registry counters;
+  // accumulated over a run, the two accountings must agree exactly —
+  // bandwidth to the last synced byte, events to the last sync.
   ExperimentSpec spec = ExperimentSpec::IdealCase();
   spec.num_objects = 70;
   spec.syncs_per_period = 35.0;
@@ -350,7 +350,7 @@ TEST(OnlineLoopTest, StatsAgreeWithRegistryCountersToTheLastSync) {
     accesses_from_stats += stats.accesses;
   }
 
-  const obs::RegistrySnapshot snapshot = loop.SnapshotMetrics();
+  const obs::RegistrySnapshot snapshot = loop.registry().Snapshot();
   const obs::MetricSample* bandwidth =
       snapshot.Find("freshen_mirror_bandwidth_spent_total");
   ASSERT_NE(bandwidth, nullptr);
@@ -376,6 +376,50 @@ TEST(OnlineLoopTest, StatsAgreeWithRegistryCountersToTheLastSync) {
   // An isolated registry means none of this leaked into the global one...
   // and the controller reported its replans into the same local registry.
   ASSERT_NE(snapshot.Find("freshen_adaptive_replans_total"), nullptr);
+}
+
+TEST(OnlineLoopTest, PeriodStatsHoldWithTheRegistryDisabled) {
+  // A disabled registry drops every counter update. The loop counts its own
+  // period, so PeriodStats and the SLO monitor's feed must match a twin
+  // that reports into an enabled registry.
+  ExperimentSpec spec = ExperimentSpec::IdealCase();
+  spec.num_objects = 200;
+  spec.syncs_per_period = 50.0;
+  const ElementSet truth = GenerateCatalog(spec).value();
+  OnlineFreshenLoop::Options options = LoopOptions();
+  options.accesses_per_period = 500.0;
+
+  obs::MetricsRegistry disabled_registry;
+  disabled_registry.set_enabled(false);
+  obs::SloMonitor::Options slo_options;
+  slo_options.registry = &disabled_registry;
+  auto slo = obs::SloMonitor::Create(slo_options).value();
+  options.registry = &disabled_registry;
+  options.slo = &slo;
+  auto loop = OnlineFreshenLoop::Create(truth, 50.0, options).value();
+
+  obs::MetricsRegistry enabled_registry;
+  options.registry = &enabled_registry;
+  options.slo = nullptr;
+  auto twin = OnlineFreshenLoop::Create(truth, 50.0, options).value();
+
+  uint64_t accesses = 0;
+  for (int period = 0; period < 3; ++period) {
+    const PeriodStats stats = loop.RunPeriod();
+    const PeriodStats expected = twin.RunPeriod();
+    EXPECT_GT(stats.accesses, 0u) << period;
+    EXPECT_GT(stats.syncs, 0u) << period;
+    EXPECT_EQ(stats.accesses, expected.accesses) << period;
+    EXPECT_EQ(stats.syncs, expected.syncs) << period;
+    EXPECT_EQ(stats.bandwidth_spent, expected.bandwidth_spent) << period;
+    EXPECT_EQ(stats.perceived_freshness, expected.perceived_freshness)
+        << period;
+    accesses += stats.accesses;
+  }
+  EXPECT_EQ(slo.Report().total_accesses, accesses);
+  EXPECT_EQ(
+      disabled_registry.GetCounter("freshen_mirror_accesses_total")->value(),
+      0.0);
 }
 
 TEST(OnlineLoopTest, RejectsInvalidInput) {

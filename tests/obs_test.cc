@@ -299,28 +299,6 @@ TEST(ExportTest, CsvGolden) {
   EXPECT_EQ(obs::FormatCsv(GoldenRegistry().Snapshot()), expected);
 }
 
-TEST(ExportTest, SinksWriteTheirFormat) {
-  std::ostringstream json_out;
-  std::ostringstream prom_out;
-  std::ostringstream csv_out;
-  obs::JsonSink json_sink(json_out);
-  obs::PrometheusSink prom_sink(prom_out);
-  obs::CsvSink csv_sink(csv_out);
-  obs::NullSink null_sink;
-  const obs::RegistrySnapshot snapshot = GoldenRegistry().Snapshot();
-  EXPECT_TRUE(json_sink.Export(snapshot).ok());
-  EXPECT_TRUE(prom_sink.Export(snapshot).ok());
-  EXPECT_TRUE(csv_sink.Export(snapshot).ok());
-  EXPECT_TRUE(null_sink.Export(snapshot).ok());
-  EXPECT_EQ(json_out.str(), obs::FormatJson(snapshot));
-  EXPECT_EQ(prom_out.str(), obs::FormatPrometheus(snapshot));
-  EXPECT_EQ(csv_out.str(), obs::FormatCsv(snapshot));
-
-  // MetricsSink is the pluggable seam: any sink consumes any snapshot.
-  obs::MetricsSink* sink = &json_sink;
-  EXPECT_TRUE(sink->Export(snapshot).ok());
-}
-
 // Acceptance: one full OnlineFreshenLoop run must export, at minimum, the
 // replan count + latency histogram, a solver iteration histogram, the
 // sync/access counters, the bandwidth-spent counter, and the estimator
@@ -338,7 +316,7 @@ TEST(ObsIntegrationTest, OnlineLoopRunExportsOperationalMetrics) {
   auto loop = OnlineFreshenLoop::Create(truth, 30.0, options).value();
   for (int period = 0; period < 3; ++period) loop.RunPeriod();
 
-  const obs::RegistrySnapshot snapshot = loop.SnapshotMetrics();
+  const obs::RegistrySnapshot snapshot = loop.registry().Snapshot();
   const obs::MetricSample* replans =
       snapshot.Find("freshen_adaptive_replans_total");
   ASSERT_NE(replans, nullptr);

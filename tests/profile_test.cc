@@ -34,11 +34,6 @@ TEST(UserProfileTest, FromWeightsNormalizes) {
   EXPECT_DOUBLE_EQ(profile.probabilities()[1], 0.75);
 }
 
-TEST(UserProfileTest, FromAccessCounts) {
-  const auto profile = UserProfile::FromAccessCounts({10, 30, 60}).value();
-  EXPECT_DOUBLE_EQ(profile.probabilities()[2], 0.6);
-}
-
 TEST(AggregateProfilesTest, EqualWeightAggregation) {
   const auto a = UserProfile::FromWeights({1.0, 0.0}).value();
   const auto b = UserProfile::FromWeights({0.0, 1.0}).value();

@@ -1,9 +1,13 @@
-// Tests for materialized fixed-order schedules.
+// Tests for the Fixed-Order and Poisson sync timelines.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "model/element.h"
+#include "rng/rng.h"
 #include "schedule/schedule.h"
 
 namespace freshen {
@@ -82,56 +86,52 @@ TEST(ScheduleTest, FractionalFrequenciesSpanPeriods) {
               1e-9);
 }
 
+// Every instant ForEachPoissonSyncTime emits for `frequency` over
+// [0, horizon), drawing from a fresh Rng seeded with `seed`.
+std::vector<double> PoissonSyncTimes(double frequency, double horizon,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> times;
+  ForEachPoissonSyncTime(frequency, horizon, rng,
+                         [&](double t) { times.push_back(t); });
+  return times;
+}
+
 TEST(PoissonScheduleTest, EventCountNearExpectation) {
-  const auto schedule =
-      SyncSchedule::PoissonOrder({2.0, 0.5}, 1000.0, 11).value();
-  size_t count0 = 0;
-  size_t count1 = 0;
-  for (const auto& event : schedule.events()) {
-    if (event.element == 0) ++count0;
-    if (event.element == 1) ++count1;
-  }
-  EXPECT_NEAR(static_cast<double>(count0), 2000.0, 150.0);
-  EXPECT_NEAR(static_cast<double>(count1), 500.0, 80.0);
+  EXPECT_NEAR(static_cast<double>(PoissonSyncTimes(2.0, 1000.0, 11).size()),
+              2000.0, 150.0);
+  EXPECT_NEAR(static_cast<double>(PoissonSyncTimes(0.5, 1000.0, 12).size()),
+              500.0, 80.0);
 }
 
 TEST(PoissonScheduleTest, SortedAndDeterministic) {
-  const auto a = SyncSchedule::PoissonOrder({1.0, 2.0}, 50.0, 5).value();
-  const auto b = SyncSchedule::PoissonOrder({1.0, 2.0}, 50.0, 5).value();
-  ASSERT_EQ(a.size(), b.size());
+  const std::vector<double> a = PoissonSyncTimes(2.0, 50.0, 5);
+  const std::vector<double> b = PoissonSyncTimes(2.0, 50.0, 5);
+  ASSERT_NE(a.size(), 0u);
+  EXPECT_EQ(a, b);
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.events()[i], b.events()[i]);
+    EXPECT_GE(a[i], 0.0);
+    EXPECT_LT(a[i], 50.0);
     if (i > 0) {
-      EXPECT_LE(a.events()[i - 1].time, a.events()[i].time);
+      EXPECT_LT(a[i - 1], a[i]);
     }
   }
-  const auto c = SyncSchedule::PoissonOrder({1.0, 2.0}, 50.0, 6).value();
-  EXPECT_NE(a.size(), 0u);
-  bool differs = a.size() != c.size();
-  for (size_t i = 0; !differs && i < a.size(); ++i) {
-    differs = !(a.events()[i] == c.events()[i]);
-  }
-  EXPECT_TRUE(differs);
+  EXPECT_NE(a, PoissonSyncTimes(2.0, 50.0, 6));
 }
 
 TEST(PoissonScheduleTest, GapsAreIrregular) {
-  const auto schedule = SyncSchedule::PoissonOrder({4.0}, 100.0, 9).value();
-  ASSERT_GT(schedule.size(), 100u);
+  const std::vector<double> times = PoissonSyncTimes(4.0, 100.0, 9);
+  ASSERT_GT(times.size(), 100u);
   double min_gap = 1e300;
   double max_gap = 0.0;
-  for (size_t i = 1; i < schedule.size(); ++i) {
-    const double gap = schedule.events()[i].time - schedule.events()[i - 1].time;
+  for (size_t i = 1; i < times.size(); ++i) {
+    const double gap = times[i] - times[i - 1];
     min_gap = std::min(min_gap, gap);
     max_gap = std::max(max_gap, gap);
   }
   // Memoryless gaps vary wildly, unlike FixedOrder's constant 0.25.
   EXPECT_LT(min_gap, 0.05);
   EXPECT_GT(max_gap, 0.5);
-}
-
-TEST(PoissonScheduleTest, RejectsInvalidInput) {
-  EXPECT_FALSE(SyncSchedule::PoissonOrder({1.0}, -1.0, 1).ok());
-  EXPECT_FALSE(SyncSchedule::PoissonOrder({-1.0}, 1.0, 1).ok());
 }
 
 }  // namespace

@@ -593,6 +593,32 @@ TEST(FreshendDaemonTest, RunsPeriodsAndPublishesEachBoundary) {
   EXPECT_FALSE(stats.running);
 }
 
+// The daemon has no drift switch of its own: loop.drift_replan alone decides
+// whether sustained drift forces a replan. The setup is the serve drill's:
+// a prior ~200x below the catalog's rates and no scheduled replan in sight.
+TEST(FreshendDaemonTest, HonoursTheLoopsDriftReplanSwitch) {
+  obs::MetricsRegistry registry;
+  auto options = DaemonOptions(&registry);
+  options.loop.accesses_per_period = 400.0;
+  options.loop.controller.replan_every_periods = 1000.0;
+  options.loop.controller.prior_change_rate = 0.01;
+  options.loop.drift_replan = true;
+  options.drift.min_evidence = 2.0;
+  options.drift.replan_consecutive_periods = 2;
+  options.max_periods = 20;
+  const ElementSet truth = TestCatalog(200);
+  auto daemon = FreshendDaemon::Create(
+                    truth, 2.0 * static_cast<double>(truth.size()), options)
+                    .value();
+  ASSERT_TRUE(daemon->Start().ok());
+  while (daemon->running()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  daemon->Stop();
+  EXPECT_EQ(daemon->PeriodsRun(), 20u);
+  EXPECT_GT(daemon->drift()->Report().replans_triggered, 0u);
+}
+
 // The daemon publishes frequencies, sizes and last-sync times straight from
 // the controller's and the mirror's columns, and the change rates the
 // current plan was solved against. After every period, whether it

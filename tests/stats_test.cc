@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "stats/descriptive.h"
-#include "stats/histogram.h"
 
 namespace freshen {
 namespace {
@@ -65,46 +64,6 @@ TEST(QuantileTest, InterpolatesLinearly) {
 
 TEST(QuantileTest, UnsortedInput) {
   EXPECT_DOUBLE_EQ(Quantile({5.0, 1.0, 3.0}, 0.5), 3.0);
-}
-
-TEST(HistogramTest, BinsAndOverflow) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.Add(-1.0);   // underflow
-  hist.Add(0.0);    // bin 0
-  hist.Add(1.99);   // bin 0
-  hist.Add(2.0);    // bin 1
-  hist.Add(9.99);   // bin 4
-  hist.Add(10.0);   // overflow
-  hist.Add(100.0);  // overflow
-  EXPECT_EQ(hist.BinCount(0), 2u);
-  EXPECT_EQ(hist.BinCount(1), 1u);
-  EXPECT_EQ(hist.BinCount(4), 1u);
-  EXPECT_EQ(hist.Underflow(), 1u);
-  EXPECT_EQ(hist.Overflow(), 2u);
-  EXPECT_EQ(hist.TotalCount(), 7u);
-  EXPECT_DOUBLE_EQ(hist.BinLow(1), 2.0);
-}
-
-TEST(HistogramTest, ChiSquareIsSmallForMatchingDistribution) {
-  Histogram hist(0.0, 1.0, 10);
-  // 10,000 evenly spread points.
-  for (int i = 0; i < 10000; ++i) hist.Add((i + 0.5) / 10000.0);
-  const double chi2 = hist.ChiSquare(std::vector<double>(10, 0.1));
-  EXPECT_LT(chi2, 1.0);  // Deterministic near-perfect fit.
-}
-
-TEST(HistogramTest, ChiSquareDetectsMismatch) {
-  Histogram hist(0.0, 1.0, 2);
-  for (int i = 0; i < 1000; ++i) hist.Add(0.25);  // Everything in bin 0.
-  const double chi2 = hist.ChiSquare({0.5, 0.5});
-  EXPECT_GT(chi2, 500.0);
-}
-
-TEST(HistogramTest, ToStringMentionsCounts) {
-  Histogram hist(0.0, 1.0, 2);
-  hist.Add(0.1);
-  const std::string text = hist.ToString();
-  EXPECT_NE(text.find("[0, 0.5): 1"), std::string::npos);
 }
 
 }  // namespace
