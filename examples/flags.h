@@ -1,9 +1,9 @@
 // Command-line flags shared by freshenctl and freshend: `--flag=value` and
-// `--flag value` parsing plus checked numeric accessors. A malformed value
-// (trailing garbage, a non-finite number, an integer out of its type's
-// range) ends the process with exit code 2 and a message naming the flag,
-// the same way an unknown argument does; it is never silently read as 0 or
-// cast out of range.
+// `--flag value` parsing plus checked numeric accessors. A flag the caller
+// does not know, or a malformed value (trailing garbage, a non-finite
+// number, an integer out of its type's range), ends the process with exit
+// code 2 and a message naming the flag; a misspelt flag is never silently
+// ignored, and a value is never silently read as 0 or cast out of range.
 #ifndef FRESHEN_EXAMPLES_FLAGS_H_
 #define FRESHEN_EXAMPLES_FLAGS_H_
 
@@ -19,11 +19,19 @@ namespace freshen {
 
 using FlagMap = std::map<std::string, std::string>;
 
-/// Parses argv[first..argc) into a flag map. Every flag takes a value
-/// (`--flag=value` or `--flag value`) except those in `bool_flags`, which
-/// read as "1" when given bare.
+/// Parses argv[first..argc) into a flag map. A flag listed in `known` takes
+/// a value (`--flag=value` or `--flag value`); one listed in `bool_flags`
+/// reads as "1" when given bare. Any other flag exits 2.
 inline FlagMap ParseFlags(int argc, char** argv, int first,
+                          std::initializer_list<const char*> known,
                           std::initializer_list<const char*> bool_flags = {}) {
+  const auto listed = [](std::initializer_list<const char*> names,
+                         const std::string& name) {
+    for (const char* listed_name : names) {
+      if (name == listed_name) return true;
+    }
+    return false;
+  };
   FlagMap flags;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -32,21 +40,25 @@ inline FlagMap ParseFlags(int argc, char** argv, int first,
       std::exit(2);
     }
     const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const bool is_bool = listed(bool_flags, name);
+    if (!is_bool && !listed(known, name)) {
+      std::fprintf(stderr, "unknown flag: %s\n", name.c_str());
+      std::exit(2);
+    }
     if (eq != std::string::npos) {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
+      flags[name] = arg.substr(eq + 1);
       continue;
     }
-    bool is_bool = false;
-    for (const char* name : bool_flags) is_bool = is_bool || arg == name;
     if (is_bool) {
-      flags[arg] = "1";
+      flags[name] = "1";
       continue;
     }
     if (i + 1 >= argc) {
       std::fprintf(stderr, "flag %s needs a value\n", arg.c_str());
       std::exit(2);
     }
-    flags[arg] = argv[++i];
+    flags[name] = argv[++i];
   }
   return flags;
 }

@@ -58,9 +58,9 @@
 //       loop churns, then drain gracefully and verify every pinned snapshot
 //       was internally consistent. Act 2: a wall-paced daemon with a
 //       deliberately wrong rate prior takes a scripted source outage; the
-//       drill watches the freshness SLO walk ok -> alert -> ok (live, over
-//       a WATCH stream), and verifies the drift detector caught the bad
-//       prior and forced an early replan. Non-zero exit if any act fails.
+//       drill verifies over the socket that the drift detector flags the
+//       plan's bad prior, and watches the freshness SLO walk ok -> alert ->
+//       ok (live, over a WATCH stream). Non-zero exit if any act fails.
 //
 //   top   --socket PATH [--interval S] [--count N]
 //       Live terminal view of a running freshend: subscribes to the admin
@@ -74,7 +74,8 @@
 // Any command accepts --metrics-out FILE and --metrics-format json|prom|csv:
 // after the command runs, the registry snapshot is written to FILE (the
 // `metrics` command prints to stdout when --metrics-out is omitted). Flags
-// may be spelled --flag value or --flag=value.
+// may be spelled --flag value or --flag=value; a flag no subcommand reads
+// exits 2 with "unknown flag: --name".
 //
 // Any command also accepts --trace-out FILE (enables the global event
 // recorder and writes the run's Chrome trace JSON there afterwards), and
@@ -753,11 +754,11 @@ double JsonNumberField(const std::string& line, const std::string& key,
 
 // serve-drill act 2: the telemetry plane under a scripted outage. A
 // wall-paced daemon starts with a deliberately wrong change-rate prior and
-// a replan cadence parked far out, so only the drift detector can fix the
-// plan — it must flag the bad prior and force the early replan. Then the
-// (healthy) source goes hard-down: the freshness SLO must walk
-// ok -> alert, and back to ok once the outage clears — observed both
-// in-process and live over a WATCH stream on a second connection.
+// a replan cadence parked far out, so the plan keeps running on the prior;
+// the drift detector must report it over the socket. Then the (healthy)
+// source goes hard-down: the freshness SLO must walk ok -> alert, and back
+// to ok once the outage clears — observed both in-process and live over a
+// WATCH stream on a second connection.
 bool RunTelemetryAct(const ElementSet& truth, uint64_t seed, bool quick,
                      const std::string& socket_path) {
   obs::MetricsRegistry registry;
@@ -794,8 +795,6 @@ bool RunTelemetryAct(const ElementSet& truth, uint64_t seed, bool quick,
   options.slo.warn_burn_rate = 2.0;
   options.slo.page_burn_rate = 6.0;
   options.drift.min_evidence = 2.0;
-  options.drift.replan_consecutive_periods = 2;
-  options.loop.drift_replan = true;
   options.slowlog.threshold_seconds = 0.0;  // record every admin request
   // Bandwidth 2x the catalog: with syncs plentiful, "good" accesses are the
   // healthy norm and the outage is the only thing that can page.
@@ -850,11 +849,18 @@ bool RunTelemetryAct(const ElementSet& truth, uint64_t seed, bool quick,
     }
   };
 
-  // Healthy warmup: enough periods for the drift-forced replan to land and
-  // the SLO windows to fill with good periods.
+  // Healthy warmup: enough periods for the drift detector to score the
+  // elements and the SLO windows to fill with good periods.
   expect("warmup", wait_until([&] { return daemon->PeriodsRun() >= 6; }));
-  expect("drift-forced early replan", wait_until([&] {
-           return daemon->drift()->Report().replans_triggered >= 1;
+  // SLO's drift object must flag the prior the plan still runs on: flagged
+  // elements, an aggregate score of at least ln 2, and the worst offender
+  // scored against 0.01.
+  expect("SLO reports the drift from the 0.01 prior", wait_until([&] {
+           SocketExchange(admin, "SLO", &response);
+           return JsonNumberField(response, "flagged_elements", 0.0) > 0.0 &&
+                  JsonNumberField(response, "aggregate_score", 0.0) >=
+                      obs::DriftDetector::kFlagScore &&
+                  JsonNumberField(response, "planned_rate", 0.0) == 0.01;
          }));
   expect("clean slo", wait_until([&] {
            return daemon->slo()->state() == obs::SloState::kOk;
@@ -930,8 +936,9 @@ bool RunTelemetryAct(const ElementSet& truth, uint64_t seed, bool quick,
   const obs::DriftReport drift = daemon->drift()->Report();
   std::printf("slo walk    : ok -> alert -> ok over %zu live watch samples\n",
               watch_states.size());
-  std::printf("drift       : early replans=%llu aggregate score=%.3f\n",
-              (unsigned long long)drift.replans_triggered,
+  std::printf("drift       : %zu of %zu scored elements flagged, aggregate "
+              "score=%.3f\n",
+              drift.flagged_elements, drift.scored_elements,
               drift.aggregate_score);
   std::printf("telemetry   : %s\n", act_ok ? "PASS" : "FAIL");
   return act_ok;
@@ -1109,8 +1116,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  const auto flags =
-      ParseFlags(argc, argv, 2, {"--size-aware", "--simulate"});
+  // One list for every subcommand: a flag no subcommand reads is refused.
+  const auto flags = ParseFlags(
+      argc, argv, 2,
+      {"--accesses", "--age-slo", "--alignment", "--allocation", "--bandwidth",
+       "--catalog", "--catalog-format", "--count", "--error-rate", "--horizon",
+       "--in", "--interval", "--kmeans", "--latency-mean", "--mean-rate",
+       "--metrics-format", "--metrics-out", "--objects", "--out",
+       "--partitions", "--periods", "--pool", "--queue", "--retries", "--seed",
+       "--sim-accesses", "--sizes", "--socket", "--stall-rate", "--stddev",
+       "--technique", "--theta", "--timeline-out", "--to", "--top-k",
+       "--trace-out"},
+      {"--size-aware", "--simulate"});
   // The flight recorder is on whenever this run can dump a trace: the trace
   // command always writes one, any other command only with --trace-out.
   if (command == "trace" || flags.count("--trace-out") > 0) {

@@ -26,10 +26,10 @@
 //   --age-slo S           age threshold (periods) scoring accesses as good
 //   --slo-age-mode 0|1    1: "good" means within --age-slo; 0: strictly
 //                         fresh (default)
-//   --drift-replan 0|1    1: sustained estimator drift forces an early
-//                         replan (default 0: detect and report only)
 //   --slowlog-threshold S SLOWLOG records requests handled slower than S
 //   --slowlog-capacity N  SLOWLOG ring size
+//
+// Any other flag exits 2 with "unknown flag: --name".
 //
 // The admin plane (METRICS/HEALTH/SLO/SLOWLOG/WATCH) is always served;
 // `freshenctl top --socket PATH` renders the WATCH stream live.
@@ -97,7 +97,13 @@ ElementSet LoadOrGenerateCatalog(const FlagMap& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto flags = ParseFlags(argc, argv, 1);
+  const auto flags = ParseFlags(
+      argc, argv, 1,
+      {"--socket", "--catalog", "--catalog-format", "--objects", "--theta",
+       "--bandwidth", "--periods", "--period-seconds", "--accesses",
+       "--threshold", "--error-rate", "--seed", "--metrics-out",
+       "--slo-objective", "--age-slo", "--slo-age-mode", "--slowlog-threshold",
+       "--slowlog-capacity"});
   const ElementSet truth = LoadOrGenerateCatalog(flags);
   const double bandwidth = GetDouble(
       flags, "--bandwidth", 0.25 * static_cast<double>(truth.size()));
@@ -137,7 +143,6 @@ int main(int argc, char** argv) {
   options.slo.good_is_age_slo =
       GetDouble(flags, "--slo-age-mode",
                 options.slo.good_is_age_slo ? 1.0 : 0.0) != 0.0;
-  options.loop.drift_replan = GetDouble(flags, "--drift-replan", 0.0) != 0.0;
   options.slowlog.threshold_seconds = GetDouble(
       flags, "--slowlog-threshold", options.slowlog.threshold_seconds);
   options.slowlog.capacity = GetInteger<size_t>(

@@ -295,18 +295,9 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
   }
 
   if (drift != nullptr) {
-    // Score this period's evidence against the rates the CURRENT plan was
-    // solved with (pre-forced-replan, by construction: EndPeriod first).
+    // Score this period's evidence against the rates the plan now in force
+    // was solved with.
     drift->EndPeriod(now_, controller_->PlannedChangeRates());
-    if (options_.drift_replan && !stats.replanned &&
-        drift->replan_recommended()) {
-      auto forced = controller_->MaybeReplan(now_, /*force=*/true);
-      FRESHEN_CHECK(forced.ok());
-      if (*forced) {
-        drift->AcknowledgeReplan();
-        stats.replanned = true;
-      }
-    }
   }
   if (slo != nullptr) {
     slo->ObservePeriod(now_, stats.accesses, fresh_accesses,

@@ -103,11 +103,6 @@ class OnlineFreshenLoop {
     /// boundary scores the evidence against the controller's
     /// PlannedChangeRates(). Non-owning; must outlive the loop.
     obs::DriftDetector* drift = nullptr;
-    /// When true (and `drift` is set), a sustained drift recommendation
-    /// forces an early replan at the boundary instead of waiting out the
-    /// controller's cadence. Off by default: detection is free, acting on
-    /// it is a policy decision.
-    bool drift_replan = false;
     /// Publication hook for serving (freshend): when set, RunPeriod invokes
     /// it once at the period boundary, after the controller's replan
     /// decision, with this period's stats and the sorted, deduplicated ids

@@ -19,7 +19,7 @@ constexpr double kMaxDetectionRatio = 0.999;
 constexpr size_t kSweepChunk = 256;
 
 // scored_against of an element queued for rescoring: below any planned
-// rate, which is floored at rate_floor > 0.
+// rate, which is floored at kRateFloor > 0.
 constexpr double kQueued = -1.0;
 
 // |log ratio| given the batch kernel's log of it. LogPos takes positive
@@ -37,15 +37,13 @@ DriftDetector::DriftDetector(Options options)
     : options_(options),
       evidence_(options.num_elements),
       scores_(options.num_elements),
-      mu_(new std::mutex),
-      recommend_(new std::atomic<bool>(false)) {
+      mu_(new std::mutex) {
   MetricsRegistry& registry =
       options_.registry != nullptr ? *options_.registry
                                    : MetricsRegistry::Global();
   aggregate_gauge_ = registry.GetGauge("freshen_drift_aggregate_score");
   max_gauge_ = registry.GetGauge("freshen_drift_max_score");
   flagged_gauge_ = registry.GetGauge("freshen_drift_flagged_elements");
-  replans_counter_ = registry.GetCounter("freshen_drift_replans_triggered");
 }
 
 Result<DriftDetector> DriftDetector::Create(Options options) {
@@ -61,17 +59,6 @@ Result<DriftDetector> DriftDetector::Create(Options options) {
   if (options.top_k == 0) {
     return Status::InvalidArgument("DriftDetector: top_k must be > 0");
   }
-  if (!(options.flag_threshold > 0.0) || !(options.replan_score > 0.0)) {
-    return Status::InvalidArgument(
-        "DriftDetector: thresholds must be positive");
-  }
-  if (options.replan_consecutive_periods == 0) {
-    return Status::InvalidArgument(
-        "DriftDetector: replan_consecutive_periods must be >= 1");
-  }
-  if (!(options.rate_floor > 0.0)) {
-    return Status::InvalidArgument("DriftDetector: rate_floor must be > 0");
-  }
   return DriftDetector(options);
 }
 
@@ -84,7 +71,7 @@ void DriftDetector::ObserveSync(size_t element, bool changed, double gap) {
 }
 
 double DriftDetector::ObservedRate(size_t element) const {
-  // Bias-reduced rate from poll evidence: with mean inter-poll gap w/p and
+  // Plain Poisson rate from poll evidence: with mean inter-poll gap w/p and
   // detection ratio c/p, a Poisson change process has
   // rate = -ln(1 - c/p) / (w/p). Cap the ratio so all-changed evidence
   // yields a large finite rate instead of infinity. These are the steps
@@ -95,7 +82,7 @@ double DriftDetector::ObservedRate(size_t element) const {
       std::min(evidence_.changes(element) / polls, kMaxDetectionRatio);
   return std::max(
       -simd::Log1pRef(-ratio) / (evidence_.watched_time(element) / polls),
-      options_.rate_floor);
+      kRateFloor);
 }
 
 void DriftDetector::RescoreOne(size_t element, double planned) {
@@ -116,7 +103,6 @@ void DriftDetector::RescoreSynced(const std::vector<double>& planned_rates) {
   double gap[kSweepChunk];
   double x[kSweepChunk];
   double y[kSweepChunk];
-  const double rate_floor = options_.rate_floor;
   const size_t n = std::min(evidence_.size(), planned_rates.size());
   for (size_t begin = 0; begin < dirty_.size(); begin += kSweepChunk) {
     const size_t end = std::min(dirty_.size(), begin + kSweepChunk);
@@ -128,7 +114,7 @@ void DriftDetector::RescoreSynced(const std::vector<double>& planned_rates) {
         continue;
       }
       index[k] = i;
-      planned[k] = std::max(planned_rates[i], rate_floor);
+      planned[k] = std::max(planned_rates[i], kRateFloor);
       polls[k] = evidence_.polls(i);
       gap[k] = evidence_.watched_time(i);
       x[k] = evidence_.changes(i);
@@ -140,7 +126,7 @@ void DriftDetector::RescoreSynced(const std::vector<double>& planned_rates) {
     }
     simd::Log1pBatch(x, y, k);
     for (size_t j = 0; j < k; ++j) {
-      x[j] = std::max(-y[j] / gap[j], rate_floor) / planned[j];
+      x[j] = std::max(-y[j] / gap[j], kRateFloor) / planned[j];
     }
     simd::LogPosBatch(x, y, k);
     for (size_t j = 0; j < k; ++j) {
@@ -167,8 +153,6 @@ void DriftDetector::EndPeriod(double now,
   top.reserve(options_.top_k + 1);
 
   const size_t top_k = options_.top_k;
-  const double flag_threshold = options_.flag_threshold;
-  const double rate_floor = options_.rate_floor;
   size_t scored_elements = 0;
   size_t flagged_elements = 0;
   double max_score = 0.0;
@@ -189,14 +173,14 @@ void DriftDetector::EndPeriod(double now,
       if (!Scorable(i)) continue;
       // A replan may have moved the planned rate of an element that saw no
       // sync.
-      const double planned = std::max(planned_rates[i], rate_floor);
+      const double planned = std::max(planned_rates[i], kRateFloor);
       if (scores_[i].scored_against != planned) [[unlikely]] {
         RescoreOne(i, planned);
       }
       const double score = scores_[i].score;
       const double polls = evidence_.polls(i);
       ++scored_elements;
-      if (score >= flag_threshold) ++flagged_elements;
+      if (score >= kFlagScore) ++flagged_elements;
       max_score = std::max(max_score, score);
       weighted_score += score * polls;
       weight += polls;
@@ -232,22 +216,6 @@ void DriftDetector::EndPeriod(double now,
   evidence_.Decay(options_.decay);
   if (weight > 0.0) report.aggregate_score = weighted_score / weight;
 
-  // Debounced recommendation: require sustained aggregate drift.
-  if (report.aggregate_score >= options_.replan_score &&
-      report.scored_elements > 0) {
-    ++periods_above_;
-  } else {
-    periods_above_ = 0;
-    recommend_->store(false, std::memory_order_release);
-  }
-  if (periods_above_ >= options_.replan_consecutive_periods) {
-    recommend_->store(true, std::memory_order_release);
-  }
-  report.periods_above_threshold = periods_above_;
-  report.replan_recommended =
-      recommend_->load(std::memory_order_relaxed);
-  report.replans_triggered = replans_triggered_;
-
   aggregate_gauge_->Set(report.aggregate_score);
   max_gauge_->Set(report.max_score);
   flagged_gauge_->Set(static_cast<double>(report.flagged_elements));
@@ -256,17 +224,6 @@ void DriftDetector::EndPeriod(double now,
     std::lock_guard<std::mutex> lock(*mu_);
     report_ = std::move(report);
   }
-}
-
-void DriftDetector::AcknowledgeReplan() {
-  recommend_->store(false, std::memory_order_release);
-  periods_above_ = 0;
-  ++replans_triggered_;
-  replans_counter_->Increment();
-  std::lock_guard<std::mutex> lock(*mu_);
-  report_.replan_recommended = false;
-  report_.periods_above_threshold = 0;
-  report_.replans_triggered = replans_triggered_;
 }
 
 DriftReport DriftDetector::Report() const {

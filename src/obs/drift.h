@@ -6,7 +6,8 @@
 // evidence, and the *plan* keeps running on the old ones; if the world
 // shifted (a flash crowd of edits, a source going quiet), staleness shows
 // up at users long before the next scheduled replan. This detector watches
-// for that gap continuously:
+// for that gap continuously and reports it; when to replan is the adaptive
+// controller's cadence alone:
 //
 //   * Every applied sync is a free poll: ObserveSync(element, changed, gap)
 //     accumulates per-element evidence (polls, detected changes, watched
@@ -14,28 +15,30 @@
 //     controller keeps undecayed; here it decays once per period so old
 //     evidence fades.
 //   * At every period close, EndPeriod(now, planned_rates) turns each
-//     element's evidence into a bias-reduced observed-rate estimate
-//     (-log(1 - c/p) per mean gap — the paper's [4] estimator form) and
-//     scores it against the rate the CURRENT PLAN was solved with:
-//     score = |ln(observed / planned)|, so score ln(2) means the believed
-//     rate is off by 2x in either direction. Decay leaves the estimate
-//     unchanged, so an element is rescored only after new evidence or a
-//     change in its planned rate.
-//   * The report carries the evidence-weighted aggregate score, the top-k
-//     worst offenders, and a replan recommendation that arms after the
-//     aggregate stays above threshold for a configurable number of
-//     consecutive periods (debounced so one noisy period can't force an
-//     early replan).
+//     element's evidence into the plain Poisson estimate
+//     -ln(1 - min(c/p, 0.999)) / (w/p) — not the Cho–Garcia-Molina
+//     BiasReducedRate the controller plans on — and scores it against the
+//     rate the CURRENT PLAN was solved with: score = |ln(observed /
+//     planned)|, so score ln(2) means the two rates differ by 2x in either
+//     direction. Decay leaves the estimate unchanged, so an element is
+//     rescored only after new evidence or a change in its planned rate.
+//   * The report carries the evidence-weighted aggregate score, the count
+//     of flagged elements (score >= ln 2) and the top-k worst offenders.
 //
-// Threading: ObserveSync and EndPeriod are loop-thread-only. Report() /
-// replan_recommended() are safe from any thread (the report is rebuilt
-// under a mutex at period close; readers copy it under the same mutex).
+// A flag means the two estimators disagree, not necessarily that the world
+// moved: an element whose polls all saw a change is planned on the
+// controller's saturated estimate (~ln(2n+1)/gap after n polls) while this
+// detector reads the capped ratio, so with a steady truth a large share of
+// well-polled elements can still be flagged. Read the offender list as
+// "where do the plan's rates and the recent evidence part ways".
+//
+// Threading: ObserveSync and EndPeriod are loop-thread-only. Report() is
+// safe from any thread (the report is rebuilt under a mutex at period
+// close; readers copy it under the same mutex).
 #ifndef FRESHEN_OBS_DRIFT_H_
 #define FRESHEN_OBS_DRIFT_H_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -53,7 +56,7 @@ struct DriftOffender {
   size_t element = 0;
   /// The rate the current plan was solved against.
   double planned_rate = 0.0;
-  /// Bias-reduced estimate from the decayed sync evidence.
+  /// Plain Poisson estimate from the decayed sync evidence.
   double observed_rate = 0.0;
   /// |ln(observed / planned)| (ln 2 = off by 2x).
   double score = 0.0;
@@ -67,26 +70,26 @@ struct DriftReport {
   double now = 0.0;
   /// Elements with enough evidence to score this period.
   size_t scored_elements = 0;
-  /// Elements whose score exceeded flag_threshold.
+  /// Elements whose score reached DriftDetector::kFlagScore.
   size_t flagged_elements = 0;
   /// Evidence-weighted mean score over scored elements.
   double aggregate_score = 0.0;
   double max_score = 0.0;
   /// Worst offenders, descending by score (at most Options::top_k).
   std::vector<DriftOffender> top;
-  /// True when the aggregate has stayed above replan_score for
-  /// replan_consecutive_periods closes.
-  bool replan_recommended = false;
-  /// Consecutive period closes with aggregate_score >= replan_score.
-  uint32_t periods_above_threshold = 0;
-  /// Early replans this detector has triggered (loop-reported).
-  uint64_t replans_triggered = 0;
 };
 
 /// Believed-vs-observed λ drift detector. Loop-thread writer, any-thread
 /// readers.
 class DriftDetector {
  public:
+  /// Per-element score at or above which the element counts as flagged:
+  /// ln(2), the two rates off by 2x.
+  static constexpr double kFlagScore = 0.6931471805599453;
+  /// Floor for both rates before taking the log ratio, so zero-change
+  /// evidence against a hot believed rate still yields a finite score.
+  static constexpr double kRateFloor = 1e-4;
+
   struct Options {
     /// Catalog size; evidence arrays are sized once here.
     size_t num_elements = 0;
@@ -96,17 +99,6 @@ class DriftDetector {
     double min_evidence = 3.0;
     /// Offender-list length.
     size_t top_k = 8;
-    /// Per-element score above which the element counts as flagged.
-    /// Default ln(2): believed rate off by 2x.
-    double flag_threshold = 0.6931471805599453;
-    /// Aggregate score at which a replan is recommended. Default ln(3).
-    double replan_score = 1.0986122886681098;
-    /// Consecutive periods the aggregate must stay above replan_score
-    /// before replan_recommended() arms (debounce).
-    uint32_t replan_consecutive_periods = 2;
-    /// Floor for both rates before taking the log ratio, so zero-change
-    /// evidence against a hot believed rate still yields a finite score.
-    double rate_floor = 1e-4;
     /// Registry for freshen_drift_* metrics; nullptr = process-wide.
     MetricsRegistry* registry = nullptr;
   };
@@ -125,16 +117,6 @@ class DriftDetector {
   /// `planned_rates` (the rates the CURRENT plan was solved with — size
   /// num_elements), rebuilds the report, updates metrics. Loop thread only.
   void EndPeriod(double now, const std::vector<double>& planned_rates);
-
-  /// True when drift has persisted long enough to justify an early replan.
-  /// Any thread.
-  bool replan_recommended() const {
-    return recommend_->load(std::memory_order_acquire);
-  }
-
-  /// The loop calls this after acting on the recommendation: clears the
-  /// armed flag and the debounce counter, and counts the triggered replan.
-  void AcknowledgeReplan();
 
   /// Copy of the last period's report (any thread).
   DriftReport Report() const;
@@ -158,7 +140,7 @@ class DriftDetector {
            evidence_.watched_time(element) > 0.0;
   }
 
-  // The bias-reduced observed rate from the element's evidence.
+  // The plain Poisson observed rate from the element's evidence.
   double ObservedRate(size_t element) const;
 
   // Scores the element against `planned` (one lane of RescoreSynced).
@@ -179,16 +161,11 @@ class DriftDetector {
   // Reader-shared state. unique_ptr keeps the detector movable.
   std::unique_ptr<std::mutex> mu_;
   DriftReport report_;  // Guarded by *mu_.
-  std::unique_ptr<std::atomic<bool>> recommend_;
-
-  uint32_t periods_above_ = 0;
-  uint64_t replans_triggered_ = 0;
 
   // Cached registry handles.
   Gauge* aggregate_gauge_;
   Gauge* max_gauge_;
   Gauge* flagged_gauge_;
-  Counter* replans_counter_;
 };
 
 }  // namespace obs

@@ -11,6 +11,16 @@
 #include "stats/descriptive.h"
 
 namespace freshen {
+namespace {
+
+// Stop when the relative objective improvement over a window of 10
+// iterations drops below this.
+constexpr double kConvergenceTolerance = 1e-10;
+
+// Forward-difference step, relative to 1 + |f_i|.
+constexpr double kFdStep = 1e-7;
+
+}  // namespace
 
 std::vector<double> ProjectOntoBudget(const std::vector<double>& point,
                                       const std::vector<double>& costs,
@@ -93,7 +103,7 @@ Result<Allocation> GenericNlpSolver::Solve(const CoreProblem& problem) const {
     const double base = problem.Objective(f);
     std::vector<double> probe = f;
     for (size_t i = 0; i < n; ++i) {
-      const double h = options_.fd_step * (1.0 + std::fabs(f[i]));
+      const double h = kFdStep * (1.0 + std::fabs(f[i]));
       probe[i] = f[i] + h;
       grad[i] = (problem.Objective(probe) - base) / h;
       probe[i] = f[i];
@@ -151,7 +161,7 @@ Result<Allocation> GenericNlpSolver::Solve(const CoreProblem& problem) const {
     if (++window_counter >= 10) {
       const double rel_gain = (objective - window_start_objective) /
                               std::max(1e-300, std::fabs(objective));
-      if (rel_gain < options_.convergence_tolerance) {
+      if (rel_gain < kConvergenceTolerance) {
         converged = true;
         break;
       }

@@ -31,11 +31,6 @@ class GenericNlpSolver {
     int max_iterations = 2000;
     /// Wall-clock budget; the solver stops (converged=false) when exceeded.
     double time_budget_seconds = 30.0;
-    /// Stop when the relative objective improvement over a window of 10
-    /// iterations drops below this.
-    double convergence_tolerance = 1e-10;
-    /// Finite-difference step.
-    double fd_step = 1e-7;
   };
 
   GenericNlpSolver() = default;

@@ -126,15 +126,10 @@ std::string DriftJson(const FreshendDaemon& daemon) {
   top += ']';
   return StrFormat(
       "{\"aggregate_score\":%s,\"max_score\":%s,\"scored_elements\":%zu,"
-      "\"flagged_elements\":%zu,\"replan_recommended\":%s,"
-      "\"periods_above_threshold\":%u,\"replans_triggered\":%llu,"
-      "\"top\":%s}",
+      "\"flagged_elements\":%zu,\"top\":%s}",
       JsonNumber(report.aggregate_score).c_str(),
       JsonNumber(report.max_score).c_str(), report.scored_elements,
-      report.flagged_elements, report.replan_recommended ? "true" : "false",
-      report.periods_above_threshold,
-      static_cast<unsigned long long>(report.replans_triggered),
-      top.c_str());
+      report.flagged_elements, top.c_str());
 }
 
 ProtocolResponse HandleMetrics(const FreshendDaemon& daemon,
@@ -194,8 +189,7 @@ ProtocolResponse HandleHealth(const FreshendDaemon& daemon) {
       "\"epoch\":%llu,\"slo_state\":\"%s\","
       "\"rejected_connections\":%s,\"overflow_disconnects\":%s,"
       "\"recorder_emitted\":%llu,\"recorder_recorded\":%llu,"
-      "\"recorder_dropped\":%llu,\"slow_queries\":%llu,"
-      "\"drift_replan_recommended\":%s}",
+      "\"recorder_dropped\":%llu,\"slow_queries\":%llu}",
       status, stats.running ? "true" : "false",
       JsonNumber(daemon.UptimeSeconds()).c_str(),
       static_cast<unsigned long long>(stats.periods),
@@ -205,8 +199,7 @@ ProtocolResponse HandleHealth(const FreshendDaemon& daemon) {
       static_cast<unsigned long long>(recorder.emitted),
       static_cast<unsigned long long>(recorder.recorded),
       static_cast<unsigned long long>(recorder.dropped),
-      static_cast<unsigned long long>(daemon.slow_log()->total_recorded()),
-      daemon.drift()->replan_recommended() ? "true" : "false");
+      static_cast<unsigned long long>(daemon.slow_log()->total_recorded()));
   return response;
 }
 

@@ -17,6 +17,9 @@ namespace freshen {
 namespace serve {
 namespace {
 
+// listen(2) backlog.
+constexpr int kListenBacklog = 16;
+
 // Writes the whole buffer, riding out EINTR and short writes. MSG_NOSIGNAL:
 // a client that vanishes mid-response (routine for WATCH streams) must
 // surface as EPIPE here, not as a process-killing SIGPIPE.
@@ -68,7 +71,7 @@ Result<std::unique_ptr<LineServer>> LineServer::Start(
                                       options.socket_path.c_str(),
                                       std::strerror(err)));
   }
-  if (::listen(fd, options.listen_backlog) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     const int err = errno;
     ::close(fd);
     ::unlink(options.socket_path.c_str());

@@ -56,8 +56,6 @@ class LineServer {
     size_t num_threads = 4;
     /// Pending-connection capacity; beyond this, connections are refused.
     size_t queue_capacity = 64;
-    /// listen(2) backlog.
-    int listen_backlog = 16;
     /// Registry for freshen_serve_connections_total /
     /// freshen_serve_rejected_total / freshen_serve_requests_total.
     obs::MetricsRegistry* registry = nullptr;

@@ -807,12 +807,10 @@ std::vector<std::string> GoldenSloLines(const obs::SloReport& r) {
 }
 
 std::vector<std::string> GoldenDriftLines(const obs::DriftReport& r) {
-  std::vector<std::string> lines = {StrFormat(
-      "drift now=%a scored=%zu flagged=%zu aggregate=%a max=%a recommended=%d "
-      "above=%u triggered=%llu",
-      r.now, r.scored_elements, r.flagged_elements, r.aggregate_score,
-      r.max_score, r.replan_recommended ? 1 : 0, r.periods_above_threshold,
-      static_cast<unsigned long long>(r.replans_triggered))};
+  std::vector<std::string> lines = {
+      StrFormat("drift now=%a scored=%zu flagged=%zu aggregate=%a max=%a",
+                r.now, r.scored_elements, r.flagged_elements,
+                r.aggregate_score, r.max_score)};
   for (const obs::DriftOffender& o : r.top) {
     lines.push_back(StrFormat("offender %zu planned=%a observed=%a score=%a "
                               "evidence=%a",
@@ -975,7 +973,6 @@ TEST(OnlineLoopGoldenTest, ExecutorPathWithTelemetryMatchesRecordedRun) {
   options.timeline = &timeline;
   options.slo = &slo;
   options.drift = &drift;
-  options.drift_replan = true;
   options.controller.replan_every_periods = 3.0;
   auto loop = OnlineFreshenLoop::Create(truth, 60.0, options).value();
   const obs::Gauge* lambda_error =
@@ -1028,7 +1025,7 @@ TEST(OnlineLoopGoldenTest, ExecutorPathWithTelemetryMatchesRecordedRun) {
       "slow len=0x1p+5 periods=8 acc=15870 good=7463 bad=0x1.0f3a4c3401ad8p-1 "
           "burn=0x1.a7cb1711429ebp+5",
       "drift now=0x1p+3 scored=46 flagged=19 aggregate=0x1.4d1dc6d73e995p-1 "
-          "max=0x1.b42538cae381p+2 recommended=0 above=0 triggered=0",
+          "max=0x1.b42538cae381p+2",
       "offender 9 planned=0x1.753b25627b238p-4 observed=0x1.a36e2eb1c432dp-14 "
           "score=0x1.b42538cae381p+2 evidence=0x1.1f8bd50b6316cp+2",
       "offender 26 planned=0x1.414adffec7d0bp-1 observed=0x1.f3781d040eb29p+1 "

@@ -593,30 +593,35 @@ TEST(FreshendDaemonTest, RunsPeriodsAndPublishesEachBoundary) {
   EXPECT_FALSE(stats.running);
 }
 
-// The daemon has no drift switch of its own: loop.drift_replan alone decides
-// whether sustained drift forces a replan. The setup is the serve drill's:
-// a prior ~200x below the catalog's rates and no scheduled replan in sight.
-TEST(FreshendDaemonTest, HonoursTheLoopsDriftReplanSwitch) {
+// freshend leaves loop.controller at its defaults, as DaemonOptions does,
+// and the default cadence replans at every period boundary: the initial plan
+// plus one replan per period, each published fully, none by delta. The drift
+// detector beside the loop keeps scoring; it never decides a replan.
+TEST(FreshendDaemonTest, DefaultCadenceReplansAndPublishesFullyEveryPeriod) {
+  constexpr uint64_t kPeriods = 8;
   obs::MetricsRegistry registry;
   auto options = DaemonOptions(&registry);
-  options.loop.accesses_per_period = 400.0;
-  options.loop.controller.replan_every_periods = 1000.0;
-  options.loop.controller.prior_change_rate = 0.01;
-  options.loop.drift_replan = true;
-  options.drift.min_evidence = 2.0;
-  options.drift.replan_consecutive_periods = 2;
-  options.max_periods = 20;
-  const ElementSet truth = TestCatalog(200);
-  auto daemon = FreshendDaemon::Create(
-                    truth, 2.0 * static_cast<double>(truth.size()), options)
-                    .value();
+  options.max_periods = kPeriods;
+  auto daemon =
+      FreshendDaemon::Create(TestCatalog(200), 400.0, options).value();
   ASSERT_TRUE(daemon->Start().ok());
   while (daemon->running()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   daemon->Stop();
-  EXPECT_EQ(daemon->PeriodsRun(), 20u);
-  EXPECT_GT(daemon->drift()->Report().replans_triggered, 0u);
+  ASSERT_EQ(daemon->PeriodsRun(), kPeriods);
+  EXPECT_EQ(daemon->loop().controller().num_replans(), kPeriods + 1);
+  EXPECT_DOUBLE_EQ(registry
+                       .GetCounter("freshen_serve_publishes_total",
+                                   {{"kind", "full"}})
+                       ->value(),
+                   kPeriods + 1.0);
+  EXPECT_DOUBLE_EQ(registry
+                       .GetCounter("freshen_serve_publishes_total",
+                                   {{"kind", "delta"}})
+                       ->value(),
+                   0.0);
+  EXPECT_GT(daemon->drift()->Report().scored_elements, 0u);
 }
 
 // The daemon publishes frequencies, sizes and last-sync times straight from
@@ -836,8 +841,6 @@ TEST(ProtocolTest, HealthReportsHealthyDaemon) {
   EXPECT_NE(response.line.find("\"overflow_disconnects\":0"),
             std::string::npos);
   EXPECT_NE(response.line.find("\"recorder_dropped\":"), std::string::npos);
-  EXPECT_NE(response.line.find("\"drift_replan_recommended\":false"),
-            std::string::npos);
   // A default daemon always owns its SLO monitor and drift detector, so
   // neither HEALTH nor a WATCH sample carries a null telemetry part.
   EXPECT_EQ(response.line.find("null"), std::string::npos) << response.line;

@@ -1,6 +1,6 @@
 // Tests for the live telemetry plane: the sliding-window freshness SLO
 // monitor (obs/slo.h), the estimator drift detector (obs/drift.h), and
-// their wiring into OnlineFreshenLoop (drift-forced early replans). All
+// their wiring into OnlineFreshenLoop (the loop feeds both). All
 // period clocks here are virtual — the tests drive ObservePeriod/EndPeriod
 // directly, so every state transition is deterministic.
 #include <algorithm>
@@ -260,19 +260,10 @@ TEST(DriftDetectorTest, CreateValidatesOptions) {
   bad = options;
   bad.top_k = 0;
   EXPECT_FALSE(DriftDetector::Create(bad).ok());
-  bad = options;
-  bad.flag_threshold = 0.0;
-  EXPECT_FALSE(DriftDetector::Create(bad).ok());
-  bad = options;
-  bad.replan_consecutive_periods = 0;
-  EXPECT_FALSE(DriftDetector::Create(bad).ok());
-  bad = options;
-  bad.rate_floor = 0.0;
-  EXPECT_FALSE(DriftDetector::Create(bad).ok());
 }
 
 // Feed evidence exactly consistent with the planned rate: with 10 polls at
-// gap 0.5 and 4 detected changes, the bias-reduced estimate is
+// gap 0.5 and 4 detected changes, the plain Poisson estimate is
 // -ln(0.6)/0.5 = 1.0217 against planned 1.0 — a near-zero score, no flags.
 TEST(DriftDetectorTest, MatchedRatesScoreNearZero) {
   obs::MetricsRegistry registry;
@@ -288,7 +279,6 @@ TEST(DriftDetectorTest, MatchedRatesScoreNearZero) {
   EXPECT_EQ(report.scored_elements, 4u);
   EXPECT_EQ(report.flagged_elements, 0u);
   EXPECT_LT(report.aggregate_score, 0.1);
-  EXPECT_FALSE(report.replan_recommended);
   EXPECT_DOUBLE_EQ(report.now, 1.0);
   ASSERT_EQ(report.top.size(), 4u);
   EXPECT_NEAR(report.top[0].observed_rate, -std::log(0.6) / 0.5, 1e-12);
@@ -322,53 +312,9 @@ TEST(DriftDetectorTest, LambdaShiftPutsShiftedElementsInTopK) {
       << report.top[1].element;
   EXPECT_GT(report.top[0].observed_rate, 10.0 * report.top[0].planned_rate);
   EXPECT_GE(report.top[0].score, report.top[1].score);
-  EXPECT_GT(report.max_score, detector.options().flag_threshold);
+  EXPECT_GT(report.max_score, DriftDetector::kFlagScore);
   EXPECT_DOUBLE_EQ(
       registry.GetGauge("freshen_drift_flagged_elements")->value(), 2.0);
-}
-
-// Sustained aggregate drift arms the recommendation only after the
-// configured number of consecutive periods, and AcknowledgeReplan clears
-// it and counts the triggered replan.
-TEST(DriftDetectorTest, RecommendationDebouncesAndAcknowledges) {
-  obs::MetricsRegistry registry;
-  auto options = SmallDriftOptions(2, &registry);
-  options.decay = 1.0;  // Keep the evidence hot across periods.
-  options.replan_consecutive_periods = 2;
-  auto detector = DriftDetector::Create(options).value();
-  const std::vector<double> planned(2, 1e-3);  // Everything looks shifted.
-
-  const auto feed = [&detector] {
-    for (size_t element = 0; element < 2; ++element) {
-      for (int poll = 0; poll < 5; ++poll) {
-        detector.ObserveSync(element, true, 0.5);
-      }
-    }
-  };
-
-  feed();
-  detector.EndPeriod(1.0, planned);
-  EXPECT_FALSE(detector.replan_recommended());  // 1 of 2 periods above.
-  EXPECT_EQ(detector.Report().periods_above_threshold, 1u);
-
-  feed();
-  detector.EndPeriod(2.0, planned);
-  EXPECT_TRUE(detector.replan_recommended());
-  EXPECT_TRUE(detector.Report().replan_recommended);
-
-  detector.AcknowledgeReplan();
-  EXPECT_FALSE(detector.replan_recommended());
-  const DriftReport report = detector.Report();
-  EXPECT_EQ(report.replans_triggered, 1u);
-  EXPECT_EQ(report.periods_above_threshold, 0u);
-  EXPECT_DOUBLE_EQ(
-      registry.GetCounter("freshen_drift_replans_triggered")->value(), 1.0);
-
-  // A calm period resets the debounce entirely.
-  feed();
-  detector.EndPeriod(3.0, std::vector<double>{13.86, 13.86});
-  EXPECT_FALSE(detector.replan_recommended());
-  EXPECT_EQ(detector.Report().periods_above_threshold, 0u);
 }
 
 TEST(DriftDetectorTest, IgnoresBadObservationsAndThinEvidence) {
@@ -449,7 +395,7 @@ TEST(DriftDetectorTest, CachedScoresMatchEagerRescoring) {
       const double ratio = std::min(changes[i] / polls[i], 0.999);
       const double observed =
           std::max(-std::log1p(-ratio) / (watch[i] / polls[i]),
-                   options.rate_floor);
+                   DriftDetector::kRateFloor);
       eager[i] = std::fabs(std::log(observed / planned[i]));
       ++scored;
       weighted += eager[i] * polls[i];
@@ -531,10 +477,10 @@ TEST(DriftDetectorTest, BatchedScoresMatchLibmRescoring) {
       const double ratio = std::min(changes[i] / polls[i], 0.999);
       const double observed =
           std::max(-std::log1p(-ratio) / (watch[i] / polls[i]),
-                   options.rate_floor);
+                   DriftDetector::kRateFloor);
       const double score =
           std::fabs(std::log(observed / std::max(planned[i],
-                                                 options.rate_floor)));
+                                                 DriftDetector::kRateFloor)));
       EXPECT_NEAR(o.observed_rate, observed, 1e-14 * observed)
           << "round " << round << " element " << i;
       EXPECT_NEAR(o.score, score, 1e-14 * score)
@@ -579,63 +525,46 @@ TEST(LoopTelemetryTest, SloMonitorReceivesEveryPeriod) {
   EXPECT_LE(report.total_good, report.total_accesses);
 }
 
-// A sustained true-rate shift against a stale plan must arm the detector
-// and — with drift_replan on — force an early replan long before the
-// controller's own cadence (1000 periods here). The control loop with
-// drift_replan off sees the same drift but keeps the stale plan.
-TEST(LoopTelemetryTest, DriftReplanForcesEarlyReplanOnLambdaShift) {
+// A true-rate shift the plan never corrects (the controller believes 0.01,
+// the truth is 4, and the cadence is parked at 1000 periods) keeps the stale
+// plan in force; the drift detector the loop feeds must flag every shifted
+// element against the 0.01 it is planned on. The detector only reports:
+// nothing replans early.
+TEST(LoopTelemetryTest, DriftFlagsAnUncorrectedLambdaShift) {
   const size_t n = 32;
-  // Truth: hot elements (rate 4); the controller believes 0.01 and, with a
-  // 1000-period cadence, would never correct on its own.
-  const ElementSet truth = UniformHotCatalog(n, 4.0);
-
-  const auto make_loop = [&](obs::MetricsRegistry* registry,
-                             DriftDetector* detector, bool drift_replan) {
-    OnlineFreshenLoop::Options options;
-    options.controller.replan_every_periods = 1000.0;
-    options.controller.prior_change_rate = 0.01;
-    options.accesses_per_period = 100.0;
-    options.seed = 7;
-    options.registry = registry;
-    options.drift = detector;
-    options.drift_replan = drift_replan;
-    // Bandwidth 2N: every element syncs ~2x per period, plenty of polls.
-    return OnlineFreshenLoop::Create(truth, 2.0 * n, options).value();
-  };
-
-  obs::MetricsRegistry acting_registry;
+  obs::MetricsRegistry registry;
   DriftDetector::Options drift_options;
   drift_options.num_elements = n;
   drift_options.min_evidence = 2.0;
-  drift_options.replan_consecutive_periods = 2;
-  drift_options.registry = &acting_registry;
+  drift_options.registry = &registry;
   auto detector = DriftDetector::Create(drift_options).value();
-  auto loop = make_loop(&acting_registry, &detector, /*drift_replan=*/true);
 
-  EXPECT_EQ(loop.controller().num_replans(), 1u);  // Cold-start plan only.
-  bool replanned = false;
-  for (int period = 0; period < 6 && !replanned; ++period) {
-    replanned = loop.RunPeriod().replanned;
-  }
-  EXPECT_TRUE(replanned);
-  EXPECT_GT(loop.controller().num_replans(), 1u);
-  EXPECT_GE(detector.Report().replans_triggered, 1u);
-  // The forced replan resolved against fresh beliefs: the planned rates
-  // moved off the 0.01 prior.
-  EXPECT_GT(loop.controller().PlannedChangeRates()[0], 0.1);
-
-  // Control: same drift, no authority to act. The plan stays cold.
-  obs::MetricsRegistry passive_registry;
-  drift_options.registry = &passive_registry;
-  auto passive_detector = DriftDetector::Create(drift_options).value();
-  auto passive_loop =
-      make_loop(&passive_registry, &passive_detector, /*drift_replan=*/false);
+  OnlineFreshenLoop::Options options;
+  options.controller.replan_every_periods = 1000.0;
+  options.controller.prior_change_rate = 0.01;
+  options.accesses_per_period = 100.0;
+  options.seed = 7;
+  options.registry = &registry;
+  options.drift = &detector;
+  // Bandwidth 2N: every element syncs ~2x per period, plenty of polls.
+  auto loop = OnlineFreshenLoop::Create(UniformHotCatalog(n, 4.0), 2.0 * n,
+                                        options)
+                  .value();
   for (int period = 0; period < 6; ++period) {
-    EXPECT_FALSE(passive_loop.RunPeriod().replanned);
+    EXPECT_FALSE(loop.RunPeriod().replanned);
   }
-  EXPECT_EQ(passive_loop.controller().num_replans(), 1u);
-  EXPECT_TRUE(passive_detector.replan_recommended());
-  EXPECT_DOUBLE_EQ(passive_loop.controller().PlannedChangeRates()[0], 0.01);
+  EXPECT_EQ(loop.controller().num_replans(), 1u);  // Cold-start plan only.
+  EXPECT_DOUBLE_EQ(loop.controller().PlannedChangeRates()[0], 0.01);
+
+  const DriftReport report = detector.Report();
+  EXPECT_EQ(report.scored_elements, n);
+  EXPECT_EQ(report.flagged_elements, n);
+  EXPECT_GE(report.aggregate_score, DriftDetector::kFlagScore);
+  ASSERT_EQ(report.top.size(), drift_options.top_k);
+  for (const obs::DriftOffender& offender : report.top) {
+    EXPECT_DOUBLE_EQ(offender.planned_rate, 0.01);
+    EXPECT_GT(offender.observed_rate, 100.0 * offender.planned_rate);
+  }
 }
 
 }  // namespace
