@@ -10,10 +10,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <initializer_list>
 #include <limits>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace freshen {
 
@@ -23,11 +23,11 @@ using FlagMap = std::map<std::string, std::string>;
 /// a value (`--flag=value` or `--flag value`); one listed in `bool_flags`
 /// reads as "1" when given bare. Any other flag exits 2.
 inline FlagMap ParseFlags(int argc, char** argv, int first,
-                          std::initializer_list<const char*> known,
-                          std::initializer_list<const char*> bool_flags = {}) {
-  const auto listed = [](std::initializer_list<const char*> names,
+                          const std::vector<std::string>& known,
+                          const std::vector<std::string>& bool_flags = {}) {
+  const auto listed = [](const std::vector<std::string>& names,
                          const std::string& name) {
-    for (const char* listed_name : names) {
+    for (const std::string& listed_name : names) {
       if (name == listed_name) return true;
     }
     return false;

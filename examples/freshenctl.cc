@@ -25,7 +25,7 @@
 //
 //   sync-drill [--objects N] [--bandwidth B] [--periods P] [--accesses A]
 //              [--error-rate E] [--stall-rate S] [--latency-mean L]
-//              [--pool T] [--queue Q] [--retries R] [--seed K]
+//              [--pool T] [--queue Q] [--retries R] [--theta T] [--seed K]
 //       Fault drill for the sync executor: run the same closed loop three
 //       ways — inline syncs, a PerfectSource executor (parity check), and a
 //       fault-injecting SimulatedSource executor — and print the per-period
@@ -34,9 +34,9 @@
 //       --metrics-out exports all freshen_sync_* series.
 //
 //   trace [--objects N] [--bandwidth B] [--periods P] [--accesses A]
-//         [--error-rate E] [--stall-rate S] [--pool T] [--queue Q]
-//         [--retries R] [--seed K] [--age-slo S] [--top-k K]
-//         [--trace-out FILE] [--timeline-out FILE]
+//         [--error-rate E] [--stall-rate S] [--latency-mean L] [--pool T]
+//         [--queue Q] [--retries R] [--theta T] [--seed K] [--age-slo S]
+//         [--top-k K] [--trace-out FILE] [--timeline-out FILE]
 //       Flight-recorder showcase: run the closed loop against a
 //       fault-injecting executor with the event recorder on and the
 //       staleness timeline attached, then write a Chrome trace_event JSON
@@ -50,7 +50,8 @@
 //       defaults to the opposite of the input.
 //
 //   serve-drill [--objects N] [--bandwidth B] [--periods P] [--accesses A]
-//               [--error-rate E] [--socket PATH] [--seed K]
+//               [--error-rate E] [--stall-rate S] [--socket PATH]
+//               [--theta T] [--seed K]
 //       End-to-end drill of the freshend serving stack, two acts. Act 1:
 //       start a FreshendDaemon with a fault-injecting executor, serve the
 //       line protocol on a UNIX socket, fire ISFRESH/AGE/PLAN/STATS plus the
@@ -74,16 +75,18 @@
 // Any command accepts --metrics-out FILE and --metrics-format json|prom|csv:
 // after the command runs, the registry snapshot is written to FILE (the
 // `metrics` command prints to stdout when --metrics-out is omitted). Flags
-// may be spelled --flag value or --flag=value; a flag no subcommand reads
-// exits 2 with "unknown flag: --name".
+// may be spelled --flag value or --flag=value; a flag the subcommand does
+// not read (listed above for it, or shared as described here) exits 2 with
+// "unknown flag: --name", also when another subcommand reads it.
 //
 // Any command also accepts --trace-out FILE (enables the global event
 // recorder and writes the run's Chrome trace JSON there afterwards), and
 // plan/eval/metrics/sync-drill/trace accept --timeline-out FILE (writes the
 // staleness-attribution report; .json extension selects JSON, anything else
-// the per-element CSV documented in EXPERIMENTS.md). plan and eval attribute
-// staleness by simulating the planned schedule; metrics, sync-drill, and
-// trace attribute the online loop itself.
+// the per-element CSV documented in EXPERIMENTS.md) with --age-slo S and
+// --top-k K. plan and eval attribute staleness by simulating the planned
+// schedule (--horizon H, --sim-accesses A and --seed K shape that run);
+// metrics, sync-drill, and trace attribute the online loop itself.
 //
 // Example:
 //   freshenctl gen --objects 1000 --theta 1.2 --out catalog.csv
@@ -101,6 +104,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -1105,6 +1109,72 @@ int RunTop(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+// A subcommand and the flags it reads. A flag outside its lists is refused,
+// so a flag meant for another subcommand is not silently ignored.
+struct Subcommand {
+  int (*run)(const FlagMap& flags);
+  std::vector<std::string> flags;
+  std::vector<std::string> bool_flags = {};
+};
+
+// Concatenates flag lists.
+std::vector<std::string> Join(
+    std::initializer_list<std::vector<std::string>> lists) {
+  std::vector<std::string> joined;
+  for (const std::vector<std::string>& list : lists) {
+    joined.insert(joined.end(), list.begin(), list.end());
+  }
+  return joined;
+}
+
+// Every subcommand by name, with the flags it reads.
+std::map<std::string, Subcommand> Subcommands() {
+  // Read after every command (main, MaybeDumpMetrics).
+  const std::vector<std::string> shared = {"--metrics-format", "--metrics-out",
+                                           "--trace-out"};
+  // The staleness report and its ranking (--timeline-out).
+  const std::vector<std::string> timeline = {"--timeline-out", "--age-slo",
+                                             "--top-k"};
+  // plan/eval's timeline comes from a simulation of the plan.
+  const std::vector<std::string> simulated_timeline =
+      Join({timeline, {"--horizon", "--sim-accesses", "--seed"}});
+  // The generated catalog and closed loop of metrics and the drills.
+  const std::vector<std::string> loop = {"--objects", "--theta",   "--seed",
+                                         "--bandwidth", "--periods",
+                                         "--accesses"};
+  // The fault-injecting executor of sync-drill and trace.
+  const std::vector<std::string> faults = {"--error-rate", "--stall-rate",
+                                           "--latency-mean", "--pool",
+                                           "--queue", "--retries"};
+  return {
+      {"gen",
+       {RunGen,
+        Join({shared,
+              {"--objects", "--theta", "--mean-rate", "--stddev", "--seed",
+               "--alignment", "--sizes", "--out"}})}},
+      {"plan",
+       {RunPlan,
+        Join({shared, simulated_timeline,
+              {"--catalog", "--catalog-format", "--bandwidth", "--technique",
+               "--partitions", "--kmeans", "--allocation", "--out"}}),
+        {"--size-aware"}}},
+      {"eval",
+       {RunEval,
+        Join({shared, simulated_timeline,
+              {"--catalog", "--catalog-format", "--bandwidth"}}),
+        {"--simulate"}}},
+      {"metrics", {RunMetrics, Join({shared, timeline, loop})}},
+      {"sync-drill", {RunSyncDrill, Join({shared, timeline, loop, faults})}},
+      {"trace", {RunTrace, Join({shared, timeline, loop, faults})}},
+      {"convert", {RunConvert, Join({shared, {"--in", "--out", "--to"}})}},
+      {"serve-drill",
+       {RunServeDrill,
+        Join({shared, loop, {"--error-rate", "--stall-rate", "--socket"}})}},
+      {"top",
+       {RunTop, Join({shared, {"--socket", "--interval", "--count"}})}},
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1116,46 +1186,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  // One list for every subcommand: a flag no subcommand reads is refused.
-  const auto flags = ParseFlags(
-      argc, argv, 2,
-      {"--accesses", "--age-slo", "--alignment", "--allocation", "--bandwidth",
-       "--catalog", "--catalog-format", "--count", "--error-rate", "--horizon",
-       "--in", "--interval", "--kmeans", "--latency-mean", "--mean-rate",
-       "--metrics-format", "--metrics-out", "--objects", "--out",
-       "--partitions", "--periods", "--pool", "--queue", "--retries", "--seed",
-       "--sim-accesses", "--sizes", "--socket", "--stall-rate", "--stddev",
-       "--technique", "--theta", "--timeline-out", "--to", "--top-k",
-       "--trace-out"},
-      {"--size-aware", "--simulate"});
+  const std::map<std::string, Subcommand> subcommands = Subcommands();
+  const auto subcommand = subcommands.find(command);
+  if (subcommand == subcommands.end()) {
+    std::fprintf(stderr, "unknown command: %s\n", command.c_str());
+    return 2;
+  }
+  const auto flags = ParseFlags(argc, argv, 2, subcommand->second.flags,
+                                subcommand->second.bool_flags);
   // The flight recorder is on whenever this run can dump a trace: the trace
   // command always writes one, any other command only with --trace-out.
   if (command == "trace" || flags.count("--trace-out") > 0) {
     obs::EventRecorder::Global().set_enabled(true);
   }
-  int rc = 2;
-  if (command == "gen") {
-    rc = RunGen(flags);
-  } else if (command == "plan") {
-    rc = RunPlan(flags);
-  } else if (command == "eval") {
-    rc = RunEval(flags);
-  } else if (command == "metrics") {
-    rc = RunMetrics(flags);
-  } else if (command == "sync-drill") {
-    rc = RunSyncDrill(flags);
-  } else if (command == "trace") {
-    rc = RunTrace(flags);
-  } else if (command == "convert") {
-    rc = RunConvert(flags);
-  } else if (command == "serve-drill") {
-    rc = RunServeDrill(flags);
-  } else if (command == "top") {
-    rc = RunTop(flags);
-  } else {
-    std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-    return 2;
-  }
+  const int rc = subcommand->second.run(flags);
   if (obs::EventRecorder::Global().enabled()) {
     // Publish recorder accounting before the metrics dump so the
     // freshen_obs_recorder_* gauges land in --metrics-out snapshots.

@@ -21,22 +21,6 @@ double BiasReducedRate(double polls, double changes, double mean_gap) {
   return -std::log((polls - x + 0.5) / (polls + 0.5)) / mean_gap;
 }
 
-void SyncEvidence::Decay(double factor) {
-  for (double& p : polls_) p *= factor;
-  for (double& c : changes_) c *= factor;
-  for (double& w : watched_time_) w *= factor;
-}
-
-double SyncEvidence::RateOr(size_t element, double prior) const {
-  FRESHEN_CHECK(element < polls_.size());
-  const double polls = polls_[element];
-  if (polls == 0.0) return prior;
-  // The mean gap is the effective poll interval: exact for equal gaps, a
-  // documented approximation otherwise.
-  return BiasReducedRate(polls, changes_[element],
-                         watched_time_[element] / polls);
-}
-
 double SimulatePollEstimate(double true_rate, double poll_interval,
                             uint64_t num_polls, uint64_t seed) {
   FRESHEN_CHECK(true_rate >= 0.0);

@@ -26,23 +26,41 @@ Result<VersionedSource> VersionedSource::Create(
 VersionedSource::VersionedSource(std::vector<double> rates, uint64_t seed)
     : rates_(std::move(rates)),
       next_update_(rates_.size(),
-                   std::numeric_limits<double>::infinity()) {
+                   std::numeric_limits<double>::infinity()),
+      seed_or_stream_(rates_.size()),
+      has_stream_(rates_.size(), false) {
+  // Element i's stream is the i-th root.Fork(), Rng(seed). Its first draw
+  // is the first update; the stream itself waits until a second draw is
+  // due (Stream).
   Rng root(seed);
-  streams_.reserve(rates_.size());
   for (size_t i = 0; i < rates_.size(); ++i) {
-    streams_.push_back(root.Fork());
+    seed_or_stream_[i] = root.NextUint64();
     if (rates_[i] > 0.0) {
-      next_update_[i] = SampleExponential(streams_[i], rates_[i]);
+      Rng stream(seed_or_stream_[i]);
+      next_update_[i] = SampleExponential(stream, rates_[i]);
     }
   }
+}
+
+Rng& VersionedSource::Stream(size_t element) {
+  uint64_t& seed_or_stream = seed_or_stream_[element];
+  if (!has_stream_[element]) {
+    Rng& stream = streams_.emplace_back(seed_or_stream);
+    // Skip the draw the first update took. Only an element with a finite
+    // first update gets here, so it drew one (rate > 0).
+    stream.NextUint64();
+    seed_or_stream = streams_.size() - 1;
+    has_stream_[element] = true;
+  }
+  return streams_[seed_or_stream];
 }
 
 double VersionedSource::AdvancePast(size_t element, double t) {
   FRESHEN_CHECK(element < rates_.size());
   double& next = next_update_[element];
-  while (next <= t) {
-    next += SampleExponential(streams_[element], rates_[element]);
-  }
+  if (next > t) return next;
+  Rng& stream = Stream(element);
+  while (next <= t) next += SampleExponential(stream, rates_[element]);
   return next;
 }
 

@@ -7,7 +7,9 @@
 //   VersionedSource : the master data source. Each element owns a Poisson
 //                     update process on its own RNG stream; only the next
 //                     pending update time is kept, and an element advances
-//                     only when a sync touches it.
+//                     only when a sync touches it. An element keeps its
+//                     stream's 8-byte seed until a sync passes its first
+//                     update; only then is the 32-byte stream built.
 //   MirrorState     : the local copies. Per element it keeps the last sync
 //                     time. The first source update a copy has not picked
 //                     up is the source's pending update for that element
@@ -16,7 +18,9 @@
 //                     instead of keeping a copy; that answers Definition 1
 //                     (IsFresh) and Age at any time.
 //
-// Both hold constant state per element, so a mirror can run indefinitely.
+// Both hold bounded state per element (the source 32 bytes more for an
+// element a sync has advanced past an update), so a mirror can run
+// indefinitely.
 #ifndef FRESHEN_MIRROR_MIRROR_STATE_H_
 #define FRESHEN_MIRROR_MIRROR_STATE_H_
 
@@ -54,8 +58,15 @@ class VersionedSource {
  private:
   VersionedSource(std::vector<double> rates, uint64_t seed);
 
+  // The element's stream, built at the first draw past its first update.
+  Rng& Stream(size_t element);
+
   std::vector<double> rates_;
   std::vector<double> next_update_;
+  // Per element: its stream seed (the root draw Rng::Fork() would consume)
+  // until has_stream_ is set, then its row in streams_.
+  std::vector<uint64_t> seed_or_stream_;
+  std::vector<bool> has_stream_;
   std::vector<Rng> streams_;
 };
 

@@ -1,6 +1,9 @@
 // Tests for the versioned source/mirror state machines and the online
 // closed-loop runtime.
+#include <malloc.h>
+
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -89,6 +92,60 @@ TEST(VersionedSourceTest, DeterministicInSeed) {
 TEST(VersionedSourceTest, RejectsInvalidRates) {
   EXPECT_FALSE(VersionedSource::Create({}, 1).ok());
   EXPECT_FALSE(VersionedSource::Create({-1.0}, 1).ok());
+}
+
+// The source builds an element's stream only when a second draw is due.
+// Reference: the eager layout, one root.Fork() per element in id order and
+// one exponential per element of positive rate, then one per update passed.
+// Elements are touched in a shuffled order, at times that grow per element;
+// rate-0 elements and never-touched ones are in the mix.
+TEST(VersionedSourceTest, LazyStreamsMatchEagerForksBitForBit) {
+  constexpr size_t kElements = 400;
+  constexpr uint64_t kSeed = 0x5eed;
+  Rng setup(91);
+  std::vector<double> rates(kElements);
+  for (size_t i = 0; i < kElements; ++i) {
+    rates[i] = i % 7 == 0 ? 0.0 : SampleExponential(setup, 0.5);
+  }
+  Rng root(kSeed);
+  std::vector<Rng> streams;
+  std::vector<double> next(kElements, std::numeric_limits<double>::infinity());
+  for (size_t i = 0; i < kElements; ++i) {
+    streams.push_back(root.Fork());
+    if (rates[i] > 0.0) next[i] = SampleExponential(streams[i], rates[i]);
+  }
+  auto source = VersionedSource::Create(rates, kSeed).value();
+  for (size_t i = 0; i < kElements; ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(source.NextUpdate(i)),
+              std::bit_cast<uint64_t>(next[i]))
+        << "element " << i;
+  }
+
+  // Touches: every fifth element never; the rest 1-6 times each.
+  std::vector<size_t> touches;
+  for (size_t i = 0; i < kElements; ++i) {
+    if (i % 5 == 3) continue;
+    const uint64_t count = 1 + setup.NextUint64Below(6);
+    for (uint64_t k = 0; k < count; ++k) touches.push_back(i);
+  }
+  for (size_t k = touches.size(); k > 1; --k) {
+    std::swap(touches[k - 1], touches[setup.NextUint64Below(k)]);
+  }
+  std::vector<double> now(kElements, 0.0);
+  for (const size_t i : touches) {
+    now[i] += SampleExponential(setup, 0.3);
+    while (next[i] <= now[i]) {
+      next[i] += SampleExponential(streams[i], rates[i]);
+    }
+    ASSERT_EQ(std::bit_cast<uint64_t>(source.AdvancePast(i, now[i])),
+              std::bit_cast<uint64_t>(next[i]))
+        << "element " << i << " at " << now[i];
+  }
+  for (size_t i = 0; i < kElements; ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(source.NextUpdate(i)),
+              std::bit_cast<uint64_t>(next[i]))
+        << "element " << i;
+  }
 }
 
 TEST(MirrorStateTest, SyncDetectsChanges) {
@@ -760,6 +817,47 @@ TEST(OnlineLoopTest, MemoryStaysBoundedOverALongRun) {
   const long late_kib = ResidentKib();
   EXPECT_LT(late_kib - early_kib, 4096)
       << "RSS grew from " << early_kib << " KiB to " << late_kib << " KiB";
+}
+
+// Bytes malloc has handed out and not had back: the main arena's chunks in
+// use plus the blocks it mapped on its own (large columns).
+size_t HeapInUseBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(OnlineLoopTest, HeapPerElementHoldsNoDenseSyncColumn) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#endif
+  // A sparse shape: B = 20 of N = 200k, 20 accesses per period, so a few
+  // hundred elements ever sync. The loop's dense columns (catalog 24, alias
+  // table 12, source 24.125, mirror 8.125, first-funded 4, sizes 8, learner
+  // and frequencies 16, believed problem 24, class ids 4, the controller's
+  // and the detector's id -> row columns 4 + 4) come to ~132 B/element,
+  // which is what this run holds. The 24 B margin is less than any one
+  // dense column of sync state: evidence (24), drift evidence and scores
+  // (40), RNG streams (32). With all three dense the run held 212.
+  constexpr size_t kElements = 200000;
+  constexpr double kMaxBytesPerElement = 132.0 + 24.0;
+  ExperimentSpec spec;
+  spec.num_objects = kElements;
+  const ElementSet truth = GenerateCatalog(spec).value();
+  obs::MetricsRegistry registry;
+  const size_t heap_before = HeapInUseBytes();
+  obs::DriftDetector::Options drift_options;
+  drift_options.num_elements = truth.size();
+  drift_options.registry = &registry;
+  obs::DriftDetector drift = obs::DriftDetector::Create(drift_options).value();
+  OnlineFreshenLoop::Options options;
+  options.accesses_per_period = 20.0;
+  options.registry = &registry;
+  options.drift = &drift;
+  auto loop = OnlineFreshenLoop::Create(truth, 20.0, options).value();
+  for (int period = 0; period < 10; ++period) loop.RunPeriod();
+  EXPECT_LT(static_cast<double>(HeapInUseBytes() - heap_before) /
+                static_cast<double>(kElements),
+            kMaxBytesPerElement);
 }
 
 // Golden runs: every observable output of a fixed-seed loop, recorded bit

@@ -5,12 +5,16 @@
 // directly, so every state transition is deterministic.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/simd.h"
 #include "mirror/online_loop.h"
 #include "model/element.h"
 #include "obs/drift.h"
@@ -411,6 +415,107 @@ TEST(DriftDetectorTest, CachedScoresMatchEagerRescoring) {
     }
     if (scored > 0) {
       EXPECT_NEAR(report.aggregate_score, weighted / weight, 1e-12);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      polls[i] *= options.decay;
+      changes[i] *= options.decay;
+      watch[i] *= options.decay;
+    }
+  }
+}
+
+// The detector keeps evidence rows only for synced elements, appended in
+// first-sync order, and sorts them by element id at each period close.
+// Reference: the dense layout the rows replaced, a score per element kept
+// until the element syncs or its planned rate moves (decay changes the
+// observed rate only in its last bits), and a sweep over every element in
+// id order, with the scalar forms of the batch logarithms. Elements
+// first sync in a shuffled order over 40 periods, each period's syncs
+// arrive in descending id order, and elements 2p and 2p + 1 share their
+// evidence and planned rate, so their scores tie. The counts, maximum and
+// aggregate must match bit for bit, and the top-k list must match the
+// dense ranking, ties in ascending element order.
+TEST(DriftDetectorTest, SparseRowsMatchADenseSweepBitForBit) {
+  const size_t n = 600;
+  obs::MetricsRegistry registry;
+  auto options = SmallDriftOptions(n, &registry);
+  options.top_k = 16;
+  auto detector = DriftDetector::Create(options).value();
+  std::vector<double> polls(n, 0.0);
+  std::vector<double> changes(n, 0.0);
+  std::vector<double> watch(n, 0.0);
+  std::vector<double> planned(n, 1.0);
+  std::vector<double> score(n, 0.0);
+  std::vector<double> scored_against(n, 0.0);
+  Rng rng(29);
+  std::vector<int> first_period(n / 2);
+  for (int& first : first_period) first = 1 + rng.NextUint64Below(40);
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  for (int period = 1; period <= 80; ++period) {
+    std::vector<bool> synced(n, false);
+    for (size_t pair = n / 2; pair-- > 0;) {
+      if (period < first_period[pair] || !rng.NextBool(0.5)) continue;
+      const bool changed = rng.NextBool(0.4);
+      const double gap = rng.NextDoubleIn(0.1, 2.0);
+      for (const size_t i : {2 * pair + 1, 2 * pair}) {
+        detector.ObserveSync(i, changed, gap);
+        synced[i] = true;
+        polls[i] += 1.0;
+        if (changed) changes[i] += 1.0;
+        watch[i] += gap;
+      }
+    }
+    if (period % 10 == 0) {
+      for (size_t pair = 0; pair < n / 2; ++pair) {
+        if (!rng.NextBool(0.3)) continue;
+        planned[2 * pair] = planned[2 * pair + 1] = rng.NextDoubleIn(0.2, 4.0);
+      }
+    }
+    detector.EndPeriod(period, planned);
+
+    size_t scored = 0;
+    size_t flagged = 0;
+    double max_score = 0.0;
+    double weighted = 0.0;
+    double weight = 0.0;
+    std::vector<std::pair<double, size_t>> ranked;
+    for (size_t i = 0; i < n; ++i) {
+      if (polls[i] < options.min_evidence || !(watch[i] > 0.0)) continue;
+      const double against = std::max(planned[i], DriftDetector::kRateFloor);
+      if (synced[i] || scored_against[i] != against) {
+        const double ratio = std::min(changes[i] / polls[i], 0.999);
+        const double observed =
+            std::max(-simd::Log1pRef(-ratio) / (watch[i] / polls[i]),
+                     DriftDetector::kRateFloor);
+        score[i] = std::fabs(simd::LogPosRef(observed / against));
+        scored_against[i] = against;
+      }
+      ++scored;
+      if (score[i] >= DriftDetector::kFlagScore) ++flagged;
+      max_score = std::max(max_score, score[i]);
+      weighted += score[i] * polls[i];
+      weight += polls[i];
+      ranked.emplace_back(score[i], i);
+    }
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first > b.first;
+                     });
+    ranked.resize(std::min(ranked.size(), options.top_k));
+
+    const DriftReport report = detector.Report();
+    ASSERT_EQ(report.scored_elements, scored) << "period " << period;
+    ASSERT_EQ(report.flagged_elements, flagged) << "period " << period;
+    ASSERT_EQ(bits(report.max_score), bits(max_score)) << "period " << period;
+    ASSERT_EQ(bits(report.aggregate_score),
+              bits(weight > 0.0 ? weighted / weight : 0.0))
+        << "period " << period;
+    ASSERT_EQ(report.top.size(), ranked.size()) << "period " << period;
+    for (size_t k = 0; k < ranked.size(); ++k) {
+      ASSERT_EQ(report.top[k].element, ranked[k].second)
+          << "period " << period << " rank " << k;
+      ASSERT_EQ(bits(report.top[k].score), bits(ranked[k].first));
+      ASSERT_EQ(bits(report.top[k].evidence), bits(polls[ranked[k].second]));
     }
     for (size_t i = 0; i < n; ++i) {
       polls[i] *= options.decay;
