@@ -1,6 +1,6 @@
-// Sync-executor throughput bench. Two questions:
-//   1. How does executor throughput (tasks/sec of wall time) scale with pool
-//      size and queue depth against a lossy, jittery SimulatedSource?
+// Sync-executor bench. Three questions:
+//   1. What does one Execute call cost on a 2,400-task batch against a
+//      lossy SimulatedSource, and how much of it is the fetches themselves?
 //   2. Does routing the online loop through a PerfectSource executor cost
 //      anything versus the inline-sync path (the "zero regression" check)?
 //   3. What does enabling the obs flight recorder cost on the commit-heavy
@@ -9,15 +9,16 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/parallel.h"
+#include "common/string_util.h"
 #include "common/table_writer.h"
 #include "mirror/online_loop.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "stats/descriptive.h"
 #include "sync/executor.h"
 #include "sync/source.h"
 
@@ -31,26 +32,6 @@ double NowSeconds() {
       .count();
 }
 
-// SimulatedSource computes latency as a number without consuming wall time
-// (that's what makes tests deterministic). For a throughput bench the fetch
-// must really occupy the worker, so this wrapper sleeps the sampled latency.
-class SleepingSource final : public sync::Source {
- public:
-  explicit SleepingSource(sync::SimulatedSource inner)
-      : inner_(std::move(inner)) {}
-
-  sync::FetchResult Fetch(const sync::FetchRequest& request) override {
-    const sync::FetchResult result = inner_.Fetch(request);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(result.latency_seconds));
-    return result;
-  }
-  const char* name() const override { return "sleeping"; }
-
- private:
-  sync::SimulatedSource inner_;
-};
-
 std::vector<sync::SyncTask> MakeBatch(size_t tasks) {
   std::vector<sync::SyncTask> batch;
   batch.reserve(tasks);
@@ -61,41 +42,46 @@ std::vector<sync::SyncTask> MakeBatch(size_t tasks) {
   return batch;
 }
 
-// Runs `batches` Execute calls and returns wall-clock tasks/sec.
-struct ThroughputResult {
-  double tasks_per_second = 0.0;
-  uint64_t applied = 0;
-  uint64_t failed = 0;
-  uint64_t dropped = 0;
-};
-
-ThroughputResult MeasureThroughput(size_t pool_size, size_t queue_capacity,
-                                   size_t tasks_per_batch, int batches) {
-  obs::MetricsRegistry registry;
+// The lossy, jittery origin of the timing sections: ~200us mean simulated
+// fetch latency (a number, not a wait) and 5% errors.
+sync::SimulatedSource LossySource() {
   sync::SimulatedSource::Options source_options;
   source_options.base_latency_seconds = 100e-6;
   source_options.mean_jitter_seconds = 100e-6;
   source_options.error_rate = 0.05;
-  SleepingSource source(sync::SimulatedSource::Create(source_options).value());
+  return sync::SimulatedSource::Create(source_options).value();
+}
 
+// Median wall ms of one Execute call on a `tasks`-task batch, and of the
+// same batch's first-attempt fetches called directly (the floor).
+struct ExecuteTiming {
+  double execute_ms = 0.0;
+  double fetch_ms = 0.0;
+};
+
+ExecuteTiming TimeExecute(size_t tasks, int reps) {
+  obs::MetricsRegistry registry;
+  sync::SimulatedSource source = LossySource();
   sync::SyncExecutor::Options options;
-  options.num_threads = pool_size;
-  options.queue_capacity = queue_capacity;
   options.registry = &registry;
   auto executor = sync::SyncExecutor::Create(&source, options).value();
-
-  ThroughputResult result;
-  const double start = NowSeconds();
-  for (int batch = 0; batch < batches; ++batch) {
-    executor->Execute(MakeBatch(tasks_per_batch));
-    result.applied += executor->last_stats().applied;
-    result.failed += executor->last_stats().failed;
-    result.dropped += executor->last_stats().dropped;
+  const std::vector<sync::SyncTask> batch = MakeBatch(tasks);
+  std::vector<double> execute_ms;
+  std::vector<double> fetch_ms;
+  double sink = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    double start = NowSeconds();
+    executor->Execute(batch);
+    execute_ms.push_back((NowSeconds() - start) * 1e3);
+    start = NowSeconds();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      sink += source.Fetch({batch[i].element, batch[i].time, i, 0})
+                  .latency_seconds;
+    }
+    fetch_ms.push_back((NowSeconds() - start) * 1e3);
   }
-  const double elapsed = NowSeconds() - start;
-  result.tasks_per_second =
-      static_cast<double>(tasks_per_batch) * batches / elapsed;
-  return result;
+  if (sink < 0.0) std::printf("%g\n", sink);  // Keeps the fetches live.
+  return {Quantile(execute_ms, 0.5), Quantile(fetch_ms, 0.5)};
 }
 
 // One period-loop run to completion; returns wall seconds.
@@ -122,20 +108,13 @@ double TimeLoop(const ElementSet& truth, sync::SyncExecutor* executor,
 }
 
 // Recorder-overhead probe: the same commit-heavy workload against the
-// non-sleeping SimulatedSource, so wall time is all dispatch + commit work
-// and the emit path has nowhere to hide behind transport sleeps. The global
+// lossy SimulatedSource, whose fetches cost no wall time, so wall time is
+// all executor work and the emit path has nowhere to hide. The global
 // recorder's enabled flag is what freshenctl --trace-out flips.
 double MeasureCommitSeconds(size_t tasks_per_batch, int batches) {
   obs::MetricsRegistry registry;
-  sync::SimulatedSource::Options source_options;
-  source_options.base_latency_seconds = 100e-6;
-  source_options.mean_jitter_seconds = 100e-6;
-  source_options.error_rate = 0.05;
-  auto source = sync::SimulatedSource::Create(source_options).value();
-
+  sync::SimulatedSource source = LossySource();
   sync::SyncExecutor::Options options;
-  options.num_threads = 4;
-  options.queue_capacity = tasks_per_batch;
   options.registry = &registry;
   auto executor = sync::SyncExecutor::Create(&source, options).value();
 
@@ -150,27 +129,19 @@ double MeasureCommitSeconds(size_t tasks_per_batch, int batches) {
 
 int main() {
   const bool quick = bench::QuickMode();
-  const size_t tasks_per_batch = quick ? 500 : 2000;
-  const int batches = quick ? 4 : 16;
+  const size_t execute_tasks = 2400;
+  const int execute_reps = quick ? 10 : 50;
 
-  std::printf("== Sync executor throughput ==\n");
-  std::printf("sleeping SimulatedSource, ~200us mean fetch, 5%% errors; "
-              "%zu tasks x %d batches per cell\n\n",
-              tasks_per_batch, batches);
-
-  TableWriter scaling({"pool", "queue", "tasks/sec", "applied", "failed",
-                       "dropped"});
-  for (size_t pool : {1u, 2u, 4u, 8u}) {
-    for (size_t queue : {64u, 1024u}) {
-      const ThroughputResult r =
-          MeasureThroughput(pool, queue, tasks_per_batch, batches);
-      scaling.AddRow({std::to_string(pool), std::to_string(queue),
-                      std::to_string(static_cast<long long>(r.tasks_per_second)),
-                      std::to_string(r.applied), std::to_string(r.failed),
-                      std::to_string(r.dropped)});
-    }
-  }
-  std::printf("%s\n", scaling.ToText().c_str());
+  std::printf("== Execute wall time ==\n");
+  std::printf("SimulatedSource, ~200us mean simulated fetch, 5%% errors; "
+              "%zu-task batch, median of %d calls\n\n",
+              execute_tasks, execute_reps);
+  const ExecuteTiming timing = TimeExecute(execute_tasks, execute_reps);
+  TableWriter execute({"tasks", "Execute ms", "fetches alone ms"});
+  execute.AddRow({std::to_string(execute_tasks),
+                  FormatDouble(timing.execute_ms, 3),
+                  FormatDouble(timing.fetch_ms, 3)});
+  std::printf("%s\n", execute.ToText().c_str());
 
   std::printf("== PerfectSource fast path vs inline sync ==\n");
   std::printf("same loop seed; the executor path must not regress\n\n");
@@ -208,8 +179,7 @@ int main() {
   std::printf("\n== Flight-recorder overhead ==\n");
   const size_t recorder_tasks = quick ? 2000 : 20000;
   const int recorder_batches = quick ? 3 : 8;
-  std::printf("non-sleeping SimulatedSource, pool 4; %zu tasks x %d batches, "
-              "best of 3 reps\n\n",
+  std::printf("SimulatedSource; %zu tasks x %d batches, best of 3 reps\n\n",
               recorder_tasks, recorder_batches);
   obs::EventRecorder& recorder = obs::EventRecorder::Global();
   double off_seconds = 1e300;

@@ -25,17 +25,19 @@
 //
 //   sync-drill [--objects N] [--bandwidth B] [--periods P] [--accesses A]
 //              [--error-rate E] [--stall-rate S] [--latency-mean L]
-//              [--pool T] [--queue Q] [--retries R] [--theta T] [--seed K]
+//              [--queue Q] [--retries R] [--theta T] [--seed K]
 //       Fault drill for the sync executor: run the same closed loop three
 //       ways — inline syncs, a PerfectSource executor (parity check), and a
 //       fault-injecting SimulatedSource executor — and print the per-period
 //       degradation (failed/dropped/breaker-skipped syncs, wasted bandwidth,
-//       freshness). The faulted run reports into the global registry, so
-//       --metrics-out exports all freshen_sync_* series.
+//       freshness). --queue Q admits only the first Q due syncs of each
+//       period into the faulted executor; the rest drop. The faulted run
+//       reports into the global registry, so --metrics-out exports all
+//       freshen_sync_* series.
 //
 //   trace [--objects N] [--bandwidth B] [--periods P] [--accesses A]
-//         [--error-rate E] [--stall-rate S] [--latency-mean L] [--pool T]
-//         [--queue Q] [--retries R] [--theta T] [--seed K] [--age-slo S]
+//         [--error-rate E] [--stall-rate S] [--latency-mean L] [--queue Q]
+//         [--retries R] [--theta T] [--seed K] [--age-slo S]
 //         [--top-k K] [--trace-out FILE] [--timeline-out FILE]
 //       Flight-recorder showcase: run the closed loop against a
 //       fault-injecting executor with the event recorder on and the
@@ -468,8 +470,6 @@ int RunSyncDrill(const std::map<std::string, std::string>& flags) {
   };
   const auto make_executor_options = [&](obs::MetricsRegistry* registry) {
     sync::SyncExecutor::Options options;
-    options.num_threads = GetInteger<size_t>(flags, "--pool", 4);
-    options.queue_capacity = GetInteger<size_t>(flags, "--queue", 1024);
     options.retry.max_attempts = GetInteger<uint32_t>(flags, "--retries", 2);
     options.seed = spec.seed ^ 0x73796eULL;
     options.registry = registry;
@@ -515,8 +515,14 @@ int RunSyncDrill(const std::map<std::string, std::string>& flags) {
   sync::SimulatedSource faulty = Unwrap(
       sync::SimulatedSource::Create(source_options));
   obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+  // Only the faulted run takes the admission bound: the parity check
+  // compares an executor that runs every task with the inline path.
+  sync::SyncExecutor::Options faulted_executor_options =
+      make_executor_options(&global);
+  faulted_executor_options.queue_capacity = GetInteger<size_t>(
+      flags, "--queue", faulted_executor_options.queue_capacity);
   auto faulted_executor = Unwrap(
-      sync::SyncExecutor::Create(&faulty, make_executor_options(&global)));
+      sync::SyncExecutor::Create(&faulty, faulted_executor_options));
   OnlineFreshenLoop::Options faulted_options =
       make_loop_options(&global, faulted_executor.get());
   const std::string timeline_out = GetFlag(flags, "--timeline-out", "");
@@ -598,8 +604,8 @@ int RunTrace(const std::map<std::string, std::string>& flags) {
       Unwrap(sync::SimulatedSource::Create(source_options));
   obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
   sync::SyncExecutor::Options executor_options;
-  executor_options.num_threads = GetInteger<size_t>(flags, "--pool", 4);
-  executor_options.queue_capacity = GetInteger<size_t>(flags, "--queue", 1024);
+  executor_options.queue_capacity =
+      GetInteger<size_t>(flags, "--queue", executor_options.queue_capacity);
   executor_options.retry.max_attempts =
       GetInteger<uint32_t>(flags, "--retries", 2);
   executor_options.seed = spec.seed ^ 0x73796eULL;
@@ -1144,8 +1150,8 @@ std::map<std::string, Subcommand> Subcommands() {
                                          "--accesses"};
   // The fault-injecting executor of sync-drill and trace.
   const std::vector<std::string> faults = {"--error-rate", "--stall-rate",
-                                           "--latency-mean", "--pool",
-                                           "--queue", "--retries"};
+                                           "--latency-mean", "--queue",
+                                           "--retries"};
   return {
       {"gen",
        {RunGen,

@@ -1,23 +1,18 @@
 // SyncExecutor — the layer that turns a planner schedule into actual fetches
 // against a Source that can be slow, flaky, or down. The planner and the
 // online loop stay in abstract period time; the executor owns transport
-// reality: a thread pool, a bounded work queue with fail-fast backpressure,
-// per-attempt timeouts, capped-exponential-backoff retries with decorrelated
-// jitter, and a per-source circuit breaker.
+// reality: per-attempt timeouts, capped-exponential-backoff retries with
+// decorrelated jitter, a per-source circuit breaker, and an admission bound
+// per batch.
 //
-// Execution is two-phase so results are bit-reproducible despite real
-// threads:
-//   1. Speculative fetch (parallel): every admitted task runs its attempt
-//      loop against the Source on the pool, recording an attempt trace.
-//      Source outcomes are pure functions of (seed, seq, attempt), so the
-//      trace does not depend on thread interleaving.
-//   2. Deterministic commit (sequential): tasks are replayed in scheduled
-//      order against the retry policy and the circuit breaker, charging
-//      bandwidth, choosing apply times, and updating metrics. Completion
-//      events settle into the breaker in virtual-time order, so breaker
-//      behavior is identical run to run.
-// A breaker-refused task never charges bandwidth (its speculative trace is
-// discarded); a queue-overflow drop never reaches the source at all.
+// Execution is one pass in scheduled order, the way the paper's
+// Synchronization Scheduler walks its fixed-order timeline: each task takes
+// the next sequence number, asks the breaker, and runs its attempt loop
+// inline, charging bandwidth, choosing its apply time and updating metrics.
+// Completion events settle into the breaker in virtual-time order. Source
+// outcomes are pure functions of (seed, seq, attempt), so a run repeats
+// bit for bit from its seeds. Transport time is in period units: one
+// transport second is one period.
 //
 // Failure-semantics contract (what the online loop relies on):
 //   * kApplied    : the copy refreshes at `apply_time` (scheduled time plus
@@ -25,17 +20,18 @@
 //   * kFailed     : all attempts failed; the copy stays stale; every
 //                   attempt's bandwidth is counted as wasted.
 //   * kBreakerOpen: refused locally; no attempts, no bandwidth.
-//   * kDropped    : refused by queue backpressure; no attempts, no bandwidth.
+//   * kDropped    : past the batch's admission bound; no attempts, no
+//                   bandwidth.
 #ifndef FRESHEN_SYNC_EXECUTOR_H_
 #define FRESHEN_SYNC_EXECUTOR_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "sync/circuit_breaker.h"
 #include "sync/retry.h"
@@ -59,7 +55,7 @@ enum class SyncOutcomeKind {
   kApplied,      // Fetched; apply at `apply_time`.
   kFailed,       // Exhausted retries; copy stays stale.
   kBreakerOpen,  // Refused by the circuit breaker; no attempts made.
-  kDropped,      // Refused by queue backpressure; no attempts made.
+  kDropped,      // Past the admission bound; no attempts made.
 };
 
 /// The executor's verdict on one task, in scheduled order.
@@ -90,25 +86,20 @@ struct ExecuteStats {
   double wasted_bandwidth = 0.0;
 };
 
-/// Executes batches of due syncs concurrently against one Source. Not
-/// movable; create on the heap via Create(). Thread-compatible: Execute is
-/// meant to be called from one coordinator thread at a time.
+/// Executes batches of due syncs against one Source, in scheduled order.
+/// Create() builds it on the heap. Thread-compatible: Execute is meant to be
+/// called from one thread at a time.
 class SyncExecutor {
  public:
   struct Options {
-    /// Worker threads fetching in parallel.
-    size_t num_threads = 4;
-    /// Bounded work-queue capacity; tasks beyond it are dropped (fail-fast
-    /// backpressure), counted in freshen_sync_dropped.
-    size_t queue_capacity = 1024;
+    /// Admission bound per Execute call: the first `queue_capacity` tasks in
+    /// scheduled order run, the rest are kDropped (counted in
+    /// freshen_sync_dropped_total). The default admits every task.
+    size_t queue_capacity = std::numeric_limits<size_t>::max();
     /// Retry/backoff/timeout policy.
     RetryPolicy retry;
     /// Circuit-breaker thresholds.
     CircuitBreaker::Options breaker;
-    /// Transport seconds per period unit: task times are multiplied by this
-    /// before hitting the Source/breaker, and transport durations divided by
-    /// it on the way back. Must be > 0.
-    double period_seconds = 1.0;
     /// Seed for backoff jitter.
     uint64_t seed = 31;
     /// Registry for freshen_sync_* metrics; nullptr means the process-wide
@@ -116,8 +107,7 @@ class SyncExecutor {
     obs::MetricsRegistry* registry = nullptr;
   };
 
-  /// Validates options and spins up the pool. `source` must outlive the
-  /// executor and be thread-safe.
+  /// Validates options. `source` must outlive the executor.
   static Result<std::unique_ptr<SyncExecutor>> Create(Source* source,
                                                       Options options);
 
@@ -134,20 +124,8 @@ class SyncExecutor {
   /// The breaker, for inspection (state(), open_transitions()).
   const CircuitBreaker& breaker() const { return breaker_; }
 
-  /// The source fetched from.
-  const Source& source() const { return *source_; }
-
-  const Options& options() const { return options_; }
-
  private:
   SyncExecutor(Source* source, CircuitBreaker breaker, Options options);
-
-  // One attempt as recorded by the speculative fetch phase.
-  struct AttemptRecord {
-    bool ok = false;
-    bool timed_out = false;
-    double latency_seconds = 0.0;
-  };
 
   Source* source_;
   Options options_;
@@ -156,7 +134,6 @@ class SyncExecutor {
   uint64_t next_seq_ = 0;
   uint64_t breaker_opens_seen_ = 0;
   ExecuteStats last_stats_;
-  std::unique_ptr<ThreadPool> pool_;
 
   // Cached registry handles (valid for the registry's lifetime).
   obs::Counter* tasks_counter_;
@@ -168,7 +145,6 @@ class SyncExecutor {
   obs::Counter* breaker_skipped_counter_;
   obs::Counter* breaker_opens_counter_;
   obs::Counter* wasted_bandwidth_counter_;
-  obs::Gauge* queue_depth_gauge_;
   obs::Histogram* fetch_latency_histogram_;
   obs::MetricsRegistry* registry_;
 };

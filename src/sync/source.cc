@@ -11,7 +11,7 @@ namespace sync {
 namespace {
 
 // Mixes the source seed with the attempt identity into an independent RNG:
-// outcomes depend only on (seed, seq, attempt), never on thread timing.
+// outcomes depend only on (seed, seq, attempt).
 Rng AttemptRng(uint64_t seed, const FetchRequest& request) {
   SplitMix64 mixer(seed ^ (request.seq * 0x9e3779b97f4a7c15ULL));
   mixer.Next();

@@ -10,8 +10,8 @@
 //   SimulatedSource : configurable latency distribution plus a deterministic,
 //                     seeded fault injector (error rate, stall rate, periodic
 //                     burst outages). Every attempt's dice roll is a pure
-//                     function of (seed, task sequence, attempt), so outcomes
-//                     are reproducible regardless of thread interleaving.
+//                     function of (seed, task sequence, attempt), so a run
+//                     replays identically from its seeds.
 #ifndef FRESHEN_SYNC_SOURCE_H_
 #define FRESHEN_SYNC_SOURCE_H_
 
@@ -50,8 +50,8 @@ struct FetchResult {
   double latency_seconds = 0.0;
 };
 
-/// A fetchable origin. Implementations must be thread-safe: Fetch is called
-/// concurrently from executor worker threads.
+/// A fetchable origin. The executor calls Fetch from one thread at a time,
+/// in scheduled order.
 class Source {
  public:
   virtual ~Source() = default;

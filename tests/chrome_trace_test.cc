@@ -1,10 +1,10 @@
 // Tests for the Chrome trace_event exporter and the determinism contract of
 // virtual-time events: a seeded faulted closed-loop run (the sync-drill
 // scenario) must produce a parseable trace with matched B/E pairs and
-// per-thread monotone timestamps, and the merged virtual-event dump must be
-// byte-identical across executor pool sizes and simulator thread counts.
-// Runs under `ctest -L tsan` in sanitizer builds (the recorder is fed from
-// the pool, the loop, and sharded simulator workers concurrently).
+// per-thread monotone timestamps, the merged virtual-event dump must repeat
+// byte for byte at a fixed seed, and be byte-identical across simulator
+// thread counts. Runs under `ctest -L tsan` in sanitizer builds (the
+// recorder is fed from the loop and sharded simulator workers concurrently).
 #include <cctype>
 #include <cstdlib>
 #include <map>
@@ -193,7 +193,7 @@ class JsonParser {
 // ---------------------------------------------------------------------------
 // A seeded faulted closed-loop run (the sync-drill scenario) feeding the
 // global recorder. Returns the collected events.
-std::vector<Event> RunDrillScenario(size_t pool_threads) {
+std::vector<Event> RunDrillScenario() {
   EventRecorder& recorder = EventRecorder::Global();
   recorder.Reset();
   recorder.set_enabled(true);
@@ -215,8 +215,6 @@ std::vector<Event> RunDrillScenario(size_t pool_threads) {
 
   obs::MetricsRegistry registry;
   sync::SyncExecutor::Options executor_options;
-  executor_options.num_threads = pool_threads;
-  executor_options.queue_capacity = 1024;
   executor_options.retry.max_attempts = 2;
   executor_options.seed = 7;
   executor_options.registry = &registry;
@@ -239,7 +237,7 @@ std::vector<Event> RunDrillScenario(size_t pool_threads) {
 }
 
 TEST(ChromeTraceTest, DrillTraceParsesWithPairedSpansAndMonotoneClocks) {
-  const std::vector<Event> events = RunDrillScenario(/*pool_threads=*/4);
+  const std::vector<Event> events = RunDrillScenario();
   ASSERT_FALSE(events.empty());
   const std::string json = obs::FormatChromeTrace(events);
 
@@ -295,16 +293,10 @@ TEST(ChromeTraceTest, DrillTraceParsesWithPairedSpansAndMonotoneClocks) {
   }
 }
 
-TEST(ChromeTraceTest, VirtualEventsAreIdenticalAcrossPoolSizes) {
-  const std::vector<Event> one = RunDrillScenario(/*pool_threads=*/1);
-  const std::vector<Event> eight = RunDrillScenario(/*pool_threads=*/8);
-  const std::string text_one = obs::FormatVirtualEventsText(one);
-  const std::string text_eight = obs::FormatVirtualEventsText(eight);
-  EXPECT_FALSE(text_one.empty());
-  EXPECT_EQ(text_one, text_eight);
-  // Same seed, same pool: byte-identical too (full reproducibility).
-  const std::vector<Event> again = RunDrillScenario(/*pool_threads=*/1);
-  EXPECT_EQ(text_one, obs::FormatVirtualEventsText(again));
+TEST(ChromeTraceTest, VirtualEventsRepeatAtAFixedSeed) {
+  const std::string text = obs::FormatVirtualEventsText(RunDrillScenario());
+  EXPECT_FALSE(text.empty());
+  EXPECT_EQ(text, obs::FormatVirtualEventsText(RunDrillScenario()));
 }
 
 TEST(ChromeTraceTest, SimulatorShardEventsAreThreadCountInvariant) {

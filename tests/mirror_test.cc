@@ -7,7 +7,6 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -569,9 +568,10 @@ TEST(OnlineLoopTest, FirstSyncCarriesNoControllerEvidence) {
 }
 
 // A zero-latency origin that logs every fetch attempt as (element, scheduled
-// time). With period_seconds = 1 the scheduled time is the loop's sync time,
-// bit for bit. Fetches of `failing_element` scheduled before `fail_until`
-// fail; everything else succeeds, as from a sync::PerfectSource.
+// time). The scheduled time is the loop's sync time, bit for bit, and the
+// executor fetches in scheduled order, so the log is sorted by (time,
+// element). Fetches of `failing_element` scheduled before `fail_until` fail;
+// everything else succeeds, as from a sync::PerfectSource.
 class RecordingSource final : public sync::Source {
  public:
   explicit RecordingSource(
@@ -580,7 +580,6 @@ class RecordingSource final : public sync::Source {
       : failing_element_(failing_element), fail_until_(fail_until) {}
 
   sync::FetchResult Fetch(const sync::FetchRequest& request) override {
-    std::lock_guard<std::mutex> lock(mu_);
     fetches_.push_back({request.scheduled_seconds, request.element});
     if (request.element == failing_element_ &&
         request.scheduled_seconds < fail_until_) {
@@ -590,22 +589,12 @@ class RecordingSource final : public sync::Source {
   }
   const char* name() const override { return "recording"; }
 
-  // Every attempt so far, sorted by (time, element).
-  std::vector<SyncEvent> SortedFetches() {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<SyncEvent> sorted = fetches_;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const SyncEvent& a, const SyncEvent& b) {
-                if (a.time != b.time) return a.time < b.time;
-                return a.element < b.element;
-              });
-    return sorted;
-  }
+  // Every attempt so far, in the order the executor made them.
+  const std::vector<SyncEvent>& fetches() const { return fetches_; }
 
  private:
   const size_t failing_element_;
   const double fail_until_;
-  std::mutex mu_;
   std::vector<SyncEvent> fetches_;
 };
 
@@ -633,7 +622,6 @@ TEST(OnlineLoopTest, FixedPlanSyncTimesEqualTheFixedOrderSchedule) {
     obs::MetricsRegistry registry;
     sync::SyncExecutor::Options executor_options;
     executor_options.registry = &registry;
-    executor_options.num_threads = 2;
     auto executor =
         sync::SyncExecutor::Create(&source, executor_options).value();
     OnlineFreshenLoop::Options options = LoopOptions();
@@ -649,7 +637,7 @@ TEST(OnlineLoopTest, FixedPlanSyncTimesEqualTheFixedOrderSchedule) {
     const SyncSchedule expected =
         SyncSchedule::FixedOrder(freqs, periods).value();
     ASSERT_GT(expected.size(), 0u);
-    EXPECT_EQ(EventLines(source.SortedFetches()),
+    EXPECT_EQ(EventLines(source.fetches()),
               EventLines(expected.events()))
         << "B=" << bandwidth;
   }
@@ -749,7 +737,6 @@ TEST(OnlineLoopSyncTest, FailedFirstFetchIsRetriedAtTheNextPeriodStart) {
   obs::MetricsRegistry registry;
   sync::SyncExecutor::Options executor_options;
   executor_options.registry = &registry;
-  executor_options.num_threads = 2;
   executor_options.retry.max_attempts = 1;
   auto executor = sync::SyncExecutor::Create(&source, executor_options).value();
   OnlineFreshenLoop::Options options = LoopOptions();
@@ -767,7 +754,7 @@ TEST(OnlineLoopSyncTest, FailedFirstFetchIsRetriedAtTheNextPeriodStart) {
   for (int period = 2; period < 6; ++period) loop.RunPeriod();
 
   std::vector<double> fetch_times;
-  for (const SyncEvent& fetch : source.SortedFetches()) {
+  for (const SyncEvent& fetch : source.fetches()) {
     if (fetch.element == element) fetch_times.push_back(fetch.time);
   }
   EXPECT_EQ(fetch_times, (std::vector<double>{0.8, 1.0, 3.0, 5.0}));

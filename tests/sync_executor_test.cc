@@ -1,7 +1,7 @@
-// Tests for the concurrent sync executor and its OnlineFreshenLoop
-// integration: determinism, failure semantics, breaker behavior,
-// backpressure, and the PerfectSource bit-for-bit parity guarantee. Runs
-// under TSan via the `tsan` ctest label.
+// Tests for the sync executor and its OnlineFreshenLoop integration:
+// determinism, failure semantics, breaker behavior, the admission bound, and
+// the PerfectSource bit-for-bit parity guarantee. Runs under TSan via the
+// `tsan` ctest label.
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -32,13 +32,7 @@ TEST(SyncExecutorTest, ValidatesOptions) {
   PerfectSource source;
   EXPECT_FALSE(SyncExecutor::Create(nullptr, {}).ok());
   SyncExecutor::Options options;
-  options.num_threads = 0;
-  EXPECT_FALSE(SyncExecutor::Create(&source, options).ok());
-  options = {};
   options.queue_capacity = 0;
-  EXPECT_FALSE(SyncExecutor::Create(&source, options).ok());
-  options = {};
-  options.period_seconds = 0.0;
   EXPECT_FALSE(SyncExecutor::Create(&source, options).ok());
   options = {};
   options.retry.max_attempts = 0;
@@ -94,7 +88,6 @@ TEST(SyncExecutorTest, DeterministicAcrossRuns) {
     SimulatedSource source = SimulatedSource::Create(source_options).value();
     SyncExecutor::Options options;
     options.registry = &registry;
-    options.num_threads = 4;
     auto executor = SyncExecutor::Create(&source, options).value();
     std::vector<SyncOutcome> all;
     for (int batch = 0; batch < 3; ++batch) {
@@ -169,22 +162,39 @@ TEST(SyncExecutorTest, BreakerHalfOpensAndRecoversAcrossBatches) {
 }
 
 TEST(SyncExecutorTest, QueueOverflowDropsFailFast) {
-  obs::MetricsRegistry registry;
-  PerfectSource source;
-  SyncExecutor::Options options;
-  options.registry = &registry;
-  options.num_threads = 1;
-  options.queue_capacity = 1;
-  auto executor = SyncExecutor::Create(&source, options).value();
-  // A burst far larger than the queue: some tasks must drop. (Workers drain
-  // concurrently, so the exact count is timing-dependent; drops are recorded
-  // deterministically per run in the outcome list.)
-  const std::vector<SyncOutcome> outcomes = executor->Execute(MakeTasks(5000));
-  const ExecuteStats& stats = executor->last_stats();
-  EXPECT_EQ(stats.applied + stats.dropped, 5000u);
-  EXPECT_DOUBLE_EQ(registry.Snapshot().Find("freshen_sync_dropped_total")->value,
-                   static_cast<double>(stats.dropped));
-  (void)outcomes;
+  // A burst far larger than the admission bound: the first 100 tasks in
+  // scheduled order run, every later one drops, the same way every run.
+  const auto run = [] {
+    obs::MetricsRegistry registry;
+    PerfectSource source;
+    SyncExecutor::Options options;
+    options.registry = &registry;
+    options.queue_capacity = 100;
+    auto executor = SyncExecutor::Create(&source, options).value();
+    const std::vector<SyncOutcome> outcomes =
+        executor->Execute(MakeTasks(5000));
+    const ExecuteStats& stats = executor->last_stats();
+    EXPECT_EQ(stats.applied, 100u);
+    EXPECT_EQ(stats.dropped, 4900u);
+    EXPECT_DOUBLE_EQ(
+        registry.Snapshot().Find("freshen_sync_dropped_total")->value,
+        4900.0);
+    return outcomes;
+  };
+  const std::vector<SyncOutcome> outcomes = run();
+  ASSERT_EQ(outcomes.size(), 5000u);
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].kind, i < 100 ? SyncOutcomeKind::kApplied
+                                        : SyncOutcomeKind::kDropped)
+        << "task " << i;
+  }
+  const std::vector<SyncOutcome> again = run();
+  ASSERT_EQ(again.size(), outcomes.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(again[i].element, outcomes[i].element);
+    EXPECT_EQ(again[i].kind, outcomes[i].kind);
+    EXPECT_EQ(again[i].attempts, outcomes[i].attempts);
+  }
 }
 
 TEST(SyncExecutorTest, TimeoutsCutOffStalledFetches) {
