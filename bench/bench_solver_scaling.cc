@@ -22,7 +22,7 @@
 //   * every (n, threads, mode) cell reports the MEDIAN of 3 solves (the
 //     old single-shot numbers swung 2x run-to-run under CPU contention).
 // Beside each instance's kkt_solver rows, a planner_exact row times
-// FreshenPlanner::SolveExact, the exact planner's class-transform solve,
+// SolveByClasses, the exact planner's class-transform solve,
 // with one ClassTransform kept across its solves as the adaptive controller
 // keeps it. one_class groups into ~N/10^4 classes; zipf has no repeated
 // rows, so it measures the fallback to the per-element solve. Its
@@ -379,10 +379,10 @@ int main() {
     // The exact planner's solve of the same instance, warmed up once, with
     // its class transform reused across the timed solves.
     {
-      const FreshenPlanner planner{PlannerOptions()};
+      const KktWaterFillingSolver planner_solver;
       ClassTransform classes;
       std::vector<double> warm;
-      planner.SolveExact(problem, &classes, &warm).value();
+      SolveByClasses(planner_solver, problem, &classes, &warm).value();
       std::vector<double> frequencies;
       size_t rows_solved = 0;
       bool repeat_identical = true;
@@ -390,7 +390,8 @@ int main() {
       for (double& s : seconds) {
         WallTimer timer;
         rows_solved =
-            planner.SolveExact(problem, &classes, &frequencies).value();
+            SolveByClasses(planner_solver, problem, &classes, &frequencies)
+                .value();
         s = timer.ElapsedSeconds();
         repeat_identical &= SameFrequencies(frequencies, warm);
       }
@@ -494,7 +495,7 @@ int main() {
   }
   std::printf("%s\n", solver_table.ToText().c_str());
   std::printf(
-      "== Exact planner (class transform) ==\nFreshenPlanner::SolveExact on "
+      "== Exact planner (class transform) ==\nSolveByClasses on "
       "the same instances, median of 3 with one reused\nClassTransform; "
       "\"vs kkt 1t\" is the speedup over the 1-thread kkt_solver scan "
       "row.\n\n%s\n",

@@ -75,8 +75,7 @@ ExecuteTiming TimeExecute(size_t tasks, int reps) {
     execute_ms.push_back((NowSeconds() - start) * 1e3);
     start = NowSeconds();
     for (size_t i = 0; i < batch.size(); ++i) {
-      sink += source.Fetch({batch[i].element, batch[i].time, i, 0})
-                  .latency_seconds;
+      sink += source.Fetch({batch[i].element, i, 0}).latency_seconds;
     }
     fetch_ms.push_back((NowSeconds() - start) * 1e3);
   }

@@ -5,10 +5,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/quick_mode.h"
 #include "core/planner.h"
 #include "model/element.h"
 #include "workload/generator.h"
@@ -16,13 +16,10 @@
 
 namespace freshen::bench {
 
-/// True when the FRESHEN_QUICK environment variable is set (non-empty, not
-/// "0"): big-case benches then shrink their workloads ~50x so the whole
-/// suite runs in seconds. Full-size runs are the default.
-inline bool QuickMode() {
-  const char* env = std::getenv("FRESHEN_QUICK");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == 0);
-}
+/// FRESHEN_QUICK (common/quick_mode.h): big-case benches shrink their
+/// workloads ~50x so the whole suite runs in seconds. Full-size runs are
+/// the default.
+using ::freshen::QuickMode;
 
 /// The 1-minute load average read from /proc/loadavg (-1 when unreadable).
 /// Timing gates print it beside a FAIL line: their thresholds assume free

@@ -114,6 +114,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/quick_mode.h"
 #include "common/string_util.h"
 #include "common/table_writer.h"
 #include "flags.h"
@@ -330,8 +331,6 @@ void MaybeDumpMetrics(const std::map<std::string, std::string>& flags,
   }
 }
 
-bool QuickMode() { return std::getenv("FRESHEN_QUICK") != nullptr; }
-
 // Writes the attribution report to `out`: .json selects the window/offender
 // JSON document, anything else the per-element CSV (EXPERIMENTS.md schema).
 void WriteTimelineReport(const obs::TimelineReport& report,
@@ -470,7 +469,7 @@ int RunSyncDrill(const std::map<std::string, std::string>& flags) {
   };
   const auto make_executor_options = [&](obs::MetricsRegistry* registry) {
     sync::SyncExecutor::Options options;
-    options.retry.max_attempts = GetInteger<uint32_t>(flags, "--retries", 2);
+    options.max_attempts = GetInteger<uint32_t>(flags, "--retries", 2);
     options.seed = spec.seed ^ 0x73796eULL;
     options.registry = registry;
     return options;
@@ -606,7 +605,7 @@ int RunTrace(const std::map<std::string, std::string>& flags) {
   sync::SyncExecutor::Options executor_options;
   executor_options.queue_capacity =
       GetInteger<size_t>(flags, "--queue", executor_options.queue_capacity);
-  executor_options.retry.max_attempts =
+  executor_options.max_attempts =
       GetInteger<uint32_t>(flags, "--retries", 2);
   executor_options.seed = spec.seed ^ 0x73796eULL;
   executor_options.registry = &global;

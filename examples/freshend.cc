@@ -19,7 +19,8 @@
 //   --period-seconds S    pace the loop to S wall seconds per period
 //   --accesses A          simulated accesses per period
 //   --threshold F         IsFresh probability threshold (default 0.5)
-//   --error-rate E        sync fault injection (0 disables the executor)
+//   --error-rate E        sync fault injection in [0, 1] (0 disables the
+//                         executor)
 //   --seed K              randomness seed
 //   --metrics-out FILE    write the final metrics snapshot (JSON) on exit
 //   --slo-objective F     freshness SLO: target good-access fraction
@@ -115,6 +116,9 @@ int main(int argc, char** argv) {
   std::unique_ptr<sync::SimulatedSource> faulty;
   std::unique_ptr<sync::SyncExecutor> executor;
   const double error_rate = GetDouble(flags, "--error-rate", 0.0);
+  if (!(error_rate >= 0.0 && error_rate <= 1.0)) {
+    DieBadFlag("--error-rate", flags.at("--error-rate"), "a number in [0, 1]");
+  }
   if (error_rate > 0.0) {
     sync::SimulatedSource::Options source_options;
     source_options.error_rate = error_rate;
@@ -140,9 +144,12 @@ int main(int argc, char** argv) {
   options.slo.objective =
       GetDouble(flags, "--slo-objective", options.slo.objective);
   options.slo.age_slo = GetDouble(flags, "--age-slo", options.slo.age_slo);
-  options.slo.good_is_age_slo =
-      GetDouble(flags, "--slo-age-mode",
-                options.slo.good_is_age_slo ? 1.0 : 0.0) != 0.0;
+  const double age_mode = GetDouble(flags, "--slo-age-mode",
+                                    options.slo.good_is_age_slo ? 1.0 : 0.0);
+  if (age_mode != 0.0 && age_mode != 1.0) {
+    DieBadFlag("--slo-age-mode", flags.at("--slo-age-mode"), "0 or 1");
+  }
+  options.slo.good_is_age_slo = age_mode == 1.0;
   options.slowlog.threshold_seconds = GetDouble(
       flags, "--slowlog-threshold", options.slowlog.threshold_seconds);
   options.slowlog.capacity = GetInteger<size_t>(

@@ -8,17 +8,14 @@
 //   $ ./build/examples/planetary_scale          # ~2M objects
 //   $ FRESHEN_QUICK=1 ./build/examples/planetary_scale   # 200k objects
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/quick_mode.h"
 #include "freshen/freshen.h"
 
 int main() {
   using namespace freshen;
 
-  const char* quick = std::getenv("FRESHEN_QUICK");
-  const size_t n =
-      (quick != nullptr && quick[0] != '\0' && quick[0] != '0') ? 200000
-                                                                : 2000000;
+  const size_t n = QuickMode() ? 200000 : 2000000;
   ExperimentSpec spec;
   spec.num_objects = n;
   spec.mean_updates_per_object = 2.0;

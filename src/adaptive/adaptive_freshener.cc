@@ -54,15 +54,11 @@ AdaptiveFreshener::AdaptiveFreshener(std::vector<double> sizes,
       evidence_(sizes_->size()),
       frequencies_(sizes_->size(), 0.0) {
   const size_t n = sizes_->size();
-  believed_.weights.assign(
-      n, options_.technique == Technique::kGeneral
-             ? 1.0 / static_cast<double>(n)
-             : 0.0);
+  believed_.weights.assign(n, 0.0);
   // Every element starts at the prior; RefreshBelievedProblem rewrites
   // only the elements with evidence.
   believed_.change_rates.assign(n, options_.prior_change_rate);
-  believed_.costs =
-      options_.size_aware ? *sizes_ : std::vector<double>(n, 1.0);
+  believed_.costs.assign(n, 1.0);
   believed_.bandwidth = bandwidth_;
   obs::MetricsRegistry& registry = options_.registry != nullptr
                                        ? *options_.registry
@@ -93,9 +89,7 @@ ElementSet AdaptiveFreshener::BelievedCatalog() const {
 }
 
 Status AdaptiveFreshener::RefreshBelievedProblem() {
-  if (options_.technique == Technique::kPerceived) {
-    FRESHEN_RETURN_IF_ERROR(learner_.SnapshotInto(&believed_.weights));
-  }
+  FRESHEN_RETURN_IF_ERROR(learner_.SnapshotInto(&believed_.weights));
   // Only an element with an evidence row can believe anything but the
   // prior the constructor gave it, so only rows are rewritten.
   for (size_t row = 0; row < evidence_.rows(); ++row) {

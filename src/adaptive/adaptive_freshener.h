@@ -36,10 +36,6 @@ namespace freshen {
 class AdaptiveFreshener {
  public:
   struct Options {
-    /// Whose freshness every re-plan maximizes (PlannerOptions::technique).
-    Technique technique = Technique::kPerceived;
-    /// Solve with the §5 size-aware constraint (PlannerOptions::size_aware).
-    bool size_aware = false;
     /// Request-log learner configuration (decay, smoothing). Smoothing
     /// defaults to 1.0 here so a cold-started controller begins from a
     /// uniform profile instead of failing.
@@ -121,8 +117,8 @@ class AdaptiveFreshener {
   AdaptiveFreshener(std::vector<double> sizes, double bandwidth,
                     Options options);
 
-  /// Refills believed_'s weights (PF: the learned profile) and change rates
-  /// in place from the current evidence. Rates start at the prior, so only
+  /// Refills believed_'s weights (the learned profile) and change rates in
+  /// place from the current evidence. Rates start at the prior, so only
   /// those of elements with evidence are rewritten, O(rows).
   Status RefreshBelievedProblem();
 
@@ -137,9 +133,9 @@ class AdaptiveFreshener {
 
   std::vector<double> frequencies_;
   // The believed core problem, kept across replans and refilled in place:
-  // what FreshenPlanner's exact mode would build from BelievedCatalog().
-  // Costs, bandwidth and (GF) the uniform weights are fixed at
-  // construction. It is the problem the current plan solved.
+  // what FreshenPlanner's exact PF mode with unit costs would build from
+  // BelievedCatalog(). Costs and bandwidth are fixed at construction. It is
+  // the problem the current plan solved.
   CoreProblem believed_;
   // The exact replan's solver and class-transform working memory, reused
   // every replan.

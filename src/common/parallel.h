@@ -1,8 +1,7 @@
 // freshen::par — deterministic data-parallel primitives for the compute
 // spine (solvers, k-means, simulator). Built on common/thread_pool.h.
 //
-// The determinism contract (the same one the sync executor's two-phase
-// commit established): results are BIT-IDENTICAL across thread counts.
+// The determinism contract: results are BIT-IDENTICAL across thread counts.
 // It is achieved structurally, not by locking:
 //
 //   * Shard boundaries are a pure function of the problem size n — never of

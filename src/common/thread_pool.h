@@ -1,6 +1,7 @@
-// A fixed-size worker pool draining a bounded MPMC task queue. Built for the
-// sync executor (src/sync/executor.h) but generic: any subsystem that needs
-// "run these closures on N threads, with backpressure" can use it.
+// A fixed-size worker pool draining a bounded MPMC task queue, for any
+// subsystem that needs "run these closures on N threads, with
+// backpressure": freshen::par's shared pool (common/parallel.h) and
+// LineServer's connection handlers (serve/server.h).
 //
 // Contract:
 //   * TrySubmit never blocks: a full queue returns ResourceExhausted

@@ -65,7 +65,8 @@ Result<FreshenPlan> FreshenPlanner::Plan(const ElementSet& elements,
     WallTimer solve_timer;
     ClassTransform classes;
     FRESHEN_RETURN_IF_ERROR(
-        SolveExact(make_problem(elements), &classes, &plan.frequencies)
+        SolveByClasses(solver_, make_problem(elements), &classes,
+                       &plan.frequencies)
             .status());
     plan.timings.solve_seconds = solve_timer.ElapsedSeconds();
   } else {

@@ -136,17 +136,6 @@ class FreshenPlanner {
   Result<FreshenPlan> Plan(const ElementSet& elements,
                            double bandwidth) const;
 
-  /// The exact-mode solve Plan() runs, on a problem the caller already
-  /// holds: SolveByClasses with this planner's solver, writing the
-  /// unrescaled frequencies to `*frequencies` and returning the rows the
-  /// solver ran on. Followed by RescaleToBudget, this is exactly what Plan()
-  /// does in PlanMode::kExact, minus the ElementSet and the plan metrics.
-  Result<size_t> SolveExact(const CoreProblem& problem,
-                            ClassTransform* classes,
-                            std::vector<double>* frequencies) const {
-    return SolveByClasses(solver_, problem, classes, frequencies);
-  }
-
   /// The options this planner was built with.
   const PlannerOptions& options() const { return options_; }
 

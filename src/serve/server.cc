@@ -95,10 +95,9 @@ LineServer::LineServer(const FreshendDaemon* daemon, Options options,
   rejected_counter_ = registry_->GetCounter("freshen_serve_rejected_total");
   requests_counter_ = registry_->GetCounter("freshen_serve_requests_total");
   overflow_counter_ = registry_->GetCounter("freshen_serve_overflow_total");
-  ThreadPool::Options pool_options;
-  pool_options.num_threads = std::max<size_t>(1, options_.num_threads);
-  pool_options.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  pool_ = std::make_unique<ThreadPool>(pool_options);
+  pool_ = std::make_unique<ThreadPool>(ThreadPool::Options{
+      .num_threads = kHandlerThreads,
+      .queue_capacity = kPendingConnections});
   accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 

@@ -3,9 +3,11 @@
 //
 // Threading model:
 //   * One accept thread blocks in accept() and hands each connection to a
-//     ThreadPool via TrySubmit. A full pool queue refuses the connection
-//     (the socket is closed immediately and freshen_serve_rejected_total
-//     increments) — the serving path never blocks on a slow client backlog.
+//     ThreadPool of kHandlerThreads workers via TrySubmit. Past
+//     kPendingConnections queued connections the pool refuses the
+//     connection (the socket is closed immediately and
+//     freshen_serve_rejected_total increments) — the serving path never
+//     blocks on a slow client backlog.
 //   * Each connection task reads lines, answers via HandleRequestLine
 //     (which pins a snapshot per query; see serve/store.h), and writes one
 //     JSON line per request until QUIT, EOF, or a read/write error.
@@ -48,14 +50,15 @@ struct ServerStats {
 /// A newline-protocol server over a local (AF_UNIX) socket.
 class LineServer {
  public:
+  /// Connection-handler threads.
+  static constexpr size_t kHandlerThreads = 4;
+  /// Pending-connection capacity; beyond this, connections are refused.
+  static constexpr size_t kPendingConnections = 64;
+
   struct Options {
     /// Filesystem path of the UNIX socket. A stale file at this path is
     /// unlinked before bind (freshend owns its socket path).
     std::string socket_path;
-    /// Connection-handler threads.
-    size_t num_threads = 4;
-    /// Pending-connection capacity; beyond this, connections are refused.
-    size_t queue_capacity = 64;
     /// Registry for freshen_serve_connections_total /
     /// freshen_serve_rejected_total / freshen_serve_requests_total.
     obs::MetricsRegistry* registry = nullptr;

@@ -1,7 +1,5 @@
 #include "sync/circuit_breaker.h"
 
-#include <cmath>
-
 namespace freshen {
 namespace sync {
 
@@ -17,49 +15,17 @@ const char* BreakerStateName(BreakerState state) {
   return "unknown";
 }
 
-Result<CircuitBreaker> CircuitBreaker::Create(Options options) {
-  if (options.failure_threshold == 0) {
-    return Status::InvalidArgument("failure_threshold must be >= 1");
-  }
-  if (!(options.open_duration_seconds > 0.0) ||
-      !std::isfinite(options.open_duration_seconds)) {
-    return Status::InvalidArgument("open_duration_seconds must be > 0");
-  }
-  if (options.half_open_max_probes == 0) {
-    return Status::InvalidArgument("half_open_max_probes must be >= 1");
-  }
-  if (options.success_threshold == 0) {
-    return Status::InvalidArgument("success_threshold must be >= 1");
-  }
-  return CircuitBreaker(options);
-}
-
-CircuitBreaker::CircuitBreaker(CircuitBreaker&& other) noexcept
-    : options_(other.options_) {
-  std::lock_guard<std::mutex> lock(other.mu_);
-  state_ = other.state_;
-  consecutive_failures_ = other.consecutive_failures_;
-  consecutive_successes_ = other.consecutive_successes_;
-  probes_in_flight_ = other.probes_in_flight_;
-  opened_at_ = other.opened_at_;
-  open_transitions_ = other.open_transitions_;
-}
-
 bool CircuitBreaker::AllowRequest(double now) {
   std::lock_guard<std::mutex> lock(mu_);
   switch (state_) {
     case BreakerState::kClosed:
       return true;
     case BreakerState::kOpen:
-      if (now - opened_at_ < options_.open_duration_seconds) return false;
+      if (now - opened_at_ < kBreakerOpenSeconds) return false;
       state_ = BreakerState::kHalfOpen;
-      consecutive_successes_ = 0;
-      probes_in_flight_ = 1;
       return true;
     case BreakerState::kHalfOpen:
-      if (probes_in_flight_ >= options_.half_open_max_probes) return false;
-      ++probes_in_flight_;
-      return true;
+      return false;  // The probe is still in flight.
   }
   return false;
 }
@@ -74,13 +40,8 @@ void CircuitBreaker::RecordSuccess(double) {
       // A late success from before the trip; ignored.
       break;
     case BreakerState::kHalfOpen:
-      if (probes_in_flight_ > 0) --probes_in_flight_;
-      if (++consecutive_successes_ >= options_.success_threshold) {
-        state_ = BreakerState::kClosed;
-        consecutive_failures_ = 0;
-        consecutive_successes_ = 0;
-        probes_in_flight_ = 0;
-      }
+      state_ = BreakerState::kClosed;
+      consecutive_failures_ = 0;
       break;
   }
 }
@@ -89,7 +50,7 @@ void CircuitBreaker::RecordFailure(double now) {
   std::lock_guard<std::mutex> lock(mu_);
   switch (state_) {
     case BreakerState::kClosed:
-      if (++consecutive_failures_ >= options_.failure_threshold) {
+      if (++consecutive_failures_ >= kBreakerFailureThreshold) {
         TransitionToOpen(now);
       }
       break;
@@ -116,8 +77,6 @@ void CircuitBreaker::TransitionToOpen(double now) {
   state_ = BreakerState::kOpen;
   opened_at_ = now;
   consecutive_failures_ = 0;
-  consecutive_successes_ = 0;
-  probes_in_flight_ = 0;
   ++open_transitions_;
 }
 

@@ -2,13 +2,13 @@
 // bandwidth budget on attempts that cannot succeed.
 //
 // States (the classic three-state machine):
-//   closed    : requests flow; `failure_threshold` consecutive failures
+//   closed    : requests flow; kBreakerFailureThreshold consecutive failures
 //               trip the breaker open.
 //   open      : requests are refused without touching the source; after
-//               `open_duration_seconds` of cool-down the next request is
-//               admitted as a half-open probe.
-//   half-open : up to `half_open_max_probes` in-flight probes; a success
-//               (x `success_threshold`) re-closes the breaker, any failure
+//               kBreakerOpenSeconds of cool-down the next request is
+//               admitted as the half-open probe.
+//   half-open : that one probe is in flight and every other request is
+//               refused; its success re-closes the breaker, its failure
 //               re-opens it and restarts the cool-down.
 //
 // The breaker is driven by caller-supplied timestamps (transport seconds),
@@ -21,10 +21,13 @@
 #include <cstdint>
 #include <mutex>
 
-#include "common/result.h"
-
 namespace freshen {
 namespace sync {
+
+/// Consecutive failures (while closed) that trip the breaker.
+inline constexpr uint32_t kBreakerFailureThreshold = 5;
+/// Cool-down before an open breaker admits its half-open probe.
+inline constexpr double kBreakerOpenSeconds = 0.5;
 
 /// Breaker position; see the header comment for the transition rules.
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
@@ -37,27 +40,9 @@ const char* BreakerStateName(BreakerState state);
 /// transition counts are only meaningful with monotone time.
 class CircuitBreaker {
  public:
-  struct Options {
-    /// Consecutive failures (while closed) that trip the breaker. Must be
-    /// >= 1.
-    uint32_t failure_threshold = 5;
-    /// Cool-down before an open breaker admits a half-open probe. Must be
-    /// > 0.
-    double open_duration_seconds = 0.5;
-    /// Probes admitted while half-open before further requests are refused
-    /// again. Must be >= 1.
-    uint32_t half_open_max_probes = 1;
-    /// Consecutive half-open successes required to re-close. Must be >= 1.
-    uint32_t success_threshold = 1;
-  };
-
-  /// Rejects zero thresholds/probes and non-positive cool-downs.
-  static Result<CircuitBreaker> Create(Options options);
-
-  CircuitBreaker(CircuitBreaker&& other) noexcept;
-
   /// True when a request at time `now` may proceed. Transitions open ->
-  /// half-open once the cool-down has elapsed; counts the admitted probe.
+  /// half-open once the cool-down has elapsed, admitting that request as
+  /// the probe.
   bool AllowRequest(double now);
 
   /// Records a request outcome at time `now` and applies the transition
@@ -72,16 +57,13 @@ class CircuitBreaker {
   uint64_t open_transitions() const;
 
  private:
-  explicit CircuitBreaker(Options options) : options_(options) {}
-
   void TransitionToOpen(double now);  // Requires mu_ held.
 
-  Options options_;
   mutable std::mutex mu_;
+  // kHalfOpen means the probe is in flight: the one probe is admitted on
+  // entry and its outcome always leaves the state.
   BreakerState state_ = BreakerState::kClosed;
   uint32_t consecutive_failures_ = 0;
-  uint32_t consecutive_successes_ = 0;  // Half-open probe successes.
-  uint32_t probes_in_flight_ = 0;       // Admitted, not yet recorded.
   double opened_at_ = 0.0;
   uint64_t open_transitions_ = 0;
 };

@@ -56,18 +56,15 @@ Result<std::unique_ptr<SyncExecutor>> SyncExecutor::Create(Source* source,
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }
-  FRESHEN_RETURN_IF_ERROR(ValidateRetryPolicy(options.retry));
-  FRESHEN_ASSIGN_OR_RETURN(CircuitBreaker breaker,
-                           CircuitBreaker::Create(options.breaker));
-  return std::unique_ptr<SyncExecutor>(
-      new SyncExecutor(source, std::move(breaker), options));
+  if (options.max_attempts == 0) {
+    return Status::InvalidArgument("max_attempts must be >= 1");
+  }
+  return std::unique_ptr<SyncExecutor>(new SyncExecutor(source, options));
 }
 
-SyncExecutor::SyncExecutor(Source* source, CircuitBreaker breaker,
-                           Options options)
+SyncExecutor::SyncExecutor(Source* source, Options options)
     : source_(source),
       options_(options),
-      breaker_(std::move(breaker)),
       backoff_rng_(options.seed ^ 0x73796e63ULL),
       registry_(options.registry != nullptr
                     ? options.registry
@@ -139,7 +136,6 @@ std::vector<SyncOutcome> SyncExecutor::Execute(
     EmitSyncEvent(recorder, BreakerEventName(state), ts, -1.0, 0.0, nullptr);
   };
 
-  const RetryPolicy& retry = options_.retry;
   std::vector<SyncOutcome> outcomes;
   outcomes.reserve(order.size());
   for (size_t rank = 0; rank < order.size(); ++rank) {
@@ -173,14 +169,13 @@ std::vector<SyncOutcome> SyncExecutor::Execute(
     double now = task.time;
     double backoff = 0.0;
     bool success = false;
-    for (uint32_t attempt = 0; attempt < retry.max_attempts; ++attempt) {
+    for (uint32_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
       const FetchResult fetched =
-          source_->Fetch({task.element, task.time, seq, attempt});
+          source_->Fetch({task.element, seq, attempt});
       // A stall is cut off at the per-attempt timeout and fails.
-      const bool timed_out =
-          fetched.latency_seconds > retry.attempt_timeout_seconds;
+      const bool timed_out = fetched.latency_seconds > kAttemptTimeoutSeconds;
       const double latency =
-          std::min(fetched.latency_seconds, retry.attempt_timeout_seconds);
+          std::min(fetched.latency_seconds, kAttemptTimeoutSeconds);
       outcome.attempts += 1;
       ++last_stats_.attempts;
       attempts_counter_->Increment();
@@ -204,8 +199,8 @@ std::vector<SyncOutcome> SyncExecutor::Execute(
       }
       outcome.wasted_bandwidth += task.size;
       wasted_bandwidth_counter_->Add(task.size);
-      if (attempt + 1 < retry.max_attempts) {
-        backoff = NextBackoffDelay(backoff_rng_, retry, backoff);
+      if (attempt + 1 < options_.max_attempts) {
+        backoff = NextBackoffDelay(backoff_rng_, backoff);
         now += backoff;
       }
     }

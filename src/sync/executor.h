@@ -96,10 +96,10 @@ class SyncExecutor {
     /// scheduled order run, the rest are kDropped (counted in
     /// freshen_sync_dropped_total). The default admits every task.
     size_t queue_capacity = std::numeric_limits<size_t>::max();
-    /// Retry/backoff/timeout policy.
-    RetryPolicy retry;
-    /// Circuit-breaker thresholds.
-    CircuitBreaker::Options breaker;
+    /// Total attempts per task (1 = no retries). Must be >= 1. Backoff
+    /// between attempts and the per-attempt timeout are sync/retry.h's
+    /// constants; the breaker's thresholds are circuit_breaker.h's.
+    uint32_t max_attempts = 4;
     /// Seed for backoff jitter.
     uint64_t seed = 31;
     /// Registry for freshen_sync_* metrics; nullptr means the process-wide
@@ -125,7 +125,7 @@ class SyncExecutor {
   const CircuitBreaker& breaker() const { return breaker_; }
 
  private:
-  SyncExecutor(Source* source, CircuitBreaker breaker, Options options);
+  SyncExecutor(Source* source, Options options);
 
   Source* source_;
   Options options_;

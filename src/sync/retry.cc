@@ -1,37 +1,14 @@
 #include "sync/retry.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace freshen {
 namespace sync {
 
-Status ValidateRetryPolicy(const RetryPolicy& policy) {
-  if (policy.max_attempts == 0) {
-    return Status::InvalidArgument("max_attempts must be >= 1");
-  }
-  if (!(policy.base_delay_seconds > 0.0) ||
-      !std::isfinite(policy.base_delay_seconds)) {
-    return Status::InvalidArgument("base_delay_seconds must be > 0");
-  }
-  if (!(policy.max_delay_seconds >= policy.base_delay_seconds) ||
-      !std::isfinite(policy.max_delay_seconds)) {
-    return Status::InvalidArgument(
-        "max_delay_seconds must be >= base_delay_seconds");
-  }
-  if (!(policy.attempt_timeout_seconds > 0.0) ||
-      !std::isfinite(policy.attempt_timeout_seconds)) {
-    return Status::InvalidArgument("attempt_timeout_seconds must be > 0");
-  }
-  return Status::OK();
-}
-
-double NextBackoffDelay(Rng& rng, const RetryPolicy& policy,
-                        double previous_delay_seconds) {
-  const double prev =
-      std::max(policy.base_delay_seconds, previous_delay_seconds);
-  const double hi = std::min(policy.max_delay_seconds, 3.0 * prev);
-  return rng.NextDoubleIn(policy.base_delay_seconds, hi);
+double NextBackoffDelay(Rng& rng, double previous_delay_seconds) {
+  const double prev = std::max(kBackoffBaseSeconds, previous_delay_seconds);
+  const double hi = std::min(kBackoffCapSeconds, 3.0 * prev);
+  return rng.NextDoubleIn(kBackoffBaseSeconds, hi);
 }
 
 }  // namespace sync

@@ -43,20 +43,12 @@ Result<SimulatedSource> SimulatedSource::Create(Options options) {
     const char* name;
     double value;
   } latencies[] = {{"base_latency_seconds", options.base_latency_seconds},
-                   {"mean_jitter_seconds", options.mean_jitter_seconds},
-                   {"stall_latency_seconds", options.stall_latency_seconds},
-                   {"outage_interval_seconds", options.outage_interval_seconds},
-                   {"outage_duration_seconds", options.outage_duration_seconds}};
+                   {"mean_jitter_seconds", options.mean_jitter_seconds}};
   for (const auto& latency : latencies) {
     if (!(latency.value >= 0.0) || !std::isfinite(latency.value)) {
       return Status::InvalidArgument(
           StrFormat("%s must be finite and >= 0", latency.name));
     }
-  }
-  if (options.outage_interval_seconds > 0.0 &&
-      options.outage_duration_seconds > options.outage_interval_seconds) {
-    return Status::InvalidArgument(
-        "outage_duration_seconds must be <= outage_interval_seconds");
   }
   return SimulatedSource(options);
 }
@@ -70,19 +62,12 @@ FetchResult SimulatedSource::Fetch(const FetchRequest& request) {
   if (!faults_enabled()) {
     return {Status::OK(), latency};
   }
-  // Burst outage: hard-down window, fails fast (connection refused).
-  if (options_.outage_interval_seconds > 0.0 &&
-      std::fmod(request.scheduled_seconds, options_.outage_interval_seconds) <
-          options_.outage_duration_seconds) {
-    return {Status::Unavailable("source outage"),
-            options_.base_latency_seconds};
-  }
   const double roll = rng.NextDouble();
   if (roll < options_.error_rate) {
     return {Status::Unavailable("injected fetch error"), latency};
   }
   if (roll < options_.error_rate + options_.stall_rate) {
-    return {Status::OK(), options_.stall_latency_seconds};
+    return {Status::OK(), kStallLatencySeconds};
   }
   return {Status::OK(), latency};
 }

@@ -1,6 +1,6 @@
 // The transport boundary of the sync executor: a Source is where a fetch of
 // one element's current copy actually happens, with all the failure modes a
-// real origin has — latency, errors, stalls, outages. The executor
+// real origin has — latency, errors, stalls. The executor
 // (sync/executor.h) owns retries, timeouts, and circuit breaking; a Source
 // only models a single attempt.
 //
@@ -8,8 +8,8 @@
 //   PerfectSource   : every attempt succeeds instantly — reproduces the
 //                     inline-sync semantics of OnlineFreshenLoop bit-for-bit.
 //   SimulatedSource : configurable latency distribution plus a deterministic,
-//                     seeded fault injector (error rate, stall rate, periodic
-//                     burst outages). Every attempt's dice roll is a pure
+//                     seeded fault injector (error rate, stall rate) with a
+//                     master switch. Every attempt's dice roll is a pure
 //                     function of (seed, task sequence, attempt), so a run
 //                     replays identically from its seeds.
 #ifndef FRESHEN_SYNC_SOURCE_H_
@@ -30,9 +30,6 @@ namespace sync {
 struct FetchRequest {
   /// Element being fetched.
   size_t element = 0;
-  /// The task's scheduled wall time in transport seconds (drives time-based
-  /// faults such as burst outages).
-  double scheduled_seconds = 0.0;
   /// Executor-wide task sequence number (deterministic, assigned in
   /// scheduled order).
   uint64_t seq = 0;
@@ -42,7 +39,7 @@ struct FetchRequest {
 
 /// The outcome of one attempt. `status` OK means the copy arrived after
 /// `latency_seconds` of transport time; a non-OK status (Unavailable for
-/// errors/outages) still consumed `latency_seconds` before failing. A stalled
+/// errors) still consumed `latency_seconds` before failing. A stalled
 /// attempt reports its full stall latency — the executor's per-attempt
 /// timeout converts it into a DeadlineExceeded failure.
 struct FetchResult {
@@ -70,6 +67,11 @@ class PerfectSource final : public Source {
   const char* name() const override { return "perfect"; }
 };
 
+/// How long a stalled SimulatedSource attempt takes, in transport seconds:
+/// far past kAttemptTimeoutSeconds (sync/retry.h), so the executor cuts it
+/// off.
+inline constexpr double kStallLatencySeconds = 60.0;
+
 /// A deterministic lossy origin. Latency is base + exponential jitter; faults
 /// are seeded per (seq, attempt) so a run replays identically.
 class SimulatedSource final : public Source {
@@ -82,22 +84,15 @@ class SimulatedSource final : public Source {
     /// Probability an attempt fails with Unavailable (after its latency).
     double error_rate = 0.0;
     /// Probability an attempt stalls: it "succeeds" only after
-    /// `stall_latency_seconds`, which the executor's per-attempt timeout
-    /// turns into a DeadlineExceeded failure.
+    /// kStallLatencySeconds, which the executor's per-attempt timeout turns
+    /// into a DeadlineExceeded failure.
     double stall_rate = 0.0;
-    /// How long a stalled attempt takes.
-    double stall_latency_seconds = 60.0;
-    /// Burst outages: every `outage_interval_seconds` of scheduled time the
-    /// source goes hard-down for `outage_duration_seconds` (attempts fail
-    /// fast with Unavailable). 0 disables outages.
-    double outage_interval_seconds = 0.0;
-    double outage_duration_seconds = 0.0;
     /// Seed for all fault/latency dice.
     uint64_t seed = 47;
   };
 
-  /// Validates rates/latencies (rates in [0,1], latencies finite and >= 0,
-  /// outage duration <= interval when enabled).
+  /// Validates rates/latencies (rates in [0,1] with error + stall <= 1,
+  /// latencies finite and >= 0).
   static Result<SimulatedSource> Create(Options options);
 
   // Movable (the atomic fault switch is copied by value) so Create can
@@ -108,7 +103,7 @@ class SimulatedSource final : public Source {
   FetchResult Fetch(const FetchRequest& request) override;
   const char* name() const override { return "simulated"; }
 
-  /// Master switch for all injected faults (errors, stalls, outages); latency
+  /// Master switch for all injected faults (errors, stalls); latency
   /// is still sampled. Flip to false to model the fault clearing — safe to
   /// call while the executor is running.
   void SetFaultsEnabled(bool enabled) {

@@ -125,9 +125,9 @@ TEST(AdaptiveTest, PlanClassesGaugeCountsTheSolvedRows) {
 }
 
 // The exact replan refills one persistent believed problem in place and
-// solves it directly. It must install exactly the plan FreshenPlanner
-// builds from BelievedCatalog(), for both techniques and both size models,
-// and PlannedChangeRates() must be the believed rates at that replan.
+// solves it directly. It must install exactly the plan FreshenPlanner (PF,
+// unit costs) builds from BelievedCatalog(), and PlannedChangeRates() must
+// be the believed rates at that replan.
 TEST(AdaptiveTest, ExactReplanMatchesPlannerOnBelievedCatalogByteForByte) {
   ExperimentSpec spec = ExperimentSpec::IdealCase();
   spec.num_objects = 90;
@@ -137,46 +137,33 @@ TEST(AdaptiveTest, ExactReplanMatchesPlannerOnBelievedCatalogByteForByte) {
   spec.size_model = SizeModel::kPareto;
   const ElementSet truth = GenerateCatalog(spec).value();
 
-  for (Technique technique : {Technique::kPerceived, Technique::kGeneral}) {
-    for (bool size_aware : {false, true}) {
-      SCOPED_TRACE(ToString(technique) +
-                   (size_aware ? " size-aware" : " size-blind"));
-      auto options = DefaultOptions();
-      options.technique = technique;
-      options.size_aware = size_aware;
-      auto controller = AdaptiveFreshener::Create(
-                            Sizes(truth), spec.syncs_per_period, options)
-                            .value();
-      Rng rng(31);
-      AliasTable traffic(AccessProbs(truth));
-      for (int period = 1; period <= 6; ++period) {
-        for (int a = 0; a < 500; ++a) {
-          controller.ObserveAccess(traffic.Sample(rng));
-        }
-        const std::vector<double> freqs = controller.frequencies();
-        for (size_t i = 0; i < truth.size(); ++i) {
-          if (freqs[i] <= 0.0) continue;
-          const double p_change =
-              -std::expm1(-truth[i].change_rate / freqs[i]);
-          controller.ObserveSync(i, rng.NextBool(p_change), /*gap=*/1.0);
-        }
-        controller.EndPeriod();
-        ASSERT_TRUE(controller.MaybeReplan(period).value());
-        const ElementSet believed = controller.BelievedCatalog();
-        PlannerOptions planner;
-        planner.technique = options.technique;
-        planner.size_aware = options.size_aware;
-        const FreshenPlan plan =
-            FreshenPlanner(planner)
-                .Plan(believed, spec.syncs_per_period)
-                .value();
-        ASSERT_TRUE(SameBytes(controller.frequencies(), plan.frequencies))
-            << "plans diverged at period " << period;
-        ASSERT_TRUE(
-            SameBytes(controller.PlannedChangeRates(), ChangeRates(believed)))
-            << "planned rates diverged at period " << period;
-      }
+  auto controller = AdaptiveFreshener::Create(
+                        Sizes(truth), spec.syncs_per_period, DefaultOptions())
+                        .value();
+  Rng rng(31);
+  AliasTable traffic(AccessProbs(truth));
+  for (int period = 1; period <= 6; ++period) {
+    for (int a = 0; a < 500; ++a) {
+      controller.ObserveAccess(traffic.Sample(rng));
     }
+    const std::vector<double> freqs = controller.frequencies();
+    for (size_t i = 0; i < truth.size(); ++i) {
+      if (freqs[i] <= 0.0) continue;
+      const double p_change = -std::expm1(-truth[i].change_rate / freqs[i]);
+      controller.ObserveSync(i, rng.NextBool(p_change), /*gap=*/1.0);
+    }
+    controller.EndPeriod();
+    ASSERT_TRUE(controller.MaybeReplan(period).value());
+    const ElementSet believed = controller.BelievedCatalog();
+    const FreshenPlan plan =
+        FreshenPlanner(PlannerOptions())
+            .Plan(believed, spec.syncs_per_period)
+            .value();
+    ASSERT_TRUE(SameBytes(controller.frequencies(), plan.frequencies))
+        << "plans diverged at period " << period;
+    ASSERT_TRUE(
+        SameBytes(controller.PlannedChangeRates(), ChangeRates(believed)))
+        << "planned rates diverged at period " << period;
   }
 }
 

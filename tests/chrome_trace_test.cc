@@ -215,7 +215,7 @@ std::vector<Event> RunDrillScenario() {
 
   obs::MetricsRegistry registry;
   sync::SyncExecutor::Options executor_options;
-  executor_options.retry.max_attempts = 2;
+  executor_options.max_attempts = 2;
   executor_options.seed = 7;
   executor_options.registry = &registry;
   auto executor = sync::SyncExecutor::Create(&source.value(),

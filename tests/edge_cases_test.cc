@@ -119,9 +119,10 @@ TEST(PlannerEdgeTest, ClassSolveRejectsInvalidInputLikeTheSolver) {
     ASSERT_FALSE(expected.ok());
     ClassTransform classes;
     std::vector<double> frequencies;
-    EXPECT_EQ(
-        FreshenPlanner({}).SolveExact(*problem, &classes, &frequencies).status(),
-        expected)
+    EXPECT_EQ(SolveByClasses(KktWaterFillingSolver(), *problem, &classes,
+                             &frequencies)
+                  .status(),
+              expected)
         << expected.ToString();
   }
 }
@@ -137,9 +138,10 @@ TEST(PlannerEdgeTest, ClassSolveFallsBackWhenAClassRowOverflows) {
   problem.bandwidth = 512.0;
   ClassTransform classes;
   std::vector<double> frequencies;
-  EXPECT_EQ(
-      FreshenPlanner({}).SolveExact(problem, &classes, &frequencies).value(),
-      1024u);
+  EXPECT_EQ(SolveByClasses(KktWaterFillingSolver(), problem, &classes,
+                           &frequencies)
+                .value(),
+            1024u);
   const std::vector<double> reference =
       KktWaterFillingSolver().Solve(problem).value().frequencies;
   ASSERT_EQ(frequencies.size(), reference.size());

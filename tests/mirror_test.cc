@@ -8,6 +8,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "model/metrics.h"
 #include "obs/drift.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "obs/slo.h"
 #include "obs/timeline.h"
 #include "rng/distributions.h"
@@ -567,35 +569,59 @@ TEST(OnlineLoopTest, FirstSyncCarriesNoControllerEvidence) {
   EXPECT_EQ(scored, expected_scored);
 }
 
-// A zero-latency origin that logs every fetch attempt as (element, scheduled
-// time). The scheduled time is the loop's sync time, bit for bit, and the
-// executor fetches in scheduled order, so the log is sorted by (time,
-// element). Fetches of `failing_element` scheduled before `fail_until` fail;
-// everything else succeeds, as from a sync::PerfectSource.
-class RecordingSource final : public sync::Source {
+// A zero-latency origin whose first fetch of `failing_element` fails;
+// every other fetch succeeds, as from a sync::PerfectSource.
+class FailOnceSource final : public sync::Source {
  public:
-  explicit RecordingSource(
-      size_t failing_element = std::numeric_limits<size_t>::max(),
-      double fail_until = 0.0)
-      : failing_element_(failing_element), fail_until_(fail_until) {}
+  explicit FailOnceSource(size_t failing_element)
+      : failing_element_(failing_element) {}
 
   sync::FetchResult Fetch(const sync::FetchRequest& request) override {
-    fetches_.push_back({request.scheduled_seconds, request.element});
-    if (request.element == failing_element_ &&
-        request.scheduled_seconds < fail_until_) {
+    if (request.element == failing_element_ && !failed_) {
+      failed_ = true;
       return {Status::Unavailable("injected"), 0.0};
     }
     return {Status::OK(), 0.0};
   }
-  const char* name() const override { return "recording"; }
-
-  // Every attempt so far, in the order the executor made them.
-  const std::vector<SyncEvent>& fetches() const { return fetches_; }
+  const char* name() const override { return "fail_once"; }
 
  private:
   const size_t failing_element_;
-  const double fail_until_;
-  std::vector<SyncEvent> fetches_;
+  bool failed_ = false;
+};
+
+// Keeps the global flight recorder on, and empty at the start, for its
+// lifetime, and reads back the executor's fetch attempts.
+class AttemptLog {
+ public:
+  AttemptLog() {
+    recorder().Reset();
+    recorder().set_enabled(true);
+  }
+  ~AttemptLog() {
+    recorder().set_enabled(false);
+    recorder().Reset();
+  }
+
+  // Every fetch attempt so far as (start time, element), in the order the
+  // executor made them: its `sync_attempt` instants. A first attempt starts
+  // at the task's scheduled time, which is the loop's sync time, bit for
+  // bit, and the executor fetches in scheduled order, so the log is sorted
+  // by (time, element).
+  std::vector<SyncEvent> attempts() const {
+    EXPECT_EQ(recorder().stats().dropped, 0u);
+    std::vector<SyncEvent> attempts;
+    for (const obs::Event& event : recorder().Collect()) {
+      if (std::string_view(event.name) != "sync_attempt") continue;
+      attempts.push_back({event.ts, static_cast<size_t>(event.arg0)});
+    }
+    return attempts;
+  }
+
+ private:
+  static obs::EventRecorder& recorder() {
+    return obs::EventRecorder::Global();
+  }
 };
 
 // One "element@time" line per event, time as a %a hex float.
@@ -618,7 +644,8 @@ TEST(OnlineLoopTest, FixedPlanSyncTimesEqualTheFixedOrderSchedule) {
   const ElementSet truth = GenerateCatalog(spec).value();
   const int periods = 40;
   for (const double bandwidth : {5.0, 1.0, 13.0}) {
-    RecordingSource source;
+    sync::PerfectSource source;
+    AttemptLog log;
     obs::MetricsRegistry registry;
     sync::SyncExecutor::Options executor_options;
     executor_options.registry = &registry;
@@ -637,7 +664,7 @@ TEST(OnlineLoopTest, FixedPlanSyncTimesEqualTheFixedOrderSchedule) {
     const SyncSchedule expected =
         SyncSchedule::FixedOrder(freqs, periods).value();
     ASSERT_GT(expected.size(), 0u);
-    EXPECT_EQ(EventLines(source.fetches()),
+    EXPECT_EQ(EventLines(log.attempts()),
               EventLines(expected.events()))
         << "B=" << bandwidth;
   }
@@ -733,11 +760,12 @@ TEST(OnlineLoopSyncTest, FailedFirstFetchIsRetriedAtTheNextPeriodStart) {
   spec.num_objects = 10;
   const ElementSet truth = GenerateCatalog(spec).value();
   const size_t element = 4;
-  RecordingSource source(element, /*fail_until=*/1.0);
+  FailOnceSource source(element);
+  AttemptLog log;
   obs::MetricsRegistry registry;
   sync::SyncExecutor::Options executor_options;
   executor_options.registry = &registry;
-  executor_options.retry.max_attempts = 1;
+  executor_options.max_attempts = 1;
   auto executor = sync::SyncExecutor::Create(&source, executor_options).value();
   OnlineFreshenLoop::Options options = LoopOptions();
   options.controller.replan_every_periods = 1000.0;  // Keep the cold plan.
@@ -754,7 +782,7 @@ TEST(OnlineLoopSyncTest, FailedFirstFetchIsRetriedAtTheNextPeriodStart) {
   for (int period = 2; period < 6; ++period) loop.RunPeriod();
 
   std::vector<double> fetch_times;
-  for (const SyncEvent& fetch : source.fetches()) {
+  for (const SyncEvent& fetch : log.attempts()) {
     if (fetch.element == element) fetch_times.push_back(fetch.time);
   }
   EXPECT_EQ(fetch_times, (std::vector<double>{0.8, 1.0, 3.0, 5.0}));
@@ -1035,7 +1063,7 @@ TEST(OnlineLoopGoldenTest, ExecutorPathWithTelemetryMatchesRecordedRun) {
       sync::SimulatedSource::Create(source_options).value();
   sync::SyncExecutor::Options executor_options;
   executor_options.registry = &registry;
-  executor_options.retry.max_attempts = 2;
+  executor_options.max_attempts = 2;
   auto executor = sync::SyncExecutor::Create(&source, executor_options).value();
 
   obs::StalenessTimeline::Options timeline_options;

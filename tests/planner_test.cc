@@ -295,8 +295,8 @@ TEST(PlannerClassTest, PlantedClassesMatchOrBeatThePerElementSolve) {
 
         ClassTransform classes;
         std::vector<double> frequencies;
-        ASSERT_EQ(FreshenPlanner(options)
-                      .SolveExact(problem, &classes, &frequencies)
+        ASSERT_EQ(SolveByClasses(KktWaterFillingSolver(), problem, &classes,
+                                 &frequencies)
                       .value(),
                   num_classes);
         const double per_element = problem.Objective(
@@ -352,17 +352,17 @@ TEST(PlannerClassTest, ManyClassesFallBackToThePerElementSolve) {
                             PerElementPlan(options, *elements, 250.0)));
       ClassTransform classes;
       std::vector<double> frequencies;
-      EXPECT_EQ(FreshenPlanner(options)
-                    .SolveExact(MakeProblem(options, *elements, 250.0),
-                                &classes, &frequencies)
+      EXPECT_EQ(SolveByClasses(KktWaterFillingSolver(),
+                               MakeProblem(options, *elements, 250.0),
+                               &classes, &frequencies)
                     .value(),
                 elements->size());
     }
     ClassTransform classes;
     std::vector<double> frequencies;
-    EXPECT_EQ(FreshenPlanner(options)
-                  .SolveExact(MakeProblem(options, grouped, 250.0), &classes,
-                              &frequencies)
+    EXPECT_EQ(SolveByClasses(KktWaterFillingSolver(),
+                             MakeProblem(options, grouped, 250.0), &classes,
+                             &frequencies)
                   .value(),
               500u);
   }

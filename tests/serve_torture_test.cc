@@ -8,13 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/quick_mode.h"
 #include "obs/metrics.h"
 #include "serve/daemon.h"
 #include "serve/snapshot.h"
@@ -26,8 +26,6 @@
 namespace freshen {
 namespace serve {
 namespace {
-
-bool QuickMode() { return std::getenv("FRESHEN_QUICK") != nullptr; }
 
 // Readers against a store whose publisher rewrites one element per
 // publication: any torn snapshot (shards from two publications) flips the

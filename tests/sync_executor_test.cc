@@ -35,10 +35,7 @@ TEST(SyncExecutorTest, ValidatesOptions) {
   options.queue_capacity = 0;
   EXPECT_FALSE(SyncExecutor::Create(&source, options).ok());
   options = {};
-  options.retry.max_attempts = 0;
-  EXPECT_FALSE(SyncExecutor::Create(&source, options).ok());
-  options = {};
-  options.breaker.failure_threshold = 0;
+  options.max_attempts = 0;
   EXPECT_FALSE(SyncExecutor::Create(&source, options).ok());
 }
 
@@ -116,9 +113,7 @@ TEST(SyncExecutorTest, DeadSourceTripsTheBreakerAndStopsBurningBandwidth) {
   SimulatedSource source = SimulatedSource::Create(source_options).value();
   SyncExecutor::Options options;
   options.registry = &registry;
-  options.retry.max_attempts = 2;
-  options.breaker.failure_threshold = 3;
-  options.breaker.open_duration_seconds = 100.0;  // Stays open all batch.
+  options.max_attempts = 2;
   auto executor = SyncExecutor::Create(&source, options).value();
   const std::vector<SyncOutcome> outcomes = executor->Execute(MakeTasks(50));
   EXPECT_EQ(executor->breaker().state(), BreakerState::kOpen);
@@ -144,9 +139,7 @@ TEST(SyncExecutorTest, BreakerHalfOpensAndRecoversAcrossBatches) {
   source_options.error_rate = 1.0;
   SimulatedSource source = SimulatedSource::Create(source_options).value();
   SyncExecutor::Options options;
-  options.retry.max_attempts = 1;
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_duration_seconds = 0.5;
+  options.max_attempts = 1;
   obs::MetricsRegistry registry;
   options.registry = &registry;
   auto executor = SyncExecutor::Create(&source, options).value();
@@ -201,14 +194,13 @@ TEST(SyncExecutorTest, TimeoutsCutOffStalledFetches) {
   obs::MetricsRegistry registry;
   SimulatedSource::Options source_options;
   source_options.stall_rate = 1.0;
-  source_options.stall_latency_seconds = 60.0;
   SimulatedSource source = SimulatedSource::Create(source_options).value();
   SyncExecutor::Options options;
   options.registry = &registry;
-  options.retry.max_attempts = 2;
-  options.retry.attempt_timeout_seconds = 0.5;
-  options.breaker.failure_threshold = 1000;  // Keep the breaker out of it.
+  options.max_attempts = 2;
   auto executor = SyncExecutor::Create(&source, options).value();
+  // The ten tasks span 0.09 s and each takes two timeouts, so all are
+  // admitted before the first failure settles into the breaker.
   const std::vector<SyncOutcome> outcomes = executor->Execute(MakeTasks(10));
   for (const SyncOutcome& outcome : outcomes) {
     EXPECT_EQ(outcome.kind, SyncOutcomeKind::kFailed);
@@ -220,7 +212,7 @@ TEST(SyncExecutorTest, TimeoutsCutOffStalledFetches) {
       "freshen_sync_fetch_latency_seconds", {{"source", "simulated"}});
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count, 20u);
-  EXPECT_DOUBLE_EQ(latency->sum, 20u * 0.5);
+  EXPECT_DOUBLE_EQ(latency->sum, 20u * kAttemptTimeoutSeconds);
 }
 
 // --- OnlineFreshenLoop integration ---------------------------------------
@@ -299,7 +291,7 @@ TEST(OnlineLoopSyncTest, InjectedFaultsDegradeFreshnessAndRecover) {
   SyncExecutor::Options executor_options;
   obs::MetricsRegistry faulted_registry;
   executor_options.registry = &faulted_registry;
-  executor_options.retry.max_attempts = 2;  // Leave failures visible.
+  executor_options.max_attempts = 2;  // Leave failures visible.
   auto executor = SyncExecutor::Create(&source, executor_options).value();
 
   OnlineFreshenLoop::Options loop_options;
@@ -348,9 +340,7 @@ TEST(OnlineLoopSyncTest, BreakerSkipsShowUpInPeriodStats) {
   obs::MetricsRegistry registry;
   SyncExecutor::Options executor_options;
   executor_options.registry = &registry;
-  executor_options.retry.max_attempts = 1;
-  executor_options.breaker.failure_threshold = 3;
-  executor_options.breaker.open_duration_seconds = 10.0;  // > one period.
+  executor_options.max_attempts = 1;
   auto executor = SyncExecutor::Create(&source, executor_options).value();
   const LoopRun run = RunLoop(truth, executor.get(), 3, &registry);
   uint64_t skipped = 0;
