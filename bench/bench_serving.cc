@@ -2,18 +2,19 @@
 // actually free for readers, and does the binary catalog pay for itself?
 //
 // Part 1 — catalog load: the same catalog is written as CSV and as a
-// FRSHCAT1 binary file, then loaded (median of 3) through the text parser
-// and through MmapCatalog::Open (mmap + CRC validation, zero copies). The
-// full-size run gates the binary path at >= 10x the CSV parse; the quick
-// run records the ratio without gating (fixed open/validate overheads
-// dominate at shrunk sizes).
+// FRSHCAT1 binary file, then loaded (k = 5 repeats, median and quartiles)
+// through the text parser and through MmapCatalog::Open (mmap + CRC
+// validation, zero copies). The full-size run gates the binary path's
+// median at >= 10x the CSV parse's; the quick run records the ratio without
+// gating (fixed open/validate overheads dominate at shrunk sizes).
 //
 // Part 2 — query latency under churn: a FreshendDaemon hosts the catalog
 // while its online loop replans and syncs through a fault-injecting
 // executor; reader threads issue IsFresh/ExpectedAge/GetPlan against
 // Zipf-distributed element ids at a sweep of target rates (closed loop,
 // per-op latency measured over 16-query batches to keep clock overhead out
-// of the tails). Every reader periodically pins a snapshot and recomputes
+// of the tails). Each rate runs once: its percentiles are over >= 100k
+// queries. Every reader periodically pins a snapshot and recomputes
 // its digests; a single inconsistent read fails the bench on any hardware.
 // The p99 < 10x p50 tail gate is enforced on machines with >= 4 hardware
 // threads — on narrower machines readers share a core with the publisher
@@ -24,7 +25,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <random>
@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/macros.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/table_writer.h"
@@ -52,66 +53,42 @@ using namespace freshen;
 constexpr int kBatch = 16;  // Queries per timed batch.
 
 struct LoadResult {
-  size_t n = 0;
-  double csv_seconds = 0.0;
-  double mmap_seconds = 0.0;
-  double speedup = 0.0;
+  bench::Spread csv_seconds;
+  bench::Spread mmap_seconds;
+  double speedup = 0.0;  // Of the medians.
 };
 
 struct PhaseResult {
   double target_qps = 0.0;  // 0 = unthrottled.
   double achieved_qps = 0.0;
   uint64_t queries = 0;
+  double p25_us = 0.0;
   double p50_us = 0.0;
+  double p75_us = 0.0;
   double p99_us = 0.0;
   double ratio = 0.0;  // p99 / p50.
   uint64_t consistency_checks = 0;
   uint64_t inconsistent = 0;
 };
 
-double MedianOf3(double a, double b, double c) {
-  double s[3] = {a, b, c};
-  std::sort(s, s + 3);
-  return s[1];
-}
-
-template <typename Fn>
-double MedianSeconds(Fn&& fn) {
-  double s[3];
-  for (double& v : s) {
-    WallTimer timer;
-    fn();
-    v = timer.ElapsedSeconds();
-  }
-  return MedianOf3(s[0], s[1], s[2]);
-}
-
 LoadResult BenchCatalogLoad(const ElementSet& catalog) {
   const std::string csv_path = "bench_serving_catalog.csv";
   const std::string bin_path = "bench_serving_catalog.fcat";
-  if (const Status saved = SaveCatalogCsv(catalog, csv_path); !saved.ok()) {
-    std::fprintf(stderr, "save csv: %s\n", saved.ToString().c_str());
-    std::abort();
-  }
-  if (const Status saved = SaveCatalogBinary(catalog, bin_path);
-      !saved.ok()) {
-    std::fprintf(stderr, "save binary: %s\n", saved.ToString().c_str());
-    std::abort();
-  }
+  bench::MustOk(SaveCatalogCsv(catalog, csv_path), "save csv");
+  bench::MustOk(SaveCatalogBinary(catalog, bin_path), "save binary");
 
   LoadResult result;
-  result.n = catalog.size();
   // Warm both files into the page cache so the comparison is parse cost,
   // not first-touch disk latency.
   (void)ReadFileToString(csv_path).value();
   (void)ReadFileToString(bin_path).value();
 
   size_t csv_elements = 0;
-  result.csv_seconds = MedianSeconds([&] {
+  result.csv_seconds = bench::TimeSeconds(bench::kRepeats, [&] {
     csv_elements = LoadCatalogCsv(csv_path).value().size();
   });
   size_t mmap_elements = 0;
-  result.mmap_seconds = MedianSeconds([&] {
+  result.mmap_seconds = bench::TimeSeconds(bench::kRepeats, [&] {
     MmapCatalog mapped = MmapCatalog::Open(bin_path).value();
     mmap_elements = mapped.size();
     // Touch one element per column so the mapping is demonstrably usable.
@@ -119,13 +96,11 @@ LoadResult BenchCatalogLoad(const ElementSet& catalog) {
                            mapped.access_probs()[0] + mapped.sizes()[0];
     (void)sink;
   });
-  if (csv_elements != catalog.size() || mmap_elements != catalog.size()) {
-    std::fprintf(stderr, "load size mismatch\n");
-    std::abort();
-  }
+  FRESHEN_CHECK(csv_elements == catalog.size() &&
+                mmap_elements == catalog.size());
+  const double mmap_median = result.mmap_seconds.median;
   result.speedup =
-      result.mmap_seconds > 0.0 ? result.csv_seconds / result.mmap_seconds
-                                : 0.0;
+      mmap_median > 0.0 ? result.csv_seconds.median / mmap_median : 0.0;
   std::remove(csv_path.c_str());
   std::remove(bin_path.c_str());
   return result;
@@ -200,19 +175,17 @@ PhaseResult RunPhase(serve::FreshendDaemon* daemon, double target_qps,
   for (const std::vector<double>& v : latencies) {
     merged.insert(merged.end(), v.begin(), v.end());
   }
-  std::sort(merged.begin(), merged.end());
 
   PhaseResult result;
   result.target_qps = target_qps;
   result.queries = static_cast<uint64_t>(merged.size()) * kBatch;
   result.achieved_qps =
       elapsed > 0.0 ? static_cast<double>(result.queries) / elapsed : 0.0;
-  if (!merged.empty()) {
-    result.p50_us = merged[merged.size() / 2] * 1e6;
-    result.p99_us = merged[(merged.size() * 99) / 100] * 1e6;
-    result.ratio =
-        result.p50_us > 0.0 ? result.p99_us / result.p50_us : 0.0;
-  }
+  result.p25_us = bench::Percentile(merged, 0.25) * 1e6;
+  result.p50_us = bench::Percentile(merged, 0.5) * 1e6;
+  result.p75_us = bench::Percentile(merged, 0.75) * 1e6;
+  result.p99_us = bench::Percentile(merged, 0.99) * 1e6;
+  result.ratio = result.p50_us > 0.0 ? result.p99_us / result.p50_us : 0.0;
   result.consistency_checks = checks.load();
   result.inconsistent = inconsistent.load() + failures.load();
   return result;
@@ -233,46 +206,6 @@ double ApproxP99(const obs::MetricSample& sample) {
     }
   }
   return sample.bounds.empty() ? 0.0 : sample.bounds.back();
-}
-
-void WriteJson(const LoadResult& load, const std::vector<PhaseResult>& phases,
-               int readers, double theta, uint64_t publications,
-               double publish_mean, double publish_p99, bool tail_gated,
-               const char* path) {
-  std::FILE* file = std::fopen(path, "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(file, "{\n  \"hardware_threads\": %zu,\n",
-               par::HardwareThreads());
-  std::fprintf(file,
-               "  \"catalog_load\": {\"n\": %zu, \"csv_seconds\": %.6f, "
-               "\"mmap_seconds\": %.6f, \"mmap_speedup\": %.2f},\n",
-               load.n, load.csv_seconds, load.mmap_seconds, load.speedup);
-  std::fprintf(file,
-               "  \"serving\": {\"readers\": %d, \"zipf_theta\": %.2f, "
-               "\"tail_gate_enforced\": %s, \"phases\": [\n",
-               readers, theta, tail_gated ? "true" : "false");
-  for (size_t i = 0; i < phases.size(); ++i) {
-    const PhaseResult& p = phases[i];
-    std::fprintf(file,
-                 "    {\"target_qps\": %.0f, \"achieved_qps\": %.0f, "
-                 "\"queries\": %llu, \"p50_us\": %.3f, \"p99_us\": %.3f, "
-                 "\"p99_over_p50\": %.2f, \"consistency_checks\": %llu, "
-                 "\"inconsistent_reads\": %llu}%s\n",
-                 p.target_qps, p.achieved_qps,
-                 (unsigned long long)p.queries, p.p50_us, p.p99_us, p.ratio,
-                 (unsigned long long)p.consistency_checks,
-                 (unsigned long long)p.inconsistent,
-                 i + 1 < phases.size() ? "," : "");
-  }
-  std::fprintf(file,
-               "  ]},\n  \"publications\": {\"count\": %llu, "
-               "\"mean_seconds\": %.6f, \"approx_p99_seconds\": %.6f}\n}\n",
-               (unsigned long long)publications, publish_mean, publish_p99);
-  std::fclose(file);
-  std::printf("wrote BENCH_serving.json\n");
 }
 
 }  // namespace
@@ -296,17 +229,14 @@ int main() {
   // ---- Part 1: CSV parse vs binary mmap --------------------------------
   const LoadResult load = BenchCatalogLoad(catalog);
   std::printf(
-      "catalog load (median of 3, warm cache):\n"
-      "  csv parse : %.4f s\n  mmap load : %.4f s\n  speedup   : %.1fx\n\n",
-      load.csv_seconds, load.mmap_seconds, load.speedup);
-  bool gate_failed = false;
-  if (!quick && load.speedup < 10.0) {
-    std::fprintf(stderr,
-                 "FAIL: mmap load %.1fx < 10x CSV parse at N=%zu "
-                 "(load average %.2f)\n",
-                 load.speedup, load.n, bench::LoadAverage1m());
-    gate_failed = true;
-  }
+      "catalog load (median [p25, p75] of %d, warm cache):\n"
+      "  csv parse : %s s\n  mmap load : %s s\n  speedup   : %.1fx\n\n",
+      bench::kRepeats, bench::FormatSpread(load.csv_seconds, 4).c_str(),
+      bench::FormatSpread(load.mmap_seconds, 4).c_str(), load.speedup);
+  bench::GateReport gates;
+  gates.Check(quick || load.speedup >= 10.0,
+              StrFormat("mmap load %.1fx < 10x CSV parse at N=%zu",
+                        load.speedup, n));
 
   // ---- Part 2: query latency under publication churn -------------------
   obs::MetricsRegistry registry;
@@ -334,10 +264,7 @@ int main() {
   auto daemon = serve::FreshendDaemon::Create(
                     catalog, 0.02 * static_cast<double>(n), options)
                     .value();
-  if (const Status started = daemon->Start(); !started.ok()) {
-    std::fprintf(stderr, "daemon start: %s\n", started.ToString().c_str());
-    return 1;
-  }
+  bench::MustOk(daemon->Start(), "daemon start");
 
   const int readers =
       static_cast<int>(std::min<size_t>(4, std::max<size_t>(2, hardware_threads)));
@@ -387,23 +314,28 @@ int main() {
   // publisher thread.
   const bool tail_gated = hardware_threads >= 4;
   uint64_t total_inconsistent = 0;
-  for (const PhaseResult& phase : phases) {
-    total_inconsistent += phase.inconsistent;
-    if (tail_gated && phase.ratio >= 10.0) {
-      std::fprintf(stderr,
-                   "FAIL: p99 %.3f us >= 10x p50 %.3f us (target qps %.0f, "
-                   "load average %.2f)\n",
-                   phase.p99_us, phase.p50_us, phase.target_qps,
-                   bench::LoadAverage1m());
-      gate_failed = true;
-    }
+  std::vector<std::string> phase_json;
+  for (const PhaseResult& p : phases) {
+    total_inconsistent += p.inconsistent;
+    gates.Check(!tail_gated || p.ratio < 10.0,
+                StrFormat("p99 %.3f us >= 10x p50 %.3f us (target qps %.0f)",
+                          p.p99_us, p.p50_us, p.target_qps));
+    phase_json.push_back(bench::JsonObject()
+                             .Num("target_qps", p.target_qps)
+                             .Num("achieved_qps", p.achieved_qps)
+                             .Num("queries", p.queries)
+                             .Num("p25_us", p.p25_us)
+                             .Num("p50_us", p.p50_us)
+                             .Num("p75_us", p.p75_us)
+                             .Num("p99_us", p.p99_us)
+                             .Num("p99_over_p50", p.ratio)
+                             .Num("consistency_checks", p.consistency_checks)
+                             .Num("inconsistent_reads", p.inconsistent)
+                             .str());
   }
-  if (total_inconsistent != 0) {
-    std::fprintf(stderr, "FAIL: %llu inconsistent reads (load average %.2f)\n",
-                 (unsigned long long)total_inconsistent,
-                 bench::LoadAverage1m());
-    gate_failed = true;
-  }
+  gates.Check(total_inconsistent == 0,
+              StrFormat("%llu inconsistent reads",
+                        (unsigned long long)total_inconsistent));
   if (!tail_gated) {
     std::printf(
         "note: %zu hardware thread(s) < 4 -- readers timeshare with the "
@@ -412,7 +344,25 @@ int main() {
         hardware_threads);
   }
 
-  WriteJson(load, phases, readers, theta, stats.store.publications,
-            publish_mean, publish_p99, tail_gated, "BENCH_serving.json");
-  return gate_failed ? 1 : 0;
+  const Status written = bench::WriteBenchJson(
+      "BENCH_serving.json", "serving", bench::kRepeats,
+      bench::JsonObject()
+          .Raw("catalog_load", bench::JsonObject()
+                                   .Num("n", n)
+                                   .Spread("csv_seconds", load.csv_seconds)
+                                   .Spread("mmap_seconds", load.mmap_seconds)
+                                   .Num("mmap_speedup", load.speedup)
+                                   .str())
+          .Num("readers", readers)
+          .Num("zipf_theta", theta)
+          .Num("phase_seconds", phase_seconds)
+          .Bool("tail_gate_enforced", tail_gated)
+          .Raw("phases", bench::JsonArray(phase_json))
+          .Raw("publications",
+               bench::JsonObject()
+                   .Num("count", stats.store.publications)
+                   .Num("mean_seconds", publish_mean)
+                   .Num("approx_p99_seconds", publish_p99)
+                   .str()));
+  return gates.ExitCode(written);
 }

@@ -10,13 +10,14 @@
 //   1. Baseline loop: OnlineFreshenLoop without slo/drift attached, mean
 //      wall seconds per period over a measured window (after warmup).
 //   2. Telemetry loop: the identical loop (same seed, same catalog) with an
-//      SloMonitor and DriftDetector attached — the end-to-end delta is
-//      reported, but it is differenced noise and is not gated.
+//      SloMonitor and DriftDetector attached. 1 and 2 run as k = 5
+//      interleaved pairs on fresh loops; the per-pair end-to-end delta is
+//      reported (median and quartiles) but not gated.
 //   3. Bookkeeping microbench: the telemetry calls a period actually makes
 //      (K ObserveSync + DriftDetector::EndPeriod + SloMonitor::ObservePeriod,
 //      K = the loop's observed syncs/period), timed in isolation as the
 //      median of 10 batch means. This is the gated number: bookkeeping must
-//      stay under 5% of the baseline period cost.
+//      stay under 5% of the baseline period cost (its median over the pairs).
 //
 // Admin-read cost (SloMonitor::Report + DriftDetector::Report, what METRICS /
 // SLO / WATCH handlers pay) is reported informationally.
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/table_writer.h"
 #include "common/timer.h"
@@ -41,22 +41,6 @@
 namespace {
 
 using namespace freshen;
-
-struct SloBenchResult {
-  size_t objects = 0;
-  size_t periods = 0;
-  double accesses_per_period = 0.0;
-  double bandwidth = 0.0;
-  double baseline_period_ms = 0.0;
-  double telemetry_period_ms = 0.0;
-  double end_to_end_overhead_pct = 0.0;
-  double syncs_per_period = 0.0;
-  double bookkeeping_ms = 0.0;
-  double bookkeeping_pct = 0.0;
-  double slo_report_us = 0.0;
-  double drift_report_us = 0.0;
-  bool pass = true;
-};
 
 constexpr double kGatePct = 5.0;
 
@@ -85,123 +69,71 @@ OnlineFreshenLoop MakeLoop(const ElementSet& truth, double bandwidth,
   options.registry = registry;
   options.slo = slo;
   options.drift = drift;
-  auto loop = OnlineFreshenLoop::Create(truth, bandwidth, options);
-  if (!loop.ok()) {
-    std::fprintf(stderr, "loop creation failed: %s\n",
-                 loop.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(loop).value();
+  return OnlineFreshenLoop::Create(truth, bandwidth, options).value();
 }
 
-// Runs warmup + measured periods; returns mean measured seconds per period
-// and the mean syncs per period over the measured window.
-void MeasureLoop(OnlineFreshenLoop& loop, size_t warmup, size_t measured,
-                 double* period_seconds, double* syncs_per_period) {
+// Runs warmup + measured periods; returns mean measured milliseconds per
+// period and sets the mean syncs per period over the measured window.
+double MeasureLoopMs(OnlineFreshenLoop& loop, size_t warmup, size_t measured,
+                     double* syncs_per_period) {
   for (size_t i = 0; i < warmup; ++i) loop.RunPeriod();
   uint64_t syncs = 0;
   WallTimer timer;
   for (size_t i = 0; i < measured; ++i) syncs += loop.RunPeriod().syncs;
-  *period_seconds = timer.ElapsedSeconds() / static_cast<double>(measured);
-  *syncs_per_period = static_cast<double>(syncs) / static_cast<double>(measured);
+  *syncs_per_period =
+      static_cast<double>(syncs) / static_cast<double>(measured);
+  return timer.ElapsedMillis() / static_cast<double>(measured);
 }
 
 obs::SloMonitor MustSlo(obs::MetricsRegistry* registry) {
   obs::SloMonitor::Options options;
   options.objective = 0.95;
   options.registry = registry;
-  auto monitor = obs::SloMonitor::Create(options);
-  if (!monitor.ok()) std::abort();
-  return std::move(monitor).value();
+  return obs::SloMonitor::Create(options).value();
 }
 
 obs::DriftDetector MustDrift(size_t n, obs::MetricsRegistry* registry) {
   obs::DriftDetector::Options options;
   options.num_elements = n;
   options.registry = registry;
-  auto detector = obs::DriftDetector::Create(options);
-  if (!detector.ok()) std::abort();
-  return std::move(detector).value();
-}
-
-void WriteJson(const SloBenchResult& r, const char* path) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"slo\",\n"
-               "  \"hardware_threads\": %zu,\n"
-               "  \"quick\": %s,\n"
-               "  \"objects\": %zu,\n"
-               "  \"periods\": %zu,\n"
-               "  \"accesses_per_period\": %g,\n"
-               "  \"bandwidth\": %g,\n"
-               "  \"baseline_period_ms\": %.6f,\n"
-               "  \"telemetry_period_ms\": %.6f,\n"
-               "  \"end_to_end_overhead_pct\": %.3f,\n"
-               "  \"syncs_per_period\": %.1f,\n"
-               "  \"bookkeeping_ms\": %.6f,\n"
-               "  \"bookkeeping_pct_of_period\": %.3f,\n"
-               "  \"slo_report_us\": %.3f,\n"
-               "  \"drift_report_us\": %.3f,\n"
-               "  \"gate_pct_limit\": %.1f,\n"
-               "  \"pass\": %s\n"
-               "}\n",
-               par::HardwareThreads(), bench::QuickMode() ? "true" : "false",
-               r.objects, r.periods, r.accesses_per_period, r.bandwidth,
-               r.baseline_period_ms, r.telemetry_period_ms,
-               r.end_to_end_overhead_pct, r.syncs_per_period, r.bookkeeping_ms,
-               r.bookkeeping_pct, r.slo_report_us, r.drift_report_us,
-               kGatePct, r.pass ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  return obs::DriftDetector::Create(options).value();
 }
 
 }  // namespace
 
 int main() {
   const bool quick = bench::QuickMode();
-  SloBenchResult r;
-  r.objects = quick ? 2000 : 50000;
-  r.periods = quick ? 24 : 48;
+  const size_t objects = quick ? 2000 : 50000;
+  const size_t periods = quick ? 24 : 48;
   const size_t warmup = quick ? 6 : 8;
-  r.accesses_per_period = static_cast<double>(r.objects);
-  r.bandwidth = static_cast<double>(r.objects) / 4.0;
+  const double accesses_per_period = static_cast<double>(objects);
+  const double bandwidth = static_cast<double>(objects) / 4.0;
 
-  const ElementSet truth = BenchCatalog(r.objects);
+  const ElementSet truth = BenchCatalog(objects);
 
-  // 1. Baseline: no telemetry attached.
-  {
-    obs::MetricsRegistry registry;
-    OnlineFreshenLoop loop = MakeLoop(truth, r.bandwidth,
-                                      r.accesses_per_period, &registry,
-                                      nullptr, nullptr);
-    double unused_syncs = 0.0;
-    double seconds = 0.0;
-    MeasureLoop(loop, warmup, r.periods, &seconds, &unused_syncs);
-    r.baseline_period_ms = seconds * 1e3;
-  }
-
-  // 2. Telemetry attached: same catalog, same seed.
-  {
-    obs::MetricsRegistry registry;
-    obs::SloMonitor slo = MustSlo(&registry);
-    obs::DriftDetector drift = MustDrift(r.objects, &registry);
-    OnlineFreshenLoop loop = MakeLoop(truth, r.bandwidth,
-                                      r.accesses_per_period, &registry, &slo,
-                                      &drift);
-    double seconds = 0.0;
-    MeasureLoop(loop, warmup, r.periods, &seconds, &r.syncs_per_period);
-    r.telemetry_period_ms = seconds * 1e3;
-  }
-  r.end_to_end_overhead_pct =
-      r.baseline_period_ms > 0.0
-          ? 100.0 * (r.telemetry_period_ms - r.baseline_period_ms) /
-                r.baseline_period_ms
-          : 0.0;
+  // 1-2. Baseline (no telemetry) vs telemetry attached, same catalog and
+  // seed, each pair on fresh loops.
+  double syncs_per_period = 0.0;
+  const bench::PairSpread period_ms = bench::RepeatPairs(
+      bench::kRepeats,
+      [&] {
+        obs::MetricsRegistry registry;
+        OnlineFreshenLoop loop = MakeLoop(truth, bandwidth,
+                                          accesses_per_period, &registry,
+                                          nullptr, nullptr);
+        double unused_syncs = 0.0;
+        return MeasureLoopMs(loop, warmup, periods, &unused_syncs);
+      },
+      [&] {
+        obs::MetricsRegistry registry;
+        obs::SloMonitor slo = MustSlo(&registry);
+        obs::DriftDetector drift = MustDrift(objects, &registry);
+        OnlineFreshenLoop loop = MakeLoop(truth, bandwidth,
+                                          accesses_per_period, &registry,
+                                          &slo, &drift);
+        return MeasureLoopMs(loop, warmup, periods, &syncs_per_period);
+      });
+  const double baseline_ms = period_ms.a.median;
 
   // 3. Bookkeeping in isolation: exactly the calls one period makes, K
   // ObserveSync + one EndPeriod + one ObservePeriod, repeated enough times
@@ -209,82 +141,94 @@ int main() {
   // per-batch means: in quick mode the whole measurement takes ~2 ms, so a
   // single preemption (ctest runs jobs in parallel) would otherwise dominate
   // it.
-  {
-    obs::MetricsRegistry registry;
-    obs::SloMonitor slo = MustSlo(&registry);
-    obs::DriftDetector drift = MustDrift(r.objects, &registry);
-    const std::vector<double> planned_rates = ChangeRates(truth);
-    const size_t syncs =
-        static_cast<size_t>(r.syncs_per_period > 0.0 ? r.syncs_per_period
-                                                     : r.bandwidth);
-    constexpr size_t kBatches = 10;
-    const size_t reps_per_batch = quick ? 5 : 10;
-    const uint64_t accesses =
-        static_cast<uint64_t>(r.accesses_per_period);
-    std::vector<double> batch_ms;
-    size_t rep = 0;
-    for (size_t batch = 0; batch < kBatches; ++batch) {
-      WallTimer timer;
-      for (size_t k = 0; k < reps_per_batch; ++k, ++rep) {
-        for (size_t s = 0; s < syncs; ++s) {
-          const size_t element = (rep * syncs + s * 7919) % r.objects;
-          drift.ObserveSync(element, (s & 1) != 0, 0.25 + 0.5 * (s & 3));
-        }
-        const double now = static_cast<double>(rep + 1);
-        drift.EndPeriod(now, planned_rates);
-        slo.ObservePeriod(now, accesses, accesses - accesses / 20,
-                          accesses - accesses / 40);
-      }
-      batch_ms.push_back(timer.ElapsedSeconds() * 1e3 /
-                         static_cast<double>(reps_per_batch));
-    }
-    r.bookkeeping_ms = bench::Percentile(batch_ms, 0.5);
-
-    // Admin-read cost: what one SLO / WATCH sample pays.
-    constexpr size_t kReads = 200;
+  obs::MetricsRegistry registry;
+  obs::SloMonitor slo = MustSlo(&registry);
+  obs::DriftDetector drift = MustDrift(objects, &registry);
+  const std::vector<double> planned_rates = ChangeRates(truth);
+  const size_t syncs = static_cast<size_t>(
+      syncs_per_period > 0.0 ? syncs_per_period : bandwidth);
+  constexpr int kBatches = 10;
+  const size_t reps_per_batch = quick ? 5 : 10;
+  const uint64_t accesses = static_cast<uint64_t>(accesses_per_period);
+  size_t rep = 0;
+  const bench::Spread bookkeeping_ms = bench::Repeat(kBatches, [&] {
     WallTimer timer;
-    for (size_t i = 0; i < kReads; ++i) {
-      obs::SloReport report = slo.Report();
-      (void)report.budget_remaining;
+    for (size_t k = 0; k < reps_per_batch; ++k, ++rep) {
+      for (size_t s = 0; s < syncs; ++s) {
+        const size_t element = (rep * syncs + s * 7919) % objects;
+        drift.ObserveSync(element, (s & 1) != 0, 0.25 + 0.5 * (s & 3));
+      }
+      const double now = static_cast<double>(rep + 1);
+      drift.EndPeriod(now, planned_rates);
+      slo.ObservePeriod(now, accesses, accesses - accesses / 20,
+                        accesses - accesses / 40);
     }
-    r.slo_report_us = timer.ElapsedSeconds() * 1e6 / kReads;
-    timer.Restart();
-    for (size_t i = 0; i < kReads; ++i) {
-      obs::DriftReport report = drift.Report();
-      (void)report.aggregate_score;
-    }
-    r.drift_report_us = timer.ElapsedSeconds() * 1e6 / kReads;
-  }
+    return timer.ElapsedMillis() / static_cast<double>(reps_per_batch);
+  });
 
-  r.bookkeeping_pct = r.baseline_period_ms > 0.0
-                          ? 100.0 * r.bookkeeping_ms / r.baseline_period_ms
-                          : 0.0;
-  if (r.bookkeeping_pct >= kGatePct) {
-    std::fprintf(stderr,
-                 "FAIL: telemetry bookkeeping %.4f ms/period is %.2f%% of "
-                 "the %.4f ms baseline period (gate: < %.1f%%, load average "
-                 "%.2f)\n",
-                 r.bookkeeping_ms, r.bookkeeping_pct, r.baseline_period_ms,
-                 kGatePct, bench::LoadAverage1m());
-    r.pass = false;
-  }
+  // Admin-read cost: what one SLO / WATCH sample pays, as the mean of a
+  // batch of reads.
+  const auto read_us = [](auto&& read) {
+    constexpr size_t kReads = 200;
+    return bench::Repeat(bench::kRepeats, [&] {
+      WallTimer timer;
+      for (size_t i = 0; i < kReads; ++i) read();
+      return timer.ElapsedSeconds() * 1e6 / kReads;
+    });
+  };
+  const bench::Spread slo_report_us =
+      read_us([&] { (void)slo.Report().budget_remaining; });
+  const bench::Spread drift_report_us =
+      read_us([&] { (void)drift.Report().aggregate_score; });
+
+  const double bookkeeping_pct =
+      baseline_ms > 0.0 ? 100.0 * bookkeeping_ms.median / baseline_ms : 0.0;
+  bench::GateReport gates;
+  const bool pass = gates.Check(
+      bookkeeping_pct < kGatePct,
+      StrFormat("telemetry bookkeeping %.4f ms/period is %.2f%% of the "
+                "%.4f ms baseline period (gate: < %.1f%%)",
+                bookkeeping_ms.median, bookkeeping_pct, baseline_ms,
+                kGatePct));
 
   TableWriter table({"objects", "periods", "baseline ms", "telemetry ms",
-                     "e2e delta", "bookkeeping ms", "% of period",
+                     "e2e delta [p25, p75]", "bookkeeping ms", "% of period",
                      "report us"});
-  table.AddRow({StrFormat("%zu", r.objects), StrFormat("%zu", r.periods),
-                StrFormat("%.4f", r.baseline_period_ms),
-                StrFormat("%.4f", r.telemetry_period_ms),
-                StrFormat("%+.2f%%", r.end_to_end_overhead_pct),
-                StrFormat("%.4f", r.bookkeeping_ms),
-                StrFormat("%.2f%%", r.bookkeeping_pct),
-                StrFormat("%.1f/%.1f", r.slo_report_us, r.drift_report_us)});
+  table.AddRow({StrFormat("%zu", objects), StrFormat("%zu", periods),
+                StrFormat("%.4f", baseline_ms),
+                StrFormat("%.4f", period_ms.b.median),
+                bench::FormatSpread(period_ms.diff_pct, 2) + "%",
+                StrFormat("%.4f", bookkeeping_ms.median),
+                StrFormat("%.2f%%", bookkeeping_pct),
+                StrFormat("%.1f/%.1f", slo_report_us.median,
+                          drift_report_us.median)});
   std::printf("%s\n", table.ToText().c_str());
   std::printf(
-      "reading: the gated number is the isolated bookkeeping cost (K "
-      "ObserveSync +\nEndPeriod + ObservePeriod, K = the loop's observed "
-      "syncs/period) against the\nbaseline period cost; the end-to-end "
-      "delta is differenced noise and is\nreported but not gated.\n");
-  WriteJson(r, "BENCH_slo.json");
-  return r.pass ? 0 : 1;
+      "reading: medians over %d interleaved baseline/telemetry pairs. The "
+      "gated number is\nthe isolated bookkeeping cost (K ObserveSync + "
+      "EndPeriod + ObservePeriod, K = the\nloop's observed syncs/period) "
+      "against the baseline period cost; the per-pair end-to-end\ndelta "
+      "is reported but not gated.\n",
+      bench::kRepeats);
+  const Status written = bench::WriteBenchJson(
+      "BENCH_slo.json", "slo", bench::kRepeats,
+      bench::JsonObject()
+          .Num("objects", objects)
+          .Num("periods", periods)
+          .Num("warmup_periods", warmup)
+          .Num("accesses_per_period", accesses_per_period)
+          .Num("bandwidth", bandwidth)
+          .Spread("baseline_period_ms", period_ms.a)
+          .Spread("telemetry_period_ms", period_ms.b)
+          .Spread("end_to_end_overhead_ms", period_ms.diff)
+          .Spread("end_to_end_overhead_pct", period_ms.diff_pct)
+          .Num("syncs_per_period", syncs_per_period)
+          .Num("bookkeeping_batches", kBatches)
+          .Spread("bookkeeping_ms", bookkeeping_ms)
+          .Num("bookkeeping_pct_of_period", bookkeeping_pct)
+          .Spread("slo_report_us", slo_report_us)
+          .Spread("drift_report_us", drift_report_us)
+          .Num("gate_pct_limit", kGatePct)
+          .Bool("pass", pass));
+  return gates.ExitCode(written);
 }

@@ -10,27 +10,14 @@
 // converge inside it, the row is marked (budget), echoing the paper's
 // observation.
 //
-// Part 2 benchmarks the scan-breakpoint KKT solver at catalog scale
-// (N up to 10M) over the freshen::par thread knob, on a Zipf-flavored
-// catalog and on one dominated by a single class of identical elements. Methodology, learned
-// the hard way from this bench's own earlier pathologies:
-//   * one UNTIMED warm-up solve per problem before any timed run (the old
-//     bench charged first-touch page faults and pool spin-up to the
-//     1-thread row, inflating every speedup);
-//   * the problem instance is built once and PINNED across all thread
-//     counts and both search modes (no per-row regeneration);
-//   * every (n, threads, mode) cell reports the MEDIAN of 3 solves (the
-//     old single-shot numbers swung 2x run-to-run under CPU contention).
-// Beside each instance's kkt_solver rows, a planner_exact row times
-// SolveByClasses, the exact planner's class-transform solve,
-// with one ClassTransform kept across its solves as the adaptive controller
-// keeps it. one_class groups into ~N/10^4 classes; zipf has no repeated
-// rows, so it measures the fallback to the per-element solve. Its
-// speedup_vs_1t is against the 1-thread kkt_solver scan row of the same
-// instance, and its JSON row adds rows_solved and objective_gap (the
-// relative objective difference to that row's allocation).
-// Hard gates, enforced by exit code (the quick-mode run is wired into
-// ctest as bench_solver_scaling_smoke):
+// Part 2 times the scan-breakpoint KKT solver at catalog scale (N up to
+// 10M) over the freshen::par thread knob, on a Zipf-flavored catalog and on
+// one dominated by a single class of identical elements, beside a 1-thread
+// bisection-oracle row and a planner_exact row (SolveByClasses with one
+// reused ClassTransform) per instance, and the simulator at N = 1M. Each
+// cell is warmed up once, then timed k = 5 times on a pinned instance
+// (median and quartiles). Hard gates, enforced by exit code (the quick-mode
+// run is the bench_solver_scaling_smoke ctest):
 //   * every thread count must reproduce the 1-thread allocation bits;
 //   * the scan-breakpoint mode must reproduce the bisection-oracle
 //     allocation byte-for-byte;
@@ -38,13 +25,10 @@
 //     bisection oracle's class solve byte-for-byte, and reach at least the
 //     kkt_solver objective minus 1e-12 relative;
 //   * with >= 8 hardware threads, the 8-thread solve must be >= 2x the
-//     1-thread solve. On narrower machines the gate cannot be meaningful
-//     (oversubscribed "threads" share cores and measure scheduler noise,
-//     which is exactly how the old bench produced 0.99x-at-4-threads
-//     rows), so it is skipped with an explicit note.
-// All rows land in BENCH_solver_scaling.json with the machine's hardware
-// concurrency recorded, so the perf trajectory across PRs stays honest.
-#include <algorithm>
+//     1-thread solve (on narrower machines the extra threads oversubscribe
+//     cores, so the gate is skipped with a note).
+// docs/performance.md ("Benchmark methodology") explains each rule. All rows
+// land in BENCH_solver_scaling.json.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -68,20 +52,6 @@
 namespace {
 
 using namespace freshen;
-
-struct ScalingRow {
-  std::string component;  // "kkt_solver" | "simulator".
-  std::string catalog;    // "zipf" | "one_class" | "ideal" (simulator).
-  std::string mode;       // "scan" | "oracle" | "-".
-  size_t n = 0;
-  size_t threads = 0;
-  double seconds = 0.0;       // Median of 3.
-  double speedup_vs_1t = 0.0;
-  bool bit_identical = true;      // vs the 1-thread run, same mode.
-  bool oracle_byte_match = true;  // scan allocation vs oracle allocation.
-  size_t rows_solved = 0;         // planner_exact only.
-  double objective_gap = 0.0;     // planner_exact only: vs kkt_solver.
-};
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -113,6 +83,13 @@ bool SameResult(const SimulationResult& a, const SimulationResult& b) {
                   b.analytic_general_freshness) &&
          a.num_accesses == b.num_accesses && a.num_updates == b.num_updates &&
          a.num_syncs == b.num_syncs;
+}
+
+KktWaterFillingSolver Solver(size_t threads, MultiplierSearch search) {
+  KktWaterFillingSolver::Options options;
+  options.threads = threads;
+  options.search = search;
+  return KktWaterFillingSolver(options);
 }
 
 // Zipf-flavored synthetic instance built directly as a CoreProblem: the
@@ -155,52 +132,21 @@ CoreProblem OneClassProblem(size_t n) {
   return problem;
 }
 
-// Median-of-3 timed solves. The allocation from the last solve is returned
-// via *out (all three are byte-identical by the determinism contract — the
-// bench's bit_identical columns prove it, so which one we keep is moot).
-double MedianSolveSeconds(const KktWaterFillingSolver& solver,
-                          const CoreProblem& problem, Allocation* out) {
-  double seconds[3];
-  for (double& s : seconds) {
-    WallTimer timer;
-    *out = solver.Solve(problem).value();
-    s = timer.ElapsedSeconds();
-  }
-  std::sort(seconds, seconds + 3);
-  return seconds[1];
-}
-
-void WriteJson(const std::vector<ScalingRow>& rows, const char* path) {
-  std::FILE* file = std::fopen(path, "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(file, "{\n  \"hardware_threads\": %zu,\n  \"rows\": [\n",
-               par::HardwareThreads());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ScalingRow& row = rows[i];
-    const std::string planner_fields =
-        row.component == "planner_exact"
-            ? StrFormat(", \"rows_solved\": %zu, \"objective_gap\": %.3e",
-                        row.rows_solved, row.objective_gap)
-            : "";
-    std::fprintf(file,
-                 "    {\"component\": \"%s\", \"catalog\": \"%s\", "
-                 "\"mode\": \"%s\", \"n\": %zu, "
-                 "\"threads\": %zu, \"seconds\": %.6f, "
-                 "\"speedup_vs_1t\": %.3f, \"bit_identical\": %s, "
-                 "\"oracle_byte_match\": %s%s}%s\n",
-                 row.component.c_str(), row.catalog.c_str(),
-                 row.mode.c_str(), row.n, row.threads,
-                 row.seconds, row.speedup_vs_1t,
-                 row.bit_identical ? "true" : "false",
-                 row.oracle_byte_match ? "true" : "false",
-                 planner_fields.c_str(), i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(file, "  ]\n}\n");
-  std::fclose(file);
-  std::printf("wrote %zu rows to %s\n", rows.size(), path);
+// One row of BENCH_solver_scaling.json; speedup_vs_1t is of the medians.
+bench::JsonObject RowJson(const char* component, const std::string& catalog,
+                          const char* mode, size_t n, size_t threads,
+                          const bench::Spread& seconds, double speedup,
+                          bool bit_identical, bool oracle_byte_match) {
+  return bench::JsonObject()
+      .Str("component", component)
+      .Str("catalog", catalog)
+      .Str("mode", mode)
+      .Num("n", n)
+      .Num("threads", threads)
+      .Spread("seconds", seconds)
+      .Num("speedup_vs_1t", speedup)
+      .Bool("bit_identical", bit_identical)
+      .Bool("oracle_byte_match", oracle_byte_match);
 }
 
 }  // namespace
@@ -278,13 +224,13 @@ int main() {
   const size_t hardware_threads = par::HardwareThreads();
   std::printf("== Parallel scaling (scan-breakpoint KKT solver) ==\n");
   std::printf(
-      "median of 3 solves, warmed up, pinned instances; hardware threads: "
+      "median of %d solves, warmed up, pinned instances; hardware threads: "
       "%zu.\nEvery row must reproduce the 1-thread bits; scan must "
       "byte-match the bisection\noracle.\n\n",
-      hardware_threads);
+      bench::kRepeats, hardware_threads);
   const std::vector<size_t> thread_counts = {1, 2, 4, 8, 16};
-  std::vector<ScalingRow> rows;
-  bool gate_failed = false;
+  std::vector<std::string> rows;  // BENCH_solver_scaling.json rows.
+  bench::GateReport gates;
 
   TableWriter solver_table({"component", "catalog", "mode", "N", "threads",
                             "seconds", "speedup vs 1t", "bit-identical",
@@ -313,67 +259,63 @@ int main() {
     // Warm-up (untimed): faults in the problem arrays, spins up the shared
     // pool, and exercises both modes' code paths once.
     Allocation scan_baseline;
-    {
-      KktWaterFillingSolver::Options options;
-      options.threads = hardware_threads;
-      KktWaterFillingSolver(options).Solve(problem).value();
-    }
+    Solver(hardware_threads, MultiplierSearch::kScanBreakpoint)
+        .Solve(problem)
+        .value();
 
     // Oracle reference: 1-thread bisection, the structurally different
     // probe path the scan must byte-match.
     Allocation oracle_allocation;
     {
-      KktWaterFillingSolver::Options options;
-      options.threads = 1;
-      options.search = MultiplierSearch::kBisectionOracle;
-      const double seconds = MedianSolveSeconds(
-          KktWaterFillingSolver(options), problem, &oracle_allocation);
+      const KktWaterFillingSolver solver =
+          Solver(1, MultiplierSearch::kBisectionOracle);
+      const bench::Spread seconds = bench::TimeSeconds(bench::kRepeats, [&] {
+        oracle_allocation = solver.Solve(problem).value();
+      });
       solver_table.AddRow({"kkt_solver", catalog, "oracle",
-                           StrFormat("%zu", n), "1", FormatDouble(seconds, 3),
-                           "-", "yes", "-"});
-      rows.push_back({"kkt_solver", catalog, "oracle", n, 1, seconds, 0.0,
-                      true, true});
+                           StrFormat("%zu", n), "1",
+                           FormatDouble(seconds.median, 3), "-", "yes", "-"});
+      rows.push_back(RowJson("kkt_solver", catalog, "oracle", n, 1, seconds,
+                             0.0, true, true)
+                         .str());
     }
 
     double baseline_seconds = 0.0;
     for (size_t threads : thread_counts) {
-      KktWaterFillingSolver::Options options;
-      options.threads = threads;
-      options.search = MultiplierSearch::kScanBreakpoint;
+      const KktWaterFillingSolver solver =
+          Solver(threads, MultiplierSearch::kScanBreakpoint);
       Allocation allocation;
-      const double seconds = MedianSolveSeconds(KktWaterFillingSolver(options),
-                                                problem, &allocation);
+      const bench::Spread seconds = bench::TimeSeconds(
+          bench::kRepeats,
+          [&] { allocation = solver.Solve(problem).value(); });
       const bool identical =
           threads == 1 || SameAllocation(allocation, scan_baseline);
       const bool oracle_match = SameAllocation(allocation, oracle_allocation);
       if (threads == 1) {
         scan_baseline = allocation;
-        baseline_seconds = seconds;
+        baseline_seconds = seconds.median;
       }
       const double speedup =
-          seconds > 0.0 ? baseline_seconds / seconds : 0.0;
+          seconds.median > 0.0 ? baseline_seconds / seconds.median : 0.0;
       solver_table.AddRow(
           {"kkt_solver", catalog, "scan", StrFormat("%zu", n),
-           StrFormat("%zu", threads), FormatDouble(seconds, 3),
+           StrFormat("%zu", threads), FormatDouble(seconds.median, 3),
            StrFormat("%.2fx", speedup), identical ? "yes" : "NO",
            oracle_match ? "yes" : "NO"});
-      rows.push_back({"kkt_solver", catalog, "scan", n, threads, seconds,
-                      speedup, identical, oracle_match});
-      if (!oracle_match) {
-        std::fprintf(stderr,
-                     "FAIL: scan != oracle allocation on %s at n=%zu "
-                     "threads=%zu\n",
-                     catalog.c_str(), n, threads);
-        gate_failed = true;
-      }
-      if (threads == 8 && hardware_threads >= 8 && speedup < 2.0) {
-        std::fprintf(
-            stderr,
-            "FAIL: 8-thread speedup %.2fx < 2x on %s at n=%zu on a "
-            "%zu-thread machine\n",
-            speedup, catalog.c_str(), n, hardware_threads);
-        gate_failed = true;
-      }
+      rows.push_back(RowJson("kkt_solver", catalog, "scan", n, threads,
+                             seconds, speedup, identical, oracle_match)
+                         .str());
+      gates.Check(identical,
+                  StrFormat("%zu threads broke bit-identity on %s at n=%zu",
+                            threads, catalog.c_str(), n));
+      gates.Check(oracle_match,
+                  StrFormat("scan != oracle allocation on %s at n=%zu "
+                            "threads=%zu",
+                            catalog.c_str(), n, threads));
+      gates.Check(threads != 8 || hardware_threads < 8 || speedup >= 2.0,
+                  StrFormat("8-thread speedup %.2fx < 2x on %s at n=%zu on "
+                            "a %zu-thread machine",
+                            speedup, catalog.c_str(), n, hardware_threads));
     }
 
     // The exact planner's solve of the same instance, warmed up once, with
@@ -386,22 +328,18 @@ int main() {
       std::vector<double> frequencies;
       size_t rows_solved = 0;
       bool repeat_identical = true;
-      double seconds[3];
-      for (double& s : seconds) {
+      const bench::Spread seconds = bench::Repeat(bench::kRepeats, [&] {
         WallTimer timer;
         rows_solved =
             SolveByClasses(planner_solver, problem, &classes, &frequencies)
                 .value();
-        s = timer.ElapsedSeconds();
+        const double elapsed = timer.ElapsedSeconds();
         repeat_identical &= SameFrequencies(frequencies, warm);
-      }
-      std::sort(seconds, seconds + 3);
-      KktWaterFillingSolver::Options oracle_options;
-      oracle_options.threads = 1;
-      oracle_options.search = MultiplierSearch::kBisectionOracle;
+        return elapsed;
+      });
       std::vector<double> oracle;
-      SolveByClasses(KktWaterFillingSolver(oracle_options), problem, &classes,
-                     &oracle)
+      SolveByClasses(Solver(1, MultiplierSearch::kBisectionOracle), problem,
+                     &classes, &oracle)
           .value();
       const bool oracle_match = SameFrequencies(frequencies, oracle);
       const double kkt_objective = scan_baseline.objective;
@@ -409,32 +347,27 @@ int main() {
           (problem.Objective(frequencies) - kkt_objective) /
           std::fabs(kkt_objective);
       const double speedup =
-          seconds[1] > 0.0 ? baseline_seconds / seconds[1] : 0.0;
+          seconds.median > 0.0 ? baseline_seconds / seconds.median : 0.0;
       planner_table.AddRow(
           {catalog, StrFormat("%zu", n), StrFormat("%zu", rows_solved),
-           FormatDouble(seconds[1], 4), StrFormat("%.1fx", speedup),
+           FormatDouble(seconds.median, 4), StrFormat("%.1fx", speedup),
            StrFormat("%.2e", objective_gap), repeat_identical ? "yes" : "NO",
            oracle_match ? "yes" : "NO"});
-      ScalingRow row{"planner_exact", catalog, "scan", n, hardware_threads,
-                     seconds[1], speedup, repeat_identical, oracle_match};
-      row.rows_solved = rows_solved;
-      row.objective_gap = objective_gap;
-      rows.push_back(row);
-      if (!repeat_identical || !oracle_match) {
-        std::fprintf(stderr,
-                     "FAIL: planner class solve not reproducible on %s at "
-                     "n=%zu (repeat %s, oracle %s)\n",
-                     catalog.c_str(), n, repeat_identical ? "ok" : "NO",
-                     oracle_match ? "ok" : "NO");
-        gate_failed = true;
-      }
-      if (!(objective_gap >= -1e-12)) {
-        std::fprintf(stderr,
-                     "FAIL: planner objective %.3e relative below the "
-                     "kkt_solver objective on %s at n=%zu\n",
-                     -objective_gap, catalog.c_str(), n);
-        gate_failed = true;
-      }
+      rows.push_back(RowJson("planner_exact", catalog, "scan", n,
+                             hardware_threads, seconds, speedup,
+                             repeat_identical, oracle_match)
+                         .Num("rows_solved", rows_solved)
+                         .Num("objective_gap", objective_gap)
+                         .str());
+      gates.Check(repeat_identical && oracle_match,
+                  StrFormat("planner class solve not reproducible on %s at "
+                            "n=%zu (repeat %s, oracle %s)",
+                            catalog.c_str(), n, repeat_identical ? "ok" : "NO",
+                            oracle_match ? "ok" : "NO"));
+      gates.Check(objective_gap >= -1e-12,
+                  StrFormat("planner objective %.3e relative below the "
+                            "kkt_solver objective on %s at n=%zu",
+                            -objective_gap, catalog.c_str(), n));
     }
   }
 
@@ -470,15 +403,11 @@ int main() {
     for (size_t threads : thread_counts) {
       config.threads = threads;
       MirrorSimulator simulator(elements, config);
-      double seconds[3];
       SimulationResult result;
-      for (double& s : seconds) {
-        WallTimer timer;
+      const bench::Spread seconds = bench::TimeSeconds(bench::kRepeats, [&] {
         result = simulator.Run(allocation.frequencies).value();
-        s = timer.ElapsedSeconds();
-      }
-      std::sort(seconds, seconds + 3);
-      const double median = seconds[1];
+      });
+      const double median = seconds.median;
       const bool identical = threads == 1 || SameResult(result, baseline);
       if (threads == 1) {
         baseline = result;
@@ -489,17 +418,22 @@ int main() {
                            StrFormat("%zu", threads), FormatDouble(median, 3),
                            StrFormat("%.2fx", speedup),
                            identical ? "yes" : "NO", "-"});
-      rows.push_back({"simulator", "ideal", "-", n, threads, median, speedup,
-                      identical, true});
+      rows.push_back(RowJson("simulator", "ideal", "-", n, threads, seconds,
+                             speedup, identical, true)
+                         .str());
+      gates.Check(identical,
+                  StrFormat("%zu simulator threads broke bit-identity at "
+                            "n=%zu",
+                            threads, n));
     }
   }
   std::printf("%s\n", solver_table.ToText().c_str());
   std::printf(
       "== Exact planner (class transform) ==\nSolveByClasses on "
-      "the same instances, median of 3 with one reused\nClassTransform; "
+      "the same instances, median of %d with one reused\nClassTransform; "
       "\"vs kkt 1t\" is the speedup over the 1-thread kkt_solver scan "
       "row.\n\n%s\n",
-      planner_table.ToText().c_str());
+      bench::kRepeats, planner_table.ToText().c_str());
   if (hardware_threads >= 8) {
     std::printf(
         "reading: shard boundaries depend only on N, so the thread column "
@@ -517,14 +451,8 @@ int main() {
         hardware_threads);
   }
 
-  bool all_identical = true;
-  for (const ScalingRow& row : rows) all_identical &= row.bit_identical;
-  WriteJson(rows, "BENCH_solver_scaling.json");
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: some thread counts broke the determinism contract\n");
-    return 1;
-  }
-  if (gate_failed) return 1;
-  return 0;
+  const Status written = bench::WriteBenchJson(
+      "BENCH_solver_scaling.json", "solver_scaling", bench::kRepeats,
+      bench::JsonObject().Raw("rows", bench::JsonArray(rows)));
+  return gates.ExitCode(written);
 }

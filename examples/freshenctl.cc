@@ -153,14 +153,7 @@ void SimulateTimeline(const ElementSet& catalog,
 // Loads a catalog honoring --catalog-format (csv | binary | auto).
 ElementSet LoadCatalogFlagged(const std::map<std::string, std::string>& flags,
                               const std::string& path) {
-  const std::string format = GetFlag(flags, "--catalog-format", "auto");
-  if (format == "csv") return Unwrap(LoadCatalogCsv(path));
-  if (format == "binary") return Unwrap(LoadCatalogBinary(path));
-  if (format == "auto") {
-    return LooksLikeBinaryCatalog(path) ? Unwrap(LoadCatalogBinary(path))
-                                        : Unwrap(LoadCatalogCsv(path));
-  }
-  Die(Status::InvalidArgument("unknown --catalog-format " + format));
+  return Unwrap(LoadCatalog(path, GetFlag(flags, "--catalog-format", "auto")));
 }
 
 int RunGen(const std::map<std::string, std::string>& flags) {

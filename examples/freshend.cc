@@ -79,14 +79,8 @@ T Unwrap(Result<T> result) {
 ElementSet LoadOrGenerateCatalog(const FlagMap& flags) {
   const std::string path = GetFlag(flags, "--catalog", "");
   if (!path.empty()) {
-    const std::string format = GetFlag(flags, "--catalog-format", "auto");
-    if (format == "csv") return Unwrap(LoadCatalogCsv(path));
-    if (format == "binary") return Unwrap(LoadCatalogBinary(path));
-    if (format != "auto") {
-      Die(Status::InvalidArgument("unknown --catalog-format " + format));
-    }
-    return LooksLikeBinaryCatalog(path) ? Unwrap(LoadCatalogBinary(path))
-                                        : Unwrap(LoadCatalogCsv(path));
+    return Unwrap(
+        LoadCatalog(path, GetFlag(flags, "--catalog-format", "auto")));
   }
   ExperimentSpec spec;
   spec.num_objects = GetInteger<uint32_t>(flags, "--objects", 1000);

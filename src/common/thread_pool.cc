@@ -43,17 +43,6 @@ Status ThreadPool::TrySubmit(std::function<void()> task) {
   return Status::OK();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_idle_.wait(lock,
-                 [this] { return queue_.empty() && active_tasks_ == 0; });
-}
-
-size_t ThreadPool::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

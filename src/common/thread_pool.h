@@ -6,10 +6,9 @@
 // Contract:
 //   * TrySubmit never blocks: a full queue returns ResourceExhausted
 //     immediately (the caller decides whether that is a drop or a retry).
-//   * Wait() blocks until the queue is empty and every worker is idle, so a
-//     coordinator can submit a batch and then join on the whole batch.
 //   * The destructor drains outstanding tasks and joins all workers
-//     (join-on-destruct: no detached threads, ever).
+//     (join-on-destruct: no detached threads, ever), so a coordinator that
+//     needs a batch finished scopes the pool around it.
 //   * Exception-free: tasks must not throw; the pool's own API reports
 //     failure through Status only.
 #ifndef FRESHEN_COMMON_THREAD_POOL_H_
@@ -54,24 +53,13 @@ class ThreadPool {
   /// pool started shutting down.
   Status TrySubmit(std::function<void()> task);
 
-  /// Blocks until the queue is empty and all workers are idle. Tasks
-  /// submitted concurrently with Wait() may or may not be covered; the
-  /// intended pattern is submit-batch-then-Wait from one coordinator.
-  void Wait();
-
-  /// Tasks currently waiting in the queue (excludes running tasks).
-  size_t QueueDepth() const;
-
-  /// Worker thread count.
-  size_t num_threads() const { return workers_.size(); }
-
  private:
   void WorkerLoop();
 
   const size_t queue_capacity_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_available_;  // Signals workers.
-  std::condition_variable all_idle_;        // Signals Wait().
+  std::condition_variable all_idle_;        // Signals the destructor.
   std::deque<std::function<void()>> queue_;
   size_t active_tasks_ = 0;  // Tasks popped but not yet finished.
   bool shutdown_ = false;

@@ -307,6 +307,17 @@ bool LooksLikeBinaryCatalog(const std::string& path) {
          std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
 }
 
+Result<ElementSet> LoadCatalog(const std::string& path,
+                               const std::string& format) {
+  if (format == "auto") {
+    return LooksLikeBinaryCatalog(path) ? LoadCatalogBinary(path)
+                                        : LoadCatalogCsv(path);
+  }
+  if (format == "csv") return LoadCatalogCsv(path);
+  if (format == "binary") return LoadCatalogBinary(path);
+  return Status::InvalidArgument("unknown catalog format " + format);
+}
+
 Result<MmapCatalog> MmapCatalog::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {

@@ -58,6 +58,12 @@ Result<ElementSet> LoadCatalogBinary(const std::string& path);
 /// callers auto-detect binary vs CSV catalogs.
 bool LooksLikeBinaryCatalog(const std::string& path);
 
+/// Loads a catalog in `format`: "csv", "binary", or "auto" (binary when the
+/// file carries the FRSHCAT1 magic, CSV otherwise). Any other format is an
+/// InvalidArgument.
+Result<ElementSet> LoadCatalog(const std::string& path,
+                               const std::string& format);
+
 /// A binary catalog mapped read-only into memory. The column accessors
 /// return pointers directly into the mapping — zero copies, zero parsing —
 /// valid for the lifetime of this object. Move-only; unmaps on destruction.

@@ -149,6 +149,26 @@ TEST(CatalogBinaryTest, FormatDetection) {
   std::remove(csv_path.c_str());
 }
 
+TEST(CatalogBinaryTest, LoadCatalogHonorsFormat) {
+  const ElementSet catalog = TestCatalog(50);
+  const std::string binary_path = TempPath("catalog_format.fcat");
+  const std::string csv_path = TempPath("catalog_format.csv");
+  ASSERT_TRUE(SaveCatalogBinary(catalog, binary_path).ok());
+  ASSERT_TRUE(SaveCatalogCsv(catalog, csv_path).ok());
+  // auto picks the reader from the file's first bytes.
+  EXPECT_EQ(LoadCatalog(binary_path, "auto").value().size(), catalog.size());
+  EXPECT_EQ(LoadCatalog(csv_path, "auto").value().size(), catalog.size());
+  // An explicit format forces its reader: CSV text is not a FRSHCAT1 file.
+  EXPECT_TRUE(LoadCatalog(binary_path, "binary").ok());
+  EXPECT_FALSE(LoadCatalog(csv_path, "binary").ok());
+  EXPECT_TRUE(LoadCatalog(csv_path, "csv").ok());
+  const Status unknown = LoadCatalog(csv_path, "parquet").status();
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.message().find("parquet"), std::string::npos);
+  std::remove(binary_path.c_str());
+  std::remove(csv_path.c_str());
+}
+
 TEST(CatalogBinaryTest, AgreesWithCsvReader) {
   // A catalog whose CSV probabilities are already normalized survives the
   // CSV round trip, so both formats must load element-for-element equal.
