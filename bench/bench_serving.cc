@@ -234,9 +234,9 @@ int main() {
       bench::kRepeats, bench::FormatSpread(load.csv_seconds, 4).c_str(),
       bench::FormatSpread(load.mmap_seconds, 4).c_str(), load.speedup);
   bench::GateReport gates;
-  gates.Check(quick || load.speedup >= 10.0,
-              StrFormat("mmap load %.1fx < 10x CSV parse at N=%zu",
-                        load.speedup, n));
+  gates.CheckTiming(quick || load.speedup >= 10.0,
+                    StrFormat("mmap load %.1fx < 10x CSV parse at N=%zu",
+                              load.speedup, n));
 
   // ---- Part 2: query latency under publication churn -------------------
   obs::MetricsRegistry registry;
@@ -317,9 +317,10 @@ int main() {
   std::vector<std::string> phase_json;
   for (const PhaseResult& p : phases) {
     total_inconsistent += p.inconsistent;
-    gates.Check(!tail_gated || p.ratio < 10.0,
-                StrFormat("p99 %.3f us >= 10x p50 %.3f us (target qps %.0f)",
-                          p.p99_us, p.p50_us, p.target_qps));
+    gates.CheckTiming(
+        !tail_gated || p.ratio < 10.0,
+        StrFormat("p99 %.3f us >= 10x p50 %.3f us (target qps %.0f)",
+                  p.p99_us, p.p50_us, p.target_qps));
     phase_json.push_back(bench::JsonObject()
                              .Num("target_qps", p.target_qps)
                              .Num("achieved_qps", p.achieved_qps)

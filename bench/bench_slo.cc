@@ -184,7 +184,7 @@ int main() {
   const double bookkeeping_pct =
       baseline_ms > 0.0 ? 100.0 * bookkeeping_ms.median / baseline_ms : 0.0;
   bench::GateReport gates;
-  const bool pass = gates.Check(
+  const bool pass = gates.CheckTiming(
       bookkeeping_pct < kGatePct,
       StrFormat("telemetry bookkeeping %.4f ms/period is %.2f%% of the "
                 "%.4f ms baseline period (gate: < %.1f%%)",

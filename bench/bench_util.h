@@ -186,7 +186,8 @@ inline std::string FormatSpread(const Spread& s, int digits) {
 /// free cores, and a failure on a loaded machine should say so.
 class GateReport {
  public:
-  /// Records a gate and returns `passed`; a failure prints `message`.
+  /// Records a correctness gate and returns `passed`; a failure prints
+  /// `message` and fails the producer in every build.
   bool Check(bool passed, const std::string& message) {
     if (!passed) {
       std::fprintf(stderr, "FAIL: %s (load average %.2f)\n", message.c_str(),
@@ -194,6 +195,25 @@ class GateReport {
     }
     failed_ |= !passed;
     return passed;
+  }
+
+  /// Records a timing gate and returns `passed`. Hard like Check, except in
+  /// a sanitizer build (FRESHEN_SANITIZED_BUILD), whose instrumentation
+  /// alone can move a timing past its threshold: there a failure prints a
+  /// `TIMING (not enforced in a sanitizer build): ...` line and does not
+  /// fail the producer.
+  bool CheckTiming(bool passed, const std::string& message) {
+#ifdef FRESHEN_SANITIZED_BUILD
+    if (!passed) {
+      std::fprintf(stderr,
+                   "TIMING (not enforced in a sanitizer build): %s (load "
+                   "average %.2f)\n",
+                   message.c_str(), LoadAverage1m());
+    }
+    return passed;
+#else
+    return Check(passed, message);
+#endif
   }
 
   /// The process exit code: 1 when a gate failed or the evidence file could

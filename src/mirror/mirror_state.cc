@@ -9,35 +9,35 @@
 
 namespace freshen {
 
-Result<VersionedSource> VersionedSource::Create(
-    std::vector<double> change_rates, uint64_t seed) {
-  if (change_rates.empty()) {
+Result<VersionedSource> VersionedSource::Create(const ElementSet& catalog,
+                                                uint64_t seed) {
+  if (catalog.empty()) {
     return Status::InvalidArgument("source needs at least one element");
   }
-  for (size_t i = 0; i < change_rates.size(); ++i) {
-    if (!(change_rates[i] >= 0.0) || !std::isfinite(change_rates[i])) {
+  for (size_t i = 0; i < catalog.size(); ++i) {
+    const double rate = catalog[i].change_rate;
+    if (!(rate >= 0.0) || !std::isfinite(rate)) {
       return Status::InvalidArgument(
           StrFormat("change rate %zu is negative or non-finite", i));
     }
   }
-  return VersionedSource(std::move(change_rates), seed);
+  return VersionedSource(catalog, seed);
 }
 
-VersionedSource::VersionedSource(std::vector<double> rates, uint64_t seed)
-    : rates_(std::move(rates)),
-      next_update_(rates_.size(),
-                   std::numeric_limits<double>::infinity()),
-      seed_or_stream_(rates_.size()),
-      has_stream_(rates_.size(), false) {
+VersionedSource::VersionedSource(const ElementSet& catalog, uint64_t seed)
+    : elements_(catalog.data()),
+      next_update_(catalog.size(), std::numeric_limits<double>::infinity()),
+      seed_or_stream_(catalog.size()),
+      has_stream_(catalog.size(), false) {
   // Element i's stream is the i-th root.Fork(), Rng(seed). Its first draw
   // is the first update; the stream itself waits until a second draw is
   // due (Stream).
   Rng root(seed);
-  for (size_t i = 0; i < rates_.size(); ++i) {
+  for (size_t i = 0; i < catalog.size(); ++i) {
     seed_or_stream_[i] = root.NextUint64();
-    if (rates_[i] > 0.0) {
+    if (catalog[i].change_rate > 0.0) {
       Rng stream(seed_or_stream_[i]);
-      next_update_[i] = SampleExponential(stream, rates_[i]);
+      next_update_[i] = SampleExponential(stream, catalog[i].change_rate);
     }
   }
 }
@@ -56,11 +56,12 @@ Rng& VersionedSource::Stream(size_t element) {
 }
 
 double VersionedSource::AdvancePast(size_t element, double t) {
-  FRESHEN_CHECK(element < rates_.size());
+  FRESHEN_CHECK(element < next_update_.size());
   double& next = next_update_[element];
   if (next > t) return next;
   Rng& stream = Stream(element);
-  while (next <= t) next += SampleExponential(stream, rates_[element]);
+  const double rate = elements_[element].change_rate;
+  while (next <= t) next += SampleExponential(stream, rate);
   return next;
 }
 

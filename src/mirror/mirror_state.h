@@ -7,9 +7,11 @@
 //   VersionedSource : the master data source. Each element owns a Poisson
 //                     update process on its own RNG stream; only the next
 //                     pending update time is kept, and an element advances
-//                     only when a sync touches it. An element keeps its
-//                     stream's 8-byte seed until a sync passes its first
-//                     update; only then is the 32-byte stream built.
+//                     only when a sync touches it. Rates are read from the
+//                     catalog the source was built over, not copied. An
+//                     element keeps its stream's 8-byte seed until a sync
+//                     passes its first update; only then is the 32-byte
+//                     stream built.
 //   MirrorState     : the local copies. Per element it keeps the last sync
 //                     time. The first source update a copy has not picked
 //                     up is the source's pending update for that element
@@ -29,6 +31,7 @@
 
 #include "common/macros.h"
 #include "common/result.h"
+#include "model/element.h"
 #include "rng/rng.h"
 
 namespace freshen {
@@ -38,10 +41,16 @@ namespace freshen {
 /// not depend on the order in which elements are advanced.
 class VersionedSource {
  public:
-  /// A source over `change_rates.size()` elements with the given Poisson
-  /// rates (per period). Rates must be >= 0 and finite.
-  static Result<VersionedSource> Create(std::vector<double> change_rates,
+  /// A source over `catalog`'s elements, each updating at its change_rate
+  /// (per period; >= 0 and finite). The source reads the rates through a
+  /// pointer to the catalog's element buffer, so that buffer must outlive
+  /// the source, keep its place and keep its rates: do not resize, reassign
+  /// or destroy the vector. Moving it is safe (a vector move keeps its
+  /// buffer); a temporary catalog is rejected at compile time.
+  static Result<VersionedSource> Create(const ElementSet& catalog,
                                         uint64_t seed);
+  static Result<VersionedSource> Create(ElementSet&& catalog,
+                                        uint64_t seed) = delete;
 
   /// Advances `element` to time `t`, discarding its updates at or before
   /// `t`, and returns its first update strictly after `t` (+infinity for a
@@ -53,15 +62,16 @@ class VersionedSource {
   double NextUpdate(size_t element) const { return next_update_[element]; }
 
   /// Number of elements.
-  size_t size() const { return rates_.size(); }
+  size_t size() const { return next_update_.size(); }
 
  private:
-  VersionedSource(std::vector<double> rates, uint64_t seed);
+  VersionedSource(const ElementSet& catalog, uint64_t seed);
 
   // The element's stream, built at the first draw past its first update.
   Rng& Stream(size_t element);
 
-  std::vector<double> rates_;
+  // The catalog's elements, read for their change rates.
+  const Element* elements_;
   std::vector<double> next_update_;
   // Per element: its stream seed (the root draw Rng::Fork() would consume)
   // until has_stream_ is set, then its row in streams_.

@@ -61,7 +61,7 @@ Result<OnlineFreshenLoop> OnlineFreshenLoop::Create(ElementSet truth,
   }
   FRESHEN_ASSIGN_OR_RETURN(
       VersionedSource source,
-      VersionedSource::Create(ChangeRates(truth), options.seed ^ 0x737263ULL));
+      VersionedSource::Create(truth, options.seed ^ 0x737263ULL));
   FRESHEN_ASSIGN_OR_RETURN(
       AdaptiveFreshener controller,
       AdaptiveFreshener::Create(Sizes(truth), bandwidth, options.controller));

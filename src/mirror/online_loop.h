@@ -149,6 +149,9 @@ class OnlineFreshenLoop {
   OnlineFreshenLoop(ElementSet truth, VersionedSource source,
                     AdaptiveFreshener controller, Options options);
 
+  // The source reads its change rates from this buffer: a vector move keeps
+  // the buffer, so the loop stays movable, but truth_ is never resized or
+  // reassigned, and its rates never change.
   ElementSet truth_;
   Options options_;
   // unique_ptr: the mirror reads the source's pending-update column through

@@ -116,6 +116,10 @@ void FreshendDaemon::PublishBoundary(bool replanned,
                                      const std::vector<uint32_t>& synced) {
   obs::ScopedSpan span("serve_publish", *registry_);
   WallTimer timer;
+  // Free the snapshots whose readers left during the period first: their
+  // blocks are the builder's spares, which it rewrites only once they are
+  // free.
+  store_.Reclaim();
   const AdaptiveFreshener& controller = loop_->controller();
   if (replanned) {
     // A replan can move every frequency and planned change rate, so every

@@ -301,7 +301,8 @@ ProtocolResponse Dispatch(const FreshendDaemon& daemon,
         "{\"ok\":true,\"cmd\":\"stats\",\"epoch\":%llu,"
         "\"plan_version\":%llu,\"published_at\":%s,"
         "\"num_elements\":%zu,\"num_shards\":%zu,"
-        "\"shards_rebuilt\":%zu,\"plan_bandwidth\":%s,"
+        "\"shards_rebuilt\":%zu,\"shards_recycled\":%zu,"
+        "\"plan_bandwidth\":%s,"
         "\"periods\":%llu,\"queries\":%llu,"
         "\"publications\":%llu,\"snapshots_retired\":%llu,"
         "\"snapshots_reclaimed\":%llu,\"retired_pending\":%zu,"
@@ -311,7 +312,7 @@ ProtocolResponse Dispatch(const FreshendDaemon& daemon,
         static_cast<unsigned long long>(stats.snapshot.plan_version),
         JsonNumber(stats.snapshot.published_at).c_str(),
         stats.snapshot.num_elements, stats.snapshot.num_shards,
-        stats.snapshot.shards_rebuilt,
+        stats.snapshot.shards_rebuilt, stats.snapshot.shards_recycled,
         JsonNumber(stats.snapshot.plan_bandwidth).c_str(),
         static_cast<unsigned long long>(stats.periods),
         static_cast<unsigned long long>(stats.queries),

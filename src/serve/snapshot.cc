@@ -1,6 +1,7 @@
 #include "serve/snapshot.h"
 
 #include <cstring>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -134,7 +135,9 @@ SnapshotBuilder::SnapshotBuilder(
       sizes_(std::move(sizes)),
       size_digest_(DigestColumn(*sizes_)),
       plan_(par::ShardPlan(num_elements_)),
-      dirty_(plan_.size(), 0) {}
+      dirty_(plan_.size(), 0),
+      live_(plan_.size()),
+      spares_(plan_.size()) {}
 
 void SnapshotBuilder::MarkDirty(size_t element) {
   FRESHEN_CHECK(element < num_elements_);
@@ -161,6 +164,12 @@ Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
       last_sync_time.size() != num_elements_) {
     return Status::InvalidArgument("snapshot column length mismatch");
   }
+  // Checked before any shard is built: a failed Publish leaves the builder
+  // as it was.
+  if (!live_.empty() && live_.front() == nullptr &&
+      DirtyShards() != plan_.size()) {
+    return Status::FailedPrecondition("first Publish must follow MarkAllDirty");
+  }
 
   auto snapshot = std::shared_ptr<ServeSnapshot>(new ServeSnapshot());
   snapshot->num_elements_ = num_elements_;
@@ -170,42 +179,50 @@ Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
   const std::vector<double>& size = *sizes_;
 
   size_t rebuilt = 0;
+  size_t recycled = 0;
   double plan_bandwidth = 0.0;
   for (size_t s = 0; s < plan_.size(); ++s) {
     const par::Shard& shard = plan_[s];
-    if (last_ == nullptr && !dirty_[s]) {
-      return Status::FailedPrecondition(
-          "first Publish must follow MarkAllDirty");
-    }
+    const ShardBlock* previous = live_[s].get();
     // A dirty shard whose columns came out bit-identical (a replan that
     // moved no frequency or rate in it) is shared like a clean one.
-    const ShardBlock* previous =
-        last_ != nullptr ? last_->shards_[s].get() : nullptr;
     if (!dirty_[s] ||
         (previous != nullptr &&
          SameBits(frequency, previous->frequency, shard.begin) &&
          SameBits(change_rate, previous->change_rate, shard.begin) &&
          SameBits(last_sync_time, previous->last_sync_time, shard.begin))) {
-      snapshot->shards_[s] = last_->shards_[s];
+      snapshot->shards_[s] = live_[s];
       plan_bandwidth += previous->plan_bandwidth;
       continue;
     }
-    auto block = std::make_shared<ShardBlock>();
-    block->begin = shard.begin;
-    block->end = shard.end;
-    block->frequency.assign(frequency.begin() + shard.begin,
-                            frequency.begin() + shard.end);
-    block->change_rate.assign(change_rate.begin() + shard.begin,
-                              change_rate.begin() + shard.end);
-    block->last_sync_time.assign(last_sync_time.begin() + shard.begin,
-                                 last_sync_time.begin() + shard.end);
-    FRESHEN_CHECK(block->frequency.size() == shard.size());
-    for (size_t i = shard.begin; i < shard.end; ++i) {
-      block->plan_bandwidth += frequency[i] * size[i];
+    // The block this rebuild replaces becomes the shard's spare. The old
+    // spare is written in place when the builder holds its only reference
+    // (see the class comment); otherwise a snapshot still owns it and the
+    // shard gets a new block.
+    if (spares_[s].use_count() == 1) {
+      std::swap(live_[s], spares_[s]);
+      ++recycled;
+    } else {
+      spares_[s] = std::move(live_[s]);
+      live_[s] = std::make_shared<ShardBlock>();
     }
-    block->digest = DigestShard(*block);
-    plan_bandwidth += block->plan_bandwidth;
-    snapshot->shards_[s] = std::move(block);
+    ShardBlock& block = *live_[s];
+    block.begin = shard.begin;
+    block.end = shard.end;
+    block.frequency.assign(frequency.begin() + shard.begin,
+                           frequency.begin() + shard.end);
+    block.change_rate.assign(change_rate.begin() + shard.begin,
+                             change_rate.begin() + shard.end);
+    block.last_sync_time.assign(last_sync_time.begin() + shard.begin,
+                                last_sync_time.begin() + shard.end);
+    FRESHEN_CHECK(block.frequency.size() == shard.size());
+    block.plan_bandwidth = 0.0;
+    for (size_t i = shard.begin; i < shard.end; ++i) {
+      block.plan_bandwidth += frequency[i] * size[i];
+    }
+    block.digest = DigestShard(block);
+    plan_bandwidth += block.plan_bandwidth;
+    snapshot->shards_[s] = live_[s];
     ++rebuilt;
   }
   std::fill(dirty_.begin(), dirty_.end(), uint8_t{0});
@@ -218,9 +235,8 @@ Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
   stats.num_elements = num_elements_;
   stats.num_shards = plan_.size();
   stats.shards_rebuilt = rebuilt;
+  stats.shards_recycled = recycled;
   stats.plan_bandwidth = plan_bandwidth;
-
-  last_ = snapshot;
   return std::shared_ptr<const ServeSnapshot>(std::move(snapshot));
 }
 

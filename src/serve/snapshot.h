@@ -35,7 +35,8 @@ namespace freshen {
 namespace serve {
 
 /// One contiguous shard of serving state: parallel columns over the
-/// elements in [shard.begin, shard.end). Immutable after construction.
+/// elements in [shard.begin, shard.end). Immutable while any snapshot holds
+/// it (SnapshotBuilder rewrites only blocks that no snapshot holds).
 struct ShardBlock {
   /// Index range this block covers (mirrors the snapshot's shard plan).
   size_t begin = 0;
@@ -86,6 +87,8 @@ struct SnapshotStats {
   size_t num_shards = 0;
   /// Shards rebuilt by the publication that produced this snapshot.
   size_t shards_rebuilt = 0;
+  /// Of those, shards written into a recycled spare block (no allocation).
+  size_t shards_recycled = 0;
   /// Sum of planned frequencies times sizes (plan bandwidth): the shards'
   /// partials summed in shard order.
   double plan_bandwidth = 0.0;
@@ -148,6 +151,20 @@ class ServeSnapshot {
 
 /// Builds successive snapshots with shard-level structural sharing. Owned
 /// and driven by the single publisher thread (the daemon's loop thread).
+///
+/// Block reuse: for each shard the builder keeps, as a spare, the block that
+/// the shard's last rebuild replaced. The next rebuild of that shard writes
+/// into the spare in place (same capacity, no allocation) when the builder
+/// holds the spare's only reference, and allocates a new block otherwise.
+/// Every snapshot that held the spare predates the rebuild that retired it,
+/// so a count of one means all of them are gone and no reader can reach the
+/// block. That count is exact only because every reference to a published
+/// snapshot, or to one of its blocks, is dropped on the publisher thread or
+/// before a happens-before edge to it: SnapshotStore drops snapshots in the
+/// retire callbacks that its publisher-thread reclaim runs, and readers hold
+/// only epoch pins and raw pointers. Reuse is an allocation saving only;
+/// what a snapshot holds never depends on it. In steady state a builder
+/// holds two copies of the shard columns: the live blocks and the spares.
 class SnapshotBuilder {
  public:
   /// A builder over `sizes->size()` elements (`sizes` must not be null).
@@ -169,7 +186,8 @@ class SnapshotBuilder {
   size_t NumShards() const { return plan_.size(); }
 
   /// Builds the next snapshot: a dirty shard is deep-copied from the given
-  /// columns unless its bits equal the previous snapshot's block, which is
+  /// columns (into its spare block when that is free, see the class
+  /// comment) unless its bits equal the previous snapshot's block, which is
   /// then shared like a clean shard's. Column vectors must all have
   /// num_elements entries. `epoch` is the publication epoch the caller just
   /// opened; `plan_version` and `now` land in stats. Clears the dirty set.
@@ -187,9 +205,12 @@ class SnapshotBuilder {
   uint64_t size_digest_;
   std::vector<par::Shard> plan_;
   std::vector<uint8_t> dirty_;  // Per shard.
-  // The builder keeps its own reference to the last snapshot purely as the
-  // sharing source; lifetime of published snapshots is the store's job.
-  std::shared_ptr<const ServeSnapshot> last_;
+  // Per shard: the block the last published snapshot holds (the sharing
+  // source; null before the first Publish), and the block the shard's last
+  // rebuild replaced (null until a second build of the shard). Lifetime of
+  // published snapshots is the store's job.
+  std::vector<std::shared_ptr<ShardBlock>> live_;
+  std::vector<std::shared_ptr<ShardBlock>> spares_;
 };
 
 /// Combines per-shard digests in shard order (order-sensitive mix), then the

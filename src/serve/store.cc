@@ -81,15 +81,19 @@ uint64_t SnapshotStore::Publish(
                    });
     retired_total_.fetch_add(1, std::memory_order_relaxed);
   }
-  const size_t reclaimed = domain_.TryReclaim();
-  reclaimed_total_.fetch_add(reclaimed, std::memory_order_relaxed);
+  Reclaim();
 
   publications_counter_->Increment();
-  reclaimed_counter_->Add(static_cast<double>(reclaimed));
   epoch_gauge_->Set(static_cast<double>(epoch));
   pinned_gauge_->Set(static_cast<double>(domain_.PinnedReaders()));
-  retired_gauge_->Set(static_cast<double>(domain_.RetiredCount()));
   return epoch;
+}
+
+void SnapshotStore::Reclaim() {
+  const size_t reclaimed = domain_.TryReclaim();
+  reclaimed_total_.fetch_add(reclaimed, std::memory_order_relaxed);
+  reclaimed_counter_->Add(static_cast<double>(reclaimed));
+  retired_gauge_->Set(static_cast<double>(domain_.RetiredCount()));
 }
 
 void SnapshotStore::Drain() {

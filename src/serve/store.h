@@ -97,6 +97,10 @@ class SnapshotStore {
   /// shares ownership of the snapshot; the caller may drop its reference.
   uint64_t Publish(std::shared_ptr<const ServeSnapshot> snapshot);
 
+  /// Frees every retired snapshot that no pinned reader can still see
+  /// (Publish does this too, right after installing). Publisher thread only.
+  void Reclaim();
+
   /// Epoch the next Publish will open; also the count of publications + 1.
   uint64_t CurrentEpoch() const { return domain_.CurrentEpoch(); }
 

@@ -35,6 +35,14 @@
 namespace freshen {
 namespace {
 
+// A catalog carrying only change rates: all a VersionedSource reads. The
+// source reads the rates in place, so the catalog must outlive it.
+ElementSet RateCatalog(const std::vector<double>& rates) {
+  ElementSet catalog(rates.size());
+  for (size_t i = 0; i < rates.size(); ++i) catalog[i].change_rate = rates[i];
+  return catalog;
+}
+
 // Updates of `element` in (0, t], read one at a time.
 std::vector<double> UpdatesUpTo(VersionedSource& source, size_t element,
                                 double t) {
@@ -47,7 +55,8 @@ std::vector<double> UpdatesUpTo(VersionedSource& source, size_t element,
 }
 
 TEST(VersionedSourceTest, VersionsAdvanceWithTime) {
-  auto source = VersionedSource::Create({5.0, 0.0}, 1).value();
+  const ElementSet catalog = RateCatalog({5.0, 0.0});
+  auto source = VersionedSource::Create(catalog, 1).value();
   const size_t updates = UpdatesUpTo(source, 0, 10.0).size();
   EXPECT_GT(updates, 20u);  // ~50 expected.
   EXPECT_LT(updates, 100u);
@@ -57,8 +66,8 @@ TEST(VersionedSourceTest, VersionsAdvanceWithTime) {
 }
 
 TEST(VersionedSourceTest, UpdateCountMatchesPoissonMean) {
-  auto source = VersionedSource::Create(std::vector<double>(200, 2.0), 2)
-                    .value();
+  const ElementSet catalog = RateCatalog(std::vector<double>(200, 2.0));
+  auto source = VersionedSource::Create(catalog, 2).value();
   size_t total = 0;
   for (size_t i = 0; i < source.size(); ++i) {
     total += UpdatesUpTo(source, i, 50.0).size();
@@ -68,7 +77,8 @@ TEST(VersionedSourceTest, UpdateCountMatchesPoissonMean) {
 }
 
 TEST(VersionedSourceTest, AdvancePastReturnsTheNextUpdate) {
-  auto source = VersionedSource::Create({1.0}, 3).value();
+  const ElementSet catalog = RateCatalog({1.0});
+  auto source = VersionedSource::Create(catalog, 3).value();
   const double first = source.NextUpdate(0);
   EXPECT_GT(first, 0.0);
   EXPECT_LT(first, 100.0);
@@ -83,16 +93,20 @@ TEST(VersionedSourceTest, AdvancePastReturnsTheNextUpdate) {
 }
 
 TEST(VersionedSourceTest, DeterministicInSeed) {
-  auto a = VersionedSource::Create({3.0, 1.0}, 7).value();
-  auto b = VersionedSource::Create({3.0, 1.0}, 7).value();
+  const ElementSet catalog_a = RateCatalog({3.0, 1.0});
+  const ElementSet catalog_b = RateCatalog({3.0, 1.0});
+  auto a = VersionedSource::Create(catalog_a, 7).value();
+  auto b = VersionedSource::Create(catalog_b, 7).value();
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(UpdatesUpTo(a, i, 20.0), UpdatesUpTo(b, i, 20.0));
   }
 }
 
 TEST(VersionedSourceTest, RejectsInvalidRates) {
-  EXPECT_FALSE(VersionedSource::Create({}, 1).ok());
-  EXPECT_FALSE(VersionedSource::Create({-1.0}, 1).ok());
+  const ElementSet empty;
+  EXPECT_FALSE(VersionedSource::Create(empty, 1).ok());
+  const ElementSet negative = RateCatalog({-1.0});
+  EXPECT_FALSE(VersionedSource::Create(negative, 1).ok());
 }
 
 // The source builds an element's stream only when a second draw is due.
@@ -115,7 +129,8 @@ TEST(VersionedSourceTest, LazyStreamsMatchEagerForksBitForBit) {
     streams.push_back(root.Fork());
     if (rates[i] > 0.0) next[i] = SampleExponential(streams[i], rates[i]);
   }
-  auto source = VersionedSource::Create(rates, kSeed).value();
+  const ElementSet catalog = RateCatalog(rates);
+  auto source = VersionedSource::Create(catalog, kSeed).value();
   for (size_t i = 0; i < kElements; ++i) {
     ASSERT_EQ(std::bit_cast<uint64_t>(source.NextUpdate(i)),
               std::bit_cast<uint64_t>(next[i]))
@@ -150,7 +165,8 @@ TEST(VersionedSourceTest, LazyStreamsMatchEagerForksBitForBit) {
 }
 
 TEST(MirrorStateTest, SyncDetectsChanges) {
-  auto source = VersionedSource::Create({10.0, 0.0}, 4).value();
+  const ElementSet catalog = RateCatalog({10.0, 0.0});
+  auto source = VersionedSource::Create(catalog, 4).value();
   MirrorState mirror(source);
   EXPECT_FALSE(mirror.IsFresh(0, 1.0));  // ~10 updates happened.
   EXPECT_TRUE(mirror.IsFresh(1, 1.0));   // Never changes.
@@ -161,7 +177,8 @@ TEST(MirrorStateTest, SyncDetectsChanges) {
 }
 
 TEST(MirrorStateTest, SyncAtTimeZeroCountsAsSynced) {
-  auto source = VersionedSource::Create({1.0, 1.0}, 4).value();
+  const ElementSet catalog = RateCatalog({1.0, 1.0});
+  auto source = VersionedSource::Create(catalog, 4).value();
   MirrorState mirror(source);
   EXPECT_FALSE(mirror.Synced(0));
   EXPECT_FALSE(mirror.Sync(0, 0.0, source));
@@ -171,7 +188,8 @@ TEST(MirrorStateTest, SyncAtTimeZeroCountsAsSynced) {
 }
 
 TEST(MirrorStateTest, AgeTracksFirstMissedUpdate) {
-  auto source = VersionedSource::Create({1.0}, 5).value();
+  const ElementSet catalog = RateCatalog({1.0});
+  auto source = VersionedSource::Create(catalog, 5).value();
   MirrorState mirror(source);
   const double first = source.NextUpdate(0);
   // Never synced: stale since the first update.
@@ -186,7 +204,8 @@ TEST(MirrorStateTest, FreshnessFractionMatchesClosedForm) {
   // it is fresh — must match F(f, lambda).
   const double lambda = 2.0;
   const double f = 2.0;
-  auto source = VersionedSource::Create({lambda}, 6).value();
+  const ElementSet catalog = RateCatalog({lambda});
+  auto source = VersionedSource::Create(catalog, 6).value();
   MirrorState mirror(source);
   int fresh = 0;
   int probes = 0;
@@ -273,7 +292,8 @@ TEST(MirrorStateTest, MatchesFullHistoryOracleBitForBit) {
   uint64_t unchanged_syncs = 0;
   uint64_t stale_reads = 0;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
-    auto source = VersionedSource::Create(rates, seed).value();
+    const ElementSet catalog = RateCatalog(rates);
+    auto source = VersionedSource::Create(catalog, seed).value();
     MirrorState mirror(source);
     FullHistoryMirror oracle(rates, seed);
     Rng ops(seed * 7919);
@@ -847,14 +867,14 @@ TEST(OnlineLoopTest, HeapPerElementHoldsNoDenseSyncColumn) {
 #endif
   // A sparse shape: B = 20 of N = 200k, 20 accesses per period, so a few
   // hundred elements ever sync. The loop's dense columns (catalog 24, alias
-  // table 12, source 24.125, mirror 8.125, first-funded 4, sizes 8, learner
+  // table 12, source 16.125, mirror 8.125, first-funded 4, sizes 8, learner
   // and frequencies 16, believed problem 24, class ids 4, the controller's
-  // and the detector's id -> row columns 4 + 4) come to ~132 B/element,
+  // and the detector's id -> row columns 4 + 4) come to ~124 B/element,
   // which is what this run holds. The 24 B margin is less than any one
   // dense column of sync state: evidence (24), drift evidence and scores
   // (40), RNG streams (32). With all three dense the run held 212.
   constexpr size_t kElements = 200000;
-  constexpr double kMaxBytesPerElement = 132.0 + 24.0;
+  constexpr double kMaxBytesPerElement = 124.0 + 24.0;
   ExperimentSpec spec;
   spec.num_objects = kElements;
   const ElementSet truth = GenerateCatalog(spec).value();

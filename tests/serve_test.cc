@@ -1,10 +1,12 @@
 // Tests for the freshend serving subsystem: epoch-based reclamation,
 // snapshot building with structural sharing, the lock-free snapshot store,
 // the daemon's query API, and the line protocol.
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -309,6 +311,105 @@ TEST(SnapshotBuilderTest, EverySnapshotSharesOneSizeColumn) {
   }
   EXPECT_EQ(size_column.use_count(),
             static_cast<long>(snapshots.size()) + 2);  // + builder, local.
+}
+
+// The shard blocks' addresses, in shard order.
+std::vector<const ShardBlock*> BlockAddresses(const ServeSnapshot& snapshot) {
+  std::vector<const ShardBlock*> addresses;
+  for (const auto& block : snapshot.shards()) addresses.push_back(block.get());
+  return addresses;
+}
+
+// Epoch 1's blocks become the spares when epoch 2 rebuilds every shard; once
+// nothing holds epoch 1, epoch 3 is written into them, and reads exactly
+// like a snapshot a fresh builder makes from the same columns.
+TEST(SnapshotBuilderTest, RepublishWritesIntoReclaimedBlocks) {
+  const size_t n = 20000;
+  const auto sizes = std::make_shared<const std::vector<double>>(Ramp(n, 1.0));
+  SnapshotBuilder builder(sizes);
+  builder.MarkAllDirty();
+  auto first =
+      builder.Publish(1, 1, 0.0, Ramp(n, 1.0), Ramp(n, 2.0), Column(n, 0.0))
+          .value();
+  const std::vector<const ShardBlock*> first_blocks = BlockAddresses(*first);
+  builder.MarkAllDirty();
+  auto second =
+      builder.Publish(2, 2, 1.0, Ramp(n, 5.0), Ramp(n, 6.0), Column(n, 1.0))
+          .value();
+  EXPECT_EQ(second->stats().shards_rebuilt, builder.NumShards());
+  first.reset();
+
+  const auto frequency = Ramp(n, 9.0);
+  const auto change_rate = Ramp(n, 10.0);
+  const auto last_sync = Ramp(n, 0.5);
+  builder.MarkAllDirty();
+  auto third =
+      builder.Publish(3, 3, 2.0, frequency, change_rate, last_sync).value();
+  EXPECT_EQ(BlockAddresses(*third), first_blocks);
+  EXPECT_EQ(third->stats().shards_recycled, builder.NumShards());
+  EXPECT_TRUE(third->CheckConsistent());
+  EXPECT_TRUE(second->CheckConsistent());
+
+  SnapshotBuilder fresh(sizes);
+  fresh.MarkAllDirty();
+  auto reference =
+      fresh.Publish(3, 3, 2.0, frequency, change_rate, last_sync).value();
+  ASSERT_EQ(third->shards().size(), reference->shards().size());
+  for (size_t s = 0; s < third->shards().size(); ++s) {
+    const ShardBlock& block = *third->shards()[s];
+    const ShardBlock& expected = *reference->shards()[s];
+    EXPECT_EQ(block.begin, expected.begin) << "shard " << s;
+    EXPECT_EQ(block.end, expected.end) << "shard " << s;
+    EXPECT_EQ(block.frequency, expected.frequency) << "shard " << s;
+    EXPECT_EQ(block.change_rate, expected.change_rate) << "shard " << s;
+    EXPECT_EQ(block.last_sync_time, expected.last_sync_time) << "shard " << s;
+    EXPECT_TRUE(SameBits(block.plan_bandwidth, expected.plan_bandwidth))
+        << "shard " << s;
+    EXPECT_EQ(block.digest, expected.digest) << "shard " << s;
+  }
+  EXPECT_EQ(third->combined_digest(), reference->combined_digest());
+  EXPECT_TRUE(SameBits(third->stats().plan_bandwidth,
+                       reference->stats().plan_bandwidth));
+}
+
+// A held snapshot's blocks are never written: three full republishes while
+// epoch 1 is held leave every value it serves as it was.
+TEST(SnapshotBuilderTest, HeldSnapshotBlocksAreNeverReused) {
+  const size_t n = 20000;
+  SnapshotBuilder builder(SizeColumn(n, 1.0));
+  builder.MarkAllDirty();
+  const auto held =
+      builder.Publish(1, 1, 0.0, Ramp(n, 1.0), Ramp(n, 2.0), Ramp(n, 3.0))
+          .value();
+  std::vector<ElementView> expected;
+  for (size_t i = 0; i < n; ++i) expected.push_back(held->Lookup(i));
+  const std::vector<const ShardBlock*> held_blocks = BlockAddresses(*held);
+
+  for (uint64_t epoch = 2; epoch <= 4; ++epoch) {
+    const double offset = 100.0 * static_cast<double>(epoch);
+    builder.MarkAllDirty();
+    auto next = builder
+                    .Publish(epoch, epoch, 1.0, Ramp(n, offset),
+                             Ramp(n, offset + 1.0), Ramp(n, offset + 2.0))
+                    .value();
+    EXPECT_EQ(next->stats().shards_rebuilt, builder.NumShards());
+    // Epoch 3 finds every spare held by epoch 1; epoch 4 recycles epoch 2's.
+    EXPECT_EQ(next->stats().shards_recycled,
+              epoch == 4 ? builder.NumShards() : 0u)
+        << "epoch " << epoch;
+    for (const ShardBlock* block : BlockAddresses(*next)) {
+      EXPECT_EQ(std::count(held_blocks.begin(), held_blocks.end(), block), 0)
+          << "epoch " << epoch;
+    }
+    ASSERT_TRUE(held->CheckConsistent()) << "epoch " << epoch;
+    for (size_t i = 0; i < n; ++i) {
+      const ElementView view = held->Lookup(i);
+      ASSERT_TRUE(SameBits(view.frequency, expected[i].frequency) &&
+                  SameBits(view.change_rate, expected[i].change_rate) &&
+                  SameBits(view.last_sync_time, expected[i].last_sync_time))
+          << "epoch " << epoch << " element " << i;
+    }
+  }
 }
 
 // A 19-element block: four full 4-word stripes plus a 3-word tail per
@@ -680,6 +781,41 @@ TEST(FreshendDaemonTest, SnapshotMatchesOwningColumnsAfterEveryPeriod) {
                    3.0);
 }
 
+// Epoch 1 is built on the creating thread and every later epoch on the
+// loop thread, in another malloc arena. Free bytes across all arenas must
+// not grow by a snapshot copy (24 B per element) over a run that republishes
+// every shard each period: the blocks epoch 1 leaves are rewritten, not
+// stranded.
+TEST(FreshendDaemonTest, FullRepublishesStrandNoArenaMemory) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#endif
+  constexpr size_t kElements = 200000;
+  const ElementSet truth = TestCatalog(kElements);
+  obs::MetricsRegistry registry;
+  auto options = DaemonOptions(&registry);
+  options.max_periods = 6;
+  const size_t free_before = mallinfo2().fordblks;
+  auto daemon = FreshendDaemon::Create(truth, 2000.0, options).value();
+  ASSERT_TRUE(daemon->Start().ok());
+  while (daemon->running()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  daemon->Stop();
+  ASSERT_DOUBLE_EQ(registry
+                       .GetCounter("freshen_serve_publishes_total",
+                                   {{"kind", "full"}})
+                       ->value(),
+                   7.0);
+  SnapshotRef snapshot = daemon->AcquireSnapshot();
+  ASSERT_TRUE(snapshot);
+  EXPECT_EQ(snapshot->stats().shards_recycled,
+            snapshot->stats().shards_rebuilt);
+  const double free_growth = static_cast<double>(mallinfo2().fordblks) -
+                             static_cast<double>(free_before);
+  EXPECT_LT(free_growth, 24.0 * kElements);
+}
+
 TEST(FreshendDaemonTest, StopIsIdempotentAndQueriesSurviveIt) {
   obs::MetricsRegistry registry;
   auto options = DaemonOptions(&registry);
@@ -938,6 +1074,7 @@ TEST(ProtocolTest, StatsCarriesUptimeAndBuildInfo) {
       FreshendDaemon::Create(TestCatalog(20), 5.0, DaemonOptions(&registry))
           .value();
   const ProtocolResponse response = HandleRequestLine(*daemon, "STATS");
+  EXPECT_NE(response.line.find("\"shards_recycled\":"), std::string::npos);
   EXPECT_NE(response.line.find("\"uptime_seconds\":"), std::string::npos);
   EXPECT_NE(response.line.find("\"build\":{\"version\":"),
             std::string::npos);

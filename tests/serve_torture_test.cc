@@ -91,6 +91,90 @@ TEST(ServeTortureTest, RawStoreReadersNeverSeeTornSnapshots) {
   EXPECT_EQ(store.stats().retired_pending, 0u);
 }
 
+// Readers that hold their pins across several publications, each of which
+// rebuilds every shard: the builder writes new epochs into recycled blocks
+// while older epochs are still pinned. A pinned snapshot's values must never
+// change under its reader, and blocks must really be recycled along the way.
+TEST(ServeTortureTest, PinnedReadersNeverSeeRecycledBlocksChange) {
+  const size_t n = 20000;
+  const int kPublications = QuickMode() ? 150 : 600;
+  const int kReaders = 4;
+
+  obs::MetricsRegistry registry;
+  SnapshotStore store(&registry);
+  SnapshotBuilder builder(
+      std::make_shared<const std::vector<double>>(n, 1.0));
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> inconsistent{0};
+  std::atomic<uint64_t> changed_values{0};
+  std::atomic<uint64_t> long_holds{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (uint64_t hold = 1; !done.load(std::memory_order_acquire);
+           hold = 3 - hold) {
+        SnapshotRef ref = store.Acquire();
+        if (!ref) continue;
+        // Every element of one publication carries its stamp.
+        const double stamp = ref->Lookup(0).frequency;
+        // Hold the pin until one or two more publications (alternately)
+        // have rebuilt every shard, or the publisher is done. Alternating
+        // keeps the readers from settling on one parity of epochs.
+        const uint64_t pinned_at = ref->epoch();
+        while (store.CurrentEpoch() < pinned_at + hold &&
+               !done.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        if (store.CurrentEpoch() >= pinned_at + hold) {
+          long_holds.fetch_add(1, std::memory_order_relaxed);
+        }
+        for (size_t probe = static_cast<size_t>(r); probe < n;
+             probe += n / 11) {
+          const ElementView view = ref->Lookup(probe);
+          if (view.frequency != stamp || view.change_rate != stamp ||
+              view.last_sync_time != stamp) {
+            changed_values.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        if (!ref->CheckConsistent()) {
+          inconsistent.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+
+  uint64_t recycled = 0;
+  std::vector<double> columns(n, 0.0);
+  for (int pub = 1; pub <= kPublications; ++pub) {
+    const double stamp = static_cast<double>(pub);
+    for (double& v : columns) v = stamp;
+    // As the daemon does: free what readers have left before building, so
+    // the spares those snapshots held can be rewritten.
+    store.Reclaim();
+    builder.MarkAllDirty();
+    auto snapshot = builder
+                        .Publish(static_cast<uint64_t>(pub), 0, stamp,
+                                 columns, columns, columns)
+                        .value();
+    recycled += snapshot->stats().shards_recycled;
+    store.Publish(std::move(snapshot));
+    // Give readers time to finish a hold and pin this epoch.
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(inconsistent.load(), 0u);
+  EXPECT_EQ(changed_values.load(), 0u);
+  EXPECT_GT(long_holds.load(), 0u);
+  EXPECT_GT(recycled, 0u) << "of " << kPublications * builder.NumShards()
+                          << " rebuilt shards";
+  store.Drain();
+  EXPECT_EQ(store.stats().retired_pending, 0u);
+}
+
 // The full daemon under churn: online loop with a faulty executor replans
 // and publishes while reader threads run every query and periodically
 // recompute snapshot digests. Any torn read or data race is the failure.
