@@ -19,7 +19,8 @@
 //   --period-seconds S    pace the loop to S wall seconds per period
 //   --accesses A          simulated accesses per period
 //   --threshold F         IsFresh probability threshold (default 0.5)
-//   --error-rate E        sync fault injection in [0, 1] (0 disables the
+//   --error-rate E        sync fault injection in [0, 1] (0: every fetch
+//                         succeeds, through the loop's own PerfectSource
 //                         executor)
 //   --seed K              randomness seed
 //   --metrics-out FILE    write the final metrics snapshot (JSON) on exit
@@ -107,6 +108,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
 
   // Optional fault-injecting executor, for drills against a flaky source.
+  // Without one the loop syncs through its own PerfectSource executor.
   std::unique_ptr<sync::SimulatedSource> faulty;
   std::unique_ptr<sync::SyncExecutor> executor;
   const double error_rate = GetDouble(flags, "--error-rate", 0.0);

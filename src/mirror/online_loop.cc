@@ -17,10 +17,9 @@
 namespace freshen {
 namespace {
 
-// One scheduled operation inside a period.
-struct LoopEvent {
+// A sync the executor applied, at the time its copy lands.
+struct AppliedSync {
   double time;
-  bool is_sync;  // Syncs sort before accesses at equal times.
   uint32_t element;
 };
 
@@ -84,6 +83,16 @@ OnlineFreshenLoop::OnlineFreshenLoop(ElementSet truth, VersionedSource source,
       registry_(options.registry != nullptr
                     ? options.registry
                     : &obs::MetricsRegistry::Global()) {
+  if (options_.executor == nullptr) {
+    perfect_source_ = std::make_unique<sync::PerfectSource>();
+    sync::SyncExecutor::Options executor_options;
+    executor_options.registry = registry_;
+    auto executor =
+        sync::SyncExecutor::Create(perfect_source_.get(), executor_options);
+    FRESHEN_CHECK(executor.ok());  // The default options are valid.
+    own_executor_ = std::move(*executor);
+    options_.executor = own_executor_.get();
+  }
   periods_counter_ = registry_->GetCounter("freshen_mirror_periods_total");
   syncs_counter_ = registry_->GetCounter("freshen_mirror_syncs_total");
   accesses_counter_ = registry_->GetCounter("freshen_mirror_accesses_total");
@@ -125,7 +134,6 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
   uint64_t age_good_accesses = 0;
   uint64_t fresh_accesses = 0;
   PeriodStats stats;
-  std::vector<LoopEvent> events;
 
   // Due syncs: the Fixed-Order timeline (schedule.h) under the controller's
   // current frequencies. A never-synced element is phased from its
@@ -151,102 +159,100 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
                               });
   }
 
-  if (options_.executor != nullptr) {
-    // Executor path: fetches can fail, be refused, or land late. Only
-    // applied syncs become events; a sync completing past the period
-    // boundary applies at the boundary (after every access — genuinely
-    // late), and everything else leaves the copy stale.
-    const std::vector<sync::SyncOutcome> outcomes =
-        options_.executor->Execute(due);
-    for (const sync::SyncOutcome& outcome : outcomes) {
-      stats.wasted_bandwidth += outcome.wasted_bandwidth;
-      switch (outcome.kind) {
-        case sync::SyncOutcomeKind::kApplied:
-          events.push_back({std::min(outcome.apply_time, period_end), true,
-                            static_cast<uint32_t>(outcome.element)});
-          break;
-        case sync::SyncOutcomeKind::kFailed:
-          ++stats.failed_syncs;
-          break;
-        case sync::SyncOutcomeKind::kBreakerOpen:
-          ++stats.breaker_skipped_syncs;
-          break;
-        case sync::SyncOutcomeKind::kDropped:
-          ++stats.dropped_syncs;
-          break;
-      }
-    }
-  } else {
-    for (const sync::SyncTask& task : due) {
-      events.push_back({task.time, true, static_cast<uint32_t>(task.element)});
+  // The executor fetches in scheduled order; a fetch can fail, be refused,
+  // or land late. Only applied syncs reach the mirror. A sync completing
+  // past the boundary applies at period_end, which no access reaches, so it
+  // lands after every access (genuinely late); the rest leave the copy
+  // stale.
+  const std::vector<sync::SyncOutcome> outcomes =
+      options_.executor->Execute(due);
+  std::vector<AppliedSync> applied;
+  applied.reserve(outcomes.size());
+  for (const sync::SyncOutcome& outcome : outcomes) {
+    stats.wasted_bandwidth += outcome.wasted_bandwidth;
+    switch (outcome.kind) {
+      case sync::SyncOutcomeKind::kApplied:
+        applied.push_back({std::min(outcome.apply_time, period_end),
+                           static_cast<uint32_t>(outcome.element)});
+        break;
+      case sync::SyncOutcomeKind::kFailed:
+        ++stats.failed_syncs;
+        break;
+      case sync::SyncOutcomeKind::kBreakerOpen:
+        ++stats.breaker_skipped_syncs;
+        break;
+      case sync::SyncOutcomeKind::kDropped:
+        ++stats.dropped_syncs;
+        break;
     }
   }
+  // Transport latency can reorder the applies.
+  std::sort(applied.begin(), applied.end(),
+            [](const AppliedSync& a, const AppliedSync& b) {
+              if (a.time != b.time) return a.time < b.time;
+              return a.element < b.element;
+            });
 
-  // This period's accesses: Poisson arrivals from the true profile.
+  KahanSum age_sum;
+  const auto apply_sync = [&](const AppliedSync& sync) {
+    if (timeline != nullptr) {
+      // Attribute the stale interval this sync is about to close: it opened
+      // at the first update the copy missed.
+      if (!mirror_.IsFresh(sync.element, sync.time)) {
+        timeline->MarkStale(sync.element, mirror_.FirstMissed(sync.element));
+        timeline->MarkFresh(sync.element, sync.time);
+      }
+    }
+    // The copy has existed since t=0, so a first sync's watched window
+    // starts there (LastSyncTime is 0 before the first sync). The drift
+    // detector counts that window: it decays its evidence every period.
+    // The controller takes no evidence from a first sync. Its evidence is
+    // never decayed, and one first window as long as the run caps the
+    // bias-reduced estimate near ln 3 / t; counting it cut the learned
+    // plan's PF (docs/performance.md, "Fixed-Order timeline").
+    const double gap = sync.time - mirror_.LastSyncTime(sync.element);
+    const bool first_sync = !mirror_.Synced(sync.element);
+    const bool changed = mirror_.Sync(sync.element, sync.time, *source_);
+    controller_->ObserveSync(sync.element, changed, first_sync ? 0.0 : gap);
+    if (drift != nullptr) drift->ObserveSync(sync.element, changed, gap);
+    if (options_.on_period_end) synced_scratch_.push_back(sync.element);
+    ++stats.syncs;
+    stats.bandwidth_spent += truth_[sync.element].size;
+  };
+
+
+  // This period's accesses, Poisson arrivals from the true profile, come in
+  // time order; the sorted syncs merge into that stream, a sync ahead of an
+  // access at the same time.
+  size_t next_sync = 0;
   if (options_.accesses_per_period > 0.0) {
     for (double t = period_start + SampleExponential(
                                        access_rng_,
                                        options_.accesses_per_period);
          t < period_end;
          t += SampleExponential(access_rng_, options_.accesses_per_period)) {
-      events.push_back(
-          {t, false,
-           static_cast<uint32_t>(access_table_->Sample(access_rng_))});
-    }
-  }
-
-  std::sort(events.begin(), events.end(),
-            [](const LoopEvent& a, const LoopEvent& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.is_sync && !b.is_sync;
-            });
-
-  KahanSum age_sum;
-  for (const LoopEvent& event : events) {
-    if (event.is_sync) {
-      if (timeline != nullptr) {
-        // Attribute the stale interval this sync is about to close: it
-        // opened at the first update the copy missed.
-        if (!mirror_.IsFresh(event.element, event.time)) {
-          timeline->MarkStale(event.element,
-                              mirror_.FirstMissed(event.element));
-          timeline->MarkFresh(event.element, event.time);
-        }
+      const auto element =
+          static_cast<uint32_t>(access_table_->Sample(access_rng_));
+      for (; next_sync < applied.size() && applied[next_sync].time <= t;
+           ++next_sync) {
+        apply_sync(applied[next_sync]);
       }
-      // The copy has existed since t=0, so a first sync's watched window
-      // starts there (LastSyncTime is 0 before the first sync). The drift
-      // detector counts that window: it decays its evidence every period.
-      // The controller takes no evidence from a first sync. Its evidence is
-      // never decayed, and one first window as long as the run caps the
-      // bias-reduced estimate near ln 3 / t; counting it cut the learned
-      // plan's PF (docs/performance.md, "Fixed-Order timeline").
-      const double gap = event.time - mirror_.LastSyncTime(event.element);
-      const bool first_sync = !mirror_.Synced(event.element);
-      const bool changed = mirror_.Sync(event.element, event.time, *source_);
-      controller_->ObserveSync(event.element, changed,
-                               first_sync ? 0.0 : gap);
-      if (drift != nullptr) drift->ObserveSync(event.element, changed, gap);
-      if (options_.on_period_end) synced_scratch_.push_back(event.element);
-      ++stats.syncs;
-      stats.bandwidth_spent += truth_[event.element].size;
-    } else {
-      controller_->ObserveAccess(event.element);
+      controller_->ObserveAccess(element);
       ++stats.accesses;
-      if (mirror_.IsFresh(event.element, event.time)) {
+      if (mirror_.IsFresh(element, t)) {
         ++fresh_accesses;
         ++age_good_accesses;  // Age 0 is within any age SLO.
-        if (timeline != nullptr) {
-          timeline->OnAccess(event.element, event.time, 0.0);
-        }
+        if (timeline != nullptr) timeline->OnAccess(element, t, 0.0);
       } else {
-        const double age = mirror_.Age(event.element, event.time);
+        const double age = mirror_.Age(element, t);
         age_sum.Add(age);
         if (slo != nullptr && age <= slo->age_slo()) ++age_good_accesses;
-        if (timeline != nullptr) {
-          timeline->OnAccess(event.element, event.time, age);
-        }
+        if (timeline != nullptr) timeline->OnAccess(element, t, age);
       }
     }
+  }
+  for (; next_sync < applied.size(); ++next_sync) {
+    apply_sync(applied[next_sync]);
   }
   if (timeline != nullptr) {
     // Open a ledger interval for everything still stale at the boundary

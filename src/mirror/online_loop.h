@@ -51,8 +51,8 @@ struct PeriodStats {
   uint64_t syncs = 0;
   /// Bandwidth spent on *applied* syncs this period (sum of synced sizes).
   double bandwidth_spent = 0.0;
-  /// Bandwidth burned by failed fetch attempts this period (executor path
-  /// only; the inline path never fails). Tracked separately from
+  /// Bandwidth burned by failed fetch attempts this period (0 against a
+  /// sync::PerfectSource, which never fails). Tracked separately from
   /// bandwidth_spent so failures are visible in the period view.
   double wasted_bandwidth = 0.0;
   /// Syncs that exhausted their retries this period (copy left stale).
@@ -79,12 +79,12 @@ class OnlineFreshenLoop {
     /// controller options name their own, the controller's too). nullptr
     /// means the process-wide obs::MetricsRegistry::Global().
     obs::MetricsRegistry* registry = nullptr;
-    /// When set, due syncs are routed through this executor instead of
-    /// applying instantly: a fetch that fails (or is refused by the breaker
-    /// or queue) leaves the copy stale, and a slow fetch applies late — at
-    /// its scheduled time plus transport latency. Non-owning; must outlive
-    /// the loop. With a sync::PerfectSource behind it, per-period results
-    /// are bit-identical to the inline path on the same seed.
+    /// The executor every due sync is routed through: a fetch that fails
+    /// (or is refused by the breaker or queue) leaves the copy stale, and a
+    /// slow fetch applies late — at its scheduled time plus transport
+    /// latency. Non-owning; must outlive the loop. nullptr means an executor
+    /// the loop owns, over a sync::PerfectSource and reporting into
+    /// `registry`: every sync then applies at its scheduled time.
     sync::SyncExecutor* executor = nullptr;
     /// Optional staleness-attribution ledger. When set, every period feeds
     /// it the mirror's fresh<->stale transitions and accesses, and closes
@@ -172,6 +172,11 @@ class OnlineFreshenLoop {
   // Scratch for the on_period_end hook: distinct elements synced this
   // period (sorted). Reused across periods to avoid reallocation.
   std::vector<uint32_t> synced_scratch_;
+  // The loop's own executor and its source, built only when
+  // Options::executor is null; options_.executor then points at
+  // own_executor_. unique_ptr: the executor holds the source's address.
+  std::unique_ptr<sync::PerfectSource> perfect_source_;
+  std::unique_ptr<sync::SyncExecutor> own_executor_;
 
   // Registry handles (cached once; valid for the registry's lifetime).
   obs::MetricsRegistry* registry_;

@@ -5,8 +5,10 @@
 // only models a single attempt.
 //
 // Two implementations:
-//   PerfectSource   : every attempt succeeds instantly — reproduces the
-//                     inline-sync semantics of OnlineFreshenLoop bit-for-bit.
+//   PerfectSource   : every attempt succeeds instantly, so every sync applies
+//                     at its scheduled time — the paper's idealized
+//                     transport, and what OnlineFreshenLoop runs when it is
+//                     given no executor.
 //   SimulatedSource : configurable latency distribution plus a deterministic,
 //                     seeded fault injector (error rate, stall rate) with a
 //                     master switch. Every attempt's dice roll is a pure
@@ -60,7 +62,7 @@ class Source {
   virtual const char* name() const = 0;
 };
 
-/// The infallible, zero-latency origin: what the inline-sync path assumes.
+/// The infallible, zero-latency origin: the online loop's default.
 class PerfectSource final : public Source {
  public:
   FetchResult Fetch(const FetchRequest& request) override;

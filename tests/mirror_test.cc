@@ -516,7 +516,7 @@ TEST(OnlineLoopTest, RejectsInvalidInput) {
 }
 
 TEST(OnlineLoopTest, SyncAtTimeZeroKeepsItsPhase) {
-  // Element 0's phase offset is 0, so on the inline path its first sync
+  // Element 0's phase offset is 0, so with perfect fetches its first sync
   // lands at exactly t=0. That is a sync like any other: with f < 1 the next
   // one is due 1/f later, not at the next period start.
   ExperimentSpec spec;

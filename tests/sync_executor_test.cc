@@ -1,7 +1,7 @@
 // Tests for the sync executor and its OnlineFreshenLoop integration:
 // determinism, failure semantics, breaker behavior, the admission bound, and
-// the PerfectSource bit-for-bit parity guarantee. Runs under TSan via the
-// `tsan` ctest label.
+// the PerfectSource executor a loop runs when it is given none. Runs under
+// TSan via the `tsan` ctest label.
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -229,8 +229,8 @@ struct LoopRun {
   std::vector<PeriodStats> periods;
 };
 
-// Runs `periods` loop periods with an optional executor, all state isolated
-// in a private registry.
+// Runs `periods` loop periods through `executor` (nullptr: the loop's own),
+// all state isolated in a private registry.
 LoopRun RunLoop(const ElementSet& truth, SyncExecutor* executor, int periods,
                 obs::MetricsRegistry* registry) {
   OnlineFreshenLoop::Options options;
@@ -247,33 +247,27 @@ LoopRun RunLoop(const ElementSet& truth, SyncExecutor* executor, int periods,
   return run;
 }
 
-TEST(OnlineLoopSyncTest, PerfectExecutorMatchesInlinePathBitForBit) {
+TEST(OnlineLoopSyncTest, LoopWithoutExecutorSyncsThroughPerfectExecutor) {
   const ElementSet truth = TestCatalog();
-  obs::MetricsRegistry inline_registry;
-  const LoopRun inline_run = RunLoop(truth, nullptr, 8, &inline_registry);
+  obs::MetricsRegistry registry;
+  const LoopRun run = RunLoop(truth, nullptr, 8, &registry);
+  uint64_t syncs = 0;
+  for (const PeriodStats& stats : run.periods) syncs += stats.syncs;
+  ASSERT_GT(syncs, 0u);
 
-  PerfectSource source;
-  obs::MetricsRegistry executor_registry;
-  SyncExecutor::Options executor_options;
-  executor_options.registry = &executor_registry;
-  auto executor = SyncExecutor::Create(&source, executor_options).value();
-  const LoopRun executor_run =
-      RunLoop(truth, executor.get(), 8, &executor_registry);
-
-  ASSERT_EQ(inline_run.periods.size(), executor_run.periods.size());
-  for (size_t p = 0; p < inline_run.periods.size(); ++p) {
-    const PeriodStats& a = inline_run.periods[p];
-    const PeriodStats& b = executor_run.periods[p];
-    EXPECT_EQ(a.accesses, b.accesses) << "period " << p;
-    EXPECT_EQ(a.syncs, b.syncs) << "period " << p;
-    EXPECT_DOUBLE_EQ(a.bandwidth_spent, b.bandwidth_spent) << "period " << p;
-    EXPECT_DOUBLE_EQ(a.perceived_freshness, b.perceived_freshness)
-        << "period " << p;
-    EXPECT_DOUBLE_EQ(a.mean_access_age, b.mean_access_age) << "period " << p;
-    EXPECT_EQ(a.replanned, b.replanned) << "period " << p;
-    EXPECT_EQ(b.failed_syncs, 0u);
-    EXPECT_EQ(b.wasted_bandwidth, 0.0);
-  }
+  // The loop's own executor reports into the loop's registry.
+  const obs::RegistrySnapshot snapshot = registry.Snapshot();
+  const obs::Labels perfect = {{"source", "perfect"}};
+  const auto value = [&](const char* name) {
+    const obs::MetricSample* sample = snapshot.Find(name, perfect);
+    EXPECT_NE(sample, nullptr) << name;
+    return sample != nullptr ? sample->value : -1.0;
+  };
+  EXPECT_EQ(value("freshen_sync_applied_total"), static_cast<double>(syncs));
+  EXPECT_EQ(value("freshen_sync_failures_total"), 0.0);
+  EXPECT_EQ(value("freshen_sync_dropped_total"), 0.0);
+  EXPECT_EQ(value("freshen_sync_breaker_skipped_total"), 0.0);
+  EXPECT_EQ(value("freshen_sync_wasted_bandwidth_total"), 0.0);
 }
 
 TEST(OnlineLoopSyncTest, InjectedFaultsDegradeFreshnessAndRecover) {
