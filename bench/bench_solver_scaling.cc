@@ -10,7 +10,7 @@
 // converge inside it, the row is marked (budget), echoing the paper's
 // observation.
 //
-// Part 2 times the scan-breakpoint KKT solver at catalog scale (N up to
+// Part 2 times the secant-search KKT solver at catalog scale (N up to
 // 10M) over the freshen::par thread knob, on a Zipf-flavored catalog and on
 // one dominated by a single class of identical elements, beside a 1-thread
 // bisection-oracle row and a planner_exact row (SolveByClasses with one
@@ -19,7 +19,7 @@
 // (median and quartiles). Hard gates, enforced by exit code (the quick-mode
 // run is the bench_solver_scaling_smoke ctest):
 //   * every thread count must reproduce the 1-thread allocation bits;
-//   * the scan-breakpoint mode must reproduce the bisection-oracle
+//   * the secant mode (rows keyed "scan") must reproduce the bisection-oracle
 //     allocation byte-for-byte;
 //   * the planner's class solve must repeat its own bits, match the
 //     bisection oracle's class solve byte-for-byte, and reach at least the
@@ -220,9 +220,9 @@ int main() {
       "KKT solver shows the problem itself is easy once\nits separable "
       "structure is exploited.\n\n");
 
-  // ---- Part 2: scan-breakpoint solver, thread + mode sweep -------------
+  // ---- Part 2: secant-search solver, thread + mode sweep ---------------
   const size_t hardware_threads = par::HardwareThreads();
-  std::printf("== Parallel scaling (scan-breakpoint KKT solver) ==\n");
+  std::printf("== Parallel scaling (secant-search KKT solver) ==\n");
   std::printf(
       "median of %d solves, warmed up, pinned instances; hardware threads: "
       "%zu.\nEvery row must reproduce the 1-thread bits; scan must "
@@ -259,7 +259,7 @@ int main() {
     // Warm-up (untimed): faults in the problem arrays, spins up the shared
     // pool, and exercises both modes' code paths once.
     Allocation scan_baseline;
-    Solver(hardware_threads, MultiplierSearch::kScanBreakpoint)
+    Solver(hardware_threads, MultiplierSearch::kSecant)
         .Solve(problem)
         .value();
 
@@ -283,7 +283,7 @@ int main() {
     double baseline_seconds = 0.0;
     for (size_t threads : thread_counts) {
       const KktWaterFillingSolver solver =
-          Solver(threads, MultiplierSearch::kScanBreakpoint);
+          Solver(threads, MultiplierSearch::kSecant);
       Allocation allocation;
       const bench::Spread seconds = bench::TimeSeconds(
           bench::kRepeats,

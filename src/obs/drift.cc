@@ -65,9 +65,7 @@ void DriftDetector::ObserveSync(size_t element, bool changed, double gap) {
   if (element >= evidence_.size()) return;
   const uint32_t row = evidence_.Observe(element, changed, gap);
   if (row == Evidence::kNoRow) return;
-  double& scored_against = evidence_.payload(row).scored_against;
-  if (!(scored_against == kQueued)) dirty_.push_back(row);
-  scored_against = kQueued;
+  evidence_.payload(row).scored_against = kQueued;
 }
 
 double DriftDetector::ObservedRate(const Evidence::Row& evidence) {
@@ -75,7 +73,7 @@ double DriftDetector::ObservedRate(const Evidence::Row& evidence) {
   // detection ratio c/p, a Poisson change process has
   // rate = -ln(1 - c/p) / (w/p). Cap the ratio so all-changed evidence
   // yields a large finite rate instead of infinity. These are the steps
-  // RescoreSynced's batch takes, with the scalar form of its logarithm, so
+  // RescoreRows' batch takes, with the scalar form of its logarithm, so
   // a reported observed rate is the one its score was taken from.
   const double polls = evidence.polls;
   const double ratio = std::min(evidence.changes / polls, kMaxDetectionRatio);
@@ -83,64 +81,33 @@ double DriftDetector::ObservedRate(const Evidence::Row& evidence) {
                   kRateFloor);
 }
 
-void DriftDetector::RescoreOne(size_t row, double planned) {
-  const double ratio = ObservedRate(evidence_.row(row)) / planned;
-  evidence_.payload(row) = {ScoreFromRatio(ratio, simd::LogPosRef(ratio)),
-                            planned};
-}
-
-void DriftDetector::RescoreSynced(const std::vector<double>& planned_rates) {
-  // Decay scales polls, changes and watched time alike, so the observed
-  // rate moves only when a sync adds evidence. The elements synced since
-  // the last close are rescored here, a chunk at a time: gather the
-  // chunk's evidence, then run each step of ObservedRate and the log ratio
-  // over the whole chunk, the two logarithms through the batch kernels.
-  // Each step is the one RescoreOne takes, so the bits are the same.
-  size_t rows[kSweepChunk];
+void DriftDetector::RescoreRows(const size_t* rows, size_t count,
+                                const std::vector<double>& planned_rates) {
+  // Each step of ObservedRate and the log ratio runs over the whole batch,
+  // the two logarithms through the batch kernels.
   double planned[kSweepChunk];
-  double polls[kSweepChunk];
   double gap[kSweepChunk];
   double x[kSweepChunk];
   double y[kSweepChunk];
-  const size_t n = std::min(evidence_.size(), planned_rates.size());
-  for (size_t begin = 0; begin < dirty_.size(); begin += kSweepChunk) {
-    const size_t end = std::min(dirty_.size(), begin + kSweepChunk);
-    size_t k = 0;
-    for (size_t d = begin; d < end; ++d) {
-      const size_t row = dirty_[d];
-      const size_t i = evidence_.ElementOf(row);
-      if (i >= n || !Scorable(row)) {
-        evidence_.payload(row).scored_against =
-            std::numeric_limits<double>::quiet_NaN();
-        continue;
-      }
-      const Evidence::Row& evidence = evidence_.row(row);
-      rows[k] = row;
-      planned[k] = std::max(planned_rates[i], kRateFloor);
-      polls[k] = evidence.polls;
-      gap[k] = evidence.watched_time;
-      x[k] = evidence.changes;
-      ++k;
-    }
-    for (size_t j = 0; j < k; ++j) {
-      x[j] = -std::min(x[j] / polls[j], kMaxDetectionRatio);
-      gap[j] /= polls[j];
-    }
-    simd::Log1pBatch(x, y, k);
-    for (size_t j = 0; j < k; ++j) {
-      x[j] = std::max(-y[j] / gap[j], kRateFloor) / planned[j];
-    }
-    simd::LogPosBatch(x, y, k);
-    for (size_t j = 0; j < k; ++j) {
-      evidence_.payload(rows[j]) = {ScoreFromRatio(x[j], y[j]), planned[j]};
-    }
+  for (size_t j = 0; j < count; ++j) {
+    const Evidence::Row& evidence = evidence_.row(rows[j]);
+    planned[j] =
+        std::max(planned_rates[evidence_.ElementOf(rows[j])], kRateFloor);
+    x[j] = -std::min(evidence.changes / evidence.polls, kMaxDetectionRatio);
+    gap[j] = evidence.watched_time / evidence.polls;
   }
-  dirty_.clear();
+  simd::Log1pBatch(x, y, count);
+  for (size_t j = 0; j < count; ++j) {
+    x[j] = std::max(-y[j] / gap[j], kRateFloor) / planned[j];
+  }
+  simd::LogPosBatch(x, y, count);
+  for (size_t j = 0; j < count; ++j) {
+    evidence_.payload(rows[j]) = {ScoreFromRatio(x[j], y[j]), planned[j]};
+  }
 }
 
 void DriftDetector::EndPeriod(double now,
                               const std::vector<double>& planned_rates) {
-  RescoreSynced(planned_rates);
   // The sums below run in ascending element id, the order a sweep over
   // every element would take, so they keep its bits.
   evidence_.SortRowsByElement();
@@ -168,26 +135,41 @@ void DriftDetector::EndPeriod(double now,
   size_t num_rows = evidence_.rows();
   while (num_rows > 0 && evidence_.ElementOf(num_rows - 1) >= n) --num_rows;
   Candidate candidates[kSweepChunk];
-  // One sweep over the rows: aggregate and rank, a chunk at a time. The
-  // loop over a chunk makes no call on its hot path, so the sums stay in
-  // registers.
+  // Decay scales polls, changes and watched time alike, so a score goes
+  // stale only when a sync adds evidence (and queues the row) or a replan
+  // moves the row's planned rate. `stale` collects the scorable rows of one
+  // chunk whose score is stale. The collection has no branch per row:
+  // every row is written to the next slot, which only a stale row keeps.
+  size_t stale[kSweepChunk];
+  size_t num_stale = 0;
+  const auto collect_if_stale = [&](size_t row) {
+    const double planned =
+        std::max(planned_rates[evidence_.ElementOf(row)], kRateFloor);
+    stale[num_stale] = row;
+    num_stale += Scorable(row) &
+                 (evidence_.row(row).payload.scored_against != planned);
+  };
+  for (size_t row = 0; row < std::min(num_rows, kSweepChunk); ++row) {
+    collect_if_stale(row);
+  }
+  // One sweep over the rows, a chunk at a time: rescore the chunk's stale
+  // rows in one batch, then aggregate and rank it while collecting the
+  // next chunk's stale rows. The aggregate's sums form a chain of
+  // dependent additions, and the collection runs in its shadow; the loop
+  // makes no call, so the sums stay in registers.
   for (size_t begin = 0; begin < num_rows; begin += kSweepChunk) {
     const size_t end = std::min(num_rows, begin + kSweepChunk);
+    RescoreRows(stale, num_stale, planned_rates);
+    num_stale = 0;
     // Elements that may enter the top-k against the chunk's opening cutoff
     // are copied out.
     const bool open = top.size() < top_k;
     const double cutoff = open ? 0.0 : top.back().score;
     size_t m = 0;
     for (size_t row = begin; row < end; ++row) {
+      if (row + kSweepChunk < num_rows) collect_if_stale(row + kSweepChunk);
       if (!Scorable(row)) continue;
-      // A replan may have moved the planned rate of an element that saw no
-      // sync.
-      const double planned =
-          std::max(planned_rates[evidence_.ElementOf(row)], kRateFloor);
       const Evidence::Row& evidence = evidence_.row(row);
-      if (evidence.payload.scored_against != planned) [[unlikely]] {
-        RescoreOne(row, planned);
-      }
       const double score = evidence.payload.score;
       const double polls = evidence.polls;
       ++scored_elements;

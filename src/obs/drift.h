@@ -132,9 +132,9 @@ class DriftDetector {
   explicit DriftDetector(Options options);
 
   // One evidence row's last score and the planned rate it was scored
-  // against. A sync queues the row in dirty_ and marks it queued
-  // (a negative scored_against); NaN while it has too little evidence to
-  // be scored.
+  // against. A sync marks the row queued (a negative scored_against, below
+  // any floored planned rate), so the next EndPeriod rescores it. NaN
+  // before the row's first sync.
   struct Score {
     double score = 0.0;
     double scored_against = std::numeric_limits<double>::quiet_NaN();
@@ -151,20 +151,15 @@ class DriftDetector {
   // The plain Poisson observed rate from an evidence row.
   static double ObservedRate(const Evidence::Row& evidence);
 
-  // Scores the row against `planned` (one lane of RescoreSynced).
-  [[gnu::cold, gnu::noinline]] void RescoreOne(size_t row, double planned);
-
-  // Rescores, in batches, the scorable elements synced since the last
-  // EndPeriod, and empties dirty_.
-  void RescoreSynced(const std::vector<double>& planned_rates);
+  // Scores `rows` (at most one sweep chunk of them, each of an element <
+  // planned_rates.size()) against their planned rates, in one batch.
+  void RescoreRows(const size_t* rows, size_t count,
+                   const std::vector<double>& planned_rates);
 
   Options options_;
   // Decayed polls, detected changes and watched time of every element
   // that has synced, each row with its score.
   Evidence evidence_;
-  // Rows synced since the last EndPeriod, each once. Rows move only in
-  // SortRowsByElement, which EndPeriod calls after emptying dirty_.
-  std::vector<uint32_t> dirty_;
 
   // Reader-shared state. unique_ptr keeps the detector movable.
   std::unique_ptr<std::mutex> mu_;

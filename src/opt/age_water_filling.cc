@@ -73,12 +73,10 @@ Result<Allocation> AgeWaterFillingSolver::Solve(
   auto spend_at = [&](double mu) { return eval.SpendAt(mu); };
 
   // spend(mu) decreases from +inf (mu -> 0) to 0 (mu -> inf): unlike the
-  // freshness problem there is no finite mu_max (mu_hi_hint = 0 brackets
-  // upward) and no activation thresholds (h is unbounded: no element is
-  // ever priced out, so there are no breakpoints to scan).
+  // freshness problem there is no finite mu_max, so mu_hi_hint = 0 brackets
+  // upward (h is unbounded: no element is ever priced out).
   const GridSearchResult search = SolveMultiplierOnGrid(
-      spend_at, problem.bandwidth, /*mu_hi_hint=*/0.0, options_.search,
-      /*gather_thresholds=*/nullptr, options_.max_iterations);
+      spend_at, problem.bandwidth, /*mu_hi_hint=*/0.0, options_.search);
   const double mu = search.mu;
   std::vector<double> frequencies(active);
   eval.FillFrequenciesAt(mu, &frequencies);

@@ -32,19 +32,13 @@ namespace freshen {
 class AgeWaterFillingSolver {
  public:
   struct Options {
-    /// Soft cap on multiplier-search spend evaluations (the search
-    /// otherwise runs until the multiplier lattice interval collapses to
-    /// adjacency; any budget residual is removed exactly by a final
-    /// proportional rescale).
-    int max_iterations = 400;
     /// Worker threads for the sharded reductions (0 = hardware
     /// concurrency). Purely an execution knob: the allocation is
     /// bit-identical at every thread count (see common/parallel.h).
     size_t threads = 0;
     /// Multiplier search strategy; both modes return byte-identical
-    /// allocations (see opt/scan_breakpoint.h). h has no activation
-    /// thresholds, so scan mode here is secant + lattice bisection.
-    MultiplierSearch search = MultiplierSearch::kScanBreakpoint;
+    /// allocations (see opt/scan_breakpoint.h).
+    MultiplierSearch search = MultiplierSearch::kSecant;
   };
 
   AgeWaterFillingSolver() = default;

@@ -152,10 +152,7 @@ void BreakpointSpendEvaluator::FillFrequenciesAt(
 
 GridSearchResult SolveMultiplierOnGrid(
     const std::function<double(double)>& spend_at, double budget,
-    double mu_hi_hint, MultiplierSearch mode,
-    const std::function<void(double lo, double hi, std::vector<double>*)>*
-        gather_thresholds,
-    int max_probes) {
+    double mu_hi_hint, MultiplierSearch mode) {
   FRESHEN_CHECK(budget > 0.0);
   GridSearchResult out;
   auto probe = [&](double mu) {
@@ -164,8 +161,9 @@ GridSearchResult SolveMultiplierOnGrid(
   };
 
   // Upper edge: a lattice point with spend <= budget. The bracket phases
-  // ignore max_probes — they are bounded by the representable range of mu —
-  // so a valid (P, not-P) pair always exists before the cap can bite.
+  // ignore kMaxSpendEvaluations — they are bounded by the representable
+  // range of mu — so a valid (P, not-P) pair always exists before the cap
+  // can bite.
   double hi;
   double spend_hi;
   if (mu_hi_hint > 0.0) {
@@ -204,32 +202,21 @@ GridSearchResult SolveMultiplierOnGrid(
     x = cand;
   }
 
-  if (mode == MultiplierSearch::kBisectionOracle) {
-    // Plain lattice bisection: ~36 probes per bracket binade. This is the
-    // oracle path — structurally independent of everything below, yet lands
-    // on the same lattice edge because the flip is unique.
-    while (MuLatticeDistance(lo, hi) > 1 && out.probes < max_probes) {
-      const double mid = MuLatticeMidpoint(lo, hi);
-      if (probe(mid) > budget) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    out.mu = hi;
-    return out;
-  }
-
-  // Stage 1: Illinois secant in (log mu, phi) space. Collapses the bracket
-  // to a few lattice steps in ~6-10 probes where bisection needs ~36 per
-  // binade.
+  // Stage 1, kSecant only: Illinois secant in (log mu, phi) space.
+  // Collapses the bracket to a few lattice steps in ~10-18 probes on the
+  // measured catalogs, where bisection needs ~36 per binade. The oracle skips it and bisects the
+  // whole bracket: a probe path structurally independent of the secant's,
+  // yet landing on the same lattice edge because the flip is unique.
   double t_lo = std::log(lo);
   double t_hi = std::log(hi);
   double phi_lo = Phi(spend_lo, budget);
   double phi_hi = Phi(spend_hi, budget);
   int last_side = 0;  // -1: last probe replaced lo; +1: replaced hi.
-  while (MuLatticeDistance(lo, hi) > 8 && out.probes < max_probes) {
-    if (!(phi_lo > 0.0) || !(phi_hi < 0.0)) break;  // Flat side: bisect.
+  while (mode == MultiplierSearch::kSecant && MuLatticeDistance(lo, hi) > 8 &&
+         out.probes < kMaxSpendEvaluations) {
+    // A probe whose spend equals the budget has phi = 0; the secant then
+    // lands next to it, which settles the flip in one more probe.
+    if (!(phi_lo > phi_hi)) break;  // Flat: bisect.
     const double t = t_lo - phi_lo * (t_hi - t_lo) / (phi_hi - phi_lo);
     double cand = MuLatticeRound(std::exp(t));
     const double inner_lo = MuLatticeNext(lo);
@@ -252,41 +239,9 @@ GridSearchResult SolveMultiplierOnGrid(
     }
   }
 
-  // Stage 2: breakpoint scan. Pin the crossing between adjacent activation
-  // thresholds: gather every threshold inside the band, sort (this is the
-  // "sorted by activation threshold" order — only materialized for the
-  // handful of elements whose cutoff lies within a few lattice steps of
-  // mu*), and binary-search the flip over the thresholds' bracketing
-  // lattice points with full sharded spend evaluations.
-  if (gather_thresholds != nullptr && MuLatticeDistance(lo, hi) > 1) {
-    std::vector<double> band;
-    (*gather_thresholds)(lo, hi, &band);
-    std::sort(band.begin(), band.end());
-    std::vector<double> cands;
-    cands.reserve(2 * band.size());
-    for (double threshold : band) {
-      for (double c : {MuLatticeFloor(threshold), MuLatticeCeil(threshold)}) {
-        if (c > lo && c < hi) cands.push_back(c);
-      }
-    }
-    std::sort(cands.begin(), cands.end());
-    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
-    size_t a = 0;
-    size_t b = cands.size();
-    while (a < b && out.probes < max_probes) {
-      const size_t mid = (a + b) / 2;
-      if (probe(cands[mid]) > budget) {
-        lo = cands[mid];
-        a = mid + 1;
-      } else {
-        hi = cands[mid];
-        b = mid;
-      }
-    }
-  }
-
-  // Stage 3: finish with lattice bisection down to the adjacent pair.
-  while (MuLatticeDistance(lo, hi) > 1 && out.probes < max_probes) {
+  // Stage 2: lattice bisection down to the adjacent pair.
+  while (MuLatticeDistance(lo, hi) > 1 &&
+         out.probes < kMaxSpendEvaluations) {
     const double mid = MuLatticeMidpoint(lo, hi);
     if (probe(mid) > budget) {
       lo = mid;

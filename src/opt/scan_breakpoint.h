@@ -25,25 +25,24 @@
 // smallest lattice multiplier whose spend is within budget.
 //
 // That uniqueness is what the two search modes exploit:
-//   * kScanBreakpoint (default): geometric descent to bracket, secant
-//     (Illinois) in log-log space to collapse the bracket to a few lattice
-//     steps, then a scan of the activation-threshold breakpoints inside the
-//     band — elements sorted by the mu at which they leave the schedule,
-//     binary-searched with full sharded spend evaluations — and a final
-//     lattice bisection. ~15 spend evaluations total, independent of N.
+//   * kSecant (default): geometric descent to bracket, secant (Illinois)
+//     in log-log space to collapse the bracket to a few lattice steps, then
+//     lattice bisection down to the adjacent pair. ~22-28 spend evaluations
+//     per solve on the measured catalogs (N = 10k to 500k), about 40% of
+//     them bracketing.
 //   * kBisectionOracle: plain lattice bisection from the same initial
 //     bracket. ~50 evaluations; structurally different probe path kept as
 //     the verification oracle: byte-equal results at every thread count
 //     AND between the two modes (tests/scan_breakpoint_test.cc).
 //
-// Honest deviation from the classic prefix-sum breakpoint scan: for these
-// kernels the per-element spend at the breakpoint depends on mu itself
-// (f_k(mu) = lambda_k / g^{-1}(mu c_k l_k / w_k) is not piecewise-constant
-// or -linear between cutoffs), so no static prefix sum over sorted
-// thresholds can read off mu* exactly. The scan here pins mu* to a
-// breakpoint-free lattice interval (the "between adjacent prefix sums"
-// step, with evaluations instead of sums); the lattice bisection inside
-// that interval is exact by the margin argument above.
+// Spend jumps down where an element is priced out (its activation
+// threshold). Both narrowing stages keep a valid (P, not-P) bracket across
+// such a jump, so a threshold inside the band can cost probes, never bits.
+// When the budget falls inside a large jump, the secant's residual (log of
+// spend over budget) stays away from zero on both sides and it cuts the
+// bracket by a fixed ratio per probe; there it can take more probes than
+// the oracle (docs/performance.md, "One
+// multiplier search, one drift rescore").
 #ifndef FRESHEN_OPT_SCAN_BREAKPOINT_H_
 #define FRESHEN_OPT_SCAN_BREAKPOINT_H_
 
@@ -120,9 +119,15 @@ inline uint64_t MuLatticeDistance(double a, double b) {
 // ---------------------------------------------------------------------------
 
 enum class MultiplierSearch {
-  kScanBreakpoint,   // Secant + breakpoint scan (default).
+  kSecant,           // Secant, then lattice bisection (default).
   kBisectionOracle,  // Plain lattice bisection (verification oracle).
 };
+
+/// Cap on the spend evaluations of one search's narrowing stages (the
+/// bracketing stages are bounded by the representable range of mu and
+/// ignore it): an exhausted cap returns the current upper edge, coarser but
+/// valid. ~8x more than the oracle mode ever uses.
+inline constexpr int kMaxSpendEvaluations = 400;
 
 struct GridSearchResult {
   /// The smallest lattice multiplier with spend(mu) <= budget.
@@ -141,23 +146,9 @@ struct GridSearchResult {
 /// freshness solver's mu_max; escalated by doubling if not). With
 /// mu_hi_hint == 0 it brackets upward from 1.0 (the age solver's unbounded
 /// multiplier).
-///
-/// `gather_thresholds`, if non-null, appends to its output every activation
-/// threshold (the exact mu at which some element's frequency reaches zero)
-/// strictly inside (lo, hi); used by scan mode to pin mu* between adjacent
-/// breakpoints. Pass nullptr when elements never deactivate (age solver).
-///
-/// `max_probes` soft-caps spend evaluations in the narrowing stages (the
-/// bracketing stages are bounded by the representable range of mu and
-/// ignore it): an exhausted cap returns the current upper edge, coarser but
-/// valid — mirroring the old bisection's max_iterations semantics. The
-/// default solver cap (400) is ~8x more than the oracle mode ever uses.
 GridSearchResult SolveMultiplierOnGrid(
     const std::function<double(double)>& spend_at, double budget,
-    double mu_hi_hint, MultiplierSearch mode,
-    const std::function<void(double lo, double hi, std::vector<double>*)>*
-        gather_thresholds,
-    int max_probes);
+    double mu_hi_hint, MultiplierSearch mode);
 
 // ---------------------------------------------------------------------------
 // Spend evaluation

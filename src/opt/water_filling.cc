@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 
 #include "common/macros.h"
 #include "common/parallel.h"
@@ -96,24 +95,13 @@ Result<Allocation> KktWaterFillingSolver::Solve(
                                 ratio, lambda, spend_scale, &exec);
   auto spend_at = [&](double mu) { return eval.SpendAt(mu); };
 
-  // Activation thresholds inside a band: element k leaves the schedule at
-  // mu = 1/ratio[k] (its marginal value at f -> 0+).
-  std::function<void(double, double, std::vector<double>*)> gather =
-      [&](double lo, double hi, std::vector<double>* band) {
-        for (size_t k = 0; k < active; ++k) {
-          const double threshold = 1.0 / ratio[k];
-          if (threshold > lo && threshold < hi) band->push_back(threshold);
-        }
-      };
-
   // spend(mu) decreases from +inf (mu -> 0) to 0 (mu = mu_max): find the
   // unique lattice flip. Matching the budget alone would NOT pin mu
   // (near-cutoff elements make f(mu) arbitrarily sensitive, so a
   // loosely-resolved mu reproduces the spend while distorting the
   // allocation mix); the lattice edge is exact and search-path-free.
   const GridSearchResult search = SolveMultiplierOnGrid(
-      spend_at, problem.bandwidth, mu_max, options_.search, &gather,
-      options_.max_iterations);
+      spend_at, problem.bandwidth, mu_max, options_.search);
   // mu is the under-spending lattice edge, so the residual is non-negative.
   const double mu = search.mu;
   // Cold-started fill: a pure function of mu, byte-identical regardless of

@@ -10,9 +10,9 @@
 // Substituting dF/df = g(l/f)/l gives g(r_i) = mu * c_i * l_i / w_i, so
 // f_i(mu) = l_i / g^{-1}(mu c_i l_i / w_i) — strictly decreasing in mu.
 // Total spend(mu) is therefore strictly decreasing, and the budget-matching
-// mu is found on a fixed multiplier lattice by the scan-breakpoint search
-// (opt/scan_breakpoint.h): secant narrowing plus an activation-threshold
-// scan, ~15 sharded SIMD spend evaluations regardless of N, with a plain
+// mu is found on a fixed multiplier lattice (opt/scan_breakpoint.h):
+// bracketing, secant narrowing and a lattice bisection, ~22-28 sharded SIMD
+// spend evaluations per solve on the measured catalogs, with a plain
 // lattice-bisection oracle retained for verification. This is the "solution
 // for small cases" of the paper made exact at any scale, standing in for
 // the IMSL nonlinear-programming package (see DESIGN.md substitutions).
@@ -30,19 +30,15 @@ namespace freshen {
 class KktWaterFillingSolver {
  public:
   struct Options {
-    /// Soft cap on multiplier-search spend evaluations (the search
-    /// otherwise runs until the multiplier lattice interval collapses to
-    /// adjacency; any budget residual is removed exactly afterwards).
-    int max_iterations = 400;
     /// Worker threads for the sharded reductions (0 = hardware
     /// concurrency). Purely an execution knob: the allocation is
     /// bit-identical at every thread count (see common/parallel.h).
     size_t threads = 0;
     /// Multiplier search strategy. Both modes return byte-identical
     /// allocations (the lattice flip they converge to is unique — see
-    /// opt/scan_breakpoint.h); kBisectionOracle simply takes ~4x more
-    /// spend evaluations and exists to verify that claim.
-    MultiplierSearch search = MultiplierSearch::kScanBreakpoint;
+    /// opt/scan_breakpoint.h); kBisectionOracle takes about twice as
+    /// many spend evaluations and exists to verify that claim.
+    MultiplierSearch search = MultiplierSearch::kSecant;
   };
 
   KktWaterFillingSolver() = default;

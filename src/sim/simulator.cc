@@ -361,18 +361,13 @@ Result<SimulationResult> MirrorSimulator::Run(
   // float rounding of a timeline fed by this run.
   if (prob_total > 0.0) {
     const double span = horizon - warmup;
-    double sum = 0.0;
-    double comp = 0.0;
+    KahanSum sum;
     for (size_t i = 0; i < n; ++i) {
       const double w = probs[i] / prob_total;
       const double stale = std::min(std::max(stale_time[i], 0.0), span);
-      const double term = w * (1.0 - stale / span);
-      const double y = term - comp;
-      const double t = sum + y;
-      comp = (t - sum) - y;
-      sum = t;
+      sum.Add(w * (1.0 - stale / span));
     }
-    result.measured_weighted_freshness = sum;
+    result.measured_weighted_freshness = sum.Total();
   }
 
   // Whole-horizon event counts (the post-warmup subset is in `result`).

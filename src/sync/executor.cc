@@ -95,8 +95,6 @@ SyncExecutor::SyncExecutor(Source* source, Options options)
 std::vector<SyncOutcome> SyncExecutor::Execute(
     const std::vector<SyncTask>& tasks) {
   obs::ScopedSpan span("sync_execute", *registry_);
-  last_stats_ = ExecuteStats{};
-  last_stats_.tasks = tasks.size();
   tasks_counter_->Add(static_cast<double>(tasks.size()));
 
   // Deterministic task order: scheduled time, element as tie-break.
@@ -147,7 +145,6 @@ std::vector<SyncOutcome> SyncExecutor::Execute(
     const double element = static_cast<double>(task.element);
     if (rank >= options_.queue_capacity) {
       outcome.kind = SyncOutcomeKind::kDropped;
-      ++last_stats_.dropped;
       dropped_counter_->Increment();
       EmitSyncEvent(recorder, "sync_dropped", task.time, element, 0.0,
                     nullptr);
@@ -158,7 +155,6 @@ std::vector<SyncOutcome> SyncExecutor::Execute(
     note_breaker(task.time);
     if (!breaker_.AllowRequest(task.time)) {
       outcome.kind = SyncOutcomeKind::kBreakerOpen;
-      ++last_stats_.breaker_open;
       breaker_skipped_counter_->Increment();
       EmitSyncEvent(recorder, "sync_breaker_skip", task.time, element, 0.0,
                     nullptr);
@@ -177,10 +173,8 @@ std::vector<SyncOutcome> SyncExecutor::Execute(
       const double latency =
           std::min(fetched.latency_seconds, kAttemptTimeoutSeconds);
       outcome.attempts += 1;
-      ++last_stats_.attempts;
       attempts_counter_->Increment();
       if (attempt > 0) {
-        ++last_stats_.retries;
         retries_counter_->Increment();
         EmitSyncEvent(recorder, "sync_retry", now, element,
                       static_cast<double>(attempt), "attempt");
@@ -204,20 +198,17 @@ std::vector<SyncOutcome> SyncExecutor::Execute(
         now += backoff;
       }
     }
-    last_stats_.wasted_bandwidth += outcome.wasted_bandwidth;
     if (success) {
       outcome.kind = SyncOutcomeKind::kApplied;
       // Scheduled time plus the transport time elapsed, added in that
       // order: `now` itself can differ in the last bit, and the loop's
       // golden outputs pin apply times computed this way.
       outcome.apply_time = task.time + (now - task.time);
-      ++last_stats_.applied;
       applied_counter_->Increment();
       EmitSyncEvent(recorder, "sync_applied", now, element,
                     static_cast<double>(outcome.attempts), "attempts");
     } else {
       outcome.kind = SyncOutcomeKind::kFailed;
-      ++last_stats_.failed;
       failures_counter_->Increment();
       EmitSyncEvent(recorder, "sync_failed", now, element,
                     static_cast<double>(outcome.attempts), "attempts");

@@ -74,18 +74,6 @@ struct SyncOutcome {
   double wasted_bandwidth = 0.0;
 };
 
-/// Aggregate view of one Execute call (sums over its outcomes).
-struct ExecuteStats {
-  uint64_t tasks = 0;
-  uint64_t applied = 0;
-  uint64_t failed = 0;
-  uint64_t breaker_open = 0;
-  uint64_t dropped = 0;
-  uint64_t attempts = 0;
-  uint64_t retries = 0;
-  double wasted_bandwidth = 0.0;
-};
-
 /// Executes batches of due syncs against one Source, in scheduled order.
 /// Create() builds it on the heap. Thread-compatible: Execute is meant to be
 /// called from one thread at a time.
@@ -118,9 +106,6 @@ class SyncExecutor {
   /// across calls for breaker cool-downs to behave.
   std::vector<SyncOutcome> Execute(const std::vector<SyncTask>& tasks);
 
-  /// Aggregate counters for the most recent Execute call.
-  const ExecuteStats& last_stats() const { return last_stats_; }
-
   /// The breaker, for inspection (state(), open_transitions()).
   const CircuitBreaker& breaker() const { return breaker_; }
 
@@ -133,7 +118,6 @@ class SyncExecutor {
   Rng backoff_rng_;
   uint64_t next_seq_ = 0;
   uint64_t breaker_opens_seen_ = 0;
-  ExecuteStats last_stats_;
 
   // Cached registry handles (valid for the registry's lifetime).
   obs::Counter* tasks_counter_;

@@ -316,7 +316,7 @@ TEST(PlannerClassTest, PlantedClassesMatchOrBeatThePerElementSolve) {
               << "rows " << first << " and " << i;
         }
 
-        for (MultiplierSearch search : {MultiplierSearch::kScanBreakpoint,
+        for (MultiplierSearch search : {MultiplierSearch::kSecant,
                                         MultiplierSearch::kBisectionOracle}) {
           for (size_t threads : {1u, 2u, 4u, 8u}) {
             KktWaterFillingSolver::Options solver_options;

@@ -5,7 +5,7 @@
 //      midpoint/distance never round, so every search path speaks the same
 //      set of candidate multipliers.
 //   2. The spend predicate has a unique flip on that lattice, so the
-//      scan-breakpoint search and the plain bisection oracle — structurally
+//      secant search and the plain bisection oracle — structurally
 //      different probe sequences — must produce BYTE-identical allocations,
 //      at every thread count. These tests enforce that with memcmp, not
 //      tolerances. Thread-sweep tests run under `ctest -L tsan` in a
@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <string>
 #include <utility>
@@ -120,6 +121,82 @@ TEST(MuLatticeTest, MidpointBisectsStrictly) {
 }
 
 // ---------------------------------------------------------------------------
+// The search alone, over synthetic monotone spend functions.
+// ---------------------------------------------------------------------------
+
+struct BothModes {
+  GridSearchResult secant;
+  GridSearchResult oracle;
+};
+
+// Runs SolveMultiplierOnGrid in both modes and checks what each returns: a
+// lattice point, the flip itself (spend(mu) <= budget < spend one lattice
+// step below), and the same mu from both modes.
+BothModes CheckSearchFindsTheFlip(const std::function<double(double)>& spend,
+                                  double budget, double mu_hi_hint) {
+  const BothModes found = {
+      SolveMultiplierOnGrid(spend, budget, mu_hi_hint,
+                            MultiplierSearch::kSecant),
+      SolveMultiplierOnGrid(spend, budget, mu_hi_hint,
+                            MultiplierSearch::kBisectionOracle)};
+  for (const GridSearchResult& mode : {found.secant, found.oracle}) {
+    EXPECT_TRUE(IsMuLatticePoint(mode.mu)) << mode.mu;
+    EXPECT_LE(spend(mode.mu), budget) << mode.mu;
+    EXPECT_GT(spend(MuLatticePrev(mode.mu)), budget) << mode.mu;
+  }
+  EXPECT_TRUE(SameBits(found.secant.mu, found.oracle.mu))
+      << "secant=" << found.secant.mu << " oracle=" << found.oracle.mu;
+  return found;
+}
+
+TEST(MultiplierSearchTest, SmoothPowerLawLandsOnTheFlip) {
+  // spend(mu) = a * mu^-p, the shape the secant's log-log model assumes.
+  for (double p : {0.4, 1.0, 2.5}) {
+    const auto spend = [p](double mu) { return 1000.0 * std::pow(mu, -p); };
+    for (double budget : {1e-3, 0.7, 37.5, 1e6}) {
+      SCOPED_TRACE(testing::Message() << "p=" << p << " budget=" << budget);
+      // No hint, as in the age solver, and a hint above the flip, as the
+      // freshness solver's mu_max is.
+      const double flip = std::pow(1000.0 / budget, 1.0 / p);
+      for (double hint : {0.0, flip * 3.0}) {
+        const BothModes found = CheckSearchFindsTheFlip(spend, budget, hint);
+        EXPECT_LE(found.secant.probes, found.oracle.probes)
+            << "secant=" << found.secant.probes
+            << " oracle=" << found.oracle.probes;
+      }
+    }
+  }
+}
+
+TEST(MultiplierSearchTest, BudgetInsideADownwardJumpLandsOnTheThreshold) {
+  // A smooth spend plus a block of spend that drops out at `threshold`, as
+  // a group of elements priced out at one activation threshold. Every
+  // budget inside the jump has its flip at the threshold itself.
+  //
+  // The probe counts are not compared here. Inside a jump phi stays away
+  // from zero on both sides, so the Illinois secant cuts the bracket by a
+  // fixed ratio per probe rather than converging; it takes up to ~2.7x the
+  // oracle's probes on such a spend (docs/performance.md, "One multiplier
+  // search, one drift rescore"). What it must still do is land on the flip.
+  for (double threshold : {0.37, 5.0, 1234.5}) {
+    const auto base = [](double mu) { return 100.0 / mu; };
+    const double jump = 0.5 * base(threshold);
+    const auto spend = [&](double mu) {
+      return base(mu) + (mu < threshold ? jump : 0.0);
+    };
+    for (double inside : {0.01, 0.5, 0.99}) {
+      const double budget = base(threshold) + inside * jump;
+      SCOPED_TRACE(testing::Message() << "threshold=" << threshold
+                                      << " budget=" << budget);
+      for (double hint : {0.0, threshold * 10.0}) {
+        EXPECT_EQ(CheckSearchFindsTheFlip(spend, budget, hint).secant.mu,
+                  MuLatticeCeil(threshold));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Scan vs oracle: byte-identical allocations.
 // ---------------------------------------------------------------------------
 
@@ -172,7 +249,7 @@ TEST(ScanBreakpointTest, ScanMatchesOracleByteForByteOnRandomProblems) {
       for (double budget_factor : {0.01, 0.3, 2.0}) {
         const CoreProblem problem = RandomProblem(n, seed, budget_factor);
         const Allocation scan =
-            SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, 1);
+            SolveFreshness(problem, MultiplierSearch::kSecant, 1);
         const Allocation oracle =
             SolveFreshness(problem, MultiplierSearch::kBisectionOracle, 1);
         ASSERT_TRUE(SameBits(scan.multiplier, oracle.multiplier))
@@ -191,7 +268,7 @@ TEST(ScanBreakpointTest, AgeScanMatchesOracleByteForByte) {
       for (double budget_factor : {0.05, 1.0}) {
         const CoreProblem problem = RandomProblem(n, seed, budget_factor);
         const Allocation scan =
-            SolveAge(problem, MultiplierSearch::kScanBreakpoint, 1);
+            SolveAge(problem, MultiplierSearch::kSecant, 1);
         const Allocation oracle =
             SolveAge(problem, MultiplierSearch::kBisectionOracle, 1);
         ASSERT_TRUE(SameBits(scan.multiplier, oracle.multiplier))
@@ -204,9 +281,9 @@ TEST(ScanBreakpointTest, AgeScanMatchesOracleByteForByte) {
 }
 
 TEST(ScanBreakpointTest, TiedBreakpointsStayByteIdentical) {
-  // 64 copies of the same row: every activation threshold coincides, the
-  // worst case for the breakpoint scan's sort/unique band. Symmetric
-  // elements must also receive identical frequencies.
+  // 64 copies of the same row: every activation threshold coincides, so
+  // spend drops by the whole catalog's share at one mu. Symmetric elements
+  // must also receive identical frequencies.
   CoreProblem problem;
   problem.weights.assign(64, 0.7);
   problem.change_rates.assign(64, 2.5);
@@ -214,7 +291,7 @@ TEST(ScanBreakpointTest, TiedBreakpointsStayByteIdentical) {
   for (double budget_factor : {1e-6, 0.1, 3.0}) {
     problem.bandwidth = budget_factor * 64 * 1.3 * 2.5;
     const Allocation scan =
-        SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, 1);
+        SolveFreshness(problem, MultiplierSearch::kSecant, 1);
     const Allocation oracle =
         SolveFreshness(problem, MultiplierSearch::kBisectionOracle, 1);
     ASSERT_TRUE(SameBytes(scan.frequencies, oracle.frequencies))
@@ -251,9 +328,9 @@ TEST(ScanBreakpointTest, TiedBreakpointsStayByteIdentical) {
   for (double budget : {40.0, 55.0}) {
     groups.bandwidth = budget;
     const Allocation reference =
-        SolveFreshness(groups, MultiplierSearch::kScanBreakpoint, 1);
+        SolveFreshness(groups, MultiplierSearch::kSecant, 1);
     for (size_t threads : {1, 4}) {
-      for (MultiplierSearch mode : {MultiplierSearch::kScanBreakpoint,
+      for (MultiplierSearch mode : {MultiplierSearch::kSecant,
                                     MultiplierSearch::kBisectionOracle}) {
         ASSERT_TRUE(
             SameBytes(SolveFreshness(groups, mode, threads).frequencies,
@@ -279,7 +356,7 @@ TEST(ScanBreakpointTest, DegenerateProblemsAgreeAcrossModes) {
     CoreProblem empty;
     empty.bandwidth = 1.0;
     KktWaterFillingSolver::Options options;
-    for (MultiplierSearch mode : {MultiplierSearch::kScanBreakpoint,
+    for (MultiplierSearch mode : {MultiplierSearch::kSecant,
                                   MultiplierSearch::kBisectionOracle}) {
       options.search = mode;
       EXPECT_FALSE(KktWaterFillingSolver(options).Solve(empty).ok());
@@ -293,7 +370,7 @@ TEST(ScanBreakpointTest, DegenerateProblemsAgreeAcrossModes) {
     one.costs = {2.0};
     one.bandwidth = 5.0;
     const Allocation scan =
-        SolveFreshness(one, MultiplierSearch::kScanBreakpoint, 1);
+        SolveFreshness(one, MultiplierSearch::kSecant, 1);
     const Allocation oracle =
         SolveFreshness(one, MultiplierSearch::kBisectionOracle, 1);
     ASSERT_TRUE(SameBytes(scan.frequencies, oracle.frequencies));
@@ -308,7 +385,7 @@ TEST(ScanBreakpointTest, DegenerateProblemsAgreeAcrossModes) {
     inert.costs = {1.0, 1.0, 1.0};
     inert.bandwidth = 1.0;
     const Allocation scan =
-        SolveFreshness(inert, MultiplierSearch::kScanBreakpoint, 1);
+        SolveFreshness(inert, MultiplierSearch::kSecant, 1);
     const Allocation oracle =
         SolveFreshness(inert, MultiplierSearch::kBisectionOracle, 1);
     ASSERT_TRUE(SameBytes(scan.frequencies, oracle.frequencies));
@@ -332,7 +409,7 @@ TEST(ScanBreakpointTest, DegenerateProblemsAgreeAcrossModes) {
     }
     rich.bandwidth = 5.0 * scale;
     const Allocation scan =
-        SolveFreshness(rich, MultiplierSearch::kScanBreakpoint, 1);
+        SolveFreshness(rich, MultiplierSearch::kSecant, 1);
     const Allocation oracle =
         SolveFreshness(rich, MultiplierSearch::kBisectionOracle, 1);
     ASSERT_TRUE(SameBytes(scan.frequencies, oracle.frequencies));
@@ -343,11 +420,12 @@ TEST(ScanBreakpointTest, DegenerateProblemsAgreeAcrossModes) {
 }
 
 TEST(ScanBreakpointTest, ScanUsesFewerProbesThanOracle) {
-  // The point of the scan: ~15 spend evaluations instead of the oracle's
-  // full lattice bisection (~50). `iterations` reports probe counts.
+  // The point of the secant: ~20-30 spend evaluations instead of the
+  // oracle's full lattice bisection (~50). `iterations` reports probe
+  // counts.
   const CoreProblem problem = RandomProblem(5000, 99, 0.2);
   const Allocation scan =
-      SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, 1);
+      SolveFreshness(problem, MultiplierSearch::kSecant, 1);
   const Allocation oracle =
       SolveFreshness(problem, MultiplierSearch::kBisectionOracle, 1);
   EXPECT_LT(scan.iterations, oracle.iterations)
@@ -360,7 +438,7 @@ TEST(ScanBreakpointTest, AllocationIsByteIdenticalAcrossThreadCounts) {
   // fill — at 1/2/4/8 threads, both modes, both solvers. memcmp, not
   // tolerance: this is the determinism contract end to end.
   const CoreProblem problem = RandomProblem(20000, 123, 0.15);
-  for (MultiplierSearch mode : {MultiplierSearch::kScanBreakpoint,
+  for (MultiplierSearch mode : {MultiplierSearch::kSecant,
                                 MultiplierSearch::kBisectionOracle}) {
     const Allocation base = SolveFreshness(problem, mode, 1);
     const Allocation age_base = SolveAge(problem, mode, 1);
@@ -573,7 +651,7 @@ TEST(KernelRunsTest, OneClassCatalogIsByteIdenticalAcrossModesAndThreads) {
   for (double budget_factor : {1e-4, 0.05, 1.0}) {
     const CoreProblem problem = OneClassProblem(30000, budget_factor);
     const Allocation base =
-        SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, 1);
+        SolveFreshness(problem, MultiplierSearch::kSecant, 1);
     const Allocation oracle =
         SolveFreshness(problem, MultiplierSearch::kBisectionOracle, 1);
     ASSERT_TRUE(SameBits(base.multiplier, oracle.multiplier))
@@ -581,7 +659,7 @@ TEST(KernelRunsTest, OneClassCatalogIsByteIdenticalAcrossModesAndThreads) {
     ASSERT_TRUE(SameBytes(base.frequencies, oracle.frequencies))
         << "bf=" << budget_factor;
     const Allocation age_base =
-        SolveAge(problem, MultiplierSearch::kScanBreakpoint, 1);
+        SolveAge(problem, MultiplierSearch::kSecant, 1);
     const Allocation age_oracle =
         SolveAge(problem, MultiplierSearch::kBisectionOracle, 1);
     ASSERT_TRUE(SameBits(age_base.multiplier, age_oracle.multiplier))
@@ -590,11 +668,11 @@ TEST(KernelRunsTest, OneClassCatalogIsByteIdenticalAcrossModesAndThreads) {
         << "bf=" << budget_factor;
     for (size_t threads : {2u, 4u, 8u}) {
       const Allocation got =
-          SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, threads);
+          SolveFreshness(problem, MultiplierSearch::kSecant, threads);
       ASSERT_TRUE(SameBytes(got.frequencies, base.frequencies))
           << "bf=" << budget_factor << " threads=" << threads;
       const Allocation age_got =
-          SolveAge(problem, MultiplierSearch::kScanBreakpoint, threads);
+          SolveAge(problem, MultiplierSearch::kSecant, threads);
       ASSERT_TRUE(SameBytes(age_got.frequencies, age_base.frequencies))
           << "bf=" << budget_factor << " threads=" << threads;
     }
