@@ -1,8 +1,10 @@
 // A6 — google-benchmark microbenchmarks for the hot paths: the freshness
 // closed forms, the marginal-inverse kernel, the exact solver, partitioning,
-// k-means iterations, and alias-table sampling.
+// k-means iterations, alias-table sampling, and the serving snapshot's
+// consistency check and lookup.
 #include <benchmark/benchmark.h>
 
+#include "common/plan_classes.h"
 #include "model/freshness.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -165,18 +167,42 @@ void BM_ZipfProbabilities(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfProbabilities)->Arg(10000)->Arg(500000);
 
-// The full-digest consistency check a torture reader runs: every shard
-// digest over the three sharded serving columns, the shared size column's
-// digest, and their combination.
-void BM_SnapshotCheckConsistent(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
+// A published snapshot over N = state.range(0) elements whose plan has
+// state.range(1) classes (0: one class per element), every class holding
+// a distinct (frequency, change rate) pair.
+std::shared_ptr<const serve::ServeSnapshot> BenchSnapshot(size_t n,
+                                                          size_t classes) {
   std::vector<double> column(n);
   for (size_t i = 0; i < n; ++i) column[i] = 1.0 / (1.0 + i);
   serve::SnapshotBuilder builder(
       std::make_shared<const std::vector<double>>(column));
   builder.MarkAllDirty();
-  const auto snapshot =
-      builder.Publish(1, 0, 0.0, column, column, column).value();
+  if (classes == 0) {
+    return builder.Publish(1, 0, 0.0, IdentityClasses(column, column).view(),
+                           column)
+        .value();
+  }
+  std::vector<uint32_t> class_of(n);
+  std::vector<double> class_values(classes);
+  for (size_t j = 0; j < classes; ++j) class_values[j] = 1.0 / (1.0 + j);
+  Rng rng(7);
+  for (uint32_t& c : class_of) {
+    c = static_cast<uint32_t>(rng.NextUint64Below(classes));
+  }
+  return builder
+      .Publish(1, 0, 0.0, PlanClassView{class_of, class_values, class_values},
+               column)
+      .value();
+}
+
+// The full-digest consistency check a torture reader runs: every shard
+// digest over the sharded serving columns (dictionaries, value indices,
+// last-sync times), the shared size column's digest, and their
+// combination. One class per element: every dictionary is as long as its
+// shard.
+void BM_SnapshotCheckConsistent(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const auto snapshot = BenchSnapshot(n, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(snapshot->CheckConsistent());
   }
@@ -185,6 +211,25 @@ void BM_SnapshotCheckConsistent(benchmark::State& state) {
 BENCHMARK(BM_SnapshotCheckConsistent)
     ->Arg(500000)
     ->Unit(benchmark::kMillisecond);
+
+// What a query reads from a pinned snapshot: one ElementView per lookup,
+// at uniformly drawn elements, for a plan of 256 classes and for one with
+// a class per element (every (frequency, rate) pair distinct).
+void BM_SnapshotLookup(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const auto snapshot = BenchSnapshot(n, static_cast<size_t>(state.range(1)));
+  constexpr size_t kKeys = 4096;
+  std::vector<size_t> keys(kKeys);
+  Rng rng(11);
+  for (size_t& key : keys) key = rng.NextUint64Below(n);
+  size_t k = 0;
+  for (auto _ : state) {
+    const serve::ElementView view = snapshot->Lookup(keys[k]);
+    benchmark::DoNotOptimize(view);
+    k = (k + 1) % kKeys;
+  }
+}
+BENCHMARK(BM_SnapshotLookup)->Args({500000, 256})->Args({500000, 0});
 
 }  // namespace
 }  // namespace freshen

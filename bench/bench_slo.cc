@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/plan_classes.h"
 #include "common/string_util.h"
 #include "common/table_writer.h"
 #include "common/timer.h"
@@ -144,7 +145,8 @@ int main() {
   obs::MetricsRegistry registry;
   obs::SloMonitor slo = MustSlo(&registry);
   obs::DriftDetector drift = MustDrift(objects, &registry);
-  const std::vector<double> planned_rates = ChangeRates(truth);
+  const IdentityClasses planned(std::vector<double>(truth.size(), 0.0),
+                                ChangeRates(truth));
   const size_t syncs = static_cast<size_t>(
       syncs_per_period > 0.0 ? syncs_per_period : bandwidth);
   constexpr int kBatches = 10;
@@ -159,7 +161,7 @@ int main() {
         drift.ObserveSync(element, (s & 1) != 0, 0.25 + 0.5 * (s & 3));
       }
       const double now = static_cast<double>(rep + 1);
-      drift.EndPeriod(now, planned_rates);
+      drift.EndPeriod(now, planned.view());
       slo.ObservePeriod(now, accesses, accesses - accesses / 20,
                         accesses - accesses / 40);
     }

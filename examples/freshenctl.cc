@@ -1021,7 +1021,17 @@ int RunServeDrill(const std::map<std::string, std::string>& flags) {
   std::printf("queries     : %llu sent over socket, %llu ok\n",
               (unsigned long long)sent, (unsigned long long)ok);
   std::printf("consistency : %s\n", consistent ? "OK" : "FAILED");
-  const bool act1 = consistent && sent > 0 && ok == sent;
+  // The builder's blocks: live and spare copies of 12 bytes per element
+  // (value index, last-sync time) plus their plan-value dictionaries.
+  const double snapshot_bytes =
+      global.GetGauge("freshen_serve_snapshot_bytes")->value();
+  const double bytes_bound =
+      2.0 * 12.0 * static_cast<double>(truth.size()) +
+      static_cast<double>(stats.snapshot.held_dictionary_bytes);
+  const bool bytes_ok = snapshot_bytes > 0.0 && snapshot_bytes <= bytes_bound;
+  std::printf("snapshot    : %.0f bytes held (bound %.0f) %s\n",
+              snapshot_bytes, bytes_bound, bytes_ok ? "OK" : "FAILED");
+  const bool act1 = consistent && bytes_ok && sent > 0 && ok == sent;
   const bool act2 =
       RunTelemetryAct(truth, spec.seed, quick, socket_path + ".telemetry");
   const bool passed = act1 && act2;

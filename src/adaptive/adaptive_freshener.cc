@@ -53,13 +53,6 @@ AdaptiveFreshener::AdaptiveFreshener(std::vector<double> sizes,
       learner_(sizes_->size(), options.learner),
       evidence_(sizes_->size()),
       frequencies_(sizes_->size(), 0.0) {
-  const size_t n = sizes_->size();
-  believed_.weights.assign(n, 0.0);
-  // Every element starts at the prior; RefreshBelievedProblem rewrites
-  // only the elements with evidence.
-  believed_.change_rates.assign(n, options_.prior_change_rate);
-  believed_.costs.assign(n, 1.0);
-  believed_.bandwidth = bandwidth_;
   obs::MetricsRegistry& registry = options_.registry != nullptr
                                        ? *options_.registry
                                        : obs::MetricsRegistry::Global();
@@ -88,17 +81,6 @@ ElementSet AdaptiveFreshener::BelievedCatalog() const {
   return catalog;
 }
 
-Status AdaptiveFreshener::RefreshBelievedProblem() {
-  FRESHEN_RETURN_IF_ERROR(learner_.SnapshotInto(&believed_.weights));
-  // Only an element with an evidence row can believe anything but the
-  // prior the constructor gave it, so only rows are rewritten.
-  for (size_t row = 0; row < evidence_.rows(); ++row) {
-    const size_t element = evidence_.ElementOf(row);
-    believed_.change_rates[element] = BelievedChangeRate(element);
-  }
-  return Status::OK();
-}
-
 Result<bool> AdaptiveFreshener::MaybeReplan(double now, bool force) {
   if (!force && num_replans_ > 0 &&
       now - last_plan_time_ < options_.replan_every_periods) {
@@ -106,17 +88,24 @@ Result<bool> AdaptiveFreshener::MaybeReplan(double now, bool force) {
   }
   obs::ScopedSpan span("replan");
   WallTimer timer;
-  FRESHEN_RETURN_IF_ERROR(RefreshBelievedProblem());
-  // FreshenPlanner::Plan's exact path on the problem refilled above,
-  // without its ElementSet, its problem copy, or the plan metrics the
-  // controller would discard. The class transform's working memory is
-  // kept across replans and expands straight into frequencies_.
-  FRESHEN_ASSIGN_OR_RETURN(
-      const size_t rows,
-      SolveByClasses(solver_, believed_, &classes_, &frequencies_));
-  plan_classes_->Set(static_cast<double>(rows));
-  RescaleToBudget([this](size_t i) { return (*sizes_)[i]; }, bandwidth_,
-                  &frequencies_);
+  // FreshenPlanner::Plan's exact path on the believed problem, without its
+  // ElementSet, its problem columns, or the plan metrics the controller
+  // would discard: each element's row is derived as the transform reads
+  // it — the learned profile's weight, the believed rate, unit cost — and
+  // only the class table keeps it.
+  FRESHEN_ASSIGN_OR_RETURN(const double inv, learner_.InverseTotal());
+  const Status solved = SolveClasses(
+      solver_, sizes_->size(), bandwidth_,
+      [this, inv](size_t i) {
+        return CoreRow{learner_.Weight(i, inv), BelievedChangeRate(i), 1.0};
+      },
+      &classes_, &class_frequencies_);
+  const std::vector<double>& sizes = *sizes_;
+  RescaleToBudget([&sizes](size_t i) { return sizes[i]; }, bandwidth_,
+                  classes_.class_of(), &class_frequencies_);
+  classes_.Expand(class_frequencies_, &frequencies_);
+  FRESHEN_RETURN_IF_ERROR(solved);
+  plan_classes_->Set(static_cast<double>(class_frequencies_.size()));
   last_plan_time_ = now;
   ++num_replans_;
   replans_counter_->Increment();

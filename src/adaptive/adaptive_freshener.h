@@ -14,7 +14,8 @@
 //     never decayed, so each believed rate is the batch bias-reduced
 //     estimate over every poll so far,
 //   * the current plan, re-computed by MaybeReplan() on a fixed cadence by
-//     FreshenPlanner's exact solve (SolveByClasses, then RescaleToBudget).
+//     FreshenPlanner's exact solve (SolveClasses, then RescaleToBudget),
+//     kept per class of identical rows.
 #ifndef FRESHEN_ADAPTIVE_ADAPTIVE_FRESHENER_H_
 #define FRESHEN_ADAPTIVE_ADAPTIVE_FRESHENER_H_
 
@@ -22,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/plan_classes.h"
 #include "common/result.h"
 #include "core/planner.h"
 #include "estimate/change_estimator.h"
@@ -74,7 +76,9 @@ class AdaptiveFreshener {
   void EndPeriod();
 
   /// Re-plans when the cadence has elapsed since the last plan (or `force`).
-  /// Returns true when a new plan was installed.
+  /// Returns true when a new plan was installed. A replan that fails (its
+  /// believed rows do not form a valid Core Problem) installs an empty plan,
+  /// every frequency 0, and returns the error.
   Result<bool> MaybeReplan(double now, bool force = false);
 
   /// The current sync frequencies (per period).
@@ -101,13 +105,21 @@ class AdaptiveFreshener {
     return evidence_.RateOr(element, options_.prior_change_rate);
   }
 
-  /// The change rates the CURRENT plan was solved against: the believed
-  /// rates at the last replan. Beliefs keep drifting with new evidence
-  /// between replans — the gap between these and fresh observations is
-  /// what obs::DriftDetector scores. Always populated (Create installs the
-  /// initial plan).
-  const std::vector<double>& PlannedChangeRates() const {
-    return believed_.change_rates;
+  /// The change rate the CURRENT plan was solved against for `element`:
+  /// its believed rate at the last replan, read through its class. Beliefs
+  /// keep drifting with new evidence between replans — the gap between
+  /// these and fresh observations is what obs::DriftDetector scores.
+  double PlannedChangeRate(size_t element) const {
+    return classes_.problem().change_rates[classes_.class_of()[element]];
+  }
+
+  /// The current plan per class: each element's class, and each class's
+  /// frequency and planned change rate. frequencies()[i] and
+  /// PlannedChangeRate(i) are its values for element i. Class ids are
+  /// renumbered at every replan; the view is valid until the next one.
+  PlanClassView PlanClasses() const {
+    return {classes_.class_of(), class_frequencies_,
+            classes_.problem().change_rates};
   }
 
   /// Number of plans installed so far (including the initial one).
@@ -116,11 +128,6 @@ class AdaptiveFreshener {
  private:
   AdaptiveFreshener(std::vector<double> sizes, double bandwidth,
                     Options options);
-
-  /// Refills believed_'s weights (the learned profile) and change rates in
-  /// place from the current evidence. Rates start at the prior, so only
-  /// those of elements with evidence are rewritten, O(rows).
-  Status RefreshBelievedProblem();
 
   Options options_;
   std::shared_ptr<const std::vector<double>> sizes_;
@@ -131,16 +138,17 @@ class AdaptiveFreshener {
   // an element that has recorded a poll.
   SyncEvidence evidence_;
 
+  // The plan, expanded to one frequency per element.
   std::vector<double> frequencies_;
-  // The believed core problem, kept across replans and refilled in place:
-  // what FreshenPlanner's exact PF mode with unit costs would build from
-  // BelievedCatalog(). Costs and bandwidth are fixed at construction. It is
-  // the problem the current plan solved.
-  CoreProblem believed_;
-  // The exact replan's solver and class-transform working memory, reused
-  // every replan.
+  // The exact replan's solver, and the class transform of the problem the
+  // current plan solved: what FreshenPlanner's exact PF mode with unit
+  // costs would build from BelievedCatalog(), grouped into classes. Its
+  // rows are derived at each replan, never stored per element; its class
+  // table holds the planned change rates.
   KktWaterFillingSolver solver_;
   ClassTransform classes_;
+  // The plan's frequency per class of classes_.
+  std::vector<double> class_frequencies_;
   double last_plan_time_ = 0.0;
   uint64_t num_replans_ = 0;
 

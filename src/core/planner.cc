@@ -24,16 +24,16 @@ Result<size_t> SolveByClasses(const KktWaterFillingSolver& solver,
                               ClassTransform* classes,
                               std::vector<double>* frequencies) {
   FRESHEN_RETURN_IF_ERROR(problem.Validate());
-  const size_t n = problem.size();
-  if (classes->Build(problem, n / 4)) {
-    FRESHEN_ASSIGN_OR_RETURN(Allocation allocation,
-                             solver.Solve(classes->problem()));
-    classes->Expand(allocation.frequencies, frequencies);
-    return allocation.frequencies.size();
-  }
-  FRESHEN_ASSIGN_OR_RETURN(Allocation allocation, solver.Solve(problem));
-  *frequencies = std::move(allocation.frequencies);
-  return n;
+  std::vector<double> class_frequencies;
+  FRESHEN_RETURN_IF_ERROR(SolveClasses(
+      solver, problem.size(), problem.bandwidth,
+      [&problem](size_t i) {
+        return CoreRow{problem.weights[i], problem.change_rates[i],
+                       problem.costs[i]};
+      },
+      classes, &class_frequencies));
+  classes->Expand(class_frequencies, frequencies);
+  return class_frequencies.size();
 }
 
 Result<FreshenPlan> FreshenPlanner::Plan(const ElementSet& elements,

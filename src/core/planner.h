@@ -19,6 +19,9 @@
 #define FRESHEN_CORE_PLANNER_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -93,35 +96,81 @@ struct FreshenPlan {
   PlanTimings timings;
 };
 
+/// The spend the planner's feasibility rescale divides the budget by: a
+/// Kahan sum of size_of(i) * frequency_of(i) over i = 0, ..., n - 1.
+template <typename SizeOf, typename FrequencyOf>
+double PlanSpend(size_t n, SizeOf size_of, FrequencyOf frequency_of) {
+  KahanSum spend;
+  for (size_t i = 0; i < n; ++i) spend.Add(size_of(i) * frequency_of(i));
+  return spend.Total();
+}
+
 /// The planner's feasibility rescale w.r.t. actual sizes, shared by every
-/// path that installs a plan so the arithmetic exists once: a Kahan sum of
-/// size_of(i) * f_i, then one multiply of every f_i by bandwidth / spend.
-/// A plan that spends nothing is left as is. For a problem solved with the
-/// true costs this is a no-op up to rounding.
+/// path that installs a plan so the arithmetic exists once: PlanSpend over
+/// the plan, then one multiply of every f_i by bandwidth / spend. A plan
+/// that spends nothing is left as is. For a problem solved with the true
+/// costs this is a no-op up to rounding.
 template <typename SizeOf>
 void RescaleToBudget(SizeOf size_of, double bandwidth,
                      std::vector<double>* frequencies) {
-  KahanSum spend_acc;
-  for (size_t i = 0; i < frequencies->size(); ++i) {
-    spend_acc.Add(size_of(i) * (*frequencies)[i]);
-  }
-  const double spend = spend_acc.Total();
+  const double spend =
+      PlanSpend(frequencies->size(), size_of,
+                [frequencies](size_t i) { return (*frequencies)[i]; });
   if (spend > 0.0) {
     const double scale = bandwidth / spend;
     for (double& f : *frequencies) f *= scale;
   }
 }
 
-/// Solves `problem` exactly through its lossless class transform: the rows
-/// are grouped by bit pattern into `*classes`, `solver` solves the class
-/// problem, and every member receives its class frequency. The solver hands
+/// RescaleToBudget on a plan kept per class: element i plans
+/// (*class_frequencies)[class_of[i]]. The spend sums the same terms in the
+/// same element order as on the expanded plan, and the multiply scales
+/// each class once, so expanding the result gives RescaleToBudget's bits.
+template <typename SizeOf>
+void RescaleToBudget(SizeOf size_of, double bandwidth,
+                     std::span<const uint32_t> class_of,
+                     std::vector<double>* class_frequencies) {
+  const double* frequency = class_frequencies->data();
+  const double spend =
+      PlanSpend(class_of.size(), size_of,
+                [&](size_t i) { return frequency[class_of[i]]; });
+  if (spend > 0.0) {
+    const double scale = bandwidth / spend;
+    for (double& f : *class_frequencies) f *= scale;
+  }
+}
+
+/// Solves the Core Problem over the rows row_of(0), ..., row_of(n - 1)
+/// exactly through its lossless class transform: ClassTransform::Build
+/// groups the rows into `*classes`, `solver` solves the class problem, and
+/// `*class_frequencies` receives one frequency per class. The solver hands
 /// its residual to the boundary row, which here is the whole tied boundary
-/// class, so ties share it equally instead of funding one member. Once the
-/// distinct rows pass N/4 the grouping stops and `solver` solves `problem`
-/// itself, so a catalog without repeated rows keeps its per-element bytes.
-/// Invalid input fails with CoreProblem::Validate()'s status. On success,
-/// `*frequencies` holds one frequency per row and the return value is the
-/// number of rows the solver ran on (classes, or N on the fallback).
+/// class, so ties share it equally instead of funding one member. Past n/4
+/// distinct rows the transform is the identity, so a catalog without
+/// repeated rows is solved as the per-element problem, to the same bytes.
+/// Invalid rows fail with CoreProblem::Validate()'s status; on any failure
+/// `*class_frequencies` holds one zero per class of `*classes`.
+template <typename RowOf>
+Status SolveClasses(const KktWaterFillingSolver& solver, size_t n,
+                    double bandwidth, RowOf row_of, ClassTransform* classes,
+                    std::vector<double>* class_frequencies) {
+  Status status = classes->Build(n, bandwidth, row_of);
+  if (status.ok()) {
+    Result<Allocation> allocation = solver.Solve(classes->problem());
+    if (allocation.ok()) {
+      *class_frequencies = std::move(allocation->frequencies);
+      return Status::OK();
+    }
+    status = allocation.status();
+  }
+  class_frequencies->assign(classes->problem().size(), 0.0);
+  return status;
+}
+
+/// SolveClasses on the rows of `problem`, expanded: `*frequencies` holds one
+/// frequency per row. Invalid input fails with CoreProblem::Validate()'s
+/// status before any grouping. Returns the number of rows the solver ran on
+/// (classes, or N when the transform is the identity).
 Result<size_t> SolveByClasses(const KktWaterFillingSolver& solver,
                               const CoreProblem& problem,
                               ClassTransform* classes,

@@ -303,7 +303,7 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
   if (drift != nullptr) {
     // Score this period's evidence against the rates the plan now in force
     // was solved with.
-    drift->EndPeriod(now_, controller_->PlannedChangeRates());
+    drift->EndPeriod(now_, controller_->PlanClasses());
   }
   if (slo != nullptr) {
     slo->ObservePeriod(now_, stats.accesses, fresh_accesses,

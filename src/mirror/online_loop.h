@@ -100,16 +100,16 @@ class OnlineFreshenLoop {
     obs::SloMonitor* slo = nullptr;
     /// Optional estimator drift detector. When set, every applied sync
     /// feeds it (element, changed, gap since the previous sync) and the
-    /// boundary scores the evidence against the controller's
-    /// PlannedChangeRates(). Non-owning; must outlive the loop.
+    /// boundary scores the evidence against the controller's planned
+    /// change rates (PlanClasses()). Non-owning; must outlive the loop.
     obs::DriftDetector* drift = nullptr;
     /// Publication hook for serving (freshend): when set, RunPeriod invokes
     /// it once at the period boundary, after the controller's replan
     /// decision, with this period's stats and the sorted, deduplicated ids
     /// of elements whose copies were actually refreshed. During the call
-    /// the loop is at a consistent boundary: the controller's frequencies()
-    /// and PlannedChangeRates() and the mirror's last-sync times all reflect
-    /// the new period — exactly what a snapshot publisher needs for
+    /// the loop is at a consistent boundary: the controller's plan
+    /// (frequencies(), PlanClasses()) and the mirror's last-sync times all
+    /// reflect the new period — exactly what a snapshot publisher needs for
     /// O(changed-shards) publication.
     std::function<void(const PeriodStats& stats,
                        const std::vector<uint32_t>& synced_elements)>

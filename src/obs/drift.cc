@@ -82,7 +82,7 @@ double DriftDetector::ObservedRate(const Evidence::Row& evidence) {
 }
 
 void DriftDetector::RescoreRows(const size_t* rows, size_t count,
-                                const std::vector<double>& planned_rates) {
+                                const PlanClassView& plan) {
   // Each step of ObservedRate and the log ratio runs over the whole batch,
   // the two logarithms through the batch kernels.
   double planned[kSweepChunk];
@@ -92,7 +92,7 @@ void DriftDetector::RescoreRows(const size_t* rows, size_t count,
   for (size_t j = 0; j < count; ++j) {
     const Evidence::Row& evidence = evidence_.row(rows[j]);
     planned[j] =
-        std::max(planned_rates[evidence_.ElementOf(rows[j])], kRateFloor);
+        std::max(plan.ChangeRate(evidence_.ElementOf(rows[j])), kRateFloor);
     x[j] = -std::min(evidence.changes / evidence.polls, kMaxDetectionRatio);
     gap[j] = evidence.watched_time / evidence.polls;
   }
@@ -106,8 +106,7 @@ void DriftDetector::RescoreRows(const size_t* rows, size_t count,
   }
 }
 
-void DriftDetector::EndPeriod(double now,
-                              const std::vector<double>& planned_rates) {
+void DriftDetector::EndPeriod(double now, const PlanClassView& plan) {
   // The sums below run in ascending element id, the order a sweep over
   // every element would take, so they keep its bits.
   evidence_.SortRowsByElement();
@@ -130,8 +129,8 @@ void DriftDetector::EndPeriod(double now,
   double max_score = 0.0;
   double weighted_score = 0.0;
   double weight = 0.0;
-  const size_t n = std::min(evidence_.size(), planned_rates.size());
-  // Rows of elements past planned_rates are not scored; they sort last.
+  const size_t n = std::min(evidence_.size(), plan.size());
+  // Rows of elements past the plan are not scored; they sort last.
   size_t num_rows = evidence_.rows();
   while (num_rows > 0 && evidence_.ElementOf(num_rows - 1) >= n) --num_rows;
   Candidate candidates[kSweepChunk];
@@ -144,7 +143,7 @@ void DriftDetector::EndPeriod(double now,
   size_t num_stale = 0;
   const auto collect_if_stale = [&](size_t row) {
     const double planned =
-        std::max(planned_rates[evidence_.ElementOf(row)], kRateFloor);
+        std::max(plan.ChangeRate(evidence_.ElementOf(row)), kRateFloor);
     stale[num_stale] = row;
     num_stale += Scorable(row) &
                  (evidence_.row(row).payload.scored_against != planned);
@@ -159,7 +158,7 @@ void DriftDetector::EndPeriod(double now,
   // makes no call, so the sums stay in registers.
   for (size_t begin = 0; begin < num_rows; begin += kSweepChunk) {
     const size_t end = std::min(num_rows, begin + kSweepChunk);
-    RescoreRows(stale, num_stale, planned_rates);
+    RescoreRows(stale, num_stale, plan);
     num_stale = 0;
     // Elements that may enter the top-k against the chunk's opening cutoff
     // are copied out.

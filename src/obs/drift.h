@@ -17,7 +17,7 @@
 //     score is kept in that row, so the detector holds 4 bytes for an
 //     element no sync has reached and each period costs O(elements ever
 //     synced), not O(N).
-//   * At every period close, EndPeriod(now, planned_rates) turns each
+//   * At every period close, EndPeriod(now, plan) turns each
 //     element's evidence into the plain Poisson estimate
 //     -ln(1 - min(c/p, 0.999)) / (w/p) — not the Cho–Garcia-Molina
 //     BiasReducedRate the controller plans on — and scores it against the
@@ -47,6 +47,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/plan_classes.h"
 #include "common/result.h"
 #include "estimate/change_estimator.h"
 #include "obs/metrics.h"
@@ -118,10 +119,11 @@ class DriftDetector {
   void ObserveSync(size_t element, bool changed, double gap);
 
   /// Closes a period: decays evidence, scores every element with evidence
-  /// against `planned_rates` (the rates the CURRENT plan was solved with —
-  /// size num_elements), rebuilds the report, updates metrics. Walks the
+  /// against `plan`'s change rates (the rates the CURRENT plan was solved
+  /// with, read through each element's class; plan.size() is
+  /// num_elements), rebuilds the report, updates metrics. Walks the
   /// evidence rows in ascending element id. Loop thread only.
-  void EndPeriod(double now, const std::vector<double>& planned_rates);
+  void EndPeriod(double now, const PlanClassView& plan);
 
   /// Copy of the last period's report (any thread).
   DriftReport Report() const;
@@ -152,9 +154,9 @@ class DriftDetector {
   static double ObservedRate(const Evidence::Row& evidence);
 
   // Scores `rows` (at most one sweep chunk of them, each of an element <
-  // planned_rates.size()) against their planned rates, in one batch.
+  // plan.size()) against their planned rates, in one batch.
   void RescoreRows(const size_t* rows, size_t count,
-                   const std::vector<double>& planned_rates);
+                   const PlanClassView& plan);
 
   Options options_;
   // Decayed polls, detected changes and watched time of every element

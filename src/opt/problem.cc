@@ -17,23 +17,35 @@ Status CoreProblem::Validate() const {
         "column length mismatch: %zu weights, %zu rates, %zu costs", n,
         change_rates.size(), costs.size()));
   }
+  FRESHEN_RETURN_IF_ERROR(ValidateBandwidth(bandwidth));
+  for (size_t i = 0; i < n; ++i) {
+    FRESHEN_RETURN_IF_ERROR(
+        ValidateRow(i, weights[i], change_rates[i], costs[i]));
+  }
+  return Status::OK();
+}
+
+Status CoreProblem::ValidateBandwidth(double bandwidth) {
   if (!(bandwidth > 0.0) || !std::isfinite(bandwidth)) {
     return Status::InvalidArgument(
         StrFormat("bandwidth must be positive and finite, got %g", bandwidth));
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (!(weights[i] >= 0.0) || !std::isfinite(weights[i])) {
-      return Status::InvalidArgument(
-          StrFormat("weight %zu is negative or non-finite", i));
-    }
-    if (!(change_rates[i] >= 0.0) || !std::isfinite(change_rates[i])) {
-      return Status::InvalidArgument(
-          StrFormat("change rate %zu is negative or non-finite", i));
-    }
-    if (!(costs[i] > 0.0) || !std::isfinite(costs[i])) {
-      return Status::InvalidArgument(
-          StrFormat("cost %zu must be positive and finite", i));
-    }
+  return Status::OK();
+}
+
+Status CoreProblem::ValidateRow(size_t i, double weight, double change_rate,
+                                double cost) {
+  if (!(weight >= 0.0) || !std::isfinite(weight)) {
+    return Status::InvalidArgument(
+        StrFormat("weight %zu is negative or non-finite", i));
+  }
+  if (!(change_rate >= 0.0) || !std::isfinite(change_rate)) {
+    return Status::InvalidArgument(
+        StrFormat("change rate %zu is negative or non-finite", i));
+  }
+  if (!(cost > 0.0) || !std::isfinite(cost)) {
+    return Status::InvalidArgument(
+        StrFormat("cost %zu must be positive and finite", i));
   }
   return Status::OK();
 }

@@ -11,6 +11,7 @@
 #ifndef FRESHEN_OPT_PROBLEM_H_
 #define FRESHEN_OPT_PROBLEM_H_
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -36,6 +37,20 @@ struct CoreProblem {
 
   /// Validates shape and ranges; returns a descriptive error on failure.
   Status Validate() const;
+
+  /// Validate()'s check of the bandwidth alone.
+  static Status ValidateBandwidth(double bandwidth);
+
+  /// Validate()'s check of row `i` alone: the status Validate() reports
+  /// when (weight, change_rate, cost) is its first invalid row.
+  static Status ValidateRow(size_t i, double weight, double change_rate,
+                            double cost);
+
+  /// True when ValidateRow would accept the row (no status built).
+  static bool IsValidRow(double weight, double change_rate, double cost) {
+    return weight >= 0.0 && std::isfinite(weight) && change_rate >= 0.0 &&
+           std::isfinite(change_rate) && cost > 0.0 && std::isfinite(cost);
+  }
 
   /// Objective value of a frequency vector (no feasibility check). The sum
   /// is a deterministic sharded Kahan reduction (par::ShardPlan(size())):

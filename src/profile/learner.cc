@@ -24,17 +24,16 @@ void AccessLogLearner::EndPeriod() {
 }
 
 Result<std::vector<double>> AccessLogLearner::Snapshot() const {
-  std::vector<double> weights;
-  FRESHEN_RETURN_IF_ERROR(SnapshotInto(&weights));
+  FRESHEN_ASSIGN_OR_RETURN(const double inv, InverseTotal());
+  std::vector<double> weights(counts_.size());
+  for (size_t i = 0; i < counts_.size(); ++i) weights[i] = Weight(i, inv);
   return weights;
 }
 
-Status AccessLogLearner::SnapshotInto(std::vector<double>* weights) const {
-  weights->resize(counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    (*weights)[i] = counts_[i] + options_.smoothing;
-  }
-  return NormalizeProbabilitiesInPlace(weights);
+Result<double> AccessLogLearner::InverseTotal() const {
+  return InverseWeightTotal(counts_.size(), [this](size_t i) {
+    return counts_[i] + options_.smoothing;
+  });
 }
 
 }  // namespace freshen

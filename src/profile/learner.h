@@ -41,10 +41,16 @@ class AccessLogLearner {
   /// accesses were observed and smoothing is 0.
   Result<std::vector<double>> Snapshot() const;
 
-  /// Snapshot() written into `*weights` (resized to num_elements), so a
-  /// caller that keeps the column across calls allocates nothing. Same
-  /// arithmetic, same bits, same failure.
-  Status SnapshotInto(std::vector<double>* weights) const;
+  /// The normaliser Snapshot() divides by, as InverseWeightTotal over the
+  /// smoothed counts: Snapshot()[i] is Weight(i, *InverseTotal()) bit for
+  /// bit, so a caller that reads a few weights needs no snapshot column.
+  /// Same failure as Snapshot().
+  Result<double> InverseTotal() const;
+
+  /// Element i's snapshot weight under the normaliser `inverse_total`.
+  double Weight(size_t element, double inverse_total) const {
+    return (counts_[element] + options_.smoothing) * inverse_total;
+  }
 
  private:
   Options options_;

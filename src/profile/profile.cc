@@ -8,30 +8,13 @@
 
 namespace freshen {
 
-Status NormalizeProbabilitiesInPlace(std::vector<double>* weights) {
-  if (weights->empty()) {
-    return Status::InvalidArgument("weight vector is empty");
-  }
-  KahanSum total;
-  for (size_t i = 0; i < weights->size(); ++i) {
-    const double w = (*weights)[i];
-    if (!(w >= 0.0) || !std::isfinite(w)) {
-      return Status::InvalidArgument(
-          StrFormat("weight %zu is negative or non-finite", i));
-    }
-    total.Add(w);
-  }
-  if (total.Total() <= 0.0) {
-    return Status::InvalidArgument("all weights are zero");
-  }
-  const double inv = 1.0 / total.Total();
-  for (double& w : *weights) w *= inv;
-  return Status::OK();
-}
-
 Result<std::vector<double>> NormalizeProbabilities(
     std::vector<double> weights) {
-  FRESHEN_RETURN_IF_ERROR(NormalizeProbabilitiesInPlace(&weights));
+  FRESHEN_ASSIGN_OR_RETURN(
+      const double inv,
+      InverseWeightTotal(weights.size(),
+                         [&weights](size_t i) { return weights[i]; }));
+  for (double& w : weights) w *= inv;
   return weights;
 }
 

@@ -7,10 +7,13 @@
 #ifndef FRESHEN_PROFILE_PROFILE_H_
 #define FRESHEN_PROFILE_PROFILE_H_
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
 #include "common/result.h"
+#include "common/string_util.h"
+#include "stats/descriptive.h"
 
 namespace freshen {
 
@@ -45,9 +48,27 @@ Result<std::vector<double>> AggregateProfiles(
 /// vector, negative/non-finite entries, or an all-zero vector.
 Result<std::vector<double>> NormalizeProbabilities(std::vector<double> weights);
 
-/// NormalizeProbabilities on a caller-owned vector: same checks, same
-/// arithmetic, no allocation. On failure `*weights` is left unscaled.
-Status NormalizeProbabilitiesInPlace(std::vector<double>* weights);
+/// The checks and the Kahan total NormalizeProbabilities uses, over
+/// the weights weight_of(0), ..., weight_of(n - 1): returns 1 / total, so
+/// weight i normalises to weight_of(i) * inverse with the same bits,
+/// without a normalised column.
+template <typename WeightOf>
+Result<double> InverseWeightTotal(size_t n, WeightOf weight_of) {
+  if (n == 0) return Status::InvalidArgument("weight vector is empty");
+  KahanSum total;
+  for (size_t i = 0; i < n; ++i) {
+    const double w = weight_of(i);
+    if (!(w >= 0.0) || !std::isfinite(w)) {
+      return Status::InvalidArgument(
+          StrFormat("weight %zu is negative or non-finite", i));
+    }
+    total.Add(w);
+  }
+  if (total.Total() <= 0.0) {
+    return Status::InvalidArgument("all weights are zero");
+  }
+  return 1.0 / total.Total();
+}
 
 }  // namespace freshen
 

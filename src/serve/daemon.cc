@@ -105,6 +105,7 @@ FreshendDaemon::FreshendDaemon(Options options, size_t num_elements)
       "freshen_serve_publishes_total", {{"kind", "delta"}});
   publish_seconds_ = registry_->GetHistogram(
       "freshen_serve_publish_seconds", obs::LatencySecondsBuckets());
+  snapshot_bytes_ = registry_->GetGauge("freshen_serve_snapshot_bytes");
 }
 
 FreshendDaemon::~FreshendDaemon() {
@@ -123,9 +124,10 @@ void FreshendDaemon::PublishBoundary(bool replanned,
   const AdaptiveFreshener& controller = loop_->controller();
   if (replanned) {
     // A replan can move every frequency and planned change rate, so every
-    // shard is a candidate; the builder compares each with its previous
-    // block and rebuilds only those that moved. The comparison is the O(N)
-    // part — it runs once per replan cadence, not once per period.
+    // shard is a candidate; the builder reads each through the plan's
+    // classes, compares it with its previous block and rebuilds only those
+    // that moved. That pass is the O(N) part — it runs once per replan
+    // cadence, not once per period.
     builder_->MarkAllDirty();
   } else {
     // No replan: only the shards this period synced republish.
@@ -133,9 +135,9 @@ void FreshendDaemon::PublishBoundary(bool replanned,
   }
   auto snapshot = builder_->Publish(
       store_.CurrentEpoch() + 1, controller.num_replans(), loop_->Now(),
-      controller.frequencies(), controller.PlannedChangeRates(),
-      loop_->mirror().LastSyncTimes());
+      controller.PlanClasses(), loop_->mirror().LastSyncTimes());
   FRESHEN_CHECK(snapshot.ok());
+  snapshot_bytes_->Set(static_cast<double>((*snapshot)->stats().held_bytes));
   store_.Publish(std::move(*snapshot));
   (replanned ? full_publish_counter_ : delta_publish_counter_)->Increment();
   publish_seconds_->Record(timer.ElapsedSeconds());

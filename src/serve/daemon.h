@@ -7,9 +7,10 @@
 //     time): syncs fire (optionally through a fault-injecting
 //     sync::SyncExecutor), accesses are served, the controller replans.
 //     After every period the loop's on_period_end hook publishes a new
-//     immutable ServeSnapshot into the SnapshotStore — deep-copying only
-//     the shards whose elements synced or whose plan moved; every snapshot
-//     shares the controller's one size column.
+//     immutable ServeSnapshot into the SnapshotStore — rebuilding only the
+//     shards whose elements synced or whose plan moved, from the
+//     controller's per-class plan; every snapshot shares the controller's
+//     one size column.
 //   * Query threads call IsFresh / ExpectedAge / GetPlan / Stats at any
 //     time. Each query pins the current snapshot (lock-free; see
 //     serve/store.h), computes from immutable columns, and unpins. Queries
@@ -234,6 +235,9 @@ class FreshendDaemon {
   obs::Counter* full_publish_counter_;
   obs::Counter* delta_publish_counter_;
   obs::Histogram* publish_seconds_;
+  // Bytes of the snapshot builder's live and spare blocks, set at each
+  // publish.
+  obs::Gauge* snapshot_bytes_;
 };
 
 }  // namespace serve

@@ -6,20 +6,34 @@
 // catalog's sizes. Snapshots are immutable after publication — readers
 // never see a value change under them — and sharded along the same fixed
 // par::ShardPlan the compute spine uses, so publishing a new snapshot after
-// a period only deep-copies the shards whose elements actually synced or
-// whose frequencies changed: untouched shards are shared by pointer between
+// a period only rebuilds the shards whose elements actually synced or
+// whose plan values changed: untouched shards are shared by pointer between
 // consecutive snapshots (persistent-data-structure style), making
 // publication O(changed shards), not O(N). Sizes never change, so they are
 // not sharded at all: every snapshot holds the one size column the
 // controller plans with.
 //
+// The plan is stored per class, as the controller keeps it. A shard block
+// holds each element's last-sync time and a 4-byte index into the block's
+// own dictionary of the distinct (frequency, planned rate) pairs among its
+// elements, so an element costs 12 bytes, not 24, wherever a shard's
+// elements share few plan values. The dictionary is deduplicated by bits
+// and ordered by first occurrence, so a block is a function of its
+// elements' values alone: the controller renumbers its classes at every
+// replan, and a shard whose values did not move still compares equal to
+// its previous block and is shared. A plan with one class per element
+// (the controller's fallback when its rows are nearly all distinct) gets
+// one dictionary entry per element instead, in element order, and no value
+// index: that is a function of the values too, costs no hash per element,
+// and holds the 24 bytes per element the dense columns did.
+//
 // Consistency is checkable from the reader side: every shard block carries
-// an order-sensitive digest of its payload, the size column has one digest,
-// and the snapshot records the combination of all of them at publication
-// time. A reader that ever observed a torn snapshot (shards from two
-// different publications) would recompute a different combination — the
-// torture test and the serving bench both recompute and compare on every
-// sampled query.
+// an order-sensitive digest of its payload (dictionary included), the size
+// column has one digest, and the snapshot records the combination of all
+// of them at publication time. A reader that ever observed a torn snapshot
+// (shards from two different publications) would recompute a different
+// combination — the torture test and the serving bench both recompute and
+// compare on every sampled query.
 #ifndef FRESHEN_SERVE_SNAPSHOT_H_
 #define FRESHEN_SERVE_SNAPSHOT_H_
 
@@ -28,23 +42,43 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/plan_classes.h"
 #include "common/result.h"
 #include "model/element.h"
 
 namespace freshen {
 namespace serve {
 
-/// One contiguous shard of serving state: parallel columns over the
-/// elements in [shard.begin, shard.end). Immutable while any snapshot holds
-/// it (SnapshotBuilder rewrites only blocks that no snapshot holds).
+/// A shard block's plan values: (frequency, change rate) pairs, one column
+/// per half, so pair j is (frequency[j], change_rate[j]).
+struct PlanDictionary {
+  /// Planned sync frequency (per period).
+  std::vector<double> frequency;
+  /// Controller-believed change rate the plan was solved against.
+  std::vector<double> change_rate;
+
+  size_t size() const { return frequency.size(); }
+
+  /// Bytes the two columns hold (their capacity).
+  size_t bytes() const {
+    return (frequency.capacity() + change_rate.capacity()) * sizeof(double);
+  }
+};
+
+/// One contiguous shard of serving state over the elements in
+/// [shard.begin, shard.end). Immutable while any snapshot holds it
+/// (SnapshotBuilder rewrites only blocks that no snapshot holds).
 struct ShardBlock {
   /// Index range this block covers (mirrors the snapshot's shard plan).
   size_t begin = 0;
   size_t end = 0;
-  /// Planned sync frequency per element (per period).
-  std::vector<double> frequency;
-  /// Controller-believed change rate per element (per period).
-  std::vector<double> change_rate;
+  /// The distinct (frequency, change rate) pairs of the block's elements,
+  /// compared by bits, in order of first occurrence; under a plan with one
+  /// class per element, one pair per element, in element order.
+  PlanDictionary dictionary;
+  /// Per element: the index of its pair in `dictionary`. Empty when the
+  /// dictionary holds one pair per element, in element order.
+  std::vector<uint32_t> value_index;
   /// Time of the element's last applied sync (period units; 0 = never).
   std::vector<double> last_sync_time;
   /// This block's share of SnapshotStats::plan_bandwidth: the sum of
@@ -54,11 +88,24 @@ struct ShardBlock {
   uint64_t digest = 0;
 
   size_t count() const { return end - begin; }
+
+  /// The dictionary index of element begin + offset's pair.
+  size_t pair(size_t offset) const {
+    return value_index.empty() ? offset : value_index[offset];
+  }
+
+  /// Bytes the block's columns hold (their capacity).
+  size_t bytes() const {
+    return dictionary.bytes() + value_index.capacity() * sizeof(uint32_t) +
+           last_sync_time.capacity() * sizeof(double);
+  }
 };
 
-/// Order-sensitive digest of a shard block's payload columns and bounds: a
-/// 4-lane, 64-bit-word round of the xxHash64 kind. Recomputable by readers
-/// to prove a snapshot was not torn.
+/// Order-sensitive digest of a shard block's payload columns (dictionary
+/// frequencies and change rates, value indices, last-sync times), the
+/// dictionary's length and the block's bounds: a 4-lane, 64-bit-word round
+/// of the xxHash64 kind. Recomputable by readers to prove a snapshot was
+/// not torn.
 uint64_t DigestShard(const ShardBlock& block);
 
 /// The same digest over one whole column (the shared size column), bounded
@@ -92,6 +139,10 @@ struct SnapshotStats {
   /// Sum of planned frequencies times sizes (plan bandwidth): the shards'
   /// partials summed in shard order.
   double plan_bandwidth = 0.0;
+  /// Bytes the builder's live and spare blocks held after this publication
+  /// (ShardBlock::bytes()), and the dictionaries' share of them.
+  size_t held_bytes = 0;
+  size_t held_dictionary_bytes = 0;
 };
 
 /// One immutable published state. Create via SnapshotBuilder; query from any
@@ -116,8 +167,10 @@ class ServeSnapshot {
     const size_t shard = par::ShardIndexOf(num_elements_, element);
     const ShardBlock& block = *shards_[shard];
     const size_t offset = element - block.begin;
-    return ElementView{block.frequency[offset], block.change_rate[offset],
-                       (*sizes_)[element], block.last_sync_time[offset]};
+    const size_t pair = block.pair(offset);
+    return ElementView{block.dictionary.frequency[pair],
+                       block.dictionary.change_rate[pair], (*sizes_)[element],
+                       block.last_sync_time[offset]};
   }
 
   /// The shard blocks (for iteration / consistency checks).
@@ -131,8 +184,9 @@ class ServeSnapshot {
   }
 
   /// Recomputes every shard digest and their combination and compares
-  /// against the values recorded at publication. True = internally
-  /// consistent (no torn publication, no mutation since). This is O(N);
+  /// against the values recorded at publication, and checks that every
+  /// element has a pair in its block's dictionary. True = internally consistent
+  /// (no torn publication, no mutation since). This is O(N);
   /// meant for tests, torture readers, and the serving bench's sampled
   /// verification, not the query hot path.
   bool CheckConsistent() const;
@@ -185,21 +239,31 @@ class SnapshotBuilder {
   /// Total shards in the plan.
   size_t NumShards() const { return plan_.size(); }
 
-  /// Builds the next snapshot: a dirty shard is deep-copied from the given
-  /// columns (into its spare block when that is free, see the class
-  /// comment) unless its bits equal the previous snapshot's block, which is
-  /// then shared like a clean shard's. Column vectors must all have
-  /// num_elements entries. `epoch` is the publication epoch the caller just
-  /// opened; `plan_version` and `now` land in stats. Clears the dirty set.
-  /// The first call must follow MarkAllDirty (there is no previous snapshot
-  /// to share from); this is checked.
+  /// Builds the next snapshot: a dirty shard is rebuilt from `plan` (read
+  /// through each element's class) and `last_sync_time` (into its spare
+  /// block when that is free, see the class comment) unless its values'
+  /// bits equal the previous snapshot's block, which is then shared like a
+  /// clean shard's. `plan` and `last_sync_time` must cover num_elements,
+  /// and every class id in `plan` must be below its class count (a
+  /// FRESHEN_CHECK as the shard is read). `epoch` is the publication epoch
+  /// the caller just opened; `plan_version` and `now` land in stats. Clears
+  /// the dirty set. The first call must follow MarkAllDirty (there is no
+  /// previous snapshot to share from); this is checked.
   Result<std::shared_ptr<const ServeSnapshot>> Publish(
       uint64_t epoch, uint64_t plan_version, double now,
-      const std::vector<double>& frequency,
-      const std::vector<double>& change_rate,
-      const std::vector<double>& last_sync_time);
+      const PlanClassView& plan, const std::vector<double>& last_sync_time);
 
  private:
+  // Writes shard `shard`'s dictionary and value indices.
+  void BuildShardValues(const par::Shard& shard, const PlanClassView& plan,
+                        PlanDictionary* dictionary,
+                        std::vector<uint32_t>* value_index);
+  // The index of the pair (frequency, change_rate) in `*dictionary` (the
+  // one BuildShardValues is writing; pair_slots_ indexes it), appended if
+  // new.
+  uint32_t Intern(double frequency, double change_rate,
+                  PlanDictionary* dictionary);
+
   size_t num_elements_;
   std::shared_ptr<const std::vector<double>> sizes_;
   uint64_t size_digest_;
@@ -211,6 +275,21 @@ class SnapshotBuilder {
   // published snapshots is the store's job.
   std::vector<std::shared_ptr<ShardBlock>> live_;
   std::vector<std::shared_ptr<ShardBlock>> spares_;
+
+  // Scratch: the dictionary and value indices of a dirty shard with no new
+  // sync, built aside to compare with its previous block; an
+  // open-addressing table over the dictionary being built (entry + 1, 0 =
+  // empty); and per class the shard build that last met it (a stamp) with
+  // the dictionary index it got there.
+  struct ClassSlot {
+    uint32_t stamp = 0;
+    uint32_t index = 0;
+  };
+  PlanDictionary dictionary_;
+  std::vector<uint32_t> value_index_;
+  std::vector<uint32_t> pair_slots_;
+  std::vector<ClassSlot> class_slots_;
+  uint32_t stamp_ = 0;
 };
 
 /// Combines per-shard digests in shard order (order-sensitive mix), then the

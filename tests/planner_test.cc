@@ -2,11 +2,14 @@
 // configurations, including the paper's key qualitative claims.
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "adaptive/adaptive_freshener.h"
 #include "core/planner.h"
 #include "model/metrics.h"
+#include "obs/metrics.h"
 #include "opt/water_filling.h"
 #include "rng/rng.h"
 #include "workload/generator.h"
@@ -366,6 +369,99 @@ TEST(PlannerClassTest, ManyClassesFallBackToThePerElementSolve) {
                   .value(),
               500u);
   }
+}
+
+// The rows before `grouped_rows` repeat kTies distinct rows, and every row
+// after them is distinct: with grouped_rows = 0 no two rows repeat; with
+// grouped_rows = n/2 the (n/4 + 1)-th class turns up three quarters of the
+// way through the rows, so the transform starts over partway.
+CoreProblem FallbackProblem(size_t n, size_t grouped_rows) {
+  constexpr size_t kTies = 8;
+  CoreProblem problem;
+  problem.bandwidth = 0.05 * static_cast<double>(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double key =
+        static_cast<double>(i < grouped_rows ? i % kTies : kTies + i);
+    problem.weights.push_back(1.0 / (3.0 + key));
+    problem.change_rates.push_back(0.05 + 0.01 * key);
+    problem.costs.push_back(1.0 + 0.125 * static_cast<double>(i % 3));
+  }
+  return problem;
+}
+
+// Past n/4 classes the transform is the identity grouping: the class
+// problem is the dense problem, row for row, and the plan is the dense
+// solve's bytes, whether the grouping gave up at once or partway. The
+// controller exports N rows then; an invalid row still fails with
+// Validate()'s status, before or after the point where the grouping
+// starts over.
+TEST(PlannerClassTest, FallbackSolvesTheDenseProblemToItsBytes) {
+  const size_t n = 4000;
+  for (const size_t grouped_rows : {size_t{0}, n / 2}) {
+    SCOPED_TRACE("grouped rows " + std::to_string(grouped_rows));
+    const CoreProblem problem = FallbackProblem(n, grouped_rows);
+    ClassTransform classes;
+    std::vector<double> frequencies;
+    ASSERT_EQ(SolveByClasses(KktWaterFillingSolver(), problem, &classes,
+                             &frequencies)
+                  .value(),
+              n);
+    const std::vector<double> dense =
+        KktWaterFillingSolver().Solve(problem).value().frequencies;
+    EXPECT_TRUE(SameBytes(frequencies, dense));
+    EXPECT_TRUE(SameBytes(classes.problem().weights, problem.weights));
+    EXPECT_TRUE(
+        SameBytes(classes.problem().change_rates, problem.change_rates));
+    EXPECT_TRUE(SameBytes(classes.problem().costs, problem.costs));
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(classes.class_of()[i], i);
+
+    for (const size_t bad_row : {size_t{5}, n - 5}) {
+      CoreProblem invalid = problem;
+      invalid.change_rates[bad_row] = -1.0;
+      const Status expected = invalid.Validate();
+      ASSERT_FALSE(expected.ok());
+      EXPECT_EQ(SolveByClasses(KktWaterFillingSolver(), invalid, &classes,
+                               &frequencies)
+                    .status(),
+                expected);
+      // The same rows read through the callback, without Validate() first.
+      std::vector<double> class_frequencies;
+      EXPECT_EQ(SolveClasses(
+                    KktWaterFillingSolver(), n, invalid.bandwidth,
+                    [&invalid](size_t i) {
+                      return CoreRow{invalid.weights[i],
+                                     invalid.change_rates[i], invalid.costs[i]};
+                    },
+                    &classes, &class_frequencies),
+                expected);
+      EXPECT_EQ(class_frequencies,
+                std::vector<double>(classes.problem().size(), 0.0));
+    }
+  }
+
+  // The controller on learned rows that cross n/4 partway: half the
+  // elements never accessed (one row), the other half accessed a distinct
+  // number of times each.
+  obs::MetricsRegistry registry;
+  AdaptiveFreshener::Options options;
+  options.registry = &registry;
+  const size_t elements = 400;
+  const double bandwidth = 20.0;
+  auto controller = AdaptiveFreshener::Create(
+                        std::vector<double>(elements, 1.0), bandwidth, options)
+                        .value();
+  for (size_t i = elements / 2; i < elements; ++i) {
+    for (size_t a = 0; a < i; ++a) controller.ObserveAccess(i);
+  }
+  ASSERT_TRUE(controller.MaybeReplan(1.0).value());
+  EXPECT_EQ(registry.GetGauge("freshen_adaptive_plan_classes")->value(),
+            static_cast<double>(elements));
+  const CoreProblem believed =
+      MakePerceivedProblem(controller.BelievedCatalog(), bandwidth);
+  std::vector<double> dense =
+      KktWaterFillingSolver().Solve(believed).value().frequencies;
+  RescaleToBudget([](size_t) { return 1.0; }, bandwidth, &dense);
+  EXPECT_TRUE(SameBytes(controller.frequencies(), dense));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for user profiles, master-profile aggregation, and the request-log
 // learner.
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,18 +81,19 @@ TEST(AccessLogLearnerTest, CountsConvergeToTrueProfile) {
     EXPECT_NEAR(estimate[i], truth[i], 0.01) << i;
   }
   EXPECT_EQ(learner.NumObservations(), 200000u);
-  // SnapshotInto reuses the caller's column, whatever it held, and writes
-  // exactly Snapshot()'s values.
-  std::vector<double> reused(9, -1.0);
-  ASSERT_TRUE(learner.SnapshotInto(&reused).ok());
-  EXPECT_EQ(reused, estimate);
+  // The normaliser and per-element weight the controller reads instead of
+  // a snapshot column give exactly Snapshot()'s bits.
+  const double inverse_total = learner.InverseTotal().value();
+  for (size_t i = 0; i < truth.size(); ++i) {
+    const double weight = learner.Weight(i, inverse_total);
+    EXPECT_EQ(std::memcmp(&weight, &estimate[i], sizeof(double)), 0) << i;
+  }
 }
 
 TEST(AccessLogLearnerTest, SnapshotFailsWithNoDataAndNoSmoothing) {
   AccessLogLearner learner(3, {});
   EXPECT_FALSE(learner.Snapshot().ok());
-  std::vector<double> column;
-  EXPECT_FALSE(learner.SnapshotInto(&column).ok());
+  EXPECT_FALSE(learner.InverseTotal().ok());
 }
 
 TEST(AccessLogLearnerTest, SmoothingGivesColdStartUniform) {

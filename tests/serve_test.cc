@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "common/epoch.h"
+#include "common/plan_classes.h"
 #include "obs/metrics.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
@@ -147,6 +148,16 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+bool SameDictionary(const PlanDictionary& a, const PlanDictionary& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+  };
+  return same(a.frequency, b.frequency) && same(a.change_rate, b.change_rate);
+}
+
 double FlipBit(double value, int bit) {
   uint64_t word;
   std::memcpy(&word, &value, sizeof(word));
@@ -158,7 +169,8 @@ double FlipBit(double value, int bit) {
 TEST(SnapshotBuilderTest, FirstPublishRequiresMarkAllDirty) {
   SnapshotBuilder builder(SizeColumn(100, 1.0));
   const auto columns = Column(100, 1.0);
-  auto result = builder.Publish(1, 0, 0.0, columns, columns, columns);
+  auto result = builder.Publish(
+      1, 0, 0.0, IdentityClasses(columns, columns).view(), columns);
   EXPECT_FALSE(result.ok());
 }
 
@@ -167,7 +179,10 @@ TEST(SnapshotBuilderTest, PublishesConsistentSnapshot) {
   SnapshotBuilder builder(SizeColumn(n, 0.5));
   builder.MarkAllDirty();
   const auto columns = Column(n, 0.5);
-  auto snapshot = builder.Publish(1, 0, 0.0, columns, columns, columns).value();
+  auto snapshot =
+      builder.Publish(1, 0, 0.0, IdentityClasses(columns, columns).view(),
+                      columns)
+          .value();
   EXPECT_EQ(snapshot->size(), n);
   EXPECT_EQ(snapshot->epoch(), 1u);
   EXPECT_TRUE(snapshot->CheckConsistent());
@@ -183,13 +198,19 @@ TEST(SnapshotBuilderTest, CleanShardsAreSharedDirtyShardsRebuilt) {
   ASSERT_GT(builder.NumShards(), 2u);
   builder.MarkAllDirty();
   auto columns = Column(n, 1.0);
-  auto first = builder.Publish(1, 0, 0.0, columns, columns, columns).value();
+  auto first =
+      builder.Publish(1, 0, 0.0, IdentityClasses(columns, columns).view(),
+                      columns)
+          .value();
 
   // Touch exactly one element; only its shard should rebuild.
   columns[0] = 2.0;
   builder.MarkDirty(0);
   EXPECT_EQ(builder.DirtyShards(), 1u);
-  auto second = builder.Publish(2, 0, 1.0, columns, columns, columns).value();
+  auto second =
+      builder.Publish(2, 0, 1.0, IdentityClasses(columns, columns).view(),
+                      columns)
+          .value();
 
   EXPECT_EQ(second->stats().shards_rebuilt, 1u);
   EXPECT_NE(first->shards()[0].get(), second->shards()[0].get());
@@ -220,13 +241,19 @@ TEST(SnapshotBuilderTest, ReplanWithUnchangedColumnsRebuildsNoShard) {
   const auto last_sync = Ramp(n, 0.0);
   builder.MarkAllDirty();
   auto first =
-      builder.Publish(1, 1, 0.0, frequency, change_rate, last_sync).value();
+      builder
+          .Publish(1, 1, 0.0, IdentityClasses(frequency, change_rate).view(),
+                   last_sync)
+          .value();
   EXPECT_EQ(first->stats().shards_rebuilt, builder.NumShards());
 
   // A replan marks every shard dirty; none of them moved.
   builder.MarkAllDirty();
   auto second =
-      builder.Publish(2, 2, 1.0, frequency, change_rate, last_sync).value();
+      builder
+          .Publish(2, 2, 1.0, IdentityClasses(frequency, change_rate).view(),
+                   last_sync)
+          .value();
   EXPECT_EQ(second->stats().shards_rebuilt, 0u);
   EXPECT_EQ(builder.DirtyShards(), 0u);
   for (size_t s = 0; s < first->shards().size(); ++s) {
@@ -247,14 +274,20 @@ TEST(SnapshotBuilderTest, ReplanRebuildsOnlyTheShardWhoseFrequencyMoved) {
   const auto last_sync = Ramp(n, 0.0);
   builder.MarkAllDirty();
   auto first =
-      builder.Publish(1, 1, 0.0, frequency, change_rate, last_sync).value();
+      builder
+          .Publish(1, 1, 0.0, IdentityClasses(frequency, change_rate).view(),
+                   last_sync)
+          .value();
 
   const size_t element = n / 2;
   const size_t moved_shard = par::ShardIndexOf(n, element);
   frequency[element] = FlipBit(frequency[element], 0);
   builder.MarkAllDirty();
   auto second =
-      builder.Publish(2, 2, 1.0, frequency, change_rate, last_sync).value();
+      builder
+          .Publish(2, 2, 1.0, IdentityClasses(frequency, change_rate).view(),
+                   last_sync)
+          .value();
   EXPECT_EQ(second->stats().shards_rebuilt, 1u);
   for (size_t s = 0; s < first->shards().size(); ++s) {
     EXPECT_EQ(first->shards()[s].get() == second->shards()[s].get(),
@@ -277,19 +310,27 @@ TEST(SnapshotBuilderTest, EverySnapshotSharesOneSizeColumn) {
   auto last_sync = Column(n, 0.0);
   builder.MarkAllDirty();
   std::vector<std::shared_ptr<const ServeSnapshot>> snapshots = {
-      builder.Publish(1, 1, 0.0, frequency, change_rate, last_sync).value()};
+      builder
+          .Publish(1, 1, 0.0, IdentityClasses(frequency, change_rate).view(),
+                   last_sync)
+          .value()};
   for (uint64_t epoch = 2; epoch <= 4; ++epoch) {
     const size_t element = 4000 * epoch;
     last_sync[element] = static_cast<double>(epoch);
     builder.MarkDirty(element);
     snapshots.push_back(
-        builder.Publish(epoch, 1, 0.0, frequency, change_rate, last_sync)
+        builder
+            .Publish(epoch, 1, 0.0,
+                     IdentityClasses(frequency, change_rate).view(), last_sync)
             .value());
   }
   frequency[7] *= 3.0;
   builder.MarkAllDirty();
   snapshots.push_back(
-      builder.Publish(5, 2, 0.0, frequency, change_rate, last_sync).value());
+      builder
+          .Publish(5, 2, 0.0, IdentityClasses(frequency, change_rate).view(),
+                   last_sync)
+          .value());
 
   for (const auto& snapshot : snapshots) {
     EXPECT_EQ(snapshot->size_column(), size_column)
@@ -302,7 +343,9 @@ TEST(SnapshotBuilderTest, EverySnapshotSharesOneSizeColumn) {
     for (const auto& block : snapshot->shards()) {
       double partial = 0.0;
       for (size_t i = block->begin; i < block->end; ++i) {
-        partial += block->frequency[i - block->begin] * sizes[i];
+        partial +=
+            block->dictionary.frequency[block->pair(i - block->begin)] *
+            sizes[i];
       }
       expected += partial;
     }
@@ -329,12 +372,18 @@ TEST(SnapshotBuilderTest, RepublishWritesIntoReclaimedBlocks) {
   SnapshotBuilder builder(sizes);
   builder.MarkAllDirty();
   auto first =
-      builder.Publish(1, 1, 0.0, Ramp(n, 1.0), Ramp(n, 2.0), Column(n, 0.0))
+      builder
+          .Publish(1, 1, 0.0,
+                   IdentityClasses(Ramp(n, 1.0), Ramp(n, 2.0)).view(),
+                   Column(n, 0.0))
           .value();
   const std::vector<const ShardBlock*> first_blocks = BlockAddresses(*first);
   builder.MarkAllDirty();
   auto second =
-      builder.Publish(2, 2, 1.0, Ramp(n, 5.0), Ramp(n, 6.0), Column(n, 1.0))
+      builder
+          .Publish(2, 2, 1.0,
+                   IdentityClasses(Ramp(n, 5.0), Ramp(n, 6.0)).view(),
+                   Column(n, 1.0))
           .value();
   EXPECT_EQ(second->stats().shards_rebuilt, builder.NumShards());
   first.reset();
@@ -344,7 +393,10 @@ TEST(SnapshotBuilderTest, RepublishWritesIntoReclaimedBlocks) {
   const auto last_sync = Ramp(n, 0.5);
   builder.MarkAllDirty();
   auto third =
-      builder.Publish(3, 3, 2.0, frequency, change_rate, last_sync).value();
+      builder
+          .Publish(3, 3, 2.0, IdentityClasses(frequency, change_rate).view(),
+                   last_sync)
+          .value();
   EXPECT_EQ(BlockAddresses(*third), first_blocks);
   EXPECT_EQ(third->stats().shards_recycled, builder.NumShards());
   EXPECT_TRUE(third->CheckConsistent());
@@ -353,15 +405,19 @@ TEST(SnapshotBuilderTest, RepublishWritesIntoReclaimedBlocks) {
   SnapshotBuilder fresh(sizes);
   fresh.MarkAllDirty();
   auto reference =
-      fresh.Publish(3, 3, 2.0, frequency, change_rate, last_sync).value();
+      fresh
+          .Publish(3, 3, 2.0, IdentityClasses(frequency, change_rate).view(),
+                   last_sync)
+          .value();
   ASSERT_EQ(third->shards().size(), reference->shards().size());
   for (size_t s = 0; s < third->shards().size(); ++s) {
     const ShardBlock& block = *third->shards()[s];
     const ShardBlock& expected = *reference->shards()[s];
     EXPECT_EQ(block.begin, expected.begin) << "shard " << s;
     EXPECT_EQ(block.end, expected.end) << "shard " << s;
-    EXPECT_EQ(block.frequency, expected.frequency) << "shard " << s;
-    EXPECT_EQ(block.change_rate, expected.change_rate) << "shard " << s;
+    EXPECT_TRUE(SameDictionary(block.dictionary, expected.dictionary))
+        << "shard " << s;
+    EXPECT_EQ(block.value_index, expected.value_index) << "shard " << s;
     EXPECT_EQ(block.last_sync_time, expected.last_sync_time) << "shard " << s;
     EXPECT_TRUE(SameBits(block.plan_bandwidth, expected.plan_bandwidth))
         << "shard " << s;
@@ -379,7 +435,10 @@ TEST(SnapshotBuilderTest, HeldSnapshotBlocksAreNeverReused) {
   SnapshotBuilder builder(SizeColumn(n, 1.0));
   builder.MarkAllDirty();
   const auto held =
-      builder.Publish(1, 1, 0.0, Ramp(n, 1.0), Ramp(n, 2.0), Ramp(n, 3.0))
+      builder
+          .Publish(1, 1, 0.0,
+                   IdentityClasses(Ramp(n, 1.0), Ramp(n, 2.0)).view(),
+                   Ramp(n, 3.0))
           .value();
   std::vector<ElementView> expected;
   for (size_t i = 0; i < n; ++i) expected.push_back(held->Lookup(i));
@@ -389,8 +448,11 @@ TEST(SnapshotBuilderTest, HeldSnapshotBlocksAreNeverReused) {
     const double offset = 100.0 * static_cast<double>(epoch);
     builder.MarkAllDirty();
     auto next = builder
-                    .Publish(epoch, epoch, 1.0, Ramp(n, offset),
-                             Ramp(n, offset + 1.0), Ramp(n, offset + 2.0))
+                    .Publish(epoch, epoch, 1.0,
+                             IdentityClasses(Ramp(n, offset),
+                                             Ramp(n, offset + 1.0))
+                                 .view(),
+                             Ramp(n, offset + 2.0))
                     .value();
     EXPECT_EQ(next->stats().shards_rebuilt, builder.NumShards());
     // Epoch 3 finds every spare held by epoch 1; epoch 4 recycles epoch 2's.
@@ -412,16 +474,215 @@ TEST(SnapshotBuilderTest, HeldSnapshotBlocksAreNeverReused) {
   }
 }
 
-// A 19-element block: four full 4-word stripes plus a 3-word tail per
-// column, every value distinct.
+// A plan of `classes` classes over n elements, member i of class
+// (7 i) % classes, every class with its own (frequency, rate) pair.
+struct ClassPlan {
+  std::vector<uint32_t> class_of;
+  std::vector<double> frequency;
+  std::vector<double> change_rate;
+
+  ClassPlan(size_t n, size_t classes) : class_of(n) {
+    for (size_t i = 0; i < n; ++i) {
+      class_of[i] = static_cast<uint32_t>((7 * i) % classes);
+    }
+    for (size_t j = 0; j < classes; ++j) {
+      frequency.push_back(0.25 + 0.5 * static_cast<double>(j));
+      change_rate.push_back(1.0 / (1.0 + static_cast<double>(j)));
+    }
+  }
+
+  PlanClassView view() const { return {class_of, frequency, change_rate}; }
+};
+
+// The dictionary is covered by the block's digest: flipping any bit of one
+// entry's frequency or rate makes CheckConsistent() fail, and flipping it
+// back makes it pass again.
+TEST(SnapshotBuilderTest, FlippedDictionaryEntryFailsTheConsistencyCheck) {
+  const size_t n = 20000;
+  SnapshotBuilder builder(SizeColumn(n, 1.0));
+  const ClassPlan plan(n, 8);
+  builder.MarkAllDirty();
+  const auto snapshot =
+      builder.Publish(1, 1, 0.0, plan.view(), Ramp(n, 0.0)).value();
+  ASSERT_TRUE(snapshot->CheckConsistent());
+  // The builder allocates its blocks mutable; snapshots hand them out const.
+  auto* block = const_cast<ShardBlock*>(snapshot->shards()[1].get());
+  ASSERT_EQ(block->dictionary.size(), 8u);
+  for (std::vector<double> PlanDictionary::*column :
+       {&PlanDictionary::frequency, &PlanDictionary::change_rate}) {
+    for (int bit : {0, 31, 52, 63}) {
+      double& value = (block->dictionary.*column)[5];
+      const double original = value;
+      value = FlipBit(original, bit);
+      EXPECT_FALSE(snapshot->CheckConsistent()) << "bit " << bit;
+      value = original;
+      EXPECT_TRUE(snapshot->CheckConsistent()) << "bit " << bit;
+    }
+  }
+  // An index past the dictionary is caught before any read through it.
+  const uint32_t index = block->value_index[3];
+  block->value_index[3] = static_cast<uint32_t>(block->dictionary.size());
+  EXPECT_FALSE(snapshot->CheckConsistent());
+  block->value_index[3] = index;
+  EXPECT_TRUE(snapshot->CheckConsistent());
+}
+
+// The controller renumbers its classes at every replan, and may split a
+// class into two with equal values. A replan that moves no element's
+// (frequency, rate) bits must rebuild only the shards whose elements
+// synced; every other shard is shared.
+TEST(SnapshotBuilderTest, RenumberedClassesShareEveryUnsyncedShard) {
+  const size_t n = 20000;
+  const size_t classes = 40;
+  SnapshotBuilder builder(SizeColumn(n, 2.0));
+  const ClassPlan plan(n, classes);
+  auto last_sync = Ramp(n, 0.0);
+  builder.MarkAllDirty();
+  const auto first =
+      builder.Publish(1, 1, 0.0, plan.view(), last_sync).value();
+
+  // Reverse the ids, and move the odd members of old class 0 to a new
+  // class carrying old class 0's values.
+  ClassPlan renumbered = plan;
+  renumbered.frequency.push_back(plan.frequency[0]);
+  renumbered.change_rate.push_back(plan.change_rate[0]);
+  for (size_t j = 0; j < classes; ++j) {
+    renumbered.frequency[classes - 1 - j] = plan.frequency[j];
+    renumbered.change_rate[classes - 1 - j] = plan.change_rate[j];
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t old = plan.class_of[i];
+    renumbered.class_of[i] = old == 0 && i % 2 == 1
+                                 ? static_cast<uint32_t>(classes)
+                                 : static_cast<uint32_t>(classes - 1 - old);
+  }
+  const size_t synced[] = {5, n - 3};
+  for (size_t element : synced) last_sync[element] += 1.0;
+  builder.MarkAllDirty();
+  const auto second =
+      builder.Publish(2, 2, 1.0, renumbered.view(), last_sync).value();
+
+  EXPECT_EQ(second->stats().shards_rebuilt, std::size(synced));
+  for (size_t s = 0; s < builder.NumShards(); ++s) {
+    const bool was_synced =
+        s == par::ShardIndexOf(n, synced[0]) ||
+        s == par::ShardIndexOf(n, synced[1]);
+    EXPECT_EQ(first->shards()[s].get() == second->shards()[s].get(),
+              !was_synced)
+        << "shard " << s;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const ElementView before = first->Lookup(i);
+    const ElementView after = second->Lookup(i);
+    ASSERT_TRUE(SameBits(before.frequency, after.frequency) &&
+                SameBits(before.change_rate, after.change_rate))
+        << "element " << i;
+  }
+  EXPECT_TRUE(second->CheckConsistent());
+  EXPECT_TRUE(SameBits(second->stats().plan_bandwidth,
+                       first->stats().plan_bandwidth));
+}
+
+// With at most 256 classes every live block holds 12 bytes per element
+// (a 4-byte value index and the last-sync time) plus a dictionary of at
+// most 256 pairs, and the builder's byte count adds up its blocks.
+TEST(SnapshotBuilderTest, FewClassesHoldTwelveBytesPerElementPlusDictionaries) {
+  const size_t n = 100000;
+  const size_t classes = 256;
+  SnapshotBuilder builder(SizeColumn(n, 1.0));
+  const ClassPlan plan(n, classes);
+  builder.MarkAllDirty();
+  const auto first =
+      builder.Publish(1, 1, 0.0, plan.view(), Column(n, 0.0)).value();
+  size_t column_bytes = 0;
+  size_t dictionary_bytes = 0;
+  for (const auto& block : first->shards()) {
+    EXPECT_LE(block->dictionary.size(), classes);
+    dictionary_bytes += block->dictionary.bytes();
+    column_bytes += block->bytes() - block->dictionary.bytes();
+  }
+  EXPECT_LE(column_bytes, 12 * n);
+  EXPECT_EQ(first->stats().held_bytes, column_bytes + dictionary_bytes);
+  EXPECT_EQ(first->stats().held_dictionary_bytes, dictionary_bytes);
+
+  // A second full rebuild keeps the first blocks as spares: two copies.
+  builder.MarkAllDirty();
+  const auto second =
+      builder.Publish(2, 2, 1.0, plan.view(), Column(n, 1.0)).value();
+  EXPECT_EQ(second->stats().shards_rebuilt, builder.NumShards());
+  EXPECT_LE(second->stats().held_bytes,
+            2 * 12 * n + second->stats().held_dictionary_bytes);
+  EXPECT_LE(second->stats().held_dictionary_bytes,
+            2 * builder.NumShards() * classes * 2 * sizeof(double));
+}
+
+// Under a plan with one class per element every block holds the elements'
+// own pairs in element order and no value index: 24 bytes per element, as
+// the dense columns held. Ids that are a permutation of the elements (not
+// the controller's contiguous ones) serve the same values.
+TEST(SnapshotBuilderTest, OneClassPerElementHoldsPairsInElementOrder) {
+  const size_t n = 20000;
+  SnapshotBuilder builder(SizeColumn(n, 1.0));
+  const auto frequency = Ramp(n, 1.0);
+  const auto change_rate = Ramp(n, 2.0);
+  const auto last_sync = Ramp(n, 3.0);
+  builder.MarkAllDirty();
+  const auto snapshot =
+      builder
+          .Publish(1, 1, 0.0, IdentityClasses(frequency, change_rate).view(),
+                   last_sync)
+          .value();
+  size_t bytes = 0;
+  for (const auto& block : snapshot->shards()) {
+    EXPECT_TRUE(block->value_index.empty());
+    ASSERT_EQ(block->dictionary.size(), block->count());
+    for (size_t k = 0; k < block->count(); ++k) {
+      ASSERT_TRUE(SameBits(block->dictionary.frequency[k],
+                           frequency[block->begin + k]));
+      ASSERT_TRUE(SameBits(block->dictionary.change_rate[k],
+                           change_rate[block->begin + k]));
+    }
+    bytes += block->bytes();
+  }
+  EXPECT_EQ(bytes, 24 * n);
+
+  // Reversed ids: class n - 1 - i holds element i's values.
+  std::vector<uint32_t> class_of(n);
+  std::vector<double> class_frequency(n);
+  std::vector<double> class_rate(n);
+  for (size_t i = 0; i < n; ++i) {
+    class_of[i] = static_cast<uint32_t>(n - 1 - i);
+    class_frequency[n - 1 - i] = frequency[i];
+    class_rate[n - 1 - i] = change_rate[i];
+  }
+  builder.MarkAllDirty();
+  const auto reversed =
+      builder
+          .Publish(2, 2, 1.0, PlanClassView{class_of, class_frequency,
+                                            class_rate},
+                   last_sync)
+          .value();
+  EXPECT_EQ(reversed->stats().shards_rebuilt, 0u);
+  EXPECT_EQ(reversed->combined_digest(), snapshot->combined_digest());
+  for (size_t i = 0; i < n; i += 7) {
+    ASSERT_TRUE(SameBits(reversed->Lookup(i).frequency, frequency[i]));
+    ASSERT_TRUE(SameBits(reversed->Lookup(i).change_rate, change_rate[i]));
+  }
+}
+
+// A 19-element block whose columns all end in a partial stripe: 19
+// dictionary pairs, 19 value indices (9 words and a 4-byte tail), 19
+// last-sync times. Every value is distinct, and the indices are
+// a permutation of the dictionary.
 ShardBlock DigestTestBlock() {
   ShardBlock block;
   block.begin = 4096;
   block.end = 4096 + 19;
   for (size_t j = 0; j < block.count(); ++j) {
     const double x = static_cast<double>(j);
-    block.frequency.push_back(0.5 + x);
-    block.change_rate.push_back(1.25 + 3.0 * x);
+    block.dictionary.frequency.push_back(0.5 + x);
+    block.dictionary.change_rate.push_back(1.25 + 3.0 * x);
+    block.value_index.push_back(static_cast<uint32_t>((7 * j) % 19));
     block.last_sync_time.push_back(100.0 - x);
   }
   return block;
@@ -432,36 +693,67 @@ constexpr size_t kDigestPositions[] = {0, 9, 16, 17, 18};
 constexpr int kDigestBits[] = {0, 31, 52, 63};
 constexpr size_t kDigestSwaps[] = {0, 9, 15, 17};
 
+// The block's three columns of doubles: dictionary frequencies, dictionary
+// change rates, last-sync times.
+double& DoubleAt(ShardBlock& block, size_t column, size_t j) {
+  switch (column) {
+    case 0:
+      return block.dictionary.frequency[j];
+    case 1:
+      return block.dictionary.change_rate[j];
+    default:
+      return block.last_sync_time[j];
+  }
+}
+constexpr size_t kDoubleColumns = 3;
+
 TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
-  std::vector<double> ShardBlock::*const columns[] = {
-      &ShardBlock::frequency, &ShardBlock::change_rate,
-      &ShardBlock::last_sync_time};
   const ShardBlock base = DigestTestBlock();
   const uint64_t digest = DigestShard(base);
 
-  const size_t num_columns = std::size(columns);
-  for (size_t c = 0; c < num_columns; ++c) {
+  for (size_t c = 0; c < kDoubleColumns; ++c) {
     for (size_t j : kDigestPositions) {
       for (int bit : kDigestBits) {
         ShardBlock flipped = base;
-        (flipped.*columns[c])[j] = FlipBit((base.*columns[c])[j], bit);
+        double& value = DoubleAt(flipped, c, j);
+        value = FlipBit(value, bit);
         EXPECT_NE(DigestShard(flipped), digest)
             << "column " << c << " position " << j << " bit " << bit;
       }
     }
     for (size_t j : kDigestSwaps) {
       ShardBlock swapped = base;
-      std::swap((swapped.*columns[c])[j], (swapped.*columns[c])[j + 1]);
+      std::swap(DoubleAt(swapped, c, j), DoubleAt(swapped, c, j + 1));
       EXPECT_NE(DigestShard(swapped), digest)
           << "column " << c << " swap at " << j;
     }
-    for (size_t d = c + 1; d < num_columns; ++d) {
+    for (size_t d = c + 1; d < kDoubleColumns; ++d) {
       ShardBlock exchanged = base;
-      std::swap(exchanged.*columns[c], exchanged.*columns[d]);
+      for (size_t j = 0; j < base.count(); ++j) {
+        std::swap(DoubleAt(exchanged, c, j), DoubleAt(exchanged, d, j));
+      }
       EXPECT_NE(DigestShard(exchanged), digest)
           << "columns " << c << " and " << d << " exchanged";
     }
   }
+  for (size_t j : kDigestPositions) {
+    for (int bit : {0, 15, 31}) {
+      ShardBlock flipped = base;
+      flipped.value_index[j] ^= uint32_t{1} << bit;
+      EXPECT_NE(DigestShard(flipped), digest)
+          << "value index " << j << " bit " << bit;
+    }
+  }
+  for (size_t j : kDigestSwaps) {
+    ShardBlock swapped = base;
+    std::swap(swapped.value_index[j], swapped.value_index[j + 1]);
+    EXPECT_NE(DigestShard(swapped), digest) << "value index swap at " << j;
+  }
+  // A dictionary entry no element reads is still covered.
+  ShardBlock longer = base;
+  longer.dictionary.frequency.push_back(0.0);
+  longer.dictionary.change_rate.push_back(0.0);
+  EXPECT_NE(DigestShard(longer), digest);
   ShardBlock moved = base;
   moved.begin += 1;
   moved.end += 1;
@@ -485,15 +777,20 @@ TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
     std::swap(swapped[j], swapped[j + 1]);
     EXPECT_NE(DigestColumn(swapped), size_digest) << "size swap at " << j;
   }
-  for (size_t c = 0; c < num_columns; ++c) {
-    EXPECT_NE(DigestColumn(base.*columns[c]), size_digest)
+  for (size_t c = 0; c < kDoubleColumns; ++c) {
+    ShardBlock copy = base;
+    std::vector<double> column;
+    for (size_t j = 0; j < base.count(); ++j) {
+      column.push_back(DoubleAt(copy, c, j));
+    }
+    EXPECT_NE(DigestColumn(column), size_digest)
         << "size column exchanged with column " << c;
   }
 
   std::vector<std::shared_ptr<const ShardBlock>> shards;
   for (int s = 0; s < 3; ++s) {
     ShardBlock block = DigestTestBlock();
-    block.frequency[0] += s;
+    block.dictionary.frequency[0] += s;
     block.digest = DigestShard(block);
     shards.push_back(std::make_shared<const ShardBlock>(std::move(block)));
   }
@@ -514,7 +811,10 @@ std::shared_ptr<const ServeSnapshot> MakeSnapshot(SnapshotBuilder& builder,
                                                   double value) {
   builder.MarkAllDirty();
   const auto columns = Column(n, value);
-  return builder.Publish(epoch, 0, 0.0, columns, columns, columns).value();
+  return builder
+      .Publish(epoch, 0, 0.0, IdentityClasses(columns, columns).view(),
+               columns)
+      .value();
 }
 
 TEST(SnapshotStoreTest, EmptyBeforeFirstPublish) {
@@ -759,7 +1059,7 @@ TEST(FreshendDaemonTest, SnapshotMatchesOwningColumnsAfterEveryPeriod) {
       ASSERT_TRUE(SameBits(view.size, controller.sizes()[i]))
           << "period " << period << " element " << i;
       ASSERT_TRUE(
-          SameBits(view.change_rate, controller.PlannedChangeRates()[i]))
+          SameBits(view.change_rate, controller.PlannedChangeRate(i)))
           << "period " << period << " element " << i;
       ASSERT_TRUE(SameBits(view.last_sync_time, mirror.LastSyncTimes()[i]))
           << "period " << period << " element " << i;
@@ -814,6 +1114,30 @@ TEST(FreshendDaemonTest, FullRepublishesStrandNoArenaMemory) {
   const double free_growth = static_cast<double>(mallinfo2().fordblks) -
                              static_cast<double>(free_before);
   EXPECT_LT(free_growth, 24.0 * kElements);
+}
+
+// freshen_serve_snapshot_bytes carries the builder's block bytes after
+// every publish: the live and spare copies of 12 bytes per element, plus
+// their dictionaries.
+TEST(FreshendDaemonTest, SnapshotBytesGaugeCountsLiveAndSpareBlocks) {
+  constexpr size_t kElements = 20000;
+  obs::MetricsRegistry registry;
+  auto options = DaemonOptions(&registry);
+  options.max_periods = 4;
+  auto daemon =
+      FreshendDaemon::Create(TestCatalog(kElements), 500.0, options).value();
+  const obs::Gauge* bytes = registry.GetGauge("freshen_serve_snapshot_bytes");
+  EXPECT_EQ(bytes->value(),
+            static_cast<double>(daemon->Stats().snapshot.held_bytes));
+  ASSERT_TRUE(daemon->Start().ok());
+  while (daemon->running()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  daemon->Stop();
+  const SnapshotStats stats = daemon->Stats().snapshot;
+  EXPECT_EQ(bytes->value(), static_cast<double>(stats.held_bytes));
+  EXPECT_GT(stats.held_bytes, 12 * kElements);
+  EXPECT_LE(stats.held_bytes, 2 * 12 * kElements + stats.held_dictionary_bytes);
 }
 
 TEST(FreshendDaemonTest, StopIsIdempotentAndQueriesSurviveIt) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/plan_classes.h"
 #include "common/quick_mode.h"
 #include "obs/metrics.h"
 #include "serve/daemon.h"
@@ -77,7 +78,8 @@ TEST(ServeTortureTest, RawStoreReadersNeverSeeTornSnapshots) {
     builder.MarkAllDirty();
     auto snapshot = builder
                         .Publish(static_cast<uint64_t>(pub), 0, stamp,
-                                 columns, columns, columns)
+                                 IdentityClasses(columns, columns).view(),
+                                 columns)
                         .value();
     store.Publish(std::move(snapshot));
   }
@@ -156,7 +158,8 @@ TEST(ServeTortureTest, PinnedReadersNeverSeeRecycledBlocksChange) {
     builder.MarkAllDirty();
     auto snapshot = builder
                         .Publish(static_cast<uint64_t>(pub), 0, stamp,
-                                 columns, columns, columns)
+                                 IdentityClasses(columns, columns).view(),
+                                 columns)
                         .value();
     recycled += snapshot->stats().shards_recycled;
     store.Publish(std::move(snapshot));

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/plan_classes.h"
 #include "common/simd.h"
 #include "mirror/online_loop.h"
 #include "model/element.h"
@@ -30,6 +31,16 @@ using obs::DriftReport;
 using obs::SloMonitor;
 using obs::SloReport;
 using obs::SloState;
+
+// Closes a detector's period against per-element planned rates, wrapped as
+// a plan with one class per element.
+void EndPeriodAgainst(DriftDetector& detector, double now,
+                      const std::vector<double>& planned) {
+  detector.EndPeriod(
+      now,
+      IdentityClasses(std::vector<double>(planned.size(), 0.0), planned)
+          .view());
+}
 
 // ---- SloMonitor -----------------------------------------------------------
 
@@ -278,7 +289,7 @@ TEST(DriftDetectorTest, MatchedRatesScoreNearZero) {
       detector.ObserveSync(element, /*changed=*/poll < 4, /*gap=*/0.5);
     }
   }
-  detector.EndPeriod(1.0, std::vector<double>(4, 1.0));
+  EndPeriodAgainst(detector, 1.0, std::vector<double>(4, 1.0));
   const DriftReport report = detector.Report();
   EXPECT_EQ(report.scored_elements, 4u);
   EXPECT_EQ(report.flagged_elements, 0u);
@@ -303,7 +314,7 @@ TEST(DriftDetectorTest, LambdaShiftPutsShiftedElementsInTopK) {
       detector.ObserveSync(element, shifted || poll < 4, 0.5);
     }
   }
-  detector.EndPeriod(1.0, std::vector<double>(10, 1.0));
+  EndPeriodAgainst(detector, 1.0, std::vector<double>(10, 1.0));
   const DriftReport report = detector.Report();
   EXPECT_EQ(report.scored_elements, 10u);
   EXPECT_EQ(report.flagged_elements, 2u);
@@ -331,7 +342,7 @@ TEST(DriftDetectorTest, IgnoresBadObservationsAndThinEvidence) {
   detector.ObserveSync(0, true, 0.5);    // 1 poll < min_evidence 3.
   detector.ObserveSync(1, true, 0.5);
   detector.ObserveSync(1, true, 0.5);
-  detector.EndPeriod(1.0, std::vector<double>(4, 1.0));
+  EndPeriodAgainst(detector, 1.0, std::vector<double>(4, 1.0));
   const DriftReport report = detector.Report();
   EXPECT_EQ(report.scored_elements, 0u);
   EXPECT_TRUE(report.top.empty());
@@ -346,11 +357,11 @@ TEST(DriftDetectorTest, EvidenceDecaysBelowScoringThreshold) {
   for (int poll = 0; poll < 4; ++poll) {
     detector.ObserveSync(0, true, 0.5);
   }
-  detector.EndPeriod(1.0, {1.0});
+  EndPeriodAgainst(detector, 1.0, {1.0});
   EXPECT_EQ(detector.Report().scored_elements, 1u);
   // No new syncs: 4 -> 2 -> 1 effective polls; below min_evidence 3 the
   // element stops being scored.
-  detector.EndPeriod(2.0, {1.0});
+  EndPeriodAgainst(detector, 2.0, {1.0});
   EXPECT_EQ(detector.Report().scored_elements, 0u);
 }
 
@@ -387,7 +398,7 @@ TEST(DriftDetectorTest, CachedScoresMatchEagerRescoring) {
         if (rng.NextBool(0.3)) rate = rng.NextDoubleIn(0.2, 4.0);
       }
     }
-    detector.EndPeriod(period, planned);
+    EndPeriodAgainst(detector, period, planned);
 
     const DriftReport report = detector.Report();
     std::vector<double> eager(n, -1.0);
@@ -471,7 +482,7 @@ TEST(DriftDetectorTest, SparseRowsMatchADenseSweepBitForBit) {
         planned[2 * pair] = planned[2 * pair + 1] = rng.NextDoubleIn(0.2, 4.0);
       }
     }
-    detector.EndPeriod(period, planned);
+    EndPeriodAgainst(detector, period, planned);
 
     size_t scored = 0;
     size_t flagged = 0;
@@ -570,7 +581,7 @@ TEST(DriftDetectorTest, BatchedScoresMatchLibmRescoring) {
       // A replan moves every planned rate; the evidence has decayed once.
       for (double& rate : planned) rate *= 1.5;
     }
-    detector.EndPeriod(round + 1.0, planned);
+    EndPeriodAgainst(detector, round + 1.0, planned);
     const DriftReport report = detector.Report();
     size_t scored = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -659,7 +670,7 @@ TEST(LoopTelemetryTest, DriftFlagsAnUncorrectedLambdaShift) {
     EXPECT_FALSE(loop.RunPeriod().replanned);
   }
   EXPECT_EQ(loop.controller().num_replans(), 1u);  // Cold-start plan only.
-  EXPECT_DOUBLE_EQ(loop.controller().PlannedChangeRates()[0], 0.01);
+  EXPECT_DOUBLE_EQ(loop.controller().PlannedChangeRate(0), 0.01);
 
   const DriftReport report = detector.Report();
   EXPECT_EQ(report.scored_elements, n);
