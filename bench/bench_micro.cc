@@ -1,7 +1,11 @@
 // A6 — google-benchmark microbenchmarks for the hot paths: the freshness
 // closed forms, the marginal-inverse kernel, the exact solver, partitioning,
-// k-means iterations, alias-table sampling, and the serving snapshot's
-// consistency check and lookup.
+// the class transform's grouping, k-means iterations, alias-table sampling,
+// and the serving snapshot's consistency check and lookup.
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/plan_classes.h"
@@ -12,6 +16,7 @@
 #include "opt/water_filling.h"
 #include "partition/kmeans.h"
 #include "partition/partitioner.h"
+#include "partition/transformed.h"
 #include "rng/alias_table.h"
 #include "rng/rng.h"
 #include "rng/zipf.h"
@@ -166,6 +171,47 @@ void BM_ZipfProbabilities(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfProbabilities)->Arg(10000)->Arg(500000);
+
+// One replan's grouping: ClassTransform::Build over N = state.range(0)
+// rows, each derived in the callback as the controller derives it (a
+// weight from a count, a rate through a log, unit cost). With
+// state.range(1) = 0 every third row repeats one of 16 rows and the rest
+// are distinct, so the transform turns into the identity grouping after
+// ~3,700 of 10k rows (the loop_events shape); otherwise the rows fall into
+// state.range(1) classes in runs of 16.
+void BM_ClassTransformBuild(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const auto classes = static_cast<uint64_t>(state.range(1));
+  std::vector<uint32_t> key(n);
+  Rng rng(13);
+  for (size_t i = 0; i < n; ++i) {
+    if (classes == 0) {
+      key[i] = static_cast<uint32_t>(i % 3 == 0 ? i % 16 : 16 + i);
+    } else if (i % 16 == 0) {
+      key[i] = static_cast<uint32_t>(rng.NextUint64Below(classes));
+    } else {
+      key[i] = key[i - 1];
+    }
+  }
+  const double inv = 1.0 / static_cast<double>(n);
+  ClassTransform transform;
+  for (auto _ : state) {
+    const Status status =
+        transform.Build(n, 0.1 * static_cast<double>(n), [&](size_t i) {
+          const double k = static_cast<double>(key[i]);
+          return CoreRow{(k + 1.0) * inv, std::log(2.0 + k) / 3.0, 1.0};
+        });
+    benchmark::DoNotOptimize(status.ok());
+    benchmark::DoNotOptimize(transform.problem().weights.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["classes"] =
+      static_cast<double>(transform.problem().size());
+}
+BENCHMARK(BM_ClassTransformBuild)
+    ->Args({10000, 0})
+    ->Args({500000, 256})
+    ->Unit(benchmark::kMicrosecond);
 
 // A published snapshot over N = state.range(0) elements whose plan has
 // state.range(1) classes (0: one class per element), every class holding

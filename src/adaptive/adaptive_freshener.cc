@@ -51,8 +51,7 @@ AdaptiveFreshener::AdaptiveFreshener(std::vector<double> sizes,
       sizes_(std::make_shared<const std::vector<double>>(std::move(sizes))),
       bandwidth_(bandwidth),
       learner_(sizes_->size(), options.learner),
-      evidence_(sizes_->size()),
-      frequencies_(sizes_->size(), 0.0) {
+      evidence_(sizes_->size()) {
   obs::MetricsRegistry& registry = options_.registry != nullptr
                                        ? *options_.registry
                                        : obs::MetricsRegistry::Global();
@@ -103,7 +102,6 @@ Result<bool> AdaptiveFreshener::MaybeReplan(double now, bool force) {
   const std::vector<double>& sizes = *sizes_;
   RescaleToBudget([&sizes](size_t i) { return sizes[i]; }, bandwidth_,
                   classes_.class_of(), &class_frequencies_);
-  classes_.Expand(class_frequencies_, &frequencies_);
   FRESHEN_RETURN_IF_ERROR(solved);
   plan_classes_->Set(static_cast<double>(class_frequencies_.size()));
   last_plan_time_ = now;

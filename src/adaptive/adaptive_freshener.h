@@ -81,8 +81,16 @@ class AdaptiveFreshener {
   /// every frequency 0, and returns the error.
   Result<bool> MaybeReplan(double now, bool force = false);
 
-  /// The current sync frequencies (per period).
-  const std::vector<double>& frequencies() const { return frequencies_; }
+  /// The current plan's sync frequency (per period) for `element`.
+  double Frequency(size_t element) const {
+    return class_frequencies_[classes_.class_of()[element]];
+  }
+
+  /// The current plan, expanded per element: O(N), for tests and offline
+  /// evaluation.
+  std::vector<double> frequencies() const {
+    return classes_.Expand(class_frequencies_);
+  }
 
   /// The configured element sizes (bandwidth units per sync).
   const std::vector<double>& sizes() const { return *sizes_; }
@@ -114,7 +122,7 @@ class AdaptiveFreshener {
   }
 
   /// The current plan per class: each element's class, and each class's
-  /// frequency and planned change rate. frequencies()[i] and
+  /// frequency and planned change rate. Frequency(i) and
   /// PlannedChangeRate(i) are its values for element i. Class ids are
   /// renumbered at every replan; the view is valid until the next one.
   PlanClassView PlanClasses() const {
@@ -138,8 +146,6 @@ class AdaptiveFreshener {
   // an element that has recorded a poll.
   SyncEvidence evidence_;
 
-  // The plan, expanded to one frequency per element.
-  std::vector<double> frequencies_;
   // The exact replan's solver, and the class transform of the problem the
   // current plan solved: what FreshenPlanner's exact PF mode with unit
   // costs would build from BelievedCatalog(), grouped into classes. Its
@@ -147,7 +153,7 @@ class AdaptiveFreshener {
   // table holds the planned change rates.
   KktWaterFillingSolver solver_;
   ClassTransform classes_;
-  // The plan's frequency per class of classes_.
+  // The plan: one frequency per class of classes_, the only copy.
   std::vector<double> class_frequencies_;
   double last_plan_time_ = 0.0;
   uint64_t num_replans_ = 0;

@@ -1,9 +1,9 @@
 // The controller's plan kept per class (the paper's Transformed Problem,
 // §3.2, carried into memory): each element holds only a class id, and each
 // class one planned frequency and the change rate the plan was solved
-// against. The drift detector and the snapshot builder read the plan
-// through this view; code that holds dense per-element columns wraps them
-// as one class per element with IdentityClasses.
+// against. The online loop, the drift detector and the snapshot builder
+// read the plan through this view; code that holds dense per-element
+// columns wraps them as one class per element with IdentityClasses.
 #ifndef FRESHEN_COMMON_PLAN_CLASSES_H_
 #define FRESHEN_COMMON_PLAN_CLASSES_H_
 
@@ -30,6 +30,11 @@ struct PlanClassView {
 
   /// Number of elements.
   size_t size() const { return class_of.size(); }
+
+  /// The planned sync frequency for `element`.
+  double Frequency(size_t element) const {
+    return frequency[class_of[element]];
+  }
 
   /// The change rate the plan was solved against for `element`.
   double ChangeRate(size_t element) const {

@@ -32,7 +32,7 @@ Result<size_t> SolveByClasses(const KktWaterFillingSolver& solver,
                        problem.costs[i]};
       },
       classes, &class_frequencies));
-  classes->Expand(class_frequencies, frequencies);
+  *frequencies = classes->Expand(class_frequencies);
   return class_frequencies.size();
 }
 

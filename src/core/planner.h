@@ -146,8 +146,8 @@ void RescaleToBudget(SizeOf size_of, double bandwidth,
 /// `*class_frequencies` receives one frequency per class. The solver hands
 /// its residual to the boundary row, which here is the whole tied boundary
 /// class, so ties share it equally instead of funding one member. Past n/4
-/// distinct rows the transform is the identity, so a catalog without
-/// repeated rows is solved as the per-element problem, to the same bytes.
+/// distinct rows, or on an overflowing class row, the transform is the
+/// identity, so the per-element problem is solved, to the same bytes.
 /// Invalid rows fail with CoreProblem::Validate()'s status; on any failure
 /// `*class_frequencies` holds one zero per class of `*classes`.
 template <typename RowOf>

@@ -136,14 +136,15 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
   PeriodStats stats;
 
   // Due syncs: the Fixed-Order timeline (schedule.h) under the controller's
-  // current frequencies. A never-synced element is phased from its
-  // first-funded anchor, recorded the first period its f is > 0.
-  const std::vector<double>& freqs = controller_->frequencies();
+  // current plan, viewed afresh (a replan can reallocate its columns). A
+  // never-synced element is phased from its first-funded anchor, recorded
+  // the first period its f is > 0.
+  const PlanClassView plan = controller_->PlanClasses();
   const size_t n = truth_.size();
   const auto period_index = static_cast<uint32_t>(period_start);
   std::vector<sync::SyncTask> due;
   for (size_t i = 0; i < n; ++i) {
-    const double f = freqs[i];
+    const double f = plan.Frequency(i);
     if (f <= 0.0) continue;
     FixedOrderHistory history;
     if (mirror_.Synced(i)) {

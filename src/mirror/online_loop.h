@@ -108,8 +108,8 @@ class OnlineFreshenLoop {
     /// decision, with this period's stats and the sorted, deduplicated ids
     /// of elements whose copies were actually refreshed. During the call
     /// the loop is at a consistent boundary: the controller's plan
-    /// (frequencies(), PlanClasses()) and the mirror's last-sync times all
-    /// reflect the new period — exactly what a snapshot publisher needs for
+    /// (PlanClasses()) and the mirror's last-sync times all reflect the new
+    /// period — exactly what a snapshot publisher needs for
     /// O(changed-shards) publication.
     std::function<void(const PeriodStats& stats,
                        const std::vector<uint32_t>& synced_elements)>

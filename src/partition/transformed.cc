@@ -1,6 +1,7 @@
 #include "partition/transformed.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "common/macros.h"
 
@@ -39,27 +40,40 @@ void ClassTransform::Rehash(size_t slots) {
   }
 }
 
+void ClassTransform::Ungroup(size_t rows) {
+  // Classes are numbered by first occurrence, so class_of_[i] <= i: walking
+  // down, row i's class row has not been overwritten yet.
+  for (std::vector<double>* column :
+       {&classes_.weights, &classes_.change_rates, &classes_.costs}) {
+    column->resize(rows);
+    for (size_t i = rows; i-- > 0;) (*column)[i] = (*column)[class_of_[i]];
+  }
+  std::iota(class_of_.begin(), class_of_.begin() + rows, uint32_t{0});
+}
+
 bool ClassTransform::ScaleClassRows() {
+  // A class row must stay a valid Core Problem row.
   for (size_t j = 0; j < counts_.size(); ++j) {
-    const double members = static_cast<double>(counts_[j]);
-    classes_.weights[j] = members * classes_.weights[j];
-    classes_.costs[j] = members * classes_.costs[j];
-    // A class row must stay a valid Core Problem row.
-    if (!std::isfinite(classes_.weights[j]) ||
-        !std::isfinite(classes_.costs[j])) {
+    if (!std::isfinite(counts_[j] * classes_.weights[j]) ||
+        !std::isfinite(counts_[j] * classes_.costs[j])) {
       return false;
     }
+  }
+  for (size_t j = 0; j < counts_.size(); ++j) {
+    classes_.weights[j] *= counts_[j];
+    classes_.costs[j] *= counts_[j];
   }
   return true;
 }
 
-void ClassTransform::Expand(const std::vector<double>& class_frequencies,
-                            std::vector<double>* frequencies) const {
+std::vector<double> ClassTransform::Expand(
+    const std::vector<double>& class_frequencies) const {
   FRESHEN_CHECK(class_frequencies.size() == classes_.size());
-  frequencies->resize(class_of_.size());
+  std::vector<double> frequencies(class_of_.size());
   for (size_t i = 0; i < class_of_.size(); ++i) {
-    (*frequencies)[i] = class_frequencies[class_of_[i]];
+    frequencies[i] = class_frequencies[class_of_[i]];
   }
+  return frequencies;
 }
 
 }  // namespace freshen

@@ -47,11 +47,10 @@ struct CoreRow {
 ///
 /// The rows are read through a callback, so a caller that derives them
 /// (the adaptive controller's learned weights and believed rates) never
-/// stores them per element. Past n / 4 distinct rows, or when a class
-/// row's weight or cost overflows, the grouping starts over as the
-/// identity grouping: class i is row i, unscaled, so the class problem is
-/// the per-element problem itself, with the same rows in the same order
-/// (and the class table then holds a row per element).
+/// stores them per element, and each is read once. From the row that
+/// opens class n / 4 + 1, or when a class row would overflow, the grouping
+/// is the identity: class i is row i, unscaled, so the class problem is
+/// the per-element problem itself, with the same rows in the same order.
 ///
 /// The object is working memory meant to outlive one solve: a caller that
 /// re-solves every period keeps one, and Build() then allocates nothing
@@ -73,27 +72,21 @@ class ClassTransform {
   /// Row -> class id, one entry per row of the last Build.
   const std::vector<uint32_t>& class_of() const { return class_of_; }
 
-  /// Writes each member's class frequency: (*frequencies)[i] =
-  /// class_frequencies[class of row i], resized to the original row count.
-  void Expand(const std::vector<double>& class_frequencies,
-              std::vector<double>* frequencies) const;
+  /// Each member's class frequency: element i of the result is
+  /// class_frequencies[class of row i].
+  std::vector<double> Expand(
+      const std::vector<double>& class_frequencies) const;
 
  private:
-  /// Groups by bits into at most `max_classes` classes. Returns false as
-  /// soon as that cap or an overflowing class row turns up. Records the
-  /// first invalid row's status in `*status`.
-  template <typename RowOf>
-  bool Group(size_t n, RowOf& row_of, size_t max_classes, Status* status);
-
-  /// One class per row, in row order.
-  template <typename RowOf>
-  void Identity(size_t n, RowOf& row_of, Status* status);
+  /// Regroups the first `rows` rows as the identity grouping (class i is
+  /// row i), gathering each from its class row, which must be unscaled.
+  void Ungroup(size_t rows);
 
   /// Resets the open-addressing table to `slots` empty slots (a power of
   /// two) and re-inserts every class found so far.
   void Rehash(size_t slots);
 
-  /// Scales each class row by its member count; false if one overflows.
+  /// Scales each class row by its member count, or none if one overflows.
   bool ScaleClassRows();
 
   // Row -> class id.
@@ -132,6 +125,8 @@ inline uint64_t HashKey(uint64_t w, uint64_t l, uint64_t c) {
 
 template <typename RowOf>
 Status ClassTransform::Build(size_t n, double bandwidth, RowOf row_of) {
+  using class_transform_internal::Bits;
+  using class_transform_internal::HashKey;
   if (n == 0) return Status::InvalidArgument("problem has no variables");
   FRESHEN_RETURN_IF_ERROR(CoreProblem::ValidateBandwidth(bandwidth));
   if (n >= UINT32_MAX) {
@@ -139,31 +134,21 @@ Status ClassTransform::Build(size_t n, double bandwidth, RowOf row_of) {
         StrFormat("%zu rows do not fit 32-bit class ids", n));
   }
   classes_.bandwidth = bandwidth;
-  class_of_.resize(n);
-  Status status;
-  if (!Group(n, row_of, n / 4, &status)) {
-    status = Status::OK();
-    Identity(n, row_of, &status);
-  }
-  return status;
-}
-
-template <typename RowOf>
-bool ClassTransform::Group(size_t n, RowOf& row_of, size_t max_classes,
-                           Status* status) {
-  using class_transform_internal::Bits;
-  using class_transform_internal::HashKey;
   classes_.weights.clear();
   classes_.change_rates.clear();
   classes_.costs.clear();
   counts_.clear();
+  class_of_.resize(n);
   slots_.assign(class_transform_internal::kInitialSlots, 0);
   size_t mask = slots_.size() - 1;
+  Status status;
 
   // Runs of one row are common (untouched elements of a learned catalog
   // sit side by side), so the previous row's class is tried before the
-  // table, and a run's members are counted in a register.
+  // table, and a run's members are counted in a register. From the row
+  // that would open class n / 4 + 1 on, every row is a class of its own.
   uint32_t* class_of = class_of_.data();
+  bool grouping = true;
   uint64_t prev_w = 0;
   uint64_t prev_l = 0;
   uint64_t prev_c = 0;
@@ -179,36 +164,45 @@ bool ClassTransform::Group(size_t n, RowOf& row_of, size_t max_classes,
       ++run;
       continue;
     }
-    if (run > 0) counts_[prev_class] += run;
-    size_t s = HashKey(w, l, c) & mask;
     uint32_t id = UINT32_MAX;
-    while (slots_[s] != 0) {
-      const uint32_t j = slots_[s] - 1;
-      if (Bits(classes_.weights[j]) == w &&
-          Bits(classes_.change_rates[j]) == l && Bits(classes_.costs[j]) == c) {
-        id = j;
-        break;
+    size_t s = 0;
+    if (grouping) {
+      if (run > 0) counts_[prev_class] += run;
+      s = HashKey(w, l, c) & mask;
+      while (slots_[s] != 0) {
+        const uint32_t j = slots_[s] - 1;
+        if (Bits(classes_.weights[j]) == w &&
+            Bits(classes_.change_rates[j]) == l &&
+            Bits(classes_.costs[j]) == c) {
+          id = j;
+          break;
+        }
+        s = (s + 1) & mask;
       }
-      s = (s + 1) & mask;
+      if (id == UINT32_MAX && counts_.size() == n / 4) {
+        Ungroup(i);
+        grouping = false;
+      }
     }
     if (id == UINT32_MAX) {
-      if (counts_.size() == max_classes) return false;
       // A row equal to an earlier one has that row's validity, so the
       // first invalid row is the first row of some class.
-      if (status->ok() &&
+      if (status.ok() &&
           !CoreProblem::IsValidRow(row.weight, row.change_rate, row.cost)) {
-        *status =
+        status =
             CoreProblem::ValidateRow(i, row.weight, row.change_rate, row.cost);
       }
-      id = static_cast<uint32_t>(counts_.size());
+      id = static_cast<uint32_t>(classes_.size());
       classes_.weights.push_back(row.weight);
       classes_.change_rates.push_back(row.change_rate);
       classes_.costs.push_back(row.cost);
-      counts_.push_back(0);
-      slots_[s] = id + 1;
-      if (2 * counts_.size() > slots_.size()) {
-        Rehash(2 * slots_.size());
-        mask = slots_.size() - 1;
+      if (grouping) {
+        counts_.push_back(0);
+        slots_[s] = id + 1;
+        if (2 * counts_.size() > slots_.size()) {
+          Rehash(2 * slots_.size());
+          mask = slots_.size() - 1;
+        }
       }
     }
     class_of[i] = id;
@@ -216,30 +210,11 @@ bool ClassTransform::Group(size_t n, RowOf& row_of, size_t max_classes,
     prev_l = l;
     prev_c = c;
     prev_class = id;
-    run = 1;
+    run = grouping ? 1 : 0;
   }
-  if (run > 0) counts_[prev_class] += run;
-  return ScaleClassRows();
-}
-
-template <typename RowOf>
-void ClassTransform::Identity(size_t n, RowOf& row_of, Status* status) {
-  counts_.clear();
-  classes_.weights.resize(n);
-  classes_.change_rates.resize(n);
-  classes_.costs.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const CoreRow row = row_of(i);
-    if (status->ok() &&
-        !CoreProblem::IsValidRow(row.weight, row.change_rate, row.cost)) {
-      *status =
-          CoreProblem::ValidateRow(i, row.weight, row.change_rate, row.cost);
-    }
-    classes_.weights[i] = row.weight;
-    classes_.change_rates[i] = row.change_rate;
-    classes_.costs[i] = row.cost;
-    class_of_[i] = static_cast<uint32_t>(i);
-  }
+  if (grouping) counts_[prev_class] += run;
+  if (grouping && !ScaleClassRows()) Ungroup(n);
+  return status;
 }
 
 }  // namespace freshen

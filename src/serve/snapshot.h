@@ -22,8 +22,8 @@
 // elements' values alone: the controller renumbers its classes at every
 // replan, and a shard whose values did not move still compares equal to
 // its previous block and is shared. A plan with one class per element
-// (the controller's fallback when its rows are nearly all distinct) gets
-// one dictionary entry per element instead, in element order, and no value
+// (the controller's identity grouping, past N/4 distinct rows) gets one
+// dictionary entry per element instead, in element order, and no value
 // index: that is a function of the values too, costs no hash per element,
 // and holds the 24 bytes per element the dense columns did.
 //

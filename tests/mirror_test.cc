@@ -868,16 +868,16 @@ TEST(OnlineLoopTest, HeapPerElementHoldsNoDenseSyncColumn) {
   // A sparse shape: B = 20 of N = 200k, 20 accesses per period, so a few
   // hundred elements ever sync. The loop's dense columns (catalog 24, alias
   // table 12, source 16.125, mirror 8.125, first-funded 4, sizes 8, learner
-  // and frequencies 16, class ids 4, the controller's and the detector's
-  // id -> row columns 4 + 4) come to ~100 B/element, and this run holds
-  // 100.5. The plan is kept per class, so no believed weights, rates or
-  // costs (24) are held per element. The 12 B margin is less than that
-  // believed problem and than any one dense column of sync state:
-  // evidence (24), drift evidence and scores (40), RNG streams (32). With
-  // all three dense, and the believed problem per element, the run held
-  // 212.
+  // 8, class ids 4, the controller's and the detector's id -> row columns
+  // 4 + 4) come to ~92 B/element, and this run holds 92.5. The plan is kept
+  // only per class, so neither an expanded frequency column (8) nor the
+  // believed weights, rates or costs (24) are held per element. The 6 B
+  // margin is less than that frequency column and than any one dense
+  // column of sync state: evidence (24), drift evidence and scores (40),
+  // RNG streams (32). With all three dense, the believed problem and the
+  // frequencies per element, the run held 212.
   constexpr size_t kElements = 200000;
-  constexpr double kMaxBytesPerElement = 100.0 + 12.0;
+  constexpr double kMaxBytesPerElement = 92.0 + 6.0;
   ExperimentSpec spec;
   spec.num_objects = kElements;
   const ElementSet truth = GenerateCatalog(spec).value();

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -462,6 +464,88 @@ TEST(PlannerClassTest, FallbackSolvesTheDenseProblemToItsBytes) {
       KktWaterFillingSolver().Solve(believed).value().frequencies;
   RescaleToBudget([](size_t) { return 1.0; }, bandwidth, &dense);
   EXPECT_TRUE(SameBytes(controller.frequencies(), dense));
+}
+
+// Builds `rows` through a callback that counts its calls; fails unless
+// the transform read every row exactly once.
+void BuildCountingRows(const std::vector<CoreRow>& rows,
+                       ClassTransform* classes) {
+  size_t calls = 0;
+  ASSERT_TRUE(classes
+                  ->Build(rows.size(), 10.0,
+                          [&](size_t i) {
+                            ++calls;
+                            return rows[i];
+                          })
+                  .ok());
+  EXPECT_EQ(calls, rows.size());
+}
+
+// `num_rows` rows; row i takes the key key_of(i), and equal keys give
+// bit-identical rows.
+template <typename KeyOf>
+std::vector<CoreRow> KeyedRows(size_t num_rows, KeyOf key_of) {
+  std::vector<CoreRow> rows(num_rows);
+  for (size_t i = 0; i < num_rows; ++i) {
+    const double key = static_cast<double>(key_of(i));
+    rows[i] = {1.0 / (3.0 + key), 0.05 + 0.01 * key, 1.0 + 0.5 * key};
+  }
+  return rows;
+}
+
+// The transform derives each row once, whether it groups every row or
+// turns into the identity grouping at the first, a middle or the last row,
+// or after a class row overflows. The identity grouping holds every row
+// bit for bit, one class per row.
+TEST(ClassTransformTest, BuildDerivesEveryRowOnce) {
+  ClassTransform classes;
+  const std::vector<CoreRow> grouped =
+      KeyedRows(1000, [](size_t i) { return i % 10; });
+  BuildCountingRows(grouped, &classes);
+  ASSERT_EQ(classes.problem().size(), 10u);
+  for (size_t i = 0; i < grouped.size(); ++i) {
+    ASSERT_EQ(classes.class_of()[i], i % 10);
+  }
+
+  std::vector<std::pair<std::string, std::vector<CoreRow>>> fallbacks;
+  fallbacks.emplace_back("all distinct",
+                         KeyedRows(1000, [](size_t i) { return i; }));
+  // Fewer than four rows cap the classes at zero: the first row switches.
+  fallbacks.emplace_back("class 1 at the first row",
+                         KeyedRows(3, [](size_t) { return 0; }));
+  // 250 classes in the first 500 rows, then distinct rows: class 251
+  // opens at row 500.
+  fallbacks.emplace_back(
+      "class 251 at a middle row",
+      KeyedRows(1000, [](size_t i) { return i < 500 ? i % 250 : i; }));
+  fallbacks.emplace_back(
+      "class 251 at the last row",
+      KeyedRows(1000, [](size_t i) { return i < 999 ? i % 250 : i; }));
+  // Two classes; the second's weight, times its 512 members, overflows.
+  std::vector<CoreRow> overflow =
+      KeyedRows(1024, [](size_t i) { return i % 2; });
+  for (size_t i = 1; i < overflow.size(); i += 2) overflow[i].weight = 1e306;
+  fallbacks.emplace_back("overflowing class row", overflow);
+
+  for (const auto& [name, rows] : fallbacks) {
+    SCOPED_TRACE(name);
+    // Start from a grouped table, as a controller that re-solves does.
+    BuildCountingRows(grouped, &classes);
+    BuildCountingRows(rows, &classes);
+    std::vector<double> weights, change_rates, costs;
+    for (const CoreRow& row : rows) {
+      weights.push_back(row.weight);
+      change_rates.push_back(row.change_rate);
+      costs.push_back(row.cost);
+    }
+    EXPECT_TRUE(SameBytes(classes.problem().weights, weights));
+    EXPECT_TRUE(SameBytes(classes.problem().change_rates, change_rates));
+    EXPECT_TRUE(SameBytes(classes.problem().costs, costs));
+    ASSERT_EQ(classes.class_of().size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(classes.class_of()[i], i);
+    }
+  }
 }
 
 }  // namespace

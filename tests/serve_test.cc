@@ -1054,7 +1054,7 @@ TEST(FreshendDaemonTest, SnapshotMatchesOwningColumnsAfterEveryPeriod) {
     size_t synced = 0;
     for (size_t i = 0; i < daemon->size(); ++i) {
       const ElementView view = snapshot->Lookup(i);
-      ASSERT_TRUE(SameBits(view.frequency, controller.frequencies()[i]))
+      ASSERT_TRUE(SameBits(view.frequency, controller.Frequency(i)))
           << "period " << period << " element " << i;
       ASSERT_TRUE(SameBits(view.size, controller.sizes()[i]))
           << "period " << period << " element " << i;
