@@ -1,7 +1,8 @@
 // A6 — google-benchmark microbenchmarks for the hot paths: the freshness
 // closed forms, the marginal-inverse kernel, the exact solver, partitioning,
 // the class transform's grouping, k-means iterations, alias-table sampling,
-// and the serving snapshot's consistency check and lookup.
+// the serving snapshot's consistency check and lookup, and the two set-up
+// passes over every element: the catalog's CRC and the source's seeds.
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -9,6 +10,8 @@
 #include <benchmark/benchmark.h>
 
 #include "common/plan_classes.h"
+#include "io/catalog_binary.h"
+#include "mirror/mirror_state.h"
 #include "model/freshness.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -276,6 +279,29 @@ void BM_SnapshotLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotLookup)->Args({500000, 256})->Args({500000, 0});
+
+// The check a catalog load runs over each section: one CRC-32 of a 4 MB
+// column (N = 500k doubles, the loop_replan shape).
+void BM_Crc32(benchmark::State& state) {
+  const ElementSet catalog = BenchCatalog(500000);
+  const std::vector<double> column = ChangeRates(catalog);
+  const size_t bytes = column.size() * sizeof(double);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(column.data(), bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+// A source over N = 500k elements as a loop's set-up builds it: one root
+// draw per element; each first update waits for its first read.
+void BM_VersionedSourceCreate(benchmark::State& state) {
+  const ElementSet catalog = BenchCatalog(500000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(VersionedSource::Create(catalog, 7).value());
+  }
+}
+BENCHMARK(BM_VersionedSourceCreate)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace freshen

@@ -11,6 +11,10 @@
 #include <cstdio>
 #include <cstring>
 
+#if defined(__PCLMUL__) && defined(__SSE4_1__)
+#include <immintrin.h>
+#endif
+
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "io/catalog_io.h"
@@ -58,9 +62,10 @@ static_assert(sizeof(SectionEntry) == 32, "section layout drifted");
 
 // Slicing-by-8 tables: table[0] is the classic byte-at-a-time table;
 // table[k][b] extends a byte that still has k more zero bytes behind it.
-// Processing 8 input bytes per iteration keeps CRC validation well under
-// the cost of parsing the same catalog as CSV (the mmap-load speedup the
-// serving bench gates on).
+// Where the build targets PCLMULQDQ and SSE4.1, the carry-less-multiply
+// kernel below takes every whole 16-byte block of an input of 64 bytes or
+// more, and these tables take the rest: shorter inputs and the tail.
+// Elsewhere they take everything, 8 input bytes per iteration.
 using Crc32Tables = uint32_t[8][256];
 
 const Crc32Tables& Crc32Table() {
@@ -82,6 +87,63 @@ const Crc32Tables& Crc32Table() {
   }();
   return tables;
 }
+
+#if defined(__PCLMUL__) && defined(__SSE4_1__)
+// Folds `size` bytes (at least 64, a multiple of 16) into the running CRC
+// `crc` (pre-inverted, as Crc32 keeps it) with carry-less multiplies, four
+// 16-byte lanes at a time. Gopal, Ozturk et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009); the
+// constants are that paper's for the bit-reflected IEEE polynomial:
+// x^(4*128+64) and x^(4*128) mod P (k1, k2) fold 64 bytes ahead,
+// x^(128+64) and x^128 mod P (k3, k4) fold 16 bytes ahead, x^64 mod P (k5)
+// folds 96 bits to 64, and P' and mu drive the final Barrett reduction.
+uint32_t Crc32Clmul(const unsigned char* bytes, size_t size, uint32_t crc) {
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  const auto load = [](const unsigned char* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  };
+  // Folds one 128-bit lane ahead: x_hi * k_hi ^ x_lo * k_lo ^ next.
+  const auto fold = [](__m128i x, __m128i k, __m128i next) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x11),
+                                       _mm_clmulepi64_si128(x, k, 0x00)),
+                         next);
+  };
+
+  __m128i x1 = _mm_xor_si128(load(bytes), _mm_cvtsi32_si128(crc));
+  __m128i x2 = load(bytes + 16);
+  __m128i x3 = load(bytes + 32);
+  __m128i x4 = load(bytes + 48);
+  bytes += 64;
+  size -= 64;
+  for (; size >= 64; bytes += 64, size -= 64) {
+    x1 = fold(x1, k1k2, load(bytes));
+    x2 = fold(x2, k1k2, load(bytes + 16));
+    x3 = fold(x3, k1k2, load(bytes + 32));
+    x4 = fold(x4, k1k2, load(bytes + 48));
+  }
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; size >= 16; bytes += 16, size -= 16) {
+    x1 = fold(x1, k3k4, load(bytes));
+  }
+
+  // 128 bits to 64: fold the low half onto the high half by k4, then the
+  // low 32 bits of the 96-bit result by k5.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00));
+  // Barrett reduction to 32 bits.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+#endif
 
 Status ValidateColumn(SectionKind kind, const double* values, size_t n) {
   for (size_t i = 0; i < n; ++i) {
@@ -121,6 +183,17 @@ struct ParsedColumns {
   const double* access_probs = nullptr;
   const double* sizes = nullptr;
 };
+
+// Copies validated columns into an owned catalog, one element at a time.
+ElementSet ToElements(const ParsedColumns& columns) {
+  ElementSet elements(columns.num_elements);
+  for (size_t i = 0; i < columns.num_elements; ++i) {
+    elements[i].change_rate = columns.change_rates[i];
+    elements[i].access_prob = columns.access_probs[i];
+    elements[i].size = columns.sizes[i];
+  }
+  return elements;
+}
 
 // Shared validation core: checks every structural and domain invariant and
 // returns pointers into `data`. Used by both the copying loader and the
@@ -217,6 +290,14 @@ uint32_t Crc32(const void* data, size_t size) {
   const Crc32Tables& table = Crc32Table();
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xFFFFFFFFu;
+#if defined(__PCLMUL__) && defined(__SSE4_1__)
+  if (size >= 64) {
+    const size_t blocks = size & ~size_t{15};
+    crc = Crc32Clmul(bytes, blocks, crc);
+    bytes += blocks;
+    size -= blocks;
+  }
+#endif
   // Eight bytes per iteration (slicing-by-8). The payloads are 8-aligned
   // by construction, but memcpy keeps the fast path valid for any input.
   while (size >= 8) {
@@ -283,13 +364,7 @@ Status SaveCatalogBinary(const ElementSet& elements,
 Result<ElementSet> ParseCatalogBinary(const void* data, size_t size) {
   FRESHEN_ASSIGN_OR_RETURN(ParsedColumns columns,
                            ValidateCatalogBinary(data, size));
-  ElementSet elements(columns.num_elements);
-  for (size_t i = 0; i < columns.num_elements; ++i) {
-    elements[i].change_rate = columns.change_rates[i];
-    elements[i].access_prob = columns.access_probs[i];
-    elements[i].size = columns.sizes[i];
-  }
-  return elements;
+  return ToElements(columns);
 }
 
 Result<ElementSet> LoadCatalogBinary(const std::string& path) {
@@ -397,13 +472,7 @@ MmapCatalog::~MmapCatalog() {
 }
 
 ElementSet MmapCatalog::ToElementSet() const {
-  ElementSet elements(num_elements_);
-  for (size_t i = 0; i < num_elements_; ++i) {
-    elements[i].change_rate = change_rates_[i];
-    elements[i].access_prob = access_probs_[i];
-    elements[i].size = sizes_[i];
-  }
-  return elements;
+  return ToElements({num_elements_, change_rates_, access_probs_, sizes_});
 }
 
 }  // namespace freshen

@@ -38,8 +38,10 @@
 
 namespace freshen {
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of a byte range. Exposed for
-/// tests that corrupt files deliberately.
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of a byte range: a
+/// carry-less-multiply (PCLMULQDQ) kernel over the whole 16-byte blocks of
+/// an input of 64 bytes or more when the build targets it, slicing-by-8
+/// tables for the rest. Exposed for tests that corrupt files deliberately.
 uint32_t Crc32(const void* data, size_t size);
 
 /// Serializes a catalog into the binary format.

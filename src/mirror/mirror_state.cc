@@ -26,20 +26,28 @@ Result<VersionedSource> VersionedSource::Create(const ElementSet& catalog,
 
 VersionedSource::VersionedSource(const ElementSet& catalog, uint64_t seed)
     : elements_(catalog.data()),
-      next_update_(catalog.size(), std::numeric_limits<double>::infinity()),
+      next_update_(catalog.size(), std::numeric_limits<double>::quiet_NaN()),
       seed_or_stream_(catalog.size()),
       has_stream_(catalog.size(), false) {
-  // Element i's stream is the i-th root.Fork(), Rng(seed). Its first draw
-  // is the first update; the stream itself waits until a second draw is
-  // due (Stream).
+  // Element i's stream is the i-th root.Fork(), Rng(seed). Only the seeds
+  // are drawn here, in id order, since the root cannot jump to draw i; the
+  // first update waits for its first read (DrawFirstUpdate), the stream for
+  // a second draw (Stream).
   Rng root(seed);
-  for (size_t i = 0; i < catalog.size(); ++i) {
-    seed_or_stream_[i] = root.NextUint64();
-    if (catalog[i].change_rate > 0.0) {
-      Rng stream(seed_or_stream_[i]);
-      next_update_[i] = SampleExponential(stream, catalog[i].change_rate);
-    }
+  for (uint64_t& element_seed : seed_or_stream_) {
+    element_seed = root.NextUint64();
   }
+}
+
+double VersionedSource::DrawFirstUpdate(size_t element) const {
+  const double rate = elements_[element].change_rate;
+  double first = std::numeric_limits<double>::infinity();
+  if (rate > 0.0) {
+    Rng stream(seed_or_stream_[element]);
+    first = SampleExponential(stream, rate);
+  }
+  next_update_[element] = first;
+  return first;
 }
 
 Rng& VersionedSource::Stream(size_t element) {
@@ -58,7 +66,7 @@ Rng& VersionedSource::Stream(size_t element) {
 double VersionedSource::AdvancePast(size_t element, double t) {
   FRESHEN_CHECK(element < next_update_.size());
   double& next = next_update_[element];
-  if (next > t) return next;
+  if (NextUpdate(element) > t) return next;
   Rng& stream = Stream(element);
   const double rate = elements_[element].change_rate;
   while (next <= t) next += SampleExponential(stream, rate);

@@ -9,9 +9,12 @@
 //                     pending update time is kept, and an element advances
 //                     only when a sync touches it. Rates are read from the
 //                     catalog the source was built over, not copied. An
-//                     element keeps its stream's 8-byte seed until a sync
-//                     passes its first update; only then is the 32-byte
-//                     stream built.
+//                     element keeps only its stream's 8-byte seed until its
+//                     first update is first read; only then is that update
+//                     drawn, and only when a sync passes it is the 32-byte
+//                     stream built. Set-up thus costs one root draw per
+//                     element, and the rest of the work follows the
+//                     elements a run touches.
 //   MirrorState     : the local copies. Per element it keeps the last sync
 //                     time. The first source update a copy has not picked
 //                     up is the source's pending update for that element
@@ -26,6 +29,7 @@
 #ifndef FRESHEN_MIRROR_MIRROR_STATE_H_
 #define FRESHEN_MIRROR_MIRROR_STATE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -58,8 +62,12 @@ class VersionedSource {
   double AdvancePast(size_t element, double t);
 
   /// The element's first update after the time it was last advanced to
-  /// (its first update overall before any AdvancePast).
-  double NextUpdate(size_t element) const { return next_update_[element]; }
+  /// (its first update overall before any AdvancePast). The first read
+  /// draws the first update, so reads of one source must not race.
+  double NextUpdate(size_t element) const {
+    const double next = next_update_[element];
+    return std::isnan(next) ? DrawFirstUpdate(element) : next;
+  }
 
   /// Number of elements.
   size_t size() const { return next_update_.size(); }
@@ -67,12 +75,18 @@ class VersionedSource {
  private:
   VersionedSource(const ElementSet& catalog, uint64_t seed);
 
+  // Draws the element's first update into next_update_: the stream's
+  // first exponential, or +infinity at rate 0. Each draw depends only on
+  // the seed and the element, so the order of the reads does not matter.
+  double DrawFirstUpdate(size_t element) const;
+
   // The element's stream, built at the first draw past its first update.
   Rng& Stream(size_t element);
 
   // The catalog's elements, read for their change rates.
   const Element* elements_;
-  std::vector<double> next_update_;
+  // Per element: its pending update, NaN until the first read draws it.
+  mutable std::vector<double> next_update_;
   // Per element: its stream seed (the root draw Rng::Fork() would consume)
   // until has_stream_ is set, then its row in streams_.
   std::vector<uint64_t> seed_or_stream_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,61 @@ TEST(CatalogBinaryTest, AgreesWithCsvReader) {
 TEST(CatalogBinaryTest, Crc32MatchesKnownVector) {
   // The classic IEEE 802.3 check value for "123456789".
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+}
+
+// One bit at a time, straight from the definition of the reflected
+// polynomial: the reference both Crc32 paths (carry-less multiply over whole
+// 16-byte blocks, slicing-by-8 for the rest) must match.
+uint32_t BitwiseCrc32(const unsigned char* bytes, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// Every length from 0 to 1,024 bytes at every start offset 0-15, so each
+// path, each block count and each tail length is read from every alignment.
+TEST(CatalogBinaryTest, Crc32MatchesBitwiseReference) {
+  constexpr size_t kMaxLength = 1024;
+  constexpr size_t kOffsets = 16;
+  std::vector<unsigned char> buffer(kMaxLength + kOffsets);
+  uint32_t state = 0x2545F491u;
+  for (unsigned char& byte : buffer) {
+    state = state * 1664525u + 1013904223u;
+    byte = static_cast<unsigned char>(state >> 24);
+  }
+  for (size_t offset = 0; offset < kOffsets; ++offset) {
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      const unsigned char* start = buffer.data() + offset;
+      ASSERT_EQ(Crc32(start, length), BitwiseCrc32(start, length))
+          << "length " << length << " offset " << offset;
+    }
+  }
+}
+
+// A single flipped bit in the first, a middle or the last 16-byte block of
+// a payload fails the section checksum. The flip is in a low mantissa bit,
+// so the value stays in its domain and only the CRC can catch it.
+TEST(CatalogBinaryTest, PayloadBitFlipsFailTheChecksum) {
+  const ElementSet catalog = TestCatalog(100);
+  const std::string blob = CatalogToBinary(catalog);
+  constexpr size_t kPayloadStart = 32 + 3 * 32;  // Header + section table.
+  constexpr size_t kPayloadBytes = 100 * sizeof(double);
+  for (const size_t at : {kPayloadStart, kPayloadStart + kPayloadBytes / 2,
+                          kPayloadStart + kPayloadBytes - 8}) {
+    std::string corrupted = blob;
+    corrupted[at] ^= 0x01;
+    const auto parsed =
+        ParseCatalogBinary(corrupted.data(), corrupted.size());
+    ASSERT_FALSE(parsed.ok()) << "flip at byte " << at;
+    EXPECT_NE(parsed.status().message().find("payload checksum mismatch"),
+              std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 }  // namespace

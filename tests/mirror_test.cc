@@ -164,6 +164,57 @@ TEST(VersionedSourceTest, LazyStreamsMatchEagerForksBitForBit) {
   }
 }
 
+// The source draws an element's first update on its first read. Reference:
+// the eager draw, one root.Fork() per element in id order and one
+// exponential per element of positive rate (+infinity at rate 0). Reads by
+// NextUpdate and by AdvancePast, in forward, reverse and shuffled order,
+// must give the same bits.
+TEST(MirrorStateTest, FirstUpdatesAreDrawnOnFirstRead) {
+  constexpr size_t kElements = 300;
+  constexpr uint64_t kSeed = 0xf1257;
+  Rng setup(17);
+  std::vector<double> rates(kElements);
+  for (size_t i = 0; i < kElements; ++i) {
+    rates[i] = i % 5 == 2 ? 0.0 : SampleExponential(setup, 0.5);
+  }
+  Rng root(kSeed);
+  std::vector<double> eager(kElements,
+                            std::numeric_limits<double>::infinity());
+  for (size_t i = 0; i < kElements; ++i) {
+    Rng stream = root.Fork();
+    if (rates[i] > 0.0) eager[i] = SampleExponential(stream, rates[i]);
+  }
+  const ElementSet catalog = RateCatalog(rates);
+
+  std::vector<size_t> forward(kElements);
+  for (size_t i = 0; i < kElements; ++i) forward[i] = i;
+  std::vector<size_t> reverse(forward.rbegin(), forward.rend());
+  std::vector<size_t> shuffled = forward;
+  for (size_t k = shuffled.size(); k > 1; --k) {
+    std::swap(shuffled[k - 1], shuffled[setup.NextUint64Below(k)]);
+  }
+  for (const auto* order : {&forward, &reverse, &shuffled}) {
+    auto source = VersionedSource::Create(catalog, kSeed).value();
+    for (size_t k = 0; k < order->size(); ++k) {
+      const size_t i = (*order)[k];
+      // Every first update is > 0, so advancing to 0 reads it unchanged.
+      const double first =
+          k % 2 == 0 ? source.NextUpdate(i) : source.AdvancePast(i, 0.0);
+      ASSERT_EQ(std::bit_cast<uint64_t>(first),
+                std::bit_cast<uint64_t>(eager[i]))
+          << "element " << i << " read " << k;
+      if (rates[i] == 0.0) {
+        ASSERT_EQ(first, std::numeric_limits<double>::infinity());
+      }
+    }
+    for (size_t i = 0; i < kElements; ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(source.NextUpdate(i)),
+                std::bit_cast<uint64_t>(eager[i]))
+          << "element " << i << " reread";
+    }
+  }
+}
+
 TEST(MirrorStateTest, SyncDetectsChanges) {
   const ElementSet catalog = RateCatalog({10.0, 0.0});
   auto source = VersionedSource::Create(catalog, 4).value();
