@@ -57,7 +57,8 @@ std::vector<double> RunLoop(const ElementSet& truth, double bandwidth,
     phase_pf.push_back(total / kPeriodsPerPhase);
     // Drift: interest rotates at every phase boundary.
     if (phase + 1 < kPhases) {
-      const Status status = loop.SetTrueProfile(RotatedProfile(loop.truth()));
+      const Status status =
+          loop.world().SetTrueProfile(RotatedProfile(loop.truth()));
       if (!status.ok()) {
         std::fprintf(stderr, "%s\n", status.ToString().c_str());
         std::abort();

@@ -1,7 +1,7 @@
 #include "mirror/online_loop.h"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 
 #include "common/macros.h"
 #include "obs/drift.h"
@@ -9,8 +9,6 @@
 #include "obs/slo.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "profile/profile.h"
-#include "rng/distributions.h"
 #include "schedule/schedule.h"
 #include "stats/descriptive.h"
 
@@ -45,41 +43,35 @@ void EmitPeriodEvent(obs::EventRecorder& recorder, obs::EventPhase phase,
 Result<OnlineFreshenLoop> OnlineFreshenLoop::Create(ElementSet truth,
                                                     double bandwidth,
                                                     Options options) {
-  if (truth.empty()) {
-    return Status::InvalidArgument("truth catalog is empty");
-  }
-  if (!(options.accesses_per_period >= 0.0) ||
-      !std::isfinite(options.accesses_per_period)) {
-    return Status::InvalidArgument(
-        "accesses_per_period must be finite and >= 0");
-  }
   // The controller reports into the loop's registry unless its options name
   // their own.
   if (options.controller.registry == nullptr) {
     options.controller.registry = options.registry;
   }
+  // The world's columns are allocated before the controller's first replan
+  // scratch: a daemon set up again after a teardown then faults fewer
+  // fresh pages (docs/performance.md, "One owner for the simulated world").
+  std::vector<double> sizes = Sizes(truth);
   FRESHEN_ASSIGN_OR_RETURN(
-      VersionedSource source,
-      VersionedSource::Create(truth, options.seed ^ 0x737263ULL));
+      SimulatedWorld world,
+      SimulatedWorld::Create(std::move(truth), options.accesses_per_period,
+                             options.seed));
   FRESHEN_ASSIGN_OR_RETURN(
       AdaptiveFreshener controller,
-      AdaptiveFreshener::Create(Sizes(truth), bandwidth, options.controller));
-  return OnlineFreshenLoop(std::move(truth), std::move(source),
-                           std::move(controller), options);
+      AdaptiveFreshener::Create(std::move(sizes), bandwidth,
+                                options.controller));
+  return OnlineFreshenLoop(std::move(world), std::move(controller), options);
 }
 
-OnlineFreshenLoop::OnlineFreshenLoop(ElementSet truth, VersionedSource source,
+OnlineFreshenLoop::OnlineFreshenLoop(SimulatedWorld world,
                                      AdaptiveFreshener controller,
                                      Options options)
-    : truth_(std::move(truth)),
-      options_(options),
-      source_(std::make_unique<VersionedSource>(std::move(source))),
-      mirror_(*source_),
+    : options_(options),
+      world_(std::move(world)),
+      mirror_(world_.size()),
       controller_(
           std::make_unique<AdaptiveFreshener>(std::move(controller))),
-      access_table_(std::make_unique<AliasTable>(AccessProbs(truth_))),
-      access_rng_(options.seed ^ 0x616363ULL),
-      first_funded_(truth_.size(), kNeverFunded),
+      first_funded_(world_.size(), kNeverFunded),
       registry_(options.registry != nullptr
                     ? options.registry
                     : &obs::MetricsRegistry::Global()) {
@@ -106,19 +98,6 @@ OnlineFreshenLoop::OnlineFreshenLoop(ElementSet truth, VersionedSource source,
   lambda_error_gauge_ = registry_->GetGauge("freshen_mirror_lambda_error");
 }
 
-Status OnlineFreshenLoop::SetTrueProfile(const std::vector<double>& weights) {
-  if (weights.size() != truth_.size()) {
-    return Status::InvalidArgument("profile length mismatch");
-  }
-  FRESHEN_ASSIGN_OR_RETURN(std::vector<double> probs,
-                           NormalizeProbabilities(weights));
-  for (size_t i = 0; i < truth_.size(); ++i) {
-    truth_[i].access_prob = probs[i];
-  }
-  access_table_ = std::make_unique<AliasTable>(probs);
-  return Status::OK();
-}
-
 PeriodStats OnlineFreshenLoop::RunPeriod() {
   obs::ScopedSpan period_span("period", *registry_);
   const double period_start = now_;
@@ -140,7 +119,8 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
   // never-synced element is phased from its first-funded anchor, recorded
   // the first period its f is > 0.
   const PlanClassView plan = controller_->PlanClasses();
-  const size_t n = truth_.size();
+  const std::vector<double>& sizes = controller_->sizes();
+  const size_t n = sizes.size();
   const auto period_index = static_cast<uint32_t>(period_start);
   std::vector<sync::SyncTask> due;
   for (size_t i = 0; i < n; ++i) {
@@ -156,7 +136,7 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
     }
     ForEachFixedOrderSyncTime(i, n, f, history, period_start, period_end,
                               [&](double t) {
-                                due.push_back({i, t, truth_[i].size});
+                                due.push_back({i, t, sizes[i]});
                               });
   }
 
@@ -199,8 +179,8 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
     if (timeline != nullptr) {
       // Attribute the stale interval this sync is about to close: it opened
       // at the first update the copy missed.
-      if (!mirror_.IsFresh(sync.element, sync.time)) {
-        timeline->MarkStale(sync.element, mirror_.FirstMissed(sync.element));
+      if (!world_.IsFresh(sync.element, sync.time)) {
+        timeline->MarkStale(sync.element, world_.FirstMissed(sync.element));
         timeline->MarkFresh(sync.element, sync.time);
       }
     }
@@ -213,45 +193,38 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
     // plan's PF (docs/performance.md, "Fixed-Order timeline").
     const double gap = sync.time - mirror_.LastSyncTime(sync.element);
     const bool first_sync = !mirror_.Synced(sync.element);
-    const bool changed = mirror_.Sync(sync.element, sync.time, *source_);
+    mirror_.RecordSync(sync.element, sync.time);
+    const bool changed = world_.Sync(sync.element, sync.time);
     controller_->ObserveSync(sync.element, changed, first_sync ? 0.0 : gap);
     if (drift != nullptr) drift->ObserveSync(sync.element, changed, gap);
     if (options_.on_period_end) synced_scratch_.push_back(sync.element);
     ++stats.syncs;
-    stats.bandwidth_spent += truth_[sync.element].size;
+    stats.bandwidth_spent += sizes[sync.element];
   };
-
 
   // This period's accesses, Poisson arrivals from the true profile, come in
   // time order; the sorted syncs merge into that stream, a sync ahead of an
   // access at the same time.
   size_t next_sync = 0;
-  if (options_.accesses_per_period > 0.0) {
-    for (double t = period_start + SampleExponential(
-                                       access_rng_,
-                                       options_.accesses_per_period);
-         t < period_end;
-         t += SampleExponential(access_rng_, options_.accesses_per_period)) {
-      const auto element =
-          static_cast<uint32_t>(access_table_->Sample(access_rng_));
-      for (; next_sync < applied.size() && applied[next_sync].time <= t;
-           ++next_sync) {
-        apply_sync(applied[next_sync]);
-      }
-      controller_->ObserveAccess(element);
-      ++stats.accesses;
-      if (mirror_.IsFresh(element, t)) {
-        ++fresh_accesses;
-        ++age_good_accesses;  // Age 0 is within any age SLO.
-        if (timeline != nullptr) timeline->OnAccess(element, t, 0.0);
-      } else {
-        const double age = mirror_.Age(element, t);
-        age_sum.Add(age);
-        if (slo != nullptr && age <= slo->age_slo()) ++age_good_accesses;
-        if (timeline != nullptr) timeline->OnAccess(element, t, age);
-      }
+  world_.ForEachAccess(period_start, period_end, [&](uint32_t element,
+                                                     double t) {
+    for (; next_sync < applied.size() && applied[next_sync].time <= t;
+         ++next_sync) {
+      apply_sync(applied[next_sync]);
     }
-  }
+    controller_->ObserveAccess(element);
+    ++stats.accesses;
+    if (world_.IsFresh(element, t)) {
+      ++fresh_accesses;
+      ++age_good_accesses;  // Age 0 is within any age SLO.
+      if (timeline != nullptr) timeline->OnAccess(element, t, 0.0);
+    } else {
+      const double age = world_.Age(element, t);
+      age_sum.Add(age);
+      if (slo != nullptr && age <= slo->age_slo()) ++age_good_accesses;
+      if (timeline != nullptr) timeline->OnAccess(element, t, age);
+    }
+  });
   for (; next_sync < applied.size(); ++next_sync) {
     apply_sync(applied[next_sync]);
   }
@@ -259,9 +232,9 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
     // Open a ledger interval for everything still stale at the boundary
     // (MarkStale is idempotent, so already-open intervals are untouched),
     // then close this period's attribution window.
-    for (size_t i = 0; i < truth_.size(); ++i) {
-      if (!mirror_.IsFresh(i, period_end)) {
-        timeline->MarkStale(i, mirror_.FirstMissed(i));
+    for (size_t i = 0; i < n; ++i) {
+      if (!world_.IsFresh(i, period_end)) {
+        timeline->MarkStale(i, world_.FirstMissed(i));
       }
     }
     timeline->CloseWindow(period_end);
@@ -286,20 +259,11 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
   FRESHEN_CHECK(replanned.ok());
   stats.replanned = *replanned;
 
-  // Estimator quality against the ground truth only the loop knows: mean
+  // Estimator quality against the ground truth only the world knows: mean
   // relative change-rate error of the controller's believed rates.
-  KahanSum error_sum;
-  size_t rated = 0;
-  for (size_t i = 0; i < truth_.size(); ++i) {
-    if (truth_[i].change_rate <= 0.0) continue;
-    error_sum.Add(std::fabs(controller_->BelievedChangeRate(i) -
-                            truth_[i].change_rate) /
-                  truth_[i].change_rate);
-    ++rated;
-  }
-  if (rated > 0) {
-    lambda_error_gauge_->Set(error_sum.Total() / static_cast<double>(rated));
-  }
+  const std::optional<double> lambda_error = world_.MeanLambdaError(
+      [this](size_t i) { return controller_->BelievedChangeRate(i); });
+  if (lambda_error.has_value()) lambda_error_gauge_->Set(*lambda_error);
 
   if (drift != nullptr) {
     // Score this period's evidence against the rates the plan now in force
@@ -311,10 +275,6 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
                        age_good_accesses);
   }
   if (options_.on_period_end) {
-    std::sort(synced_scratch_.begin(), synced_scratch_.end());
-    synced_scratch_.erase(
-        std::unique(synced_scratch_.begin(), synced_scratch_.end()),
-        synced_scratch_.end());
     options_.on_period_end(stats, synced_scratch_);
     synced_scratch_.clear();
   }

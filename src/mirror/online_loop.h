@@ -1,16 +1,17 @@
-// OnlineFreshenLoop: a complete, steppable mirror deployment. Wires the
-// versioned source/mirror state machines to the adaptive controller and a
-// profile-driven access stream, one period at a time:
+// OnlineFreshenLoop: a complete, steppable mirror deployment. Runs the
+// adaptive controller and the mirror's local copies against a simulated
+// world (SimulatedWorld: the true catalog, its update streams and its user
+// accesses), one period at a time:
 //
 //   while (true) {
 //     stats = loop.RunPeriod();   // syncs fire, users hit the mirror,
 //                                 // the controller observes everything
 //   }                             // ...and re-plans at the boundary.
 //
-// The ground truth (real change rates and real access profile) lives only in
-// the loop; the controller sees nothing but its own observations — this is
-// the deployment the paper's §7 sketches, runnable end to end. The true
-// profile can be swapped mid-run (SetTrueProfile) for interest-drift
+// The ground truth lives only in the world; the controller sees nothing but
+// its own observations, and the mirror only its own sync times — this is the
+// deployment the paper's §7 sketches, runnable end to end. The true profile
+// can be swapped mid-run (world().SetTrueProfile) for interest-drift
 // experiments (bench_ablation_drift).
 #ifndef FRESHEN_MIRROR_ONLINE_LOOP_H_
 #define FRESHEN_MIRROR_ONLINE_LOOP_H_
@@ -23,10 +24,9 @@
 #include "adaptive/adaptive_freshener.h"
 #include "common/result.h"
 #include "mirror/mirror_state.h"
+#include "mirror/simulated_world.h"
 #include "model/element.h"
 #include "obs/metrics.h"
-#include "rng/alias_table.h"
-#include "rng/rng.h"
 #include "sync/executor.h"
 
 namespace freshen {
@@ -105,19 +105,19 @@ class OnlineFreshenLoop {
     obs::DriftDetector* drift = nullptr;
     /// Publication hook for serving (freshend): when set, RunPeriod invokes
     /// it once at the period boundary, after the controller's replan
-    /// decision, with this period's stats and the sorted, deduplicated ids
-    /// of elements whose copies were actually refreshed. During the call
-    /// the loop is at a consistent boundary: the controller's plan
-    /// (PlanClasses()) and the mirror's last-sync times all reflect the new
-    /// period — exactly what a snapshot publisher needs for
-    /// O(changed-shards) publication.
+    /// decision, with this period's stats and the ids of elements whose
+    /// copies were actually refreshed, in apply order (an element synced
+    /// twice in the period appears twice). During the call the loop is at a
+    /// consistent boundary: the controller's plan (PlanClasses()) and the
+    /// mirror's last-sync times all reflect the new period — exactly what a
+    /// snapshot publisher needs for O(changed-shards) publication.
     std::function<void(const PeriodStats& stats,
                        const std::vector<uint32_t>& synced_elements)>
         on_period_end;
   };
 
-  /// `truth` holds the real change rates, real profile, and sizes; only the
-  /// sizes are shown to the controller.
+  /// `truth` holds the real change rates, real profile, and sizes; the loop's
+  /// world takes it whole, and only the sizes are shown to the controller.
   static Result<OnlineFreshenLoop> Create(ElementSet truth, double bandwidth,
                                           Options options);
 
@@ -126,10 +126,6 @@ class OnlineFreshenLoop {
   /// every observation, and lets it re-plan at the boundary.
   PeriodStats RunPeriod();
 
-  /// Replaces the true access profile (non-negative weights, normalized
-  /// internally) — user interest just drifted. The controller is not told.
-  Status SetTrueProfile(const std::vector<double>& weights);
-
   /// The controller, for inspection.
   const AdaptiveFreshener& controller() const { return *controller_; }
 
@@ -137,7 +133,12 @@ class OnlineFreshenLoop {
   double Now() const { return now_; }
 
   /// The true catalog (rates/profile/sizes currently in force).
-  const ElementSet& truth() const { return truth_; }
+  const ElementSet& truth() const { return world_.truth(); }
+
+  /// The world the mirror runs against. Callers may change its true
+  /// profile (SetTrueProfile); the controller is not told.
+  SimulatedWorld& world() { return world_; }
+  const SimulatedWorld& world() const { return world_; }
 
   /// The mirror's local-copy state (last-sync times), for publication hooks.
   const MirrorState& mirror() const { return mirror_; }
@@ -146,31 +147,23 @@ class OnlineFreshenLoop {
   obs::MetricsRegistry& registry() const { return *registry_; }
 
  private:
-  OnlineFreshenLoop(ElementSet truth, VersionedSource source,
-                    AdaptiveFreshener controller, Options options);
+  OnlineFreshenLoop(SimulatedWorld world, AdaptiveFreshener controller,
+                    Options options);
 
-  // The source reads its change rates from this buffer: a vector move keeps
-  // the buffer, so the loop stays movable, but truth_ is never resized or
-  // reassigned, and its rates never change.
-  ElementSet truth_;
   Options options_;
-  // unique_ptr: the mirror reads the source's pending-update column through
-  // a pointer, so the source must keep its address when the loop moves.
-  std::unique_ptr<VersionedSource> source_;
+  SimulatedWorld world_;
   MirrorState mirror_;
   // unique_ptr: AdaptiveFreshener is movable but this keeps the loop cheap
   // to move itself.
   std::unique_ptr<AdaptiveFreshener> controller_;
-  std::unique_ptr<AliasTable> access_table_;
-  Rng access_rng_;
   double now_ = 0.0;
   // Per element, the index of the first period in which its frequency was
   // > 0: the anchor a never-synced element is phased from. kNeverFunded
   // until then.
   static constexpr uint32_t kNeverFunded = UINT32_MAX;
   std::vector<uint32_t> first_funded_;
-  // Scratch for the on_period_end hook: distinct elements synced this
-  // period (sorted). Reused across periods to avoid reallocation.
+  // Scratch for the on_period_end hook: elements synced this period, in
+  // apply order. Reused across periods to avoid reallocation.
   std::vector<uint32_t> synced_scratch_;
   // The loop's own executor and its source, built only when
   // Options::executor is null; options_.executor then points at

@@ -3,20 +3,38 @@
 #include <cmath>
 
 #include "common/macros.h"
+#include "common/string_util.h"
 
 namespace freshen {
 
-AliasTable::AliasTable(const std::vector<double>& weights) {
-  const size_t n = weights.size();
-  FRESHEN_CHECK(n > 0);
-  FRESHEN_CHECK(n <= UINT32_MAX);
+Result<double> AliasTable::CheckedTotal(const std::vector<double>& weights) {
+  if (weights.empty()) return Status::InvalidArgument("weight vector is empty");
+  if (weights.size() > UINT32_MAX) {
+    return Status::InvalidArgument("more than 2^32 weights");
+  }
   double total = 0.0;
-  for (double w : weights) {
-    FRESHEN_CHECK(w >= 0.0 && std::isfinite(w));
+  for (size_t i = 0; i < weights.size(); ++i) {
+    const double w = weights[i];
+    if (!(w >= 0.0) || !std::isfinite(w)) {
+      return Status::InvalidArgument(
+          StrFormat("weight %zu is negative or non-finite", i));
+    }
     total += w;
   }
-  FRESHEN_CHECK(total > 0.0);
+  if (!(total > 0.0)) return Status::InvalidArgument("all weights are zero");
+  return total;
+}
 
+Result<AliasTable> AliasTable::Create(const std::vector<double>& weights) {
+  FRESHEN_ASSIGN_OR_RETURN(const double total, CheckedTotal(weights));
+  return AliasTable(weights, total);
+}
+
+AliasTable::AliasTable(const std::vector<double>& weights)
+    : AliasTable(weights, CheckedTotal(weights).value()) {}
+
+AliasTable::AliasTable(const std::vector<double>& weights, double total) {
+  const size_t n = weights.size();
   // Vose's stable construction, in place: prob_ holds each bucket's scaled
   // weight (w / total) * n until the bucket is settled.
   prob_.resize(n);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "rng/rng.h"
 
 namespace freshen {
@@ -17,8 +18,14 @@ namespace freshen {
 class AliasTable {
  public:
   /// Builds the table from non-negative weights (need not be normalized).
-  /// At least one weight must be positive.
+  /// At least one weight must be positive; weights from outside the program
+  /// go through Create instead.
   explicit AliasTable(const std::vector<double>& weights);
+
+  /// The same table, or InvalidArgument when `weights` is empty or longer
+  /// than 2^32, a weight is negative or non-finite, or all weights are
+  /// zero. The checks ride in the pass that sums the weights.
+  static Result<AliasTable> Create(const std::vector<double>& weights);
 
   /// Draws an index in [0, size()) with probability proportional to its
   /// weight.
@@ -32,6 +39,11 @@ class AliasTable {
   double probability(size_t i) const;
 
  private:
+  AliasTable(const std::vector<double>& weights, double total);
+
+  // The weights' plain sum, or the first reason they cannot form a table.
+  static Result<double> CheckedTotal(const std::vector<double>& weights);
+
   std::vector<double> prob_;      // Acceptance threshold per bucket.
   std::vector<uint32_t> alias_;   // Fallback outcome per bucket.
 };

@@ -1,4 +1,4 @@
-// Tests for the versioned source/mirror state machines and the online
+// Tests for the simulated world, the mirror's state and the online
 // closed-loop runtime.
 #include <malloc.h>
 
@@ -17,6 +17,7 @@
 #include "io/catalog_binary.h"
 #include "mirror/mirror_state.h"
 #include "mirror/online_loop.h"
+#include "mirror/simulated_world.h"
 #include "model/freshness.h"
 #include "model/metrics.h"
 #include "obs/drift.h"
@@ -35,86 +36,104 @@
 namespace freshen {
 namespace {
 
-// A catalog carrying only change rates: all a VersionedSource reads. The
-// source reads the rates in place, so the catalog must outlive it.
+// A catalog carrying change rates and a uniform access profile.
 ElementSet RateCatalog(const std::vector<double>& rates) {
   ElementSet catalog(rates.size());
-  for (size_t i = 0; i < rates.size(); ++i) catalog[i].change_rate = rates[i];
+  for (size_t i = 0; i < rates.size(); ++i) {
+    catalog[i].change_rate = rates[i];
+    catalog[i].access_prob = 1.0 / static_cast<double>(rates.size());
+  }
   return catalog;
 }
 
+// A world over `rates` whose update streams fork from Rng(update_seed); it
+// serves no accesses.
+SimulatedWorld RateWorld(const std::vector<double>& rates,
+                         uint64_t update_seed) {
+  return SimulatedWorld::Create(RateCatalog(rates), 0.0,
+                                update_seed ^ SimulatedWorld::kUpdateSeedSalt)
+      .value();
+}
+
+// Syncs `element` at `t` and returns its next update after `t`.
+double AdvancePast(SimulatedWorld& world, size_t element, double t) {
+  world.Sync(element, t);
+  return world.FirstMissed(element);
+}
+
+// A sync as the loop makes it: the mirror records it, the world answers
+// whether it found a change.
+bool Sync(SimulatedWorld& world, MirrorState& mirror, size_t element,
+          double t) {
+  mirror.RecordSync(element, t);
+  return world.Sync(element, t);
+}
+
 // Updates of `element` in (0, t], read one at a time.
-std::vector<double> UpdatesUpTo(VersionedSource& source, size_t element,
+std::vector<double> UpdatesUpTo(SimulatedWorld& world, size_t element,
                                 double t) {
   std::vector<double> times;
-  for (double u = source.NextUpdate(element); u <= t;
-       u = source.AdvancePast(element, u)) {
+  for (double u = world.FirstMissed(element); u <= t;
+       u = AdvancePast(world, element, u)) {
     times.push_back(u);
   }
   return times;
 }
 
-TEST(VersionedSourceTest, VersionsAdvanceWithTime) {
-  const ElementSet catalog = RateCatalog({5.0, 0.0});
-  auto source = VersionedSource::Create(catalog, 1).value();
-  const size_t updates = UpdatesUpTo(source, 0, 10.0).size();
+TEST(SimulatedWorldTest, VersionsAdvanceWithTime) {
+  SimulatedWorld world = RateWorld({5.0, 0.0}, 1);
+  const size_t updates = UpdatesUpTo(world, 0, 10.0).size();
   EXPECT_GT(updates, 20u);  // ~50 expected.
   EXPECT_LT(updates, 100u);
   // Rate 0 never changes.
-  EXPECT_TRUE(std::isinf(source.NextUpdate(1)));
-  EXPECT_TRUE(std::isinf(source.AdvancePast(1, 10.0)));
+  EXPECT_TRUE(std::isinf(world.FirstMissed(1)));
+  EXPECT_TRUE(std::isinf(AdvancePast(world, 1, 10.0)));
 }
 
-TEST(VersionedSourceTest, UpdateCountMatchesPoissonMean) {
-  const ElementSet catalog = RateCatalog(std::vector<double>(200, 2.0));
-  auto source = VersionedSource::Create(catalog, 2).value();
+TEST(SimulatedWorldTest, UpdateCountMatchesPoissonMean) {
+  SimulatedWorld world = RateWorld(std::vector<double>(200, 2.0), 2);
   size_t total = 0;
-  for (size_t i = 0; i < source.size(); ++i) {
-    total += UpdatesUpTo(source, i, 50.0).size();
+  for (size_t i = 0; i < world.size(); ++i) {
+    total += UpdatesUpTo(world, i, 50.0).size();
   }
   // 200 elements * rate 2 * 50 periods = 20,000 expected updates.
   EXPECT_NEAR(static_cast<double>(total), 20000.0, 600.0);
 }
 
-TEST(VersionedSourceTest, AdvancePastReturnsTheNextUpdate) {
-  const ElementSet catalog = RateCatalog({1.0});
-  auto source = VersionedSource::Create(catalog, 3).value();
-  const double first = source.NextUpdate(0);
+TEST(SimulatedWorldTest, AdvancePastReturnsTheNextUpdate) {
+  SimulatedWorld world = RateWorld({1.0}, 3);
+  const double first = world.FirstMissed(0);
   EXPECT_GT(first, 0.0);
   EXPECT_LT(first, 100.0);
   // Advancing to before the first update keeps it pending.
-  EXPECT_EQ(source.AdvancePast(0, first / 2.0), first);
+  EXPECT_EQ(AdvancePast(world, 0, first / 2.0), first);
   // The next one after `first` is strictly later.
-  const double second = source.AdvancePast(0, first);
+  const double second = AdvancePast(world, 0, first);
   EXPECT_GT(second, first);
-  EXPECT_EQ(source.NextUpdate(0), second);
+  EXPECT_EQ(world.FirstMissed(0), second);
   // Past any horizon there is always a later update.
-  EXPECT_GT(source.AdvancePast(0, 100.0), 100.0);
+  EXPECT_GT(AdvancePast(world, 0, 100.0), 100.0);
 }
 
-TEST(VersionedSourceTest, DeterministicInSeed) {
-  const ElementSet catalog_a = RateCatalog({3.0, 1.0});
-  const ElementSet catalog_b = RateCatalog({3.0, 1.0});
-  auto a = VersionedSource::Create(catalog_a, 7).value();
-  auto b = VersionedSource::Create(catalog_b, 7).value();
+TEST(SimulatedWorldTest, DeterministicInSeed) {
+  SimulatedWorld a = RateWorld({3.0, 1.0}, 7);
+  SimulatedWorld b = RateWorld({3.0, 1.0}, 7);
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(UpdatesUpTo(a, i, 20.0), UpdatesUpTo(b, i, 20.0));
   }
 }
 
-TEST(VersionedSourceTest, RejectsInvalidRates) {
-  const ElementSet empty;
-  EXPECT_FALSE(VersionedSource::Create(empty, 1).ok());
-  const ElementSet negative = RateCatalog({-1.0});
-  EXPECT_FALSE(VersionedSource::Create(negative, 1).ok());
+TEST(SimulatedWorldTest, RejectsInvalidRates) {
+  EXPECT_FALSE(SimulatedWorld::Create({}, 0.0, 1).ok());
+  EXPECT_FALSE(SimulatedWorld::Create(RateCatalog({-1.0}), 0.0, 1).ok());
 }
 
-// The source builds an element's stream only when a second draw is due.
+// The world builds an element's stream only when a second draw is due.
 // Reference: the eager layout, one root.Fork() per element in id order and
 // one exponential per element of positive rate, then one per update passed.
 // Elements are touched in a shuffled order, at times that grow per element;
 // rate-0 elements and never-touched ones are in the mix.
-TEST(VersionedSourceTest, LazyStreamsMatchEagerForksBitForBit) {
+TEST(SimulatedWorldTest, LazyStreamsMatchEagerForksBitForBit) {
   constexpr size_t kElements = 400;
   constexpr uint64_t kSeed = 0x5eed;
   Rng setup(91);
@@ -129,10 +148,9 @@ TEST(VersionedSourceTest, LazyStreamsMatchEagerForksBitForBit) {
     streams.push_back(root.Fork());
     if (rates[i] > 0.0) next[i] = SampleExponential(streams[i], rates[i]);
   }
-  const ElementSet catalog = RateCatalog(rates);
-  auto source = VersionedSource::Create(catalog, kSeed).value();
+  SimulatedWorld world = RateWorld(rates, kSeed);
   for (size_t i = 0; i < kElements; ++i) {
-    ASSERT_EQ(std::bit_cast<uint64_t>(source.NextUpdate(i)),
+    ASSERT_EQ(std::bit_cast<uint64_t>(world.FirstMissed(i)),
               std::bit_cast<uint64_t>(next[i]))
         << "element " << i;
   }
@@ -153,22 +171,22 @@ TEST(VersionedSourceTest, LazyStreamsMatchEagerForksBitForBit) {
     while (next[i] <= now[i]) {
       next[i] += SampleExponential(streams[i], rates[i]);
     }
-    ASSERT_EQ(std::bit_cast<uint64_t>(source.AdvancePast(i, now[i])),
+    ASSERT_EQ(std::bit_cast<uint64_t>(AdvancePast(world, i, now[i])),
               std::bit_cast<uint64_t>(next[i]))
         << "element " << i << " at " << now[i];
   }
   for (size_t i = 0; i < kElements; ++i) {
-    ASSERT_EQ(std::bit_cast<uint64_t>(source.NextUpdate(i)),
+    ASSERT_EQ(std::bit_cast<uint64_t>(world.FirstMissed(i)),
               std::bit_cast<uint64_t>(next[i]))
         << "element " << i;
   }
 }
 
-// The source draws an element's first update on its first read. Reference:
+// The world draws an element's first update on its first read. Reference:
 // the eager draw, one root.Fork() per element in id order and one
 // exponential per element of positive rate (+infinity at rate 0). Reads by
-// NextUpdate and by AdvancePast, in forward, reverse and shuffled order,
-// must give the same bits.
+// FirstMissed and by a sync, in forward, reverse and shuffled order, must
+// give the same bits.
 TEST(MirrorStateTest, FirstUpdatesAreDrawnOnFirstRead) {
   constexpr size_t kElements = 300;
   constexpr uint64_t kSeed = 0xf1257;
@@ -184,7 +202,6 @@ TEST(MirrorStateTest, FirstUpdatesAreDrawnOnFirstRead) {
     Rng stream = root.Fork();
     if (rates[i] > 0.0) eager[i] = SampleExponential(stream, rates[i]);
   }
-  const ElementSet catalog = RateCatalog(rates);
 
   std::vector<size_t> forward(kElements);
   for (size_t i = 0; i < kElements; ++i) forward[i] = i;
@@ -194,12 +211,12 @@ TEST(MirrorStateTest, FirstUpdatesAreDrawnOnFirstRead) {
     std::swap(shuffled[k - 1], shuffled[setup.NextUint64Below(k)]);
   }
   for (const auto* order : {&forward, &reverse, &shuffled}) {
-    auto source = VersionedSource::Create(catalog, kSeed).value();
+    SimulatedWorld world = RateWorld(rates, kSeed);
     for (size_t k = 0; k < order->size(); ++k) {
       const size_t i = (*order)[k];
       // Every first update is > 0, so advancing to 0 reads it unchanged.
       const double first =
-          k % 2 == 0 ? source.NextUpdate(i) : source.AdvancePast(i, 0.0);
+          k % 2 == 0 ? world.FirstMissed(i) : AdvancePast(world, i, 0.0);
       ASSERT_EQ(std::bit_cast<uint64_t>(first),
                 std::bit_cast<uint64_t>(eager[i]))
           << "element " << i << " read " << k;
@@ -208,7 +225,7 @@ TEST(MirrorStateTest, FirstUpdatesAreDrawnOnFirstRead) {
       }
     }
     for (size_t i = 0; i < kElements; ++i) {
-      ASSERT_EQ(std::bit_cast<uint64_t>(source.NextUpdate(i)),
+      ASSERT_EQ(std::bit_cast<uint64_t>(world.FirstMissed(i)),
                 std::bit_cast<uint64_t>(eager[i]))
           << "element " << i << " reread";
     }
@@ -216,38 +233,35 @@ TEST(MirrorStateTest, FirstUpdatesAreDrawnOnFirstRead) {
 }
 
 TEST(MirrorStateTest, SyncDetectsChanges) {
-  const ElementSet catalog = RateCatalog({10.0, 0.0});
-  auto source = VersionedSource::Create(catalog, 4).value();
-  MirrorState mirror(source);
-  EXPECT_FALSE(mirror.IsFresh(0, 1.0));  // ~10 updates happened.
-  EXPECT_TRUE(mirror.IsFresh(1, 1.0));   // Never changes.
-  EXPECT_TRUE(mirror.Sync(0, 1.0, source));   // Pulls a changed copy.
-  EXPECT_FALSE(mirror.Sync(1, 1.0, source));  // Nothing new.
-  EXPECT_TRUE(mirror.IsFresh(0, 1.0));
+  SimulatedWorld world = RateWorld({10.0, 0.0}, 4);
+  MirrorState mirror(world.size());
+  EXPECT_FALSE(world.IsFresh(0, 1.0));  // ~10 updates happened.
+  EXPECT_TRUE(world.IsFresh(1, 1.0));   // Never changes.
+  EXPECT_TRUE(Sync(world, mirror, 0, 1.0));   // Pulls a changed copy.
+  EXPECT_FALSE(Sync(world, mirror, 1, 1.0));  // Nothing new.
+  EXPECT_TRUE(world.IsFresh(0, 1.0));
   EXPECT_DOUBLE_EQ(mirror.LastSyncTime(0), 1.0);
 }
 
 TEST(MirrorStateTest, SyncAtTimeZeroCountsAsSynced) {
-  const ElementSet catalog = RateCatalog({1.0, 1.0});
-  auto source = VersionedSource::Create(catalog, 4).value();
-  MirrorState mirror(source);
+  SimulatedWorld world = RateWorld({1.0, 1.0}, 4);
+  MirrorState mirror(world.size());
   EXPECT_FALSE(mirror.Synced(0));
-  EXPECT_FALSE(mirror.Sync(0, 0.0, source));
+  EXPECT_FALSE(Sync(world, mirror, 0, 0.0));
   EXPECT_TRUE(mirror.Synced(0));
   EXPECT_DOUBLE_EQ(mirror.LastSyncTime(0), 0.0);
   EXPECT_FALSE(mirror.Synced(1));
 }
 
 TEST(MirrorStateTest, AgeTracksFirstMissedUpdate) {
-  const ElementSet catalog = RateCatalog({1.0});
-  auto source = VersionedSource::Create(catalog, 5).value();
-  MirrorState mirror(source);
-  const double first = source.NextUpdate(0);
+  SimulatedWorld world = RateWorld({1.0}, 5);
+  MirrorState mirror(world.size());
+  const double first = world.FirstMissed(0);
   // Never synced: stale since the first update.
-  EXPECT_NEAR(mirror.Age(0, 100.0), 100.0 - first, 1e-12);
+  EXPECT_NEAR(world.Age(0, 100.0), 100.0 - first, 1e-12);
   // After syncing at t=100, fresh: age 0.
-  mirror.Sync(0, 100.0, source);
-  EXPECT_DOUBLE_EQ(mirror.Age(0, 100.0), 0.0);
+  Sync(world, mirror, 0, 100.0);
+  EXPECT_DOUBLE_EQ(world.Age(0, 100.0), 0.0);
 }
 
 TEST(MirrorStateTest, FreshnessFractionMatchesClosedForm) {
@@ -255,9 +269,8 @@ TEST(MirrorStateTest, FreshnessFractionMatchesClosedForm) {
   // it is fresh — must match F(f, lambda).
   const double lambda = 2.0;
   const double f = 2.0;
-  const ElementSet catalog = RateCatalog({lambda});
-  auto source = VersionedSource::Create(catalog, 6).value();
-  MirrorState mirror(source);
+  SimulatedWorld world = RateWorld({lambda}, 6);
+  MirrorState mirror(world.size());
   int fresh = 0;
   int probes = 0;
   const double interval = 1.0 / f;
@@ -267,9 +280,9 @@ TEST(MirrorStateTest, FreshnessFractionMatchesClosedForm) {
     for (int p = 1; p <= 8; ++p) {
       const double probe = sync_time - interval + p * interval / 9.0;
       ++probes;
-      if (mirror.IsFresh(0, probe)) ++fresh;
+      if (world.IsFresh(0, probe)) ++fresh;
     }
-    mirror.Sync(0, sync_time, source);
+    Sync(world, mirror, 0, sync_time);
   }
   EXPECT_NEAR(static_cast<double>(fresh) / probes,
               FixedOrderFreshness(f, lambda), 0.02);
@@ -343,9 +356,8 @@ TEST(MirrorStateTest, MatchesFullHistoryOracleBitForBit) {
   uint64_t unchanged_syncs = 0;
   uint64_t stale_reads = 0;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
-    const ElementSet catalog = RateCatalog(rates);
-    auto source = VersionedSource::Create(catalog, seed).value();
-    MirrorState mirror(source);
+    SimulatedWorld world = RateWorld(rates, seed);
+    MirrorState mirror(world.size());
     FullHistoryMirror oracle(rates, seed);
     Rng ops(seed * 7919);
     double t = 0.0;
@@ -355,14 +367,14 @@ TEST(MirrorStateTest, MatchesFullHistoryOracleBitForBit) {
       if (ops.NextBool(0.5)) t += SampleExponential(ops, 4.0);
       const size_t i = ops.NextUint64Below(rates.size());
       if (i < synced_elements && ops.NextBool(0.4)) {
-        const bool changed = mirror.Sync(i, t, source);
+        const bool changed = Sync(world, mirror, i, t);
         ASSERT_EQ(changed, oracle.Sync(i, t)) << "seed " << seed;
         ++(changed ? changed_syncs : unchanged_syncs);
         EXPECT_EQ(mirror.LastSyncTime(i), t);
       } else {
-        const bool fresh = mirror.IsFresh(i, t);
+        const bool fresh = world.IsFresh(i, t);
         ASSERT_EQ(fresh, oracle.IsFresh(i, t)) << "seed " << seed;
-        ASSERT_EQ(mirror.Age(i, t), oracle.Age(i, t)) << "seed " << seed;
+        ASSERT_EQ(world.Age(i, t), oracle.Age(i, t)) << "seed " << seed;
         if (!fresh) ++stale_reads;
       }
     }
@@ -442,7 +454,7 @@ TEST(OnlineLoopTest, TracksProfileDriftWithDecay) {
   for (size_t i = 0; i < truth.size(); ++i) {
     flipped[i] = truth[truth.size() - 1 - i].access_prob;
   }
-  ASSERT_TRUE(loop.SetTrueProfile(flipped).ok());
+  ASSERT_TRUE(loop.world().SetTrueProfile(flipped).ok());
 
   double just_after = 0.0;
   double recovered = 0.0;
@@ -562,8 +574,35 @@ TEST(OnlineLoopTest, RejectsInvalidInput) {
                 .code(),
             StatusCode::kInvalidArgument);
   auto loop = OnlineFreshenLoop::Create(truth, 1.0, LoopOptions()).value();
-  EXPECT_FALSE(loop.SetTrueProfile({1.0, 2.0}).ok());
-  EXPECT_FALSE(loop.SetTrueProfile({0.0}).ok());
+  EXPECT_FALSE(loop.world().SetTrueProfile({1.0, 2.0}).ok());
+  EXPECT_FALSE(loop.world().SetTrueProfile({0.0}).ok());
+}
+
+TEST(OnlineLoopTest, RejectsAccessWeightsNoProfileCanBeDrawnFrom) {
+  struct Case {
+    const char* name;
+    std::vector<double> weights;
+    const char* message;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Case& c :
+       {Case{"nan", {0.5, nan, 0.5}, "weight 1 is negative or non-finite"},
+        Case{"negative", {0.5, 0.5, -0.25},
+             "weight 2 is negative or non-finite"},
+        Case{"infinite", {inf, 0.5, 0.5},
+             "weight 0 is negative or non-finite"},
+        Case{"all zero", {0.0, 0.0, 0.0}, "all weights are zero"}}) {
+    const ElementSet truth = MakeElementSet({1.0, 2.0, 0.0}, c.weights);
+    obs::MetricsRegistry registry;
+    OnlineFreshenLoop::Options options = LoopOptions();
+    options.registry = &registry;
+    const auto loop = OnlineFreshenLoop::Create(truth, 1.0, options);
+    ASSERT_FALSE(loop.ok()) << c.name;
+    EXPECT_EQ(loop.status().code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_NE(loop.status().ToString().find(c.message), std::string::npos)
+        << c.name << ": " << loop.status().ToString();
+  }
 }
 
 TEST(OnlineLoopTest, SyncAtTimeZeroKeepsItsPhase) {

@@ -1,5 +1,6 @@
 // Tests for the deterministic RNG engines and the alias table.
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,6 +126,24 @@ TEST(AliasTableTest, ZeroWeightNeverSampled) {
   AliasTable table({1.0, 0.0, 1.0});
   Rng rng(14);
   for (int i = 0; i < 20000; ++i) EXPECT_NE(table.Sample(rng), 1u);
+}
+
+TEST(AliasTableTest, CreateRejectsWeightsTheConstructorAbortsOn) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(AliasTable::Create({}).ok());
+  EXPECT_FALSE(AliasTable::Create({1.0, nan}).ok());
+  EXPECT_FALSE(AliasTable::Create({1.0, -1.0}).ok());
+  EXPECT_FALSE(
+      AliasTable::Create({std::numeric_limits<double>::infinity()}).ok());
+  const auto zero = AliasTable::Create({0.0, 0.0});
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.status().message(), "all weights are zero");
+  // Valid weights build the table the constructor builds.
+  const AliasTable made = AliasTable::Create({1.0, 0.0, 3.0}).value();
+  const AliasTable built({1.0, 0.0, 3.0});
+  Rng a(21);
+  Rng b(21);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(made.Sample(a), built.Sample(b));
 }
 
 TEST(AliasTableTest, NormalizesProbabilities) {

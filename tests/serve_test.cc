@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -21,6 +22,7 @@
 
 #include "common/epoch.h"
 #include "common/plan_classes.h"
+#include "io/catalog_binary.h"
 #include "obs/metrics.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
@@ -951,6 +953,27 @@ TEST(FreshendDaemonTest, RejectsBadOptionsAndBadIds) {
   EXPECT_FALSE(daemon->IsFresh(10).ok());
   EXPECT_FALSE(daemon->ExpectedAge(999).ok());
   EXPECT_FALSE(daemon->GetPlan(10).ok());
+}
+
+TEST(FreshendDaemonTest, RejectsACatalogWhoseAccessWeightsAreAllZero) {
+  // Each access_prob lies in [0, 1], so the file loads; with no positive
+  // weight there is no profile to draw accesses from, and the daemon must
+  // say so instead of aborting.
+  ElementSet catalog = TestCatalog(3);
+  for (Element& element : catalog) element.access_prob = 0.0;
+  const std::string path = testing::TempDir() + "all_zero_access.fcat";
+  ASSERT_TRUE(SaveCatalogBinary(catalog, path).ok());
+  auto loaded = LoadCatalogBinary(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  obs::MetricsRegistry registry;
+  auto daemon = FreshendDaemon::Create(std::move(loaded).value(), 2.0,
+                                       DaemonOptions(&registry));
+  ASSERT_FALSE(daemon.ok());
+  EXPECT_EQ(daemon.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(daemon.status().ToString().find("all weights are zero"),
+            std::string::npos)
+      << daemon.status().ToString();
 }
 
 TEST(FreshendDaemonTest, RunsPeriodsAndPublishesEachBoundary) {
