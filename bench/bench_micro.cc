@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/macros.h"
 #include "common/plan_classes.h"
 #include "io/catalog_binary.h"
 #include "mirror/simulated_world.h"
@@ -226,37 +227,37 @@ std::shared_ptr<const serve::ServeSnapshot> BenchSnapshot(size_t n,
   for (size_t i = 0; i < n; ++i) column[i] = 1.0 / (1.0 + i);
   serve::SnapshotBuilder builder(
       std::make_shared<const std::vector<double>>(column));
-  builder.MarkAllDirty();
   if (classes == 0) {
-    return builder.Publish(1, 0, 0.0, IdentityClasses(column, column).view(),
-                           column)
-        .value();
+    const IdentityClasses plan(column, column);
+    FRESHEN_CHECK(builder.SetPlan(plan.view()).ok());
+  } else {
+    std::vector<uint32_t> class_of(n);
+    std::vector<double> class_values(classes);
+    for (size_t j = 0; j < classes; ++j) class_values[j] = 1.0 / (1.0 + j);
+    Rng rng(7);
+    for (uint32_t& c : class_of) {
+      c = static_cast<uint32_t>(rng.NextUint64Below(classes));
+    }
+    FRESHEN_CHECK(
+        builder.SetPlan(PlanClassView{class_of, class_values, class_values})
+            .ok());
   }
-  std::vector<uint32_t> class_of(n);
-  std::vector<double> class_values(classes);
-  for (size_t j = 0; j < classes; ++j) class_values[j] = 1.0 / (1.0 + j);
-  Rng rng(7);
-  for (uint32_t& c : class_of) {
-    c = static_cast<uint32_t>(rng.NextUint64Below(classes));
-  }
-  return builder
-      .Publish(1, 0, 0.0, PlanClassView{class_of, class_values, class_values},
-               column)
-      .value();
+  return builder.Publish(1, 0, 0.0, column).value();
 }
 
 // The full-digest consistency check a torture reader runs: every shard
-// digest over the sharded serving columns (dictionaries, value indices,
-// last-sync times), the shared size column's digest, and their
-// combination. One class per element: every dictionary is as long as its
-// shard.
+// digest over the last-sync times, the plan table's digest over the class
+// ids and class columns, the shared size column's digest, and their
+// combination. One class per element: the class columns are as long as
+// the catalog.
 void BM_SnapshotCheckConsistent(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto snapshot = BenchSnapshot(n, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(snapshot->CheckConsistent());
   }
-  state.SetBytesProcessed(state.iterations() * 4 * n * sizeof(double));
+  state.SetBytesProcessed(state.iterations() * n *
+                          (4 * sizeof(double) + sizeof(uint32_t)));
 }
 BENCHMARK(BM_SnapshotCheckConsistent)
     ->Arg(500000)

@@ -1021,13 +1021,13 @@ int RunServeDrill(const std::map<std::string, std::string>& flags) {
   std::printf("queries     : %llu sent over socket, %llu ok\n",
               (unsigned long long)sent, (unsigned long long)ok);
   std::printf("consistency : %s\n", consistent ? "OK" : "FAILED");
-  // The builder's blocks: live and spare copies of 12 bytes per element
-  // (value index, last-sync time) plus their plan-value dictionaries.
+  // The builder's blocks: live and spare copies of the 8-byte last-sync
+  // time per element, plus its live and spare plan tables.
   const double snapshot_bytes =
       global.GetGauge("freshen_serve_snapshot_bytes")->value();
   const double bytes_bound =
-      2.0 * 12.0 * static_cast<double>(truth.size()) +
-      static_cast<double>(stats.snapshot.held_dictionary_bytes);
+      2.0 * 8.0 * static_cast<double>(truth.size()) +
+      static_cast<double>(stats.snapshot.held_plan_bytes);
   const bool bytes_ok = snapshot_bytes > 0.0 && snapshot_bytes <= bytes_bound;
   std::printf("snapshot    : %.0f bytes held (bound %.0f) %s\n",
               snapshot_bytes, bytes_bound, bytes_ok ? "OK" : "FAILED");

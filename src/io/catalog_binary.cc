@@ -146,6 +146,10 @@ uint32_t Crc32Clmul(const unsigned char* bytes, size_t size, uint32_t crc) {
 #endif
 
 Status ValidateColumn(SectionKind kind, const double* values, size_t n) {
+  // An access profile needs one positive weight: no access can be drawn
+  // from an all-zero column, and the CSV loader and the online loop reject
+  // one too. An empty catalog has no profile to draw from and stays valid.
+  bool any_weight = n == 0;
   for (size_t i = 0; i < n; ++i) {
     const double v = values[i];
     if (!std::isfinite(v)) {
@@ -165,6 +169,7 @@ Status ValidateColumn(SectionKind kind, const double* values, size_t n) {
           return Status::InvalidArgument(
               StrFormat("element %zu: access_prob must be in [0, 1]", i));
         }
+        any_weight |= v > 0.0;
         break;
       case kSectionSize:
         if (!(v > 0.0)) {
@@ -173,6 +178,9 @@ Status ValidateColumn(SectionKind kind, const double* values, size_t n) {
         }
         break;
     }
+  }
+  if (kind == kSectionAccessProb && !any_weight) {
+    return Status::InvalidArgument("access_prob: all weights are zero");
   }
   return Status::OK();
 }

@@ -75,8 +75,8 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
       daemon->loop_->controller().shared_sizes());
 
   // Initial publication (epoch 1): the controller's cold-start plan over
-  // its cold-start beliefs, nothing synced yet — published in full like
-  // any new plan. Queries work from here on.
+  // its cold-start beliefs, nothing synced yet; a builder's first publish
+  // builds every shard. Queries work from here on.
   daemon->PublishBoundary(/*replanned=*/true, {});
   return daemon;
 }
@@ -118,24 +118,20 @@ void FreshendDaemon::PublishBoundary(bool replanned,
   obs::ScopedSpan span("serve_publish", *registry_);
   WallTimer timer;
   // Free the snapshots whose readers left during the period first: their
-  // blocks are the builder's spares, which it rewrites only once they are
-  // free.
+  // shard blocks and plan table are the builder's spares, which it rewrites
+  // only once they are free.
   store_.Reclaim();
   const AdaptiveFreshener& controller = loop_->controller();
+  // A replan republishes the plan table once, an O(N) copy per replan
+  // cadence; only the shards holding an element synced this period are
+  // rebuilt, replan or not.
   if (replanned) {
-    // A replan can move every frequency and planned change rate, so every
-    // shard is a candidate; the builder reads each through the plan's
-    // classes, compares it with its previous block and rebuilds only those
-    // that moved. That pass is the O(N) part — it runs once per replan
-    // cadence, not once per period.
-    builder_->MarkAllDirty();
-  } else {
-    // No replan: only the shards this period synced republish.
-    for (uint32_t id : synced) builder_->MarkDirty(id);
+    FRESHEN_CHECK(builder_->SetPlan(controller.PlanClasses()).ok());
   }
-  auto snapshot = builder_->Publish(
-      store_.CurrentEpoch() + 1, controller.num_replans(), loop_->Now(),
-      controller.PlanClasses(), loop_->mirror().LastSyncTimes());
+  for (uint32_t id : synced) builder_->MarkDirty(id);
+  auto snapshot = builder_->Publish(store_.CurrentEpoch() + 1,
+                                    controller.num_replans(), loop_->Now(),
+                                    loop_->mirror().LastSyncTimes());
   FRESHEN_CHECK(snapshot.ok());
   snapshot_bytes_->Set(static_cast<double>((*snapshot)->stats().held_bytes));
   store_.Publish(std::move(*snapshot));

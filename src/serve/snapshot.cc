@@ -101,35 +101,45 @@ struct LaneState {
   }
 };
 
-// True when `block_column` holds exactly the bits of the values `column`
-// points at (an empty column, whose data may be null, always does).
-template <typename T>
-bool SameBits(const T* column, const std::vector<T>& block_column) {
-  return block_column.empty() ||
-         std::memcmp(column, block_column.data(),
-                     block_column.size() * sizeof(T)) == 0;
+// Makes `live` a block no snapshot holds, for a rebuild to write into, and
+// keeps the block it replaces as `spare`: the old spare is reused when the
+// builder holds its only reference (see SnapshotBuilder's class comment),
+// and a new block is allocated otherwise. True when the spare was reused.
+//
+// A new block and its control block are two allocations, not one
+// make_shared chunk. This is a heap-layout choice measured in freshen-e2e,
+// which sets a daemon up repeatedly in one process: at N = 500k the
+// make_shared layout left free 32-byte chunks after a set-up, the
+// harness's long-lived small allocations landed in them instead of above
+// the set-up's memory, and glibc trimmed that memory at each teardown, so
+// every set-up faulted ~46 MB afresh (setup_s 37 -> 56 ms;
+// docs/performance.md, "One plan table per snapshot").
+template <typename Block>
+bool Recycle(std::shared_ptr<Block>& live, std::shared_ptr<Block>& spare) {
+  if (spare.use_count() == 1) {
+    std::swap(live, spare);
+    return true;
+  }
+  spare = std::move(live);
+  live = std::shared_ptr<Block>(new Block());
+  return false;
 }
-
-// Multiply-xorshift mix of a plan value's two words.
-uint64_t HashValue(uint64_t frequency, uint64_t change_rate) {
-  uint64_t h = frequency * kPrime1;
-  h = (h ^ (h >> 32) ^ change_rate) * kPrime2;
-  return h ^ (h >> 29);
-}
-
-// Table size every shard's dictionary build starts from; it doubles while
-// more than half full.
-constexpr size_t kInitialPairSlots = 16;
 
 }  // namespace
 
 uint64_t DigestShard(const ShardBlock& block) {
   LaneState state;
-  state.MixColumn(block.dictionary.frequency);
-  state.MixColumn(block.dictionary.change_rate);
-  state.MixColumn(block.value_index);
   state.MixColumn(block.last_sync_time);
-  return state.Finish({block.begin, block.end, block.dictionary.size()});
+  return state.Finish({block.begin, block.end});
+}
+
+uint64_t DigestPlan(const PlanTable& plan) {
+  LaneState state;
+  state.MixColumn(plan.class_of);
+  state.MixColumn(plan.frequency);
+  state.MixColumn(plan.change_rate);
+  return state.Finish({plan.class_of.size(), plan.frequency.size(),
+                       plan.change_rate.size(), Word(plan.plan_bandwidth)});
 }
 
 uint64_t DigestColumn(const std::vector<double>& column) {
@@ -140,17 +150,23 @@ uint64_t DigestColumn(const std::vector<double>& column) {
 
 uint64_t CombineDigests(
     const std::vector<std::shared_ptr<const ShardBlock>>& shards,
-    uint64_t size_digest) {
+    uint64_t plan_digest, uint64_t size_digest) {
   uint64_t combined = kPrime5 + shards.size();
   for (const std::shared_ptr<const ShardBlock>& shard : shards) {
     combined = Fold(combined, shard->digest);
   }
-  return Avalanche(Fold(combined, size_digest));
+  return Avalanche(Fold(Fold(combined, plan_digest), size_digest));
 }
 
 bool ServeSnapshot::CheckConsistent() const {
   if (shards_.empty()) return num_elements_ == 0;
   if (sizes_ == nullptr || sizes_->size() != num_elements_) return false;
+  if (plan_ == nullptr || plan_->class_of.size() != num_elements_ ||
+      plan_->frequency.size() != plan_->change_rate.size() ||
+      *std::max_element(plan_->class_of.begin(), plan_->class_of.end()) >=
+          plan_->frequency.size()) {
+    return false;
+  }
   size_t expected_begin = 0;
   for (const std::shared_ptr<const ShardBlock>& shard : shards_) {
     if (shard == nullptr) return false;
@@ -158,19 +174,14 @@ bool ServeSnapshot::CheckConsistent() const {
         shard->last_sync_time.size() != shard->count()) {
       return false;
     }
-    const std::vector<uint32_t>& index = shard->value_index;
-    if (index.empty() ? shard->dictionary.size() != shard->count()
-                      : index.size() != shard->count() ||
-                            *std::max_element(index.begin(), index.end()) >=
-                                shard->dictionary.size()) {
-      return false;
-    }
     if (DigestShard(*shard) != shard->digest) return false;
     expected_begin = shard->end;
   }
   if (expected_begin != num_elements_) return false;
+  if (DigestPlan(*plan_) != plan_->digest) return false;
   if (DigestColumn(*sizes_) != size_digest_) return false;
-  return CombineDigests(shards_, size_digest_) == combined_digest_;
+  return CombineDigests(shards_, plan_->digest, size_digest_) ==
+         combined_digest_;
 }
 
 SnapshotBuilder::SnapshotBuilder(
@@ -178,18 +189,14 @@ SnapshotBuilder::SnapshotBuilder(
     : num_elements_(sizes->size()),
       sizes_(std::move(sizes)),
       size_digest_(DigestColumn(*sizes_)),
-      plan_(par::ShardPlan(num_elements_)),
-      dirty_(plan_.size(), 0),
-      live_(plan_.size()),
-      spares_(plan_.size()) {}
+      shards_(par::ShardPlan(num_elements_)),
+      dirty_(shards_.size(), 0),
+      live_(shards_.size()),
+      spares_(shards_.size()) {}
 
 void SnapshotBuilder::MarkDirty(size_t element) {
   FRESHEN_CHECK(element < num_elements_);
   dirty_[par::ShardIndexOf(num_elements_, element)] = 1;
-}
-
-void SnapshotBuilder::MarkAllDirty() {
-  std::fill(dirty_.begin(), dirty_.end(), uint8_t{1});
 }
 
 size_t SnapshotBuilder::DirtyShards() const {
@@ -198,215 +205,91 @@ size_t SnapshotBuilder::DirtyShards() const {
   return dirty;
 }
 
-uint32_t SnapshotBuilder::Intern(double frequency, double change_rate,
-                                 PlanDictionary* dictionary) {
-  const uint64_t frequency_bits = Word(frequency);
-  const uint64_t change_rate_bits = Word(change_rate);
-  size_t mask = pair_slots_.size() - 1;
-  size_t s = HashValue(frequency_bits, change_rate_bits) & mask;
-  while (pair_slots_[s] != 0) {
-    const uint32_t known = pair_slots_[s] - 1;
-    if (Word(dictionary->frequency[known]) == frequency_bits &&
-        Word(dictionary->change_rate[known]) == change_rate_bits) {
-      return known;
-    }
-    s = (s + 1) & mask;
+Status SnapshotBuilder::SetPlan(const PlanClassView& plan) {
+  if (plan.size() != num_elements_ ||
+      plan.frequency.size() != plan.change_rate.size()) {
+    return Status::InvalidArgument("plan column length mismatch");
   }
-  const uint32_t index = static_cast<uint32_t>(dictionary->size());
-  dictionary->frequency.push_back(frequency);
-  dictionary->change_rate.push_back(change_rate);
-  pair_slots_[s] = index + 1;
-  if (2 * dictionary->size() > pair_slots_.size()) {
-    pair_slots_.assign(2 * pair_slots_.size(), 0);
-    mask = pair_slots_.size() - 1;
-    for (size_t j = 0; j < dictionary->size(); ++j) {
-      size_t slot = HashValue(Word(dictionary->frequency[j]),
-                              Word(dictionary->change_rate[j])) &
-                    mask;
-      while (pair_slots_[slot] != 0) slot = (slot + 1) & mask;
-      pair_slots_[slot] = static_cast<uint32_t>(j + 1);
+  Recycle(live_plan_, spare_plan_);
+  PlanTable& table = *live_plan_;
+  table.class_of.assign(plan.class_of.begin(), plan.class_of.end());
+  table.frequency.assign(plan.frequency.begin(), plan.frequency.end());
+  table.change_rate.assign(plan.change_rate.begin(), plan.change_rate.end());
+  const std::vector<double>& size = *sizes_;
+  const size_t classes = table.frequency.size();
+  table.plan_bandwidth = 0.0;
+  for (const par::Shard& shard : shards_) {
+    double partial = 0.0;
+    for (size_t i = shard.begin; i < shard.end; ++i) {
+      const uint32_t c = table.class_of[i];
+      FRESHEN_CHECK(c < classes);
+      partial += table.frequency[c] * size[i];
     }
+    table.plan_bandwidth += partial;
   }
-  return index;
-}
-
-void SnapshotBuilder::BuildShardValues(const par::Shard& shard,
-                                       const PlanClassView& plan,
-                                       PlanDictionary* dictionary,
-                                       std::vector<uint32_t>* value_index) {
-  const size_t classes = plan.frequency.size();
-  const uint32_t* ids = plan.class_of.data() + shard.begin;
-  const size_t count = shard.size();
-  if (classes == plan.size()) {
-    // One class per element (the controller's identity grouping): the
-    // pairs are nearly all distinct, and a hash per element would cost
-    // more than the dictionary saves, so every element gets its own pair
-    // and no index. The controller's ids run contiguously, and its columns
-    // are then copied as they are; other ids are gathered.
-    uint32_t gaps = 0;
-    for (size_t k = 0; k < count; ++k) {
-      gaps |= ids[k] ^ (ids[0] + static_cast<uint32_t>(k));
-    }
-    value_index->clear();
-    if (gaps == 0) {
-      FRESHEN_CHECK(ids[0] + count <= classes);
-      dictionary->frequency.assign(plan.frequency.begin() + ids[0],
-                                   plan.frequency.begin() + ids[0] + count);
-      dictionary->change_rate.assign(
-          plan.change_rate.begin() + ids[0],
-          plan.change_rate.begin() + ids[0] + count);
-      return;
-    }
-    FRESHEN_CHECK(*std::max_element(ids, ids + count) < classes);
-    dictionary->frequency.resize(count);
-    dictionary->change_rate.resize(count);
-    for (size_t k = 0; k < count; ++k) {
-      dictionary->frequency[k] = plan.frequency[ids[k]];
-      dictionary->change_rate[k] = plan.change_rate[ids[k]];
-    }
-    return;
-  }
-  if (class_slots_.size() < classes) class_slots_.resize(classes);
-  if (++stamp_ == 0) {
-    // The stamp wrapped: forget which shard build met each class.
-    std::fill(class_slots_.begin(), class_slots_.end(), ClassSlot{});
-    stamp_ = 1;
-  }
-  dictionary->frequency.clear();
-  dictionary->change_rate.clear();
-  pair_slots_.assign(kInitialPairSlots, 0);
-  value_index->resize(count);
-  uint32_t* index = value_index->data();
-  // A class's pair is interned the first time the shard meets the class;
-  // its other members reuse the index without hashing.
-  ClassSlot* slots = class_slots_.data();
-  for (size_t k = 0; k < count; ++k) {
-    const uint32_t c = ids[k];
-    FRESHEN_CHECK(c < classes);
-    ClassSlot& slot = slots[c];
-    if (slot.stamp != stamp_) {
-      slot.stamp = stamp_;
-      slot.index =
-          Intern(plan.frequency[c], plan.change_rate[c], dictionary);
-    }
-    index[k] = slot.index;
-  }
+  table.digest = DigestPlan(table);
+  return Status::OK();
 }
 
 Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
     uint64_t epoch, uint64_t plan_version, double now,
-    const PlanClassView& plan, const std::vector<double>& last_sync_time) {
-  if (plan.size() != num_elements_ ||
-      plan.frequency.size() != plan.change_rate.size() ||
-      last_sync_time.size() != num_elements_) {
+    const std::vector<double>& last_sync_time) {
+  if (last_sync_time.size() != num_elements_) {
     return Status::InvalidArgument("snapshot column length mismatch");
   }
-  // Checked before any shard is built: a failed Publish leaves the builder
-  // as it was.
-  if (!live_.empty() && live_.front() == nullptr &&
-      DirtyShards() != plan_.size()) {
-    return Status::FailedPrecondition("first Publish must follow MarkAllDirty");
+  if (live_plan_ == nullptr) {
+    return Status::FailedPrecondition("Publish needs a plan: call SetPlan");
   }
 
   auto snapshot = std::shared_ptr<ServeSnapshot>(new ServeSnapshot());
   snapshot->num_elements_ = num_elements_;
-  snapshot->shards_.resize(plan_.size());
+  snapshot->shards_.resize(shards_.size());
+  snapshot->plan_ = live_plan_;
   snapshot->sizes_ = sizes_;
   snapshot->size_digest_ = size_digest_;
-  const std::vector<double>& size = *sizes_;
 
   size_t rebuilt = 0;
   size_t recycled = 0;
-  double plan_bandwidth = 0.0;
-  for (size_t s = 0; s < plan_.size(); ++s) {
-    const par::Shard& shard = plan_[s];
-    const ShardBlock* previous = live_[s].get();
-    if (!dirty_[s]) {
-      snapshot->shards_[s] = live_[s];
-      plan_bandwidth += previous->plan_bandwidth;
-      continue;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (live_[s] == nullptr || dirty_[s]) {
+      recycled += Recycle(live_[s], spares_[s]);
+      const par::Shard& shard = shards_[s];
+      ShardBlock& block = *live_[s];
+      block.begin = shard.begin;
+      block.end = shard.end;
+      block.last_sync_time.assign(last_sync_time.begin() + shard.begin,
+                                  last_sync_time.begin() + shard.end);
+      block.digest = DigestShard(block);
+      ++rebuilt;
     }
-    // A dirty shard whose values came out bit-identical (a replan that
-    // moved no frequency or rate in it, whatever its class ids) is shared
-    // like a clean one. A shard with a new sync cannot be, so its values
-    // are built straight into its block; the others are built aside first.
-    const bool synced =
-        previous == nullptr ||
-        !SameBits(last_sync_time.data() + shard.begin,
-                  previous->last_sync_time);
-    if (!synced) {
-      BuildShardValues(shard, plan, &dictionary_, &value_index_);
-      if (previous->dictionary.size() == dictionary_.size() &&
-          previous->value_index.size() == value_index_.size() &&
-          SameBits(dictionary_.frequency.data(),
-                   previous->dictionary.frequency) &&
-          SameBits(dictionary_.change_rate.data(),
-                   previous->dictionary.change_rate) &&
-          SameBits(value_index_.data(), previous->value_index)) {
-        snapshot->shards_[s] = live_[s];
-        plan_bandwidth += previous->plan_bandwidth;
-        continue;
-      }
-    }
-    // The block this rebuild replaces becomes the shard's spare. The old
-    // spare is written in place when the builder holds its only reference
-    // (see the class comment); otherwise a snapshot still owns it and the
-    // shard gets a new block.
-    if (spares_[s].use_count() == 1) {
-      std::swap(live_[s], spares_[s]);
-      ++recycled;
-    } else {
-      spares_[s] = std::move(live_[s]);
-      live_[s] = std::make_shared<ShardBlock>();
-    }
-    ShardBlock& block = *live_[s];
-    block.begin = shard.begin;
-    block.end = shard.end;
-    if (synced) {
-      BuildShardValues(shard, plan, &block.dictionary, &block.value_index);
-    } else {
-      block.dictionary.frequency.assign(dictionary_.frequency.begin(),
-                                        dictionary_.frequency.end());
-      block.dictionary.change_rate.assign(dictionary_.change_rate.begin(),
-                                          dictionary_.change_rate.end());
-      block.value_index.assign(value_index_.begin(), value_index_.end());
-    }
-    block.last_sync_time.assign(last_sync_time.begin() + shard.begin,
-                                last_sync_time.begin() + shard.end);
-    block.plan_bandwidth = 0.0;
-    for (size_t k = 0; k < shard.size(); ++k) {
-      block.plan_bandwidth +=
-          block.dictionary.frequency[block.pair(k)] * size[shard.begin + k];
-    }
-    block.digest = DigestShard(block);
-    plan_bandwidth += block.plan_bandwidth;
     snapshot->shards_[s] = live_[s];
-    ++rebuilt;
   }
   std::fill(dirty_.begin(), dirty_.end(), uint8_t{0});
 
-  size_t held_bytes = 0;
-  size_t held_dictionary_bytes = 0;
-  for (size_t s = 0; s < plan_.size(); ++s) {
+  size_t held_plan_bytes = 0;
+  for (const PlanTable* table : {live_plan_.get(), spare_plan_.get()}) {
+    if (table != nullptr) held_plan_bytes += table->bytes();
+  }
+  size_t held_bytes = held_plan_bytes;
+  for (size_t s = 0; s < shards_.size(); ++s) {
     for (const ShardBlock* block : {live_[s].get(), spares_[s].get()}) {
-      if (block == nullptr) continue;
-      held_bytes += block->bytes();
-      held_dictionary_bytes += block->dictionary.bytes();
+      if (block != nullptr) held_bytes += block->bytes();
     }
   }
 
-  snapshot->combined_digest_ = CombineDigests(snapshot->shards_, size_digest_);
+  snapshot->combined_digest_ =
+      CombineDigests(snapshot->shards_, live_plan_->digest, size_digest_);
   SnapshotStats& stats = snapshot->stats_;
   stats.epoch = epoch;
   stats.plan_version = plan_version;
   stats.published_at = now;
   stats.num_elements = num_elements_;
-  stats.num_shards = plan_.size();
+  stats.num_shards = shards_.size();
   stats.shards_rebuilt = rebuilt;
   stats.shards_recycled = recycled;
-  stats.plan_bandwidth = plan_bandwidth;
+  stats.plan_bandwidth = live_plan_->plan_bandwidth;
   stats.held_bytes = held_bytes;
-  stats.held_dictionary_bytes = held_dictionary_bytes;
+  stats.held_plan_bytes = held_plan_bytes;
   return std::shared_ptr<const ServeSnapshot>(std::move(snapshot));
 }
 

@@ -137,6 +137,31 @@ TEST(CatalogBinaryTest, RejectsOutOfDomainValues) {
   EXPECT_FALSE(ParseCatalogBinary(blob.data(), blob.size()).ok());
 }
 
+// An access profile with no positive weight is refused by the column check
+// that reads it, as the CSV loader refuses one; an empty catalog is not.
+TEST(CatalogBinaryTest, RejectsAllZeroAccessWeights) {
+  ElementSet catalog = TestCatalog(3);
+  for (Element& element : catalog) element.access_prob = 0.0;
+  const std::string blob = CatalogToBinary(catalog);
+  const auto parsed = ParseCatalogBinary(blob.data(), blob.size());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("all weights are zero"),
+            std::string::npos);
+
+  const std::string path = TempPath("catalog_zero_weights.fcat");
+  ASSERT_TRUE(SaveCatalogBinary(catalog, path).ok());
+  const auto loaded = LoadCatalogBinary(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+
+  // One positive weight is enough.
+  catalog[2].access_prob = 1.0;
+  const std::string one = CatalogToBinary(catalog);
+  EXPECT_TRUE(ParseCatalogBinary(one.data(), one.size()).ok());
+}
+
 TEST(CatalogBinaryTest, FormatDetection) {
   const ElementSet catalog = TestCatalog(50);
   const std::string binary_path = TempPath("catalog_detect.fcat");

@@ -956,16 +956,17 @@ TEST(OnlineLoopTest, HeapPerElementHoldsNoDenseSyncColumn) {
   GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
 #endif
   // A sparse shape: B = 20 of N = 200k, 20 accesses per period, so a few
-  // hundred elements ever sync. The loop's dense columns (catalog 24, alias
-  // table 12, source 16.125, mirror 8.125, first-funded 4, sizes 8, learner
-  // 8, class ids 4, the controller's and the detector's id -> row columns
-  // 4 + 4) come to ~92 B/element, and this run holds 92.5. The plan is kept
-  // only per class, so neither an expanded frequency column (8) nor the
-  // believed weights, rates or costs (24) are held per element. The 6 B
-  // margin is less than that frequency column and than any one dense
-  // column of sync state: evidence (24), drift evidence and scores (40),
-  // RNG streams (32). With all three dense, the believed problem and the
-  // frequencies per element, the run held 212.
+  // hundred elements ever sync. The loop's dense columns (the world's
+  // catalog 24, alias table 12 and update columns 16.125: pending update 8,
+  // stream seed or row 8, stream bit; mirror 8.125, first-funded 4, sizes
+  // 8, learner 8, class ids 4, the controller's and the detector's id ->
+  // row columns 4 + 4) come to ~92 B/element, and this run holds 92.5. The
+  // plan is kept only per class, so neither an expanded frequency column
+  // (8) nor the believed weights, rates or costs (24) are held per element.
+  // The 6 B margin is less than that frequency column and than any one
+  // dense column of sync state: evidence (24), drift evidence and scores
+  // (40), the world's RNG streams (32). With all three dense, the believed
+  // problem and the frequencies per element, the run held 212.
   constexpr size_t kElements = 200000;
   constexpr double kMaxBytesPerElement = 92.0 + 6.0;
   ExperimentSpec spec;
@@ -1128,9 +1129,9 @@ TEST(OnlineLoopGoldenTest, InlinePathMatchesRecordedRun) {
 }
 
 TEST(OnlineLoopTest, MovedLoopRunsLikeAnUnmovedTwin) {
-  // The mirror reads the source's pending-update column through a pointer
-  // between two of the loop's members; moving the loop, mid-run too, must
-  // not leave it reading a moved-from source.
+  // The loop holds its SimulatedWorld and MirrorState by value and keeps no
+  // pointer into either, so moving the loop, mid-run too, must leave it
+  // running bit for bit like a twin that never moved.
   const ElementSet truth = GoldenCatalog();
   obs::MetricsRegistry twin_registry;
   OnlineFreshenLoop::Options twin_options = LoopOptions();

@@ -22,7 +22,6 @@
 
 #include "common/epoch.h"
 #include "common/plan_classes.h"
-#include "io/catalog_binary.h"
 #include "obs/metrics.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
@@ -150,16 +149,6 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-bool SameDictionary(const PlanDictionary& a, const PlanDictionary& b) {
-  const auto same = [](const std::vector<double>& x,
-                       const std::vector<double>& y) {
-    return x.size() == y.size() &&
-           (x.empty() ||
-            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
-  };
-  return same(a.frequency, b.frequency) && same(a.change_rate, b.change_rate);
-}
-
 double FlipBit(double value, int bit) {
   uint64_t word;
   std::memcpy(&word, &value, sizeof(word));
@@ -168,23 +157,48 @@ double FlipBit(double value, int bit) {
   return value;
 }
 
-TEST(SnapshotBuilderTest, FirstPublishRequiresMarkAllDirty) {
+// Marks one element of every shard synced: the next Publish rebuilds every
+// shard, as after a period that synced an element in each.
+void MarkEveryShard(SnapshotBuilder& builder, size_t n) {
+  for (const par::Shard& shard : par::ShardPlan(n)) {
+    builder.MarkDirty(shard.begin);
+  }
+}
+
+// Installs dense columns as a plan with one class per element.
+void SetDensePlan(SnapshotBuilder& builder,
+                  const std::vector<double>& frequency,
+                  const std::vector<double>& change_rate) {
+  ASSERT_TRUE(
+      builder.SetPlan(IdentityClasses(frequency, change_rate).view()).ok());
+}
+
+TEST(SnapshotBuilderTest, FirstPublishRequiresAPlan) {
   SnapshotBuilder builder(SizeColumn(100, 1.0));
   const auto columns = Column(100, 1.0);
-  auto result = builder.Publish(
-      1, 0, 0.0, IdentityClasses(columns, columns).view(), columns);
-  EXPECT_FALSE(result.ok());
+  auto result = builder.Publish(1, 0, 0.0, columns);
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  const auto short_column = Column(99, 1.0);
+  EXPECT_EQ(
+      builder.SetPlan(IdentityClasses(short_column, short_column).view())
+          .code(),
+      StatusCode::kInvalidArgument);
+  SetDensePlan(builder, columns, columns);
+  EXPECT_EQ(builder.Publish(1, 0, 0.0, short_column).status().code(),
+            StatusCode::kInvalidArgument);
+  // A builder with no live block builds every shard.
+  result = builder.Publish(1, 0, 0.0, columns);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ((*result)->stats().shards_rebuilt, builder.NumShards());
+  EXPECT_TRUE((*result)->CheckConsistent());
 }
 
 TEST(SnapshotBuilderTest, PublishesConsistentSnapshot) {
   const size_t n = 10000;
   SnapshotBuilder builder(SizeColumn(n, 0.5));
-  builder.MarkAllDirty();
   const auto columns = Column(n, 0.5);
-  auto snapshot =
-      builder.Publish(1, 0, 0.0, IdentityClasses(columns, columns).view(),
-                      columns)
-          .value();
+  SetDensePlan(builder, columns, columns);
+  auto snapshot = builder.Publish(1, 0, 0.0, columns).value();
   EXPECT_EQ(snapshot->size(), n);
   EXPECT_EQ(snapshot->epoch(), 1u);
   EXPECT_TRUE(snapshot->CheckConsistent());
@@ -198,21 +212,15 @@ TEST(SnapshotBuilderTest, CleanShardsAreSharedDirtyShardsRebuilt) {
   const size_t n = 20000;  // Several shards at the 4096 grain.
   SnapshotBuilder builder(SizeColumn(n, 1.0));
   ASSERT_GT(builder.NumShards(), 2u);
-  builder.MarkAllDirty();
   auto columns = Column(n, 1.0);
-  auto first =
-      builder.Publish(1, 0, 0.0, IdentityClasses(columns, columns).view(),
-                      columns)
-          .value();
+  SetDensePlan(builder, columns, columns);
+  auto first = builder.Publish(1, 0, 0.0, columns).value();
 
-  // Touch exactly one element; only its shard should rebuild.
+  // Sync exactly one element; only its shard should rebuild.
   columns[0] = 2.0;
   builder.MarkDirty(0);
   EXPECT_EQ(builder.DirtyShards(), 1u);
-  auto second =
-      builder.Publish(2, 0, 1.0, IdentityClasses(columns, columns).view(),
-                      columns)
-          .value();
+  auto second = builder.Publish(2, 0, 1.0, columns).value();
 
   EXPECT_EQ(second->stats().shards_rebuilt, 1u);
   EXPECT_NE(first->shards()[0].get(), second->shards()[0].get());
@@ -220,11 +228,12 @@ TEST(SnapshotBuilderTest, CleanShardsAreSharedDirtyShardsRebuilt) {
     EXPECT_EQ(first->shards()[s].get(), second->shards()[s].get())
         << "shard " << s << " should be structurally shared";
   }
+  EXPECT_EQ(second->plan(), first->plan());
   EXPECT_TRUE(second->CheckConsistent());
-  EXPECT_DOUBLE_EQ(second->Lookup(0).frequency, 2.0);
+  EXPECT_DOUBLE_EQ(second->Lookup(0).last_sync_time, 2.0);
   // The first snapshot is untouched by the second publication.
   EXPECT_TRUE(first->CheckConsistent());
-  EXPECT_DOUBLE_EQ(first->Lookup(0).frequency, 1.0);
+  EXPECT_DOUBLE_EQ(first->Lookup(0).last_sync_time, 1.0);
   EXPECT_NE(first->combined_digest(), second->combined_digest());
 }
 
@@ -241,64 +250,63 @@ TEST(SnapshotBuilderTest, ReplanWithUnchangedColumnsRebuildsNoShard) {
   const auto frequency = Ramp(n, 1.0);
   const auto change_rate = Ramp(n, 3.0);
   const auto last_sync = Ramp(n, 0.0);
-  builder.MarkAllDirty();
-  auto first =
-      builder
-          .Publish(1, 1, 0.0, IdentityClasses(frequency, change_rate).view(),
-                   last_sync)
-          .value();
+  SetDensePlan(builder, frequency, change_rate);
+  auto first = builder.Publish(1, 1, 0.0, last_sync).value();
   EXPECT_EQ(first->stats().shards_rebuilt, builder.NumShards());
 
-  // A replan marks every shard dirty; none of them moved.
-  builder.MarkAllDirty();
-  auto second =
-      builder
-          .Publish(2, 2, 1.0, IdentityClasses(frequency, change_rate).view(),
-                   last_sync)
-          .value();
+  // A replan republishes the plan table and no shard.
+  SetDensePlan(builder, frequency, change_rate);
+  auto second = builder.Publish(2, 2, 1.0, last_sync).value();
   EXPECT_EQ(second->stats().shards_rebuilt, 0u);
   EXPECT_EQ(builder.DirtyShards(), 0u);
   for (size_t s = 0; s < first->shards().size(); ++s) {
     EXPECT_EQ(first->shards()[s].get(), second->shards()[s].get())
         << "shard " << s;
   }
+  EXPECT_NE(second->plan(), first->plan());
   EXPECT_EQ(second->combined_digest(), first->combined_digest());
   EXPECT_TRUE(SameBits(second->stats().plan_bandwidth,
                        first->stats().plan_bandwidth));
   EXPECT_TRUE(second->CheckConsistent());
 }
 
-TEST(SnapshotBuilderTest, ReplanRebuildsOnlyTheShardWhoseFrequencyMoved) {
+// Publishes between replans share one plan table by pointer; a replan
+// publish copies the new plan into a table of its own and, when nothing
+// synced, rebuilds no shard, however many plan values moved.
+TEST(SnapshotBuilderTest, OnlyAReplanRepublishesThePlanTable) {
   const size_t n = 20000;
   SnapshotBuilder builder(SizeColumn(n, 2.0));
   auto frequency = Ramp(n, 1.0);
   const auto change_rate = Ramp(n, 3.0);
-  const auto last_sync = Ramp(n, 0.0);
-  builder.MarkAllDirty();
-  auto first =
-      builder
-          .Publish(1, 1, 0.0, IdentityClasses(frequency, change_rate).view(),
-                   last_sync)
-          .value();
-
-  const size_t element = n / 2;
-  const size_t moved_shard = par::ShardIndexOf(n, element);
-  frequency[element] = FlipBit(frequency[element], 0);
-  builder.MarkAllDirty();
-  auto second =
-      builder
-          .Publish(2, 2, 1.0, IdentityClasses(frequency, change_rate).view(),
-                   last_sync)
-          .value();
+  auto last_sync = Ramp(n, 0.0);
+  SetDensePlan(builder, frequency, change_rate);
+  const auto first = builder.Publish(1, 1, 0.0, last_sync).value();
+  last_sync[n / 2] += 1.0;
+  builder.MarkDirty(n / 2);
+  const auto second = builder.Publish(2, 1, 1.0, last_sync).value();
+  EXPECT_EQ(second->plan(), first->plan());
   EXPECT_EQ(second->stats().shards_rebuilt, 1u);
-  for (size_t s = 0; s < first->shards().size(); ++s) {
-    EXPECT_EQ(first->shards()[s].get() == second->shards()[s].get(),
-              s != moved_shard)
+  EXPECT_TRUE(SameBits(second->stats().plan_bandwidth,
+                       first->stats().plan_bandwidth));
+
+  for (double& f : frequency) f *= 1.5;
+  SetDensePlan(builder, frequency, change_rate);
+  const auto third = builder.Publish(3, 2, 2.0, last_sync).value();
+  EXPECT_NE(third->plan(), second->plan());
+  EXPECT_EQ(third->stats().shards_rebuilt, 0u);
+  for (size_t s = 0; s < builder.NumShards(); ++s) {
+    EXPECT_EQ(third->shards()[s].get(), second->shards()[s].get())
         << "shard " << s;
   }
-  EXPECT_TRUE(SameBits(second->Lookup(element).frequency, frequency[element]));
+  for (size_t i = 0; i < n; i += 97) {
+    ASSERT_TRUE(SameBits(third->Lookup(i).frequency, frequency[i]));
+    ASSERT_TRUE(SameBits(second->Lookup(i).frequency, frequency[i] / 1.5));
+  }
+  EXPECT_FALSE(SameBits(third->stats().plan_bandwidth,
+                        second->stats().plan_bandwidth));
+  EXPECT_TRUE(third->CheckConsistent());
   EXPECT_TRUE(second->CheckConsistent());
-  EXPECT_NE(second->combined_digest(), first->combined_digest());
+  EXPECT_NE(third->combined_digest(), second->combined_digest());
 }
 
 TEST(SnapshotBuilderTest, EverySnapshotSharesOneSizeColumn) {
@@ -310,29 +318,18 @@ TEST(SnapshotBuilderTest, EverySnapshotSharesOneSizeColumn) {
   auto frequency = Ramp(n, 0.5);
   const auto change_rate = Ramp(n, 3.0);
   auto last_sync = Column(n, 0.0);
-  builder.MarkAllDirty();
+  SetDensePlan(builder, frequency, change_rate);
   std::vector<std::shared_ptr<const ServeSnapshot>> snapshots = {
-      builder
-          .Publish(1, 1, 0.0, IdentityClasses(frequency, change_rate).view(),
-                   last_sync)
-          .value()};
+      builder.Publish(1, 1, 0.0, last_sync).value()};
   for (uint64_t epoch = 2; epoch <= 4; ++epoch) {
     const size_t element = 4000 * epoch;
     last_sync[element] = static_cast<double>(epoch);
     builder.MarkDirty(element);
-    snapshots.push_back(
-        builder
-            .Publish(epoch, 1, 0.0,
-                     IdentityClasses(frequency, change_rate).view(), last_sync)
-            .value());
+    snapshots.push_back(builder.Publish(epoch, 1, 0.0, last_sync).value());
   }
   frequency[7] *= 3.0;
-  builder.MarkAllDirty();
-  snapshots.push_back(
-      builder
-          .Publish(5, 2, 0.0, IdentityClasses(frequency, change_rate).view(),
-                   last_sync)
-          .value());
+  SetDensePlan(builder, frequency, change_rate);
+  snapshots.push_back(builder.Publish(5, 2, 0.0, last_sync).value());
 
   for (const auto& snapshot : snapshots) {
     EXPECT_EQ(snapshot->size_column(), size_column)
@@ -340,14 +337,12 @@ TEST(SnapshotBuilderTest, EverySnapshotSharesOneSizeColumn) {
     EXPECT_TRUE(snapshot->CheckConsistent());
     EXPECT_TRUE(SameBits(snapshot->Lookup(n - 1).size, sizes[n - 1]));
     // plan_bandwidth: each shard's index-order partial, summed in shard
-    // order, whether the shard was rebuilt or shared.
+    // order.
     double expected = 0.0;
     for (const auto& block : snapshot->shards()) {
       double partial = 0.0;
       for (size_t i = block->begin; i < block->end; ++i) {
-        partial +=
-            block->dictionary.frequency[block->pair(i - block->begin)] *
-            sizes[i];
+        partial += snapshot->Lookup(i).frequency * sizes[i];
       }
       expected += partial;
     }
@@ -365,66 +360,54 @@ std::vector<const ShardBlock*> BlockAddresses(const ServeSnapshot& snapshot) {
   return addresses;
 }
 
-// Epoch 1's blocks become the spares when epoch 2 rebuilds every shard; once
-// nothing holds epoch 1, epoch 3 is written into them, and reads exactly
-// like a snapshot a fresh builder makes from the same columns.
+// Epoch 1's blocks and plan table become the spares when epoch 2 rebuilds
+// every shard and the plan; once nothing holds epoch 1, epoch 3 is written
+// into them, and reads exactly like a snapshot a fresh builder makes from
+// the same columns.
 TEST(SnapshotBuilderTest, RepublishWritesIntoReclaimedBlocks) {
   const size_t n = 20000;
   const auto sizes = std::make_shared<const std::vector<double>>(Ramp(n, 1.0));
   SnapshotBuilder builder(sizes);
-  builder.MarkAllDirty();
-  auto first =
-      builder
-          .Publish(1, 1, 0.0,
-                   IdentityClasses(Ramp(n, 1.0), Ramp(n, 2.0)).view(),
-                   Column(n, 0.0))
-          .value();
+  SetDensePlan(builder, Ramp(n, 1.0), Ramp(n, 2.0));
+  auto first = builder.Publish(1, 1, 0.0, Column(n, 0.0)).value();
   const std::vector<const ShardBlock*> first_blocks = BlockAddresses(*first);
-  builder.MarkAllDirty();
-  auto second =
-      builder
-          .Publish(2, 2, 1.0,
-                   IdentityClasses(Ramp(n, 5.0), Ramp(n, 6.0)).view(),
-                   Column(n, 1.0))
-          .value();
+  const PlanTable* first_plan = first->plan().get();
+  SetDensePlan(builder, Ramp(n, 5.0), Ramp(n, 6.0));
+  MarkEveryShard(builder, n);
+  auto second = builder.Publish(2, 2, 1.0, Column(n, 1.0)).value();
   EXPECT_EQ(second->stats().shards_rebuilt, builder.NumShards());
   first.reset();
 
   const auto frequency = Ramp(n, 9.0);
   const auto change_rate = Ramp(n, 10.0);
   const auto last_sync = Ramp(n, 0.5);
-  builder.MarkAllDirty();
-  auto third =
-      builder
-          .Publish(3, 3, 2.0, IdentityClasses(frequency, change_rate).view(),
-                   last_sync)
-          .value();
+  SetDensePlan(builder, frequency, change_rate);
+  MarkEveryShard(builder, n);
+  auto third = builder.Publish(3, 3, 2.0, last_sync).value();
   EXPECT_EQ(BlockAddresses(*third), first_blocks);
+  EXPECT_EQ(third->plan().get(), first_plan);
   EXPECT_EQ(third->stats().shards_recycled, builder.NumShards());
   EXPECT_TRUE(third->CheckConsistent());
   EXPECT_TRUE(second->CheckConsistent());
 
   SnapshotBuilder fresh(sizes);
-  fresh.MarkAllDirty();
-  auto reference =
-      fresh
-          .Publish(3, 3, 2.0, IdentityClasses(frequency, change_rate).view(),
-                   last_sync)
-          .value();
+  SetDensePlan(fresh, frequency, change_rate);
+  auto reference = fresh.Publish(3, 3, 2.0, last_sync).value();
   ASSERT_EQ(third->shards().size(), reference->shards().size());
   for (size_t s = 0; s < third->shards().size(); ++s) {
     const ShardBlock& block = *third->shards()[s];
     const ShardBlock& expected = *reference->shards()[s];
     EXPECT_EQ(block.begin, expected.begin) << "shard " << s;
     EXPECT_EQ(block.end, expected.end) << "shard " << s;
-    EXPECT_TRUE(SameDictionary(block.dictionary, expected.dictionary))
-        << "shard " << s;
-    EXPECT_EQ(block.value_index, expected.value_index) << "shard " << s;
     EXPECT_EQ(block.last_sync_time, expected.last_sync_time) << "shard " << s;
-    EXPECT_TRUE(SameBits(block.plan_bandwidth, expected.plan_bandwidth))
-        << "shard " << s;
     EXPECT_EQ(block.digest, expected.digest) << "shard " << s;
   }
+  const PlanTable& plan = *third->plan();
+  const PlanTable& expected_plan = *reference->plan();
+  EXPECT_EQ(plan.class_of, expected_plan.class_of);
+  EXPECT_EQ(plan.frequency, expected_plan.frequency);
+  EXPECT_EQ(plan.change_rate, expected_plan.change_rate);
+  EXPECT_EQ(plan.digest, expected_plan.digest);
   EXPECT_EQ(third->combined_digest(), reference->combined_digest());
   EXPECT_TRUE(SameBits(third->stats().plan_bandwidth,
                        reference->stats().plan_bandwidth));
@@ -435,27 +418,18 @@ TEST(SnapshotBuilderTest, RepublishWritesIntoReclaimedBlocks) {
 TEST(SnapshotBuilderTest, HeldSnapshotBlocksAreNeverReused) {
   const size_t n = 20000;
   SnapshotBuilder builder(SizeColumn(n, 1.0));
-  builder.MarkAllDirty();
-  const auto held =
-      builder
-          .Publish(1, 1, 0.0,
-                   IdentityClasses(Ramp(n, 1.0), Ramp(n, 2.0)).view(),
-                   Ramp(n, 3.0))
-          .value();
+  SetDensePlan(builder, Ramp(n, 1.0), Ramp(n, 2.0));
+  const auto held = builder.Publish(1, 1, 0.0, Ramp(n, 3.0)).value();
   std::vector<ElementView> expected;
   for (size_t i = 0; i < n; ++i) expected.push_back(held->Lookup(i));
   const std::vector<const ShardBlock*> held_blocks = BlockAddresses(*held);
 
   for (uint64_t epoch = 2; epoch <= 4; ++epoch) {
     const double offset = 100.0 * static_cast<double>(epoch);
-    builder.MarkAllDirty();
-    auto next = builder
-                    .Publish(epoch, epoch, 1.0,
-                             IdentityClasses(Ramp(n, offset),
-                                             Ramp(n, offset + 1.0))
-                                 .view(),
-                             Ramp(n, offset + 2.0))
-                    .value();
+    SetDensePlan(builder, Ramp(n, offset), Ramp(n, offset + 1.0));
+    MarkEveryShard(builder, n);
+    auto next =
+        builder.Publish(epoch, epoch, 1.0, Ramp(n, offset + 2.0)).value();
     EXPECT_EQ(next->stats().shards_rebuilt, builder.NumShards());
     // Epoch 3 finds every spare held by epoch 1; epoch 4 recycles epoch 2's.
     EXPECT_EQ(next->stats().shards_recycled,
@@ -496,24 +470,24 @@ struct ClassPlan {
   PlanClassView view() const { return {class_of, frequency, change_rate}; }
 };
 
-// The dictionary is covered by the block's digest: flipping any bit of one
-// entry's frequency or rate makes CheckConsistent() fail, and flipping it
-// back makes it pass again.
-TEST(SnapshotBuilderTest, FlippedDictionaryEntryFailsTheConsistencyCheck) {
+// The plan table is covered by its digest: flipping any bit of one class's
+// frequency or rate, or of one element's class id, makes CheckConsistent()
+// fail, and flipping it back makes it pass again. A class id past the
+// class columns is caught before any read through it.
+TEST(SnapshotBuilderTest, FlippedPlanTableEntryFailsTheConsistencyCheck) {
   const size_t n = 20000;
   SnapshotBuilder builder(SizeColumn(n, 1.0));
   const ClassPlan plan(n, 8);
-  builder.MarkAllDirty();
-  const auto snapshot =
-      builder.Publish(1, 1, 0.0, plan.view(), Ramp(n, 0.0)).value();
+  ASSERT_TRUE(builder.SetPlan(plan.view()).ok());
+  const auto snapshot = builder.Publish(1, 1, 0.0, Ramp(n, 0.0)).value();
   ASSERT_TRUE(snapshot->CheckConsistent());
-  // The builder allocates its blocks mutable; snapshots hand them out const.
-  auto* block = const_cast<ShardBlock*>(snapshot->shards()[1].get());
-  ASSERT_EQ(block->dictionary.size(), 8u);
-  for (std::vector<double> PlanDictionary::*column :
-       {&PlanDictionary::frequency, &PlanDictionary::change_rate}) {
+  // The builder allocates its tables mutable; snapshots hand them out const.
+  auto* table = const_cast<PlanTable*>(snapshot->plan().get());
+  ASSERT_EQ(table->frequency.size(), 8u);
+  for (std::vector<double> PlanTable::*column :
+       {&PlanTable::frequency, &PlanTable::change_rate}) {
     for (int bit : {0, 31, 52, 63}) {
-      double& value = (block->dictionary.*column)[5];
+      double& value = (table->*column)[5];
       const double original = value;
       value = FlipBit(original, bit);
       EXPECT_FALSE(snapshot->CheckConsistent()) << "bit " << bit;
@@ -521,11 +495,16 @@ TEST(SnapshotBuilderTest, FlippedDictionaryEntryFailsTheConsistencyCheck) {
       EXPECT_TRUE(snapshot->CheckConsistent()) << "bit " << bit;
     }
   }
-  // An index past the dictionary is caught before any read through it.
-  const uint32_t index = block->value_index[3];
-  block->value_index[3] = static_cast<uint32_t>(block->dictionary.size());
+  uint32_t& id = table->class_of[4321];
+  const uint32_t original = id;
+  for (int bit : {0, 2}) {
+    id = original ^ (uint32_t{1} << bit);
+    ASSERT_LT(id, 8u);
+    EXPECT_FALSE(snapshot->CheckConsistent()) << "bit " << bit;
+  }
+  id = 8;
   EXPECT_FALSE(snapshot->CheckConsistent());
-  block->value_index[3] = index;
+  id = original;
   EXPECT_TRUE(snapshot->CheckConsistent());
 }
 
@@ -539,9 +518,8 @@ TEST(SnapshotBuilderTest, RenumberedClassesShareEveryUnsyncedShard) {
   SnapshotBuilder builder(SizeColumn(n, 2.0));
   const ClassPlan plan(n, classes);
   auto last_sync = Ramp(n, 0.0);
-  builder.MarkAllDirty();
-  const auto first =
-      builder.Publish(1, 1, 0.0, plan.view(), last_sync).value();
+  ASSERT_TRUE(builder.SetPlan(plan.view()).ok());
+  const auto first = builder.Publish(1, 1, 0.0, last_sync).value();
 
   // Reverse the ids, and move the odd members of old class 0 to a new
   // class carrying old class 0's values.
@@ -559,10 +537,12 @@ TEST(SnapshotBuilderTest, RenumberedClassesShareEveryUnsyncedShard) {
                                  : static_cast<uint32_t>(classes - 1 - old);
   }
   const size_t synced[] = {5, n - 3};
-  for (size_t element : synced) last_sync[element] += 1.0;
-  builder.MarkAllDirty();
-  const auto second =
-      builder.Publish(2, 2, 1.0, renumbered.view(), last_sync).value();
+  for (size_t element : synced) {
+    last_sync[element] += 1.0;
+    builder.MarkDirty(element);
+  }
+  ASSERT_TRUE(builder.SetPlan(renumbered.view()).ok());
+  const auto second = builder.Publish(2, 2, 1.0, last_sync).value();
 
   EXPECT_EQ(second->stats().shards_rebuilt, std::size(synced));
   for (size_t s = 0; s < builder.NumShards(); ++s) {
@@ -585,68 +565,55 @@ TEST(SnapshotBuilderTest, RenumberedClassesShareEveryUnsyncedShard) {
                        first->stats().plan_bandwidth));
 }
 
-// With at most 256 classes every live block holds 12 bytes per element
-// (a 4-byte value index and the last-sync time) plus a dictionary of at
-// most 256 pairs, and the builder's byte count adds up its blocks.
-TEST(SnapshotBuilderTest, FewClassesHoldTwelveBytesPerElementPlusDictionaries) {
+// With 256 classes a plan table holds 4 bytes per element (the class id)
+// plus 16 bytes per class, and a live shard block 8 bytes per element (the
+// last-sync time); the builder's byte count adds up its blocks and tables.
+TEST(SnapshotBuilderTest, ClassIdsHoldFourBytesPerElementPlusTheClasses) {
   const size_t n = 100000;
   const size_t classes = 256;
+  const size_t table_bytes = 4 * n + 16 * classes;
   SnapshotBuilder builder(SizeColumn(n, 1.0));
   const ClassPlan plan(n, classes);
-  builder.MarkAllDirty();
-  const auto first =
-      builder.Publish(1, 1, 0.0, plan.view(), Column(n, 0.0)).value();
-  size_t column_bytes = 0;
-  size_t dictionary_bytes = 0;
-  for (const auto& block : first->shards()) {
-    EXPECT_LE(block->dictionary.size(), classes);
-    dictionary_bytes += block->dictionary.bytes();
-    column_bytes += block->bytes() - block->dictionary.bytes();
-  }
-  EXPECT_LE(column_bytes, 12 * n);
-  EXPECT_EQ(first->stats().held_bytes, column_bytes + dictionary_bytes);
-  EXPECT_EQ(first->stats().held_dictionary_bytes, dictionary_bytes);
+  ASSERT_TRUE(builder.SetPlan(plan.view()).ok());
+  const auto first = builder.Publish(1, 1, 0.0, Column(n, 0.0)).value();
+  size_t block_bytes = 0;
+  for (const auto& block : first->shards()) block_bytes += block->bytes();
+  EXPECT_EQ(block_bytes, 8 * n);
+  EXPECT_EQ(first->plan()->bytes(), table_bytes);
+  EXPECT_EQ(first->stats().held_plan_bytes, table_bytes);
+  EXPECT_EQ(first->stats().held_bytes, block_bytes + table_bytes);
 
-  // A second full rebuild keeps the first blocks as spares: two copies.
-  builder.MarkAllDirty();
-  const auto second =
-      builder.Publish(2, 2, 1.0, plan.view(), Column(n, 1.0)).value();
+  // A replan and a sync in every shard keep the first blocks and table as
+  // spares: two copies of each.
+  ASSERT_TRUE(builder.SetPlan(plan.view()).ok());
+  MarkEveryShard(builder, n);
+  const auto second = builder.Publish(2, 2, 1.0, Column(n, 1.0)).value();
   EXPECT_EQ(second->stats().shards_rebuilt, builder.NumShards());
-  EXPECT_LE(second->stats().held_bytes,
-            2 * 12 * n + second->stats().held_dictionary_bytes);
-  EXPECT_LE(second->stats().held_dictionary_bytes,
-            2 * builder.NumShards() * classes * 2 * sizeof(double));
+  EXPECT_EQ(second->stats().held_plan_bytes, 2 * table_bytes);
+  EXPECT_EQ(second->stats().held_bytes, 2 * 8 * n + 2 * table_bytes);
 }
 
-// Under a plan with one class per element every block holds the elements'
-// own pairs in element order and no value index: 24 bytes per element, as
-// the dense columns held. Ids that are a permutation of the elements (not
-// the controller's contiguous ones) serve the same values.
+// Under the controller's plan with one class per element (class i is
+// element i) the table holds the elements' own pairs in element order: 20
+// bytes per element with the class id. Ids that are a permutation of the
+// elements serve the same values and rebuild no shard.
 TEST(SnapshotBuilderTest, OneClassPerElementHoldsPairsInElementOrder) {
   const size_t n = 20000;
   SnapshotBuilder builder(SizeColumn(n, 1.0));
   const auto frequency = Ramp(n, 1.0);
   const auto change_rate = Ramp(n, 2.0);
   const auto last_sync = Ramp(n, 3.0);
-  builder.MarkAllDirty();
-  const auto snapshot =
-      builder
-          .Publish(1, 1, 0.0, IdentityClasses(frequency, change_rate).view(),
-                   last_sync)
-          .value();
-  size_t bytes = 0;
-  for (const auto& block : snapshot->shards()) {
-    EXPECT_TRUE(block->value_index.empty());
-    ASSERT_EQ(block->dictionary.size(), block->count());
-    for (size_t k = 0; k < block->count(); ++k) {
-      ASSERT_TRUE(SameBits(block->dictionary.frequency[k],
-                           frequency[block->begin + k]));
-      ASSERT_TRUE(SameBits(block->dictionary.change_rate[k],
-                           change_rate[block->begin + k]));
-    }
-    bytes += block->bytes();
+  SetDensePlan(builder, frequency, change_rate);
+  const auto snapshot = builder.Publish(1, 1, 0.0, last_sync).value();
+  const PlanTable& plan = *snapshot->plan();
+  EXPECT_EQ(plan.frequency, frequency);
+  EXPECT_EQ(plan.change_rate, change_rate);
+  EXPECT_EQ(plan.bytes(), 20 * n);
+  EXPECT_EQ(snapshot->stats().held_bytes, 28 * n);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(SameBits(snapshot->Lookup(i).frequency, frequency[i]));
+    ASSERT_TRUE(SameBits(snapshot->Lookup(i).change_rate, change_rate[i]));
   }
-  EXPECT_EQ(bytes, 24 * n);
 
   // Reversed ids: class n - 1 - i holds element i's values.
   std::vector<uint32_t> class_of(n);
@@ -657,37 +624,44 @@ TEST(SnapshotBuilderTest, OneClassPerElementHoldsPairsInElementOrder) {
     class_frequency[n - 1 - i] = frequency[i];
     class_rate[n - 1 - i] = change_rate[i];
   }
-  builder.MarkAllDirty();
-  const auto reversed =
-      builder
-          .Publish(2, 2, 1.0, PlanClassView{class_of, class_frequency,
-                                            class_rate},
-                   last_sync)
-          .value();
+  ASSERT_TRUE(
+      builder.SetPlan(PlanClassView{class_of, class_frequency, class_rate})
+          .ok());
+  const auto reversed = builder.Publish(2, 2, 1.0, last_sync).value();
   EXPECT_EQ(reversed->stats().shards_rebuilt, 0u);
-  EXPECT_EQ(reversed->combined_digest(), snapshot->combined_digest());
-  for (size_t i = 0; i < n; i += 7) {
+  EXPECT_TRUE(reversed->CheckConsistent());
+  EXPECT_TRUE(SameBits(reversed->stats().plan_bandwidth,
+                       snapshot->stats().plan_bandwidth));
+  for (size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(SameBits(reversed->Lookup(i).frequency, frequency[i]));
     ASSERT_TRUE(SameBits(reversed->Lookup(i).change_rate, change_rate[i]));
   }
 }
 
-// A 19-element block whose columns all end in a partial stripe: 19
-// dictionary pairs, 19 value indices (9 words and a 4-byte tail), 19
-// last-sync times. Every value is distinct, and the indices are
-// a permutation of the dictionary.
+// A 19-element block and a 19-element plan table of 19 classes whose
+// columns all end in a partial stripe (the class ids: 9 words and a 4-byte
+// tail). Every value is distinct, and the ids are a permutation of the
+// classes.
 ShardBlock DigestTestBlock() {
   ShardBlock block;
   block.begin = 4096;
   block.end = 4096 + 19;
   for (size_t j = 0; j < block.count(); ++j) {
-    const double x = static_cast<double>(j);
-    block.dictionary.frequency.push_back(0.5 + x);
-    block.dictionary.change_rate.push_back(1.25 + 3.0 * x);
-    block.value_index.push_back(static_cast<uint32_t>((7 * j) % 19));
-    block.last_sync_time.push_back(100.0 - x);
+    block.last_sync_time.push_back(100.0 - static_cast<double>(j));
   }
   return block;
+}
+
+PlanTable DigestTestPlan() {
+  PlanTable plan;
+  for (size_t j = 0; j < 19; ++j) {
+    const double x = static_cast<double>(j);
+    plan.class_of.push_back(static_cast<uint32_t>((7 * j) % 19));
+    plan.frequency.push_back(0.5 + x);
+    plan.change_rate.push_back(1.25 + 3.0 * x);
+  }
+  plan.plan_bandwidth = 17.5;
+  return plan;
 }
 
 // First, middle, every tail-lane position (16..18), last.
@@ -695,74 +669,81 @@ constexpr size_t kDigestPositions[] = {0, 9, 16, 17, 18};
 constexpr int kDigestBits[] = {0, 31, 52, 63};
 constexpr size_t kDigestSwaps[] = {0, 9, 15, 17};
 
-// The block's three columns of doubles: dictionary frequencies, dictionary
-// change rates, last-sync times.
-double& DoubleAt(ShardBlock& block, size_t column, size_t j) {
-  switch (column) {
-    case 0:
-      return block.dictionary.frequency[j];
-    case 1:
-      return block.dictionary.change_rate[j];
-    default:
-      return block.last_sync_time[j];
-  }
+// The plan table's two columns of doubles: class frequencies, class
+// change rates.
+std::vector<double>& PlanColumn(PlanTable& plan, size_t column) {
+  return column == 0 ? plan.frequency : plan.change_rate;
 }
-constexpr size_t kDoubleColumns = 3;
 
 TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
   const ShardBlock base = DigestTestBlock();
   const uint64_t digest = DigestShard(base);
-
-  for (size_t c = 0; c < kDoubleColumns; ++c) {
-    for (size_t j : kDigestPositions) {
-      for (int bit : kDigestBits) {
-        ShardBlock flipped = base;
-        double& value = DoubleAt(flipped, c, j);
-        value = FlipBit(value, bit);
-        EXPECT_NE(DigestShard(flipped), digest)
-            << "column " << c << " position " << j << " bit " << bit;
-      }
-    }
-    for (size_t j : kDigestSwaps) {
-      ShardBlock swapped = base;
-      std::swap(DoubleAt(swapped, c, j), DoubleAt(swapped, c, j + 1));
-      EXPECT_NE(DigestShard(swapped), digest)
-          << "column " << c << " swap at " << j;
-    }
-    for (size_t d = c + 1; d < kDoubleColumns; ++d) {
-      ShardBlock exchanged = base;
-      for (size_t j = 0; j < base.count(); ++j) {
-        std::swap(DoubleAt(exchanged, c, j), DoubleAt(exchanged, d, j));
-      }
-      EXPECT_NE(DigestShard(exchanged), digest)
-          << "columns " << c << " and " << d << " exchanged";
-    }
-  }
   for (size_t j : kDigestPositions) {
-    for (int bit : {0, 15, 31}) {
+    for (int bit : kDigestBits) {
       ShardBlock flipped = base;
-      flipped.value_index[j] ^= uint32_t{1} << bit;
+      flipped.last_sync_time[j] = FlipBit(base.last_sync_time[j], bit);
       EXPECT_NE(DigestShard(flipped), digest)
-          << "value index " << j << " bit " << bit;
+          << "last-sync position " << j << " bit " << bit;
     }
   }
   for (size_t j : kDigestSwaps) {
     ShardBlock swapped = base;
-    std::swap(swapped.value_index[j], swapped.value_index[j + 1]);
-    EXPECT_NE(DigestShard(swapped), digest) << "value index swap at " << j;
+    std::swap(swapped.last_sync_time[j], swapped.last_sync_time[j + 1]);
+    EXPECT_NE(DigestShard(swapped), digest) << "last-sync swap at " << j;
   }
-  // A dictionary entry no element reads is still covered.
-  ShardBlock longer = base;
-  longer.dictionary.frequency.push_back(0.0);
-  longer.dictionary.change_rate.push_back(0.0);
-  EXPECT_NE(DigestShard(longer), digest);
   ShardBlock moved = base;
   moved.begin += 1;
   moved.end += 1;
   EXPECT_NE(DigestShard(moved), digest);
   EXPECT_EQ(DigestShard(DigestTestBlock()), digest);
 
-  // The shared size column has its own digest, folded in after the shards.
+  const PlanTable plan = DigestTestPlan();
+  const uint64_t plan_digest = DigestPlan(plan);
+  for (size_t c = 0; c < 2; ++c) {
+    for (size_t j : kDigestPositions) {
+      for (int bit : kDigestBits) {
+        PlanTable flipped = plan;
+        double& value = PlanColumn(flipped, c)[j];
+        value = FlipBit(value, bit);
+        EXPECT_NE(DigestPlan(flipped), plan_digest)
+            << "column " << c << " position " << j << " bit " << bit;
+      }
+    }
+    for (size_t j : kDigestSwaps) {
+      PlanTable swapped = plan;
+      std::vector<double>& column = PlanColumn(swapped, c);
+      std::swap(column[j], column[j + 1]);
+      EXPECT_NE(DigestPlan(swapped), plan_digest)
+          << "column " << c << " swap at " << j;
+    }
+  }
+  PlanTable exchanged = plan;
+  std::swap(exchanged.frequency, exchanged.change_rate);
+  EXPECT_NE(DigestPlan(exchanged), plan_digest);
+  for (size_t j : kDigestPositions) {
+    for (int bit : {0, 15, 31}) {
+      PlanTable flipped = plan;
+      flipped.class_of[j] ^= uint32_t{1} << bit;
+      EXPECT_NE(DigestPlan(flipped), plan_digest)
+          << "class id " << j << " bit " << bit;
+    }
+  }
+  for (size_t j : kDigestSwaps) {
+    PlanTable swapped = plan;
+    std::swap(swapped.class_of[j], swapped.class_of[j + 1]);
+    EXPECT_NE(DigestPlan(swapped), plan_digest) << "class id swap at " << j;
+  }
+  // A class no element reads is still covered, and so is the bandwidth.
+  PlanTable longer = plan;
+  longer.frequency.push_back(0.0);
+  longer.change_rate.push_back(0.0);
+  EXPECT_NE(DigestPlan(longer), plan_digest);
+  PlanTable rescaled = plan;
+  rescaled.plan_bandwidth = FlipBit(plan.plan_bandwidth, 0);
+  EXPECT_NE(DigestPlan(rescaled), plan_digest);
+  EXPECT_EQ(DigestPlan(DigestTestPlan()), plan_digest);
+
+  // The shared size column has its own digest, folded in last.
   std::vector<double> sizes;
   for (size_t j = 0; j < base.count(); ++j) sizes.push_back(7.0 + 0.125 * j);
   const uint64_t size_digest = DigestColumn(sizes);
@@ -779,31 +760,28 @@ TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
     std::swap(swapped[j], swapped[j + 1]);
     EXPECT_NE(DigestColumn(swapped), size_digest) << "size swap at " << j;
   }
-  for (size_t c = 0; c < kDoubleColumns; ++c) {
-    ShardBlock copy = base;
-    std::vector<double> column;
-    for (size_t j = 0; j < base.count(); ++j) {
-      column.push_back(DoubleAt(copy, c, j));
-    }
-    EXPECT_NE(DigestColumn(column), size_digest)
-        << "size column exchanged with column " << c;
-  }
+  EXPECT_NE(DigestColumn(base.last_sync_time), size_digest);
+  EXPECT_NE(DigestColumn(plan.frequency), size_digest);
+  EXPECT_NE(DigestColumn(plan.change_rate), size_digest);
 
   std::vector<std::shared_ptr<const ShardBlock>> shards;
   for (int s = 0; s < 3; ++s) {
     ShardBlock block = DigestTestBlock();
-    block.dictionary.frequency[0] += s;
+    block.last_sync_time[0] += s;
     block.digest = DigestShard(block);
     shards.push_back(std::make_shared<const ShardBlock>(std::move(block)));
   }
-  const uint64_t combined = CombineDigests(shards, size_digest);
+  const uint64_t combined = CombineDigests(shards, plan_digest, size_digest);
   for (size_t s = 0; s + 1 < shards.size(); ++s) {
-    auto exchanged = shards;
-    std::swap(exchanged[s], exchanged[s + 1]);
-    EXPECT_NE(CombineDigests(exchanged, size_digest), combined)
+    auto exchanged_shards = shards;
+    std::swap(exchanged_shards[s], exchanged_shards[s + 1]);
+    EXPECT_NE(CombineDigests(exchanged_shards, plan_digest, size_digest),
+              combined)
         << "shards " << s;
   }
-  EXPECT_NE(CombineDigests(shards, size_digest ^ 1), combined);
+  EXPECT_NE(CombineDigests(shards, plan_digest ^ 1, size_digest), combined);
+  EXPECT_NE(CombineDigests(shards, plan_digest, size_digest ^ 1), combined);
+  EXPECT_NE(CombineDigests(shards, size_digest, plan_digest), combined);
 }
 
 // ---- SnapshotStore --------------------------------------------------------
@@ -811,12 +789,11 @@ TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
 std::shared_ptr<const ServeSnapshot> MakeSnapshot(SnapshotBuilder& builder,
                                                   uint64_t epoch, size_t n,
                                                   double value) {
-  builder.MarkAllDirty();
   const auto columns = Column(n, value);
-  return builder
-      .Publish(epoch, 0, 0.0, IdentityClasses(columns, columns).view(),
-               columns)
-      .value();
+  EXPECT_TRUE(
+      builder.SetPlan(IdentityClasses(columns, columns).view()).ok());
+  MarkEveryShard(builder, n);
+  return builder.Publish(epoch, 0, 0.0, columns).value();
 }
 
 TEST(SnapshotStoreTest, EmptyBeforeFirstPublish) {
@@ -878,10 +855,10 @@ TEST(SnapshotStoreTest, DrainReclaimsEverything) {
 
 // ---- FreshendDaemon -------------------------------------------------------
 
-ElementSet TestCatalog(size_t n) {
+ElementSet TestCatalog(size_t n, double theta = 1.0) {
   ExperimentSpec spec;
   spec.num_objects = n;
-  spec.theta = 1.0;
+  spec.theta = theta;
   spec.seed = 99;
   return GenerateCatalog(spec).value();
 }
@@ -956,19 +933,15 @@ TEST(FreshendDaemonTest, RejectsBadOptionsAndBadIds) {
 }
 
 TEST(FreshendDaemonTest, RejectsACatalogWhoseAccessWeightsAreAllZero) {
-  // Each access_prob lies in [0, 1], so the file loads; with no positive
-  // weight there is no profile to draw accesses from, and the daemon must
-  // say so instead of aborting.
+  // Each access_prob lies in [0, 1], but with no positive weight there is
+  // no profile to draw accesses from, and the daemon must say so instead
+  // of aborting. The catalog loaders refuse such a file (CatalogBinaryTest.
+  // RejectsAllZeroAccessWeights); a catalog built in code reaches Create.
   ElementSet catalog = TestCatalog(3);
   for (Element& element : catalog) element.access_prob = 0.0;
-  const std::string path = testing::TempDir() + "all_zero_access.fcat";
-  ASSERT_TRUE(SaveCatalogBinary(catalog, path).ok());
-  auto loaded = LoadCatalogBinary(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   obs::MetricsRegistry registry;
-  auto daemon = FreshendDaemon::Create(std::move(loaded).value(), 2.0,
-                                       DaemonOptions(&registry));
+  auto daemon =
+      FreshendDaemon::Create(std::move(catalog), 2.0, DaemonOptions(&registry));
   ASSERT_FALSE(daemon.ok());
   EXPECT_EQ(daemon.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(daemon.status().ToString().find("all weights are zero"),
@@ -1104,17 +1077,99 @@ TEST(FreshendDaemonTest, SnapshotMatchesOwningColumnsAfterEveryPeriod) {
                    3.0);
 }
 
+// Runs `periods` single periods of `daemon` and checks, after each, that
+// every element of the snapshot equals the controller's plan (read
+// through its class), the size column and the mirror's last-sync time bit
+// for bit, and that the publish rebuilt exactly the shards whose
+// last-sync times moved, replan or not, and shared the plan table unless
+// it followed a replan. Returns the largest class count seen.
+size_t CheckServedPlanEveryPeriod(FreshendDaemon& daemon, int periods) {
+  const size_t n = daemon.size();
+  std::vector<double> previous_sync(n, 0.0);
+  const PlanTable* previous_plan = nullptr;
+  uint64_t previous_version = 0;
+  {
+    SnapshotRef first = daemon.AcquireSnapshot();
+    previous_plan = first->plan().get();
+    previous_version = first->stats().plan_version;
+  }
+  size_t max_classes = 0;
+  for (int period = 1; period <= periods; ++period) {
+    EXPECT_TRUE(daemon.Start().ok());
+    while (daemon.running()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    daemon.Stop();
+    SnapshotRef snapshot = daemon.AcquireSnapshot();
+    EXPECT_TRUE(snapshot->CheckConsistent()) << "period " << period;
+    const AdaptiveFreshener& controller = daemon.loop().controller();
+    const std::vector<double>& last_sync =
+        daemon.loop().mirror().LastSyncTimes();
+    max_classes =
+        std::max(max_classes, controller.PlanClasses().frequency.size());
+    for (size_t i = 0; i < n; ++i) {
+      const ElementView view = snapshot->Lookup(i);
+      if (!SameBits(view.frequency, controller.Frequency(i)) ||
+          !SameBits(view.change_rate, controller.PlannedChangeRate(i)) ||
+          !SameBits(view.size, controller.sizes()[i]) ||
+          !SameBits(view.last_sync_time, last_sync[i])) {
+        ADD_FAILURE() << "period " << period << " element " << i;
+        return max_classes;
+      }
+    }
+    size_t moved_shards = 0;
+    for (const par::Shard& shard : par::ShardPlan(n)) {
+      moved_shards += std::memcmp(last_sync.data() + shard.begin,
+                                  previous_sync.data() + shard.begin,
+                                  shard.size() * sizeof(double)) != 0;
+    }
+    EXPECT_EQ(snapshot->stats().shards_rebuilt, moved_shards)
+        << "period " << period;
+    if (snapshot->stats().plan_version == previous_version) {
+      EXPECT_EQ(snapshot->plan().get(), previous_plan) << "period " << period;
+    }
+    previous_sync = last_sync;
+    previous_plan = snapshot->plan().get();
+    previous_version = snapshot->stats().plan_version;
+  }
+  return max_classes;
+}
+
+// The snapshot serves the controller's plan and the mirror's sync times
+// bit for bit, under a plan that groups the elements into few classes and
+// under one with a class per element.
+TEST(FreshendDaemonTest, SnapshotServesThePlanPerClassEveryPeriod) {
+  obs::MetricsRegistry registry;
+  auto options = DaemonOptions(&registry);
+  options.loop.controller.replan_every_periods = 2.0;
+  options.max_periods = 1;  // Each Start() runs exactly one more period.
+  auto grouped =
+      FreshendDaemon::Create(TestCatalog(9000), 300.0, options).value();
+  EXPECT_LT(CheckServedPlanEveryPeriod(*grouped, 6), 9000u / 4);
+
+  obs::MetricsRegistry identity_registry;
+  options = DaemonOptions(&identity_registry);
+  options.loop.accesses_per_period = 100000.0;
+  options.max_periods = 1;
+  auto per_element =
+      FreshendDaemon::Create(TestCatalog(2000), 500.0, options).value();
+  EXPECT_EQ(CheckServedPlanEveryPeriod(*per_element, 6), 2000u);
+}
+
 // Epoch 1 is built on the creating thread and every later epoch on the
 // loop thread, in another malloc arena. Free bytes across all arenas must
 // not grow by a snapshot copy (24 B per element) over a run that republishes
-// every shard each period: the blocks epoch 1 leaves are rewritten, not
-// stranded.
+// the plan table every period and most shards: the blocks epoch 1 leaves
+// are rewritten, not stranded. Only a sync rebuilds a shard, so the
+// catalog's popularity is uniform (theta = 0) and the syncs reach every
+// shard within the first periods; a Zipf-ranked catalog syncs its leading
+// shards and leaves the rest on epoch 1's blocks.
 TEST(FreshendDaemonTest, FullRepublishesStrandNoArenaMemory) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
 #endif
   constexpr size_t kElements = 200000;
-  const ElementSet truth = TestCatalog(kElements);
+  const ElementSet truth = TestCatalog(kElements, /*theta=*/0.0);
   obs::MetricsRegistry registry;
   auto options = DaemonOptions(&registry);
   options.max_periods = 6;
@@ -1139,9 +1194,9 @@ TEST(FreshendDaemonTest, FullRepublishesStrandNoArenaMemory) {
   EXPECT_LT(free_growth, 24.0 * kElements);
 }
 
-// freshen_serve_snapshot_bytes carries the builder's block bytes after
-// every publish: the live and spare copies of 12 bytes per element, plus
-// their dictionaries.
+// freshen_serve_snapshot_bytes carries the builder's held bytes after
+// every publish: the live and spare copies of the 8-byte last-sync time
+// per element, plus the live and spare plan tables.
 TEST(FreshendDaemonTest, SnapshotBytesGaugeCountsLiveAndSpareBlocks) {
   constexpr size_t kElements = 20000;
   obs::MetricsRegistry registry;
@@ -1160,7 +1215,7 @@ TEST(FreshendDaemonTest, SnapshotBytesGaugeCountsLiveAndSpareBlocks) {
   const SnapshotStats stats = daemon->Stats().snapshot;
   EXPECT_EQ(bytes->value(), static_cast<double>(stats.held_bytes));
   EXPECT_GT(stats.held_bytes, 12 * kElements);
-  EXPECT_LE(stats.held_bytes, 2 * 12 * kElements + stats.held_dictionary_bytes);
+  EXPECT_LE(stats.held_bytes, 2 * 8 * kElements + stats.held_plan_bytes);
 }
 
 TEST(FreshendDaemonTest, StopIsIdempotentAndQueriesSurviveIt) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/plan_classes.h"
 #include "common/quick_mode.h"
 #include "obs/metrics.h"
@@ -75,12 +76,14 @@ TEST(ServeTortureTest, RawStoreReadersNeverSeeTornSnapshots) {
   for (int pub = 1; pub <= kPublications; ++pub) {
     const double stamp = static_cast<double>(pub);
     for (double& v : columns) v = stamp;
-    builder.MarkAllDirty();
-    auto snapshot = builder
-                        .Publish(static_cast<uint64_t>(pub), 0, stamp,
-                                 IdentityClasses(columns, columns).view(),
-                                 columns)
-                        .value();
+    EXPECT_TRUE(
+        builder.SetPlan(IdentityClasses(columns, columns).view()).ok());
+    for (const par::Shard& shard : par::ShardPlan(n)) {
+      builder.MarkDirty(shard.begin);
+    }
+    auto snapshot =
+        builder.Publish(static_cast<uint64_t>(pub), 0, stamp, columns)
+            .value();
     store.Publish(std::move(snapshot));
   }
   done.store(true, std::memory_order_release);
@@ -155,12 +158,14 @@ TEST(ServeTortureTest, PinnedReadersNeverSeeRecycledBlocksChange) {
     // As the daemon does: free what readers have left before building, so
     // the spares those snapshots held can be rewritten.
     store.Reclaim();
-    builder.MarkAllDirty();
-    auto snapshot = builder
-                        .Publish(static_cast<uint64_t>(pub), 0, stamp,
-                                 IdentityClasses(columns, columns).view(),
-                                 columns)
-                        .value();
+    EXPECT_TRUE(
+        builder.SetPlan(IdentityClasses(columns, columns).view()).ok());
+    for (const par::Shard& shard : par::ShardPlan(n)) {
+      builder.MarkDirty(shard.begin);
+    }
+    auto snapshot =
+        builder.Publish(static_cast<uint64_t>(pub), 0, stamp, columns)
+            .value();
     recycled += snapshot->stats().shards_recycled;
     store.Publish(std::move(snapshot));
     // Give readers time to finish a hold and pin this epoch.
