@@ -1,10 +1,16 @@
 // A6 — google-benchmark microbenchmarks for the hot paths: the freshness
 // closed forms, the marginal-inverse kernel, the exact solver, partitioning,
 // the class transform's grouping, k-means iterations, alias-table sampling,
-// the serving snapshot's consistency check and lookup, and two set-up steps
-// over every element: the catalog's CRC and building the simulated world.
+// the serving snapshot's consistency check and lookup, and three set-up
+// steps over every element: the catalog's CRC, the catalog load and
+// building the simulated world.
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -294,6 +300,29 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+// A catalog load as a daemon's set-up runs it: LoadCatalogBinary over the
+// 12 MB FRSHCAT1 file of N = 500k elements (the loop_replan shape), every
+// check included. The file is written and loaded once before timing, so
+// the page cache is warm.
+void BM_LoadCatalogBinary(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("freshen_bench_micro_" + std::to_string(::getpid()) + ".fcat"))
+          .string();
+  const ElementSet catalog = BenchCatalog(500000);
+  FRESHEN_CHECK(SaveCatalogBinary(catalog, path).ok());
+  FRESHEN_CHECK(LoadCatalogBinary(path).ok());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LoadCatalogBinary(path).value());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(CatalogToBinary({}).size() +
+                                               3 * catalog.size() *
+                                                   sizeof(double)));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_LoadCatalogBinary)->Unit(benchmark::kMillisecond);
 
 // The world over N = 500k elements as a loop's set-up builds it: the rate
 // check, the alias table over the access profile, and one root draw per

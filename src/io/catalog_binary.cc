@@ -5,11 +5,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <limits>
 
 #if defined(__PCLMUL__) && defined(__SSE4_1__)
 #include <immintrin.h>
@@ -145,159 +148,12 @@ uint32_t Crc32Clmul(const unsigned char* bytes, size_t size, uint32_t crc) {
 }
 #endif
 
-Status ValidateColumn(SectionKind kind, const double* values, size_t n) {
-  // An access profile needs one positive weight: no access can be drawn
-  // from an all-zero column, and the CSV loader and the online loop reject
-  // one too. An empty catalog has no profile to draw from and stays valid.
-  bool any_weight = n == 0;
-  for (size_t i = 0; i < n; ++i) {
-    const double v = values[i];
-    if (!std::isfinite(v)) {
-      return Status::InvalidArgument(
-          StrFormat("element %zu: non-finite value in section %u", i,
-                    static_cast<unsigned>(kind)));
-    }
-    switch (kind) {
-      case kSectionChangeRate:
-        if (v < 0.0) {
-          return Status::InvalidArgument(
-              StrFormat("element %zu: change_rate must be >= 0", i));
-        }
-        break;
-      case kSectionAccessProb:
-        if (v < 0.0 || v > 1.0) {
-          return Status::InvalidArgument(
-              StrFormat("element %zu: access_prob must be in [0, 1]", i));
-        }
-        any_weight |= v > 0.0;
-        break;
-      case kSectionSize:
-        if (!(v > 0.0)) {
-          return Status::InvalidArgument(
-              StrFormat("element %zu: size must be > 0", i));
-        }
-        break;
-    }
-  }
-  if (kind == kSectionAccessProb && !any_weight) {
-    return Status::InvalidArgument("access_prob: all weights are zero");
-  }
-  return Status::OK();
-}
-
-struct ParsedColumns {
-  size_t num_elements = 0;
-  const double* change_rates = nullptr;
-  const double* access_probs = nullptr;
-  const double* sizes = nullptr;
-};
-
-// Copies validated columns into an owned catalog, one element at a time.
-ElementSet ToElements(const ParsedColumns& columns) {
-  ElementSet elements(columns.num_elements);
-  for (size_t i = 0; i < columns.num_elements; ++i) {
-    elements[i].change_rate = columns.change_rates[i];
-    elements[i].access_prob = columns.access_probs[i];
-    elements[i].size = columns.sizes[i];
-  }
-  return elements;
-}
-
-// Shared validation core: checks every structural and domain invariant and
-// returns pointers into `data`. Used by both the copying loader and the
-// zero-copy mmap loader.
-Result<ParsedColumns> ValidateCatalogBinary(const void* data, size_t size) {
-  const char* bytes = static_cast<const char*>(data);
-  if (size < sizeof(FileHeader)) {
-    return Status::InvalidArgument(
-        StrFormat("file too small for header (%zu bytes)", size));
-  }
-  FileHeader header;
-  std::memcpy(&header, bytes, sizeof(header));
-  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("bad magic (not a FRSHCAT1 catalog)");
-  }
-  if (header.version != kVersion) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported version %u (expected %u)", header.version,
-                  kVersion));
-  }
-  const uint32_t expected_crc =
-      Crc32(bytes, offsetof(FileHeader, header_crc));
-  if (header.header_crc != expected_crc) {
-    return Status::InvalidArgument("header checksum mismatch");
-  }
-  if (header.num_sections != 3) {
-    return Status::InvalidArgument(
-        StrFormat("expected 3 sections, found %u", header.num_sections));
-  }
-  const uint64_t n = header.num_elements;
-  const uint64_t table_end =
-      sizeof(FileHeader) + header.num_sections * sizeof(SectionEntry);
-  if (size < table_end) {
-    return Status::InvalidArgument("file truncated inside section table");
-  }
-
-  ParsedColumns columns;
-  columns.num_elements = static_cast<size_t>(n);
-  for (uint32_t s = 0; s < header.num_sections; ++s) {
-    SectionEntry entry;
-    std::memcpy(&entry, bytes + sizeof(FileHeader) + s * sizeof(entry),
-                sizeof(entry));
-    if (entry.length != n * sizeof(double)) {
-      return Status::InvalidArgument(
-          StrFormat("section %u: length %llu != %llu elements * 8", entry.kind,
-                    static_cast<unsigned long long>(entry.length),
-                    static_cast<unsigned long long>(n)));
-    }
-    if (entry.offset % alignof(double) != 0) {
-      return Status::InvalidArgument(
-          StrFormat("section %u: offset not 8-byte aligned", entry.kind));
-    }
-    if (entry.offset < table_end || entry.offset > size ||
-        entry.length > size - entry.offset) {
-      return Status::InvalidArgument(
-          StrFormat("section %u: range [%llu, +%llu) outside file", entry.kind,
-                    static_cast<unsigned long long>(entry.offset),
-                    static_cast<unsigned long long>(entry.length)));
-    }
-    const char* payload = bytes + entry.offset;
-    if (Crc32(payload, entry.length) != entry.payload_crc) {
-      return Status::InvalidArgument(
-          StrFormat("section %u: payload checksum mismatch", entry.kind));
-    }
-    const double* values = reinterpret_cast<const double*>(payload);
-    const auto kind = static_cast<SectionKind>(entry.kind);
-    FRESHEN_RETURN_IF_ERROR(
-        ValidateColumn(kind, values, columns.num_elements));
-    switch (kind) {
-      case kSectionChangeRate:
-        columns.change_rates = values;
-        break;
-      case kSectionAccessProb:
-        columns.access_probs = values;
-        break;
-      case kSectionSize:
-        columns.sizes = values;
-        break;
-      default:
-        return Status::InvalidArgument(
-            StrFormat("unknown section kind %u", entry.kind));
-    }
-  }
-  if (columns.change_rates == nullptr || columns.access_probs == nullptr ||
-      columns.sizes == nullptr) {
-    return Status::InvalidArgument("missing a required section");
-  }
-  return columns;
-}
-
-}  // namespace
-
-uint32_t Crc32(const void* data, size_t size) {
+// The running form of Crc32: folds `size` bytes into `crc`, which is kept
+// pre-inverted (0xFFFFFFFF before the first byte, inverted once after the
+// last), so a range folded in chunks of any length gets Crc32's value.
+uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
   const Crc32Tables& table = Crc32Table();
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
 #if defined(__PCLMUL__) && defined(__SSE4_1__)
   if (size >= 64) {
     const size_t blocks = size & ~size_t{15};
@@ -322,7 +178,353 @@ uint32_t Crc32(const void* data, size_t size) {
   for (size_t i = 0; i < size; ++i) {
     crc = (crc >> 8) ^ table[0][(crc ^ bytes[i]) & 0xFFu];
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+constexpr uint64_t kTableEnd = sizeof(FileHeader) + 3 * sizeof(SectionEntry);
+
+// The bytes a load pass reads: a buffer in memory, read in place, or an
+// open file, read with pread into the caller's buffer.
+class ByteSource {
+ public:
+  static ByteSource Memory(const void* data, uint64_t size) {
+    ByteSource source;
+    source.data_ = static_cast<const unsigned char*>(data);
+    source.size_ = size;
+    return source;
+  }
+  static ByteSource File(int fd, uint64_t size) {
+    ByteSource source;
+    source.fd_ = fd;
+    source.size_ = size;
+    return source;
+  }
+
+  uint64_t size() const { return size_; }
+
+  // The `length` bytes at `offset`, a range the caller has checked lies
+  // inside size(): in place from memory, or read from the file into
+  // `buffer`. An interrupted read is retried; a file that ends early (it
+  // shrank after its size was read) or a read error fails.
+  Result<const unsigned char*> Read(uint64_t offset, size_t length,
+                                    unsigned char* buffer) const {
+    if (fd_ < 0) return data_ + offset;
+    size_t done = 0;
+    while (done < length) {
+      const ssize_t got = ::pread(fd_, buffer + done, length - done,
+                                  static_cast<off_t>(offset + done));
+      if (got > 0) {
+        done += static_cast<size_t>(got);
+      } else if (got == 0) {
+        return Status::InvalidArgument(
+            StrFormat("file ends at byte %llu, before its size %llu",
+                      static_cast<unsigned long long>(offset + done),
+                      static_cast<unsigned long long>(size_)));
+      } else if (errno != EINTR) {
+        return Status::Internal(StrFormat("pread: %s", std::strerror(errno)));
+      }
+    }
+    return static_cast<const unsigned char*>(buffer);
+  }
+
+ private:
+  ByteSource() = default;
+
+  const unsigned char* data_ = nullptr;
+  int fd_ = -1;
+  uint64_t size_ = 0;
+};
+
+double LoadDouble(const unsigned char* column, size_t i) {
+  double value;
+  std::memcpy(&value, column + i * sizeof(double), sizeof(double));
+  return value;
+}
+
+// Element i of a chunk, read from its three columns: the iterator
+// ElementSet::insert copies a chunk with, constructing each element in
+// place once (no value-initialised set, no per-element capacity check).
+struct ChunkElements {
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = Element;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const Element*;
+  using reference = Element;
+
+  const unsigned char* rates = nullptr;
+  const unsigned char* probs = nullptr;
+  const unsigned char* sizes = nullptr;
+  size_t i = 0;
+
+  Element operator*() const {
+    return {LoadDouble(rates, i), LoadDouble(probs, i), LoadDouble(sizes, i)};
+  }
+  ChunkElements& operator++() {
+    ++i;
+    return *this;
+  }
+  ChunkElements operator++(int) {
+    ChunkElements before = *this;
+    ++i;
+    return before;
+  }
+  bool operator==(const ChunkElements& other) const { return i == other.i; }
+};
+
+// Appends elements [0, count) of three columns to `elements`.
+void AppendChunk(const unsigned char* rates, const unsigned char* probs,
+                 const unsigned char* sizes, size_t count,
+                 ElementSet* elements) {
+  elements->insert(elements->end(), ChunkElements{rates, probs, sizes, 0},
+                   ChunkElements{rates, probs, sizes, count});
+}
+
+// One section's checks, advanced a chunk at a time: its running CRC and
+// the first value outside its kind's domain. The domain is a closed range
+// that NaN falls outside of: rates in [0, max], probabilities in [0, 1],
+// sizes in [denorm_min, max] (so > 0); a section of unknown kind needs
+// only finite values.
+struct SectionCheck {
+  SectionEntry entry;
+  double lo = 0.0;
+  double hi = 0.0;
+  uint32_t crc = 0xFFFFFFFFu;
+  bool any_positive = false;
+  bool out_of_domain = false;  // first_bad and bad_value are set.
+  uint64_t first_bad = 0;
+  double bad_value = 0.0;
+
+  void SetDomain() {
+    constexpr double kMax = std::numeric_limits<double>::max();
+    lo = -kMax;
+    hi = kMax;
+    switch (entry.kind) {
+      case kSectionChangeRate:
+        lo = 0.0;
+        break;
+      case kSectionAccessProb:
+        lo = 0.0;
+        hi = 1.0;
+        break;
+      case kSectionSize:
+        lo = std::numeric_limits<double>::denorm_min();
+        break;
+    }
+  }
+
+  // Folds in the `count` values of elements [first, first + count).
+  void Add(const unsigned char* values, uint64_t first, size_t count) {
+    crc = Crc32Update(crc, values, count * sizeof(double));
+    // Bounds in locals and int flags: the loop vectorizes (bools and
+    // members, which the byte pointer may alias, keep it scalar).
+    const double low = lo;
+    const double high = hi;
+    int in_domain = 1;
+    int positive = 0;
+    for (size_t i = 0; i < count; ++i) {
+      const double v = LoadDouble(values, i);
+      in_domain &= (v >= low) & (v <= high);
+      positive |= v > 0.0;
+    }
+    any_positive |= positive != 0;
+    if (in_domain != 0 || out_of_domain) return;
+    for (size_t i = 0;; ++i) {
+      const double v = LoadDouble(values, i);
+      if (!(v >= low && v <= high)) {
+        out_of_domain = true;
+        first_bad = first + i;
+        bad_value = v;
+        return;
+      }
+    }
+  }
+
+  // The section's first fault, in the order a reader meets them: the
+  // checksum, the first value outside the domain, an access profile with
+  // no positive weight (an empty catalog has no profile and passes), an
+  // unknown kind.
+  Status Verdict(uint64_t num_elements) const {
+    const unsigned kind = entry.kind;
+    if ((crc ^ 0xFFFFFFFFu) != entry.payload_crc) {
+      return Status::InvalidArgument(
+          StrFormat("section %u: payload checksum mismatch", kind));
+    }
+    if (out_of_domain) {
+      const size_t i = static_cast<size_t>(first_bad);
+      if (!std::isfinite(bad_value)) {
+        return Status::InvalidArgument(StrFormat(
+            "element %zu: non-finite value in section %u", i, kind));
+      }
+      switch (kind) {
+        case kSectionChangeRate:
+          return Status::InvalidArgument(
+              StrFormat("element %zu: change_rate must be >= 0", i));
+        case kSectionAccessProb:
+          return Status::InvalidArgument(
+              StrFormat("element %zu: access_prob must be in [0, 1]", i));
+        default:
+          return Status::InvalidArgument(
+              StrFormat("element %zu: size must be > 0", i));
+      }
+    }
+    if (kind == kSectionAccessProb && num_elements > 0 && !any_positive) {
+      return Status::InvalidArgument("access_prob: all weights are zero");
+    }
+    if (kind < kSectionChangeRate || kind > kSectionSize) {
+      return Status::InvalidArgument(
+          StrFormat("unknown section kind %u", kind));
+    }
+    return Status::OK();
+  }
+};
+
+// Where a checked catalog's columns lie in its bytes.
+struct CatalogLayout {
+  uint64_t num_elements = 0;
+  uint64_t offset[3] = {};  // Indexed by SectionKind - 1.
+};
+
+// The one pass every entry point runs. It reads the header and section
+// table and makes every structural check, then walks the three sections
+// kCatalogLoadChunk elements at a time: each chunk of each column is read
+// once, folded into its section's CRC, checked against its domain and,
+// when `elements` is given, appended to it as elements. A fault found in
+// the walk does not stop it, so the faults are reported as a reader of
+// one whole section after another would meet them: per section in table
+// order its checksum, its first value out of domain, its kind; then a
+// missing section. Nothing is allocated but `elements`.
+Result<CatalogLayout> RunLoadPass(const ByteSource& source,
+                                  ElementSet* elements) {
+  const uint64_t size = source.size();
+  if (size < sizeof(FileHeader)) {
+    return Status::InvalidArgument(StrFormat(
+        "file too small for header (%zu bytes)", static_cast<size_t>(size)));
+  }
+  unsigned char table_buffer[kTableEnd];
+  FRESHEN_ASSIGN_OR_RETURN(
+      const unsigned char* bytes,
+      source.Read(0, std::min(size, kTableEnd), table_buffer));
+  FileHeader header;
+  std::memcpy(&header, bytes, sizeof(header));
+  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument("bad magic (not a FRSHCAT1 catalog)");
+  }
+  if (header.version != kVersion) {
+    return Status::InvalidArgument(
+        StrFormat("unsupported version %u (expected %u)", header.version,
+                  kVersion));
+  }
+  if (header.header_crc != Crc32(bytes, offsetof(FileHeader, header_crc))) {
+    return Status::InvalidArgument("header checksum mismatch");
+  }
+  if (header.num_sections != 3) {
+    return Status::InvalidArgument(
+        StrFormat("expected 3 sections, found %u", header.num_sections));
+  }
+  if (size < kTableEnd) {
+    return Status::InvalidArgument("file truncated inside section table");
+  }
+  const uint64_t n = header.num_elements;
+
+  SectionCheck sections[3];
+  int section_of_kind[3] = {-1, -1, -1};
+  for (int s = 0; s < 3; ++s) {
+    SectionEntry& entry = sections[s].entry;
+    std::memcpy(&entry, bytes + sizeof(FileHeader) + s * sizeof(entry),
+                sizeof(entry));
+    // Divided, not multiplied: n * 8 wraps for n >= 2^61. Once the range
+    // check below passes, n * 8 = length fits in the file.
+    if (entry.length % sizeof(double) != 0 ||
+        entry.length / sizeof(double) != n) {
+      return Status::InvalidArgument(
+          StrFormat("section %u: length %llu != %llu elements * 8", entry.kind,
+                    static_cast<unsigned long long>(entry.length),
+                    static_cast<unsigned long long>(n)));
+    }
+    if (entry.offset % alignof(double) != 0) {
+      return Status::InvalidArgument(
+          StrFormat("section %u: offset not 8-byte aligned", entry.kind));
+    }
+    if (entry.offset < kTableEnd || entry.offset > size ||
+        entry.length > size - entry.offset) {
+      return Status::InvalidArgument(
+          StrFormat("section %u: range [%llu, +%llu) outside file", entry.kind,
+                    static_cast<unsigned long long>(entry.offset),
+                    static_cast<unsigned long long>(entry.length)));
+    }
+    sections[s].SetDomain();
+    if (entry.kind >= kSectionChangeRate && entry.kind <= kSectionSize &&
+        section_of_kind[entry.kind - 1] < 0) {
+      section_of_kind[entry.kind - 1] = s;
+    }
+  }
+  const bool complete = section_of_kind[0] >= 0 && section_of_kind[1] >= 0 &&
+                        section_of_kind[2] >= 0;
+  if (!complete) elements = nullptr;
+  if (elements != nullptr) elements->reserve(static_cast<size_t>(n));
+
+  alignas(16) unsigned char buffers[3][kCatalogLoadChunk * sizeof(double)];
+  for (uint64_t first = 0; first < n; first += kCatalogLoadChunk) {
+    const size_t count =
+        static_cast<size_t>(std::min<uint64_t>(kCatalogLoadChunk, n - first));
+    const unsigned char* chunk[3];
+    for (int s = 0; s < 3; ++s) {
+      FRESHEN_ASSIGN_OR_RETURN(
+          chunk[s], source.Read(sections[s].entry.offset +
+                                    first * sizeof(double),
+                                count * sizeof(double), buffers[s]));
+      sections[s].Add(chunk[s], first, count);
+    }
+    if (elements != nullptr) {
+      AppendChunk(chunk[section_of_kind[0]], chunk[section_of_kind[1]],
+                  chunk[section_of_kind[2]], count, elements);
+    }
+  }
+
+  for (const SectionCheck& section : sections) {
+    FRESHEN_RETURN_IF_ERROR(section.Verdict(n));
+  }
+  if (!complete) {
+    return Status::InvalidArgument("missing a required section");
+  }
+  CatalogLayout layout;
+  layout.num_elements = n;
+  for (int k = 0; k < 3; ++k) {
+    layout.offset[k] = sections[section_of_kind[k]].entry.offset;
+  }
+  return layout;
+}
+
+// Opens `path` read-only and reads its size; an empty file is an error.
+Status OpenCatalogFile(const std::string& path, int* fd, uint64_t* size) {
+  *fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (*fd < 0) {
+    return Status::NotFound(
+        StrFormat("%s: %s", path.c_str(), std::strerror(errno)));
+  }
+  struct stat st;
+  if (::fstat(*fd, &st) != 0) {
+    const int err = errno;
+    ::close(*fd);
+    return Status::Internal(
+        StrFormat("%s: fstat: %s", path.c_str(), std::strerror(err)));
+  }
+  *size = static_cast<uint64_t>(st.st_size);
+  if (*size == 0) {
+    ::close(*fd);
+    return Status::InvalidArgument(path + ": empty file");
+  }
+  return Status::OK();
+}
+
+Status WithPath(const std::string& path, const Status& status) {
+  return Status(status.code(), path + ": " + status.message());
+}
+
+}  // namespace
+
+uint32_t Crc32(const void* data, size_t size) {
+  return Crc32Update(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
 }
 
 std::string CatalogToBinary(const ElementSet& elements) {
@@ -370,14 +572,40 @@ Status SaveCatalogBinary(const ElementSet& elements,
 }
 
 Result<ElementSet> ParseCatalogBinary(const void* data, size_t size) {
-  FRESHEN_ASSIGN_OR_RETURN(ParsedColumns columns,
-                           ValidateCatalogBinary(data, size));
-  return ToElements(columns);
+  ElementSet elements;
+  FRESHEN_RETURN_IF_ERROR(
+      RunLoadPass(ByteSource::Memory(data, size), &elements).status());
+  return elements;
 }
 
+namespace internal {
+
+Result<ElementSet> LoadCatalogBinaryFd(int fd, uint64_t size) {
+  ElementSet elements;
+  Status status = RunLoadPass(ByteSource::File(fd, size), &elements).status();
+  struct stat st;
+  if (!status.ok() && ::fstat(fd, &st) == 0 &&
+      static_cast<uint64_t>(st.st_size) != size) {
+    // The file changed size under the pass, which judged bytes it no
+    // longer has: judge the file once more as it is now.
+    const uint64_t now = static_cast<uint64_t>(st.st_size);
+    elements.clear();
+    status = RunLoadPass(ByteSource::File(fd, now), &elements).status();
+  }
+  FRESHEN_RETURN_IF_ERROR(status);
+  return elements;
+}
+
+}  // namespace internal
+
 Result<ElementSet> LoadCatalogBinary(const std::string& path) {
-  FRESHEN_ASSIGN_OR_RETURN(MmapCatalog mapped, MmapCatalog::Open(path));
-  return mapped.ToElementSet();
+  int fd = -1;
+  uint64_t size = 0;
+  FRESHEN_RETURN_IF_ERROR(OpenCatalogFile(path, &fd, &size));
+  Result<ElementSet> elements = internal::LoadCatalogBinaryFd(fd, size);
+  ::close(fd);
+  if (!elements.ok()) return WithPath(path, elements.status());
+  return elements;
 }
 
 bool LooksLikeBinaryCatalog(const std::string& path) {
@@ -402,42 +630,32 @@ Result<ElementSet> LoadCatalog(const std::string& path,
 }
 
 Result<MmapCatalog> MmapCatalog::Open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::NotFound(
-        StrFormat("%s: %s", path.c_str(), std::strerror(errno)));
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::Internal(
-        StrFormat("%s: fstat: %s", path.c_str(), std::strerror(err)));
-  }
-  const size_t size = static_cast<size_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    return Status::InvalidArgument(path + ": empty file");
-  }
+  int fd = -1;
+  uint64_t size = 0;
+  FRESHEN_RETURN_IF_ERROR(OpenCatalogFile(path, &fd, &size));
   void* mapping = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  const int err = errno;
   ::close(fd);  // The mapping keeps the file alive.
   if (mapping == MAP_FAILED) {
     return Status::Internal(
-        StrFormat("%s: mmap: %s", path.c_str(), std::strerror(errno)));
+        StrFormat("%s: mmap: %s", path.c_str(), std::strerror(err)));
   }
-  auto columns = ValidateCatalogBinary(mapping, size);
-  if (!columns.ok()) {
+  auto layout = RunLoadPass(ByteSource::Memory(mapping, size), nullptr);
+  if (!layout.ok()) {
     ::munmap(mapping, size);
-    return Status(columns.status().code(),
-                  path + ": " + columns.status().message());
+    return WithPath(path, layout.status());
   }
+  const unsigned char* base = static_cast<const unsigned char*>(mapping);
+  const auto column = [&](SectionKind kind) {
+    return reinterpret_cast<const double*>(base + layout->offset[kind - 1]);
+  };
   MmapCatalog catalog;
   catalog.mapping_ = mapping;
   catalog.mapping_size_ = size;
-  catalog.num_elements_ = columns->num_elements;
-  catalog.change_rates_ = columns->change_rates;
-  catalog.access_probs_ = columns->access_probs;
-  catalog.sizes_ = columns->sizes;
+  catalog.num_elements_ = static_cast<size_t>(layout->num_elements);
+  catalog.change_rates_ = column(kSectionChangeRate);
+  catalog.access_probs_ = column(kSectionAccessProb);
+  catalog.sizes_ = column(kSectionSize);
   return catalog;
 }
 
@@ -480,7 +698,13 @@ MmapCatalog::~MmapCatalog() {
 }
 
 ElementSet MmapCatalog::ToElementSet() const {
-  return ToElements({num_elements_, change_rates_, access_probs_, sizes_});
+  ElementSet elements;
+  elements.reserve(num_elements_);
+  AppendChunk(reinterpret_cast<const unsigned char*>(change_rates_),
+              reinterpret_cast<const unsigned char*>(access_probs_),
+              reinterpret_cast<const unsigned char*>(sizes_), num_elements_,
+              &elements);
+  return elements;
 }
 
 }  // namespace freshen

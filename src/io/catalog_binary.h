@@ -1,9 +1,13 @@
-// Compact binary catalog format ("FRSHCAT1") with zero-copy mmap loading.
+// Compact binary catalog format ("FRSHCAT1"): a streaming copying loader
+// and a zero-copy mmap view.
 //
 // CSV (io/catalog_io.h) is the interchange format; this is the serving
 // format: at production catalog sizes (10^6..10^8 elements) strtod-parsing
-// CSV dominates daemon startup, while the binary file maps straight into
-// column vectors the solver and serving layers can read in place.
+// CSV dominates daemon startup, while the binary columns need no parsing.
+// LoadCatalogBinary reads them with pread, a fixed-size chunk at a time,
+// and builds the ElementSet in the same pass, so a load holds the catalog
+// once (no mapping beside the copy). MmapCatalog is the zero-copy view: it
+// maps the file and its accessors read the columns in place.
 //
 // File layout (all integers little-endian, doubles IEEE-754 little-endian):
 //
@@ -24,8 +28,11 @@
 //   Payloads: contiguous f64 arrays (structure-of-arrays).
 //
 // Every load verifies magic, version, both CRCs, section bounds, and value
-// domains (finite, rate >= 0, prob in [0, 1], size > 0), so a truncated or
-// bit-flipped file is an InvalidArgument, never garbage elements.
+// domains (finite, rate >= 0, prob in [0, 1] with one > 0, size > 0), so a
+// truncated or bit-flipped file is an InvalidArgument, never garbage
+// elements. All three entry points run one pass with the same checks and
+// the same messages: structure first, then per section in table order its
+// checksum before its values.
 #ifndef FRESHEN_IO_CATALOG_BINARY_H_
 #define FRESHEN_IO_CATALOG_BINARY_H_
 
@@ -50,11 +57,26 @@ std::string CatalogToBinary(const ElementSet& elements);
 /// Writes a catalog to a binary file.
 Status SaveCatalogBinary(const ElementSet& elements, const std::string& path);
 
+/// Elements per chunk of the load pass: each of the three columns is read,
+/// checksummed and checked this many values at a time (16 KB each).
+inline constexpr size_t kCatalogLoadChunk = 2048;
+
 /// Parses the binary format from an in-memory buffer (copying).
 Result<ElementSet> ParseCatalogBinary(const void* data, size_t size);
 
-/// Loads a binary catalog file (via mmap, then copies into the ElementSet).
+/// Loads a binary catalog file in one streaming pass: pread into a stack
+/// buffer a chunk at a time, appending to an ElementSet reserved up front,
+/// which is the only allocation. Errors carry a `path: ` prefix.
 Result<ElementSet> LoadCatalogBinary(const std::string& path);
+
+namespace internal {
+/// LoadCatalogBinary's pass over an open file of `size` bytes (errors carry
+/// no path). When the pass fails and the file's size is no longer `size`,
+/// it runs once more at the current size, so a file truncated while loading
+/// fails as ParseCatalogBinary fails on its remaining bytes. Exposed so a
+/// test can pass a size the file no longer has.
+Result<ElementSet> LoadCatalogBinaryFd(int fd, uint64_t size);
+}  // namespace internal
 
 /// True when the first bytes of `path` carry the FRSHCAT1 magic — lets
 /// callers auto-detect binary vs CSV catalogs.
@@ -71,7 +93,8 @@ Result<ElementSet> LoadCatalog(const std::string& path,
 /// valid for the lifetime of this object. Move-only; unmaps on destruction.
 class MmapCatalog {
  public:
-  /// Maps and fully validates `path` (headers, CRCs, value domains).
+  /// Maps and fully validates `path` (headers, CRCs, value domains), with
+  /// the load pass reading the mapping in place.
   static Result<MmapCatalog> Open(const std::string& path);
 
   MmapCatalog(MmapCatalog&& other) noexcept;

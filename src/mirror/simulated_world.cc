@@ -24,8 +24,10 @@ Result<SimulatedWorld> SimulatedWorld::Create(ElementSet truth,
           StrFormat("change rate %zu is negative or non-finite", i));
     }
   }
-  FRESHEN_ASSIGN_OR_RETURN(AliasTable access_table,
-                           AliasTable::Create(AccessProbs(truth)));
+  FRESHEN_ASSIGN_OR_RETURN(
+      AliasTable access_table,
+      AliasTable::Create(truth.size(),
+                         [&truth](size_t i) { return truth[i].access_prob; }));
   return SimulatedWorld(std::move(truth), std::move(access_table),
                         accesses_per_period, seed);
 }

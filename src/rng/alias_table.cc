@@ -1,72 +1,43 @@
 #include "rng/alias_table.h"
 
-#include <cmath>
-
 #include "common/macros.h"
-#include "common/string_util.h"
 
 namespace freshen {
 
-Result<double> AliasTable::CheckedTotal(const std::vector<double>& weights) {
-  if (weights.empty()) return Status::InvalidArgument("weight vector is empty");
-  if (weights.size() > UINT32_MAX) {
-    return Status::InvalidArgument("more than 2^32 weights");
-  }
-  double total = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i];
-    if (!(w >= 0.0) || !std::isfinite(w)) {
-      return Status::InvalidArgument(
-          StrFormat("weight %zu is negative or non-finite", i));
-    }
-    total += w;
-  }
-  if (!(total > 0.0)) return Status::InvalidArgument("all weights are zero");
-  return total;
-}
-
 Result<AliasTable> AliasTable::Create(const std::vector<double>& weights) {
-  FRESHEN_ASSIGN_OR_RETURN(const double total, CheckedTotal(weights));
-  return AliasTable(weights, total);
+  return Create(weights.size(), [&weights](size_t i) { return weights[i]; });
 }
 
 AliasTable::AliasTable(const std::vector<double>& weights)
-    : AliasTable(weights, CheckedTotal(weights).value()) {}
+    : AliasTable(Create(weights).value()) {}
 
-AliasTable::AliasTable(const std::vector<double>& weights, double total) {
-  const size_t n = weights.size();
-  // Vose's stable construction, in place: prob_ holds each bucket's scaled
-  // weight (w / total) * n until the bucket is settled.
-  prob_.resize(n);
+void AliasTable::Pair() {
+  const size_t n = prob_.size();
   alias_.assign(n, 0);
-  std::vector<uint32_t> small;
-  std::vector<uint32_t> large;
-  small.reserve(n);
-  large.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    prob_[i] = (weights[i] / total) * static_cast<double>(n);
+  // Vose's worklists of under- and over-full buckets: two LIFO stacks in
+  // one n-entry buffer, `small` growing up from the front and `large` down
+  // from the back. A bucket sits on at most one of them, so they never meet.
+  std::vector<uint32_t> work(n);
+  size_t small = 0;  // work[0, small); top at work[small - 1].
+  size_t large = n;  // work[large, n); top at work[large].
+  const auto push = [&](size_t i) {
     if (prob_[i] < 1.0) {
-      small.push_back(static_cast<uint32_t>(i));
+      work[small++] = static_cast<uint32_t>(i);
     } else {
-      large.push_back(static_cast<uint32_t>(i));
+      work[--large] = static_cast<uint32_t>(i);
     }
-  }
-  while (!small.empty() && !large.empty()) {
-    const uint32_t s = small.back();
-    small.pop_back();
-    const uint32_t l = large.back();
-    large.pop_back();
+  };
+  for (size_t i = 0; i < n; ++i) push(i);
+  while (small > 0 && large < n) {
+    const uint32_t s = work[--small];
+    const uint32_t l = work[large++];
     alias_[s] = l;
     prob_[l] = (prob_[l] + prob_[s]) - 1.0;
-    if (prob_[l] < 1.0) {
-      small.push_back(l);
-    } else {
-      large.push_back(l);
-    }
+    push(l);
   }
   // Remaining buckets are numerically 1.0.
-  for (uint32_t i : large) prob_[i] = 1.0;
-  for (uint32_t i : small) prob_[i] = 1.0;
+  for (size_t k = 0; k < small; ++k) prob_[work[k]] = 1.0;
+  for (size_t k = large; k < n; ++k) prob_[work[k]] = 1.0;
 }
 
 double AliasTable::probability(size_t i) const {

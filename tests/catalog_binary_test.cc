@@ -1,51 +1,33 @@
 // Tests for the FRSHCAT1 binary catalog format: bit-identical round trips,
-// corruption detection, zero-copy mmap loads, and parity with the CSV
-// reader.
+// corruption detection, zero-copy mmap loads, parity with the CSV reader,
+// and the streaming loader's chunk boundaries.
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "catalog_binary_testing.h"
+#include "common/string_util.h"
 #include "io/catalog_binary.h"
 #include "io/catalog_io.h"
-#include "workload/generator.h"
 
 namespace freshen {
 namespace {
 
-ElementSet TestCatalog(size_t n) {
-  ExperimentSpec spec;
-  spec.num_objects = n;
-  spec.theta = 1.1;
-  spec.size_model = SizeModel::kPareto;
-  spec.seed = 321;
-  return GenerateCatalog(spec).value();
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + name;
-}
-
-// memcmp-level equality of two catalogs: every double must round-trip to
-// the exact same bit pattern, not merely compare approximately.
-void ExpectBitIdentical(const ElementSet& a, const ElementSet& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&a[i].change_rate, &b[i].change_rate,
-                          sizeof(double)),
-              0)
-        << "change_rate differs at " << i;
-    EXPECT_EQ(std::memcmp(&a[i].access_prob, &b[i].access_prob,
-                          sizeof(double)),
-              0)
-        << "access_prob differs at " << i;
-    EXPECT_EQ(std::memcmp(&a[i].size, &b[i].size, sizeof(double)), 0)
-        << "size differs at " << i;
-  }
-}
+// operator new calls made while counting is on (see the replacement
+// operator new at the end of this file).
+std::atomic<bool> counting_allocations{false};
+std::atomic<size_t> allocations{0};
 
 TEST(CatalogBinaryTest, InMemoryRoundTripIsBitIdentical) {
   const ElementSet catalog = TestCatalog(1000);
@@ -273,5 +255,188 @@ TEST(CatalogBinaryTest, PayloadBitFlipsFailTheChecksum) {
   }
 }
 
+constexpr size_t kK = kCatalogLoadChunk;
+constexpr size_t kTableBytes = 32 + 3 * 32;  // Header + section table.
+
+// Byte offset of element `i` of section `s` in a file CatalogToBinary wrote
+// for `n` elements (the sections follow the table in kind order).
+size_t PayloadByte(size_t n, int s, size_t i) {
+  return kTableBytes + (s * n + i) * sizeof(double);
+}
+
+// Round trips at the chunk boundaries: nothing, one element, one short of a
+// chunk, one chunk, one past it, and three chunks and a tail. The file, the
+// parse of its bytes and the mapping agree, bit for bit.
+TEST(CatalogBinaryTest, StreamingLoadRoundTripsAtChunkBoundaries) {
+  for (const size_t n : {size_t{0}, size_t{1}, kK - 1, kK, kK + 1,
+                         3 * kK + 7}) {
+    const ElementSet catalog = n == 0 ? ElementSet{} : TestCatalog(n);
+    const std::string blob = CatalogToBinary(catalog);
+    const auto parsed =
+        ExpectLoadMatchesParse(blob, TempPath("catalog_chunks.fcat"));
+    ASSERT_TRUE(parsed.ok()) << "n = " << n << ": " << parsed.status();
+    ExpectBitIdentical(catalog, *parsed);
+    EXPECT_EQ(CatalogToBinary(*parsed), blob) << "n = " << n;
+  }
+}
+
+// A low-mantissa bit flipped in the first, a middle or the last (short)
+// chunk of each column stays in its domain, so only that section's running
+// checksum catches it, through every entry point alike.
+TEST(CatalogBinaryTest, PayloadBitFlipInAnyChunkFailsTheChecksum) {
+  constexpr size_t n = 3 * kK + 7;
+  const std::string blob = CatalogToBinary(TestCatalog(n));
+  for (int s = 0; s < 3; ++s) {
+    for (const size_t i : {size_t{0}, kK + kK / 2, n - 1}) {
+      std::string corrupted = blob;
+      corrupted[PayloadByte(n, s, i)] ^= 0x01;
+      const auto parsed = ExpectLoadMatchesParse(
+          corrupted, TempPath("catalog_chunk_flip.fcat"));
+      ASSERT_FALSE(parsed.ok()) << "section " << s << " element " << i;
+      EXPECT_EQ(parsed.status().message(),
+                StrFormat("section %d: payload checksum mismatch", s + 1));
+    }
+  }
+}
+
+// A value out of domain in the tail chunk is named by its element index.
+TEST(CatalogBinaryTest, DomainErrorInTheTailChunkNamesItsElement) {
+  constexpr size_t n = 3 * kK + 7;
+  ElementSet catalog = TestCatalog(n);
+  catalog[n - 4].size = 0.0;
+  const auto parsed = ExpectLoadMatchesParse(
+      CatalogToBinary(catalog), TempPath("catalog_tail_domain.fcat"));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            StrFormat("element %zu: size must be > 0", n - 4));
+}
+
+// The pass runs on past a value out of domain, so the checksum of its
+// section still decides first, and sections report in table order: a
+// domain error in the first section wins over a bad checksum in the last.
+TEST(CatalogBinaryTest, EachSectionReportsItsChecksumBeforeItsValues) {
+  constexpr size_t n = 3 * kK + 7;
+  ElementSet catalog = TestCatalog(n);
+  catalog[5].change_rate = -1.0;
+  const std::string blob = CatalogToBinary(catalog);
+
+  std::string same_section = blob;
+  same_section[PayloadByte(n, 0, n - 1)] ^= 0x01;
+  auto parsed = ExpectLoadMatchesParse(same_section,
+                                       TempPath("catalog_precedence.fcat"));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(), "section 1: payload checksum mismatch");
+
+  std::string later_section = blob;
+  later_section[PayloadByte(n, 2, 0)] ^= 0x01;
+  parsed = ExpectLoadMatchesParse(later_section,
+                                  TempPath("catalog_precedence.fcat"));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(), "element 5: change_rate must be >= 0");
+}
+
+// A file that shrinks after its size was read fails as its remaining bytes
+// parse: cut inside the header, the section table, the first section and
+// the last chunk of the last section.
+TEST(CatalogBinaryTest, FileTruncatedAfterItsSizeWasReadFailsAsItsBytes) {
+  constexpr size_t n = 3 * kK + 7;
+  const std::string blob = CatalogToBinary(TestCatalog(n));
+  const std::string path = TempPath("catalog_truncated.fcat");
+  for (const size_t cut : {size_t{20}, size_t{100}, PayloadByte(n, 0, kK),
+                           PayloadByte(n, 2, n - 3)}) {
+    ASSERT_TRUE(WriteStringToFile(blob, path).ok());
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(cut)), 0);
+    const auto loaded = internal::LoadCatalogBinaryFd(fd, blob.size());
+    ::close(fd);
+    const auto parsed = ParseCatalogBinary(blob.data(), cut);
+    ASSERT_FALSE(parsed.ok()) << "cut at " << cut;
+    ASSERT_FALSE(loaded.ok()) << "cut at " << cut;
+    EXPECT_EQ(loaded.status().code(), parsed.status().code());
+    EXPECT_EQ(loaded.status().message(), parsed.status().message())
+        << "cut at " << cut;
+    ExpectLoadMatchesParse(blob.substr(0, cut), path);
+  }
+}
+
+// A header claiming 2^61 + 1 elements over 8-byte sections (152 bytes, every
+// checksum valid): n * 8 wraps to 8, so the section lengths must be checked
+// against the count without multiplying it, by every entry point alike.
+TEST(CatalogBinaryTest, ElementCountPast2To61IsRejectedBeforeItWraps) {
+  std::string file(kTableBytes + 3 * sizeof(double), '\0');
+  const uint64_t n = (uint64_t{1} << 61) + 1;
+  const double values[3] = {1.0, 0.5, 1.0};
+  for (uint32_t s = 0; s < 3; ++s) {
+    const uint64_t offset = kTableBytes + s * sizeof(double);
+    const uint64_t length = sizeof(double);
+    std::memcpy(&file[offset], &values[s], sizeof(double));
+    const uint32_t kind = s + 1;
+    const uint32_t crc = Crc32(&file[offset], sizeof(double));
+    char* entry = &file[32 + 32 * s];
+    std::memcpy(entry, &kind, 4);
+    std::memcpy(entry + 8, &offset, 8);
+    std::memcpy(entry + 16, &length, 8);
+    std::memcpy(entry + 24, &crc, 4);
+  }
+  const uint32_t version = 1;
+  const uint32_t sections = 3;
+  std::memcpy(&file[0], "FRSHCAT1", 8);
+  std::memcpy(&file[8], &version, 4);
+  std::memcpy(&file[12], &sections, 4);
+  std::memcpy(&file[16], &n, 8);
+  const uint32_t header_crc = Crc32(file.data(), 28);
+  std::memcpy(&file[28], &header_crc, 4);
+  ASSERT_EQ(file.size(), 152u);
+
+  const auto parsed =
+      ExpectLoadMatchesParse(file, TempPath("catalog_overflow.fcat"));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parsed.status().message(),
+            "section 1: length 8 != 2305843009213693953 elements * 8");
+}
+
+// A load allocates the ElementSet, reserved once to its final size, and
+// nothing else: no mapping, no column buffer, no per-chunk allocation.
+TEST(CatalogBinaryTest, LoadAllocatesOnlyTheElementSet) {
+  const std::string path = TempPath("catalog_allocations.fcat");
+  for (const size_t n : {size_t{0}, size_t{1}, 3 * kK + 7}) {
+    const ElementSet catalog = n == 0 ? ElementSet{} : TestCatalog(n);
+    ASSERT_TRUE(SaveCatalogBinary(catalog, path).ok());
+    const std::string blob = CatalogToBinary(catalog);
+    for (const bool from_file : {true, false}) {
+      allocations = 0;
+      counting_allocations = true;
+      Result<ElementSet> loaded =
+          from_file ? LoadCatalogBinary(path)
+                    : ParseCatalogBinary(blob.data(), blob.size());
+      counting_allocations = false;
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      EXPECT_EQ(allocations.load(), n == 0 ? 0u : 1u)
+          << "n = " << n << (from_file ? ", file" : ", memory");
+      EXPECT_EQ(loaded->capacity(), n);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace freshen
+
+// Counts allocations for LoadAllocatesOnlyTheElementSet; otherwise plain
+// malloc and free. Not inlined, so the compiler does not pair a caller's
+// new with the free inside delete.
+__attribute__((noinline)) void* operator new(size_t size) {
+  if (freshen::counting_allocations.load(std::memory_order_relaxed)) {
+    ++freshen::allocations;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
