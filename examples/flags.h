@@ -51,7 +51,8 @@ inline FlagMap ParseFlags(int argc, char** argv, int first,
       continue;
     }
     if (is_bool) {
-      flags[name] = "1";
+      // Not `= "1"`: GCC 12 inlines that into a false -Wrestrict warning.
+      flags[name].assign(1, '1');
       continue;
     }
     if (i + 1 >= argc) {

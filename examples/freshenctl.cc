@@ -71,8 +71,8 @@
 //       queries, freshness, SLO state + burn rates, drift score) until the
 //       stream ends (--count samples reached, daemon shutdown, or Ctrl-C).
 //
-// plan and eval accept --catalog-format csv|binary|auto (default auto:
-// binary when the file carries the FRSHCAT1 magic, CSV otherwise).
+// plan and eval read --catalog as FRSHCAT1 binary when the file carries
+// the FRSHCAT1 magic, as CSV otherwise.
 //
 // Any command accepts --metrics-out FILE and --metrics-format json|prom|csv:
 // after the command runs, the registry snapshot is written to FILE (the
@@ -150,12 +150,6 @@ void SimulateTimeline(const ElementSet& catalog,
                       const std::map<std::string, std::string>& flags,
                       const std::string& out);
 
-// Loads a catalog honoring --catalog-format (csv | binary | auto).
-ElementSet LoadCatalogFlagged(const std::map<std::string, std::string>& flags,
-                              const std::string& path) {
-  return Unwrap(LoadCatalog(path, GetFlag(flags, "--catalog-format", "auto")));
-}
-
 int RunGen(const std::map<std::string, std::string>& flags) {
   ExperimentSpec spec;
   spec.num_objects = GetInteger<uint32_t>(flags, "--objects", 500);
@@ -196,7 +190,7 @@ int RunPlan(const std::map<std::string, std::string>& flags) {
   const std::string path = GetFlag(flags, "--catalog", "");
   if (path.empty()) Die(Status::InvalidArgument("--catalog is required"));
   const double bandwidth = GetDouble(flags, "--bandwidth", 0.0);
-  const ElementSet catalog = LoadCatalogFlagged(flags, path);
+  const ElementSet catalog = Unwrap(LoadCatalog(path));
 
   const std::string technique = GetFlag(flags, "--technique", "pf");
   std::vector<double> frequencies;
@@ -258,7 +252,7 @@ int RunEval(const std::map<std::string, std::string>& flags) {
   const std::string path = GetFlag(flags, "--catalog", "");
   if (path.empty()) Die(Status::InvalidArgument("--catalog is required"));
   const double bandwidth = GetDouble(flags, "--bandwidth", 0.0);
-  const ElementSet catalog = LoadCatalogFlagged(flags, path);
+  const ElementSet catalog = Unwrap(LoadCatalog(path));
 
   PlannerOptions gf_options;
   gf_options.technique = Technique::kGeneral;
@@ -626,8 +620,7 @@ int RunConvert(const std::map<std::string, std::string>& flags) {
     Die(Status::InvalidArgument("convert requires --in and --out"));
   }
   const bool in_binary = LooksLikeBinaryCatalog(in);
-  const ElementSet catalog =
-      in_binary ? Unwrap(LoadCatalogBinary(in)) : Unwrap(LoadCatalogCsv(in));
+  const ElementSet catalog = Unwrap(LoadCatalog(in));
   const std::string to =
       GetFlag(flags, "--to", in_binary ? "csv" : "binary");
   Status status = Status::OK();
@@ -1137,13 +1130,12 @@ std::map<std::string, Subcommand> Subcommands() {
       {"plan",
        {RunPlan,
         Join({shared, simulated_timeline,
-              {"--catalog", "--catalog-format", "--bandwidth", "--technique",
-               "--partitions", "--kmeans", "--allocation", "--out"}}),
+              {"--catalog", "--bandwidth", "--technique", "--partitions",
+               "--kmeans", "--allocation", "--out"}}),
         {"--size-aware"}}},
       {"eval",
        {RunEval,
-        Join({shared, simulated_timeline,
-              {"--catalog", "--catalog-format", "--bandwidth"}}),
+        Join({shared, simulated_timeline, {"--catalog", "--bandwidth"}}),
         {"--simulate"}}},
       {"metrics", {RunMetrics, Join({shared, timeline, loop})}},
       {"sync-drill", {RunSyncDrill, Join({shared, timeline, loop, faults})}},

@@ -9,9 +9,9 @@
 //
 // Flags:
 //   --socket PATH         socket to serve on (default /tmp/freshend.sock)
-//   --catalog FILE        load the catalog (CSV or FRSHCAT1 binary,
-//                         auto-detected; --catalog-format csv|binary|auto
-//                         overrides) instead of generating one
+//   --catalog FILE        load the catalog (FRSHCAT1 binary when the file
+//                         carries its magic, CSV otherwise) instead of
+//                         generating one
 //   --objects N           synthetic catalog size when --catalog is absent
 //   --theta T             synthetic catalog Zipf skew
 //   --bandwidth B         sync bandwidth per period (default objects / 4)
@@ -80,8 +80,7 @@ T Unwrap(Result<T> result) {
 ElementSet LoadOrGenerateCatalog(const FlagMap& flags) {
   const std::string path = GetFlag(flags, "--catalog", "");
   if (!path.empty()) {
-    return Unwrap(
-        LoadCatalog(path, GetFlag(flags, "--catalog-format", "auto")));
+    return Unwrap(LoadCatalog(path));
   }
   ExperimentSpec spec;
   spec.num_objects = GetInteger<uint32_t>(flags, "--objects", 1000);
@@ -95,10 +94,10 @@ ElementSet LoadOrGenerateCatalog(const FlagMap& flags) {
 int main(int argc, char** argv) {
   const auto flags = ParseFlags(
       argc, argv, 1,
-      {"--socket", "--catalog", "--catalog-format", "--objects", "--theta",
-       "--bandwidth", "--periods", "--period-seconds", "--accesses",
-       "--threshold", "--error-rate", "--seed", "--metrics-out",
-       "--slo-objective", "--age-slo", "--slo-age-mode", "--slowlog-threshold",
+      {"--socket", "--catalog", "--objects", "--theta", "--bandwidth",
+       "--periods", "--period-seconds", "--accesses", "--threshold",
+       "--error-rate", "--seed", "--metrics-out", "--slo-objective",
+       "--age-slo", "--slo-age-mode", "--slowlog-threshold",
        "--slowlog-capacity"});
   const ElementSet truth = LoadOrGenerateCatalog(flags);
   const double bandwidth = GetDouble(

@@ -1,7 +1,6 @@
 #include "io/catalog_binary.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -183,57 +182,29 @@ uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
 
 constexpr uint64_t kTableEnd = sizeof(FileHeader) + 3 * sizeof(SectionEntry);
 
-// The bytes a load pass reads: a buffer in memory, read in place, or an
-// open file, read with pread into the caller's buffer.
-class ByteSource {
- public:
-  static ByteSource Memory(const void* data, uint64_t size) {
-    ByteSource source;
-    source.data_ = static_cast<const unsigned char*>(data);
-    source.size_ = size;
-    return source;
-  }
-  static ByteSource File(int fd, uint64_t size) {
-    ByteSource source;
-    source.fd_ = fd;
-    source.size_ = size;
-    return source;
-  }
-
-  uint64_t size() const { return size_; }
-
-  // The `length` bytes at `offset`, a range the caller has checked lies
-  // inside size(): in place from memory, or read from the file into
-  // `buffer`. An interrupted read is retried; a file that ends early (it
-  // shrank after its size was read) or a read error fails.
-  Result<const unsigned char*> Read(uint64_t offset, size_t length,
-                                    unsigned char* buffer) const {
-    if (fd_ < 0) return data_ + offset;
-    size_t done = 0;
-    while (done < length) {
-      const ssize_t got = ::pread(fd_, buffer + done, length - done,
-                                  static_cast<off_t>(offset + done));
-      if (got > 0) {
-        done += static_cast<size_t>(got);
-      } else if (got == 0) {
-        return Status::InvalidArgument(
-            StrFormat("file ends at byte %llu, before its size %llu",
-                      static_cast<unsigned long long>(offset + done),
-                      static_cast<unsigned long long>(size_)));
-      } else if (errno != EINTR) {
-        return Status::Internal(StrFormat("pread: %s", std::strerror(errno)));
-      }
+// Reads the `length` bytes at `offset` of the open file `fd` into `buffer`,
+// a range the caller has checked lies inside the file's `size`. An
+// interrupted read is retried; a file that ends early (it shrank after its
+// size was read) or a read error fails.
+Status ReadAt(int fd, uint64_t size, uint64_t offset, size_t length,
+              unsigned char* buffer) {
+  size_t done = 0;
+  while (done < length) {
+    const ssize_t got = ::pread(fd, buffer + done, length - done,
+                                static_cast<off_t>(offset + done));
+    if (got > 0) {
+      done += static_cast<size_t>(got);
+    } else if (got == 0) {
+      return Status::InvalidArgument(
+          StrFormat("file ends at byte %llu, before its size %llu",
+                    static_cast<unsigned long long>(offset + done),
+                    static_cast<unsigned long long>(size)));
+    } else if (errno != EINTR) {
+      return Status::Internal(StrFormat("pread: %s", std::strerror(errno)));
     }
-    return static_cast<const unsigned char*>(buffer);
   }
-
- private:
-  ByteSource() = default;
-
-  const unsigned char* data_ = nullptr;
-  int fd_ = -1;
-  uint64_t size_ = 0;
-};
+  return Status::OK();
+}
 
 double LoadDouble(const unsigned char* column, size_t i) {
   double value;
@@ -270,14 +241,6 @@ struct ChunkElements {
   }
   bool operator==(const ChunkElements& other) const { return i == other.i; }
 };
-
-// Appends elements [0, count) of three columns to `elements`.
-void AppendChunk(const unsigned char* rates, const unsigned char* probs,
-                 const unsigned char* sizes, size_t count,
-                 ElementSet* elements) {
-  elements->insert(elements->end(), ChunkElements{rates, probs, sizes, 0},
-                   ChunkElements{rates, probs, sizes, count});
-}
 
 // One section's checks, advanced a chunk at a time: its running CRC and
 // the first value outside its kind's domain. The domain is a closed range
@@ -378,32 +341,75 @@ struct SectionCheck {
   }
 };
 
-// Where a checked catalog's columns lie in its bytes.
-struct CatalogLayout {
-  uint64_t num_elements = 0;
-  uint64_t offset[3] = {};  // Indexed by SectionKind - 1.
-};
+}  // namespace
 
-// The one pass every entry point runs. It reads the header and section
-// table and makes every structural check, then walks the three sections
-// kCatalogLoadChunk elements at a time: each chunk of each column is read
-// once, folded into its section's CRC, checked against its domain and,
-// when `elements` is given, appended to it as elements. A fault found in
-// the walk does not stop it, so the faults are reported as a reader of
-// one whole section after another would meet them: per section in table
-// order its checksum, its first value out of domain, its kind; then a
-// missing section. Nothing is allocated but `elements`.
-Result<CatalogLayout> RunLoadPass(const ByteSource& source,
-                                  ElementSet* elements) {
-  const uint64_t size = source.size();
+uint32_t Crc32(const void* data, size_t size) {
+  return Crc32Update(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
+}
+
+std::string CatalogToBinary(const ElementSet& elements) {
+  const size_t n = elements.size();
+  const size_t column_bytes = n * sizeof(double);
+  const size_t table_end = sizeof(FileHeader) + 3 * sizeof(SectionEntry);
+  std::string out(table_end + 3 * column_bytes, '\0');
+
+  const std::vector<double> columns[3] = {ChangeRates(elements),
+                                          AccessProbs(elements),
+                                          Sizes(elements)};
+  const SectionKind kinds[3] = {kSectionChangeRate, kSectionAccessProb,
+                                kSectionSize};
+  for (int s = 0; s < 3; ++s) {
+    const size_t offset = table_end + s * column_bytes;
+    if (column_bytes > 0) {
+      std::memcpy(&out[offset], columns[s].data(), column_bytes);
+    }
+    SectionEntry entry;
+    std::memset(&entry, 0, sizeof(entry));
+    entry.kind = kinds[s];
+    entry.offset = offset;
+    entry.length = column_bytes;
+    entry.payload_crc = Crc32(out.data() + offset, column_bytes);
+    std::memcpy(&out[sizeof(FileHeader) + s * sizeof(entry)], &entry,
+                sizeof(entry));
+  }
+
+  FileHeader header;
+  std::memset(&header, 0, sizeof(header));
+  std::memcpy(header.magic, kMagic, sizeof(kMagic));
+  header.version = kVersion;
+  header.num_sections = 3;
+  header.num_elements = n;
+  std::memcpy(&out[0], &header, sizeof(header));
+  // CRC covers the header bytes as they appear in the file.
+  header.header_crc = Crc32(out.data(), offsetof(FileHeader, header_crc));
+  std::memcpy(&out[0], &header, sizeof(header));
+  return out;
+}
+
+Status SaveCatalogBinary(const ElementSet& elements,
+                         const std::string& path) {
+  return WriteStringToFile(CatalogToBinary(elements), path);
+}
+
+namespace internal {
+
+// The load pass. It reads the header and section table and makes every
+// structural check, then walks the three sections kCatalogLoadChunk
+// elements at a time: each chunk of each column is read once, folded into
+// its section's CRC, checked against its domain and appended to the
+// elements. A fault found in the walk does not stop it, so the faults are
+// reported as a reader of one whole section after another would meet
+// them: per section in table order its checksum, its first value out of
+// domain, its kind; then a missing section. Nothing is allocated but the
+// ElementSet, and only when every kind of section is present.
+Result<ElementSet> LoadCatalogBinaryFd(int fd, uint64_t size) {
   if (size < sizeof(FileHeader)) {
     return Status::InvalidArgument(StrFormat(
         "file too small for header (%zu bytes)", static_cast<size_t>(size)));
   }
-  unsigned char table_buffer[kTableEnd];
-  FRESHEN_ASSIGN_OR_RETURN(
-      const unsigned char* bytes,
-      source.Read(0, std::min(size, kTableEnd), table_buffer));
+  unsigned char bytes[kTableEnd];
+  FRESHEN_RETURN_IF_ERROR(
+      ReadAt(fd, size, 0, std::min(size, kTableEnd), bytes));
   FileHeader header;
   std::memcpy(&header, bytes, sizeof(header));
   if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
@@ -460,24 +466,25 @@ Result<CatalogLayout> RunLoadPass(const ByteSource& source,
   }
   const bool complete = section_of_kind[0] >= 0 && section_of_kind[1] >= 0 &&
                         section_of_kind[2] >= 0;
-  if (!complete) elements = nullptr;
-  if (elements != nullptr) elements->reserve(static_cast<size_t>(n));
+  ElementSet elements;
+  if (complete) elements.reserve(static_cast<size_t>(n));
 
-  alignas(16) unsigned char buffers[3][kCatalogLoadChunk * sizeof(double)];
+  alignas(16) unsigned char chunk[3][kCatalogLoadChunk * sizeof(double)];
   for (uint64_t first = 0; first < n; first += kCatalogLoadChunk) {
     const size_t count =
         static_cast<size_t>(std::min<uint64_t>(kCatalogLoadChunk, n - first));
-    const unsigned char* chunk[3];
     for (int s = 0; s < 3; ++s) {
-      FRESHEN_ASSIGN_OR_RETURN(
-          chunk[s], source.Read(sections[s].entry.offset +
-                                    first * sizeof(double),
-                                count * sizeof(double), buffers[s]));
+      FRESHEN_RETURN_IF_ERROR(ReadAt(
+          fd, size, sections[s].entry.offset + first * sizeof(double),
+          count * sizeof(double), chunk[s]));
       sections[s].Add(chunk[s], first, count);
     }
-    if (elements != nullptr) {
-      AppendChunk(chunk[section_of_kind[0]], chunk[section_of_kind[1]],
-                  chunk[section_of_kind[2]], count, elements);
+    if (complete) {
+      const unsigned char* rates = chunk[section_of_kind[0]];
+      const unsigned char* probs = chunk[section_of_kind[1]];
+      const unsigned char* sizes = chunk[section_of_kind[2]];
+      elements.insert(elements.end(), ChunkElements{rates, probs, sizes, 0},
+                      ChunkElements{rates, probs, sizes, count});
     }
   }
 
@@ -487,124 +494,35 @@ Result<CatalogLayout> RunLoadPass(const ByteSource& source,
   if (!complete) {
     return Status::InvalidArgument("missing a required section");
   }
-  CatalogLayout layout;
-  layout.num_elements = n;
-  for (int k = 0; k < 3; ++k) {
-    layout.offset[k] = sections[section_of_kind[k]].entry.offset;
-  }
-  return layout;
-}
-
-// Opens `path` read-only and reads its size; an empty file is an error.
-Status OpenCatalogFile(const std::string& path, int* fd, uint64_t* size) {
-  *fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (*fd < 0) {
-    return Status::NotFound(
-        StrFormat("%s: %s", path.c_str(), std::strerror(errno)));
-  }
-  struct stat st;
-  if (::fstat(*fd, &st) != 0) {
-    const int err = errno;
-    ::close(*fd);
-    return Status::Internal(
-        StrFormat("%s: fstat: %s", path.c_str(), std::strerror(err)));
-  }
-  *size = static_cast<uint64_t>(st.st_size);
-  if (*size == 0) {
-    ::close(*fd);
-    return Status::InvalidArgument(path + ": empty file");
-  }
-  return Status::OK();
-}
-
-Status WithPath(const std::string& path, const Status& status) {
-  return Status(status.code(), path + ": " + status.message());
-}
-
-}  // namespace
-
-uint32_t Crc32(const void* data, size_t size) {
-  return Crc32Update(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
-}
-
-std::string CatalogToBinary(const ElementSet& elements) {
-  const size_t n = elements.size();
-  const size_t column_bytes = n * sizeof(double);
-  const size_t table_end = sizeof(FileHeader) + 3 * sizeof(SectionEntry);
-  std::string out(table_end + 3 * column_bytes, '\0');
-
-  const std::vector<double> columns[3] = {ChangeRates(elements),
-                                          AccessProbs(elements),
-                                          Sizes(elements)};
-  const SectionKind kinds[3] = {kSectionChangeRate, kSectionAccessProb,
-                                kSectionSize};
-  for (int s = 0; s < 3; ++s) {
-    const size_t offset = table_end + s * column_bytes;
-    if (column_bytes > 0) {
-      std::memcpy(&out[offset], columns[s].data(), column_bytes);
-    }
-    SectionEntry entry;
-    std::memset(&entry, 0, sizeof(entry));
-    entry.kind = kinds[s];
-    entry.offset = offset;
-    entry.length = column_bytes;
-    entry.payload_crc = Crc32(out.data() + offset, column_bytes);
-    std::memcpy(&out[sizeof(FileHeader) + s * sizeof(entry)], &entry,
-                sizeof(entry));
-  }
-
-  FileHeader header;
-  std::memset(&header, 0, sizeof(header));
-  std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = kVersion;
-  header.num_sections = 3;
-  header.num_elements = n;
-  std::memcpy(&out[0], &header, sizeof(header));
-  // CRC covers the header bytes as they appear in the file.
-  header.header_crc = Crc32(out.data(), offsetof(FileHeader, header_crc));
-  std::memcpy(&out[0], &header, sizeof(header));
-  return out;
-}
-
-Status SaveCatalogBinary(const ElementSet& elements,
-                         const std::string& path) {
-  return WriteStringToFile(CatalogToBinary(elements), path);
-}
-
-Result<ElementSet> ParseCatalogBinary(const void* data, size_t size) {
-  ElementSet elements;
-  FRESHEN_RETURN_IF_ERROR(
-      RunLoadPass(ByteSource::Memory(data, size), &elements).status());
-  return elements;
-}
-
-namespace internal {
-
-Result<ElementSet> LoadCatalogBinaryFd(int fd, uint64_t size) {
-  ElementSet elements;
-  Status status = RunLoadPass(ByteSource::File(fd, size), &elements).status();
-  struct stat st;
-  if (!status.ok() && ::fstat(fd, &st) == 0 &&
-      static_cast<uint64_t>(st.st_size) != size) {
-    // The file changed size under the pass, which judged bytes it no
-    // longer has: judge the file once more as it is now.
-    const uint64_t now = static_cast<uint64_t>(st.st_size);
-    elements.clear();
-    status = RunLoadPass(ByteSource::File(fd, now), &elements).status();
-  }
-  FRESHEN_RETURN_IF_ERROR(status);
   return elements;
 }
 
 }  // namespace internal
 
 Result<ElementSet> LoadCatalogBinary(const std::string& path) {
-  int fd = -1;
-  uint64_t size = 0;
-  FRESHEN_RETURN_IF_ERROR(OpenCatalogFile(path, &fd, &size));
-  Result<ElementSet> elements = internal::LoadCatalogBinaryFd(fd, size);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::NotFound(
+        StrFormat("%s: %s", path.c_str(), std::strerror(errno)));
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::Internal(
+        StrFormat("%s: fstat: %s", path.c_str(), std::strerror(err)));
+  }
+  if (st.st_size == 0) {
+    ::close(fd);
+    return Status::InvalidArgument(path + ": empty file");
+  }
+  Result<ElementSet> elements =
+      internal::LoadCatalogBinaryFd(fd, static_cast<uint64_t>(st.st_size));
   ::close(fd);
-  if (!elements.ok()) return WithPath(path, elements.status());
+  if (!elements.ok()) {
+    return Status(elements.status().code(),
+                  path + ": " + elements.status().message());
+  }
   return elements;
 }
 
@@ -618,93 +536,9 @@ bool LooksLikeBinaryCatalog(const std::string& path) {
          std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
 }
 
-Result<ElementSet> LoadCatalog(const std::string& path,
-                               const std::string& format) {
-  if (format == "auto") {
-    return LooksLikeBinaryCatalog(path) ? LoadCatalogBinary(path)
-                                        : LoadCatalogCsv(path);
-  }
-  if (format == "csv") return LoadCatalogCsv(path);
-  if (format == "binary") return LoadCatalogBinary(path);
-  return Status::InvalidArgument("unknown catalog format " + format);
-}
-
-Result<MmapCatalog> MmapCatalog::Open(const std::string& path) {
-  int fd = -1;
-  uint64_t size = 0;
-  FRESHEN_RETURN_IF_ERROR(OpenCatalogFile(path, &fd, &size));
-  void* mapping = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  const int err = errno;
-  ::close(fd);  // The mapping keeps the file alive.
-  if (mapping == MAP_FAILED) {
-    return Status::Internal(
-        StrFormat("%s: mmap: %s", path.c_str(), std::strerror(err)));
-  }
-  auto layout = RunLoadPass(ByteSource::Memory(mapping, size), nullptr);
-  if (!layout.ok()) {
-    ::munmap(mapping, size);
-    return WithPath(path, layout.status());
-  }
-  const unsigned char* base = static_cast<const unsigned char*>(mapping);
-  const auto column = [&](SectionKind kind) {
-    return reinterpret_cast<const double*>(base + layout->offset[kind - 1]);
-  };
-  MmapCatalog catalog;
-  catalog.mapping_ = mapping;
-  catalog.mapping_size_ = size;
-  catalog.num_elements_ = static_cast<size_t>(layout->num_elements);
-  catalog.change_rates_ = column(kSectionChangeRate);
-  catalog.access_probs_ = column(kSectionAccessProb);
-  catalog.sizes_ = column(kSectionSize);
-  return catalog;
-}
-
-MmapCatalog::MmapCatalog(MmapCatalog&& other) noexcept
-    : mapping_(other.mapping_),
-      mapping_size_(other.mapping_size_),
-      num_elements_(other.num_elements_),
-      change_rates_(other.change_rates_),
-      access_probs_(other.access_probs_),
-      sizes_(other.sizes_) {
-  other.mapping_ = nullptr;
-  other.mapping_size_ = 0;
-  other.num_elements_ = 0;
-  other.change_rates_ = nullptr;
-  other.access_probs_ = nullptr;
-  other.sizes_ = nullptr;
-}
-
-MmapCatalog& MmapCatalog::operator=(MmapCatalog&& other) noexcept {
-  if (this != &other) {
-    if (mapping_ != nullptr) ::munmap(mapping_, mapping_size_);
-    mapping_ = other.mapping_;
-    mapping_size_ = other.mapping_size_;
-    num_elements_ = other.num_elements_;
-    change_rates_ = other.change_rates_;
-    access_probs_ = other.access_probs_;
-    sizes_ = other.sizes_;
-    other.mapping_ = nullptr;
-    other.mapping_size_ = 0;
-    other.num_elements_ = 0;
-    other.change_rates_ = nullptr;
-    other.access_probs_ = nullptr;
-    other.sizes_ = nullptr;
-  }
-  return *this;
-}
-
-MmapCatalog::~MmapCatalog() {
-  if (mapping_ != nullptr) ::munmap(mapping_, mapping_size_);
-}
-
-ElementSet MmapCatalog::ToElementSet() const {
-  ElementSet elements;
-  elements.reserve(num_elements_);
-  AppendChunk(reinterpret_cast<const unsigned char*>(change_rates_),
-              reinterpret_cast<const unsigned char*>(access_probs_),
-              reinterpret_cast<const unsigned char*>(sizes_), num_elements_,
-              &elements);
-  return elements;
+Result<ElementSet> LoadCatalog(const std::string& path) {
+  return LooksLikeBinaryCatalog(path) ? LoadCatalogBinary(path)
+                                      : LoadCatalogCsv(path);
 }
 
 }  // namespace freshen

@@ -216,8 +216,9 @@ Status WriteStringToFile(const std::string& text, const std::string& path) {
         StrFormat("%s: %s", path.c_str(), std::strerror(errno)));
   }
   const size_t wrote = std::fwrite(text.data(), 1, text.size(), file);
-  const bool failed = wrote != text.size() || std::fclose(file) != 0;
-  if (failed) {
+  // Closed on every path: a short write must not leak the descriptor.
+  const bool closed = std::fclose(file) == 0;
+  if (wrote != text.size() || !closed) {
     return Status::Internal(StrFormat("%s: write error", path.c_str()));
   }
   return Status::OK();

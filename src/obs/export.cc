@@ -24,8 +24,11 @@ std::string JsonLabels(const Labels& labels) {
   std::string out = "{";
   for (size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscape(labels[i].first) + "\":\"" +
-           JsonEscape(labels[i].second) + "\"";
+    out += '"';
+    out += JsonEscape(labels[i].first);
+    out += "\":\"";
+    out += JsonEscape(labels[i].second);
+    out += '"';
   }
   out += "}";
   return out;
@@ -147,11 +150,10 @@ std::string FormatJson(const RegistrySnapshot& snapshot) {
       for (size_t b = 0; b < sample.bucket_counts.size(); ++b) {
         if (b > 0) out += ",";
         cumulative += sample.bucket_counts[b];
-        const std::string le =
-            b < sample.bounds.size()
-                ? "\"" + FormatMetricValue(sample.bounds[b]) + "\""
-                : "\"+Inf\"";
-        out += "{\"le\":" + le + ",\"count\":" +
+        const std::string le = b < sample.bounds.size()
+                                   ? FormatMetricValue(sample.bounds[b])
+                                   : "+Inf";
+        out += "{\"le\":\"" + le + "\",\"count\":" +
                StrFormat("%llu", (unsigned long long)cumulative) + "}";
       }
       out += "]}";

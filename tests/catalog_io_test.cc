@@ -1,5 +1,7 @@
 // Tests for catalog CSV parsing/serialization and the file helpers.
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -172,6 +174,29 @@ TEST(FileIoTest, LoadErrorMentionsPath) {
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find(path), std::string::npos);
   std::remove(path.c_str());
+}
+
+size_t OpenFileDescriptors() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/fd"),
+      std::filesystem::directory_iterator()));
+}
+
+// A write that comes up short (the device is full) is an Internal error
+// and still closes the file, so repeated failures leak no descriptor.
+TEST(FileIoTest, ShortWriteFailsAndClosesTheFile) {
+  if (!std::filesystem::exists("/dev/full") ||
+      !std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "needs /dev/full and /proc/self/fd";
+  }
+  const std::string text(size_t{1} << 20, 'x');
+  const size_t before = OpenFileDescriptors();
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    const Status status = WriteStringToFile(text, "/dev/full");
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+  }
+  EXPECT_EQ(OpenFileDescriptors(), before);
 }
 
 }  // namespace
