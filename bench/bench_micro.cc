@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,8 +18,10 @@
 #include <benchmark/benchmark.h>
 
 #include "common/macros.h"
+#include "common/parallel.h"
 #include "common/plan_classes.h"
 #include "io/catalog_binary.h"
+#include "mirror/mirror_state.h"
 #include "mirror/simulated_world.h"
 #include "model/freshness.h"
 #include "obs/metrics.h"
@@ -224,18 +227,20 @@ BENCHMARK(BM_ClassTransformBuild)
     ->Args({500000, 256})
     ->Unit(benchmark::kMicrosecond);
 
-// A published snapshot over N = state.range(0) elements whose plan has
-// state.range(1) classes (0: one class per element), every class holding
-// a distinct (frequency, change rate) pair.
-std::shared_ptr<const serve::ServeSnapshot> BenchSnapshot(size_t n,
-                                                          size_t classes) {
+// A builder over n elements with its plan set: one class per element when
+// `classes` is 0, else `classes` classes drawn uniformly, every class
+// holding a distinct (frequency, change rate) pair. `last_sync` is filled
+// with the same 1 / (1 + i) ramp as the sizes.
+std::unique_ptr<serve::SnapshotBuilder> BenchBuilder(size_t n, size_t classes,
+                                                     SyncColumn& last_sync) {
   std::vector<double> column(n);
   for (size_t i = 0; i < n; ++i) column[i] = 1.0 / (1.0 + i);
-  serve::SnapshotBuilder builder(
+  for (size_t i = 0; i < n; ++i) last_sync.Set(i, column[i]);
+  auto builder = std::make_unique<serve::SnapshotBuilder>(
       std::make_shared<const std::vector<double>>(column));
   if (classes == 0) {
     const IdentityClasses plan(column, column);
-    FRESHEN_CHECK(builder.SetPlan(plan.view()).ok());
+    FRESHEN_CHECK(builder->SetPlan(plan.view()).ok());
   } else {
     std::vector<uint32_t> class_of(n);
     std::vector<double> class_values(classes);
@@ -245,10 +250,19 @@ std::shared_ptr<const serve::ServeSnapshot> BenchSnapshot(size_t n,
       c = static_cast<uint32_t>(rng.NextUint64Below(classes));
     }
     FRESHEN_CHECK(
-        builder.SetPlan(PlanClassView{class_of, class_values, class_values})
+        builder->SetPlan(PlanClassView{class_of, class_values, class_values})
             .ok());
   }
-  return builder.Publish(1, 0, 0.0, column).value();
+  return builder;
+}
+
+// A published snapshot over BenchBuilder's columns.
+std::shared_ptr<const serve::ServeSnapshot> BenchSnapshot(size_t n,
+                                                          size_t classes) {
+  SyncColumn last_sync(n);
+  return BenchBuilder(n, classes, last_sync)
+      ->Publish(1, 0, 0.0, last_sync)
+      .value();
 }
 
 // The full-digest consistency check a torture reader runs: every shard
@@ -287,6 +301,33 @@ void BM_SnapshotLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotLookup)->Args({500000, 256})->Args({500000, 0});
+
+// One daemon period's serving work at N = 500k: the mirror writes one
+// element in each of `written` shards (each write copies its block, which
+// the last snapshot holds, into a pooled one), the builder publishes (it
+// digests the written blocks and shares the rest), and the column recycles
+// the blocks the previous snapshot released.
+void BM_SnapshotPublishWrittenShards(benchmark::State& state) {
+  const size_t n = 500000;
+  const size_t written = static_cast<size_t>(state.range(0));
+  SyncColumn last_sync(n);
+  const auto builder = BenchBuilder(n, 256, last_sync);
+  const std::vector<par::Shard> shards = par::ShardPlan(n);
+  std::shared_ptr<const serve::ServeSnapshot> current =
+      builder->Publish(1, 0, 0.0, last_sync).value();
+  double now = 1.0;
+  for (auto _ : state) {
+    for (size_t s = 0; s < written; ++s) last_sync.Set(shards[s].begin, now);
+    current = builder->Publish(2, 0, now, last_sync).value();
+    last_sync.Recycle();
+    now += 1.0;
+  }
+}
+BENCHMARK(BM_SnapshotPublishWrittenShards)
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 // The check a catalog load runs over each section: one CRC-32 of a 4 MB
 // column (N = 500k doubles, the loop_replan shape).

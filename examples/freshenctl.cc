@@ -114,6 +114,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/quick_mode.h"
 #include "common/string_util.h"
 #include "common/table_writer.h"
@@ -1014,16 +1015,26 @@ int RunServeDrill(const std::map<std::string, std::string>& flags) {
   std::printf("queries     : %llu sent over socket, %llu ok\n",
               (unsigned long long)sent, (unsigned long long)ok);
   std::printf("consistency : %s\n", consistent ? "OK" : "FAILED");
-  // The builder's blocks: live and spare copies of the 8-byte last-sync
-  // time per element, plus its live and spare plan tables.
+  // Serving's bytes: one live copy of the 8-byte last-sync time per element
+  // (the mirror's own blocks, each with room for the largest shard), the
+  // spare blocks the mirror's column holds, and the live and spare plan
+  // tables.
   const double snapshot_bytes =
       global.GetGauge("freshen_serve_snapshot_bytes")->value();
+  const std::vector<par::Shard> shards = par::ShardPlan(truth.size());
+  const double live_bytes =
+      shards.empty()
+          ? 0.0
+          : 8.0 * static_cast<double>(shards.size() * shards.front().size());
   const double bytes_bound =
-      2.0 * 8.0 * static_cast<double>(truth.size()) +
+      live_bytes + static_cast<double>(stats.snapshot.held_pool_bytes) +
       static_cast<double>(stats.snapshot.held_plan_bytes);
   const bool bytes_ok = snapshot_bytes > 0.0 && snapshot_bytes <= bytes_bound;
-  std::printf("snapshot    : %.0f bytes held (bound %.0f) %s\n",
-              snapshot_bytes, bytes_bound, bytes_ok ? "OK" : "FAILED");
+  std::printf("snapshot    : %.0f bytes held (bound %.0f: live %.0f, spare "
+              "blocks %zu, plan tables %zu) %s\n",
+              snapshot_bytes, bytes_bound, live_bytes,
+              stats.snapshot.held_pool_bytes,
+              stats.snapshot.held_plan_bytes, bytes_ok ? "OK" : "FAILED");
   const bool act1 = consistent && bytes_ok && sent > 0 && ok == sent;
   const bool act2 =
       RunTelemetryAct(truth, spec.seed, quick, socket_path + ".telemetry");

@@ -44,14 +44,17 @@ std::vector<Shard> ShardPlan(size_t n) {
   return ShardPlanFor(n, kShardGrain, kMaxShards);
 }
 
+ShardGeometry::ShardGeometry(size_t n) {
+  const size_t count = ShardCount(n);
+  if (count == 0) return;
+  base = n / count;
+  remainder = n % count;
+  pivot = remainder * (base + 1);
+}
+
 size_t ShardIndexOf(size_t n, size_t i) {
   FRESHEN_DCHECK(i < n);
-  const size_t count = ShardCount(n);
-  const size_t base = n / count;
-  const size_t remainder = n % count;
-  const size_t pivot = remainder * (base + 1);
-  if (i < pivot) return i / (base + 1);
-  return remainder + (i - pivot) / base;
+  return ShardGeometry(n).IndexOf(i);
 }
 
 namespace detail {

@@ -91,8 +91,26 @@ size_t ShardCount(size_t n);
 /// ShardPlanFor(n, kShardGrain, kMaxShards).
 std::vector<Shard> ShardPlan(size_t n);
 
+/// ShardPlan(n)'s geometry, computed once so that finding an element's
+/// shard is one inline division: the first `remainder` shards hold
+/// base + 1 elements and end at `pivot`, the rest hold `base`.
+struct ShardGeometry {
+  size_t base = 0;
+  size_t remainder = 0;
+  size_t pivot = 0;
+
+  ShardGeometry() = default;
+  explicit ShardGeometry(size_t n);
+
+  /// Index of the shard that owns element i (i < n).
+  size_t IndexOf(size_t i) const {
+    return i < pivot ? i / (base + 1) : remainder + (i - pivot) / base;
+  }
+};
+
 /// Index of the shard that owns element i under ShardPlan(n). Requires
-/// i < n. O(1); consistent with ShardPlan by construction.
+/// i < n. O(1); consistent with ShardPlan by construction. Callers that
+/// index one n repeatedly keep a ShardGeometry instead.
 size_t ShardIndexOf(size_t n, size_t i);
 
 namespace detail {

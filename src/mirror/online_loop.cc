@@ -191,13 +191,12 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
     // never decayed, and one first window as long as the run caps the
     // bias-reduced estimate near ln 3 / t; counting it cut the learned
     // plan's PF (docs/performance.md, "Fixed-Order timeline").
-    const double gap = sync.time - mirror_.LastSyncTime(sync.element);
     const bool first_sync = !mirror_.Synced(sync.element);
-    mirror_.RecordSync(sync.element, sync.time);
+    const double gap =
+        sync.time - mirror_.RecordSync(sync.element, sync.time);
     const bool changed = world_.Sync(sync.element, sync.time);
     controller_->ObserveSync(sync.element, changed, first_sync ? 0.0 : gap);
     if (drift != nullptr) drift->ObserveSync(sync.element, changed, gap);
-    if (options_.on_period_end) synced_scratch_.push_back(sync.element);
     ++stats.syncs;
     stats.bandwidth_spent += sizes[sync.element];
   };
@@ -274,10 +273,10 @@ PeriodStats OnlineFreshenLoop::RunPeriod() {
     slo->ObservePeriod(now_, stats.accesses, fresh_accesses,
                        age_good_accesses);
   }
-  if (options_.on_period_end) {
-    options_.on_period_end(stats, synced_scratch_);
-    synced_scratch_.clear();
-  }
+  if (options_.on_period_end) options_.on_period_end(stats);
+  // A publisher released its previous snapshot in the hook: the sync blocks
+  // that snapshot alone held are free for the next period's copies.
+  mirror_.RecycleBlocks();
   EmitPeriodEvent(recorder, obs::EventPhase::kEnd, period_end, period_start);
   return stats;
 }

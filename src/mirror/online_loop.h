@@ -105,15 +105,13 @@ class OnlineFreshenLoop {
     obs::DriftDetector* drift = nullptr;
     /// Publication hook for serving (freshend): when set, RunPeriod invokes
     /// it once at the period boundary, after the controller's replan
-    /// decision, with this period's stats and the ids of elements whose
-    /// copies were actually refreshed, in apply order (an element synced
-    /// twice in the period appears twice). During the call the loop is at a
+    /// decision, with this period's stats. During the call the loop is at a
     /// consistent boundary: the controller's plan (PlanClasses()) and the
-    /// mirror's last-sync times all reflect the new period — exactly what a
-    /// snapshot publisher needs for O(changed-shards) publication.
-    std::function<void(const PeriodStats& stats,
-                       const std::vector<uint32_t>& synced_elements)>
-        on_period_end;
+    /// mirror's last-sync times all reflect the new period; a publisher
+    /// shares the mirror's blocks and finds the written ones by pointer
+    /// (serve/snapshot.h). After the call the loop recycles the blocks
+    /// that only the snapshots the hook released held.
+    std::function<void(const PeriodStats& stats)> on_period_end;
   };
 
   /// `truth` holds the real change rates, real profile, and sizes; the loop's
@@ -162,9 +160,6 @@ class OnlineFreshenLoop {
   // until then.
   static constexpr uint32_t kNeverFunded = UINT32_MAX;
   std::vector<uint32_t> first_funded_;
-  // Scratch for the on_period_end hook: elements synced this period, in
-  // apply order. Reused across periods to avoid reallocation.
-  std::vector<uint32_t> synced_scratch_;
   // The loop's own executor and its source, built only when
   // Options::executor is null; options_.executor then points at
   // own_executor_. unique_ptr: the executor holds the source's address.

@@ -62,10 +62,8 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
   daemon->drift_ = std::make_unique<obs::DriftDetector>(std::move(detector));
   opts.loop.drift = daemon->drift_.get();
 
-  opts.loop.on_period_end = [d = daemon.get()](
-                                const PeriodStats& stats,
-                                const std::vector<uint32_t>& synced) {
-    d->PublishBoundary(stats.replanned, synced);
+  opts.loop.on_period_end = [d = daemon.get()](const PeriodStats& stats) {
+    d->PublishBoundary(stats.replanned);
   };
   FRESHEN_ASSIGN_OR_RETURN(
       OnlineFreshenLoop loop,
@@ -76,8 +74,9 @@ Result<std::unique_ptr<FreshendDaemon>> FreshendDaemon::Create(
 
   // Initial publication (epoch 1): the controller's cold-start plan over
   // its cold-start beliefs, nothing synced yet; a builder's first publish
-  // builds every shard. Queries work from here on.
-  daemon->PublishBoundary(/*replanned=*/true, {});
+  // shares and digests every block of the mirror's column. Queries work
+  // from here on.
+  daemon->PublishBoundary(/*replanned=*/true);
   return daemon;
 }
 
@@ -113,22 +112,19 @@ FreshendDaemon::~FreshendDaemon() {
   // store_ drains readers and frees every snapshot in its destructor.
 }
 
-void FreshendDaemon::PublishBoundary(bool replanned,
-                                     const std::vector<uint32_t>& synced) {
+void FreshendDaemon::PublishBoundary(bool replanned) {
   obs::ScopedSpan span("serve_publish", *registry_);
   WallTimer timer;
-  // Free the snapshots whose readers left during the period first: their
-  // shard blocks and plan table are the builder's spares, which it rewrites
-  // only once they are free.
+  // Free the snapshots whose readers left during the period first: the
+  // builder rewrites its spare plan table only once they are free.
   store_.Reclaim();
   const AdaptiveFreshener& controller = loop_->controller();
   // A replan republishes the plan table once, an O(N) copy per replan
-  // cadence; only the shards holding an element synced this period are
-  // rebuilt, replan or not.
+  // cadence. The sync blocks are the mirror's own, shared by pointer; only
+  // the ones written this period are digested, replan or not.
   if (replanned) {
     FRESHEN_CHECK(builder_->SetPlan(controller.PlanClasses()).ok());
   }
-  for (uint32_t id : synced) builder_->MarkDirty(id);
   auto snapshot = builder_->Publish(store_.CurrentEpoch() + 1,
                                     controller.num_replans(), loop_->Now(),
                                     loop_->mirror().LastSyncTimes());

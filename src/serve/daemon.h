@@ -7,10 +7,11 @@
 //     time): syncs fire (optionally through a fault-injecting
 //     sync::SyncExecutor), accesses are served, the controller replans.
 //     After every period the loop's on_period_end hook publishes a new
-//     immutable ServeSnapshot into the SnapshotStore — rebuilding only the
-//     shards whose elements synced or whose plan moved, from the
-//     controller's per-class plan; every snapshot shares the controller's
-//     one size column.
+//     immutable ServeSnapshot into the SnapshotStore. It shares the
+//     mirror's own copy-on-write last-sync blocks by pointer (digesting
+//     only those written in the period), copies the controller's per-class
+//     plan only after a replan, and shares the controller's one size
+//     column.
 //   * Query threads call IsFresh / ExpectedAge / GetPlan / Stats at any
 //     time. Each query pins the current snapshot (lock-free; see
 //     serve/store.h), computes from immutable columns, and unpins. Queries
@@ -202,7 +203,7 @@ class FreshendDaemon {
 
   // Loop-thread body and the per-period publication hook.
   void LoopMain();
-  void PublishBoundary(bool replanned, const std::vector<uint32_t>& synced);
+  void PublishBoundary(bool replanned);
 
   Options options_;
   size_t num_elements_ = 0;
@@ -235,7 +236,8 @@ class FreshendDaemon {
   obs::Counter* full_publish_counter_;
   obs::Counter* delta_publish_counter_;
   obs::Histogram* publish_seconds_;
-  // Bytes of the snapshot builder's live and spare blocks, set at each
+  // Bytes held for serving (SnapshotStats::held_bytes: the mirror's live
+  // and spare sync blocks and the builder's plan tables), set at each
   // publish.
   obs::Gauge* snapshot_bytes_;
 };

@@ -101,12 +101,12 @@ struct LaneState {
   }
 };
 
-// Makes `live` a block no snapshot holds, for a rebuild to write into, and
-// keeps the block it replaces as `spare`: the old spare is reused when the
-// builder holds its only reference (see SnapshotBuilder's class comment),
-// and a new block is allocated otherwise. True when the spare was reused.
+// Makes `live` a plan table no snapshot holds, for SetPlan to write into,
+// and keeps the table it replaces as `spare`: the old spare is reused when
+// the builder holds its only reference (see SnapshotBuilder's class
+// comment), and a new table is allocated otherwise.
 //
-// A new block and its control block are two allocations, not one
+// A new table and its control block are two allocations, not one
 // make_shared chunk. This is a heap-layout choice measured in freshen-e2e,
 // which sets a daemon up repeatedly in one process: at N = 500k the
 // make_shared layout left free 32-byte chunks after a set-up, the
@@ -114,20 +114,19 @@ struct LaneState {
 // the set-up's memory, and glibc trimmed that memory at each teardown, so
 // every set-up faulted ~46 MB afresh (setup_s 37 -> 56 ms;
 // docs/performance.md, "One plan table per snapshot").
-template <typename Block>
-bool Recycle(std::shared_ptr<Block>& live, std::shared_ptr<Block>& spare) {
+void RecyclePlanTable(std::shared_ptr<PlanTable>& live,
+                      std::shared_ptr<PlanTable>& spare) {
   if (spare.use_count() == 1) {
     std::swap(live, spare);
-    return true;
+    return;
   }
   spare = std::move(live);
-  live = std::shared_ptr<Block>(new Block());
-  return false;
+  live = std::shared_ptr<PlanTable>(new PlanTable());
 }
 
 }  // namespace
 
-uint64_t DigestShard(const ShardBlock& block) {
+uint64_t DigestShard(const SyncBlock& block) {
   LaneState state;
   state.MixColumn(block.last_sync_time);
   return state.Finish({block.begin, block.end});
@@ -148,13 +147,10 @@ uint64_t DigestColumn(const std::vector<double>& column) {
   return state.Finish({0, column.size()});
 }
 
-uint64_t CombineDigests(
-    const std::vector<std::shared_ptr<const ShardBlock>>& shards,
-    uint64_t plan_digest, uint64_t size_digest) {
-  uint64_t combined = kPrime5 + shards.size();
-  for (const std::shared_ptr<const ShardBlock>& shard : shards) {
-    combined = Fold(combined, shard->digest);
-  }
+uint64_t CombineDigests(const std::vector<uint64_t>& shard_digests,
+                        uint64_t plan_digest, uint64_t size_digest) {
+  uint64_t combined = kPrime5 + shard_digests.size();
+  for (uint64_t digest : shard_digests) combined = Fold(combined, digest);
   return Avalanche(Fold(Fold(combined, plan_digest), size_digest));
 }
 
@@ -167,20 +163,22 @@ bool ServeSnapshot::CheckConsistent() const {
           plan_->frequency.size()) {
     return false;
   }
+  if (digests_.size() != shards_.size()) return false;
   size_t expected_begin = 0;
-  for (const std::shared_ptr<const ShardBlock>& shard : shards_) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const SyncBlock* shard = shards_[s].get();
     if (shard == nullptr) return false;
     if (shard->begin != expected_begin || shard->end < shard->begin ||
         shard->last_sync_time.size() != shard->count()) {
       return false;
     }
-    if (DigestShard(*shard) != shard->digest) return false;
+    if (DigestShard(*shard) != digests_[s]) return false;
     expected_begin = shard->end;
   }
   if (expected_begin != num_elements_) return false;
   if (DigestPlan(*plan_) != plan_->digest) return false;
   if (DigestColumn(*sizes_) != size_digest_) return false;
-  return CombineDigests(shards_, plan_->digest, size_digest_) ==
+  return CombineDigests(digests_, plan_->digest, size_digest_) ==
          combined_digest_;
 }
 
@@ -190,27 +188,15 @@ SnapshotBuilder::SnapshotBuilder(
       sizes_(std::move(sizes)),
       size_digest_(DigestColumn(*sizes_)),
       shards_(par::ShardPlan(num_elements_)),
-      dirty_(shards_.size(), 0),
       live_(shards_.size()),
-      spares_(shards_.size()) {}
-
-void SnapshotBuilder::MarkDirty(size_t element) {
-  FRESHEN_CHECK(element < num_elements_);
-  dirty_[par::ShardIndexOf(num_elements_, element)] = 1;
-}
-
-size_t SnapshotBuilder::DirtyShards() const {
-  size_t dirty = 0;
-  for (uint8_t flag : dirty_) dirty += flag;
-  return dirty;
-}
+      digests_(shards_.size(), 0) {}
 
 Status SnapshotBuilder::SetPlan(const PlanClassView& plan) {
   if (plan.size() != num_elements_ ||
       plan.frequency.size() != plan.change_rate.size()) {
     return Status::InvalidArgument("plan column length mismatch");
   }
-  Recycle(live_plan_, spare_plan_);
+  RecyclePlanTable(live_plan_, spare_plan_);
   PlanTable& table = *live_plan_;
   table.class_of.assign(plan.class_of.begin(), plan.class_of.end());
   table.frequency.assign(plan.frequency.begin(), plan.frequency.end());
@@ -233,7 +219,7 @@ Status SnapshotBuilder::SetPlan(const PlanClassView& plan) {
 
 Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
     uint64_t epoch, uint64_t plan_version, double now,
-    const std::vector<double>& last_sync_time) {
+    const SyncColumn& last_sync_time) {
   if (last_sync_time.size() != num_elements_) {
     return Status::InvalidArgument("snapshot column length mismatch");
   }
@@ -241,44 +227,36 @@ Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
     return Status::FailedPrecondition("Publish needs a plan: call SetPlan");
   }
 
-  auto snapshot = std::shared_ptr<ServeSnapshot>(new ServeSnapshot());
-  snapshot->num_elements_ = num_elements_;
-  snapshot->shards_.resize(shards_.size());
-  snapshot->plan_ = live_plan_;
-  snapshot->sizes_ = sizes_;
-  snapshot->size_digest_ = size_digest_;
-
+  // A block the builder did not publish was written since: the column
+  // copies a published block before writing it (see the class comment).
   size_t rebuilt = 0;
-  size_t recycled = 0;
+  size_t live_bytes = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (live_[s] == nullptr || dirty_[s]) {
-      recycled += Recycle(live_[s], spares_[s]);
-      const par::Shard& shard = shards_[s];
-      ShardBlock& block = *live_[s];
-      block.begin = shard.begin;
-      block.end = shard.end;
-      block.last_sync_time.assign(last_sync_time.begin() + shard.begin,
-                                  last_sync_time.begin() + shard.end);
-      block.digest = DigestShard(block);
+    std::shared_ptr<const SyncBlock> block = last_sync_time.block(s);
+    if (block != live_[s]) {
+      digests_[s] = DigestShard(*block);
+      live_[s] = std::move(block);
       ++rebuilt;
     }
-    snapshot->shards_[s] = live_[s];
+    live_bytes += live_[s]->bytes();
   }
-  std::fill(dirty_.begin(), dirty_.end(), uint8_t{0});
 
   size_t held_plan_bytes = 0;
   for (const PlanTable* table : {live_plan_.get(), spare_plan_.get()}) {
     if (table != nullptr) held_plan_bytes += table->bytes();
   }
-  size_t held_bytes = held_plan_bytes;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (const ShardBlock* block : {live_[s].get(), spares_[s].get()}) {
-      if (block != nullptr) held_bytes += block->bytes();
-    }
-  }
+  const size_t held_pool_bytes = last_sync_time.spare_bytes();
 
+  auto snapshot = std::shared_ptr<ServeSnapshot>(new ServeSnapshot());
+  snapshot->num_elements_ = num_elements_;
+  snapshot->geometry_ = par::ShardGeometry(num_elements_);
+  snapshot->shards_ = live_;
+  snapshot->digests_ = digests_;
+  snapshot->plan_ = live_plan_;
+  snapshot->sizes_ = sizes_;
+  snapshot->size_digest_ = size_digest_;
   snapshot->combined_digest_ =
-      CombineDigests(snapshot->shards_, live_plan_->digest, size_digest_);
+      CombineDigests(digests_, live_plan_->digest, size_digest_);
   SnapshotStats& stats = snapshot->stats_;
   stats.epoch = epoch;
   stats.plan_version = plan_version;
@@ -286,9 +264,10 @@ Result<std::shared_ptr<const ServeSnapshot>> SnapshotBuilder::Publish(
   stats.num_elements = num_elements_;
   stats.num_shards = shards_.size();
   stats.shards_rebuilt = rebuilt;
-  stats.shards_recycled = recycled;
+  stats.shards_recycled = last_sync_time.reuses();
   stats.plan_bandwidth = live_plan_->plan_bandwidth;
-  stats.held_bytes = held_bytes;
+  stats.held_bytes = live_bytes + held_pool_bytes + held_plan_bytes;
+  stats.held_pool_bytes = held_pool_bytes;
   stats.held_plan_bytes = held_plan_bytes;
   return std::shared_ptr<const ServeSnapshot>(std::move(snapshot));
 }

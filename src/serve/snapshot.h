@@ -4,29 +4,30 @@
 // plan (frequencies, the change rates it was solved against) and the
 // mirror's last-sync times, frozen at one publication instant, plus the
 // catalog's sizes. Snapshots are immutable after publication — readers
-// never see a value change under them — and nothing in one is copied that
-// did not change since the last:
+// never see a value change under them — and a snapshot copies nothing that
+// another component already holds:
 //
 //   * The plan is one PlanTable, kept per class as the controller keeps it
 //     (the paper's Transformed Problem, §3.2): each element's class id, and
 //     per class the frequency and planned rate. It is copied only at a
 //     publish that follows a replan; every other snapshot shares it by
 //     pointer.
-//   * Last-sync times are sharded along the fixed par::ShardPlan the
-//     compute spine uses. A publish rebuilds only the shards that hold an
-//     element synced since the last one; the others are shared by pointer
-//     between consecutive snapshots (persistent-data-structure style), so
-//     publication is O(synced shards), plus O(N) once per replan.
+//   * Last-sync times are the mirror's own SyncColumn blocks
+//     (mirror/mirror_state.h), one per shard of the fixed par::ShardPlan
+//     the compute spine uses, shared by pointer. A block is immutable once
+//     a snapshot holds it: the mirror's next write to that shard copies it
+//     first. A publish digests only the blocks written since the last one,
+//     so publication is O(written shards), plus O(N) once per replan.
 //   * Sizes never change: every snapshot holds the one size column the
 //     controller plans with.
 //
-// Consistency is checkable from the reader side: every shard block and the
-// plan table carry an order-sensitive digest of their columns, the size
-// column has one digest, and the snapshot records the combination of all
-// of them at publication time. A reader that ever observed a torn snapshot
-// (parts from two different publications) would recompute a different
-// combination — the torture test and the serving bench both recompute and
-// compare on every sampled query.
+// Consistency is checkable from the reader side: the snapshot records a
+// digest per shard block, the plan table and the size column carry one
+// each, and the snapshot records the combination of all of them at
+// publication time. A reader that ever observed a torn snapshot (parts from
+// two different publications) would recompute a different combination —
+// the torture test and the serving bench both recompute and compare on
+// every sampled query.
 #ifndef FRESHEN_SERVE_SNAPSHOT_H_
 #define FRESHEN_SERVE_SNAPSHOT_H_
 
@@ -37,6 +38,7 @@
 #include "common/parallel.h"
 #include "common/plan_classes.h"
 #include "common/result.h"
+#include "mirror/mirror_state.h"
 #include "model/element.h"
 
 namespace freshen {
@@ -66,27 +68,10 @@ struct PlanTable {
   }
 };
 
-/// One contiguous shard of last-sync times over the elements in
-/// [begin, end). Immutable while any snapshot holds it.
-struct ShardBlock {
-  /// Index range this block covers (mirrors the snapshot's shard plan).
-  size_t begin = 0;
-  size_t end = 0;
-  /// Time of the element's last applied sync (period units; 0 = never).
-  std::vector<double> last_sync_time;
-  /// Order-sensitive digest over the column and bounds (see DigestShard).
-  uint64_t digest = 0;
-
-  size_t count() const { return end - begin; }
-
-  /// Bytes the column holds (its capacity).
-  size_t bytes() const { return last_sync_time.capacity() * sizeof(double); }
-};
-
 /// Order-sensitive digest of a shard block's last-sync times and bounds: a
 /// 4-lane, 64-bit-word round of the xxHash64 kind. Recomputable by readers
 /// to prove a snapshot was not torn.
-uint64_t DigestShard(const ShardBlock& block);
+uint64_t DigestShard(const SyncBlock& block);
 
 /// The same digest over a plan table's class ids, class frequencies and
 /// class rates, their lengths and its plan bandwidth.
@@ -116,15 +101,21 @@ struct SnapshotStats {
   size_t num_elements = 0;
   /// Shards in the plan.
   size_t num_shards = 0;
-  /// Shards rebuilt by the publication that produced this snapshot.
+  /// Shard blocks written since the previous publication (new to this
+  /// snapshot, so digested by its publish).
   size_t shards_rebuilt = 0;
-  /// Of those, shards written into a recycled spare block (no allocation).
+  /// Blocks the mirror's column copied on write since its last Recycle,
+  /// into a pooled block rather than a new allocation.
   size_t shards_recycled = 0;
   /// The plan table's plan bandwidth (sum of frequencies times sizes).
   double plan_bandwidth = 0.0;
-  /// Bytes the builder's live and spare shard blocks and plan tables held
-  /// after this publication, and the plan tables' share of them.
+  /// Bytes held for serving after this publication: the column's live
+  /// blocks (8 per element, each block with room for the largest shard),
+  /// its spare blocks (replaced ones that older snapshots still hold, and
+  /// the free pool), and the builder's live and spare plan tables. The
+  /// spare blocks' and the plan tables' shares of it follow.
   size_t held_bytes = 0;
+  size_t held_pool_bytes = 0;
   size_t held_plan_bytes = 0;
 };
 
@@ -149,17 +140,19 @@ class ServeSnapshot {
   ElementView Lookup(size_t element) const {
     const PlanTable& plan = *plan_;
     const uint32_t c = plan.class_of[element];
-    const ShardBlock& block =
-        *shards_[par::ShardIndexOf(num_elements_, element)];
+    const SyncBlock& block = *shards_[geometry_.IndexOf(element)];
     return ElementView{plan.frequency[c], plan.change_rate[c],
                        (*sizes_)[element],
                        block.last_sync_time[element - block.begin]};
   }
 
   /// The shard blocks (for iteration / consistency checks).
-  const std::vector<std::shared_ptr<const ShardBlock>>& shards() const {
+  const std::vector<std::shared_ptr<const SyncBlock>>& shards() const {
     return shards_;
   }
+
+  /// Per shard block, its digest recorded at publication.
+  const std::vector<uint64_t>& shard_digests() const { return digests_; }
 
   /// The plan table, shared by every snapshot published since the last
   /// replan.
@@ -183,7 +176,9 @@ class ServeSnapshot {
   ServeSnapshot() = default;
 
   size_t num_elements_ = 0;
-  std::vector<std::shared_ptr<const ShardBlock>> shards_;
+  par::ShardGeometry geometry_;
+  std::vector<std::shared_ptr<const SyncBlock>> shards_;
+  std::vector<uint64_t> digests_;
   std::shared_ptr<const PlanTable> plan_;
   std::shared_ptr<const std::vector<double>> sizes_;
   uint64_t size_digest_ = 0;
@@ -192,35 +187,38 @@ class ServeSnapshot {
 };
 
 /// Builds successive snapshots with structural sharing. Owned and driven by
-/// the single publisher thread (the daemon's loop thread).
+/// the single publisher thread (the daemon's loop thread, which also writes
+/// the mirror's SyncColumn).
 ///
-/// Block reuse: for each shard, and for the plan table, the builder keeps
-/// as a spare the block that its last rebuild replaced. The next rebuild
-/// writes into the spare in place (same capacity, no allocation) when the
-/// builder holds the spare's only reference, and allocates a new block
-/// otherwise. Every snapshot that held the spare predates the rebuild that
-/// retired it, so a count of one means all of them are gone and no reader
-/// can reach the block. That count is exact only because every reference to
-/// a published snapshot, or to one of its blocks, is dropped on the
+/// Shard blocks: Publish shares the column's current blocks by pointer and
+/// keeps the ones it published (the previous snapshot's blocks). A block
+/// whose pointer differs from the kept one was written since, and is the
+/// only kind Publish digests. The kept reference is what makes this exact:
+/// while the builder holds a block the column cannot write it in place, so
+/// an unchanged pointer means unchanged contents.
+///
+/// Plan tables: the builder keeps as a spare the table its last SetPlan
+/// replaced. The next SetPlan writes into the spare in place (same
+/// capacity, no allocation) when the builder holds the spare's only
+/// reference, and allocates a new table otherwise. Every snapshot that held
+/// the spare predates the SetPlan that retired it, so a count of one means
+/// all of them are gone and no reader can reach the table. That count, and
+/// the column's copy-on-write count, are exact only because every reference
+/// to a published snapshot, or to one of its parts, is dropped on the
 /// publisher thread or before a happens-before edge to it: SnapshotStore
 /// drops snapshots in the retire callbacks that its publisher-thread
 /// reclaim runs, and readers hold only epoch pins and raw pointers. Reuse
 /// is an allocation saving only; what a snapshot holds never depends on it.
-/// In steady state a builder holds two copies of the sync column and two
-/// plan tables: the live ones and the spares.
+/// In steady state serving holds one copy of the sync column (the mirror's
+/// own), spare blocks as many as a busy recent period copied (see
+/// SyncColumn::Recycle), and two plan tables: the live one and the spare.
 class SnapshotBuilder {
  public:
   /// A builder over `sizes->size()` elements (`sizes` must not be null).
   /// The size column is immutable and shared, never copied, by every
   /// snapshot; the shard plan is fixed for the builder's lifetime (the
-  /// default par::ShardPlan sizing).
+  /// default par::ShardPlan sizing, which SyncColumn uses too).
   explicit SnapshotBuilder(std::shared_ptr<const std::vector<double>> sizes);
-
-  /// Marks one element synced: its shard is rebuilt at the next Publish.
-  void MarkDirty(size_t element);
-
-  /// Number of shards currently marked dirty.
-  size_t DirtyShards() const;
 
   /// Total shards in the plan.
   size_t NumShards() const { return shards_.size(); }
@@ -232,39 +230,35 @@ class SnapshotBuilder {
   /// FRESHEN_CHECK as the ids are copied).
   Status SetPlan(const PlanClassView& plan);
 
-  /// Builds the next snapshot over the current plan table. A shard is
-  /// rebuilt from `last_sync_time` (into its spare block when that is free)
-  /// when it was marked dirty or no snapshot holds it yet; every other
-  /// shard is shared with the previous snapshot. `last_sync_time` must
-  /// cover num_elements, and SetPlan must have been called. `epoch` is the
-  /// publication epoch the caller just opened; `plan_version` and `now`
-  /// land in stats. Clears the dirty set.
+  /// Builds the next snapshot over the current plan table and the current
+  /// blocks of `last_sync_time`, which it shares by pointer; it digests the
+  /// blocks written since the previous Publish (every block at the first).
+  /// `last_sync_time` must cover num_elements, and SetPlan must have been
+  /// called. `epoch` is the publication epoch the caller just opened;
+  /// `plan_version` and `now` land in stats.
   Result<std::shared_ptr<const ServeSnapshot>> Publish(
       uint64_t epoch, uint64_t plan_version, double now,
-      const std::vector<double>& last_sync_time);
+      const SyncColumn& last_sync_time);
 
  private:
   size_t num_elements_;
   std::shared_ptr<const std::vector<double>> sizes_;
   uint64_t size_digest_;
   std::vector<par::Shard> shards_;
-  std::vector<uint8_t> dirty_;  // Per shard.
-  // Per shard: the block the last published snapshot holds (the sharing
-  // source; null before the first Publish), and the block the shard's last
-  // rebuild replaced (null until a second build of the shard). The plan
-  // table follows the same rule. Lifetime of published snapshots is the
+  // Per shard: the block the last published snapshot holds (null before
+  // the first Publish) and its digest. The live plan table and its spare
+  // follow the class comment. Lifetime of published snapshots is the
   // store's job.
-  std::vector<std::shared_ptr<ShardBlock>> live_;
-  std::vector<std::shared_ptr<ShardBlock>> spares_;
+  std::vector<std::shared_ptr<const SyncBlock>> live_;
+  std::vector<uint64_t> digests_;
   std::shared_ptr<PlanTable> live_plan_;
   std::shared_ptr<PlanTable> spare_plan_;
 };
 
 /// Combines per-shard digests in shard order (order-sensitive mix), then the
 /// plan table's and the size column's digests.
-uint64_t CombineDigests(
-    const std::vector<std::shared_ptr<const ShardBlock>>& shards,
-    uint64_t plan_digest, uint64_t size_digest);
+uint64_t CombineDigests(const std::vector<uint64_t>& shard_digests,
+                        uint64_t plan_digest, uint64_t size_digest);
 
 }  // namespace serve
 }  // namespace freshen

@@ -140,12 +140,13 @@ Result<SimulationResult> MirrorSimulator::Run(
   const double prob_total = Sum(probs);
   if (config_.accesses_per_period > 0.0 && prob_total > 0.0) {
     AliasTable table(probs);
+    const par::ShardGeometry geometry(n);
     Rng access_rng(config_.seed ^ 0x61636373ULL);
     for (double t = SampleExponential(access_rng, config_.accesses_per_period);
          t < horizon;
          t += SampleExponential(access_rng, config_.accesses_per_period)) {
       const auto element = static_cast<uint32_t>(table.Sample(access_rng));
-      shard_accesses[par::ShardIndexOf(n, element)].push_back(
+      shard_accesses[geometry.IndexOf(element)].push_back(
           {t, EventType::kAccess, element});
       ++planned_accesses;
     }

@@ -614,12 +614,15 @@ TEST(OnlineLoopTest, SyncAtTimeZeroKeepsItsPhase) {
   const ElementSet truth = GenerateCatalog(spec).value();
   OnlineFreshenLoop::Options options = LoopOptions();
   options.controller.replan_every_periods = 1000.0;  // Keep the cold plan.
+  // With f < 1 element 0 syncs at most once a period, so each new
+  // last-sync time is one sync.
   std::vector<double> sync_times;
   const OnlineFreshenLoop* observed = nullptr;
-  options.on_period_end = [&](const PeriodStats&,
-                              const std::vector<uint32_t>& synced) {
-    if (std::find(synced.begin(), synced.end(), 0u) != synced.end()) {
-      sync_times.push_back(observed->mirror().LastSyncTime(0));
+  options.on_period_end = [&](const PeriodStats&) {
+    const MirrorState& mirror = observed->mirror();
+    if (mirror.Synced(0) &&
+        (sync_times.empty() || mirror.LastSyncTime(0) != sync_times.back())) {
+      sync_times.push_back(mirror.LastSyncTime(0));
     }
   };
   auto loop = OnlineFreshenLoop::Create(truth, 5.0, options).value();
@@ -653,20 +656,16 @@ TEST(OnlineLoopTest, FirstSyncCarriesNoControllerEvidence) {
   options.controller.replan_every_periods = 1000.0;  // Keep the cold plan.
   options.registry = &registry;
   options.drift = &drift;
-  std::vector<int> syncs(truth.size(), 0);
-  options.on_period_end = [&](const PeriodStats&,
-                              const std::vector<uint32_t>& synced) {
-    for (uint32_t i : synced) ++syncs[i];
-  };
   auto loop = OnlineFreshenLoop::Create(truth, 10.0, options).value();
   // The cold plan syncs every element once a period, phased at i/N.
   for (double f : loop.controller().frequencies()) ASSERT_EQ(f, 1.0);
-  loop.RunPeriod();
+  // N syncs that reach N distinct elements sync each exactly once.
+  ASSERT_EQ(loop.RunPeriod().syncs, truth.size());
 
   // A first sync at t=0 watched nothing, so only later ones are scored.
   std::vector<size_t> expected_scored;
   for (size_t i = 0; i < truth.size(); ++i) {
-    ASSERT_EQ(syncs[i], 1) << i;
+    ASSERT_TRUE(loop.mirror().Synced(i)) << i;
     EXPECT_EQ(loop.controller().BelievedChangeRate(i), 2.0) << i;
     if (loop.mirror().LastSyncTime(i) > 0.0) expected_scored.push_back(i);
   }

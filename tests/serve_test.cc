@@ -23,6 +23,7 @@
 #include "common/epoch.h"
 #include "common/plan_classes.h"
 #include "obs/metrics.h"
+#include "rng/rng.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -157,12 +158,17 @@ double FlipBit(double value, int bit) {
   return value;
 }
 
-// Marks one element of every shard synced: the next Publish rebuilds every
-// shard, as after a period that synced an element in each.
-void MarkEveryShard(SnapshotBuilder& builder, size_t n) {
-  for (const par::Shard& shard : par::ShardPlan(n)) {
-    builder.MarkDirty(shard.begin);
-  }
+// A last-sync column holding `values`.
+SyncColumn SyncColumnOf(const std::vector<double>& values) {
+  SyncColumn column(values.size());
+  for (size_t i = 0; i < values.size(); ++i) column.Set(i, values[i]);
+  return column;
+}
+
+// Writes `values` into every element of `column`, as after a period that
+// synced an element in every shard: the next Publish digests every shard.
+void WriteEveryShard(SyncColumn& column, const std::vector<double>& values) {
+  for (size_t i = 0; i < values.size(); ++i) column.Set(i, values[i]);
 }
 
 // Installs dense columns as a plan with one class per element.
@@ -176,7 +182,8 @@ void SetDensePlan(SnapshotBuilder& builder,
 TEST(SnapshotBuilderTest, FirstPublishRequiresAPlan) {
   SnapshotBuilder builder(SizeColumn(100, 1.0));
   const auto columns = Column(100, 1.0);
-  auto result = builder.Publish(1, 0, 0.0, columns);
+  const SyncColumn last_sync = SyncColumnOf(columns);
+  auto result = builder.Publish(1, 0, 0.0, last_sync);
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   const auto short_column = Column(99, 1.0);
   EXPECT_EQ(
@@ -184,10 +191,12 @@ TEST(SnapshotBuilderTest, FirstPublishRequiresAPlan) {
           .code(),
       StatusCode::kInvalidArgument);
   SetDensePlan(builder, columns, columns);
-  EXPECT_EQ(builder.Publish(1, 0, 0.0, short_column).status().code(),
+  EXPECT_EQ(builder.Publish(1, 0, 0.0, SyncColumnOf(short_column))
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
-  // A builder with no live block builds every shard.
-  result = builder.Publish(1, 0, 0.0, columns);
+  // A builder with no live block digests every shard.
+  result = builder.Publish(1, 0, 0.0, last_sync);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result)->stats().shards_rebuilt, builder.NumShards());
   EXPECT_TRUE((*result)->CheckConsistent());
@@ -198,7 +207,8 @@ TEST(SnapshotBuilderTest, PublishesConsistentSnapshot) {
   SnapshotBuilder builder(SizeColumn(n, 0.5));
   const auto columns = Column(n, 0.5);
   SetDensePlan(builder, columns, columns);
-  auto snapshot = builder.Publish(1, 0, 0.0, columns).value();
+  auto snapshot =
+      builder.Publish(1, 0, 0.0, SyncColumnOf(columns)).value();
   EXPECT_EQ(snapshot->size(), n);
   EXPECT_EQ(snapshot->epoch(), 1u);
   EXPECT_TRUE(snapshot->CheckConsistent());
@@ -212,15 +222,16 @@ TEST(SnapshotBuilderTest, CleanShardsAreSharedDirtyShardsRebuilt) {
   const size_t n = 20000;  // Several shards at the 4096 grain.
   SnapshotBuilder builder(SizeColumn(n, 1.0));
   ASSERT_GT(builder.NumShards(), 2u);
-  auto columns = Column(n, 1.0);
+  const auto columns = Column(n, 1.0);
   SetDensePlan(builder, columns, columns);
-  auto first = builder.Publish(1, 0, 0.0, columns).value();
+  SyncColumn last_sync = SyncColumnOf(columns);
+  auto first = builder.Publish(1, 0, 0.0, last_sync).value();
 
-  // Sync exactly one element; only its shard should rebuild.
-  columns[0] = 2.0;
-  builder.MarkDirty(0);
-  EXPECT_EQ(builder.DirtyShards(), 1u);
-  auto second = builder.Publish(2, 0, 1.0, columns).value();
+  // Sync exactly one element; only its shard should rebuild: the column
+  // copies that one block, which the first snapshot holds.
+  last_sync.Set(0, 2.0);
+  EXPECT_EQ(last_sync.copies(), 1u);
+  auto second = builder.Publish(2, 0, 1.0, last_sync).value();
 
   EXPECT_EQ(second->stats().shards_rebuilt, 1u);
   EXPECT_NE(first->shards()[0].get(), second->shards()[0].get());
@@ -249,7 +260,7 @@ TEST(SnapshotBuilderTest, ReplanWithUnchangedColumnsRebuildsNoShard) {
   SnapshotBuilder builder(SizeColumn(n, 2.0));
   const auto frequency = Ramp(n, 1.0);
   const auto change_rate = Ramp(n, 3.0);
-  const auto last_sync = Ramp(n, 0.0);
+  const SyncColumn last_sync = SyncColumnOf(Ramp(n, 0.0));
   SetDensePlan(builder, frequency, change_rate);
   auto first = builder.Publish(1, 1, 0.0, last_sync).value();
   EXPECT_EQ(first->stats().shards_rebuilt, builder.NumShards());
@@ -258,7 +269,7 @@ TEST(SnapshotBuilderTest, ReplanWithUnchangedColumnsRebuildsNoShard) {
   SetDensePlan(builder, frequency, change_rate);
   auto second = builder.Publish(2, 2, 1.0, last_sync).value();
   EXPECT_EQ(second->stats().shards_rebuilt, 0u);
-  EXPECT_EQ(builder.DirtyShards(), 0u);
+  EXPECT_EQ(last_sync.copies(), 0u);
   for (size_t s = 0; s < first->shards().size(); ++s) {
     EXPECT_EQ(first->shards()[s].get(), second->shards()[s].get())
         << "shard " << s;
@@ -278,11 +289,10 @@ TEST(SnapshotBuilderTest, OnlyAReplanRepublishesThePlanTable) {
   SnapshotBuilder builder(SizeColumn(n, 2.0));
   auto frequency = Ramp(n, 1.0);
   const auto change_rate = Ramp(n, 3.0);
-  auto last_sync = Ramp(n, 0.0);
+  SyncColumn last_sync = SyncColumnOf(Ramp(n, 0.0));
   SetDensePlan(builder, frequency, change_rate);
   const auto first = builder.Publish(1, 1, 0.0, last_sync).value();
-  last_sync[n / 2] += 1.0;
-  builder.MarkDirty(n / 2);
+  last_sync.Set(n / 2, last_sync.Get(n / 2) + 1.0);
   const auto second = builder.Publish(2, 1, 1.0, last_sync).value();
   EXPECT_EQ(second->plan(), first->plan());
   EXPECT_EQ(second->stats().shards_rebuilt, 1u);
@@ -317,14 +327,12 @@ TEST(SnapshotBuilderTest, EverySnapshotSharesOneSizeColumn) {
   SnapshotBuilder builder(size_column);
   auto frequency = Ramp(n, 0.5);
   const auto change_rate = Ramp(n, 3.0);
-  auto last_sync = Column(n, 0.0);
+  SyncColumn last_sync(n);
   SetDensePlan(builder, frequency, change_rate);
   std::vector<std::shared_ptr<const ServeSnapshot>> snapshots = {
       builder.Publish(1, 1, 0.0, last_sync).value()};
   for (uint64_t epoch = 2; epoch <= 4; ++epoch) {
-    const size_t element = 4000 * epoch;
-    last_sync[element] = static_cast<double>(epoch);
-    builder.MarkDirty(element);
+    last_sync.Set(4000 * epoch, static_cast<double>(epoch));
     snapshots.push_back(builder.Publish(epoch, 1, 0.0, last_sync).value());
   }
   frequency[7] *= 3.0;
@@ -354,37 +362,47 @@ TEST(SnapshotBuilderTest, EverySnapshotSharesOneSizeColumn) {
 }
 
 // The shard blocks' addresses, in shard order.
-std::vector<const ShardBlock*> BlockAddresses(const ServeSnapshot& snapshot) {
-  std::vector<const ShardBlock*> addresses;
+std::vector<const SyncBlock*> BlockAddresses(const ServeSnapshot& snapshot) {
+  std::vector<const SyncBlock*> addresses;
   for (const auto& block : snapshot.shards()) addresses.push_back(block.get());
   return addresses;
 }
 
-// Epoch 1's blocks and plan table become the spares when epoch 2 rebuilds
-// every shard and the plan; once nothing holds epoch 1, epoch 3 is written
-// into them, and reads exactly like a snapshot a fresh builder makes from
+// The column copies epoch 1's blocks when every shard is written after it
+// is published, and the builder keeps epoch 1's plan table as its spare when
+// epoch 2 replans. Once nothing holds epoch 1 and the column has recycled,
+// epoch 3's copies are written into those blocks and its plan into that
+// table, and it reads exactly like a snapshot a fresh builder makes from
 // the same columns.
 TEST(SnapshotBuilderTest, RepublishWritesIntoReclaimedBlocks) {
   const size_t n = 20000;
   const auto sizes = std::make_shared<const std::vector<double>>(Ramp(n, 1.0));
   SnapshotBuilder builder(sizes);
   SetDensePlan(builder, Ramp(n, 1.0), Ramp(n, 2.0));
-  auto first = builder.Publish(1, 1, 0.0, Column(n, 0.0)).value();
-  const std::vector<const ShardBlock*> first_blocks = BlockAddresses(*first);
+  SyncColumn column(n);
+  auto first = builder.Publish(1, 1, 0.0, column).value();
+  const std::vector<const SyncBlock*> first_blocks = BlockAddresses(*first);
   const PlanTable* first_plan = first->plan().get();
   SetDensePlan(builder, Ramp(n, 5.0), Ramp(n, 6.0));
-  MarkEveryShard(builder, n);
-  auto second = builder.Publish(2, 2, 1.0, Column(n, 1.0)).value();
+  WriteEveryShard(column, Column(n, 1.0));
+  auto second = builder.Publish(2, 2, 1.0, column).value();
   EXPECT_EQ(second->stats().shards_rebuilt, builder.NumShards());
+  EXPECT_EQ(second->stats().shards_recycled, 0u);
   first.reset();
+  column.Recycle();
 
   const auto frequency = Ramp(n, 9.0);
   const auto change_rate = Ramp(n, 10.0);
   const auto last_sync = Ramp(n, 0.5);
   SetDensePlan(builder, frequency, change_rate);
-  MarkEveryShard(builder, n);
-  auto third = builder.Publish(3, 3, 2.0, last_sync).value();
-  EXPECT_EQ(BlockAddresses(*third), first_blocks);
+  WriteEveryShard(column, last_sync);
+  auto third = builder.Publish(3, 3, 2.0, column).value();
+  // The pool serves any shard: compare the blocks as sets.
+  std::vector<const SyncBlock*> third_blocks = BlockAddresses(*third);
+  std::vector<const SyncBlock*> reclaimed = first_blocks;
+  std::sort(third_blocks.begin(), third_blocks.end());
+  std::sort(reclaimed.begin(), reclaimed.end());
+  EXPECT_EQ(third_blocks, reclaimed);
   EXPECT_EQ(third->plan().get(), first_plan);
   EXPECT_EQ(third->stats().shards_recycled, builder.NumShards());
   EXPECT_TRUE(third->CheckConsistent());
@@ -392,15 +410,17 @@ TEST(SnapshotBuilderTest, RepublishWritesIntoReclaimedBlocks) {
 
   SnapshotBuilder fresh(sizes);
   SetDensePlan(fresh, frequency, change_rate);
-  auto reference = fresh.Publish(3, 3, 2.0, last_sync).value();
+  auto reference =
+      fresh.Publish(3, 3, 2.0, SyncColumnOf(last_sync)).value();
   ASSERT_EQ(third->shards().size(), reference->shards().size());
   for (size_t s = 0; s < third->shards().size(); ++s) {
-    const ShardBlock& block = *third->shards()[s];
-    const ShardBlock& expected = *reference->shards()[s];
+    const SyncBlock& block = *third->shards()[s];
+    const SyncBlock& expected = *reference->shards()[s];
     EXPECT_EQ(block.begin, expected.begin) << "shard " << s;
     EXPECT_EQ(block.end, expected.end) << "shard " << s;
     EXPECT_EQ(block.last_sync_time, expected.last_sync_time) << "shard " << s;
-    EXPECT_EQ(block.digest, expected.digest) << "shard " << s;
+    EXPECT_EQ(third->shard_digests()[s], reference->shard_digests()[s])
+        << "shard " << s;
   }
   const PlanTable& plan = *third->plan();
   const PlanTable& expected_plan = *reference->plan();
@@ -419,23 +439,27 @@ TEST(SnapshotBuilderTest, HeldSnapshotBlocksAreNeverReused) {
   const size_t n = 20000;
   SnapshotBuilder builder(SizeColumn(n, 1.0));
   SetDensePlan(builder, Ramp(n, 1.0), Ramp(n, 2.0));
-  const auto held = builder.Publish(1, 1, 0.0, Ramp(n, 3.0)).value();
+  SyncColumn column = SyncColumnOf(Ramp(n, 3.0));
+  const auto held = builder.Publish(1, 1, 0.0, column).value();
   std::vector<ElementView> expected;
   for (size_t i = 0; i < n; ++i) expected.push_back(held->Lookup(i));
-  const std::vector<const ShardBlock*> held_blocks = BlockAddresses(*held);
+  const std::vector<const SyncBlock*> held_blocks = BlockAddresses(*held);
 
   for (uint64_t epoch = 2; epoch <= 4; ++epoch) {
+    // A period starts: blocks no snapshot holds any more return to the
+    // pool.
+    column.Recycle();
     const double offset = 100.0 * static_cast<double>(epoch);
     SetDensePlan(builder, Ramp(n, offset), Ramp(n, offset + 1.0));
-    MarkEveryShard(builder, n);
-    auto next =
-        builder.Publish(epoch, epoch, 1.0, Ramp(n, offset + 2.0)).value();
+    WriteEveryShard(column, Ramp(n, offset + 2.0));
+    auto next = builder.Publish(epoch, epoch, 1.0, column).value();
     EXPECT_EQ(next->stats().shards_rebuilt, builder.NumShards());
-    // Epoch 3 finds every spare held by epoch 1; epoch 4 recycles epoch 2's.
+    // Epoch 3 finds the pool empty, every replaced block held by epoch 1
+    // or the builder; epoch 4 copies into epoch 2's.
     EXPECT_EQ(next->stats().shards_recycled,
               epoch == 4 ? builder.NumShards() : 0u)
         << "epoch " << epoch;
-    for (const ShardBlock* block : BlockAddresses(*next)) {
+    for (const SyncBlock* block : BlockAddresses(*next)) {
       EXPECT_EQ(std::count(held_blocks.begin(), held_blocks.end(), block), 0)
           << "epoch " << epoch;
     }
@@ -470,6 +494,62 @@ struct ClassPlan {
   PlanClassView view() const { return {class_of, frequency, change_rate}; }
 };
 
+// A run of 300 publishes that each write a few elements of two random
+// shards, with a replan every tenth: serving holds the mirror's one column,
+// the live and spare plan tables, and spare blocks bounded by the shards
+// written in two periods, however many shards the run writes in all. A
+// spare kept per written shard would grow towards a second column.
+TEST(SnapshotBuilderTest, LongRunHoldsOneColumnAndTwoPeriodsOfCopies) {
+  const size_t n = 200000;
+  constexpr size_t kShardsWrittenPerPeriod = 2;
+  const std::vector<par::Shard> shards = par::ShardPlan(n);
+  const size_t block_bytes = 8 * shards.front().size();
+  const size_t live_bytes = block_bytes * shards.size();
+  const size_t spare_bound = 2 * kShardsWrittenPerPeriod * block_bytes;
+  SnapshotBuilder builder(SizeColumn(n, 1.0));
+  const ClassPlan plan(n, 64);
+  ASSERT_TRUE(builder.SetPlan(plan.view()).ok());
+  SyncColumn column(n);
+  std::vector<double> expected(n, 0.0);
+  auto current = builder.Publish(1, 1, 0.0, column).value();
+  const size_t table_bytes = current->plan()->bytes();
+  std::vector<uint8_t> written(shards.size(), 0);
+  Rng rng(17);
+  for (uint64_t epoch = 2; epoch <= 301; ++epoch) {
+    const double now = static_cast<double>(epoch);
+    for (size_t w = 0; w < kShardsWrittenPerPeriod; ++w) {
+      const par::Shard& shard = shards[rng.NextUint64Below(shards.size())];
+      for (size_t k = 0; k < 3; ++k) {
+        const size_t element = shard.begin + rng.NextUint64Below(shard.size());
+        column.Set(element, now);
+        expected[element] = now;
+      }
+      written[shard.index] = 1;
+    }
+    if (epoch % 10 == 0) {
+      ASSERT_TRUE(builder.SetPlan(plan.view()).ok());
+    }
+    auto next = builder.Publish(epoch, epoch / 10 + 1, now, column).value();
+    const SnapshotStats& stats = next->stats();
+    ASSERT_LE(stats.shards_rebuilt, kShardsWrittenPerPeriod);
+    ASSERT_LE(stats.held_plan_bytes, 2 * table_bytes) << "epoch " << epoch;
+    ASSERT_LE(stats.held_pool_bytes, spare_bound) << "epoch " << epoch;
+    ASSERT_LE(stats.held_bytes, live_bytes + 2 * table_bytes + spare_bound)
+        << "epoch " << epoch;
+    // As a daemon does: the store releases the previous snapshot, then the
+    // loop's column recycles the blocks only it held.
+    current = std::move(next);
+    column.Recycle();
+  }
+  EXPECT_GT(std::count(written.begin(), written.end(), 1),
+            static_cast<std::ptrdiff_t>(shards.size() * 3 / 4));
+  EXPECT_TRUE(current->CheckConsistent());
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(SameBits(current->Lookup(i).last_sync_time, expected[i]))
+        << "element " << i;
+  }
+}
+
 // The plan table is covered by its digest: flipping any bit of one class's
 // frequency or rate, or of one element's class id, makes CheckConsistent()
 // fail, and flipping it back makes it pass again. A class id past the
@@ -479,7 +559,8 @@ TEST(SnapshotBuilderTest, FlippedPlanTableEntryFailsTheConsistencyCheck) {
   SnapshotBuilder builder(SizeColumn(n, 1.0));
   const ClassPlan plan(n, 8);
   ASSERT_TRUE(builder.SetPlan(plan.view()).ok());
-  const auto snapshot = builder.Publish(1, 1, 0.0, Ramp(n, 0.0)).value();
+  const auto snapshot =
+      builder.Publish(1, 1, 0.0, SyncColumnOf(Ramp(n, 0.0))).value();
   ASSERT_TRUE(snapshot->CheckConsistent());
   // The builder allocates its tables mutable; snapshots hand them out const.
   auto* table = const_cast<PlanTable*>(snapshot->plan().get());
@@ -517,7 +598,7 @@ TEST(SnapshotBuilderTest, RenumberedClassesShareEveryUnsyncedShard) {
   const size_t classes = 40;
   SnapshotBuilder builder(SizeColumn(n, 2.0));
   const ClassPlan plan(n, classes);
-  auto last_sync = Ramp(n, 0.0);
+  SyncColumn last_sync = SyncColumnOf(Ramp(n, 0.0));
   ASSERT_TRUE(builder.SetPlan(plan.view()).ok());
   const auto first = builder.Publish(1, 1, 0.0, last_sync).value();
 
@@ -538,8 +619,7 @@ TEST(SnapshotBuilderTest, RenumberedClassesShareEveryUnsyncedShard) {
   }
   const size_t synced[] = {5, n - 3};
   for (size_t element : synced) {
-    last_sync[element] += 1.0;
-    builder.MarkDirty(element);
+    last_sync.Set(element, last_sync.Get(element) + 1.0);
   }
   ASSERT_TRUE(builder.SetPlan(renumbered.view()).ok());
   const auto second = builder.Publish(2, 2, 1.0, last_sync).value();
@@ -567,7 +647,8 @@ TEST(SnapshotBuilderTest, RenumberedClassesShareEveryUnsyncedShard) {
 
 // With 256 classes a plan table holds 4 bytes per element (the class id)
 // plus 16 bytes per class, and a live shard block 8 bytes per element (the
-// last-sync time); the builder's byte count adds up its blocks and tables.
+// last-sync time), each with room for the largest shard; the held byte
+// count adds up the blocks and tables.
 TEST(SnapshotBuilderTest, ClassIdsHoldFourBytesPerElementPlusTheClasses) {
   const size_t n = 100000;
   const size_t classes = 256;
@@ -575,22 +656,45 @@ TEST(SnapshotBuilderTest, ClassIdsHoldFourBytesPerElementPlusTheClasses) {
   SnapshotBuilder builder(SizeColumn(n, 1.0));
   const ClassPlan plan(n, classes);
   ASSERT_TRUE(builder.SetPlan(plan.view()).ok());
-  const auto first = builder.Publish(1, 1, 0.0, Column(n, 0.0)).value();
+  SyncColumn column(n);
+  auto first = builder.Publish(1, 1, 0.0, column).value();
   size_t block_bytes = 0;
   for (const auto& block : first->shards()) block_bytes += block->bytes();
-  EXPECT_EQ(block_bytes, 8 * n);
+  const std::vector<par::Shard> shards = par::ShardPlan(n);
+  ASSERT_LT(shards.back().size(), shards.front().size());  // 8 B of slack.
+  EXPECT_EQ(block_bytes, 8 * shards.front().size() * shards.size());
+  EXPECT_LT(block_bytes, 8 * n + 8 * shards.size());
   EXPECT_EQ(first->plan()->bytes(), table_bytes);
   EXPECT_EQ(first->stats().held_plan_bytes, table_bytes);
+  EXPECT_EQ(first->stats().held_pool_bytes, 0u);
   EXPECT_EQ(first->stats().held_bytes, block_bytes + table_bytes);
 
-  // A replan and a sync in every shard keep the first blocks and table as
-  // spares: two copies of each.
+  // A replan and a sync in every shard while the first snapshot is held
+  // keep its blocks and table as spares: two copies of each.
   ASSERT_TRUE(builder.SetPlan(plan.view()).ok());
-  MarkEveryShard(builder, n);
-  const auto second = builder.Publish(2, 2, 1.0, Column(n, 1.0)).value();
+  WriteEveryShard(column, Column(n, 1.0));
+  auto second = builder.Publish(2, 2, 1.0, column).value();
   EXPECT_EQ(second->stats().shards_rebuilt, builder.NumShards());
   EXPECT_EQ(second->stats().held_plan_bytes, 2 * table_bytes);
-  EXPECT_EQ(second->stats().held_bytes, 2 * 8 * n + 2 * table_bytes);
+  EXPECT_EQ(second->stats().held_pool_bytes, block_bytes);
+  EXPECT_EQ(second->stats().held_bytes, 2 * block_bytes + 2 * table_bytes);
+
+  // Released and recycled, the first blocks make the pool. Periods that
+  // write one shard each take one of them, and once kPoolPeriods of them
+  // have passed the pool keeps one block, as many as they copied.
+  first.reset();
+  column.Recycle();
+  std::shared_ptr<const ServeSnapshot> current = std::move(second);
+  for (size_t period = 0; period < SyncColumn::kPoolPeriods; ++period) {
+    const double now = 2.0 + static_cast<double>(period);
+    column.Set(0, now);
+    current = builder.Publish(3 + period, 2, now, column).value();
+    EXPECT_EQ(current->stats().shards_recycled, 1u) << "period " << period;
+    EXPECT_EQ(current->stats().held_pool_bytes, block_bytes)
+        << "period " << period;
+    column.Recycle();
+  }
+  EXPECT_EQ(column.spare_bytes(), 8 * shards.front().size());
 }
 
 // Under the controller's plan with one class per element (class i is
@@ -602,7 +706,7 @@ TEST(SnapshotBuilderTest, OneClassPerElementHoldsPairsInElementOrder) {
   SnapshotBuilder builder(SizeColumn(n, 1.0));
   const auto frequency = Ramp(n, 1.0);
   const auto change_rate = Ramp(n, 2.0);
-  const auto last_sync = Ramp(n, 3.0);
+  const SyncColumn last_sync = SyncColumnOf(Ramp(n, 3.0));
   SetDensePlan(builder, frequency, change_rate);
   const auto snapshot = builder.Publish(1, 1, 0.0, last_sync).value();
   const PlanTable& plan = *snapshot->plan();
@@ -642,8 +746,8 @@ TEST(SnapshotBuilderTest, OneClassPerElementHoldsPairsInElementOrder) {
 // columns all end in a partial stripe (the class ids: 9 words and a 4-byte
 // tail). Every value is distinct, and the ids are a permutation of the
 // classes.
-ShardBlock DigestTestBlock() {
-  ShardBlock block;
+SyncBlock DigestTestBlock() {
+  SyncBlock block;
   block.begin = 4096;
   block.end = 4096 + 19;
   for (size_t j = 0; j < block.count(); ++j) {
@@ -676,22 +780,22 @@ std::vector<double>& PlanColumn(PlanTable& plan, size_t column) {
 }
 
 TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
-  const ShardBlock base = DigestTestBlock();
+  const SyncBlock base = DigestTestBlock();
   const uint64_t digest = DigestShard(base);
   for (size_t j : kDigestPositions) {
     for (int bit : kDigestBits) {
-      ShardBlock flipped = base;
+      SyncBlock flipped = base;
       flipped.last_sync_time[j] = FlipBit(base.last_sync_time[j], bit);
       EXPECT_NE(DigestShard(flipped), digest)
           << "last-sync position " << j << " bit " << bit;
     }
   }
   for (size_t j : kDigestSwaps) {
-    ShardBlock swapped = base;
+    SyncBlock swapped = base;
     std::swap(swapped.last_sync_time[j], swapped.last_sync_time[j + 1]);
     EXPECT_NE(DigestShard(swapped), digest) << "last-sync swap at " << j;
   }
-  ShardBlock moved = base;
+  SyncBlock moved = base;
   moved.begin += 1;
   moved.end += 1;
   EXPECT_NE(DigestShard(moved), digest);
@@ -764,12 +868,11 @@ TEST(SnapshotDigestTest, EveryColumnBitPositionAndOrderChangesTheDigest) {
   EXPECT_NE(DigestColumn(plan.frequency), size_digest);
   EXPECT_NE(DigestColumn(plan.change_rate), size_digest);
 
-  std::vector<std::shared_ptr<const ShardBlock>> shards;
+  std::vector<uint64_t> shards;
   for (int s = 0; s < 3; ++s) {
-    ShardBlock block = DigestTestBlock();
+    SyncBlock block = DigestTestBlock();
     block.last_sync_time[0] += s;
-    block.digest = DigestShard(block);
-    shards.push_back(std::make_shared<const ShardBlock>(std::move(block)));
+    shards.push_back(DigestShard(block));
   }
   const uint64_t combined = CombineDigests(shards, plan_digest, size_digest);
   for (size_t s = 0; s + 1 < shards.size(); ++s) {
@@ -792,8 +895,7 @@ std::shared_ptr<const ServeSnapshot> MakeSnapshot(SnapshotBuilder& builder,
   const auto columns = Column(n, value);
   EXPECT_TRUE(
       builder.SetPlan(IdentityClasses(columns, columns).view()).ok());
-  MarkEveryShard(builder, n);
-  return builder.Publish(epoch, 0, 0.0, columns).value();
+  return builder.Publish(epoch, 0, 0.0, SyncColumnOf(columns)).value();
 }
 
 TEST(SnapshotStoreTest, EmptyBeforeFirstPublish) {
@@ -1057,7 +1159,7 @@ TEST(FreshendDaemonTest, SnapshotMatchesOwningColumnsAfterEveryPeriod) {
       ASSERT_TRUE(
           SameBits(view.change_rate, controller.PlannedChangeRate(i)))
           << "period " << period << " element " << i;
-      ASSERT_TRUE(SameBits(view.last_sync_time, mirror.LastSyncTimes()[i]))
+      ASSERT_TRUE(SameBits(view.last_sync_time, mirror.LastSyncTime(i)))
           << "period " << period << " element " << i;
       synced += mirror.Synced(i);
     }
@@ -1103,8 +1205,9 @@ size_t CheckServedPlanEveryPeriod(FreshendDaemon& daemon, int periods) {
     SnapshotRef snapshot = daemon.AcquireSnapshot();
     EXPECT_TRUE(snapshot->CheckConsistent()) << "period " << period;
     const AdaptiveFreshener& controller = daemon.loop().controller();
-    const std::vector<double>& last_sync =
-        daemon.loop().mirror().LastSyncTimes();
+    const MirrorState& mirror = daemon.loop().mirror();
+    std::vector<double> last_sync(n);
+    for (size_t i = 0; i < n; ++i) last_sync[i] = mirror.LastSyncTime(i);
     max_classes =
         std::max(max_classes, controller.PlanClasses().frequency.size());
     for (size_t i = 0; i < n; ++i) {
@@ -1194,28 +1297,87 @@ TEST(FreshendDaemonTest, FullRepublishesStrandNoArenaMemory) {
   EXPECT_LT(free_growth, 24.0 * kElements);
 }
 
-// freshen_serve_snapshot_bytes carries the builder's held bytes after
-// every publish: the live and spare copies of the 8-byte last-sync time
-// per element, plus the live and spare plan tables.
+// freshen_serve_snapshot_bytes carries the held bytes after every publish:
+// the mirror's one live copy of the 8-byte last-sync time per element, its
+// spare blocks, and the live and spare plan tables. The spare blocks are
+// bounded by the shards written in this period and in the busiest of the
+// column's recent ones: each written shard's first write copies a block
+// that the previous snapshot holds, and the pool keeps no more blocks than
+// the busiest of its last SyncColumn::kPoolPeriods periods copied.
 TEST(FreshendDaemonTest, SnapshotBytesGaugeCountsLiveAndSpareBlocks) {
-  constexpr size_t kElements = 20000;
+  constexpr size_t kElements = 20000;  // Four shards of 5,000.
+  const size_t block_bytes = 8 * par::ShardPlan(kElements).front().size();
+  ASSERT_EQ(block_bytes * par::ShardCount(kElements), 8 * kElements);
   obs::MetricsRegistry registry;
   auto options = DaemonOptions(&registry);
-  options.max_periods = 4;
+  options.max_periods = 1;  // Each Start() runs exactly one more period.
   auto daemon =
       FreshendDaemon::Create(TestCatalog(kElements), 500.0, options).value();
   const obs::Gauge* bytes = registry.GetGauge("freshen_serve_snapshot_bytes");
   EXPECT_EQ(bytes->value(),
             static_cast<double>(daemon->Stats().snapshot.held_bytes));
+  std::vector<size_t> rebuilt;  // Per period: shards written, so copied.
+  for (int period = 1; period <= 12; ++period) {
+    ASSERT_TRUE(daemon->Start().ok());
+    while (daemon->running()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    daemon->Stop();
+    const SnapshotStats stats = daemon->Stats().snapshot;
+    EXPECT_EQ(bytes->value(), static_cast<double>(stats.held_bytes))
+        << "period " << period;
+    EXPECT_GT(stats.held_bytes, 12 * kElements) << "period " << period;
+    EXPECT_LE(stats.held_bytes,
+              8 * kElements + stats.held_pool_bytes + stats.held_plan_bytes)
+        << "period " << period;
+    const size_t recent = std::min(rebuilt.size(), SyncColumn::kPoolPeriods);
+    const size_t busiest =
+        recent == 0 ? 0 : *std::max_element(rebuilt.end() - recent,
+                                            rebuilt.end());
+    EXPECT_LE(stats.held_pool_bytes,
+              (stats.shards_rebuilt + busiest) * block_bytes)
+        << "period " << period;
+    rebuilt.push_back(stats.shards_rebuilt);
+  }
+}
+
+// The daemon's heap per element at a sparse shape (B = 20 of N = 200k, 20
+// accesses per period, so a few hundred elements ever sync): the loop's
+// ~92.5 B/element (OnlineLoopTest.HeapPerElementHoldsNoDenseSyncColumn)
+// plus the serving state, counted over every malloc arena. Serving holds
+// two plan tables of class ids (4 + 4) and, because snapshots share the
+// mirror's own last-sync blocks, no copy of them: its spare blocks are the
+// few shards a period writes. This run holds 102.3. The 5 B margin is less
+// than one snapshot copy of the sync column (8): a builder that copied the
+// column into blocks of its own and kept a spare per written shard held
+// 112.5 here.
+TEST(FreshendDaemonTest, HeapPerElementHoldsOneSyncColumn) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#endif
+  constexpr size_t kElements = 200000;
+  constexpr double kMaxBytesPerElement = 102.0 + 5.0;
+  ExperimentSpec spec;
+  spec.num_objects = kElements;
+  const ElementSet truth = GenerateCatalog(spec).value();
+  obs::MetricsRegistry registry;
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const size_t heap_before = heap_in_use();
+  auto options = DaemonOptions(&registry);
+  options.loop.accesses_per_period = 20.0;
+  options.max_periods = 10;
+  auto daemon = FreshendDaemon::Create(truth, 20.0, options).value();
   ASSERT_TRUE(daemon->Start().ok());
   while (daemon->running()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   daemon->Stop();
-  const SnapshotStats stats = daemon->Stats().snapshot;
-  EXPECT_EQ(bytes->value(), static_cast<double>(stats.held_bytes));
-  EXPECT_GT(stats.held_bytes, 12 * kElements);
-  EXPECT_LE(stats.held_bytes, 2 * 8 * kElements + stats.held_plan_bytes);
+  EXPECT_LT(static_cast<double>(heap_in_use() - heap_before) /
+                static_cast<double>(kElements),
+            kMaxBytesPerElement);
 }
 
 TEST(FreshendDaemonTest, StopIsIdempotentAndQueriesSurviveIt) {

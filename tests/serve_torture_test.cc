@@ -18,6 +18,8 @@
 #include "common/plan_classes.h"
 #include "common/quick_mode.h"
 #include "obs/metrics.h"
+#include "mirror/mirror_state.h"
+#include "rng/rng.h"
 #include "serve/daemon.h"
 #include "serve/snapshot.h"
 #include "serve/store.h"
@@ -73,18 +75,18 @@ TEST(ServeTortureTest, RawStoreReadersNeverSeeTornSnapshots) {
   }
 
   std::vector<double> columns(n, 0.0);
+  SyncColumn last_sync(n);
   for (int pub = 1; pub <= kPublications; ++pub) {
     const double stamp = static_cast<double>(pub);
     for (double& v : columns) v = stamp;
     EXPECT_TRUE(
         builder.SetPlan(IdentityClasses(columns, columns).view()).ok());
-    for (const par::Shard& shard : par::ShardPlan(n)) {
-      builder.MarkDirty(shard.begin);
-    }
+    for (size_t i = 0; i < n; ++i) last_sync.Set(i, stamp);
     auto snapshot =
-        builder.Publish(static_cast<uint64_t>(pub), 0, stamp, columns)
+        builder.Publish(static_cast<uint64_t>(pub), 0, stamp, last_sync)
             .value();
     store.Publish(std::move(snapshot));
+    last_sync.Recycle();
   }
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
@@ -97,7 +99,7 @@ TEST(ServeTortureTest, RawStoreReadersNeverSeeTornSnapshots) {
 }
 
 // Readers that hold their pins across several publications, each of which
-// rebuilds every shard: the builder writes new epochs into recycled blocks
+// rewrites every shard: the column copies new epochs into recycled blocks
 // while older epochs are still pinned. A pinned snapshot's values must never
 // change under its reader, and blocks must really be recycled along the way.
 TEST(ServeTortureTest, PinnedReadersNeverSeeRecycledBlocksChange) {
@@ -152,22 +154,24 @@ TEST(ServeTortureTest, PinnedReadersNeverSeeRecycledBlocksChange) {
 
   uint64_t recycled = 0;
   std::vector<double> columns(n, 0.0);
+  SyncColumn last_sync(n);
   for (int pub = 1; pub <= kPublications; ++pub) {
     const double stamp = static_cast<double>(pub);
     for (double& v : columns) v = stamp;
+    for (size_t i = 0; i < n; ++i) last_sync.Set(i, stamp);
     // As the daemon does: free what readers have left before building, so
-    // the spares those snapshots held can be rewritten.
+    // the spare plan table those snapshots held can be rewritten.
     store.Reclaim();
     EXPECT_TRUE(
         builder.SetPlan(IdentityClasses(columns, columns).view()).ok());
-    for (const par::Shard& shard : par::ShardPlan(n)) {
-      builder.MarkDirty(shard.begin);
-    }
     auto snapshot =
-        builder.Publish(static_cast<uint64_t>(pub), 0, stamp, columns)
+        builder.Publish(static_cast<uint64_t>(pub), 0, stamp, last_sync)
             .value();
     recycled += snapshot->stats().shards_recycled;
     store.Publish(std::move(snapshot));
+    // As the loop does after its publication hook: blocks the released
+    // snapshots alone held return to the column's pool.
+    last_sync.Recycle();
     // Give readers time to finish a hold and pin this epoch.
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
@@ -179,6 +183,101 @@ TEST(ServeTortureTest, PinnedReadersNeverSeeRecycledBlocksChange) {
   EXPECT_GT(long_holds.load(), 0u);
   EXPECT_GT(recycled, 0u) << "of " << kPublications * builder.NumShards()
                           << " rebuilt shards";
+  store.Drain();
+  EXPECT_EQ(store.stats().retired_pending, 0u);
+}
+
+// Readers pin snapshots for up to eight publications while the loop side
+// writes a few elements per publication into the column, which copies each
+// written block that a snapshot holds into a pooled one. A pinned
+// snapshot's sampled last-sync times must read the same when the pin is
+// released as when it was taken, every sampled read must pass the digest
+// check, and the pool must really serve copies along the way.
+TEST(ServeTortureTest, PinnedReadersSurviveCopyOnWriteColumnWrites) {
+  const size_t n = 40000;  // Nine shards.
+  const int kPublications = QuickMode() ? 300 : 1200;
+  const int kReaders = 4;
+
+  obs::MetricsRegistry registry;
+  SnapshotStore store(&registry);
+  SnapshotBuilder builder(
+      std::make_shared<const std::vector<double>>(n, 1.0));
+  const std::vector<double> plan_column(n, 0.5);
+  ASSERT_TRUE(
+      builder.SetPlan(IdentityClasses(plan_column, plan_column).view()).ok());
+  SyncColumn last_sync(n);
+  store.Publish(builder.Publish(1, 0, 0.0, last_sync).value());
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> inconsistent{0};
+  std::atomic<uint64_t> changed_values{0};
+  std::atomic<uint64_t> long_holds{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      constexpr size_t kProbes = 64;
+      std::vector<double> seen(kProbes);
+      for (uint64_t hold = static_cast<uint64_t>(r) % 8 + 1;
+           !done.load(std::memory_order_acquire); hold = hold % 8 + 1) {
+        SnapshotRef ref = store.Acquire();
+        const uint64_t pinned_at = ref->epoch();
+        const size_t stride = n / kProbes;
+        const auto probe = [&](size_t k) {
+          return ref->Lookup(k * stride + static_cast<size_t>(r))
+              .last_sync_time;
+        };
+        for (size_t k = 0; k < kProbes; ++k) seen[k] = probe(k);
+        while (store.CurrentEpoch() < pinned_at + hold &&
+               !done.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        if (store.CurrentEpoch() >= pinned_at + hold) {
+          long_holds.fetch_add(1, std::memory_order_relaxed);
+        }
+        for (size_t k = 0; k < kProbes; ++k) {
+          if (probe(k) != seen[k]) {
+            changed_values.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        if (!ref->CheckConsistent()) {
+          inconsistent.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+
+  // Each publication writes three random elements and one on a probe
+  // stride, so the written shards move around the column.
+  uint64_t copies = 0;
+  uint64_t reuses = 0;
+  Rng rng(4040);
+  for (int pub = 2; pub <= kPublications; ++pub) {
+    const double stamp = static_cast<double>(pub);
+    for (int w = 0; w < 3; ++w) {
+      last_sync.Set(static_cast<size_t>(rng.NextUint64Below(n)), stamp);
+    }
+    last_sync.Set(static_cast<size_t>(rng.NextUint64Below(64)) * (n / 64),
+                  stamp);
+    store.Reclaim();
+    copies += last_sync.copies();
+    reuses += last_sync.reuses();
+    store.Publish(
+        builder.Publish(static_cast<uint64_t>(pub), 0, stamp, last_sync)
+            .value());
+    last_sync.Recycle();
+    if (pub % 4 == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(inconsistent.load(), 0u);
+  EXPECT_EQ(changed_values.load(), 0u);
+  EXPECT_GT(long_holds.load(), 0u);
+  EXPECT_GT(copies, 0u);
+  EXPECT_GT(reuses, 0u) << "of " << copies << " copies";
   store.Drain();
   EXPECT_EQ(store.stats().retired_pending, 0u);
 }
